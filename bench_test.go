@@ -498,6 +498,80 @@ func BenchmarkDPIEncHashAblation(b *testing.B) {
 	})
 }
 
+// The AES-128 kernel of internal/bbcrypto beside the crypto/aes calls it
+// replaces on the token path. A first-seen token (or a schedule-cache miss)
+// costs one key expansion plus two encryptions, a cached one a single
+// encryption; crypto/aes pays a heap object per expansion. DESIGN.md §5
+// quotes these.
+var benchAESSink bbcrypto.Block
+
+func BenchmarkAES128Expand(b *testing.B) {
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		key := bbcrypto.Block{1}
+		var s bbcrypto.Schedule
+		for i := 0; i < b.N; i++ {
+			key[0] = byte(i)
+			s.Expand(&key)
+		}
+		s.Encrypt(&benchAESSink, &key)
+	})
+	b.Run("stdlib", func(b *testing.B) {
+		b.ReportAllocs()
+		key := bbcrypto.Block{1}
+		for i := 0; i < b.N; i++ {
+			key[0] = byte(i)
+			bbcrypto.NewAES(key)
+		}
+	})
+}
+
+func BenchmarkAES128Encrypt(b *testing.B) {
+	key := bbcrypto.Block{1}
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		var s bbcrypto.Schedule
+		s.Expand(&key)
+		var pt bbcrypto.Block
+		for i := 0; i < b.N; i++ {
+			pt[8] = byte(i)
+			s.Encrypt(&benchAESSink, &pt)
+		}
+	})
+	b.Run("stdlib", func(b *testing.B) {
+		b.ReportAllocs()
+		blk := bbcrypto.NewAES(key)
+		var pt bbcrypto.Block
+		for i := 0; i < b.N; i++ {
+			pt[8] = byte(i)
+			blk.Encrypt(benchAESSink[:], pt[:])
+		}
+	})
+}
+
+func BenchmarkAES128ExpandEncrypt(b *testing.B) {
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		key := bbcrypto.Block{1}
+		var pt bbcrypto.Block
+		var s bbcrypto.Schedule
+		for i := 0; i < b.N; i++ {
+			key[0] = byte(i)
+			s.Expand(&key)
+			s.Encrypt(&benchAESSink, &pt)
+		}
+	})
+	b.Run("stdlib", func(b *testing.B) {
+		b.ReportAllocs()
+		key := bbcrypto.Block{1}
+		var pt bbcrypto.Block
+		for i := 0; i < b.N; i++ {
+			key[0] = byte(i)
+			bbcrypto.NewAES(key).Encrypt(benchAESSink[:], pt[:])
+		}
+	})
+}
+
 // BenchmarkProtocolIIIOverhead compares Protocol II and Protocol III token
 // encryption (ablation #5: the paired ciphertext costs one extra AES call
 // and 16 wire bytes per token).

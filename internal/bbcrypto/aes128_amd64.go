@@ -1,0 +1,60 @@
+//go:build amd64 && !purego
+
+package bbcrypto
+
+import "crypto/aes"
+
+// Schedule is an expanded AES-128 encryption key in caller-owned memory:
+// the 11 round keys, 176 bytes, no pointer inside. Unlike the cipher.Block
+// of NewAES it lives wherever its owner puts it — in an array of thousands
+// (the DPIEnc schedule cache) or on the stack — so keying AES costs no heap
+// allocation. The zero value is not a usable key; call Expand first.
+//
+// AES runs on AES-NI, so it is constant-time in the key. On an amd64 CPU
+// without AES-NI the schedule keeps only the raw key and every Encrypt goes
+// through crypto/aes: slow, but never a table-lookup AES of our own.
+//
+//bb:secret
+type Schedule struct {
+	rk [176]byte
+}
+
+// useAESNI is the CPUID feature check guarding the assembly kernel.
+var useAESNI = cpuHasAESNI()
+
+// Expand overwrites s with the encryption schedule of key.
+func (s *Schedule) Expand(key *Block) {
+	if useAESNI {
+		expand128((*[BlockSize]byte)(key), &s.rk)
+		return
+	}
+	copy(s.rk[:BlockSize], key[:])
+}
+
+// Encrypt sets *dst to the AES encryption of *src under the expanded key;
+// dst and src may be the same block.
+func (s *Schedule) Encrypt(dst, src *Block) {
+	if useAESNI {
+		encrypt128(&s.rk, (*[BlockSize]byte)(dst), (*[BlockSize]byte)(src))
+		return
+	}
+	s.encryptNoAESNI(dst, src)
+}
+
+// encryptNoAESNI copies through locals so that only they, not the caller's
+// blocks, escape through the cipher.Block interface: with AES-NI present the
+// callers' blocks must be able to stay on the stack.
+func (s *Schedule) encryptNoAESNI(dst, src *Block) {
+	key, in := [BlockSize]byte(s.rk[:BlockSize]), *src
+	var out Block
+	must(aes.NewCipher(key[:])).Encrypt(out[:], in[:])
+	*dst = out
+}
+
+//go:noescape
+func expand128(key *[BlockSize]byte, rk *[176]byte)
+
+//go:noescape
+func encrypt128(rk *[176]byte, dst, src *[BlockSize]byte)
+
+func cpuHasAESNI() bool

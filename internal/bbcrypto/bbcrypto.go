@@ -87,11 +87,14 @@ func NewAES(key Block) cipher.Block {
 	return must(aes.NewCipher(key[:]))
 }
 
-// EncryptBlock encrypts one block under key and returns the result.
+// EncryptBlock encrypts one block under key and returns the result. It
+// expands key on every call; callers encrypting many blocks under one key
+// keep a Schedule instead.
 func EncryptBlock(key, pt Block) Block {
-	var ct Block
-	NewAES(key).Encrypt(ct[:], pt[:])
-	return ct
+	var s Schedule
+	s.Expand(&key)
+	s.Encrypt(&pt, &pt)
+	return pt
 }
 
 // FixedKeyHash is the JustGarble-style hash built from a single fixed-key

@@ -52,6 +52,8 @@ type SenderPipeline struct {
 	cfg Config
 	tk  *tokenize.Tokenizer
 	enc *dpienc.Sender
+	// toks is the tokenizer's output buffer, reused by every chunk.
+	toks []tokenize.Token
 	// workers is the fan-out of the stateless AES step; <=1 keeps it on
 	// the calling goroutine.
 	workers int
@@ -147,12 +149,18 @@ func (p *SenderPipeline) Instrument(r *obs.Registry, trace obs.Sink, flow uint64
 	p.enc.Instrument(r)
 }
 
-// timedEncrypt is the instrumented tail of a Process*Into call: toks were
-// tokenized starting at t0 from `bytes` input bytes; the encrypt step is
-// timed here.
-func (p *SenderPipeline) timedEncrypt(dst []dpienc.EncryptedToken, toks []tokenize.Token, t0 time.Time, bytes int) []dpienc.EncryptedToken {
+// encrypt is the tail of every Process*Into call: p.toks were tokenized
+// starting at t0 (zero when uninstrumented) from `bytes` input bytes. It
+// encrypts them into dst's backing array when that is large enough; the
+// sequential-vs-parallel decision lives on the sender (SetFanOut via
+// SetParallelism/AutoTune), so every caller gets the same routing.
+func (p *SenderPipeline) encrypt(dst []dpienc.EncryptedToken, t0 time.Time, bytes int) []dpienc.EncryptedToken {
+	toks := p.toks
+	if p.obs == nil {
+		return p.enc.EncryptTokensInto(dst, toks)
+	}
 	t1 := time.Now()
-	out := p.encryptInto(dst, toks)
+	out := p.enc.EncryptTokensInto(dst, toks)
 	t2 := time.Now()
 	o := p.obs
 	o.tokenize.Observe(t1.Sub(t0).Seconds())
@@ -174,12 +182,13 @@ func (p *SenderPipeline) timedEncrypt(dst []dpienc.EncryptedToken, toks []tokeni
 	return out
 }
 
-// encryptInto encrypts a token batch, reusing dst's backing array when
-// large enough. The sequential-vs-parallel decision lives on the sender
-// (SetFanOut via SetParallelism/AutoTune), so every caller gets the same
-// routing.
-func (p *SenderPipeline) encryptInto(dst []dpienc.EncryptedToken, toks []tokenize.Token) []dpienc.EncryptedToken {
-	return p.enc.EncryptTokensInto(dst, toks)
+// tokenizeStart is the tokenize span's start time, taken only when the
+// pipeline is instrumented.
+func (p *SenderPipeline) tokenizeStart() (t0 time.Time) {
+	if p.obs != nil {
+		t0 = time.Now()
+	}
+	return t0
 }
 
 // ProcessText tokenizes and encrypts a chunk of inspectable (text) payload,
@@ -191,15 +200,14 @@ func (p *SenderPipeline) ProcessText(data []byte) ([]dpienc.EncryptedToken, *Sal
 }
 
 // ProcessTextInto is ProcessText writing the encrypted tokens into dst's
-// backing array when it has capacity — the allocation-free form the
-// transport hot path pairs with dpienc.GetTokenBuf/PutTokenBuf.
+// backing array when it has capacity, so the result aliases dst — the
+// allocation-free form the transport hot path pairs with
+// dpienc.GetTokenBuf/PutTokenBuf. ProcessText returns memory of its own.
 func (p *SenderPipeline) ProcessTextInto(dst []dpienc.EncryptedToken, data []byte) ([]dpienc.EncryptedToken, *SaltReset) {
 	reset := p.accountAndMaybeReset(len(data))
-	if p.obs == nil {
-		return p.encryptInto(dst, p.tk.Append(data)), reset
-	}
-	t0 := time.Now()
-	return p.timedEncrypt(dst, p.tk.Append(data), t0, len(data)), reset
+	t0 := p.tokenizeStart()
+	p.toks = p.tk.AppendInto(p.toks, data)
+	return p.encrypt(dst, t0, len(data)), reset
 }
 
 // ProcessBinary accounts for payload the IDS does not inspect (images,
@@ -212,11 +220,9 @@ func (p *SenderPipeline) ProcessBinary(n int) ([]dpienc.EncryptedToken, *SaltRes
 // ProcessBinaryInto is ProcessBinary reusing dst's backing array.
 func (p *SenderPipeline) ProcessBinaryInto(dst []dpienc.EncryptedToken, n int) ([]dpienc.EncryptedToken, *SaltReset) {
 	reset := p.accountAndMaybeReset(n)
-	if p.obs == nil {
-		return p.encryptInto(dst, p.tk.Skip(n)), reset
-	}
-	t0 := time.Now()
-	return p.timedEncrypt(dst, p.tk.Skip(n), t0, n), reset
+	t0 := p.tokenizeStart()
+	p.toks = p.tk.SkipInto(p.toks, n)
+	return p.encrypt(dst, t0, n), reset
 }
 
 // Flush finalizes the stream, returning the trailing tokens.
@@ -226,11 +232,9 @@ func (p *SenderPipeline) Flush() []dpienc.EncryptedToken {
 
 // FlushInto is Flush reusing dst's backing array.
 func (p *SenderPipeline) FlushInto(dst []dpienc.EncryptedToken) []dpienc.EncryptedToken {
-	if p.obs == nil {
-		return p.encryptInto(dst, p.tk.Flush())
-	}
-	t0 := time.Now()
-	return p.timedEncrypt(dst, p.tk.Flush(), t0, 0)
+	t0 := p.tokenizeStart()
+	p.toks = p.tk.FlushInto(p.toks)
+	return p.encrypt(dst, t0, 0)
 }
 
 func (p *SenderPipeline) accountAndMaybeReset(n int) *SaltReset {
@@ -256,8 +260,12 @@ var ErrTokenMismatch = errors.New("core: encrypted token stream does not match p
 // encrypted tokens forwarded by the middlebox.
 type Validator struct {
 	pipe *SenderPipeline
-	// pending holds received tokens not yet consumed by recomputation.
+	// pending holds the received tokens; those before head have been
+	// consumed by recomputation. want is the recomputation buffer. Both are
+	// reused by every record.
 	pending []dpienc.EncryptedToken
+	head    int
+	want    []dpienc.EncryptedToken
 }
 
 // NewValidator creates a validator; it must be given the same session keys
@@ -266,49 +274,58 @@ func NewValidator(keys bbcrypto.SessionKeys, cfg Config) *Validator {
 	return &Validator{pipe: NewSenderPipeline(keys, cfg)}
 }
 
-// ReceiveTokens buffers tokens forwarded by the middlebox.
+// ReceiveTokens buffers tokens forwarded by the middlebox. It copies them,
+// so the caller may reuse toks.
 func (v *Validator) ReceiveTokens(toks []dpienc.EncryptedToken) {
+	if v.head > 0 {
+		// Slide the unconsumed tokens (normally none: a token record is
+		// consumed by the data record behind it) to the front, so the
+		// buffer is reused instead of growing with the stream.
+		v.pending = v.pending[:copy(v.pending, v.pending[v.head:])]
+		v.head = 0
+	}
 	v.pending = append(v.pending, toks...)
 }
 
 // ValidateText recomputes the tokens for a decrypted text chunk and checks
 // them against the buffered received tokens.
 func (v *Validator) ValidateText(data []byte) error {
-	toks, _ := v.pipe.ProcessText(data)
-	return v.consume(toks)
+	v.want, _ = v.pipe.ProcessTextInto(v.want, data)
+	return v.consume(v.want)
 }
 
 // ValidateBinary accounts for uninspected payload.
 func (v *Validator) ValidateBinary(n int) error {
-	toks, _ := v.pipe.ProcessBinary(n)
-	return v.consume(toks)
+	v.want, _ = v.pipe.ProcessBinaryInto(v.want, n)
+	return v.consume(v.want)
 }
 
 // Finish checks the trailing tokens and that no received tokens remain
 // unexplained.
 func (v *Validator) Finish() error {
-	if err := v.consume(v.pipe.Flush()); err != nil {
+	if err := v.consume(v.pipe.FlushInto(v.want)); err != nil {
 		return err
 	}
-	if len(v.pending) != 0 {
-		return fmt.Errorf("%w: %d surplus tokens", ErrTokenMismatch, len(v.pending))
+	if surplus := len(v.pending) - v.head; surplus != 0 {
+		return fmt.Errorf("%w: %d surplus tokens", ErrTokenMismatch, surplus)
 	}
 	return nil
 }
 
 func (v *Validator) consume(want []dpienc.EncryptedToken) error {
-	if len(v.pending) < len(want) {
-		return fmt.Errorf("%w: missing %d tokens", ErrTokenMismatch, len(want)-len(v.pending))
+	pending := v.pending[v.head:]
+	if len(pending) < len(want) {
+		return fmt.Errorf("%w: missing %d tokens", ErrTokenMismatch, len(want)-len(pending))
 	}
-	for i, w := range want {
-		got := v.pending[i]
+	for i := range want {
+		got, w := &pending[i], &want[i]
 		if subtle.ConstantTimeCompare(got.C1[:], w.C1[:]) != 1 ||
 			got.Offset != w.Offset ||
 			subtle.ConstantTimeCompare(got.C2[:], w.C2[:]) != 1 {
 			return fmt.Errorf("%w: token at stream offset %d", ErrTokenMismatch, w.Offset)
 		}
 	}
-	v.pending = v.pending[len(want):]
+	v.head += len(want)
 	return nil
 }
 
@@ -349,10 +366,15 @@ func TokenKeysFromPrep(req ruleprep.Request, keys []*dpienc.TokenKey) detect.Tok
 // rule-preparation exchange instead.
 func DirectTokenKeys(k bbcrypto.Block, rs *rules.Ruleset, mode tokenize.Mode) detect.TokenKeys {
 	keys := make(detect.TokenKeys)
+	// AES_k(fragment) as dpienc.ComputeTokenKey computes it, with k
+	// expanded once for the whole ruleset instead of once per fragment.
+	var ks bbcrypto.Schedule
+	ks.Expand(&k)
 	for _, f := range rs.Fragments(mode) {
-		var t [tokenize.TokenSize]byte
-		copy(t[:], f[:])
-		keys[rules.FragmentBlock(f)] = dpienc.ComputeTokenKey(k, t)
+		padded := rules.FragmentBlock(f)
+		var tk dpienc.TokenKey
+		ks.Encrypt(&tk, &padded)
+		keys[padded] = tk
 	}
 	return keys
 }

@@ -3,89 +3,114 @@
 // sequential, but once a token's salt is fixed, the AES work is independent
 // of every other token. This file splits encryption into those two steps so
 // batches amortize per-token call overhead and the AES step can fan out
-// across cores while preserving exact stream order.
+// across cores while preserving exact stream order. The split also pays on
+// one core: the table lookups of the first loop are independent loads that
+// overlap, which a loop with AES calls in it does not let them do.
 
 package dpienc
 
 import (
-	"crypto/cipher"
 	"encoding/binary"
+	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/bbcrypto"
 	"repro/internal/tokenize"
 )
 
-// TokenAssignment is the counter-table outcome for one token: the cached
-// per-token AES cipher and the salt its next occurrence must be encrypted
-// under. Assignments are produced in stream order by AssignTokens; after
-// that, encrypting them is order-independent.
+// TokenAssignment is the counter-table outcome for one token: the token and
+// the salt this occurrence of it must be encrypted under. Assignments are
+// produced in stream order by AssignTokens; after that, encrypting them is
+// order-independent.
 type TokenAssignment struct {
-	blk    cipher.Block
+	//bb:secret
+	token  uint64
 	salt   uint64
 	offset int
 }
 
 // AssignTokens advances the §3.2 counter table over toks (which must be in
 // stream order) and appends one assignment per token to dst, returning the
-// extended slice. This is the only stateful step of token encryption; the
-// returned assignments may then be encrypted in any order, or concurrently
-// on disjoint ranges, via EncryptAssigned.
+// extended slice. This is the only step of token encryption whose result
+// depends on what came before; the returned assignments may then be
+// encrypted in any order via EncryptAssigned.
 //
 // Allocation contract: 0 allocs/op steady-state. Per call it allocates
-// only when dst must grow (amortized to the largest batch seen) or when a
-// token is seen for the first time ever (one state per distinct token,
-// amortized across all its occurrences).
+// only when dst must grow (amortized to the largest batch seen) or when the
+// counter table is rebuilt (amortized over the quarter of its capacity that
+// must fill first).
 //
 //bb:hotpath
 func (s *Sender) AssignTokens(toks []tokenize.Token, dst []TokenAssignment) []TokenAssignment {
 	s.tokensC.Add(uint64(len(toks)))
 	stride := s.saltStride()
-	for _, t := range toks {
-		st := s.state(t.Text)
-		ct := st.ct
-		st.ct = ct + stride
+	n := len(dst)
+	dst = slices.Grow(dst, len(toks))[:n+len(toks)]
+	for i := range toks {
+		t := &toks[i]
+		token := binary.LittleEndian.Uint64(t.Text[:])
+		sl := s.tab.slot(token)
+		ct := uint64(sl.ct)
+		sl.ct = uint32(ct + stride)
 		if ct+stride > s.maxCt {
 			s.maxCt = ct + stride
 		}
-		//lint:ignore hotpath-alloc dst is the Sender's reusable scratch buffer; growth amortizes to steady-state batch capacity
-		dst = append(dst, TokenAssignment{blk: st.blk, salt: s.salt0 + ct, offset: t.Offset})
+		dst[n+i] = TokenAssignment{token: token, salt: s.salt0 + ct, offset: t.Offset}
+	}
+	if s.maxCt > math.MaxUint32 {
+		// A 32-bit counter wrapped inside this batch. AccountBytes resets
+		// at 2^31, so this takes 2^31 more occurrences of one token
+		// without a call to it; nothing has been emitted yet.
+		//lint:ignore todo-panic encrypting gigabytes without AccountBytes is a caller programming error, never reachable from wire data (Conn accounts every record)
+		panic("dpienc: token counter overflow: AccountBytes not called for 2^31 occurrences of one token")
 	}
 	return dst
 }
 
 // EncryptAssigned encrypts assigned[i] into out[i] for every assignment
-// (out must be at least as long as assigned). It reads only immutable
-// Sender state (protocol, kSSL) and the stateless AES ciphers, so disjoint
-// (assigned, out) ranges of one batch may be encrypted concurrently.
-// Output order is exactly assignment order regardless of how ranges are
-// split.
+// (out must be at least as long as assigned). Output order is exactly
+// assignment order. It goes through the Sender's schedule cache, so calls on
+// one Sender must not overlap; EncryptAssignedParallel is the concurrent
+// form.
 //
-// Allocation contract: 2 allocs/op (the hoisted pt/ct blocks escape
-// through the cipher.Block interface once per call), amortizing to well
-// under 0.01 allocs per token at any realistic batch size.
+// Allocation contract: 0 allocs/op once the schedule cache has reached its
+// size (it doubles at most eight times in a Sender's life).
+func (s *Sender) EncryptAssigned(assigned []TokenAssignment, out []EncryptedToken) {
+	s.encryptAssigned(&s.workerCaches(1)[0], assigned, out)
+}
+
+// workerCaches returns the first n schedule caches, creating the missing
+// ones.
+func (s *Sender) workerCaches(n int) []schedCache {
+	for len(s.caches) < n {
+		s.caches = append(s.caches, newSchedCache(s.cacheLimit))
+	}
+	return s.caches[:n]
+}
+
+// encryptAssigned is EncryptAssigned through schedule cache c. It reads
+// only immutable Sender state (protocol, kSSL, k's schedule), so calls with
+// distinct caches and disjoint (assigned, out) ranges may run concurrently.
 //
 //bb:hotpath
-func (s *Sender) EncryptAssigned(assigned []TokenAssignment, out []EncryptedToken) {
+func (s *Sender) encryptAssigned(c *schedCache, assigned []TokenAssignment, out []EncryptedToken) {
 	protoIII := s.protocol == ProtocolIII
-	// pt/ct are hoisted out of the loop and sliced once: slices passed
-	// through the cipher.Block interface escape, so per-token locals (as in
-	// encryptWith) cost two heap allocations per token — the allocation
-	// churn behind the parallel-encrypt slowdown in BENCH_pipeline.json.
-	// Hoisting amortizes the escape to two allocations per batch.
+	out = out[:len(assigned)]
 	var pt, ct bbcrypto.Block
-	pts, cts := pt[:], ct[:]
-	for i, a := range assigned {
-		out[i].Offset = a.offset
-		binary.BigEndian.PutUint64(pts[8:], a.salt)
-		a.blk.Encrypt(cts, pts)
-		copy(out[i].C1[:], cts[:CiphertextSize])
+	for i := range assigned {
+		a, o := &assigned[i], &out[i]
+		sched := c.schedule(&s.kSched, a.token)
+		o.Offset = a.offset
+		binary.BigEndian.PutUint64(pt[8:], a.salt)
+		sched.Encrypt(&ct, &pt)
+		copy(o.C1[:], ct[:CiphertextSize])
 		if protoIII {
-			binary.BigEndian.PutUint64(pts[8:], a.salt+1)
-			a.blk.Encrypt(cts, pts)
-			out[i].C2 = ct.XOR(s.kSSL)
+			binary.BigEndian.PutUint64(pt[8:], a.salt+1)
+			sched.Encrypt(&ct, &pt)
+			o.C2 = ct.XOR(s.kSSL)
 		} else {
-			out[i].C2 = bbcrypto.Block{}
+			o.C2 = bbcrypto.Block{}
 		}
 	}
 }
@@ -124,10 +149,9 @@ func (s *Sender) FanOut() (workers, minBatch int) {
 // batch size say the goroutine handoffs will pay for themselves. Output
 // order and contents are byte-identical to EncryptAssigned either way.
 //
-// Allocation contract: 0 allocs/op steady-state on the sequential path
-// (2 per call, as EncryptAssigned); the parallel path adds one goroutine
-// spawn per worker per batch, already priced into the minBatch
-// break-even.
+// Allocation contract: 0 allocs/op steady-state on the sequential path; the
+// parallel path adds one goroutine spawn per worker per batch, already
+// priced into the minBatch break-even.
 func (s *Sender) EncryptAssignedAuto(assigned []TokenAssignment, out []EncryptedToken) {
 	if s.workers > 1 && len(assigned) >= s.minParBatch {
 		s.EncryptAssignedParallel(assigned, out, s.workers)
@@ -138,8 +162,9 @@ func (s *Sender) EncryptAssignedAuto(assigned []TokenAssignment, out []Encrypted
 
 // EncryptAssignedParallel is EncryptAssigned with the AES work split across
 // up to `workers` goroutines. Each worker owns a contiguous range of the
-// batch, so out keeps exact stream order and is byte-identical to the
-// sequential path; small batches fall back to it outright.
+// batch and its own schedule cache, so out keeps exact stream order and is
+// byte-identical to the sequential path; small batches fall back to it
+// outright. Like EncryptAssigned, calls on one Sender must not overlap.
 //
 // Allocation contract: one goroutine spawn + closure per worker per call;
 // no per-token allocations. Prefer EncryptAssignedAuto, which engages this
@@ -153,17 +178,15 @@ func (s *Sender) EncryptAssignedParallel(assigned []TokenAssignment, out []Encry
 		return
 	}
 	chunk := (len(assigned) + workers - 1) / workers
+	caches := s.workerCaches(workers)
 	var wg sync.WaitGroup
-	for start := 0; start < len(assigned); start += chunk {
-		end := start + chunk
-		if end > len(assigned) {
-			end = len(assigned)
-		}
+	for w, start := 0, 0; start < len(assigned); w, start = w+1, start+chunk {
+		end := min(start+chunk, len(assigned))
 		wg.Add(1)
-		go func(a []TokenAssignment, o []EncryptedToken) {
+		go func(c *schedCache, a []TokenAssignment, o []EncryptedToken) {
 			defer wg.Done()
-			s.EncryptAssigned(a, o)
-		}(assigned[start:end], out[start:end])
+			s.encryptAssigned(c, a, o)
+		}(&caches[w], assigned[start:end], out[start:end])
 	}
 	wg.Wait()
 }

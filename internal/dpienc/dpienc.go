@@ -21,7 +21,6 @@
 package dpienc
 
 import (
-	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
 
@@ -60,7 +59,8 @@ func CiphertextFromUint64(v uint64) Ciphertext {
 type TokenKey = bbcrypto.Block
 
 // ComputeTokenKey computes AES_k(t) with the token right-padded to one AES
-// block. Only the endpoints, which hold k, can call this.
+// block. Only the endpoints, which hold k, can call this. It expands k on
+// every call; a Sender keeps k's schedule and never goes through here.
 func ComputeTokenKey(k bbcrypto.Block, t [tokenize.TokenSize]byte) TokenKey {
 	var block bbcrypto.Block
 	copy(block[:], t[:])
@@ -71,16 +71,9 @@ func ComputeTokenKey(k bbcrypto.Block, t [tokenize.TokenSize]byte) TokenKey {
 // token key tk. Both the sender (who derives tk from k) and the middlebox
 // (who got tk from rule preparation) call this.
 func Encrypt(tk TokenKey, salt uint64) Ciphertext {
-	return encryptWith(bbcrypto.NewAES(tk), salt)
-}
-
-//bb:hotpath
-func encryptWith(c cipher.Block, salt uint64) Ciphertext {
-	var pt, ct bbcrypto.Block
-	binary.BigEndian.PutUint64(pt[8:], salt)
-	c.Encrypt(ct[:], pt[:])
+	full := FullBlock(tk, salt)
 	var out Ciphertext
-	copy(out[:], ct[:CiphertextSize])
+	copy(out[:], full[:CiphertextSize])
 	return out
 }
 
@@ -137,8 +130,10 @@ type EncryptedToken struct {
 // counter table of §3.2: the i-th occurrence of a token is encrypted with
 // salt0+i so equal tokens never share a salt, without transmitting salts.
 type Sender struct {
+	// kSched is the session detection key k, expanded once: every AES_k(t)
+	// is derived under it.
 	//bb:secret
-	k bbcrypto.Block
+	kSched bbcrypto.Schedule
 	//bb:secret
 	kSSL     bbcrypto.Block
 	protocol Protocol
@@ -146,12 +141,14 @@ type Sender struct {
 	salt0 uint64
 	maxCt uint64
 
-	// states holds the per-distinct-token hot state — the cached AES_k(t)
-	// cipher and the §3.2 occurrence counter — in one map, so the
-	// per-token assignment step pays a single lookup instead of the two
-	// (counts + keys) it used to. Counter resets zero the ct fields in
-	// place; the key-schedule cache survives resets.
-	states map[[tokenize.TokenSize]byte]*tokenState
+	// tab is the §3.2 counter table; caches hold the key schedules of
+	// AES_k(t) (both in state.go). caches[0] serves every sequential call
+	// and caches[i] worker i of EncryptAssignedParallel, each created on
+	// first use with room for at most cacheLimit schedules
+	// (maxCachedSchedules outside tests).
+	tab        counterTable
+	caches     []schedCache
+	cacheLimit int
 
 	// scratch is the reusable assignment buffer of the batch path
 	// (EncryptTokensInto): batches allocate nothing in steady state.
@@ -159,7 +156,7 @@ type Sender struct {
 
 	// workers/minParBatch are the fan-out decision applied by
 	// EncryptTokensInto and EncryptAssignedAuto: batches of at least
-	// minParBatch tokens split their stateless AES step across `workers`
+	// minParBatch tokens split their AES step across `workers`
 	// goroutines; everything else runs sequentially. Defaults (1,
 	// minParallelBatch) mean sequential; SetFanOut installs a measured
 	// decision (see internal/tuning).
@@ -178,38 +175,18 @@ type Sender struct {
 // NewSender creates a Sender for session detection key k. kSSL is required
 // only under Protocol III (it is embedded in C2); pass the session SSL key.
 func NewSender(k, kSSL bbcrypto.Block, protocol Protocol, salt0 uint64) *Sender {
-	return &Sender{
-		k:             k,
+	s := &Sender{
 		kSSL:          kSSL,
 		protocol:      protocol,
 		salt0:         salt0,
-		states:        make(map[[tokenize.TokenSize]byte]*tokenState),
+		tab:           newCounterTable(minTableSlots),
+		cacheLimit:    maxCachedSchedules,
 		resetInterval: ResetInterval,
 		workers:       1,
 		minParBatch:   minParallelBatch,
 	}
-}
-
-// tokenState is the per-distinct-token state: the cached AES_k(t) cipher
-// (immutable once computed) and the §3.2 occurrence counter (reset every
-// P bytes).
-type tokenState struct {
-	blk cipher.Block
-	ct  uint64
-}
-
-// state returns the token's hot state, creating and caching it (one
-// AES_k(t) computation plus one key schedule) on first sight.
-//
-//bb:hotpath
-func (s *Sender) state(text [tokenize.TokenSize]byte) *tokenState {
-	st, ok := s.states[text]
-	if !ok {
-		tk := ComputeTokenKey(s.k, text)
-		st = &tokenState{blk: bbcrypto.NewAES(tk)}
-		s.states[text] = st
-	}
-	return st
+	s.kSched.Expand(&k)
+	return s
 }
 
 // SetResetInterval overrides the counter-table reset interval P (mainly for
@@ -241,25 +218,12 @@ func (s *Sender) saltStride() uint64 {
 // EncryptToken encrypts one token. The caller must process tokens in stream
 // order for the counter tables at sender and middlebox to stay in sync.
 func (s *Sender) EncryptToken(t tokenize.Token) EncryptedToken {
-	s.tokensC.Inc()
-	st := s.state(t.Text)
-	ct := st.ct
-	stride := s.saltStride()
-	st.ct = ct + stride
-	if ct+stride > s.maxCt {
-		s.maxCt = ct + stride
-	}
-
-	out := EncryptedToken{Offset: t.Offset}
-	out.C1 = encryptWith(st.blk, s.salt0+ct)
-	if s.protocol == ProtocolIII {
-		var pt bbcrypto.Block
-		binary.BigEndian.PutUint64(pt[8:], s.salt0+ct+1)
-		var full bbcrypto.Block
-		st.blk.Encrypt(full[:], pt[:])
-		out.C2 = full.XOR(s.kSSL)
-	}
-	return out
+	var (
+		asg [1]TokenAssignment
+		out [1]EncryptedToken
+	)
+	s.EncryptAssigned(s.AssignTokens([]tokenize.Token{t}, asg[:0]), out[:])
+	return out[0]
 }
 
 // EncryptTokens encrypts a batch of tokens in order. It is the allocating
@@ -270,20 +234,27 @@ func (s *Sender) EncryptTokens(toks []tokenize.Token) []EncryptedToken {
 	return s.EncryptTokensInto(nil, toks)
 }
 
+// maxCounter is the counter value at which AccountBytes resets whatever the
+// byte count: the table keeps 32-bit counters, and a reset interval of
+// gigabytes (SetResetInterval accepts any P) must not let one wrap onto
+// salts already used. The default P = 1 MiB keeps counters below 2^21.
+const maxCounter = 1 << 31
+
 // AccountBytes informs the sender that n bytes of traffic were processed.
-// When the total since the last reset exceeds the reset interval P, the
-// counter table is cleared and a fresh salt0 is chosen (salt0 + max ct + 1,
-// §3.2). It returns the new salt0 and true if a reset occurred; the caller
-// must announce the new salt0 to the middlebox before sending more tokens.
+// When the total since the last reset exceeds the reset interval P (or a
+// counter has reached maxCounter), the counter table is cleared and a fresh
+// salt0 is chosen (salt0 + max ct + 1, §3.2). It returns the
+// new salt0 and true if a reset occurred; the caller must announce the new
+// salt0 to the middlebox before sending more tokens.
 func (s *Sender) AccountBytes(n int) (uint64, bool) {
 	s.bytesSinceReset += n
-	if s.bytesSinceReset < s.resetInterval {
+	if s.bytesSinceReset < s.resetInterval && s.maxCt < maxCounter {
 		return 0, false
 	}
 	s.bytesSinceReset = 0
 	s.salt0 += s.maxCt + 1
 	s.maxCt = 0
-	s.resetCounts()
+	s.tab.reset()
 	s.resetsC.Inc()
 	return s.salt0, true
 }
@@ -293,26 +264,8 @@ func (s *Sender) Reset(newSalt0 uint64) {
 	s.salt0 = newSalt0
 	s.maxCt = 0
 	s.bytesSinceReset = 0
-	s.resetCounts()
+	s.tab.reset()
 	s.resetsC.Inc()
-}
-
-// countOf reads a token's current occurrence counter (0 if unseen);
-// tests use it to pin the salt schedule.
-func (s *Sender) countOf(text [tokenize.TokenSize]byte) uint64 {
-	if st, ok := s.states[text]; ok {
-		return st.ct
-	}
-	return 0
-}
-
-// resetCounts zeroes every occurrence counter in place. The cached key
-// schedules survive the reset — re-deriving AES_k(t) for the whole
-// working set after every P bytes was pure waste.
-func (s *Sender) resetCounts() {
-	for _, st := range s.states {
-		st.ct = 0
-	}
 }
 
 // RecoverSSLKey inverts the Protocol III embedding for a matched keyword:

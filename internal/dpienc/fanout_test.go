@@ -80,26 +80,24 @@ func TestSetFanOutNormalizes(t *testing.T) {
 	}
 }
 
-// TestKeyScheduleSurvivesReset pins the merged-state optimization: a
-// counter reset zeroes counters but keeps the cached per-token ciphers,
-// and the post-reset stream still matches a fresh sender started at the
-// new salt0.
-func TestKeyScheduleSurvivesReset(t *testing.T) {
+// TestResetRestartsStream pins what a reset means to an observer: whatever
+// state the sender keeps across it (cached key schedules, stale table
+// slots), the post-reset stream is the stream of a fresh sender started at
+// the new salt0.
+func TestResetRestartsStream(t *testing.T) {
 	k := bbcrypto.DeriveBlock([]byte("reset-cache"), "k")
-	s := NewSender(k, bbcrypto.Block{}, ProtocolII, 0)
+	kSSL := bbcrypto.DeriveBlock([]byte("reset-cache"), "kssl")
 	toks := []tokenize.Token{tokAt("AAAAAAAA", 0), tokAt("BBBBBBBB", 8), tokAt("AAAAAAAA", 16)}
-	s.EncryptTokens(toks)
-	statesBefore := len(s.states)
-	s.Reset(1000)
-	if len(s.states) != statesBefore {
-		t.Fatalf("reset dropped cached token states: %d -> %d", statesBefore, len(s.states))
-	}
-	got := s.EncryptTokens(toks)
-	fresh := NewSender(k, bbcrypto.Block{}, ProtocolII, 1000)
-	want := fresh.EncryptTokens(toks)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("post-reset token %d differs from fresh sender", i)
+	for _, proto := range []Protocol{ProtocolII, ProtocolIII} {
+		s := NewSender(k, kSSL, proto, 0)
+		s.EncryptTokens(toks)
+		s.Reset(1000)
+		got := s.EncryptTokens(toks)
+		want := NewSender(k, kSSL, proto, 1000).EncryptTokens(toks)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("protocol %s: post-reset token %d differs from fresh sender", proto, i)
+			}
 		}
 	}
 }

@@ -53,7 +53,10 @@ func FuzzEncryptRecoverRoundTrip(f *testing.F) {
 // protocol on arbitrary streams with small reset intervals: a model
 // middlebox that only follows the documented contract (i-th occurrence
 // since the last announced salt0 is encrypted under salt0+i·stride) must
-// predict every ciphertext the sender emits.
+// predict every ciphertext the sender emits. The schedule cache is shrunk
+// to a handful of entries so conflicts evict on almost every token, and
+// window tokens of the input fill the 64-slot table within a few dozen
+// bytes, so rebuilds and stale-epoch evictions run too.
 func FuzzCounterResetSync(f *testing.F) {
 	f.Add([]byte("abcdefgh abcdefgh abcdefgh"), uint64(7), uint8(3))
 	f.Add([]byte("the same token the same token"), uint64(0), uint8(1))
@@ -65,6 +68,7 @@ func FuzzCounterResetSync(f *testing.F) {
 		k := bbcrypto.DeriveBlock(data, "fuzz k")
 		s := NewSender(k, bbcrypto.Block{}, ProtocolII, salt0)
 		s.SetResetInterval(int(interval%64) + 1)
+		s.ShrinkScheduleCaches(1 << (interval % 3))
 
 		counts := make(map[[tokenize.TokenSize]byte]uint64)
 		modelSalt0 := salt0

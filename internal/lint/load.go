@@ -220,7 +220,10 @@ func (l *Loader) dirImportPath(dir string) (string, bool) {
 	return l.ModulePath + "/" + filepath.ToSlash(rel), true
 }
 
-// goFiles lists the non-test .go files of dir in lexical order.
+// goFiles lists the non-test .go files of dir that build on this platform
+// (//go:build lines and GOOS/GOARCH file suffixes, default tags), in
+// lexical order: a package with one implementation per architecture is
+// analysed as the one the host would compile.
 func (l *Loader) goFiles(dir string) []string {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -231,6 +234,9 @@ func (l *Loader) goFiles(dir string) []string {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		if match, err := build.Default.MatchFile(dir, name); err == nil && !match {
 			continue
 		}
 		files = append(files, filepath.Join(dir, name))

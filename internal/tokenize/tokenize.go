@@ -125,27 +125,35 @@ func New(mode Mode) *Tokenizer {
 func (t *Tokenizer) Mode() Mode { return t.mode }
 
 // Append feeds data into the tokenizer and returns the tokens that became
-// complete, in stream order.
-func (t *Tokenizer) Append(data []byte) []Token {
+// complete, in stream order. The returned slice is the caller's.
+func (t *Tokenizer) Append(data []byte) []Token { return t.AppendInto(nil, data) }
+
+// AppendInto is Append writing the tokens into dst's backing array from
+// index 0, growing it only when it is too small: the form a per-record
+// caller uses with one buffer it keeps. The result aliases dst.
+func (t *Tokenizer) AppendInto(dst []Token, data []byte) []Token {
 	if t.closed {
 		//lint:ignore todo-panic use-after-Flush is a caller programming error, never reachable from wire data
 		panic("tokenize: Append after Flush")
 	}
 	t.buf = append(t.buf, data...)
-	toks := t.drain(false)
+	toks := t.drain(dst[:0], false)
 	t.trim()
 	return toks
 }
 
 // Flush signals end-of-stream and returns the remaining tokens. The
 // tokenizer cannot be used after Flush.
-func (t *Tokenizer) Flush() []Token {
+func (t *Tokenizer) Flush() []Token { return t.FlushInto(nil) }
+
+// FlushInto is Flush writing into dst's backing array (see AppendInto).
+func (t *Tokenizer) FlushInto(dst []Token) []Token {
 	if t.closed {
 		//lint:ignore todo-panic use-after-Flush is a caller programming error, never reachable from wire data
 		panic("tokenize: double Flush")
 	}
 	t.closed = true
-	toks := t.drain(true)
+	toks := t.drain(dst[:0], true)
 	t.buf = nil
 	return toks
 }
@@ -156,7 +164,10 @@ func (t *Tokenizer) Flush() []Token {
 // straddle a text/binary boundary — and the byte after the gap starts a
 // fresh anchored segment. It returns the tokens completed by finalizing
 // the buffered text.
-func (t *Tokenizer) Skip(n int) []Token {
+func (t *Tokenizer) Skip(n int) []Token { return t.SkipInto(nil, n) }
+
+// SkipInto is Skip writing into dst's backing array (see AppendInto).
+func (t *Tokenizer) SkipInto(dst []Token, n int) []Token {
 	if t.closed {
 		//lint:ignore todo-panic use-after-Flush is a caller programming error, never reachable from wire data
 		panic("tokenize: Skip after Flush")
@@ -165,7 +176,7 @@ func (t *Tokenizer) Skip(n int) []Token {
 		//lint:ignore todo-panic negative length is a caller programming error; stream lengths are validated at the transport layer
 		panic("tokenize: negative Skip")
 	}
-	toks := t.drain(true)
+	toks := t.drain(dst[:0], true)
 	t.base += len(t.buf) + n
 	t.buf = t.buf[:0]
 	t.proc = 0
@@ -185,20 +196,21 @@ func (t *Tokenizer) trim() {
 	t.proc -= keep
 }
 
-func (t *Tokenizer) drain(final bool) []Token {
+// drain appends the tokens that are complete (all of them when final) to
+// toks.
+func (t *Tokenizer) drain(toks []Token, final bool) []Token {
 	switch t.mode {
 	case Window:
-		return t.drainWindow(final)
+		return t.drainWindow(toks, final)
 	case Delimiter:
-		return t.drainDelimiter(final)
+		return t.drainDelimiter(toks, final)
 	default:
 		//lint:ignore todo-panic exhaustive switch over the Mode enum; a new mode without a case is a programming error
 		panic("tokenize: unknown mode")
 	}
 }
 
-func (t *Tokenizer) drainWindow(final bool) []Token {
-	var toks []Token
+func (t *Tokenizer) drainWindow(toks []Token, final bool) []Token {
 	for ; t.proc+TokenSize <= len(t.buf); t.proc++ {
 		var tok Token
 		copy(tok.Text[:], t.buf[t.proc:t.proc+TokenSize])
@@ -259,8 +271,7 @@ func (t *Tokenizer) boundary(e int) bool {
 	return IsDelimiter(t.buf[e]) && IsKeywordDelimiter(t.buf[e-1])
 }
 
-func (t *Tokenizer) drainDelimiter(final bool) []Token {
-	var toks []Token
+func (t *Tokenizer) drainDelimiter(toks []Token, final bool) []Token {
 	n := len(t.buf)
 	for ; t.proc < n; t.proc++ {
 		o := t.proc

@@ -440,3 +440,37 @@ func TestSkipZeroActsAsSegmentBreak(t *testing.T) {
 		}
 	}
 }
+
+// TestIntoFormsMatchAndReuse pins the two ownership contracts: the Into
+// forms produce exactly the tokens of Append/Skip/Flush inside the buffer
+// they were handed, and the plain forms keep returning memory of their own.
+func TestIntoFormsMatchAndReuse(t *testing.T) {
+	text := []byte("GET /login.php?user=admin&pass=x HTTP/1.1\r\nHost: example.com\r\n\r\n")
+	for _, mode := range []Mode{Window, Delimiter} {
+		plain, into := New(mode), New(mode)
+		buf := make([]Token, 0, 4*len(text))
+		var kept [][]Token
+		step := func(want, got []Token) {
+			t.Helper()
+			if len(want) != len(got) || (len(want) > 0 && !reflect.DeepEqual(want, got)) {
+				t.Fatalf("%s: Into form produced %v, plain form %v", mode, got, want)
+			}
+			if len(got) > 0 && &got[0] != &buf[:1][0] {
+				t.Fatalf("%s: Into form left the caller's buffer", mode)
+			}
+			kept = append(kept, want)
+		}
+		step(plain.Append(text[:20]), into.AppendInto(buf, text[:20]))
+		step(plain.Append(text[20:]), into.AppendInto(buf, text[20:]))
+		step(plain.Skip(100), into.SkipInto(buf, 100))
+		step(plain.Append(text), into.AppendInto(buf, text))
+		step(plain.Flush(), into.FlushInto(buf))
+
+		// What Append returned earlier is still what it was: later calls
+		// did not write into it.
+		again := New(mode)
+		if first := again.Append(text[:20]); !reflect.DeepEqual(first, kept[0]) && len(first)+len(kept[0]) > 0 {
+			t.Fatalf("%s: a slice returned by Append changed under later calls", mode)
+		}
+	}
+}

@@ -100,8 +100,13 @@ type Conn struct {
 	writeMu       sync.Mutex
 	pipe          *core.SenderPipeline
 	validator     *core.Validator
-	readBuf       []byte
-	readErr       error
+	// tokBody (under writeMu) and recvToks (reader only) are the token
+	// record's marshalled body and its unmarshalled form, reused by every
+	// record.
+	tokBody  []byte
+	recvToks []dpienc.EncryptedToken
+	readBuf  []byte
+	readErr  error
 	// termErr republishes readErr for Close, which may run on a
 	// different goroutine than the reader (e.g. under a stream Mux).
 	termErr        atomic.Pointer[error]
@@ -567,8 +572,8 @@ func (c *Conn) write(p []byte, binary_ bool) (int, error) {
 			}
 		}
 		if len(toks) > 0 {
-			body := MarshalTokens(toks, c.cfg.Core.Protocol == dpienc.ProtocolIII)
-			if err := c.writeRecord(RecTokens, body); err != nil {
+			c.tokBody = MarshalTokensInto(c.tokBody, toks, c.cfg.Core.Protocol == dpienc.ProtocolIII)
+			if err := c.writeRecord(RecTokens, c.tokBody); err != nil {
 				return total, err
 			}
 		}
@@ -599,8 +604,8 @@ func (c *Conn) CloseWrite() error {
 	toks := c.pipe.FlushInto(dpienc.GetTokenBuf())
 	defer dpienc.PutTokenBuf(toks)
 	if len(toks) > 0 {
-		body := MarshalTokens(toks, c.cfg.Core.Protocol == dpienc.ProtocolIII)
-		if err := c.writeRecord(RecTokens, body); err != nil {
+		c.tokBody = MarshalTokensInto(c.tokBody, toks, c.cfg.Core.Protocol == dpienc.ProtocolIII)
+		if err := c.writeRecord(RecTokens, c.tokBody); err != nil {
 			return err
 		}
 	}
@@ -680,12 +685,13 @@ func (c *Conn) readRecord() error {
 		// middlebox.
 		return nil
 	case RecTokens:
-		toks, err := UnmarshalTokens(body, c.cfg.Core.Protocol == dpienc.ProtocolIII)
+		toks, err := UnmarshalTokensInto(c.recvToks, body, c.cfg.Core.Protocol == dpienc.ProtocolIII)
 		if err != nil {
 			return err
 		}
+		c.recvToks = toks
 		if !c.validationSkip {
-			c.validator.ReceiveTokens(toks)
+			c.validator.ReceiveTokens(toks) // copies
 		}
 		return nil
 	case RecData:

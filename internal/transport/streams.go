@@ -52,6 +52,7 @@ type Mux struct {
 	nextID  uint32
 	pending []*Stream // peer-opened streams awaiting Accept
 	readErr error
+	closed  bool // Close was called: Accept hands out nothing more
 }
 
 // NewMux wraps an established connection. The initiator (client) opens
@@ -90,7 +91,18 @@ func (m *Mux) Open() (*Stream, error) {
 func (m *Mux) Accept() (*Stream, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.pending) == 0 {
+	for {
+		// A stream the peer opened may still sit in pending when Close
+		// runs; after Close it must not come out. (A connection the peer
+		// ended is different: what it opened before stays acceptable.)
+		if m.closed {
+			return nil, ErrMuxClosed
+		}
+		if len(m.pending) > 0 {
+			s := m.pending[0]
+			m.pending = m.pending[1:]
+			return s, nil
+		}
 		if m.readErr != nil {
 			err := m.readErr
 			if err == io.EOF {
@@ -100,13 +112,13 @@ func (m *Mux) Accept() (*Stream, error) {
 		}
 		m.cond.Wait()
 	}
-	s := m.pending[0]
-	m.pending = m.pending[1:]
-	return s, nil
 }
 
 // Close closes the underlying connection and all streams.
 func (m *Mux) Close() error {
+	m.mu.Lock()
+	m.closed = true
+	m.mu.Unlock()
 	err := m.conn.Close()
 	m.fail(ErrMuxClosed)
 	return err

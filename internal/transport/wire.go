@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/bbcrypto"
 	"repro/internal/dpienc"
@@ -242,25 +243,39 @@ func tokenSize(protoIII bool) int {
 	return 8 + dpienc.CiphertextSize
 }
 
-// MarshalTokens encodes a token batch.
+// MarshalTokens encodes a token batch into a buffer of its own.
 func MarshalTokens(toks []dpienc.EncryptedToken, protoIII bool) []byte {
+	return MarshalTokensInto(nil, toks, protoIII)
+}
+
+// MarshalTokensInto is MarshalTokens writing into dst's backing array from
+// index 0, growing it only when it is too small; the result aliases dst.
+func MarshalTokensInto(dst []byte, toks []dpienc.EncryptedToken, protoIII bool) []byte {
 	sz := tokenSize(protoIII)
-	out := make([]byte, 4, 4+len(toks)*sz)
+	out := slices.Grow(dst[:0], 4+len(toks)*sz)[:4+len(toks)*sz]
 	binary.BigEndian.PutUint32(out, uint32(len(toks)))
-	var tmp [8]byte
-	for _, t := range toks {
-		binary.BigEndian.PutUint64(tmp[:], uint64(t.Offset))
-		out = append(out, tmp[:]...)
-		out = append(out, t.C1[:]...)
+	at := out[4:]
+	for i := range toks {
+		t := &toks[i]
+		binary.BigEndian.PutUint64(at, uint64(t.Offset))
+		copy(at[8:], t.C1[:])
 		if protoIII {
-			out = append(out, t.C2[:]...)
+			copy(at[8+dpienc.CiphertextSize:], t.C2[:])
 		}
+		at = at[sz:]
 	}
 	return out
 }
 
-// UnmarshalTokens decodes a token batch.
+// UnmarshalTokens decodes a token batch into a slice of its own.
 func UnmarshalTokens(data []byte, protoIII bool) ([]dpienc.EncryptedToken, error) {
+	return UnmarshalTokensInto(nil, data, protoIII)
+}
+
+// UnmarshalTokensInto is UnmarshalTokens writing into dst's backing array
+// from index 0, growing it only when it is too small; the result aliases
+// dst.
+func UnmarshalTokensInto(dst []dpienc.EncryptedToken, data []byte, protoIII bool) ([]dpienc.EncryptedToken, error) {
 	if len(data) < 4 {
 		return nil, errors.New("transport: short token batch")
 	}
@@ -270,16 +285,17 @@ func UnmarshalTokens(data []byte, protoIII bool) ([]dpienc.EncryptedToken, error
 	if len(data) != n*sz {
 		return nil, fmt.Errorf("transport: token batch size %d != %d*%d", len(data), n, sz)
 	}
-	toks := make([]dpienc.EncryptedToken, n)
+	toks := dpienc.GrowTokenBuf(dst, n)
 	for i := range toks {
-		toks[i].Offset = int(binary.BigEndian.Uint64(data))
-		data = data[8:]
-		copy(toks[i].C1[:], data)
-		data = data[dpienc.CiphertextSize:]
+		t := &toks[i]
+		t.Offset = int(binary.BigEndian.Uint64(data))
+		copy(t.C1[:], data[8:])
 		if protoIII {
-			copy(toks[i].C2[:], data)
-			data = data[bbcrypto.BlockSize:]
+			copy(t.C2[:], data[8+dpienc.CiphertextSize:])
+		} else {
+			t.C2 = bbcrypto.Block{}
 		}
+		data = data[sz:]
 	}
 	return toks, nil
 }

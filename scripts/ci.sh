@@ -2,7 +2,7 @@
 # ci.sh — the full BlindBox verification gate, runnable locally or in CI.
 #
 #   scripts/ci.sh            # everything: vet, build, bblint, tests, race, fuzz smoke
-#   scripts/ci.sh quick      # vet + build + bblint + unit tests only
+#   scripts/ci.sh quick      # vet + build + bblint + unit tests (root and benchmark modules) only
 #
 # Every stage uses only the Go toolchain; the module has no dependencies.
 set -euo pipefail
@@ -32,6 +32,13 @@ fi
 step "go test"
 go test ./...
 
+# The end-to-end benchmark is its own module, outside ./...: its tests pin
+# BENCHMARK.json to the tables it is rendered from and the metric arithmetic
+# (counts only, no wall clock, < 5 s), and that it still compiles against
+# the packages it measures.
+step "go test -C benchmark (BENCHMARK.json drift)"
+go test -C benchmark .
+
 if [ "$MODE" = "quick" ]; then
     echo "quick gate passed."
     exit 0
@@ -57,6 +64,14 @@ go run ./cmd/blindbench -experiment setupbreakdown -fast \
     -setup-out "$TRACEDIR/BENCH_setup_breakdown.json" -trace-dir "$TRACEDIR"
 go run ./cmd/bbtrace -assemble -strict \
     "$TRACEDIR/client.jsonl" "$TRACEDIR/mb.jsonl" "$TRACEDIR/server.jsonl"
+
+# The AES-128 kernel has two build-tagged implementations (assembly on
+# amd64, crypto/aes elsewhere and under -tags purego). The host only ever
+# runs one of them, so run the token path on the other and cross-build a
+# platform that has no assembly; both work offline.
+step "portable AES fallback (-tags purego) + arm64 cross-build"
+go test -tags purego ./internal/bbcrypto ./internal/dpienc ./internal/core
+GOARCH=arm64 go build ./...
 
 step "go test -race"
 go test -race ./...
