@@ -603,24 +603,45 @@ func BenchmarkGarbleSBox(b *testing.B) {
 	}
 }
 
-// BenchmarkGarbledEval measures evaluating one garbled AES-128 — the
-// middlebox's per-rule cost during setup.
-func BenchmarkGarbledEval(b *testing.B) {
-	c := circuit.BuildAES128(circuit.SBoxGF)
-	g, labels, err := garble.Garble(c, ruleprep.FixedGarblingKey, bbcrypto.NewPRG(bbcrypto.Block{1}))
+// BenchmarkGarbleF measures garbling the rule-encryption circuit F once — an
+// endpoint's per-fragment cost during setup — and reports what a gate-count
+// regression would move: F's AND gates and the bytes of one garbled F.
+func BenchmarkGarbleF(b *testing.B) {
+	f := ruleprep.F()
+	b.ReportAllocs()
+	var size int
+	for i := 0; i < b.N; i++ {
+		g, _, err := garble.Garble(f, ruleprep.FixedGarblingKey, bbcrypto.NewPRG(bbcrypto.Block{byte(i)}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		size = g.Size()
+	}
+	b.ReportMetric(float64(f.NumAND()), "ANDs")
+	b.ReportMetric(float64(size), "bytes/circuit")
+}
+
+// BenchmarkEvalF measures evaluating one garbled F — the middlebox's
+// per-fragment cost during setup.
+func BenchmarkEvalF(b *testing.B) {
+	f := ruleprep.F()
+	g, labels, err := garble.Garble(f, ruleprep.FixedGarblingKey, bbcrypto.NewPRG(bbcrypto.Block{1}))
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := make([]garble.Block, c.NInputs)
+	in := make([]garble.Block, f.NInputs)
 	for i := range in {
 		in[i] = labels.For(i, i%3 == 0)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := garble.Eval(c, g, in); err != nil {
+		if _, err := garble.Eval(f, g, in); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(f.NumAND()), "ANDs")
+	b.ReportMetric(float64(g.Size()), "bytes/circuit")
 }
 
 // BenchmarkGarbleRows compares the three AND-gate table constructions on
@@ -632,8 +653,8 @@ func BenchmarkGarbleRows(b *testing.B) {
 		opts garble.Options
 	}{
 		{"pp4", garble.Options{FullRows: true}},
-		{"grr3", garble.Options{}},
-		{"half2", garble.Options{HalfGates: true}},
+		{"grr3", garble.Options{GRR3: true}},
+		{"half2", garble.Options{}},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			var size int

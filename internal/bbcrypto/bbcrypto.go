@@ -26,28 +26,22 @@ const BlockSize = aes.BlockSize
 // intermediate values are all Blocks.
 type Block [BlockSize]byte
 
-// XOR returns the bitwise XOR of b and o.
+// XOR returns the bitwise XOR of b and o, computed on two 64-bit words.
 func (b Block) XOR(o Block) Block {
 	var r Block
-	for i := range b {
-		r[i] = b[i] ^ o[i]
-	}
+	binary.LittleEndian.PutUint64(r[:8], binary.LittleEndian.Uint64(b[:8])^binary.LittleEndian.Uint64(o[:8]))
+	binary.LittleEndian.PutUint64(r[8:], binary.LittleEndian.Uint64(b[8:])^binary.LittleEndian.Uint64(o[8:]))
 	return r
 }
 
 // Double multiplies the block by x in GF(2^128) with the canonical
-// polynomial x^128 + x^7 + x^2 + x + 1. It is used for the 2A ⊕ 4B tweakable
-// hash of the garbling scheme.
+// polynomial x^128 + x^7 + x^2 + x + 1, the block read as one big-endian
+// integer. It is used for the 2A ⊕ 4B tweakable hash of the garbling scheme.
 func (b Block) Double() Block {
+	hi, lo := binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
 	var r Block
-	carry := b[0] >> 7
-	for i := 0; i < BlockSize-1; i++ {
-		r[i] = b[i]<<1 | b[i+1]>>7
-	}
-	r[BlockSize-1] = b[BlockSize-1] << 1
-	if carry == 1 {
-		r[BlockSize-1] ^= 0x87
-	}
+	binary.BigEndian.PutUint64(r[:8], hi<<1|lo>>63)
+	binary.BigEndian.PutUint64(r[8:], lo<<1^(0x87&-(hi>>63)))
 	return r
 }
 
@@ -100,33 +94,36 @@ func EncryptBlock(key, pt Block) Block {
 // FixedKeyHash is the JustGarble-style hash built from a single fixed-key
 // AES permutation π: H(A, B, T) = π(K) ⊕ K where K = 2A ⊕ 4B ⊕ T.
 // Because the key never changes, the AES key schedule is computed once and
-// each hash costs exactly one AES block encryption.
+// each hash costs exactly one AES block encryption — on the Schedule
+// kernel, so where that is allocation-free a hash is too.
 type FixedKeyHash struct {
-	pi cipher.Block
+	pi Schedule
 }
 
 // NewFixedKeyHash creates a hash with the given fixed key. All parties in a
 // garbling session must use the same fixed key; it need not be secret.
 func NewFixedKeyHash(key Block) *FixedKeyHash {
-	return &FixedKeyHash{pi: NewAES(key)}
+	h := &FixedKeyHash{}
+	h.pi.Expand(&key)
+	return h
 }
 
 // Hash computes H(a, b, tweak).
 func (h *FixedKeyHash) Hash(a, b Block, tweak uint64) Block {
-	k := a.Double().XOR(b.Double().Double())
-	binary.BigEndian.PutUint64(k[8:], binary.BigEndian.Uint64(k[8:])^tweak)
-	var out Block
-	h.pi.Encrypt(out[:], k[:])
-	return out.XOR(k)
+	return h.permute(a.Double().XOR(b.Double().Double()), tweak)
 }
 
 // Hash1 computes the single-input variant H(a, T) = π(K) ⊕ K with K = 2a ⊕ T,
-// used for garbling unary gates and output decoding.
+// the hash of the half-gates construction.
 func (h *FixedKeyHash) Hash1(a Block, tweak uint64) Block {
-	k := a.Double()
+	return h.permute(a.Double(), tweak)
+}
+
+// permute folds the tweak into the low word of k and returns π(k) ⊕ k.
+func (h *FixedKeyHash) permute(k Block, tweak uint64) Block {
 	binary.BigEndian.PutUint64(k[8:], binary.BigEndian.Uint64(k[8:])^tweak)
 	var out Block
-	h.pi.Encrypt(out[:], k[:])
+	h.pi.Encrypt(&out, &k)
 	return out.XOR(k)
 }
 

@@ -64,6 +64,35 @@ func TestDoubleKnownValues(t *testing.T) {
 	}
 }
 
+// TestWordWiseBlockOpsMatchByteWise checks XOR and Double, which work on two
+// 64-bit words, against their byte-at-a-time definitions.
+func TestWordWiseBlockOpsMatchByteWise(t *testing.T) {
+	xorBytes := func(a, b Block) Block {
+		var r Block
+		for i := range a {
+			r[i] = a[i] ^ b[i]
+		}
+		return r
+	}
+	doubleBytes := func(b Block) Block {
+		var r Block
+		for i := 0; i < BlockSize-1; i++ {
+			r[i] = b[i]<<1 | b[i+1]>>7
+		}
+		r[BlockSize-1] = b[BlockSize-1] << 1
+		if b[0]>>7 == 1 {
+			r[BlockSize-1] ^= 0x87
+		}
+		return r
+	}
+	f := func(a, b Block) bool {
+		return a.XOR(b) == xorBytes(a, b) && a.Double() == doubleBytes(a)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRandomBlockDistinct(t *testing.T) {
 	seen := make(map[Block]bool)
 	for i := 0; i < 64; i++ {
@@ -100,6 +129,42 @@ func TestFixedKeyHashDeterministic(t *testing.T) {
 	}
 	if h1.Hash1(a, 3) == h1.Hash1(a, 4) {
 		t.Fatal("Hash1 tweak must matter")
+	}
+}
+
+// TestFixedKeyHashMatchesDefinition recomputes π(K) ⊕ K through crypto/aes:
+// circuits garbled on different machines (AES-NI kernel, purego fallback)
+// are compared bit for bit, so the hash may not depend on the kernel.
+func TestFixedKeyHashMatchesDefinition(t *testing.T) {
+	key := Block{'f', 'i', 'x', 'e', 'd'}
+	h, pi := NewFixedKeyHash(key), NewAES(key)
+	def := func(k Block, tweak uint64) Block {
+		k[15] ^= byte(tweak)
+		k[14] ^= byte(tweak >> 8)
+		var out Block
+		pi.Encrypt(out[:], k[:])
+		return out.XOR(k)
+	}
+	f := func(a, b Block, tweak uint16) bool {
+		return h.Hash(a, b, uint64(tweak)) == def(a.Double().XOR(b.Double().Double()), uint64(tweak)) &&
+			h.Hash1(a, uint64(tweak)) == def(a.Double(), uint64(tweak))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFixedKeyHashDoesNotAllocate: garbling calls the hash four times per
+// AND gate; on the assembly kernel it must stay off the heap.
+func TestFixedKeyHashDoesNotAllocate(t *testing.T) {
+	h := NewFixedKeyHash(Block{7})
+	a, b := Block{1}, Block{2}
+	allocs := testing.AllocsPerRun(100, func() {
+		a = h.Hash(a, b, 5)
+		b = h.Hash1(b, 6)
+	})
+	if scheduleAllocFree() && allocs != 0 {
+		t.Fatalf("Hash+Hash1 allocate %.0f objects per call, want 0", allocs)
 	}
 }
 

@@ -4,17 +4,21 @@
 
 package circuit
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // SBoxImpl selects the S-box circuit construction — a design ablation
-// (DESIGN.md): the GF(2^8)-inverse construction needs ~4x fewer AND gates
+// (DESIGN.md): the field-inverse construction needs ~30x fewer AND gates
 // than the multiplexer tree.
 type SBoxImpl int
 
 const (
-	// SBoxGF computes the S-box as inversion in GF(2^8) via the addition
-	// chain x^254 (four multiplications; squarings are linear and free)
-	// followed by the free affine transform.
+	// SBoxGF computes the S-box as inversion in GF(2^8) followed by the
+	// affine transform. The inversion runs in the tower field
+	// GF(((2^2)^2)^2) (tower.go): 36 AND gates; the changes of basis and
+	// the affine transform are XOR-only and free.
 	SBoxGF SBoxImpl = iota
 	// SBoxMux computes each S-box output bit as an 8-level multiplexer
 	// tree over the 256-entry table (with constant folding).
@@ -71,72 +75,17 @@ func SBoxTable() [256]byte { return sbox }
 // cbyte is a circuit byte: 8 refs, LSB first.
 type cbyte [8]Ref
 
-// gfSquare squares in GF(2^8): bit spreading followed by linear reduction —
-// entirely XOR, hence free to garble.
-func gfSquare(b *Builder, x cbyte) cbyte {
-	var c [15]Ref
-	for i := range c {
-		c[i] = Const(false)
-	}
-	for i := 0; i < 8; i++ {
-		c[2*i] = x[i]
-	}
-	return gfReduce(b, c)
-}
-
-// gfMul multiplies in GF(2^8) with 64 AND gates (schoolbook partial
-// products) and a free reduction.
-func gfMul(b *Builder, x, y cbyte) cbyte {
-	var c [15]Ref
-	for i := range c {
-		c[i] = Const(false)
-	}
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			c[i+j] = b.XOR(c[i+j], b.AND(x[i], y[j]))
-		}
-	}
-	return gfReduce(b, c)
-}
-
-// gfReduce reduces a 15-term polynomial modulo x^8 + x^4 + x^3 + x + 1.
-func gfReduce(b *Builder, c [15]Ref) cbyte {
-	for k := 14; k >= 8; k-- {
-		for _, off := range [4]int{0, 1, 3, 4} {
-			c[k-8+off] = b.XOR(c[k-8+off], c[k])
-		}
-	}
-	var out cbyte
-	copy(out[:], c[:8])
-	return out
-}
-
-// gfInverse computes x^254 = x^-1 (with 0 -> 0) using four multiplications.
-func gfInverse(b *Builder, x cbyte) cbyte {
-	x2 := gfSquare(b, x)                                            // x^2
-	x3 := gfMul(b, x2, x)                                           // x^3
-	x12 := gfSquare(b, gfSquare(b, x3))                             // x^12
-	x15 := gfMul(b, x12, x3)                                        // x^15
-	x240 := gfSquare(b, gfSquare(b, gfSquare(b, gfSquare(b, x15)))) // x^240
-	x252 := gfMul(b, x240, x12)                                     // x^252
-	return gfMul(b, x252, x2)                                       // x^254
-}
-
-// sboxGF builds the S-box from the field inverse plus the affine transform.
+// sboxGF builds the S-box from the tower-field inverse: into the tower, invert,
+// and back out through the affine transform's linear part; the transform's
+// constant 0x63 is a negation of the bits it sets.
 func sboxGF(b *Builder, x cbyte) cbyte {
-	inv := gfInverse(b, x)
+	lin := linear(b, fromTowerAffine, cinv8(b, linear(b, toTower, x[:])))
 	var out cbyte
-	for i := 0; i < 8; i++ {
-		// out_i = inv_i ^ inv_{(i+4)%8} ^ inv_{(i+5)%8} ^ inv_{(i+6)%8} ^
-		//         inv_{(i+7)%8} ^ const_i, the bit form of the affine map.
-		acc := inv[i]
-		for _, d := range [4]int{4, 5, 6, 7} {
-			acc = b.XOR(acc, inv[(i+d)%8])
+	for i := range out {
+		out[i] = lin[i]
+		if affine(0)&(1<<uint(i)) != 0 {
+			out[i] = b.NOT(out[i])
 		}
-		if 0x63&(1<<uint(i)) != 0 {
-			acc = b.NOT(acc)
-		}
-		out[i] = acc
 	}
 	return out
 }
@@ -191,33 +140,34 @@ func constByte(v byte) cbyte {
 	return out
 }
 
-// AESEncrypt appends an AES-128 encryption to the builder: keyBits and
-// ptBits are 128 wire references each (byte order as in FIPS-197 input
-// blocks, LSB-first within each byte); the returned 128 refs are the
-// ciphertext bits.
-func AESEncrypt(b *Builder, keyBits, ptBits []Ref, impl SBoxImpl) []Ref {
-	if len(keyBits) != 128 || len(ptBits) != 128 {
-		//lint:ignore todo-panic circuit-construction width invariant; a violation is a programming error, never reachable from wire data
-		panic("circuit: AESEncrypt wants 128+128 input bits")
-	}
-	toBytes := func(bits []Ref) []cbyte {
-		out := make([]cbyte, len(bits)/8)
-		for i := range out {
-			copy(out[i][:], bits[i*8:i*8+8])
-		}
-		return out
-	}
-	key := toBytes(keyBits)
-	state := toBytes(ptBits)
+// RoundKeyBits is the width of an expanded AES-128 key: 11 round keys of
+// 128 bits, in the byte order of the FIPS-197 key schedule w[0..43].
+const RoundKeyBits = 11 * 128
 
-	// Key schedule: 44 words of 4 bytes.
-	rcon := [10]byte{0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36}
-	w := make([][4]cbyte, 44)
-	for i := 0; i < 4; i++ {
-		copy(w[i][:], key[4*i:4*i+4])
+func toBytes(bits []Ref) []cbyte {
+	out := make([]cbyte, len(bits)/8)
+	for i := range out {
+		copy(out[i][:], bits[i*8:i*8+8])
 	}
+	return out
+}
+
+func fromBytes(bytes []cbyte) []Ref {
+	out := make([]Ref, 0, len(bytes)*8)
+	for _, by := range bytes {
+		out = append(out, by[:]...)
+	}
+	return out
+}
+
+// keySchedule appends the AES-128 key expansion: 128 key bits in,
+// RoundKeyBits out (40 S-boxes).
+func keySchedule(b *Builder, keyBits []Ref, impl SBoxImpl) []Ref {
+	mustWidth("AES key", len(keyBits), 128)
+	rcon := [10]byte{0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36}
+	w := toBytes(keyBits) // w[4i..4i+3] is word i
 	for i := 4; i < 44; i++ {
-		temp := w[i-1]
+		temp := [4]cbyte(w[4*i-4 : 4*i])
 		if i%4 == 0 {
 			// RotWord then SubWord then Rcon.
 			temp = [4]cbyte{temp[1], temp[2], temp[3], temp[0]}
@@ -227,44 +177,48 @@ func AESEncrypt(b *Builder, keyBits, ptBits []Ref, impl SBoxImpl) []Ref {
 			temp[0] = xorBytes(b, temp[0], constByte(rcon[i/4-1]))
 		}
 		for j := range temp {
-			w[i][j] = xorBytes(b, w[i-4][j], temp[j])
+			w = append(w, xorBytes(b, w[4*(i-4)+j], temp[j]))
 		}
 	}
-	roundKey := func(r int) []cbyte {
-		rk := make([]cbyte, 16)
-		for c := 0; c < 4; c++ {
-			for rr := 0; rr < 4; rr++ {
-				// State byte (row rr, column c) sits at flat index rr+4c
-				// and equals byte rr of word 4r+c.
-				rk[rr+4*c] = w[4*r+c][rr]
-			}
+	return fromBytes(w)
+}
+
+// aesRounds appends the ten AES-128 rounds under already-expanded round keys
+// (RoundKeyBits wide) to the builder: 160 S-boxes. Whether the round keys
+// are computed in the circuit (AESEncrypt) or are input wires (F) is the
+// caller's business.
+func aesRounds(b *Builder, roundKeys, ptBits []Ref, impl SBoxImpl) []Ref {
+	mustWidth("AES round keys", len(roundKeys), RoundKeyBits)
+	mustWidth("AES block", len(ptBits), 128)
+	rk := toBytes(roundKeys)
+	state := toBytes(ptBits)
+
+	// State byte (row r, column c) sits at flat index r+4c, which is also
+	// its index within a round key.
+	addRoundKey := func(round int) {
+		for i := range state {
+			state[i] = xorBytes(b, state[i], rk[16*round+i])
 		}
-		return rk
 	}
-	addRoundKey := func(st, rk []cbyte) {
-		for i := range st {
-			st[i] = xorBytes(b, st[i], rk[i])
+	subBytesAll := func() {
+		for i := range state {
+			state[i] = subByte(b, state[i], impl)
 		}
 	}
-	subBytesAll := func(st []cbyte) {
-		for i := range st {
-			st[i] = subByte(b, st[i], impl)
-		}
-	}
-	shiftRows := func(st []cbyte) {
+	shiftRows := func() {
 		old := make([]cbyte, 16)
-		copy(old, st)
+		copy(old, state)
 		for r := 0; r < 4; r++ {
 			for c := 0; c < 4; c++ {
-				st[r+4*c] = old[r+4*((c+r)%4)]
+				state[r+4*c] = old[r+4*((c+r)%4)]
 			}
 		}
 	}
-	mixColumns := func(st []cbyte) {
+	mixColumns := func() {
 		for c := 0; c < 4; c++ {
 			var a, d [4]cbyte
 			for r := 0; r < 4; r++ {
-				a[r] = st[r+4*c]
+				a[r] = state[r+4*c]
 				d[r] = xtimeC(b, a[r])
 			}
 			for r := 0; r < 4; r++ {
@@ -274,27 +228,30 @@ func AESEncrypt(b *Builder, keyBits, ptBits []Ref, impl SBoxImpl) []Ref {
 				out = xorBytes(b, out, a[(r+1)%4])
 				out = xorBytes(b, out, a[(r+2)%4])
 				out = xorBytes(b, out, a[(r+3)%4])
-				st[r+4*c] = out
+				state[r+4*c] = out
 			}
 		}
 	}
 
-	addRoundKey(state, roundKey(0))
+	addRoundKey(0)
 	for round := 1; round <= 9; round++ {
-		subBytesAll(state)
-		shiftRows(state)
-		mixColumns(state)
-		addRoundKey(state, roundKey(round))
+		subBytesAll()
+		shiftRows()
+		mixColumns()
+		addRoundKey(round)
 	}
-	subBytesAll(state)
-	shiftRows(state)
-	addRoundKey(state, roundKey(10))
+	subBytesAll()
+	shiftRows()
+	addRoundKey(10)
+	return fromBytes(state)
+}
 
-	out := make([]Ref, 128)
-	for i, by := range state {
-		copy(out[i*8:], by[:])
-	}
-	return out
+// AESEncrypt appends an AES-128 encryption, key schedule included, to the
+// builder: keyBits and ptBits are 128 wire references each (byte order as in
+// FIPS-197 input blocks, LSB-first within each byte); the returned 128 refs
+// are the ciphertext bits.
+func AESEncrypt(b *Builder, keyBits, ptBits []Ref, impl SBoxImpl) []Ref {
+	return aesRounds(b, keySchedule(b, keyBits, impl), ptBits, impl)
 }
 
 // BuildAES128 builds a standalone AES-128 circuit: inputs are 128 key bits
@@ -305,7 +262,34 @@ func BuildAES128(impl SBoxImpl) *Circuit {
 	return b.Build(out)
 }
 
-// RuleEncryptInputs documents the input layout of BuildRuleEncrypt.
+// keyScheduleCircuit is the key expansion on its own, for ExpandKey128.
+var keyScheduleCircuit = sync.OnceValue(func() *Circuit {
+	b := NewBuilder(128)
+	return b.Build(keySchedule(b, b.Inputs(0, 128), SBoxGF))
+})
+
+// ExpandKey128 returns the 11 AES-128 round keys of key, w[0..43] of
+// FIPS-197 §5.2 as bytes, by evaluating the key-schedule circuit in the
+// clear. This is how an endpoint expands k and kRG before feeding the round
+// keys to F as input labels: the same gates AESEncrypt would have put in
+// the circuit, evaluated without a branch or a table index that depends on
+// a key bit (evaluateLanes).
+//
+//bb:secret key return
+func ExpandKey128(key [16]byte) [RoundKeyBits / 8]byte {
+	in := make([]uint64, 128)
+	for i := range in {
+		in[i] = uint64(key[i/8] >> uint(i%8) & 1)
+	}
+	var rk [RoundKeyBits / 8]byte
+	for i, v := range keyScheduleCircuit().evaluateLanes(in) {
+		rk[i/8] |= byte(v&1) << uint(i%8)
+	}
+	return rk
+}
+
+// Input layout of BuildRuleEncrypt. The middlebox's wires come first, so
+// they are the first 256 whatever the endpoints feed.
 const (
 	// RuleEncryptXOff is the offset of the keyword-fragment block x
 	// (middlebox input, obtained via oblivious transfer).
@@ -313,17 +297,19 @@ const (
 	// RuleEncryptTagOff is the offset of RG's authorization tag for x
 	// (middlebox input, obtained via oblivious transfer).
 	RuleEncryptTagOff = 128
-	// RuleEncryptKOff is the offset of the session detection key k
-	// (endpoint input, labels handed to MB directly).
+	// RuleEncryptKOff is the offset of the round keys of the session
+	// detection key k, RoundKeyBits wide (endpoint input, labels handed to
+	// MB directly).
 	RuleEncryptKOff = 256
-	// RuleEncryptKRGOff is the offset of RG's tag key (endpoint input).
-	RuleEncryptKRGOff = 384
+	// RuleEncryptKRGOff is the offset of the round keys of RG's tag key,
+	// RoundKeyBits wide (endpoint input).
+	RuleEncryptKRGOff = RuleEncryptKOff + RoundKeyBits
 	// RuleEncryptNInputs is the total input width.
-	RuleEncryptNInputs = 512
+	RuleEncryptNInputs = RuleEncryptKRGOff + RoundKeyBits
 )
 
 // BuildRuleEncrypt builds the obfuscated-rule-encryption function F of
-// §3.3: on input [x, tag] (middlebox) and [k, kRG] (endpoints),
+// §3.3: on input [x, tag] (middlebox) and the expanded [k, kRG] (endpoints),
 //
 //	F = AES_k(x)   if tag == AES_kRG(x)   (x is RG-authorized)
 //	F = 0          otherwise
@@ -333,16 +319,19 @@ const (
 // symmetric authorization check (DESIGN.md substitution #3): RG's tag key
 // is installed at the endpoints, RG hands tags to the middlebox, and the
 // circuit releases AES_k(x) only for tagged inputs.
+//
+// Both keys belong to the garbler, so their schedules stay outside F: the
+// endpoints expand them (ExpandKey128) and the round keys are input wires,
+// which costs labels but no gate. F is the 2 x 160 S-boxes of the rounds,
+// the 127 ANDs of the tag comparison and the 128 of the output gate.
 func BuildRuleEncrypt(impl SBoxImpl) *Circuit {
 	b := NewBuilder(RuleEncryptNInputs)
 	x := b.Inputs(RuleEncryptXOff, 128)
 	tag := b.Inputs(RuleEncryptTagOff, 128)
-	k := b.Inputs(RuleEncryptKOff, 128)
-	krg := b.Inputs(RuleEncryptKRGOff, 128)
 
-	mac := AESEncrypt(b, krg, x, impl)
+	mac := aesRounds(b, b.Inputs(RuleEncryptKRGOff, RoundKeyBits), x, impl)
 	ok := b.Equal(mac, tag)
-	enc := AESEncrypt(b, k, x, impl)
+	enc := aesRounds(b, b.Inputs(RuleEncryptKOff, RoundKeyBits), x, impl)
 	out := make([]Ref, 128)
 	for i := range out {
 		out[i] = b.AND(ok, enc[i])

@@ -103,6 +103,50 @@ func (c *Circuit) Evaluate(inputs []bool) []bool {
 	return out
 }
 
+// mustWidth enforces a circuit-construction width invariant; a violation is
+// a programming error, never reachable from wire data.
+func mustWidth(what string, got, want int) {
+	if got != want {
+		panic(fmt.Sprintf("circuit: %s is %d bits wide, want %d", what, got, want))
+	}
+}
+
+// evaluateLanes evaluates 64 independent instances of the circuit at once:
+// bit j of inputs[w] is input wire w of instance j, and likewise for the
+// returned output words. Gates act on whole words and a negated reference is
+// an XOR with all-ones, so neither a branch nor a memory index depends on a
+// wire value — this, not Evaluate, is the evaluator for secret inputs.
+func (c *Circuit) evaluateLanes(inputs []uint64) []uint64 {
+	mustWidth("lane input", len(inputs), c.NInputs)
+	values := make([]uint64, c.NInputs+len(c.Gates))
+	copy(values, inputs)
+	// The branches are on the circuit's own constant and negation flags,
+	// which are public.
+	resolve := func(r Ref) uint64 {
+		v := uint64(0)
+		if !r.IsConst {
+			v = values[r.ID]
+		}
+		if r.Neg || (r.IsConst && r.Val) {
+			v = ^v
+		}
+		return v
+	}
+	for i, g := range c.Gates {
+		a, b := resolve(g.A), resolve(g.B)
+		if g.Op == XOR {
+			values[c.NInputs+i] = a ^ b
+		} else {
+			values[c.NInputs+i] = a & b
+		}
+	}
+	out := make([]uint64, len(c.Outputs))
+	for i, r := range c.Outputs {
+		out[i] = resolve(r)
+	}
+	return out
+}
+
 // Builder incrementally constructs a Circuit.
 type Builder struct {
 	nInputs int

@@ -8,6 +8,7 @@ import (
 	"repro/internal/bbcrypto"
 	"repro/internal/corpus"
 	"repro/internal/dpienc"
+	"repro/internal/ruleprep"
 	"repro/internal/rules"
 	"repro/internal/tokenize"
 )
@@ -205,5 +206,24 @@ func BenchmarkSenderStreamPosition(b *testing.B) {
 			b.ReportMetric(float64(first.Nanoseconds())/perByte, "first8MiB-ns/B")
 			b.ReportMetric(float64(last.Nanoseconds())/perByte, "last8MiB-ns/B")
 		})
+	}
+}
+
+// TestLargestRulesetFitsPreparationCap: ruleprep.MaxFragments is what an
+// endpoint will garble on a middlebox's word; the 3 000-rule ET-like set,
+// the largest this repository prepares, must fit under it with room, in
+// either tokenization mode.
+func TestLargestRulesetFitsPreparationCap(t *testing.T) {
+	spec := corpus.RulesetSpec{Name: "ET-like 3000", NumRules: 3000, P1Frac: 0.016, P2Frac: 0.42, AvgKeywords: 3}
+	rs, err := spec.Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []tokenize.Mode{tokenize.Delimiter, tokenize.Window} {
+		n := len(rs.Fragments(mode))
+		if 2*n > ruleprep.MaxFragments {
+			t.Errorf("mode %v: %d fragments, too close to the cap of %d", mode, n, ruleprep.MaxFragments)
+		}
+		t.Logf("mode %v: %d fragments", mode, n)
 	}
 }

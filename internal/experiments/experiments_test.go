@@ -238,12 +238,12 @@ func TestSetupLinear(t *testing.T) {
 	if len(res.Points) != 4 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
-	// Linearity: the 10k point is 1000x the 10 point (both extrapolated
-	// from the same per-keyword cost here).
-	p10, p10k := res.Points[0], res.Points[3]
-	ratio := float64(p10k.Total) / float64(p10.Total)
-	if ratio < 990 || ratio > 1010 {
-		t.Fatalf("setup not linear: %f", ratio)
+	// Linearity: every point is extrapolated here, so they lie on the
+	// fitted line fixed + n x per-keyword — equal slopes between decades.
+	for i, p := range res.Points {
+		if want := res.Fixed + time.Duration(p.Keywords)*res.PerKeyword; !p.Extrapolated || p.Total != want {
+			t.Fatalf("point %d (%d keywords) = %v, extrapolated=%v; the fit says %v", i, p.Keywords, p.Total, p.Extrapolated, want)
+		}
 	}
 	var buf bytes.Buffer
 	PrintSetup(&buf, res)

@@ -19,8 +19,11 @@ import (
 
 // SetupResult measures rule preparation.
 type SetupResult struct {
-	// PerKeyword is the full per-keyword setup cost (both endpoints
-	// garbling, verification, OT, evaluation).
+	// Fixed is the setup cost a connection pays whatever its ruleset: each
+	// endpoint's OT base phase.
+	Fixed time.Duration
+	// PerKeyword is the marginal setup cost of one keyword (both endpoints
+	// garbling, verification, its share of the OT extension, evaluation).
 	PerKeyword time.Duration
 	// GarbleOnly is the cost of garbling one circuit once.
 	GarbleOnly time.Duration
@@ -29,7 +32,7 @@ type SetupResult struct {
 	// CircuitANDs is the circuit's AND-gate count.
 	CircuitANDs int
 	// Points holds (keywords, total time) — measured for small counts,
-	// extrapolated for large ones.
+	// Fixed + n·PerKeyword for large ones.
 	Points []SetupPoint
 }
 
@@ -43,17 +46,18 @@ type SetupPoint struct {
 
 // SetupOptions controls the measured sizes.
 type SetupOptions struct {
-	// MeasuredKeywords is the largest ruleset size run for real.
+	// MeasuredKeywords is the largest ruleset size run for real, and the
+	// larger of the two sizes the cost model is fitted through.
 	MeasuredKeywords int
 }
 
-// DefaultSetupOptions measures up to 8 keywords and extrapolates beyond.
-func DefaultSetupOptions() SetupOptions { return SetupOptions{MeasuredKeywords: 8} }
+// DefaultSetupOptions measures up to 16 keywords and extrapolates beyond.
+func DefaultSetupOptions() SetupOptions { return SetupOptions{MeasuredKeywords: 16} }
 
 // Setup measures rule-preparation costs.
 func Setup(opt SetupOptions) (SetupResult, error) {
 	if opt.MeasuredKeywords <= 0 {
-		opt.MeasuredKeywords = 8
+		opt.MeasuredKeywords = DefaultSetupOptions().MeasuredKeywords
 	}
 	var res SetupResult
 
@@ -73,23 +77,21 @@ func Setup(opt SetupOptions) (SetupResult, error) {
 	}
 	res.GarbleOnly = time.Since(start) / garbleReps
 
-	perKeyword, err := measureSetupPerKeyword(opt.MeasuredKeywords)
+	fit, err := fitSetup(opt.MeasuredKeywords)
 	if err != nil {
 		return res, err
 	}
-	res.PerKeyword = perKeyword
+	res.Fixed, res.PerKeyword = fit.Fixed, fit.PerKeyword
 
 	paper := map[int]string{10: "650ms", 100: "1.6s", 1000: "9.5s", 10000: "97s"}
 	for _, n := range []int{10, 100, 1000, 10000} {
 		pt := SetupPoint{Keywords: n, Paper: paper[n]}
 		if n <= opt.MeasuredKeywords {
-			d, err := measureSetupPerKeyword(n)
-			if err != nil {
+			if pt.Total, err = measureSetup(n); err != nil {
 				return res, err
 			}
-			pt.Total = d * time.Duration(n)
 		} else {
-			pt.Total = perKeyword * time.Duration(n)
+			pt.Total = fit.total(n)
 			pt.Extrapolated = true
 		}
 		res.Points = append(res.Points, pt)
@@ -103,7 +105,8 @@ func PrintSetup(w io.Writer, r SetupResult) {
 	fmt.Fprintf(w, "rule-encryption circuit: %d AND gates, %s per garbled circuit (paper: 599KB for a 6.8K-gate AES)\n",
 		r.CircuitANDs, fmtBytes(r.CircuitBytes))
 	fmt.Fprintf(w, "garble one circuit: %s (paper: 1042µs with JustGarble's hand-optimized AES)\n", fmtDuration(r.GarbleOnly))
-	fmt.Fprintf(w, "full setup per keyword (2 garblings + verify + OT + eval): %s\n", fmtDuration(r.PerKeyword))
+	fmt.Fprintf(w, "full setup: %s per connection (OT base phases) + %s per keyword (2 garblings + verify + OT extension + eval)\n",
+		fmtDuration(r.Fixed), fmtDuration(r.PerKeyword))
 	t := newTable(w)
 	t.row("Keywords", "setup time", "paper")
 	for _, p := range r.Points {
@@ -114,12 +117,12 @@ func PrintSetup(w io.Writer, r SetupResult) {
 		t.row(fmt.Sprintf("%d", p.Keywords), v, p.Paper)
 	}
 	t.flush()
-	fmt.Fprintln(w, "(* extrapolated: setup is strictly linear in keyword count, §3.3)")
+	fmt.Fprintln(w, "(* extrapolated as fixed + n x per-keyword: setup is linear in keyword count, §3.3)")
 }
 
 // AblationGarbleSBox compares garbling cost of the two S-box circuit
-// constructions (DESIGN.md ablation): the GF(2^8)-inverse circuit vs the
-// multiplexer-tree circuit.
+// constructions (DESIGN.md ablation): the tower-field inverse circuit vs
+// the multiplexer-tree circuit.
 func AblationGarbleSBox(w io.Writer) error {
 	fmt.Fprintln(w, "Ablation: AES S-box circuit construction (per garbled AES-128)")
 	t := newTable(w)
@@ -138,9 +141,9 @@ func AblationGarbleSBox(w io.Writer) error {
 }
 
 // AblationGarbleRows compares the three AND-gate table constructions —
-// classic four-row point-and-permute, GRR3 row reduction (the default),
-// and ZRE15 half gates — on the rule-encryption circuit F. Wire size is
-// the per-keyword setup traffic of §7.2.2.
+// classic four-row point-and-permute, GRR3 row reduction, and ZRE15 half
+// gates (what every connection uses) — on the rule-encryption circuit F.
+// Wire size is the per-keyword setup traffic of §7.2.2.
 func AblationGarbleRows(w io.Writer) error {
 	fmt.Fprintln(w, "Ablation: garbled-table construction (per rule-encryption circuit F)")
 	f := ruleprep.F()
@@ -151,8 +154,8 @@ func AblationGarbleRows(w io.Writer) error {
 		opts garble.Options
 	}{
 		{"point-and-permute", garble.Options{FullRows: true}},
-		{"GRR3 (default)", garble.Options{}},
-		{"half gates", garble.Options{HalfGates: true}},
+		{"GRR3", garble.Options{GRR3: true}},
+		{"half gates (default)", garble.Options{}},
 	} {
 		start := time.Now()
 		g, _, err := garble.GarbleWith(f, ruleprep.FixedGarblingKey, bbcrypto.NewPRG(bbcrypto.Block{7}), v.opts)

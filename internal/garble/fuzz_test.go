@@ -13,9 +13,14 @@ func FuzzUnmarshal(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(g.Marshal())
+	f.Add(g.Marshal()) // Rows = 2
 	f.Add([]byte{})
 	f.Add(make([]byte, 21))
+	grr, _, err := GarbleWith(smallCircuit(), bbcrypto.Block{1}, bbcrypto.NewPRG(bbcrypto.Block{1}), Options{GRR3: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(grr.Marshal()) // Rows = 3
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Unmarshal(data)
 		if err != nil {

@@ -1,9 +1,10 @@
 // Package garble implements Yao's garbled circuits in the JustGarble style
 // the paper's prototype uses (§3.3, §6): free-XOR (Kolesnikov–Schneider),
 // point-and-permute, a fixed-key AES hash so that garbling and evaluation
-// cost a small constant number of AES calls per AND gate, and (by default)
-// GRR3 garbled row reduction, which makes the first row of every AND-gate
-// table implicit and cuts transmitted circuit size by 25%.
+// cost a small constant number of AES calls per AND gate, and
+// Zahur–Rosulek–Evans half gates: two ciphertexts per AND gate, four hashes
+// to garble one and two to evaluate it. GRR3 row reduction and the classic
+// four-row table remain behind GarbleWith for the DESIGN.md ablation.
 //
 // BlindBox requires garbling to be *deterministic given a shared seed*:
 // both endpoints garble the same function with randomness derived from
@@ -13,7 +14,6 @@
 package garble
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -26,17 +26,17 @@ import (
 // Block is re-exported for convenience.
 type Block = bbcrypto.Block
 
-// Options selects garbling variants. Both endpoints and the evaluator must
-// agree on them (they are part of the Garbled material).
+// Options selects the AND-gate table construction. The zero value is half
+// gates, which is what Garble and therefore every connection uses; the other
+// two exist for the DESIGN.md ablation (experiments.AblationGarbleRows). The
+// evaluator reads the construction off Garbled.Rows.
 type Options struct {
-	// FullRows disables GRR3 row reduction, transmitting all four rows per
-	// AND gate (the classic point-and-permute table). Kept for the
-	// DESIGN.md ablation; the default (false) elides the first row.
+	// GRR3 garbles with garbled row reduction: one two-input hash per row,
+	// the first row implicit, three transmitted.
+	GRR3 bool
+	// FullRows garbles the classic point-and-permute table: all four rows
+	// transmitted, output labels drawn from rng.
 	FullRows bool
-	// HalfGates uses the Zahur–Rosulek–Evans two-halves construction:
-	// two ciphertexts and two hashes per AND gate — the best known
-	// free-XOR-compatible garbling, halving GRR3's table size again.
-	HalfGates bool
 }
 
 // Garbled is the material the evaluator (the middlebox) receives: the
@@ -48,9 +48,10 @@ type Garbled struct {
 	// Rows is the number of transmitted rows per AND gate: 2 (half
 	// gates), 3 (GRR3) or 4 (classic point-and-permute).
 	Rows int
-	// Tables holds Rows blocks per AND gate, flattened in gate order. With
-	// GRR3 the row for input colors (0,0) is implicit (all zeros) and the
-	// stored rows are those for colors (0,1), (1,0), (1,1).
+	// Tables holds Rows blocks per AND gate, flattened in gate order: the
+	// generator and evaluator ciphertexts of a half gate; with GRR3, whose
+	// row for input colors (0,0) is implicit (all zeros), the rows for
+	// colors (0,1), (1,0), (1,1).
 	Tables []Block
 	// Decode holds one decode entry per circuit output: for wire outputs,
 	// the permute bit of the false label; for constant outputs, the value.
@@ -90,34 +91,38 @@ func (l *Labels) For(i int, bit bool) Block {
 	return l.L0[i]
 }
 
-// Garble garbles the circuit with GRR3 row reduction and randomness drawn
-// from rng. Given equal circuits, fixed keys and rng streams, the output
-// is bit-identical — the property the middlebox's equality check relies on.
+// Garble garbles the circuit with half gates and randomness drawn from rng.
+// Given equal circuits, fixed keys and rng streams, the output is
+// bit-identical — the property the middlebox's equality check relies on.
 func Garble(c *circuit.Circuit, fixedKey Block, rng io.Reader) (*Garbled, *Labels, error) {
 	return GarbleWith(c, fixedKey, rng, Options{})
 }
 
-// GarbleWith garbles with explicit options.
+// GarbleWith garbles with an explicit table construction.
 func GarbleWith(c *circuit.Circuit, fixedKey Block, rng io.Reader, opts Options) (*Garbled, *Labels, error) {
+	rows := 2
+	switch {
+	case opts.FullRows && opts.GRR3:
+		return nil, nil, errors.New("garble: FullRows and GRR3 are mutually exclusive")
+	case opts.FullRows:
+		rows = 4
+	case opts.GRR3:
+		rows = 3
+	}
 	h := bbcrypto.NewFixedKeyHash(fixedKey)
-	readBlock := func() (Block, error) {
-		var b Block
-		_, err := io.ReadFull(rng, b[:])
-		return b, err
-	}
 
-	r, err := readBlock()
-	if err != nil {
-		return nil, nil, fmt.Errorf("garble: reading R: %w", err)
+	// R and every input label in one read: a Block read on its own escapes
+	// through the io.Reader interface, one heap object per input wire.
+	seed := make([]byte, (1+c.NInputs)*bbcrypto.BlockSize)
+	if _, err := io.ReadFull(rng, seed); err != nil {
+		return nil, nil, fmt.Errorf("garble: reading R and input labels: %w", err)
 	}
+	var r Block
+	copy(r[:], seed)
 	r[bbcrypto.BlockSize-1] |= 1 // LSB(R)=1 so labels of a pair differ in color
-
-	nWires := c.NInputs + len(c.Gates)
-	l0 := make([]Block, nWires)
+	l0 := make([]Block, c.NInputs+len(c.Gates))
 	for i := 0; i < c.NInputs; i++ {
-		if l0[i], err = readBlock(); err != nil {
-			return nil, nil, fmt.Errorf("garble: reading input label: %w", err)
-		}
+		copy(l0[i][:], seed[(1+i)*bbcrypto.BlockSize:])
 	}
 
 	// refLabel0 returns the label that encodes "ref evaluates to false".
@@ -129,98 +134,28 @@ func GarbleWith(c *circuit.Circuit, fixedKey Block, rng io.Reader, opts Options)
 		return lbl
 	}
 
-	rows := 3
-	switch {
-	case opts.FullRows && opts.HalfGates:
-		return nil, nil, errors.New("garble: FullRows and HalfGates are mutually exclusive")
-	case opts.FullRows:
-		rows = 4
-	case opts.HalfGates:
-		rows = 2
-	}
 	g := &Garbled{FixedKey: fixedKey, Rows: rows, Tables: make([]Block, 0, rows*c.NumAND())}
 	for gi, gate := range c.Gates {
 		out := c.NInputs + gi
 		a0 := refLabel0(gate.A)
 		b0 := refLabel0(gate.B)
-		switch gate.Op {
-		case circuit.XOR:
+		switch {
+		case gate.Op == circuit.XOR:
 			// Free-XOR: C0 = A0 ⊕ B0, no table.
 			l0[out] = a0.XOR(b0)
-		case circuit.AND:
-			pa, pb := a0.LSB(), b0.LSB()
-
-			// labelFor returns the input label carrying semantic value v.
-			labelFor := func(base Block, v int) Block {
-				if v == 1 {
-					return base.XOR(r)
-				}
-				return base
-			}
-
-			if opts.HalfGates {
-				// ZRE15 half gates: a generator half (garbler knows pb)
-				// and an evaluator half (evaluator knows its own color),
-				// each one ciphertext.
-				a1 := a0.XOR(r)
-				b1 := b0.XOR(r)
-				jG := uint64(2 * gi)
-				jE := uint64(2*gi + 1)
-
-				tG := h.Hash1(a0, jG).XOR(h.Hash1(a1, jG))
-				if pb == 1 {
-					tG = tG.XOR(r)
-				}
-				wG0 := h.Hash1(a0, jG)
-				if pa == 1 {
-					wG0 = wG0.XOR(tG)
-				}
-
-				tE := h.Hash1(b0, jE).XOR(h.Hash1(b1, jE)).XOR(a0)
-				wE0 := h.Hash1(b0, jE)
-				if pb == 1 {
-					wE0 = wE0.XOR(tE.XOR(a0))
-				}
-
-				l0[out] = wG0.XOR(wE0)
-				g.Tables = append(g.Tables, tG, tE)
-				continue
-			}
-
-			tweak := uint64(gi)
+		case rows == 2:
+			var tG, tE Block
+			l0[out], tG, tE = halfGate(h, r, a0, b0, uint64(gi))
+			g.Tables = append(g.Tables, tG, tE)
+		default:
 			var c0 Block
 			if opts.FullRows {
-				// Classic P&P: fresh random output label, 4 rows.
-				if c0, err = readBlock(); err != nil {
+				// Classic P&P: fresh random output label.
+				if _, err := io.ReadFull(rng, c0[:]); err != nil {
 					return nil, nil, fmt.Errorf("garble: reading gate label: %w", err)
 				}
-			} else {
-				// GRR3: pin the colors-(0,0) row to zero. A label with
-				// color 0 on wire A carries value pa (va = ca ⊕ pa).
-				v00 := (pa & pb)
-				cV00 := h.Hash(labelFor(a0, pa), labelFor(b0, pb), tweak)
-				c0 = cV00
-				if v00 == 1 {
-					c0 = c0.XOR(r)
-				}
 			}
-			l0[out] = c0
-
-			for ca := 0; ca < 2; ca++ {
-				for cb := 0; cb < 2; cb++ {
-					if !opts.FullRows && ca == 0 && cb == 0 {
-						continue // implicit zero row
-					}
-					va := ca ^ pa
-					vb := cb ^ pb
-					cLbl := c0
-					if va&vb == 1 {
-						cLbl = cLbl.XOR(r)
-					}
-					row := h.Hash(labelFor(a0, va), labelFor(b0, vb), tweak).XOR(cLbl)
-					g.Tables = append(g.Tables, row)
-				}
-			}
+			l0[out], g.Tables = rowGate(h, r, a0, b0, c0, uint64(gi), opts.FullRows, g.Tables)
 		}
 	}
 
@@ -231,10 +166,72 @@ func GarbleWith(c *circuit.Circuit, fixedKey Block, rng io.Reader, opts Options)
 		}
 		g.Decode = append(g.Decode, DecodeEntry{Val: refLabel0(ref).LSB() == 1})
 	}
+	// A copy, so that the labels do not pin every internal wire's label.
+	return g, &Labels{L0: append([]Block(nil), l0[:c.NInputs]...), R: r}, nil
+}
 
-	inputs := make([]Block, c.NInputs)
-	copy(inputs, l0[:c.NInputs])
-	return g, &Labels{L0: inputs, R: r}, nil
+// halfGate garbles one AND gate as ZRE15's two half gates — a generator
+// half (the garbler knows pb) and an evaluator half (the evaluator knows its
+// own color) — and returns the output wire's false label and the two
+// ciphertexts. Four hashes: each of the four input labels once.
+func halfGate(h *bbcrypto.FixedKeyHash, r, a0, b0 Block, gi uint64) (c0, tG, tE Block) {
+	pa, pb := a0.LSB(), b0.LSB()
+	jG, jE := 2*gi, 2*gi+1
+	hA0, hA1 := h.Hash1(a0, jG), h.Hash1(a0.XOR(r), jG)
+	hB0, hB1 := h.Hash1(b0, jE), h.Hash1(b0.XOR(r), jE)
+
+	tG = hA0.XOR(hA1)
+	if pb == 1 {
+		tG = tG.XOR(r)
+	}
+	wG0 := hA0
+	if pa == 1 {
+		wG0 = wG0.XOR(tG)
+	}
+
+	tE = hB0.XOR(hB1).XOR(a0)
+	wE0 := hB0
+	if pb == 1 {
+		wE0 = hB1 // hB0 ⊕ (tE ⊕ a0)
+	}
+	return wG0.XOR(wE0), tG, tE
+}
+
+// rowGate garbles one AND gate as a point-and-permute table of two-input
+// hashes, appending its rows to tables: all four around the given output
+// label c0 (fullRows), or GRR3's three, the output label chosen so that the
+// colors-(0,0) row is zero.
+func rowGate(h *bbcrypto.FixedKeyHash, r, a0, b0, c0 Block, tweak uint64, fullRows bool, tables []Block) (Block, []Block) {
+	pa, pb := a0.LSB(), b0.LSB()
+	// labelFor returns the input label carrying semantic value v.
+	labelFor := func(base Block, v int) Block {
+		if v == 1 {
+			return base.XOR(r)
+		}
+		return base
+	}
+	if !fullRows {
+		// A label with color 0 on wire A carries value pa (va = ca ⊕ pa).
+		c0 = h.Hash(labelFor(a0, pa), labelFor(b0, pb), tweak)
+		if pa&pb == 1 {
+			c0 = c0.XOR(r)
+		}
+	}
+	for ca := 0; ca < 2; ca++ {
+		for cb := 0; cb < 2; cb++ {
+			if !fullRows && ca == 0 && cb == 0 {
+				continue // implicit zero row
+			}
+			va := ca ^ pa
+			vb := cb ^ pb
+			cLbl := c0
+			if va&vb == 1 {
+				cLbl = cLbl.XOR(r)
+			}
+			tables = append(tables, h.Hash(labelFor(a0, va), labelFor(b0, vb), tweak).XOR(cLbl))
+		}
+	}
+	return c0, tables
 }
 
 // Eval evaluates the garbled circuit on one label per input wire and
@@ -338,7 +335,7 @@ func Equal(a, b *Garbled) bool {
 
 // Size returns the wire size of the garbled circuit in bytes — the
 // per-rule transmission cost the paper reports (599 KB per circuit for
-// their 6800-gate AES; ours is larger in proportion to its AND count).
+// their 6800-gate AES).
 func (g *Garbled) Size() int {
 	return bbcrypto.BlockSize + 1 + len(g.Tables)*bbcrypto.BlockSize + 8 + len(g.Decode)
 }
@@ -366,17 +363,19 @@ func (g *Garbled) Stats() Stats {
 
 // Marshal serializes the garbled circuit for transmission.
 func (g *Garbled) Marshal() []byte {
-	buf := bytes.NewBuffer(make([]byte, 0, g.Size()+16))
-	buf.Write(g.FixedKey[:])
-	buf.WriteByte(byte(g.Rows))
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(g.Tables)))
-	buf.Write(n[:])
-	for _, row := range g.Tables {
-		buf.Write(row[:])
+	return g.AppendMarshal(make([]byte, 0, g.Size()))
+}
+
+// AppendMarshal appends the serialized garbled circuit, Size() bytes, to dst
+// — for callers that frame it inside a larger message they reuse.
+func (g *Garbled) AppendMarshal(dst []byte) []byte {
+	dst = append(dst, g.FixedKey[:]...)
+	dst = append(dst, byte(g.Rows))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(g.Tables)))
+	for i := range g.Tables {
+		dst = append(dst, g.Tables[i][:]...)
 	}
-	binary.BigEndian.PutUint32(n[:], uint32(len(g.Decode)))
-	buf.Write(n[:])
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(g.Decode)))
 	for _, d := range g.Decode {
 		var b byte
 		if d.Const {
@@ -385,9 +384,9 @@ func (g *Garbled) Marshal() []byte {
 		if d.Val {
 			b |= 1
 		}
-		buf.WriteByte(b)
+		dst = append(dst, b)
 	}
-	return buf.Bytes()
+	return dst
 }
 
 // Unmarshal parses a serialized garbled circuit.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/rand"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/bbcrypto"
@@ -85,6 +87,22 @@ func TestDeterministicGarbling(t *testing.T) {
 	}
 }
 
+// TestGarbledBytesArePinned: the middlebox compares circuits garbled on
+// different machines bit for bit, so the bytes may depend neither on the AES
+// kernel behind the hash (this test also runs under -tags purego) nor on how
+// Block arithmetic is carried out.
+func TestGarbledBytesArePinned(t *testing.T) {
+	g, labels, err := Garble(smallCircuit(), bbcrypto.Block{0xAA}, bbcrypto.NewPRG(bbcrypto.Block{7}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(append(g.Marshal(), labels.R[:]...))
+	const want = "c7b93d1e9e9c04799541af592dd00255ba1b9ca9215ed8a74235a34b8dbc1bbd"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("garbled bytes hash to %s, want %s", got, want)
+	}
+}
+
 func TestLabelPairsDifferByR(t *testing.T) {
 	c := smallCircuit()
 	_, labels, err := Garble(c, bbcrypto.Block{0xAA}, bbcrypto.NewPRG(bbcrypto.Block{1}))
@@ -122,13 +140,15 @@ func TestGarbledAESMatchesStdlib(t *testing.T) {
 	}
 }
 
+// TestGarbledRuleEncryptAuthorization garbles the real F with half gates and
+// checks garbled evaluation against Circuit.Evaluate and crypto/aes, under
+// the right tag and under a wrong one.
 func TestGarbledRuleEncryptAuthorization(t *testing.T) {
 	c := circuit.BuildRuleEncrypt(circuit.SBoxGF)
-	key := make([]byte, 16)
-	krg := make([]byte, 16)
+	var key, krg [16]byte
 	x := make([]byte, 16)
-	rand.Read(key)
-	rand.Read(krg)
+	rand.Read(key[:])
+	rand.Read(krg[:])
 	rand.Read(x)
 	aesOf := func(k, m []byte) []byte {
 		blk, _ := aes.NewCipher(k)
@@ -136,15 +156,19 @@ func TestGarbledRuleEncryptAuthorization(t *testing.T) {
 		blk.Encrypt(out, m)
 		return out
 	}
+	rk, rkRG := circuit.ExpandKey128(key), circuit.ExpandKey128(krg)
 
 	in := make([]bool, circuit.RuleEncryptNInputs)
 	copy(in[circuit.RuleEncryptXOff:], circuit.BytesToBits(x))
-	copy(in[circuit.RuleEncryptTagOff:], circuit.BytesToBits(aesOf(krg, x)))
-	copy(in[circuit.RuleEncryptKOff:], circuit.BytesToBits(key))
-	copy(in[circuit.RuleEncryptKRGOff:], circuit.BytesToBits(krg))
+	copy(in[circuit.RuleEncryptTagOff:], circuit.BytesToBits(aesOf(krg[:], x)))
+	copy(in[circuit.RuleEncryptKOff:], circuit.BytesToBits(rk[:]))
+	copy(in[circuit.RuleEncryptKRGOff:], circuit.BytesToBits(rkRG[:]))
 	got := circuit.BitsToBytes(evalWith(t, c, bbcrypto.Block{9}, in))
-	if !bytes.Equal(got, aesOf(key, x)) {
-		t.Fatalf("authorized: got %x want %x", got, aesOf(key, x))
+	if !bytes.Equal(got, aesOf(key[:], x)) {
+		t.Fatalf("authorized: got %x want %x", got, aesOf(key[:], x))
+	}
+	if want := circuit.BitsToBytes(c.Evaluate(in)); !bytes.Equal(got, want) {
+		t.Fatalf("authorized: garbled %x, plain evaluation %x", got, want)
 	}
 
 	in[circuit.RuleEncryptTagOff+3] = !in[circuit.RuleEncryptTagOff+3]
@@ -237,12 +261,13 @@ func TestGarbledSizeScalesWithANDGates(t *testing.T) {
 }
 
 func TestGRR3AndFullRowsAgree(t *testing.T) {
-	// Both variants must decode to the plain evaluation on every input.
+	// Both ablation variants must decode to the plain evaluation on every
+	// input.
 	c := smallCircuit()
 	for v := 0; v < 8; v++ {
 		in := []bool{v&1 != 0, v&2 != 0, v&4 != 0}
 		want := c.Evaluate(in)
-		for _, opts := range []Options{{}, {FullRows: true}} {
+		for _, opts := range []Options{{GRR3: true}, {FullRows: true}} {
 			g, labels, err := GarbleWith(c, bbcrypto.Block{0xAA}, bbcrypto.NewPRG(bbcrypto.Block{byte(v)}), opts)
 			if err != nil {
 				t.Fatal(err)
@@ -266,7 +291,7 @@ func TestGRR3AndFullRowsAgree(t *testing.T) {
 
 func TestGRR3SavesAQuarter(t *testing.T) {
 	c := circuit.BuildAES128(circuit.SBoxGF)
-	grr, _, err := Garble(c, bbcrypto.Block{1}, bbcrypto.NewPRG(bbcrypto.Block{1}))
+	grr, _, err := GarbleWith(c, bbcrypto.Block{1}, bbcrypto.NewPRG(bbcrypto.Block{1}), Options{GRR3: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,21 +311,43 @@ func TestGRR3SavesAQuarter(t *testing.T) {
 	}
 }
 
-func TestGarbledGRR3AESMatchesStdlib(t *testing.T) {
-	// The reduced-row garbled AES must still compute real AES.
+// garbledAES evaluates the AES-128 circuit garbled under opts on a random
+// key and block and compares with crypto/aes.
+func garbledAES(t *testing.T, opts Options, wantRows int) {
+	t.Helper()
 	c := circuit.BuildAES128(circuit.SBoxGF)
 	key := make([]byte, 16)
 	pt := make([]byte, 16)
 	rand.Read(key)
 	rand.Read(pt)
+	g, labels, err := GarbleWith(c, bbcrypto.Block{1}, bbcrypto.NewPRG(bbcrypto.Block{13}), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Rows != wantRows {
+		t.Fatalf("rows = %d, want %d", g.Rows, wantRows)
+	}
 	in := append(circuit.BytesToBits(key), circuit.BytesToBits(pt)...)
-	got := circuit.BitsToBytes(evalWith(t, c, bbcrypto.Block{77}, in))
+	inLabels := make([]Block, c.NInputs)
+	for i, bit := range in {
+		inLabels[i] = labels.For(i, bit)
+	}
+	bits, err := Eval(c, g, inLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := circuit.BitsToBytes(bits)
 	blk, _ := aes.NewCipher(key)
 	want := make([]byte, 16)
 	blk.Encrypt(want, pt)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("GRR3 garbled AES = %x, want %x", got, want)
+		t.Fatalf("%d-row garbled AES = %x, want %x", wantRows, got, want)
 	}
+}
+
+func TestGarbledGRR3AESMatchesStdlib(t *testing.T) {
+	// The reduced-row garbled AES must still compute real AES.
+	garbledAES(t, Options{GRR3: true}, 3)
 }
 
 func TestUnmarshalRejectsBadRows(t *testing.T) {
@@ -317,25 +364,19 @@ func TestUnmarshalRejectsBadRows(t *testing.T) {
 }
 
 func TestHalfGatesMatchPlainEval(t *testing.T) {
+	// Half gates are what Garble does.
 	c := smallCircuit()
+	g, _, err := Garble(c, bbcrypto.Block{0xAA}, bbcrypto.NewPRG(bbcrypto.Block{1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Rows != 2 || len(g.Tables) != 2*c.NumAND() {
+		t.Fatalf("Garble: %d rows per gate, %d rows for %d AND gates", g.Rows, len(g.Tables), c.NumAND())
+	}
 	for v := 0; v < 8; v++ {
 		in := []bool{v&1 != 0, v&2 != 0, v&4 != 0}
 		want := c.Evaluate(in)
-		g, labels, err := GarbleWith(c, bbcrypto.Block{0xAA}, bbcrypto.NewPRG(bbcrypto.Block{byte(v)}), Options{HalfGates: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.Rows != 2 {
-			t.Fatalf("rows = %d", g.Rows)
-		}
-		inLabels := make([]Block, c.NInputs)
-		for i, bit := range in {
-			inLabels[i] = labels.For(i, bit)
-		}
-		got, err := Eval(c, g, inLabels)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := evalWith(t, c, bbcrypto.Block{byte(v)}, in)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("input %v output %d: half-gates=%v plain=%v", in, i, got[i], want[i])
@@ -345,40 +386,16 @@ func TestHalfGatesMatchPlainEval(t *testing.T) {
 }
 
 func TestHalfGatesAESMatchesStdlib(t *testing.T) {
-	c := circuit.BuildAES128(circuit.SBoxGF)
-	key := make([]byte, 16)
-	pt := make([]byte, 16)
-	rand.Read(key)
-	rand.Read(pt)
-	g, labels, err := GarbleWith(c, bbcrypto.Block{1}, bbcrypto.NewPRG(bbcrypto.Block{13}), Options{HalfGates: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := append(circuit.BytesToBits(key), circuit.BytesToBits(pt)...)
-	inLabels := make([]Block, c.NInputs)
-	for i, bit := range in {
-		inLabels[i] = labels.For(i, bit)
-	}
-	bits, err := Eval(c, g, inLabels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := circuit.BitsToBytes(bits)
-	blk, _ := aes.NewCipher(key)
-	want := make([]byte, 16)
-	blk.Encrypt(want, pt)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("half-gates AES = %x, want %x", got, want)
-	}
+	garbledAES(t, Options{}, 2)
 }
 
 func TestHalfGatesHalveGRR3(t *testing.T) {
 	c := circuit.BuildAES128(circuit.SBoxGF)
-	hg, _, err := GarbleWith(c, bbcrypto.Block{1}, bbcrypto.NewPRG(bbcrypto.Block{1}), Options{HalfGates: true})
+	hg, _, err := Garble(c, bbcrypto.Block{1}, bbcrypto.NewPRG(bbcrypto.Block{1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	grr, _, err := Garble(c, bbcrypto.Block{1}, bbcrypto.NewPRG(bbcrypto.Block{1}))
+	grr, _, err := GarbleWith(c, bbcrypto.Block{1}, bbcrypto.NewPRG(bbcrypto.Block{1}), Options{GRR3: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +406,33 @@ func TestHalfGatesHalveGRR3(t *testing.T) {
 
 func TestConflictingOptionsRejected(t *testing.T) {
 	if _, _, err := GarbleWith(smallCircuit(), bbcrypto.Block{1}, bbcrypto.NewPRG(bbcrypto.Block{1}),
-		Options{FullRows: true, HalfGates: true}); err == nil {
+		Options{FullRows: true, GRR3: true}); err == nil {
 		t.Fatal("conflicting options accepted")
 	}
+}
+
+// TestGarbleReadsInputLabelsAtOnce pins the allocation count of a garbling:
+// a few slices, not one object per input wire.
+func TestGarbleReadsInputLabelsAtOnce(t *testing.T) {
+	b := circuit.NewBuilder(1024)
+	c := b.Build([]circuit.Ref{b.Equal(b.Inputs(0, 512), b.Inputs(512, 512))})
+	prg := bbcrypto.NewPRG(bbcrypto.Block{1})
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, _, err := Garble(c, bbcrypto.Block{1}, prg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Tables, labels, the seed buffer, decode entries and the hash; the
+	// portable hash allocates per call, so the pin is for the kernel only.
+	if hashAllocFree() && allocs > 16 {
+		t.Fatalf("garbling a %d-input circuit allocates %.0f objects, want a handful", c.NInputs, allocs)
+	}
+}
+
+// hashAllocFree reports whether the fixed-key hash stays off the heap here
+// (the AES-NI kernel does; crypto/aes behind purego or off amd64 does not).
+func hashAllocFree() bool {
+	h := bbcrypto.NewFixedKeyHash(bbcrypto.Block{1})
+	var x Block
+	return testing.AllocsPerRun(10, func() { x = h.Hash1(x, 1) }) == 0
 }

@@ -10,8 +10,13 @@
 // each endpoint, again cross-checked), and evaluates the circuit to obtain
 // the fragment's DPIEnc token key.
 //
-// Garbling dominates connection setup cost; the work is embarrassingly
-// parallel across fragments, mirroring the paper's "garble threads" (§6).
+// Both AES key schedules stay outside F: k and kRG are the endpoints' own
+// inputs, so an endpoint expands them once per connection and feeds F the
+// round keys as input labels, which under free-XOR cost no gate.
+//
+// Garbling is embarrassingly parallel across fragments, mirroring the
+// paper's "garble threads" (§6); GarbleEach runs it as a bounded pipeline so
+// that an endpoint holds a few circuits at a time however many are asked for.
 package ruleprep
 
 import (
@@ -48,8 +53,25 @@ func F() *circuit.Circuit {
 }
 
 // otWires is the number of input wires the middlebox chooses via OT per
-// fragment: the fragment block x (128) plus RG's tag (128).
-const otWires = 256
+// fragment: the fragment block x (128) plus RG's tag (128). They are F's
+// first wires; the endpoints' endpointWires — the round keys of k, then of
+// kRG — follow.
+const (
+	otWires       = 256
+	endpointWires = 2 * circuit.RoundKeyBits
+)
+
+// MaxFragments bounds the fragment count of one preparation run. The count
+// reaches an endpoint in an unauthenticated record from whoever sits on the
+// path, and every fragment costs it a garbling and 8 KiB of OT sender state,
+// so it is capped: an order of magnitude above the 3 000-rule set's 6 547
+// (delimiter) or 6 957 (window) fragments, the largest ruleset this
+// repository prepares (core.TestLargestRulesetFitsPreparationCap).
+const MaxFragments = 1 << 16
+
+// ErrTooManyFragments is returned, before anything is garbled, for a
+// preparation run of more than MaxFragments fragments.
+var ErrTooManyFragments = errors.New("ruleprep: fragment count exceeds MaxFragments")
 
 // FragmentJob is one endpoint-side garbling result for one fragment index.
 type FragmentJob struct {
@@ -57,8 +79,9 @@ type FragmentJob struct {
 	Index int
 	// G is the garbled circuit shipped to the middlebox.
 	G *garble.Garbled
-	// EndpointLabels are the labels for the endpoint-held inputs (k and
-	// kRG bits), in wire order, handed to the middlebox directly.
+	// EndpointLabels are the labels for the endpoint-held inputs (the bits
+	// of the round keys of k, then of kRG), in wire order, handed to the
+	// middlebox directly.
 	EndpointLabels []bbcrypto.Block
 	// otPairs are the label pairs of the OT-transferred wires (x, tag).
 	//bb:secret
@@ -79,10 +102,10 @@ func NewFragmentJob(index int, g *garble.Garbled, endpointLabels []bbcrypto.Bloc
 // Endpoint is one endpoint's (S or R) state for a rule-preparation run.
 type Endpoint struct {
 	circ *circuit.Circuit
+	// keyBits are the endpoint's inputs to F in wire order: the 11 round
+	// keys of k, then those of kRG, expanded once per connection.
 	//bb:secret
-	k bbcrypto.Block
-	//bb:secret
-	kRG bbcrypto.Block
+	keyBits []bool
 	//bb:secret
 	krand bbcrypto.Block
 
@@ -95,7 +118,7 @@ type Endpoint struct {
 // SetTrace attaches a span sink to the endpoint: every subsequent Garble
 // call emits one prep.garble span parented to ctx (the endpoint's
 // handshake span), sized by the circuit's AND gates, garbled rows and
-// wire bytes. Call it before GarbleAll; Garble itself may then run
+// wire bytes. Call it before GarbleEach; Garble itself may then run
 // concurrently, since span-ID allocation and sinks are concurrency-safe.
 func (e *Endpoint) SetTrace(sink obs.Sink, ctx obs.SpanCtx, flow uint64, party string) {
 	e.trace, e.tctx, e.tflow, e.tparty = sink, ctx, flow, party
@@ -104,8 +127,15 @@ func (e *Endpoint) SetTrace(sink obs.Sink, ctx obs.SpanCtx, flow uint64, party s
 // NewEndpoint creates an endpoint-side session. k is the session detection
 // key, kRG the rule generator's tag key from the installed RG
 // configuration, and krand the shared randomness seed from the handshake.
+//
+// Both key schedules run here, outside the circuit. The middlebox accepts a
+// fragment only if the two endpoints' labels for these wires are identical
+// (Verify), so feeding F anything but the honest expansion is caught exactly
+// as feeding it a different k is.
 func NewEndpoint(k, kRG, krand bbcrypto.Block) *Endpoint {
-	return &Endpoint{circ: F(), k: k, kRG: kRG, krand: krand}
+	rk, rkRG := circuit.ExpandKey128(k), circuit.ExpandKey128(kRG)
+	keyBits := append(circuit.BytesToBits(rk[:]), circuit.BytesToBits(rkRG[:])...)
+	return &Endpoint{circ: F(), keyBits: keyBits, krand: krand}
 }
 
 // seed derives the deterministic garbling seed for fragment i. Both
@@ -139,50 +169,61 @@ func (e *Endpoint) Garble(i int) (*FragmentJob, error) {
 	}
 	job := &FragmentJob{Index: i, G: g}
 
-	kBits := circuit.BytesToBits(e.k[:])
-	kRGBits := circuit.BytesToBits(e.kRG[:])
-	job.EndpointLabels = make([]bbcrypto.Block, 0, 256)
-	for b := 0; b < 128; b++ {
-		job.EndpointLabels = append(job.EndpointLabels, labels.For(circuit.RuleEncryptKOff+b, kBits[b]))
+	job.EndpointLabels = make([]bbcrypto.Block, endpointWires)
+	for b, bit := range e.keyBits {
+		job.EndpointLabels[b] = labels.For(circuit.RuleEncryptKOff+b, bit)
 	}
-	for b := 0; b < 128; b++ {
-		job.EndpointLabels = append(job.EndpointLabels, labels.For(circuit.RuleEncryptKRGOff+b, kRGBits[b]))
-	}
-
-	job.otPairs = make([][2]bbcrypto.Block, 0, otWires)
-	for b := 0; b < 128; b++ {
-		l0, l1 := labels.Pair(circuit.RuleEncryptXOff + b)
-		job.otPairs = append(job.otPairs, [2]bbcrypto.Block{l0, l1})
-	}
-	for b := 0; b < 128; b++ {
-		l0, l1 := labels.Pair(circuit.RuleEncryptTagOff + b)
-		job.otPairs = append(job.otPairs, [2]bbcrypto.Block{l0, l1})
+	job.otPairs = make([][2]bbcrypto.Block, otWires)
+	for b := range job.otPairs {
+		job.otPairs[b][0], job.otPairs[b][1] = labels.Pair(circuit.RuleEncryptXOff + b)
 	}
 	return job, nil
 }
 
-// GarbleAll garbles every fragment index in [0, n) using all cores.
-func (e *Endpoint) GarbleAll(n int) ([]*FragmentJob, error) {
-	jobs := make([]*FragmentJob, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
+// GarbleEach garbles fragments 0..n-1 and hands each job to emit in index
+// order. Garbling runs ahead of emit on up to GOMAXPROCS goroutines and no
+// further: a job is started only when an earlier one is handed over, so
+// however slowly emit drains, at most GOMAXPROCS circuits exist beyond the
+// one emit holds. The first error, from garbling or from emit, stops the
+// run; GarbleEach returns once every goroutine it started has finished.
+func (e *Endpoint) GarbleEach(n int, emit func(*FragmentJob) error) error {
+	if n < 0 || n > MaxFragments {
+		return fmt.Errorf("%w: %d", ErrTooManyFragments, n)
+	}
+	type result struct {
+		job *FragmentJob
+		err error
+	}
+	var inFlight []chan result // oldest first
+	next := 0
+	start := func() {
+		ch := make(chan result, 1)
+		inFlight = append(inFlight, ch)
 		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			jobs[i], errs[i] = e.Garble(i)
-		}(i)
+			job, err := e.Garble(i)
+			ch <- result{job, err}
+		}(next)
+		next++
 	}
-	wg.Wait()
-	for _, err := range errs {
+	var err error
+	for ahead := runtime.GOMAXPROCS(0); next < n && next < ahead; {
+		start()
+	}
+	for len(inFlight) > 0 {
+		r := <-inFlight[0]
+		inFlight = inFlight[1:]
 		if err != nil {
-			return nil, err
+			continue // failed already: only waiting for what still runs
 		}
+		if err = r.err; err != nil {
+			continue
+		}
+		if next < n {
+			start() // before emit, so garbling overlaps the write
+		}
+		err = emit(r.job)
 	}
-	return jobs, nil
+	return err
 }
 
 // Request is what the middlebox asks the endpoints to prepare: one entry
@@ -260,20 +301,19 @@ func (m *Middlebox) Verify(jobS, jobR *FragmentJob) error {
 var ErrUnauthorized = errors.New("ruleprep: fragment not authorized by rule generator")
 
 // Evaluate runs the garbled circuit for fragment i given the OT-received
-// labels (x then tag wires) and the endpoint-held labels (k then kRG
-// wires), returning the fragment's DPIEnc token key AES_k(x).
+// labels (x then tag wires) and the endpoint-held labels (the round-key
+// wires of k, then of kRG), returning the fragment's DPIEnc token key
+// AES_k(x).
 func (m *Middlebox) Evaluate(i int, job *FragmentJob, otLabels []bbcrypto.Block) (dpienc.TokenKey, error) {
 	if len(otLabels) != otWires {
 		return dpienc.TokenKey{}, errors.New("ruleprep: wrong OT label count")
 	}
-	if len(job.EndpointLabels) != 256 {
+	if len(job.EndpointLabels) != endpointWires {
 		return dpienc.TokenKey{}, errors.New("ruleprep: wrong endpoint label count")
 	}
 	in := make([]bbcrypto.Block, m.circ.NInputs)
-	copy(in[circuit.RuleEncryptXOff:], otLabels[:128])
-	copy(in[circuit.RuleEncryptTagOff:], otLabels[128:])
-	copy(in[circuit.RuleEncryptKOff:], job.EndpointLabels[:128])
-	copy(in[circuit.RuleEncryptKRGOff:], job.EndpointLabels[128:])
+	copy(in[circuit.RuleEncryptXOff:], otLabels)
+	copy(in[circuit.RuleEncryptKOff:], job.EndpointLabels)
 	bits, err := garble.Eval(m.circ, job.G, in)
 	if err != nil {
 		return dpienc.TokenKey{}, err
@@ -334,41 +374,48 @@ func (m *Middlebox) verifyAndEvaluate(i int, jobS, jobR *FragmentJob, labS, labR
 
 // RunLocal performs the complete rule preparation with both endpoints in
 // process — the building block for examples, benchmarks and the in-memory
-// transport. It returns the token key for every fragment (nil entries for
-// unauthorized fragments) and the number of bytes of garbled material that
-// would cross the wire.
+// transport — in the order the live path runs it: each endpoint garbles every
+// fragment, then one OT extension per endpoint covers all fragments' wires,
+// then the middlebox verifies and evaluates. It returns the token key for
+// every fragment (nil entries for unauthorized fragments) and the number of
+// bytes of garbled material that would cross the wire.
 func RunLocal(epS, epR *Endpoint, mb *Middlebox) ([]*dpienc.TokenKey, int, error) {
 	n := mb.NumFragments()
-	jobsS, err := epS.GarbleAll(n)
-	if err != nil {
-		return nil, 0, err
+	choices := make([]bool, 0, n*otWires)
+	for i := 0; i < n; i++ {
+		choices = append(choices, mb.Choices(i)...)
 	}
-	jobsR, err := epR.GarbleAll(n)
-	if err != nil {
-		return nil, 0, err
-	}
+	var (
+		jobs   [2][]*FragmentJob
+		labels [2][]bbcrypto.Block
+	)
 	bytesOnWire := 0
+	for leg, ep := range []*Endpoint{epS, epR} {
+		pairs := make([][2]bbcrypto.Block, 0, n*otWires)
+		err := ep.GarbleEach(n, func(job *FragmentJob) error {
+			jobs[leg] = append(jobs[leg], job)
+			pairs = append(pairs, job.OTPairs()...)
+			bytesOnWire += job.G.Size()
+			return nil
+		})
+		if err != nil {
+			return nil, 0, err
+		}
+		if labels[leg], err = ot.ExtTransfer(pairs, choices); err != nil {
+			return nil, 0, err
+		}
+	}
 	keys := make([]*dpienc.TokenKey, n)
 	for i := 0; i < n; i++ {
-		bytesOnWire += jobsS[i].G.Size() + jobsR[i].G.Size()
-		choices := mb.Choices(i)
-		gotS, err := ot.ExtTransfer(jobsS[i].OTPairs(), choices)
-		if err != nil {
-			return nil, 0, err
-		}
-		gotR, err := ot.ExtTransfer(jobsR[i].OTPairs(), choices)
-		if err != nil {
-			return nil, 0, err
-		}
-		key, err := mb.VerifyAndEvaluate(i, jobsS[i], jobsR[i], gotS, gotR)
+		lo, hi := i*otWires, (i+1)*otWires
+		key, err := mb.VerifyAndEvaluate(i, jobs[0][i], jobs[1][i], labels[0][lo:hi], labels[1][lo:hi])
 		if err == ErrUnauthorized {
 			continue
 		}
 		if err != nil {
 			return nil, 0, err
 		}
-		k := key
-		keys[i] = &k
+		keys[i] = &key
 	}
 	return keys, bytesOnWire, nil
 }

@@ -1,11 +1,16 @@
 package ruleprep
 
 import (
+	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bbcrypto"
+	"repro/internal/circuit"
 	"repro/internal/dpienc"
 	"repro/internal/garble"
+	"repro/internal/obs"
 	"repro/internal/ot"
 	"repro/internal/rules"
 	"repro/internal/tokenize"
@@ -107,6 +112,46 @@ func TestMismatchedEndpointsDetected(t *testing.T) {
 	if err := mb2.Verify(jobH, jobC); err == nil {
 		t.Fatal("endpoint with different k not detected (labels must differ)")
 	}
+
+	// The key schedules run outside the circuit, so an endpoint could feed
+	// round keys that are not the expansion of any key. One wrong bit on one
+	// round-key wire is one different label, which Verify catches.
+	jobH2, err := honest.Garble(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mb2.Verify(jobH, jobH2); err != nil {
+		t.Fatalf("two honest endpoints rejected: %v", err)
+	}
+	for _, wire := range []int{0, circuit.RoundKeyBits - 1, circuit.RoundKeyBits + 700} {
+		cheat3 := NewEndpoint(k, kRG, bbcrypto.Block{1})
+		cheat3.keyBits[wire] = !cheat3.keyBits[wire]
+		jobC, err := cheat3.Garble(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mb2.Verify(jobH, jobC); err == nil {
+			t.Fatalf("round-key wire %d flipped at one endpoint: not detected", wire)
+		}
+	}
+}
+
+// TestEndpointFeedsHonestExpansion: the bits an endpoint feeds F are the
+// FIPS-197 round keys of k, then of kRG.
+func TestEndpointFeedsHonestExpansion(t *testing.T) {
+	k, kRG := bbcrypto.RandomBlock(), bbcrypto.RandomBlock()
+	ep := NewEndpoint(k, kRG, bbcrypto.Block{1})
+	if len(ep.keyBits) != endpointWires {
+		t.Fatalf("endpoint feeds %d bits, want %d", len(ep.keyBits), endpointWires)
+	}
+	got := circuit.BitsToBytes(ep.keyBits)
+	rk, rkRG := circuit.ExpandKey128(k), circuit.ExpandKey128(kRG)
+	if string(got[:len(rk)]) != string(rk[:]) || string(got[len(rk):]) != string(rkRG[:]) {
+		t.Fatal("endpoint input bits are not the round keys of k then kRG")
+	}
+	if string(got[:16]) != string(k[:]) {
+		t.Fatal("round key 0 is not the key itself")
+	}
 }
 
 func TestMiddleboxNeverLearnsK(t *testing.T) {
@@ -162,6 +207,102 @@ func TestEvaluateInputValidation(t *testing.T) {
 	}
 	if _, err := mb.Evaluate(0, &bad, got); err == nil {
 		t.Fatal("short endpoint labels accepted")
+	}
+}
+
+// spanCounter is a trace sink that counts prep.garble spans: Endpoint.Garble
+// emits one as soon as a circuit exists, which makes it the tests' view of
+// how many garblings have run.
+type spanCounter struct{ garbled atomic.Int64 }
+
+func (s *spanCounter) Emit(sp obs.Span) {
+	if sp.Name == obs.SpanPrepGarble {
+		s.garbled.Add(1)
+	}
+}
+
+func TestGarbleEachRefusesOversizedRun(t *testing.T) {
+	ep := NewEndpoint(bbcrypto.Block{1}, bbcrypto.Block{2}, bbcrypto.Block{3})
+	var spans spanCounter
+	ep.SetTrace(&spans, obs.NewSpanCtx(), 1, obs.PartyClient)
+	for _, n := range []int{MaxFragments + 1, 1 << 31, -1} {
+		err := ep.GarbleEach(n, func(*FragmentJob) error {
+			t.Error("emit called for a refused run")
+			return nil
+		})
+		if !errors.Is(err, ErrTooManyFragments) {
+			t.Fatalf("GarbleEach(%d) = %v, want ErrTooManyFragments", n, err)
+		}
+	}
+	if got := spans.garbled.Load(); got != 0 {
+		t.Fatalf("%d circuits garbled for refused runs", got)
+	}
+}
+
+// TestGarbleEachIsOrderedAndBounded: jobs reach emit in index order, equal to
+// what Garble(i) produces, and while emit holds a job at most GOMAXPROCS
+// further circuits exist.
+func TestGarbleEachIsOrderedAndBounded(t *testing.T) {
+	ep := NewEndpoint(bbcrypto.Block{1}, bbcrypto.Block{2}, bbcrypto.Block{3})
+	var spans spanCounter
+	ep.SetTrace(&spans, obs.NewSpanCtx(), 1, obs.PartyClient)
+	const n = 12
+	bound := int64(runtime.GOMAXPROCS(0) + 1)
+	emitted := 0
+	err := ep.GarbleEach(n, func(job *FragmentJob) error {
+		if job.Index != emitted {
+			t.Fatalf("job %d emitted at position %d", job.Index, emitted)
+		}
+		// Everything garbled so far is either already emitted, this job,
+		// or running ahead.
+		if live := spans.garbled.Load() - int64(emitted); live > bound {
+			t.Fatalf("%d circuits alive at emit %d, want at most %d", live, emitted, bound)
+		}
+		emitted++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if emitted != n || spans.garbled.Load() != n {
+		t.Fatalf("emitted %d, garbled %d, want %d", emitted, spans.garbled.Load(), n)
+	}
+	ep.SetTrace(nil, obs.SpanCtx{}, 0, "")
+	want, err := ep.Garble(n - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last *FragmentJob
+	if err := ep.GarbleEach(n, func(job *FragmentJob) error { last = job; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if !garble.Equal(want.G, last.G) {
+		t.Fatal("GarbleEach's last job differs from Garble(n-1)")
+	}
+}
+
+func TestGarbleEachStopsAtEmitError(t *testing.T) {
+	ep := NewEndpoint(bbcrypto.Block{1}, bbcrypto.Block{2}, bbcrypto.Block{3})
+	var spans spanCounter
+	ep.SetTrace(&spans, obs.NewSpanCtx(), 1, obs.PartyClient)
+	boom := errors.New("peer went away")
+	calls := 0
+	err := ep.GarbleEach(64, func(*FragmentJob) error {
+		calls++
+		if calls == 2 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("GarbleEach = %v, want the emit error", err)
+	}
+	if calls != 2 {
+		t.Fatalf("emit called %d times after failing on the 2nd", calls)
+	}
+	// Two emitted, and no more than the look-ahead garbled beyond them.
+	if got, most := spans.garbled.Load(), int64(2+runtime.GOMAXPROCS(0)); got > most {
+		t.Fatalf("%d circuits garbled for a run that failed at the 2nd, want at most %d", got, most)
 	}
 }
 

@@ -424,9 +424,9 @@ func (c *Conn) servePreparation() error {
 		ep.SetTrace(sink, c.hsCtx, c.flowID, c.party())
 	}
 	var (
-		jobs   []*ruleprep.FragmentJob
 		sender *ot.ExtSender
 		pairs  [][2]bbcrypto.Block
+		rec    []byte // the SubCircuit record body, reused by every fragment
 	)
 	for {
 		typ, body, err := ReadRecord(c.raw)
@@ -445,27 +445,22 @@ func (c *Conn) servePreparation() error {
 			if len(payload) != 4 {
 				return errors.New("bad prep start")
 			}
+			// The count is the peer's word; GarbleEach refuses one over
+			// ruleprep.MaxFragments and keeps a bounded number of circuits
+			// alive however slowly the peer reads them.
 			n := int(binary.BigEndian.Uint32(payload))
-			if jobs, err = ep.GarbleAll(n); err != nil {
-				return err
-			}
 			pairs = pairs[:0]
-			for _, job := range jobs {
-				msg := make([]byte, 1, 1+8)
-				msg[0] = SubCircuit
-				var idx [4]byte
-				binary.BigEndian.PutUint32(idx[:], uint32(job.Index))
-				msg = append(msg, idx[:]...)
-				blob := job.G.Marshal()
-				var l [4]byte
-				binary.BigEndian.PutUint32(l[:], uint32(len(blob)))
-				msg = append(msg, l[:]...)
-				msg = append(msg, blob...)
-				msg = append(msg, MarshalBlocks(job.EndpointLabels)...)
-				if err := WriteRecord(c.raw, RecGarble, msg); err != nil {
-					return err
-				}
+			err := ep.GarbleEach(n, func(job *ruleprep.FragmentJob) error {
+				rec = append(rec[:0], SubCircuit)
+				rec = binary.BigEndian.AppendUint32(rec, uint32(job.Index))
+				rec = binary.BigEndian.AppendUint32(rec, uint32(job.G.Size()))
+				rec = job.G.AppendMarshal(rec)
+				rec = AppendBlocks(rec, job.EndpointLabels)
 				pairs = append(pairs, job.OTPairs()...)
+				return WriteRecord(c.raw, RecGarble, rec)
+			})
+			if err != nil {
+				return err
 			}
 		case SubOTMsgA:
 			msgAs, err := UnmarshalByteSlices(payload)

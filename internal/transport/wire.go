@@ -39,8 +39,9 @@ const (
 	RecClose
 )
 
-// MaxRecordLen bounds a record body; garbled circuits dominate (a few MB
-// for our AES circuit), so the cap is generous.
+// MaxRecordLen bounds a record body. The largest legitimate records are
+// rule preparation's: one garbled circuit with its endpoint labels (0.4 MB)
+// and the OT extension's messages, which grow with the fragment count.
 const MaxRecordLen = 64 << 20
 
 // maxDataRecord bounds the plaintext of one data record; larger writes are
@@ -305,7 +306,7 @@ const (
 	// SubPrepStart (MB→EP): uint32 fragment count.
 	SubPrepStart byte = iota + 1
 	// SubCircuit (EP→MB): uint32 index, uint32 len, garbled blob, then
-	// 256 endpoint-input labels.
+	// the endpoint-input labels (the round-key wires of k and kRG).
 	SubCircuit
 	// SubOTMsgA (MB→EP): 128 base-OT first messages.
 	SubOTMsgA
@@ -367,12 +368,16 @@ func UnmarshalByteSlices(data []byte) ([][]byte, error) {
 
 // MarshalBlocks packs 16-byte blocks.
 func MarshalBlocks(blocks []bbcrypto.Block) []byte {
-	out := make([]byte, 4, 4+len(blocks)*bbcrypto.BlockSize)
-	binary.BigEndian.PutUint32(out, uint32(len(blocks)))
-	for _, b := range blocks {
-		out = append(out, b[:]...)
+	return AppendBlocks(make([]byte, 0, 4+len(blocks)*bbcrypto.BlockSize), blocks)
+}
+
+// AppendBlocks appends the MarshalBlocks encoding of blocks to dst.
+func AppendBlocks(dst []byte, blocks []bbcrypto.Block) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(blocks)))
+	for i := range blocks {
+		dst = append(dst, blocks[i][:]...)
 	}
-	return out
+	return dst
 }
 
 // UnmarshalBlocks inverts MarshalBlocks.

@@ -2,7 +2,7 @@
 # ci.sh — the full BlindBox verification gate, runnable locally or in CI.
 #
 #   scripts/ci.sh            # everything: vet, build, bblint, tests, race, fuzz smoke
-#   scripts/ci.sh quick      # vet + build + bblint + unit tests (root and benchmark modules) only
+#   scripts/ci.sh quick      # vet + build + bblint + unit tests (root and benchmark modules) + F's gate count only
 #
 # Every stage uses only the Go toolchain; the module has no dependencies.
 set -euo pipefail
@@ -39,6 +39,12 @@ go test ./...
 step "go test -C benchmark (BENCHMARK.json drift)"
 go test -C benchmark .
 
+# Rule preparation's cost is set by two counts, F's AND gates and the bytes
+# of one garbled F; print them (one garbling, no timing claim) so that a
+# gate-count regression shows in this log without running the benchmark.
+step "rule-encryption circuit F: AND gates and garbled bytes"
+go test -run '^$' -bench '^BenchmarkGarbleF$' -benchtime 1x . | grep '^BenchmarkGarbleF'
+
 if [ "$MODE" = "quick" ]; then
     echo "quick gate passed."
     exit 0
@@ -67,10 +73,14 @@ go run ./cmd/bbtrace -assemble -strict \
 
 # The AES-128 kernel has two build-tagged implementations (assembly on
 # amd64, crypto/aes elsewhere and under -tags purego). The host only ever
-# runs one of them, so run the token path on the other and cross-build a
-# platform that has no assembly; both work offline.
+# runs one of them, so run the token path on the other — and the garbling
+# path, whose hash rides on the same kernel: the middlebox compares circuits
+# garbled on different machines bit for bit, so the fallback must produce
+# the same ones — and cross-build a platform that has no assembly; both work
+# offline.
 step "portable AES fallback (-tags purego) + arm64 cross-build"
-go test -tags purego ./internal/bbcrypto ./internal/dpienc ./internal/core
+go test -tags purego ./internal/bbcrypto ./internal/dpienc ./internal/core \
+    ./internal/garble ./internal/ruleprep
 GOARCH=arm64 go build ./...
 
 step "go test -race"
