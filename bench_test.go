@@ -11,6 +11,7 @@ import (
 	mrand "math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/bbcrypto"
 	"repro/internal/circuit"
@@ -285,6 +286,115 @@ func BenchmarkEncryptTokensBatch(b *testing.B) {
 	b.ReportMetric(float64(b.N)*512/b.Elapsed().Seconds(), "tokens/s")
 }
 
+// The sender pipeline stage by stage — tokenize, salt assignment, DPIEnc AES
+// — and whole, on the two configurations the end-to-end benchmark's text
+// workloads run (bulk_text: delimiter tokens under Protocol II;
+// bulk_window_p3: window tokens under Protocol III): 8 MiB of synthesized
+// text fed in 16 KiB records, as Conn.write feeds it, to a fresh tokenizer
+// and Sender per pass. The three stage benchmarks run the same pass and time
+// only their own stage, so each stage sees its input as hot in cache as the
+// live pipeline leaves it. PERFORMANCE.md's stage table is their output.
+var senderStageCases = []struct {
+	name  string
+	mode  tokenize.Mode
+	proto dpienc.Protocol
+}{
+	{"delimiter-P2", tokenize.Delimiter, dpienc.ProtocolII},
+	{"window-P3", tokenize.Window, dpienc.ProtocolIII},
+}
+
+const (
+	senderStageText   = 8 << 20
+	senderStageRecord = 16 << 10
+)
+
+// senderStages is the time one pass spent in each stage, and its token count.
+type senderStages struct {
+	tokenize, assign, encrypt time.Duration
+	tokens                    int
+}
+
+func runSenderStages(text []byte, mode tokenize.Mode, proto dpienc.Protocol) (st senderStages) {
+	keys := bbcrypto.DeriveSessionKeys([]byte("bench"))
+	tk, s := tokenize.New(mode), dpienc.NewSender(keys.K, keys.KSSL, proto, 0)
+	var (
+		toks []tokenize.Token
+		asg  []dpienc.TokenAssignment
+		out  []dpienc.EncryptedToken
+	)
+	for off := 0; off < len(text); off += senderStageRecord {
+		s.AccountBytes(senderStageRecord)
+		t0 := time.Now()
+		toks = tk.AppendInto(toks, text[off:off+senderStageRecord])
+		t1 := time.Now()
+		asg = s.AssignTokens(toks, asg[:0])
+		t2 := time.Now()
+		out = dpienc.GrowTokenBuf(out, len(asg))
+		s.EncryptAssigned(asg, out)
+		t3 := time.Now()
+		st.tokenize += t1.Sub(t0)
+		st.assign += t2.Sub(t1)
+		st.encrypt += t3.Sub(t2)
+		st.tokens += len(toks)
+	}
+	return st
+}
+
+// benchSenderStage reports one stage of runSenderStages per byte of text and
+// per token (ns/op is that stage's time for the whole pass, not the pass's).
+func benchSenderStage(b *testing.B, stage func(senderStages) time.Duration) {
+	text := corpus.SynthesizeTextSeeded(experiments.Seed, senderStageText)
+	for _, c := range senderStageCases {
+		b.Run(c.name, func(b *testing.B) {
+			var ns, tokens float64
+			for i := 0; i < b.N; i++ {
+				st := runSenderStages(text, c.mode, c.proto)
+				ns += float64(stage(st))
+				tokens += float64(st.tokens)
+			}
+			b.ReportMetric(ns/float64(b.N), "ns/op")
+			b.ReportMetric(ns/float64(b.N*len(text)), "ns/B")
+			b.ReportMetric(ns/tokens, "ns/token")
+		})
+	}
+}
+
+func BenchmarkSenderStageTokenize(b *testing.B) {
+	benchSenderStage(b, func(st senderStages) time.Duration { return st.tokenize })
+}
+
+func BenchmarkSenderStageAssign(b *testing.B) {
+	benchSenderStage(b, func(st senderStages) time.Duration { return st.assign })
+}
+
+func BenchmarkSenderStageEncrypt(b *testing.B) {
+	benchSenderStage(b, func(st senderStages) time.Duration { return st.encrypt })
+}
+
+// BenchmarkSenderStagePipeline is the same pass through
+// core.SenderPipeline.ProcessTextInto, the call Conn.write and the §3.4
+// validator make per record.
+func BenchmarkSenderStagePipeline(b *testing.B) {
+	text := corpus.SynthesizeTextSeeded(experiments.Seed, senderStageText)
+	keys := bbcrypto.DeriveSessionKeys([]byte("bench"))
+	for _, c := range senderStageCases {
+		b.Run(c.name, func(b *testing.B) {
+			var out []dpienc.EncryptedToken
+			tokens := 0
+			for i := 0; i < b.N; i++ {
+				pipe := core.NewSenderPipeline(keys, core.Config{Protocol: c.proto, Mode: c.mode})
+				for off := 0; off < len(text); off += senderStageRecord {
+					out, _ = pipe.ProcessTextInto(out, text[off:off+senderStageRecord])
+					tokens += len(out)
+				}
+			}
+			ns := float64(b.Elapsed().Nanoseconds())
+			b.ReportMetric(ns/float64(b.N*len(text)), "ns/B")
+			b.ReportMetric(ns/float64(tokens), "ns/token")
+		})
+	}
+}
+
 // BenchmarkDetectSearchable3KRules: the linear-scan strawman at 9900
 // keywords (paper: 5.6 ms).
 func BenchmarkDetectSearchable3KRules(b *testing.B) {
@@ -498,12 +608,27 @@ func BenchmarkDPIEncHashAblation(b *testing.B) {
 	})
 }
 
-// The AES-128 kernel of internal/bbcrypto beside the crypto/aes calls it
-// replaces on the token path. A first-seen token (or a schedule-cache miss)
-// costs one key expansion plus two encryptions, a cached one a single
-// encryption; crypto/aes pays a heap object per expansion. DESIGN.md §5
-// quotes these.
-var benchAESSink bbcrypto.Block
+// The AES-128 kernel of internal/bbcrypto, one block wide and four, beside
+// the crypto/aes calls it replaces on the token path. A first-seen token (or
+// a schedule-cache miss) costs one key expansion plus two encryptions, a
+// cached one a single encryption; crypto/aes pays a heap object per
+// expansion. The ×4 sub-benchmarks are one call on four keys / blocks, so
+// their ns/op is to be read against four of the kernel's; ns/block says it.
+// DESIGN.md §5 quotes these.
+var (
+	benchAESSink  bbcrypto.Block
+	benchAESSink4 [4]bbcrypto.Block
+)
+
+// benchSchedules4 is four schedules, as the pointer array the ×4 calls take.
+func benchSchedules4() *[4]*bbcrypto.Schedule {
+	s := new([4]bbcrypto.Schedule)
+	return &[4]*bbcrypto.Schedule{&s[0], &s[1], &s[2], &s[3]}
+}
+
+func reportPerBlock(b *testing.B, blocks int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blocks), "ns/block")
+}
 
 func BenchmarkAES128Expand(b *testing.B) {
 	b.Run("kernel", func(b *testing.B) {
@@ -515,6 +640,18 @@ func BenchmarkAES128Expand(b *testing.B) {
 			s.Expand(&key)
 		}
 		s.Encrypt(&benchAESSink, &key)
+		reportPerBlock(b, 1)
+	})
+	b.Run("kernel-x4", func(b *testing.B) {
+		b.ReportAllocs()
+		keys := [4]bbcrypto.Block{{1}, {2}, {3}, {4}}
+		s := benchSchedules4()
+		for i := 0; i < b.N; i++ {
+			keys[i&3][0] = byte(i)
+			bbcrypto.Expand4(s, &keys)
+		}
+		bbcrypto.Encrypt4(s, &benchAESSink4, &keys)
+		reportPerBlock(b, 4)
 	})
 	b.Run("stdlib", func(b *testing.B) {
 		b.ReportAllocs()
@@ -523,6 +660,7 @@ func BenchmarkAES128Expand(b *testing.B) {
 			key[0] = byte(i)
 			bbcrypto.NewAES(key)
 		}
+		reportPerBlock(b, 1)
 	})
 }
 
@@ -537,6 +675,19 @@ func BenchmarkAES128Encrypt(b *testing.B) {
 			pt[8] = byte(i)
 			s.Encrypt(&benchAESSink, &pt)
 		}
+		reportPerBlock(b, 1)
+	})
+	b.Run("kernel-x4", func(b *testing.B) {
+		b.ReportAllocs()
+		keys := [4]bbcrypto.Block{{1}, {2}, {3}, {4}}
+		s := benchSchedules4()
+		bbcrypto.Expand4(s, &keys)
+		var pts [4]bbcrypto.Block
+		for i := 0; i < b.N; i++ {
+			pts[i&3][8] = byte(i)
+			bbcrypto.Encrypt4(s, &benchAESSink4, &pts)
+		}
+		reportPerBlock(b, 4)
 	})
 	b.Run("stdlib", func(b *testing.B) {
 		b.ReportAllocs()
@@ -546,6 +697,7 @@ func BenchmarkAES128Encrypt(b *testing.B) {
 			pt[8] = byte(i)
 			blk.Encrypt(benchAESSink[:], pt[:])
 		}
+		reportPerBlock(b, 1)
 	})
 }
 
@@ -560,6 +712,19 @@ func BenchmarkAES128ExpandEncrypt(b *testing.B) {
 			s.Expand(&key)
 			s.Encrypt(&benchAESSink, &pt)
 		}
+		reportPerBlock(b, 1)
+	})
+	b.Run("kernel-x4", func(b *testing.B) {
+		b.ReportAllocs()
+		keys := [4]bbcrypto.Block{{1}, {2}, {3}, {4}}
+		var pts [4]bbcrypto.Block
+		s := benchSchedules4()
+		for i := 0; i < b.N; i++ {
+			keys[i&3][0] = byte(i)
+			bbcrypto.Expand4(s, &keys)
+			bbcrypto.Encrypt4(s, &benchAESSink4, &pts)
+		}
+		reportPerBlock(b, 4)
 	})
 	b.Run("stdlib", func(b *testing.B) {
 		b.ReportAllocs()
@@ -569,6 +734,7 @@ func BenchmarkAES128ExpandEncrypt(b *testing.B) {
 			key[0] = byte(i)
 			bbcrypto.NewAES(key).Encrypt(benchAESSink[:], pt[:])
 		}
+		reportPerBlock(b, 1)
 	})
 }
 

@@ -51,10 +51,44 @@ func (s *Schedule) encryptNoAESNI(dst, src *Block) {
 	*dst = out
 }
 
+// Expand4 is Expand four keys wide: *s[i] becomes the schedule of keys[i],
+// with the four expansions' rounds interleaved. The four schedules must be
+// distinct.
+func Expand4(s *[4]*Schedule, keys *[4]Block) {
+	if useAESNI {
+		expand128x4(keys, s)
+		return
+	}
+	for i, si := range s {
+		si.Expand(&keys[i])
+	}
+}
+
+// Encrypt4 is Encrypt four blocks wide: dst[i] becomes the encryption of
+// src[i] under *s[i]. One AES round waits several cycles for the one before
+// it; four independent blocks keep the AES unit busy meanwhile, so the four
+// cost little more than one. dst and src may be the same array, and the
+// schedules need not be distinct.
+func Encrypt4(s *[4]*Schedule, dst, src *[4]Block) {
+	if useAESNI {
+		encrypt128x4(s, dst, src)
+		return
+	}
+	for i, si := range s {
+		si.encryptNoAESNI(&dst[i], &src[i])
+	}
+}
+
 //go:noescape
 func expand128(key *[BlockSize]byte, rk *[176]byte)
 
 //go:noescape
+func expand128x4(keys *[4]Block, s *[4]*Schedule)
+
+//go:noescape
 func encrypt128(rk *[176]byte, dst, src *[BlockSize]byte)
+
+//go:noescape
+func encrypt128x4(s *[4]*Schedule, dst, src *[4]Block)
 
 func cpuHasAESNI() bool

@@ -2,40 +2,109 @@
 
 #include "textflag.h"
 
-// One AES-128 key-expansion round, after crypto/aes's _expand_key_128:
-// X0 holds the previous round key and leaves holding the next, which is
-// stored at (BX); X4 is scratch whose low dword must be zero on entry and
-// is kept so by the shuffles.
-#define EXPAND_ROUND(rcon) \
-	AESKEYGENASSIST rcon, X0, X1 \
-	PSHUFD $0xff, X1, X1         \
-	SHUFPS $0x10, X0, X4         \
-	PXOR   X4, X0                \
-	SHUFPS $0x8c, X0, X4         \
-	PXOR   X4, X0                \
-	PXOR   X1, X0                \
-	MOVUPS X0, (BX)              \
-	ADDQ   $16, BX
+// RotWord(w3) in every column: byte indexes 13, 14, 15, 12, four times.
+DATA rotw3<>+0(SB)/8, $0x0c0f0e0d0c0f0e0d
+DATA rotw3<>+8(SB)/8, $0x0c0f0e0d0c0f0e0d
+GLOBL rotw3<>(SB), (NOPTR+RODATA), $16
+
+// The round constants 0x01 and 0x1b in every column; the others are these
+// two shifted left.
+DATA rcon01<>+0(SB)/8, $0x0000000100000001
+DATA rcon01<>+8(SB)/8, $0x0000000100000001
+GLOBL rcon01<>(SB), (NOPTR+RODATA), $16
+DATA rcon1b<>+0(SB)/8, $0x0000001b0000001b
+DATA rcon1b<>+8(SB)/8, $0x0000001b0000001b
+GLOBL rcon1b<>(SB), (NOPTR+RODATA), $16
+
+// One AES-128 key-expansion round on one lane: K holds the previous round
+// key (w0 w1 w2 w3) and leaves holding the next; T and S are scratch. X12
+// holds rotw3 and X13 the round constant in every column. PSHUFB puts
+// RotWord(w3) in all four columns; on four equal columns ShiftRows is the
+// identity, so AESENCLAST against X13 is SubWord(RotWord(w3)) ^ rcon in
+// every column — the S-box runs inside the AES unit, with no table indexed
+// by a key byte and none of AESKEYGENASSIST's microcode. Two shift-XORs turn
+// K into its prefix XORs (w0, w0^w1, w0^w1^w2, w0^w1^w2^w3), and T completes
+// the round.
+#define EXPAND_LANE(K, T, S) \
+	MOVO       K, T   \
+	PSHUFB     X12, T \
+	AESENCLAST X13, T \
+	MOVO       K, S   \
+	PSLLDQ     $4, S  \
+	PXOR       S, K   \
+	MOVO       K, S   \
+	PSLLDQ     $8, S  \
+	PXOR       S, K   \
+	PXOR       T, K
+
+// The round on lane 0 alone, and on four lanes whose dependency chains the
+// CPU overlaps; the new round keys go to off(R8) … off(R11).
+#define EXPAND_ROUND1(off) \
+	EXPAND_LANE(X0, X4, X8) \
+	MOVUPS X0, off(R8)
+
+#define EXPAND_ROUND4(off) \
+	EXPAND_LANE(X0, X4, X8)  \
+	EXPAND_LANE(X1, X5, X9)  \
+	EXPAND_LANE(X2, X6, X10) \
+	EXPAND_LANE(X3, X7, X11) \
+	MOVUPS X0, off(R8)       \
+	MOVUPS X1, off(R9)       \
+	MOVUPS X2, off(R10)      \
+	MOVUPS X3, off(R11)
+
+// The ten rounds: rcon doubles through 0x01 … 0x80, then 0x1b, 0x36.
+#define EXPAND_ROUNDS(ROUND) \
+	MOVOU rotw3<>(SB), X12  \
+	MOVOU rcon01<>(SB), X13 \
+	ROUND(16)               \
+	PSLLL $1, X13           \
+	ROUND(32)               \
+	PSLLL $1, X13           \
+	ROUND(48)               \
+	PSLLL $1, X13           \
+	ROUND(64)               \
+	PSLLL $1, X13           \
+	ROUND(80)               \
+	PSLLL $1, X13           \
+	ROUND(96)               \
+	PSLLL $1, X13           \
+	ROUND(112)              \
+	PSLLL $1, X13           \
+	ROUND(128)              \
+	MOVOU rcon1b<>(SB), X13 \
+	ROUND(144)              \
+	PSLLL $1, X13           \
+	ROUND(160)
 
 // func expand128(key *[16]byte, rk *[176]byte)
-// Requires: AES, SSE2
+// Requires: AES, SSSE3
 TEXT ·expand128(SB), NOSPLIT, $0-16
 	MOVQ   key+0(FP), AX
-	MOVQ   rk+8(FP), BX
+	MOVQ   rk+8(FP), R8
 	MOVUPS (AX), X0
-	MOVUPS X0, (BX)
-	ADDQ   $16, BX
-	PXOR   X4, X4
-	EXPAND_ROUND($0x01)
-	EXPAND_ROUND($0x02)
-	EXPAND_ROUND($0x04)
-	EXPAND_ROUND($0x08)
-	EXPAND_ROUND($0x10)
-	EXPAND_ROUND($0x20)
-	EXPAND_ROUND($0x40)
-	EXPAND_ROUND($0x80)
-	EXPAND_ROUND($0x1b)
-	EXPAND_ROUND($0x36)
+	MOVUPS X0, (R8)
+	EXPAND_ROUNDS(EXPAND_ROUND1)
+	RET
+
+// func expand128x4(keys *[4]Block, s *[4]*Schedule)
+// Requires: AES, SSSE3
+TEXT ·expand128x4(SB), NOSPLIT, $0-16
+	MOVQ   keys+0(FP), AX
+	MOVQ   s+8(FP), BX
+	MOVQ   0(BX), R8
+	MOVQ   8(BX), R9
+	MOVQ   16(BX), R10
+	MOVQ   24(BX), R11
+	MOVUPS 0(AX), X0
+	MOVUPS 16(AX), X1
+	MOVUPS 32(AX), X2
+	MOVUPS 48(AX), X3
+	MOVUPS X0, (R8)
+	MOVUPS X1, (R9)
+	MOVUPS X2, (R10)
+	MOVUPS X3, (R11)
+	EXPAND_ROUNDS(EXPAND_ROUND4)
 	RET
 
 // func encrypt128(rk *[176]byte, dst, src *[16]byte)
@@ -70,12 +139,60 @@ TEXT ·encrypt128(SB), NOSPLIT, $0-24
 	MOVUPS     X0, (DX)
 	RET
 
+// One round of four blocks under four schedules. The round keys are loaded
+// into registers first: a schedule sits at whatever 8-byte-aligned address
+// its owner gave it, and AESENC with a memory operand faults on one that is
+// not 16-byte aligned.
+#define ENCRYPT_ROUND4(off, OP) \
+	MOVUPS off(R8), X4  \
+	MOVUPS off(R9), X5  \
+	MOVUPS off(R10), X6 \
+	MOVUPS off(R11), X7 \
+	OP     X4, X0       \
+	OP     X5, X1       \
+	OP     X6, X2       \
+	OP     X7, X3
+
+// func encrypt128x4(s *[4]*Schedule, dst, src *[4]Block)
+// Requires: AES, SSE2
+TEXT ·encrypt128x4(SB), NOSPLIT, $0-24
+	MOVQ   s+0(FP), AX
+	MOVQ   dst+8(FP), DX
+	MOVQ   src+16(FP), BX
+	MOVQ   0(AX), R8
+	MOVQ   8(AX), R9
+	MOVQ   16(AX), R10
+	MOVQ   24(AX), R11
+	MOVUPS 0(BX), X0
+	MOVUPS 16(BX), X1
+	MOVUPS 32(BX), X2
+	MOVUPS 48(BX), X3
+	ENCRYPT_ROUND4(0, PXOR)
+	ENCRYPT_ROUND4(16, AESENC)
+	ENCRYPT_ROUND4(32, AESENC)
+	ENCRYPT_ROUND4(48, AESENC)
+	ENCRYPT_ROUND4(64, AESENC)
+	ENCRYPT_ROUND4(80, AESENC)
+	ENCRYPT_ROUND4(96, AESENC)
+	ENCRYPT_ROUND4(112, AESENC)
+	ENCRYPT_ROUND4(128, AESENC)
+	ENCRYPT_ROUND4(144, AESENC)
+	ENCRYPT_ROUND4(160, AESENCLAST)
+	MOVUPS X0, 0(DX)
+	MOVUPS X1, 16(DX)
+	MOVUPS X2, 32(DX)
+	MOVUPS X3, 48(DX)
+	RET
+
 // func cpuHasAESNI() bool
+// The kernel needs AES-NI (CPUID.1:ECX bit 25) and, for the key expansion's
+// PSHUFB, SSSE3 (bit 9); no CPU has the first without the second, and both
+// are checked.
 TEXT ·cpuHasAESNI(SB), NOSPLIT, $0-1
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
-	SHRL $25, CX
-	ANDL $1, CX
-	MOVB CX, ret+0(FP)
+	ANDL $0x02000200, CX
+	CMPL CX, $0x02000200
+	SETEQ ret+0(FP)
 	RET

@@ -20,3 +20,20 @@ func (s *Schedule) Expand(key *Block) { s.blk = NewAES(*key) }
 // Encrypt sets *dst to the AES encryption of *src under the expanded key;
 // dst and src may be the same block.
 func (s *Schedule) Encrypt(dst, src *Block) { s.blk.Encrypt(dst[:], src[:]) }
+
+// Expand4 is Expand four keys wide: *s[i] becomes the schedule of keys[i].
+// The amd64 kernel interleaves the four; this form loops.
+func Expand4(s *[4]*Schedule, keys *[4]Block) {
+	for i, si := range s {
+		si.Expand(&keys[i])
+	}
+}
+
+// Encrypt4 is Encrypt four blocks wide: dst[i] becomes the encryption of
+// src[i] under *s[i]. dst and src may be the same array, and the schedules
+// need not be distinct.
+func Encrypt4(s *[4]*Schedule, dst, src *[4]Block) {
+	for i, si := range s {
+		si.Encrypt(&dst[i], &src[i])
+	}
+}

@@ -38,8 +38,8 @@ type TokenAssignment struct {
 //
 // Allocation contract: 0 allocs/op steady-state. Per call it allocates
 // only when dst must grow (amortized to the largest batch seen) or when the
-// counter table is rebuilt (amortized over the quarter of its capacity that
-// must fill first).
+// counter table doubles, which it stops doing once it holds one reset
+// interval's distinct tokens.
 //
 //bb:hotpath
 func (s *Sender) AssignTokens(toks []tokenize.Token, dst []TokenAssignment) []TokenAssignment {
@@ -77,6 +77,11 @@ func (s *Sender) AssignTokens(toks []tokenize.Token, dst []TokenAssignment) []To
 // Allocation contract: 0 allocs/op once the schedule cache has reached its
 // size (it doubles at most eight times in a Sender's life).
 func (s *Sender) EncryptAssigned(assigned []TokenAssignment, out []EncryptedToken) {
+	if len(assigned) == 0 {
+		// A record of binary payload comes through here with no tokens, and
+		// must not make the Sender create a cache it may never need.
+		return
+	}
 	s.encryptAssigned(&s.workerCaches(1)[0], assigned, out)
 }
 
@@ -93,24 +98,74 @@ func (s *Sender) workerCaches(n int) []schedCache {
 // only immutable Sender state (protocol, kSSL, k's schedule), so calls with
 // distinct caches and disjoint (assigned, out) ranges may run concurrently.
 //
+// It works a chunk of encChunk tokens at a time: the cache resolves the
+// chunk's schedules, then the tokens are encrypted four abreast, each lane
+// under its own schedule (encryptGroups). Fewer than four left over take the
+// one-block kernel here, so a batch of one costs what a single encryption
+// costs.
+//
 //bb:hotpath
 func (s *Sender) encryptAssigned(c *schedCache, assigned []TokenAssignment, out []EncryptedToken) {
 	protoIII := s.protocol == ProtocolIII
 	out = out[:len(assigned)]
-	var pt, ct bbcrypto.Block
-	for i := range assigned {
-		a, o := &assigned[i], &out[i]
-		sched := c.schedule(&s.kSched, a.token)
-		o.Offset = a.offset
-		binary.BigEndian.PutUint64(pt[8:], a.salt)
-		sched.Encrypt(&ct, &pt)
-		copy(o.C1[:], ct[:CiphertextSize])
-		if protoIII {
-			binary.BigEndian.PutUint64(pt[8:], a.salt+1)
+	for len(assigned) > 0 {
+		n := min(len(assigned), encChunk)
+		scheds := c.resolve(&s.kSched, assigned[:n])
+		i := 0
+		if n >= 4 {
+			i = n &^ 3
+			s.encryptGroups(scheds, assigned[:i], out[:i])
+		}
+		for ; i < n; i++ {
+			a, o, sched := &assigned[i], &out[i], scheds[i]
+			var pt, ct bbcrypto.Block
+			o.Offset = a.offset
+			binary.BigEndian.PutUint64(pt[8:], a.salt)
 			sched.Encrypt(&ct, &pt)
-			o.C2 = ct.XOR(s.kSSL)
-		} else {
+			copy(o.C1[:], ct[:CiphertextSize])
 			o.C2 = bbcrypto.Block{}
+			if protoIII {
+				binary.BigEndian.PutUint64(pt[8:], a.salt+1)
+				sched.Encrypt(&ct, &pt)
+				o.C2 = ct.XOR(s.kSSL)
+			}
+		}
+		assigned, out = assigned[n:], out[n:]
+	}
+}
+
+// encryptGroups encrypts assigned, a multiple of four tokens, into out, four
+// at a time: token i under *scheds[i].
+//
+//bb:hotpath
+func (s *Sender) encryptGroups(scheds *[encChunk]*bbcrypto.Schedule, assigned []TokenAssignment, out []EncryptedToken) {
+	protoIII := s.protocol == ProtocolIII
+	kSSL0, kSSL1 := binary.LittleEndian.Uint64(s.kSSL[:8]), binary.LittleEndian.Uint64(s.kSSL[8:])
+	var pt, ct [4]bbcrypto.Block
+	for i := 0; i+4 <= len(assigned); i += 4 {
+		a, o := assigned[i:i+4], out[i:i+4]
+		sched4 := (*[4]*bbcrypto.Schedule)(scheds[i : i+4])
+		for j := range a {
+			binary.BigEndian.PutUint64(pt[j][8:], a[j].salt)
+		}
+		bbcrypto.Encrypt4(sched4, &ct, &pt)
+		for j := range o {
+			o[j].Offset = a[j].offset
+			copy(o[j].C1[:], ct[j][:CiphertextSize])
+			o[j].C2 = bbcrypto.Block{}
+		}
+		if protoIII {
+			for j := range a {
+				binary.BigEndian.PutUint64(pt[j][8:], a[j].salt+1)
+			}
+			bbcrypto.Encrypt4(sched4, &ct, &pt)
+			for j := range o {
+				// XORed into place half by half: a Block returned by value
+				// is stored in halves and then copied whole, and the copy
+				// waits for both stores.
+				binary.LittleEndian.PutUint64(o[j].C2[:8], binary.LittleEndian.Uint64(ct[j][:8])^kSSL0)
+				binary.LittleEndian.PutUint64(o[j].C2[8:], binary.LittleEndian.Uint64(ct[j][8:])^kSSL1)
+			}
 		}
 	}
 }

@@ -223,7 +223,9 @@ func (s *Sender) EncryptToken(t tokenize.Token) EncryptedToken {
 		out [1]EncryptedToken
 	)
 	s.EncryptAssigned(s.AssignTokens([]tokenize.Token{t}, asg[:0]), out[:])
-	return out[0]
+	// Field by field: each load then matches one store just made, where a
+	// copy of the whole struct waits for all of them to reach the cache.
+	return EncryptedToken{C1: out[0].C1, C2: out[0].C2, Offset: out[0].Offset}
 }
 
 // EncryptTokens encrypts a batch of tokens in order. It is the allocating

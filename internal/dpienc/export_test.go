@@ -15,12 +15,13 @@ func (s *Sender) ShrinkScheduleCaches(limit int) {
 }
 
 // StateSize reports the counter table's capacity in slots, the entries of
-// the sequential schedule cache, and the bytes the two retain.
+// the sequential schedule cache, and the bytes the table and the caches
+// (scratch included) retain.
 func (s *Sender) StateSize() (tableSlots, cachedSchedules, bytes int) {
 	tableSlots = len(s.tab.slots)
 	bytes = tableSlots * int(unsafe.Sizeof(counterSlot{}))
 	for i := range s.caches {
-		bytes += len(s.caches[i].entries) * int(unsafe.Sizeof(schedEntry{}))
+		bytes += len(s.caches[i].entries)*int(unsafe.Sizeof(schedEntry{})) + int(unsafe.Sizeof(chunkScratch{}))
 	}
 	if len(s.caches) > 0 {
 		cachedSchedules = len(s.caches[0].entries)
@@ -34,13 +35,19 @@ func (s *Sender) countOf(text [tokenize.TokenSize]byte) uint64 {
 	t := &s.tab
 	token := binary.LittleEndian.Uint64(text[:])
 	mask := uint64(len(t.slots) - 1)
-	for i := (token * t.mul) >> t.shift; t.slots[i].epoch != 0; i = (i + 1) & mask {
+	for i := (token * t.mul) >> t.shift; t.slots[i].epoch == t.epoch; i = (i + 1) & mask {
 		if t.slots[i].token == token {
-			if t.slots[i].epoch == t.epoch {
-				return uint64(t.slots[i].ct)
-			}
-			return 0
+			return uint64(t.slots[i].ct)
 		}
 	}
 	return 0
+}
+
+// EncChunk is the number of tokens whose schedules are resolved together.
+const EncChunk = encChunk
+
+// ScheduleCacheLine is the line of an entries-line schedule cache that the
+// token text maps to, for tests that build conflicts by hand.
+func ScheduleCacheLine(text [tokenize.TokenSize]byte, entries int) int {
+	return int((binary.LittleEndian.Uint64(text[:]) * cacheHashMul) >> hashShift(entries))
 }

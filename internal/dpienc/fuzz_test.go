@@ -56,11 +56,19 @@ func FuzzEncryptRecoverRoundTrip(f *testing.F) {
 // predict every ciphertext the sender emits. The schedule cache is shrunk
 // to a handful of entries so conflicts evict on almost every token, and
 // window tokens of the input fill the 64-slot table within a few dozen
-// bytes, so rebuilds and stale-epoch evictions run too.
+// bytes, so growth and — every seed resets at least three times — stale-slot
+// takeover run too.
 func FuzzCounterResetSync(f *testing.F) {
 	f.Add([]byte("abcdefgh abcdefgh abcdefgh"), uint64(7), uint8(3))
 	f.Add([]byte("the same token the same token"), uint64(0), uint8(1))
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint64(1)<<30, uint8(60))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32}, uint64(1)<<30, uint8(60))
+	// One token 41 times, a reset every fourth: the counter restarts in a
+	// slot that is stale, then current, then stale again.
+	f.Add([]byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"), uint64(3), uint8(31))
+	// A period of 11 bytes: the same 11 tokens come back in every epoch (a
+	// reset every 8 tokens) in a rotating order, so each takes over a slot
+	// another left stale.
+	f.Add([]byte("hello worldhello worldhello worldhello worldhello worldhello worldhello world"), uint64(1)<<40, uint8(63))
 	f.Fuzz(func(t *testing.T, data []byte, salt0 uint64, interval uint8) {
 		if len(data) > 2048 {
 			return

@@ -62,8 +62,14 @@ func TestEpochWrapClearsTable(t *testing.T) {
 	stale := s.tab.epoch
 	s.tab.epoch = math.MaxUint32
 	s.Reset(100) // wraps
-	if s.tab.epoch != 1 || s.tab.used != 0 {
-		t.Fatalf("after the wrap: epoch %d, %d slots in use; want 1 and 0", s.tab.epoch, s.tab.used)
+	filled := 0
+	for _, sl := range s.tab.slots {
+		if sl.epoch != 0 {
+			filled++
+		}
+	}
+	if s.tab.epoch != 1 || s.tab.live != 0 || filled != 0 {
+		t.Fatalf("after the wrap: epoch %d, %d live slots, %d non-empty; want 1, 0 and 0", s.tab.epoch, s.tab.live, filled)
 	}
 	s.Reset(200) // epoch 2 again: the slots written above would look current
 	if s.tab.epoch != stale {
@@ -74,6 +80,40 @@ func TestEpochWrapClearsTable(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("token %d after the epoch wrapped differs from a fresh sender", i)
+		}
+	}
+}
+
+// TestChunkStampWrapForgetsCache: a cache line's stamp is the number of the
+// chunk that last used it, 32 bits wide. When the chunk number wraps, a line
+// stamped 2^32 chunks ago must not pass for one this chunk has pinned (its
+// conflicting misses would go uncached for no reason) and, above all, the
+// schedules handed out afterwards must still be the right ones.
+func TestChunkStampWrapForgetsCache(t *testing.T) {
+	k := bbcrypto.DeriveBlock([]byte("wrap"), "k")
+	s := NewSender(k, bbcrypto.Block{}, ProtocolII, 0)
+	toks := make([]tokenize.Token, 3*encChunk)
+	for i := range toks {
+		toks[i] = tok(string(rune('A'+i%23))+"-stamp-", 8*i)
+	}
+	s.EncryptTokens(toks[:encChunk]) // chunk 1 fills lines
+	c := &s.caches[0]
+	c.chunk = math.MaxUint32 - 1
+	got := s.EncryptTokens(toks) // chunks 2^32-1, 0 → 1, 2
+	if c.chunk != 2 {
+		t.Fatalf("chunk number %d after wrapping, want 2", c.chunk)
+	}
+	fresh := NewSender(k, bbcrypto.Block{}, ProtocolII, 0)
+	fresh.EncryptTokens(toks[:encChunk])
+	want := fresh.EncryptTokens(toks)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("token %d encrypted across the stamp wrap differs from a sender that never wrapped", i)
+		}
+	}
+	for i := range c.entries {
+		if e := &c.entries[i]; e.stamp > c.chunk {
+			t.Fatalf("line %d still carries stamp %d from before the wrap", i, e.stamp)
 		}
 	}
 }

@@ -100,6 +100,18 @@ func timeOp(minDuration time.Duration, f func()) time.Duration {
 	}
 }
 
+// bestTimeOp is the smallest of n timeOp samples. On a shared host a sample is
+// the operation's cost plus whatever else ran meanwhile, so the minimum is
+// the one nearest the cost; cells that a test compares with each other are
+// taken this way.
+func bestTimeOp(n int, minDuration time.Duration, f func()) time.Duration {
+	best := timeOp(minDuration, f)
+	for i := 1; i < n; i++ {
+		best = min(best, timeOp(minDuration, f))
+	}
+	return best
+}
+
 // table writes aligned rows.
 type table struct {
 	w    io.Writer

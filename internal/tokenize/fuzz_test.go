@@ -83,3 +83,31 @@ func FuzzSplitKeywordConsistency(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTokenizeMatchesModel holds the one-pass tokenizer to the reference
+// model of tokenize_test.go, call by call, on arbitrary bytes cut into
+// Append calls of chunk bytes; the i-th cut is also a Skip when bit i%8 of
+// skips is set.
+func FuzzTokenizeMatchesModel(f *testing.F) {
+	f.Add([]byte("GET /login.php?user=alice&pass=x HTTP/1.1\r\nHost: ex.com\r\n\r\n"), uint8(15), uint8(0), uint8(1))
+	f.Add([]byte("a ?a ??aa  ?a?a? a  ??aaaaaaaaa?        a"), uint8(0), uint8(0x55), uint8(1))
+	f.Add([]byte("aaaaaaa?aaaaaaaa aaaaaaaaa"), uint8(7), uint8(0xff), uint8(1))
+	f.Add([]byte("?=&/:.;|@%+$\\ \t\"'<>-_09azAZ\x00\xff"), uint8(2), uint8(4), uint8(1))
+	f.Add([]byte("alice apple sliding windows"), uint8(8), uint8(2), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, chunk, skips, modeByte uint8) {
+		if len(data) > 4096 {
+			return
+		}
+		mode := Window
+		if modeByte%2 == 1 {
+			mode = Delimiter
+		}
+		var cuts []int
+		for c, i := int(chunk%16)+1, 0; c < len(data); c, i = c+int(chunk%16)+1, i+1 {
+			if cuts = append(cuts, c); skips>>(i%8)&1 == 1 {
+				cuts[i] = -c
+			}
+		}
+		checkAgainstModel(t, mode, splitAt(data, cuts...))
+	})
+}

@@ -32,6 +32,12 @@
 // call, which is required because keywords may straddle packet boundaries.
 package tokenize
 
+import (
+	"encoding/binary"
+	"math/bits"
+	"slices"
+)
+
 // TokenSize is the fixed token length in bytes. The paper uses 8-byte
 // tokens: keywords shorter than 8 bytes are right-padded, longer keywords
 // are split into TokenSize-byte fragments.
@@ -210,12 +216,40 @@ func (t *Tokenizer) drain(toks []Token, final bool) []Token {
 	}
 }
 
+// set makes tok the token at offset whose text is the little-endian word w:
+// the first text byte is the low one, as binary.LittleEndian.Uint64 reads a
+// window. The two fields are stored where they live: a Token assembled on
+// the stack and copied out is a 16-byte load that has to wait for two 8-byte
+// stores, several times the cost of the window loop's other work.
+func (tok *Token) set(w uint64, offset int) {
+	binary.LittleEndian.PutUint64(tok.Text[:], w)
+	tok.Offset = offset
+}
+
+// emit appends the token (w, offset) to toks.
+func emit(toks []Token, w uint64, offset int) []Token {
+	n := len(toks)
+	if n == cap(toks) {
+		toks = slices.Grow(toks, 1)
+	}
+	toks = toks[:n+1]
+	toks[n].set(w, offset)
+	return toks
+}
+
+// firstBytes keeps the first n < TokenSize text bytes of w and pads the
+// rest (Pad is zero, so padding is masking).
+func firstBytes(w uint64, n int) uint64 { return w & (1<<(8*uint(n)) - 1) }
+
 func (t *Tokenizer) drainWindow(toks []Token, final bool) []Token {
-	for ; t.proc+TokenSize <= len(t.buf); t.proc++ {
-		var tok Token
-		copy(tok.Text[:], t.buf[t.proc:t.proc+TokenSize])
-		tok.Offset = t.base + t.proc
-		toks = append(toks, tok)
+	if n := len(t.buf) - (TokenSize - 1) - t.proc; n > 0 {
+		k := len(toks)
+		toks = slices.Grow(toks, n)[:k+n]
+		out, src, abs := toks[k:], t.buf[t.proc:], t.base+t.proc
+		for i := range out {
+			out[i].set(binary.LittleEndian.Uint64(src[i:]), abs+i)
+		}
+		t.proc += n
 	}
 	if final {
 		// Trailing sub-window bytes form no tokens: the rule compiler
@@ -224,15 +258,6 @@ func (t *Tokenizer) drainWindow(toks []Token, final bool) []Token {
 		t.proc = len(t.buf)
 	}
 	return toks
-}
-
-// wordStart reports whether buffer index o begins a word: a non-delimiter
-// byte at the stream start or preceded by a delimiter.
-func (t *Tokenizer) wordStart(o int) bool {
-	if IsDelimiter(t.buf[o]) {
-		return false
-	}
-	return t.base+o == t.segStart || IsDelimiter(t.buf[o-1])
 }
 
 // IsKeywordDelimiter reports whether b is a delimiter that plausibly begins
@@ -249,79 +274,147 @@ func IsKeywordDelimiter(b byte) bool {
 	}
 }
 
-// runStart reports whether buffer index o begins a delimiter run whose
-// first byte can start a keyword.
-func (t *Tokenizer) runStart(o int) bool {
-	if !IsKeywordDelimiter(t.buf[o]) {
-		return false
-	}
-	return t.base+o == t.segStart || !IsDelimiter(t.buf[o-1])
-}
+// The delimiter tokenizer sees a byte only through its class, and decides
+// everything from the classes of neighbouring bytes.
+const (
+	classWord  = iota // not a delimiter
+	classPlain        // a delimiter that begins no keyword
+	classKey          // a keyword delimiter
+	// classStart stands for the byte before a segment's first: a segment
+	// start anchors whatever follows it, and no keyword ends there.
+	classStart
+	numClasses
+)
 
-// boundary reports whether buffer index e can end a keyword: a
-// word/delimiter transition, or a position right after a keyword delimiter
-// (so "?user=" ends there even when followed by further delimiters).
-func (t *Tokenizer) boundary(e int) bool {
-	if t.base+e == t.segStart {
-		return false
-	}
-	if IsDelimiter(t.buf[e]) != IsDelimiter(t.buf[e-1]) {
-		return true
-	}
-	return IsDelimiter(t.buf[e]) && IsKeywordDelimiter(t.buf[e-1])
-}
+// Anchors: the positions tokens are emitted at. The value is how many padded
+// short-word candidates the anchor gets. Word starts rarely begin keywords
+// needing more than two boundaries (word, word+delimiter); delimiter-run
+// starts need three for shapes like "?user=".
+const (
+	noAnchor = 0
+	// wordAnchor: a word byte at a segment start or after a delimiter. It
+	// also gets the full TokenSize window.
+	wordAnchor = 2
+	// runAnchor: a keyword delimiter at a segment start or after a word
+	// byte, the first byte of a delimiter run that can start a keyword.
+	runAnchor = maxShortBoundaries
+)
 
-func (t *Tokenizer) drainDelimiter(toks []Token, final bool) []Token {
-	n := len(t.buf)
-	for ; t.proc < n; t.proc++ {
-		o := t.proc
-		if !final && o+TokenSize > n {
-			break // need TokenSize bytes of lookahead to decide emissions
+var (
+	// classOf is IsDelimiter and IsKeywordDelimiter as one lookup, built
+	// from them at init. It is indexed by payload bytes, but it adds no
+	// data-dependent access the tokenizer did not have: which tokens a
+	// payload yields, and so every branch taken here, already depends on
+	// exactly these classes.
+	classOf [256]uint8
+	// anchorAt and keywordEnd are indexed by previous<<2 | current class.
+	// keywordEnd says whether a keyword can end between the two bytes: a
+	// word/delimiter transition, or right after a keyword delimiter (so
+	// "?user=" ends there even when followed by further delimiters).
+	anchorAt   [numClasses * numClasses]uint8
+	keywordEnd [numClasses * numClasses]uint8
+)
+
+func init() {
+	for b := range classOf {
+		switch {
+		case IsKeywordDelimiter(byte(b)):
+			classOf[b] = classKey
+		case IsDelimiter(byte(b)):
+			classOf[b] = classPlain
+		default:
+			classOf[b] = classWord
 		}
-		abs := t.base + o
-		ws, rs := t.wordStart(o), t.runStart(o)
-		if !ws && !rs {
-			continue
-		}
-		if ws && o+TokenSize <= n {
-			var tok Token
-			copy(tok.Text[:], t.buf[o:o+TokenSize])
-			tok.Offset = abs
-			toks = append(toks, tok)
-		}
-		// Padded short-word candidates at keyword-end boundaries. Word
-		// starts rarely begin keywords needing more than two boundaries
-		// (word, word+delimiter); delimiter-run starts need three for
-		// shapes like "?user=".
-		limit := 2
-		if rs {
-			limit = maxShortBoundaries
-		}
-		hi := o + TokenSize
-		if hi > n {
-			hi = n
-		}
-		emitted := 0
-		for e := o + 2; e < hi && emitted < limit; e++ {
-			// e starts at o+2: single-byte keywords do not occur in rules.
-			if t.boundary(e) {
-				toks = append(toks, paddedToken(t.buf[o:e], abs))
-				emitted++
+	}
+	delim := func(class int) bool { return class == classPlain || class == classKey }
+	for prev := 0; prev < numClasses; prev++ {
+		for cur := 0; cur < classStart; cur++ {
+			i := prev<<2 | cur
+			switch {
+			case cur == classWord && prev != classWord:
+				anchorAt[i] = wordAnchor
+			case cur == classKey && !delim(prev):
+				anchorAt[i] = runAnchor
+			}
+			if prev != classStart && (delim(cur) != delim(prev) || delim(cur) && prev == classKey) {
+				keywordEnd[i] = 1
 			}
 		}
-		if final && n < o+TokenSize && emitted < limit {
-			// Word or delimiter run truncated by end-of-stream.
-			toks = append(toks, paddedToken(t.buf[o:n], abs))
-		}
 	}
-	return toks
 }
 
-func paddedToken(word []byte, offset int) Token {
-	var tok Token
-	copy(tok.Text[:], word) // remainder stays Pad
-	tok.Offset = offset
-	return tok
+// classBefore is the class of the byte before buffer index o.
+func (t *Tokenizer) classBefore(o int) uint32 {
+	if t.base+o == t.segStart {
+		return classStart
+	}
+	return uint32(classOf[t.buf[o-1]])
+}
+
+// drainDelimiter makes one pass over the unprocessed bytes. Position o is
+// decided once the TokenSize bytes from o are in the buffer, so the loop
+// classifies byte o+7 as it reaches o and carries, in two shift registers,
+// the classes of bytes o-1 … o+7 (two bits each, the newest lowest) and
+// whether a keyword can end before each of them (one bit each): every byte
+// is classified once, and nothing is decided before its lookahead is in.
+func (t *Tokenizer) drainDelimiter(toks []Token, final bool) []Token {
+	const last = TokenSize - 1
+	buf := t.buf
+	if end := len(buf) - last; t.proc < end {
+		classes, ends := t.classBefore(t.proc), uint32(0)
+		for _, b := range buf[t.proc : t.proc+last] {
+			classes = classes<<2 | uint32(classOf[b])
+			ends = ends<<1 | uint32(keywordEnd[classes&15])
+		}
+		for o := t.proc; o < end; o++ {
+			classes = classes<<2 | uint32(classOf[buf[o+last]])
+			ends = ends<<1 | uint32(keywordEnd[classes&15])
+			// Bits 14–17 of classes: the classes of bytes o-1 and o.
+			candidates := anchorAt[classes>>(2*last)&15]
+			if candidates == noAnchor {
+				continue
+			}
+			w, abs := binary.LittleEndian.Uint64(buf[o:]), t.base+o
+			if candidates == wordAnchor {
+				toks = emit(toks, w, abs)
+			}
+			// Padded short words [o:e) for the first few e in o+2 … o+7
+			// that a keyword can end before (single-byte keywords do not
+			// occur in rules): bit k of ends is the verdict for e = o+7-k.
+			for m := ends & (1<<(last-1) - 1); m != 0 && candidates > 0; candidates-- {
+				k := bits.Len32(m) - 1
+				m &^= 1 << k
+				toks = emit(toks, firstBytes(w, last-k), abs)
+			}
+		}
+		t.proc = end
+	}
+	if !final {
+		return toks
+	}
+	// The last positions have less than a window ahead of them: no full
+	// window, keyword ends only inside the buffer, and a word or delimiter
+	// run cut short by the end of the segment is a candidate itself.
+	for o := t.proc; o < len(buf); o++ {
+		candidates := anchorAt[t.classBefore(o)<<2|uint32(classOf[buf[o]])]
+		if candidates == noAnchor {
+			continue
+		}
+		var text [TokenSize]byte
+		copy(text[:], buf[o:])
+		w, abs := binary.LittleEndian.Uint64(text[:]), t.base+o
+		for e := o + 2; e < len(buf) && candidates > 0; e++ {
+			if keywordEnd[classOf[buf[e-1]]<<2|classOf[buf[e]]] != 0 {
+				toks = emit(toks, firstBytes(w, e-o), abs)
+				candidates--
+			}
+		}
+		if candidates > 0 {
+			toks = emit(toks, w, abs)
+		}
+	}
+	t.proc = len(buf)
+	return toks
 }
 
 // TokenizeAll is a convenience that tokenizes a complete buffer in one shot.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -471,6 +472,257 @@ func TestIntoFormsMatchAndReuse(t *testing.T) {
 		again := New(mode)
 		if first := again.Append(text[:20]); !reflect.DeepEqual(first, kept[0]) && len(first)+len(kept[0]) > 0 {
 			t.Fatalf("%s: a slice returned by Append changed under later calls", mode)
+		}
+	}
+}
+
+// refTokenizer is the tokenizer written for obviousness, and the reference
+// the one-pass Tokenizer is held to token for token: it visits every
+// position, asks wordStart / runStart / boundary about it — each of which
+// looks at the neighbouring bytes through IsDelimiter and
+// IsKeywordDelimiter — and copies token bytes one slice at a time.
+type refTokenizer struct {
+	mode Mode
+	// buf is one byte of history followed by the unprocessed bytes; base
+	// is the stream offset of buf[0] and proc the first unprocessed index.
+	buf        []byte
+	base, proc int
+	// segStart is the offset at which the current text segment began.
+	segStart int
+}
+
+func (t *refTokenizer) Append(data []byte) []Token {
+	t.buf = append(t.buf, data...)
+	toks := t.drain(false)
+	if keep := t.proc - 1; keep > 0 {
+		t.buf = append(t.buf[:0], t.buf[keep:]...)
+		t.base += keep
+		t.proc -= keep
+	}
+	return toks
+}
+
+func (t *refTokenizer) Flush() []Token { return t.drain(true) }
+
+func (t *refTokenizer) Skip(n int) []Token {
+	toks := t.drain(true)
+	t.base += len(t.buf) + n
+	t.buf, t.proc, t.segStart = t.buf[:0], 0, t.base
+	return toks
+}
+
+func paddedToken(word []byte, offset int) Token {
+	var tok Token
+	copy(tok.Text[:], word) // remainder stays Pad
+	tok.Offset = offset
+	return tok
+}
+
+// wordStart: a non-delimiter byte at the segment start or after a
+// delimiter.
+func (t *refTokenizer) wordStart(o int) bool {
+	if IsDelimiter(t.buf[o]) {
+		return false
+	}
+	return t.base+o == t.segStart || IsDelimiter(t.buf[o-1])
+}
+
+// runStart: the first byte of a delimiter run, if it can start a keyword.
+func (t *refTokenizer) runStart(o int) bool {
+	if !IsKeywordDelimiter(t.buf[o]) {
+		return false
+	}
+	return t.base+o == t.segStart || !IsDelimiter(t.buf[o-1])
+}
+
+// boundary: a keyword can end before buffer index e — a word/delimiter
+// transition, or a position right after a keyword delimiter.
+func (t *refTokenizer) boundary(e int) bool {
+	if t.base+e == t.segStart {
+		return false
+	}
+	if IsDelimiter(t.buf[e]) != IsDelimiter(t.buf[e-1]) {
+		return true
+	}
+	return IsDelimiter(t.buf[e]) && IsKeywordDelimiter(t.buf[e-1])
+}
+
+func (t *refTokenizer) drain(final bool) (toks []Token) {
+	n := len(t.buf)
+	if t.mode == Window {
+		for ; t.proc+TokenSize <= n; t.proc++ {
+			toks = append(toks, paddedToken(t.buf[t.proc:t.proc+TokenSize], t.base+t.proc))
+		}
+		if final {
+			t.proc = n
+		}
+		return toks
+	}
+	for ; t.proc < n; t.proc++ {
+		o := t.proc
+		if !final && o+TokenSize > n {
+			break // need TokenSize bytes of lookahead to decide emissions
+		}
+		abs := t.base + o
+		ws, rs := t.wordStart(o), t.runStart(o)
+		if !ws && !rs {
+			continue
+		}
+		if ws && o+TokenSize <= n {
+			toks = append(toks, paddedToken(t.buf[o:o+TokenSize], abs))
+		}
+		limit := 2
+		if rs {
+			limit = maxShortBoundaries
+		}
+		emitted := 0
+		for e := o + 2; e < min(o+TokenSize, n) && emitted < limit; e++ {
+			if t.boundary(e) {
+				toks = append(toks, paddedToken(t.buf[o:e], abs))
+				emitted++
+			}
+		}
+		if final && n < o+TokenSize && emitted < limit {
+			// Word or delimiter run truncated by end-of-stream.
+			toks = append(toks, paddedToken(t.buf[o:n], abs))
+		}
+	}
+	return toks
+}
+
+// tokenizeOp is one call on a tokenizer: Append(data) when skip < 0, else
+// Skip(skip).
+type tokenizeOp struct {
+	data []byte
+	skip int
+}
+
+// checkAgainstModel runs ops and a final Flush through the Tokenizer and the
+// reference and compares what every single call returns.
+func checkAgainstModel(t testing.TB, mode Mode, ops []tokenizeOp) {
+	t.Helper()
+	tk, ref := New(mode), &refTokenizer{mode: mode}
+	var buf []Token
+	for i, op := range ops {
+		var got, want []Token
+		if op.skip >= 0 {
+			got, want = tk.SkipInto(buf, op.skip), ref.Skip(op.skip)
+		} else {
+			got, want = tk.AppendInto(buf, op.data), ref.Append(op.data)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s, call %d of %d (%q, skip %d): tokenizer returned %v, the model %v", mode, i, len(ops), op.data, op.skip, got, want)
+		}
+		buf = got
+	}
+	if got, want := tk.FlushInto(buf), ref.Flush(); !slices.Equal(got, want) {
+		t.Fatalf("%s, Flush after %d calls: tokenizer returned %v, the model %v", mode, len(ops), got, want)
+	}
+}
+
+// splitAt is data as Append calls cut at the given offsets; a negative cut
+// -c cuts at c and puts a Skip of c%5 bytes there (a zero-length Skip is a
+// segment break).
+func splitAt(data []byte, cuts ...int) []tokenizeOp {
+	var ops []tokenizeOp
+	prev := 0
+	for _, c := range cuts {
+		skip := -1
+		if c < 0 {
+			c = -c
+			skip = c % 5
+		}
+		c = min(max(c, prev), len(data))
+		ops = append(ops, tokenizeOp{data: data[prev:c], skip: -1})
+		if skip >= 0 {
+			ops = append(ops, tokenizeOp{skip: skip})
+		}
+		prev = c
+	}
+	return append(ops, tokenizeOp{data: data[prev:], skip: -1})
+}
+
+// checkEverySplit compares on data in one piece and cut in two at every
+// point, by an Append boundary and by a Skip.
+func checkEverySplit(t testing.TB, data []byte) {
+	t.Helper()
+	for _, mode := range []Mode{Window, Delimiter} {
+		checkAgainstModel(t, mode, splitAt(data))
+		for cut := 1; cut < len(data); cut++ {
+			checkAgainstModel(t, mode, splitAt(data, cut))
+			checkAgainstModel(t, mode, splitAt(data, -cut))
+		}
+	}
+}
+
+// TestTokenizerMatchesModelOnClassStrings is the exhaustive half of the
+// differential test, over one word byte, one plain delimiter and one keyword
+// delimiter: every string of up to 9 bytes — a window, its lookahead byte
+// and whatever a call boundary leaves behind — and, up to length 12, every
+// triple of classes at every position of every uniform run. Each string is
+// checked at every split point.
+func TestTokenizerMatchesModelOnClassStrings(t *testing.T) {
+	alphabet := []byte("a ?")
+	exhaustive := 9
+	if testing.Short() {
+		exhaustive = 7
+	}
+	data := make([]byte, 0, 12)
+	var rec func()
+	rec = func() {
+		checkEverySplit(t, data)
+		if len(data) == exhaustive {
+			return
+		}
+		for _, b := range alphabet {
+			data = append(data, b)
+			rec()
+			data = data[:len(data)-1]
+		}
+	}
+	rec()
+
+	for n := exhaustive + 1; n <= 12; n++ {
+		for _, fill := range alphabet {
+			for at := 0; at+3 <= n; at++ {
+				for triple := 0; triple < 27; triple++ {
+					data = append(data[:0], bytes.Repeat([]byte{fill}, n)...)
+					data[at], data[at+1], data[at+2] = alphabet[triple%3], alphabet[triple/3%3], alphabet[triple/9]
+					checkEverySplit(t, data)
+				}
+			}
+		}
+	}
+}
+
+// TestTokenizerMatchesModelOnText is the other half: synthesized page text
+// and random bytes (every byte value, so every row of the class table), in
+// records, in random small pieces and with Skip gaps.
+func TestTokenizerMatchesModelOnText(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	random := make([]byte, 8<<10)
+	rng.Read(random)
+	page := bytes.Repeat([]byte("GET /login.php?user=alice&pass=x HTTP/1.1\r\nHost: www.example.com\r\n"+
+		"<div class=\"story\">The quick-brown fox_jumps over; the lazy dog...</div>\n\x00\xff"), 40)
+	for _, data := range [][]byte{page, random} {
+		for _, mode := range []Mode{Window, Delimiter} {
+			checkAgainstModel(t, mode, splitAt(data))
+			for _, size := range []int{1, 7, 8, 9, 16, 1000} {
+				var cuts []int
+				for c := size; c < len(data); c += size {
+					cuts = append(cuts, c)
+				}
+				checkAgainstModel(t, mode, splitAt(data, cuts...))
+			}
+			for round := 0; round < 20; round++ {
+				var cuts []int
+				for c := rng.Intn(30); c < len(data); c += 1 + rng.Intn(30) {
+					if cuts = append(cuts, c); rng.Intn(8) == 0 {
+						cuts[len(cuts)-1] = -c
+					}
+				}
+				checkAgainstModel(t, mode, splitAt(data, cuts...))
+			}
 		}
 	}
 }

@@ -2,7 +2,7 @@
 # ci.sh — the full BlindBox verification gate, runnable locally or in CI.
 #
 #   scripts/ci.sh            # everything: vet, build, bblint, tests, race, fuzz smoke
-#   scripts/ci.sh quick      # vet + build + bblint + unit tests (root and benchmark modules) + F's gate count only
+#   scripts/ci.sh quick      # vet + build + bblint + unit tests (root and benchmark modules) + F's gate count + sender pipeline rows only
 #
 # Every stage uses only the Go toolchain; the module has no dependencies.
 set -euo pipefail
@@ -44,6 +44,14 @@ go test -C benchmark .
 # gate-count regression shows in this log without running the benchmark.
 step "rule-encryption circuit F: AND gates and garbled bytes"
 go test -run '^$' -bench '^BenchmarkGarbleF$' -benchtime 1x . | grep '^BenchmarkGarbleF'
+
+# The sender pipeline — tokenize, salt assignment, DPIEnc AES — is most of
+# the CPU of both text workloads and is run twice a record (sender and §3.4
+# validator); print its cost per byte and per token on the two
+# configurations the benchmark runs (one 8 MiB pass each, no timing claim)
+# so that a kernel or tokenizer regression shows in this log.
+step "sender pipeline: ns/B and ns/token, delimiter P2 and window P3"
+go test -run '^$' -bench '^BenchmarkSenderStagePipeline$' -benchtime 1x . | grep '^BenchmarkSenderStagePipeline'
 
 if [ "$MODE" = "quick" ]; then
     echo "quick gate passed."
@@ -169,6 +177,7 @@ done <<'EOF'
 ./internal/tokenize FuzzStreamingEquivalence
 ./internal/tokenize FuzzSplitKeywordConsistency
 ./internal/tokenize FuzzEvasionTokenizeDetect
+./internal/tokenize FuzzTokenizeMatchesModel
 ./internal/rules FuzzParseRule
 ./internal/rules FuzzParse
 ./internal/garble FuzzUnmarshal
