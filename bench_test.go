@@ -500,7 +500,7 @@ func BenchmarkMiddleboxThroughput(b *testing.B) {
 	traffic := corpus.SynthesizeText(newBenchRand(), 1<<20)
 	k := bbcrypto.Block{3}
 	sender := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolII, 0)
-	ets := sender.EncryptTokens(tokenize.TokenizeAll(tokenize.Delimiter, traffic))
+	ets := sender.EncryptTokensInto(nil, tokenize.TokenizeAll(tokenize.Delimiter, traffic))
 	eng := detect.NewEngine(rs, core.DirectTokenKeys(k, rs, tokenize.Delimiter), detect.Config{
 		Mode: tokenize.Delimiter, Protocol: dpienc.ProtocolII,
 	})

@@ -58,7 +58,7 @@ type chaosHarness struct {
 // newChaosHarness builds the harness: a single-keyword ruleset, a
 // middlebox with the given policy/timeouts, and an echo server whose
 // endpoints carry chaos timeouts of their own.
-func newChaosHarness(t *testing.T, policy middlebox.Policy, barrier time.Duration, shards int, onAlert func(Alert)) *chaosHarness {
+func newChaosHarness(t *testing.T, policy middlebox.Policy, barrier time.Duration, onAlert func(Alert)) *chaosHarness {
 	t.Helper()
 	g, err := NewRuleGenerator("ChaosRG")
 	if err != nil {
@@ -75,12 +75,10 @@ func newChaosHarness(t *testing.T, policy middlebox.Policy, barrier time.Duratio
 		tmo.Barrier = barrier
 	}
 	mbCfg := MiddleboxConfig{
-		Ruleset:      g.Sign(rs),
-		RGPublicKey:  g.PublicKey(),
-		Policy:       policy,
-		Timeouts:     tmo,
-		DetectShards: shards,
-		ShardQueue:   8,
+		Ruleset:     g.Sign(rs),
+		RGPublicKey: g.PublicKey(),
+		Policy:      policy,
+		Timeouts:    tmo,
 		OnAlert: func(a Alert) {
 			h.mu.Lock()
 			h.alerts = append(h.alerts, a)
@@ -221,7 +219,7 @@ func TestChaosSeededFaultSchedules(t *testing.T) {
 	if testing.Short() {
 		seeds = 4
 	}
-	h := newChaosHarness(t, middlebox.FailClosed, 0, 2, nil)
+	h := newChaosHarness(t, middlebox.FailClosed, 0, nil)
 	prof := netem.ScheduleProfile{Faults: 3, MaxOffset: 12 << 10, MaxDelay: 60 * time.Millisecond}
 	ccfg := ConnConfig{
 		Core:     Config{Protocol: ProtocolI, Mode: DelimiterTokens},
@@ -282,7 +280,7 @@ func TestChaosSeededFaultSchedules(t *testing.T) {
 // degradation is counted, and every unscanned byte is accounted.
 func TestChaosFailOpenDegradation(t *testing.T) {
 	gate := make(chan struct{})
-	h := newChaosHarness(t, middlebox.FailOpen, 200*time.Millisecond, 1,
+	h := newChaosHarness(t, middlebox.FailOpen, 200*time.Millisecond,
 		func(Alert) { <-gate })
 	ccfg := ConnConfig{
 		Core:     Config{Protocol: ProtocolI, Mode: DelimiterTokens},
@@ -320,7 +318,7 @@ func TestChaosFailOpenDegradation(t *testing.T) {
 // forwarded — the invariant the paper's threat model demands.
 func TestChaosFailClosedDrop(t *testing.T) {
 	gate := make(chan struct{})
-	h := newChaosHarness(t, middlebox.FailClosed, 200*time.Millisecond, 1,
+	h := newChaosHarness(t, middlebox.FailClosed, 200*time.Millisecond,
 		func(Alert) { <-gate })
 	ccfg := ConnConfig{
 		Core:     Config{Protocol: ProtocolI, Mode: DelimiterTokens},

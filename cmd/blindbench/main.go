@@ -4,8 +4,7 @@
 // Usage:
 //
 //	blindbench -experiment all
-//	blindbench -experiment table1|table2|fig3|fig4|fig5|fig6|accuracy|throughput|pipeline|setup|setupbreakdown|ablation|faults
-//	blindbench -experiment pipeline -matrix 1,2,4,8 -out BENCH_pipeline.json [-matrix-md matrix.md] [-metrics-out metrics.json]
+//	blindbench -experiment table1|table2|fig3|fig4|fig5|fig6|accuracy|throughput|setup|setupbreakdown|ablation|faults|scenarios|obsoverhead
 //	blindbench -experiment faults -policy fail-closed -faults-out BENCH_faults.json
 //	blindbench -experiment setupbreakdown -setup-out BENCH_setup_breakdown.json [-trace-dir traces/]
 //	blindbench -experiment obsoverhead -obs-out BENCH_obs.json
@@ -15,30 +14,21 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/middlebox"
 	"repro/internal/netem"
-	"repro/internal/obs"
 	"repro/internal/tokenize"
 )
 
 func main() {
-	exp := flag.String("experiment", "all", "which experiment to run: all, table1, table2, fig3, fig4, fig5, fig6, accuracy, throughput, pipeline, setup, setupbreakdown, ablation, faults, scenarios, obsoverhead")
+	exp := flag.String("experiment", "all", "which experiment to run: all, table1, table2, fig3, fig4, fig5, fig6, accuracy, throughput, setup, setupbreakdown, ablation, faults, scenarios, obsoverhead")
 	fast := flag.Bool("fast", false, "reduce sample sizes for a quicker run")
-	parallel := flag.Int("parallel", 0, "worker count for the pipeline experiment's parallel stages (0 = self-tuned)")
-	matrix := flag.String("matrix", "", "pipeline: comma-separated GOMAXPROCS values for the scaling matrix (e.g. 1,2,4,8; empty disables)")
-	matrixMD := flag.String("matrix-md", "", "pipeline: also render the scaling matrix as a markdown table to this file")
-	out := flag.String("out", "BENCH_pipeline.json", "path for the pipeline experiment's machine-readable result (empty disables)")
-	metricsOut := flag.String("metrics-out", "", "write the pipeline experiment's obs registry snapshot to this JSON file")
 	policy := flag.String("policy", "fail-closed", "degradation policy for the faults experiment: fail-closed or fail-open")
 	faultsOut := flag.String("faults-out", "BENCH_faults.json", "path for the faults experiment's machine-readable result (empty disables)")
 	setupOut := flag.String("setup-out", "BENCH_setup_breakdown.json", "path for the setupbreakdown experiment's machine-readable result (empty disables)")
@@ -56,9 +46,6 @@ func main() {
 		"fig6":       runFig6,
 		"accuracy":   runAccuracy,
 		"throughput": runThroughput,
-		"pipeline": func(fast bool) error {
-			return runPipeline(fast, *parallel, *matrix, *matrixMD, *out, *metricsOut)
-		},
 		"setup":      runSetup,
 		"setupbreakdown": func(fast bool) error {
 			return runSetupBreakdown(fast, *setupOut, *traceDir)
@@ -68,7 +55,7 @@ func main() {
 		"scenarios":   func(bool) error { return runScenarios(*scenariosOut) },
 		"obsoverhead": func(fast bool) error { return runObsOverhead(fast, *obsOut) },
 	}
-	order := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6", "accuracy", "throughput", "pipeline", "setup", "setupbreakdown", "ablation", "faults", "scenarios", "obsoverhead"}
+	order := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6", "accuracy", "throughput", "setup", "setupbreakdown", "ablation", "faults", "scenarios", "obsoverhead"}
 
 	if *exp == "all" {
 		for _, name := range order {
@@ -176,75 +163,6 @@ func runThroughput(fast bool) error {
 			conns, agg, runtime.GOMAXPROCS(0))
 	}
 	return nil
-}
-
-func runPipeline(fast bool, workers int, matrix, matrixMD, out, metricsOut string) error {
-	opt := experiments.DefaultPipelineOptions()
-	opt.Workers = workers
-	if matrix != "" {
-		gmps, err := parseMatrix(matrix)
-		if err != nil {
-			return err
-		}
-		opt.Matrix = gmps
-	}
-	if fast {
-		opt.Rules = 500
-		opt.TrafficBytes = 1 << 20
-		opt.Conns = 4
-	}
-	if metricsOut != "" {
-		opt.Metrics = obs.NewRegistry()
-	}
-	res, err := experiments.Pipeline(opt)
-	if err != nil {
-		return err
-	}
-	experiments.PrintPipeline(os.Stdout, res)
-	if out != "" {
-		if err := experiments.WritePipelineJSON(out, res); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", out)
-	}
-	if matrixMD != "" {
-		if err := experiments.WriteMatrixMarkdown(matrixMD, res); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", matrixMD)
-	}
-	if metricsOut != "" {
-		data, err := json.MarshalIndent(opt.Metrics.Snapshot(), "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(metricsOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", metricsOut)
-	}
-	return nil
-}
-
-// parseMatrix parses the -matrix flag: a comma-separated list of
-// GOMAXPROCS values, e.g. "1,2,4,8".
-func parseMatrix(s string) ([]int, error) {
-	var gmps []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("-matrix: %q is not a positive GOMAXPROCS value", part)
-		}
-		gmps = append(gmps, n)
-	}
-	if len(gmps) == 0 {
-		return nil, fmt.Errorf("-matrix: no GOMAXPROCS values in %q", s)
-	}
-	return gmps, nil
 }
 
 func runSetup(fast bool) error {

@@ -1,8 +1,9 @@
 // End-to-end conformance suite: full client -> middlebox -> server sessions
-// over all three protocols, run once through the sequential pipeline and
-// once through the parallel one (sharded detection pool + parallel sender
-// encryption). Detection must be equivalent — same alerts, same order
-// within each connection direction — on the same seeded corpora.
+// over all three protocols, held to an independent reference. What the live
+// middlebox reports — alerts from its detection pool, in order within each
+// connection direction — must be exactly what one sequential, offline pass
+// of the same bytes through core.SenderPipeline and detect.Engine (and, under
+// Protocol III, the plaintext IDS) predicts.
 package blindbox
 
 import (
@@ -17,8 +18,12 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/baseline"
+	"repro/internal/bbcrypto"
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/detect"
+	"repro/internal/dpienc"
 	"repro/internal/middlebox"
 )
 
@@ -94,17 +99,16 @@ func conformancePayload(seed int64, n int) []byte {
 	return buf.Bytes()
 }
 
+// conformanceWrite is the size of the client's writes; the echo server
+// writes each payload back in one piece.
+const conformanceWrite = 3000
+
 // runConformance drives `sessions` sequential client sessions through one
-// middlebox and returns each session's per-direction alert sequences. The
-// parallel variant turns on every concurrency feature this PR adds; the
-// sequential variant turns them all off.
-func runConformance(t *testing.T, tc conformanceCase, sequential bool, sessions int) []dirAlerts {
+// live middlebox and returns each session's payload and its per-direction
+// alert sequences.
+func runConformance(t *testing.T, tc conformanceCase, rs *Ruleset, sessions int) ([][]byte, []dirAlerts) {
 	t.Helper()
 	g, err := NewRuleGenerator("ConformanceRG")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := ParseRules("e2e", tc.rulesText)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,22 +116,16 @@ func runConformance(t *testing.T, tc conformanceCase, sequential bool, sessions 
 		mu     sync.Mutex
 		alerts []Alert
 	)
-	mbCfg := MiddleboxConfig{
+	mb, err := NewMiddlebox(MiddleboxConfig{
 		Ruleset:     g.Sign(rs),
 		RGPublicKey: g.PublicKey(),
 		Secondary:   tc.secondary,
-		Sequential:  sequential,
 		OnAlert: func(a Alert) {
 			mu.Lock()
 			alerts = append(alerts, a)
 			mu.Unlock()
 		},
-	}
-	if !sequential {
-		mbCfg.DetectShards = 4
-		mbCfg.ShardQueue = 8 // small queue: exercise back-pressure
-	}
-	mb, err := NewMiddlebox(mbCfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,22 +166,16 @@ func runConformance(t *testing.T, tc conformanceCase, sequential bool, sessions 
 	}()
 	go mb.Serve(mbLn, serverLn.Addr().String())
 
-	for s := 0; s < sessions; s++ {
-		ccfg := ConnConfig{Core: tc.cfg, RG: RGMaterial{TagKey: g.TagKey()}}
-		if !sequential {
-			ccfg.EncryptWorkers = 3
-		}
-		conn, err := Dial(mbLn.Addr().String(), ccfg)
+	payloads := make([][]byte, sessions)
+	for s := range payloads {
+		conn, err := Dial(mbLn.Addr().String(), ConnConfig{Core: tc.cfg, RG: RGMaterial{TagKey: g.TagKey()}})
 		if err != nil {
 			t.Fatalf("session %d: %v", s, err)
 		}
 		payload := conformancePayload(1000+int64(s), 8<<10)
-		for off := 0; off < len(payload); off += 3000 {
-			end := off + 3000
-			if end > len(payload) {
-				end = len(payload)
-			}
-			if _, err := conn.Write(payload[off:end]); err != nil {
+		payloads[s] = payload
+		for off := 0; off < len(payload); off += conformanceWrite {
+			if _, err := conn.Write(payload[off:min(off+conformanceWrite, len(payload))]); err != nil {
 				t.Fatalf("session %d write: %v", s, err)
 			}
 		}
@@ -229,14 +221,51 @@ func runConformance(t *testing.T, tc conformanceCase, sequential bool, sessions 
 	for _, id := range ids {
 		out = append(out, byConn[id])
 	}
+	return payloads, out
+}
+
+// offlineAlerts is the reference for one direction that carried payload in
+// writes of at most `write` bytes: the canonical alerts of a sequential
+// core.SenderPipeline + detect.Engine pass over the same bytes, ending with
+// the flush an orderly close sends. Events carry no key material, so token
+// keys computed directly under any session key give the same canonical
+// alerts as the live flow's prepared ones. When the pass recovers the
+// Protocol III key and the secondary element is on, the plaintext IDS's
+// verdict over the whole payload follows, as the middlebox reports it at
+// close.
+func offlineAlerts(tc conformanceCase, rs *Ruleset, payload []byte, write int) []canonAlert {
+	keys := bbcrypto.DeriveSessionKeys([]byte("conformance reference"))
+	pipe := core.NewSenderPipeline(keys, tc.cfg)
+	eng := core.NewDetectEngine(rs, core.DirectTokenKeys(keys.K, rs, tc.cfg.Mode), tc.cfg, nil)
+	var (
+		out       []canonAlert
+		recovered bool
+	)
+	scan := func(toks []dpienc.EncryptedToken, reset *core.SaltReset) {
+		if reset != nil {
+			eng.Reset(reset.Salt0)
+		}
+		for _, ev := range eng.ScanBatch(toks, nil) {
+			out = append(out, canonicalize(Alert{Event: ev}))
+			recovered = recovered || ev.HasSSLKey
+		}
+	}
+	for off := 0; off < len(payload); off += write {
+		scan(pipe.ProcessText(payload[off:min(off+write, len(payload))]))
+	}
+	scan(pipe.Flush(), nil)
+	if tc.secondary && recovered {
+		if sids := baseline.New(rs).Inspect(payload).RuleSIDs; len(sids) > 0 {
+			out = append(out, canonicalize(Alert{Secondary: true, SecondarySIDs: sids}))
+		}
+	}
 	return out
 }
 
 // TestE2EConformanceSequentialVsParallel is the suite's core claim: for
-// identical seeded corpora, the parallel pipeline (sharded detection, small
-// shard queues, parallel sender encryption) produces exactly the alert
-// sequences of the sequential pipeline, per session and direction, on all
-// three protocols.
+// seeded corpora on all three protocols, the live middlebox's parallel
+// detection pool reports, per session and direction, exactly the alert
+// sequence of the sequential offline reference (offlineAlerts).
 func TestE2EConformanceSequentialVsParallel(t *testing.T) {
 	sessions := 3
 	if testing.Short() {
@@ -244,36 +273,36 @@ func TestE2EConformanceSequentialVsParallel(t *testing.T) {
 	}
 	for _, tc := range conformanceCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			seq := runConformance(t, tc, true, sessions)
-			par := runConformance(t, tc, false, sessions)
-			total := 0
-			for s := 0; s < sessions; s++ {
-				for _, dir := range []middlebox.Direction{middlebox.ClientToServer, middlebox.ServerToClient} {
-					a, b := seq[s][dir], par[s][dir]
-					if !reflect.DeepEqual(a, b) {
-						t.Fatalf("session %d %s: alert sequences differ\nsequential: %+v\nparallel:   %+v",
-							s, dir, a, b)
+			rs, err := ParseRules("e2e", tc.rulesText)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payloads, live := runConformance(t, tc, rs, sessions)
+			total, recovered := 0, false
+			for s, payload := range payloads {
+				for _, d := range []struct {
+					dir   middlebox.Direction
+					write int
+				}{
+					{middlebox.ClientToServer, conformanceWrite},
+					{middlebox.ServerToClient, len(payload)},
+				} {
+					got, want := live[s][d.dir], offlineAlerts(tc, rs, payload, d.write)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("session %d %s: alert sequences differ\nlive middlebox:    %+v\noffline reference: %+v",
+							s, d.dir, got, want)
 					}
-					total += len(a)
+					total += len(got)
+					for _, a := range got {
+						recovered = recovered || a.HasKey || a.Secondary
+					}
 				}
 			}
 			if total == 0 {
-				t.Fatal("no alerts on either pipeline — the conformance check was vacuous")
+				t.Fatal("no alerts on either side — the conformance check was vacuous")
 			}
-			if tc.cfg.Protocol == ProtocolIII {
-				recovered := false
-				for s := 0; s < sessions; s++ {
-					for _, as := range seq[s] {
-						for _, a := range as {
-							if a.HasKey || a.Secondary {
-								recovered = true
-							}
-						}
-					}
-				}
-				if !recovered {
-					t.Fatal("Protocol III conformance ran without probable-cause recovery")
-				}
+			if tc.cfg.Protocol == ProtocolIII && !recovered {
+				t.Fatal("Protocol III conformance ran without probable-cause recovery")
 			}
 		})
 	}

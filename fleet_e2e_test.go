@@ -56,15 +56,13 @@ func newFleetWorker(t *testing.T, name string, g *RuleGenerator, rs *Ruleset,
 		tmo.Barrier = barrier
 	}
 	mb, err := NewMiddlebox(MiddleboxConfig{
-		Ruleset:      g.Sign(rs),
-		RGPublicKey:  g.PublicKey(),
-		Policy:       policy,
-		Timeouts:     tmo,
-		DetectShards: 1,
-		ShardQueue:   8,
-		Metrics:      w.reg,
-		Recorder:     w.rec,
-		OnAlert:      onAlert,
+		Ruleset:     g.Sign(rs),
+		RGPublicKey: g.PublicKey(),
+		Policy:      policy,
+		Timeouts:    tmo,
+		Metrics:     w.reg,
+		Recorder:    w.rec,
+		OnAlert:     onAlert,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,8 +174,8 @@ func TestFleetObservabilityPlane(t *testing.T) {
 	}
 
 	// w1 and w2 run defaults; w3 is the chaos target: fail-open, a 200ms
-	// detection barrier, and an alert sink that stalls its only shard
-	// until the gate opens — benign traffic never alerts, so w3 behaves
+	// detection barrier, and an alert sink that stalls the alerting flow's
+	// shard until the gate opens — benign traffic never alerts, so w3 behaves
 	// normally until the chaos phase plants the keyword.
 	gate := make(chan struct{})
 	w1 := newFleetWorker(t, "w1", g, rs, middlebox.FailClosed, 0, nil)
@@ -368,7 +366,7 @@ func TestFleetObservabilityPlane(t *testing.T) {
 	}
 
 	// Chaos phase: plant the keyword on w3. Its stalled alert sink wedges
-	// the only detect shard, the 200ms barrier expires, and the fail-open
+	// the flow's detect shard, the 200ms barrier expires, and the fail-open
 	// policy forwards the flow unscanned — a real degradation, not a
 	// synthetic counter bump.
 	runFleetSession(t, g, w3, attack)

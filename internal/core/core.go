@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/bbcrypto"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/ruleprep"
 	"repro/internal/rules"
 	"repro/internal/tokenize"
-	"repro/internal/tuning"
 )
 
 // Config fixes the per-connection protocol parameters both endpoints and
@@ -48,16 +46,13 @@ type SaltReset struct {
 
 // SenderPipeline turns outgoing plaintext into the encrypted token stream.
 // It owns a tokenizer and a DPIEnc sender whose state must see the traffic
-// in transmission order.
+// in transmission order, and runs on the calling goroutine.
 type SenderPipeline struct {
 	cfg Config
 	tk  *tokenize.Tokenizer
 	enc *dpienc.Sender
 	// toks is the tokenizer's output buffer, reused by every chunk.
 	toks []tokenize.Token
-	// workers is the fan-out of the stateless AES step; <=1 keeps it on
-	// the calling goroutine.
-	workers int
 	// obs is nil until Instrument: the uninstrumented hot path pays one
 	// pointer check per chunk and takes no timestamps.
 	obs *pipelineObs
@@ -89,41 +84,11 @@ func NewSenderPipeline(keys bbcrypto.SessionKeys, cfg Config) *SenderPipeline {
 	}
 }
 
-// SetParallelism sets the number of goroutines used for the stateless AES
-// step of token encryption: n of 1 (the default) keeps encryption on the
-// calling goroutine, n > 1 fans each batch out over up to n goroutines, and
-// n <= 0 means GOMAXPROCS. The §3.2 counter-table assignment is always
-// sequential, so parallelism never changes the produced token stream —
-// only how fast it is computed. Prefer AutoTune, which also learns the
-// batch size below which fan-out cannot pay.
-func (p *SenderPipeline) SetParallelism(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	p.workers = n
-	p.enc.SetFanOut(n, 0)
-}
-
-// AutoTune applies the measured fan-out decision of internal/tuning to
-// this pipeline: batches past the calibrated break-even size fan their
-// AES step across the calibrated worker count, everything else — and
-// everything on hosts where handoffs cost more than they save — runs
-// sequentially, so the tuned pipeline is never slower than the sequential
-// one. The calibration is cached process-wide; per-connection callers pay
-// only a map lookup.
-func (p *SenderPipeline) AutoTune() {
-	t := tuning.Auto()
-	p.workers = t.EncryptWorkers
-	p.enc.SetFanOut(t.EncryptWorkers, t.EncryptMinBatch)
-}
-
-// Parallelism reports the configured AES fan-out.
-func (p *SenderPipeline) Parallelism() int {
-	if p.workers <= 1 {
-		return 1
-	}
-	return p.workers
-}
+// AutoTune does nothing: the pipeline always encrypts on the calling
+// goroutine. It stays only because the end-to-end benchmark (benchmark/),
+// which is revised separately from the code it measures, still calls it,
+// and goes at that benchmark's next revision.
+func (p *SenderPipeline) AutoTune() {}
 
 // Instrument enables per-chunk stage timing on this pipeline: tokenize and
 // encrypt latency histograms in r (obs.SenderTokenizeSeconds,
@@ -152,9 +117,7 @@ func (p *SenderPipeline) Instrument(r *obs.Registry, trace obs.Sink, flow uint64
 
 // encrypt is the tail of every Process*Into call: p.toks were tokenized
 // starting at t0 (zero when uninstrumented) from `bytes` input bytes. It
-// encrypts them into dst's backing array when that is large enough; the
-// sequential-vs-parallel decision lives on the sender (SetFanOut via
-// SetParallelism/AutoTune), so every caller gets the same routing.
+// encrypts them into dst's backing array when that is large enough.
 func (p *SenderPipeline) encrypt(dst []dpienc.EncryptedToken, t0 time.Time, bytes int) []dpienc.EncryptedToken {
 	toks := p.toks
 	if p.obs == nil {

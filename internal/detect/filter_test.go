@@ -70,7 +70,7 @@ func TestFilterStaysConsistent(t *testing.T) {
 				offset += tokenize.TokenSize
 				toks = append(toks, tk)
 			}
-			eng.ScanBatch(s.EncryptTokens(toks), nil)
+			eng.ScanBatch(s.EncryptTokensInto(nil, toks), nil)
 			checkFilterConsistent(t, eng, fmt.Sprintf("proto %s round %d", proto, round))
 		}
 		s.Reset(99999)
@@ -92,7 +92,7 @@ func TestFilterDetectsThroughResets(t *testing.T) {
 		copy(tk.Text[:], word)
 		tk.Offset = offset
 		offset += tokenize.TokenSize
-		events = eng.ScanBatch(s.EncryptTokens([]tokenize.Token{tk}), events)
+		events = eng.ScanBatch(s.EncryptTokensInto(nil, []tokenize.Token{tk}), events)
 	}
 	for rep := 0; rep < 5; rep++ {
 		emit(words[7])
@@ -121,7 +121,7 @@ func TestEmptyEngineFilter(t *testing.T) {
 	eng := NewEngine(&rules.Ruleset{}, TokenKeys{}, Config{Mode: tokenize.Window, Protocol: dpienc.ProtocolI})
 	k := bbcrypto.DeriveBlock([]byte("empty"), "k")
 	s := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolI, 0)
-	evs := eng.ScanBatch(s.EncryptTokens([]tokenize.Token{{Text: [8]byte{'x'}}}), nil)
+	evs := eng.ScanBatch(s.EncryptTokensInto(nil, []tokenize.Token{{Text: [8]byte{'x'}}}), nil)
 	if len(evs) != 0 {
 		t.Fatalf("empty engine produced %d events", len(evs))
 	}

@@ -56,7 +56,7 @@ func FuzzIndexConsistency(f *testing.F) {
 			}
 		} else {
 			s := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolII, salt0)
-			stream = s.EncryptTokens(tokenize.TokenizeAll(mode, data))
+			stream = s.EncryptTokensInto(nil, tokenize.TokenizeAll(mode, data))
 		}
 		for i, et := range stream {
 			if !sameEvents(engTree.ProcessToken(et), engHash.ProcessToken(et)) {
@@ -72,7 +72,7 @@ func FuzzIndexConsistency(f *testing.F) {
 		engTree.Reset(salt0 + 1)
 		engHash.Reset(salt0 + 1)
 		s := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolII, salt0+1)
-		for i, et := range s.EncryptTokens(tokenize.TokenizeAll(mode, data)) {
+		for i, et := range s.EncryptTokensInto(nil, tokenize.TokenizeAll(mode, data)) {
 			if !sameEvents(engTree.ProcessToken(et), engHash.ProcessToken(et)) {
 				t.Fatalf("post-reset token %d: tree and hash engines diverged", i)
 			}

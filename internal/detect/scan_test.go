@@ -67,7 +67,7 @@ func TestScanBatchMatchesProcessToken(t *testing.T) {
 		traffic := synthScanTraffic(rng, 100+rng.Intn(300))
 
 		sender := dpienc.NewSender(k, kSSL, proto, uint64(iter))
-		ets := sender.EncryptTokens(tokenize.TokenizeAll(mode, traffic))
+		ets := sender.EncryptTokensInto(nil, tokenize.TokenizeAll(mode, traffic))
 
 		seqEng := NewEngine(rs, keys, Config{Mode: mode, Protocol: proto, Salt0: uint64(iter)})
 		var want []Event
@@ -111,7 +111,7 @@ func TestScanBatchReusesDst(t *testing.T) {
 	k := bbcrypto.DeriveBlock([]byte("scanbatch-dst"), "k")
 	keys := keysFor(k, rs, tokenize.Delimiter)
 	sender := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolII, 0)
-	ets := sender.EncryptTokens(tokenize.TokenizeAll(tokenize.Delimiter, []byte("hit attack01 now")))
+	ets := sender.EncryptTokensInto(nil, tokenize.TokenizeAll(tokenize.Delimiter, []byte("hit attack01 now")))
 	eng := NewEngine(rs, keys, Config{Mode: tokenize.Delimiter, Protocol: dpienc.ProtocolII})
 
 	dst := make([]Event, 0, 16)
@@ -138,7 +138,7 @@ func TestScanBatchLargeStreamKeywordCount(t *testing.T) {
 		fmt.Fprintf(&buf, "filler words %d then needlekw again ", i)
 	}
 	sender := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolII, 3)
-	ets := sender.EncryptTokens(tokenize.TokenizeAll(tokenize.Delimiter, buf.Bytes()))
+	ets := sender.EncryptTokensInto(nil, tokenize.TokenizeAll(tokenize.Delimiter, buf.Bytes()))
 
 	eng := NewEngine(rs, keys, Config{Mode: tokenize.Delimiter, Protocol: dpienc.ProtocolII, Salt0: 3})
 	events := eng.ScanBatch(ets, nil)
@@ -150,5 +150,50 @@ func TestScanBatchLargeStreamKeywordCount(t *testing.T) {
 	}
 	if kw != occurrences {
 		t.Fatalf("ScanBatch found %d keyword matches, want %d", kw, occurrences)
+	}
+}
+
+// TestScanBatchSteadyStateAllocatesNothing pins the detection hot path's
+// allocation contract: once an engine has scanned a stretch of attack
+// traffic (candidate tables at size) and the event buffer has room,
+// scanning ordinary traffic batch by batch allocates nothing. (A match
+// re-keys its fragment's ciphertext in the tree index, which may cost a
+// node; matches are the rare case.)
+func TestScanBatchSteadyStateAllocatesNothing(t *testing.T) {
+	rs := mustParse(t,
+		`alert tcp any any -> any any (content:"attack01"; sid:1;)`,
+		`alert tcp any any -> any any (content:"exfil-marker-long"; sid:2;)`,
+		`alert tcp any any -> any any (content:"evil.dll"; content:"shorty"; sid:4;)`,
+	)
+	k := bbcrypto.DeriveBlock([]byte("scanbatch-allocs"), "k")
+	keys := keysFor(k, rs, tokenize.Delimiter)
+	rng := rand.New(rand.NewSource(5))
+	traffic := synthScanTraffic(rng, 16<<10)
+	warm := len(traffic)
+	words := []string{"the", "quick", "request", "body", "with", "plain", "words", "and", "paths/like/this"}
+	for len(traffic) < warm+64<<10 {
+		traffic = append(traffic, words[rng.Intn(len(words))]...)
+		traffic = append(traffic, " ,;=/"[rng.Intn(5)])
+	}
+	sender := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolII, 0)
+	ets := sender.EncryptTokensInto(nil, tokenize.TokenizeAll(tokenize.Delimiter, traffic))
+	eng := NewEngine(rs, keys, Config{Mode: tokenize.Delimiter, Protocol: dpienc.ProtocolII})
+
+	const batch = 128
+	events := make([]Event, 0, batch)
+	off, warmEvents := 0, 0
+	for ; off < len(ets) && ets[off].Offset < warm; off += batch {
+		events = eng.ScanBatch(ets[off:min(off+batch, len(ets))], events[:0])
+		warmEvents += len(events)
+	}
+	if warmEvents == 0 {
+		t.Fatal("the warm-up raised no events; the candidate tables were never used")
+	}
+	allocs := testing.AllocsPerRun((len(ets)-off)/batch-1, func() {
+		events = eng.ScanBatch(ets[off:off+batch], events[:0])
+		off += batch
+	})
+	if allocs != 0 {
+		t.Fatalf("ScanBatch: %v allocs per batch in steady state, want 0", allocs)
 	}
 }

@@ -1,11 +1,11 @@
-// Batched and parallel DPIEnc encryption. The §3.2 counter table makes
-// token *assignment* (which salt encrypts which occurrence) inherently
+// Batched DPIEnc encryption. The §3.2 counter table makes token
+// *assignment* (which salt encrypts which occurrence) inherently
 // sequential, but once a token's salt is fixed, the AES work is independent
 // of every other token. This file splits encryption into those two steps so
-// batches amortize per-token call overhead and the AES step can fan out
-// across cores while preserving exact stream order. The split also pays on
-// one core: the table lookups of the first loop are independent loads that
-// overlap, which a loop with AES calls in it does not let them do.
+// batches amortize per-token call overhead: the table lookups of the first
+// loop are independent loads that overlap, which a loop with AES calls in it
+// does not let them do, and the second loop runs the AES kernel four tokens
+// abreast.
 
 package dpienc
 
@@ -71,32 +71,7 @@ func (s *Sender) AssignTokens(toks []tokenize.Token, dst []TokenAssignment) []To
 // EncryptAssigned encrypts assigned[i] into out[i] for every assignment
 // (out must be at least as long as assigned). Output order is exactly
 // assignment order. It goes through the Sender's schedule cache, so calls on
-// one Sender must not overlap; EncryptAssignedParallel is the concurrent
-// form.
-//
-// Allocation contract: 0 allocs/op once the schedule cache has reached its
-// size (it doubles at most eight times in a Sender's life).
-func (s *Sender) EncryptAssigned(assigned []TokenAssignment, out []EncryptedToken) {
-	if len(assigned) == 0 {
-		// A record of binary payload comes through here with no tokens, and
-		// must not make the Sender create a cache it may never need.
-		return
-	}
-	s.encryptAssigned(&s.workerCaches(1)[0], assigned, out)
-}
-
-// workerCaches returns the first n schedule caches, creating the missing
-// ones.
-func (s *Sender) workerCaches(n int) []schedCache {
-	for len(s.caches) < n {
-		s.caches = append(s.caches, newSchedCache(s.cacheLimit))
-	}
-	return s.caches[:n]
-}
-
-// encryptAssigned is EncryptAssigned through schedule cache c. It reads
-// only immutable Sender state (protocol, kSSL, k's schedule), so calls with
-// distinct caches and disjoint (assigned, out) ranges may run concurrently.
+// one Sender must not overlap.
 //
 // It works a chunk of encChunk tokens at a time: the cache resolves the
 // chunk's schedules, then the tokens are encrypted four abreast, each lane
@@ -104,8 +79,20 @@ func (s *Sender) workerCaches(n int) []schedCache {
 // one-block kernel here, so a batch of one costs what a single encryption
 // costs.
 //
+// Allocation contract: 0 allocs/op once the schedule cache has reached its
+// size (it doubles at most eight times in a Sender's life).
+//
 //bb:hotpath
-func (s *Sender) encryptAssigned(c *schedCache, assigned []TokenAssignment, out []EncryptedToken) {
+func (s *Sender) EncryptAssigned(assigned []TokenAssignment, out []EncryptedToken) {
+	if len(assigned) == 0 {
+		// A record of binary payload comes through here with no tokens, and
+		// must not make the Sender create a cache it may never need.
+		return
+	}
+	if s.cache == nil {
+		s.cache = newSchedCache(s.cacheLimit)
+	}
+	c := s.cache
 	protoIII := s.protocol == ProtocolIII
 	out = out[:len(assigned)]
 	for len(assigned) > 0 {
@@ -170,110 +157,17 @@ func (s *Sender) encryptGroups(scheds *[encChunk]*bbcrypto.Schedule, assigned []
 	}
 }
 
-// minParallelBatch is the default batch size below which fanning
-// encryption out to worker goroutines costs more than it saves. SetFanOut
-// replaces it with a per-host measured break-even (internal/tuning).
-const minParallelBatch = 128
-
-// SetFanOut installs the fan-out decision EncryptTokensInto and
-// EncryptAssignedAuto apply: batches of at least minBatch tokens split
-// their stateless AES step across `workers` goroutines, smaller batches
-// (and everything when workers <= 1) run sequentially. workers <= 0 is
-// normalized to 1 and minBatch <= 0 to the built-in default; callers
-// normally pass a tuning.Tuning's EncryptWorkers/EncryptMinBatch rather
-// than inventing values.
-func (s *Sender) SetFanOut(workers, minBatch int) {
-	if workers <= 0 {
-		workers = 1
-	}
-	if minBatch <= 0 {
-		minBatch = minParallelBatch
-	}
-	s.workers = workers
-	s.minParBatch = minBatch
-}
-
-// FanOut reports the sender's current fan-out decision (workers and the
-// minimum batch size that engages them).
-func (s *Sender) FanOut() (workers, minBatch int) {
-	return s.workers, s.minParBatch
-}
-
-// EncryptAssignedAuto is EncryptAssigned routed through the SetFanOut
-// decision: the AES step fans out only when the configured workers and
-// batch size say the goroutine handoffs will pay for themselves. Output
-// order and contents are byte-identical to EncryptAssigned either way.
-//
-// Allocation contract: 0 allocs/op steady-state on the sequential path; the
-// parallel path adds one goroutine spawn per worker per batch, already
-// priced into the minBatch break-even.
-func (s *Sender) EncryptAssignedAuto(assigned []TokenAssignment, out []EncryptedToken) {
-	if s.workers > 1 && len(assigned) >= s.minParBatch {
-		s.EncryptAssignedParallel(assigned, out, s.workers)
-		return
-	}
-	s.EncryptAssigned(assigned, out)
-}
-
-// EncryptAssignedParallel is EncryptAssigned with the AES work split across
-// up to `workers` goroutines. Each worker owns a contiguous range of the
-// batch and its own schedule cache, so out keeps exact stream order and is
-// byte-identical to the sequential path; small batches fall back to it
-// outright. Like EncryptAssigned, calls on one Sender must not overlap.
-//
-// Allocation contract: one goroutine spawn + closure per worker per call;
-// no per-token allocations. Prefer EncryptAssignedAuto, which engages this
-// path only past the measured break-even batch size.
-func (s *Sender) EncryptAssignedParallel(assigned []TokenAssignment, out []EncryptedToken, workers int) {
-	if workers > len(assigned)/minParallelBatch {
-		workers = len(assigned) / minParallelBatch
-	}
-	if workers <= 1 {
-		s.EncryptAssigned(assigned, out)
-		return
-	}
-	chunk := (len(assigned) + workers - 1) / workers
-	caches := s.workerCaches(workers)
-	var wg sync.WaitGroup
-	for w, start := 0, 0; start < len(assigned); w, start = w+1, start+chunk {
-		end := min(start+chunk, len(assigned))
-		wg.Add(1)
-		go func(c *schedCache, a []TokenAssignment, o []EncryptedToken) {
-			defer wg.Done()
-			s.encryptAssigned(c, a, o)
-		}(&caches[w], assigned[start:end], out[start:end])
-	}
-	wg.Wait()
-}
-
-// EncryptTokensInto encrypts a batch of tokens in order, reusing dst's
-// backing array when it is large enough, and applying the SetFanOut
-// decision to the stateless AES step (the default decision is fully
-// sequential). The counter-table assignment is always sequential, so the
-// produced stream is byte-identical whichever way the AES step runs.
+// EncryptTokensInto encrypts a batch of tokens in order (AssignTokens, then
+// EncryptAssigned), reusing dst's backing array when it is large enough; a
+// nil dst makes it allocate the result.
 //
 // Allocation contract: 0 allocs/op steady-state — the assignment scratch
 // lives on the Sender and dst reallocates only on growth; first-seen
-// tokens and engaged fan-out cost as documented on AssignTokens and
-// EncryptAssignedAuto.
+// tokens cost as documented on AssignTokens and EncryptAssigned.
 func (s *Sender) EncryptTokensInto(dst []EncryptedToken, toks []tokenize.Token) []EncryptedToken {
 	s.scratch = s.AssignTokens(toks, s.scratch[:0])
 	dst = GrowTokenBuf(dst, len(toks))
-	s.EncryptAssignedAuto(s.scratch, dst)
-	return dst
-}
-
-// EncryptTokensParallelInto is EncryptTokensInto with the stateless AES
-// step fanned out across up to `workers` goroutines, ignoring the SetFanOut
-// decision. The counter-table assignment stays sequential, so the produced
-// stream is byte-identical to the sequential path.
-//
-// Allocation contract: as EncryptAssignedParallel — one goroutine spawn
-// per worker per batch, no per-token allocations.
-func (s *Sender) EncryptTokensParallelInto(dst []EncryptedToken, toks []tokenize.Token, workers int) []EncryptedToken {
-	s.scratch = s.AssignTokens(toks, s.scratch[:0])
-	dst = GrowTokenBuf(dst, len(toks))
-	s.EncryptAssignedParallel(s.scratch, dst, workers)
+	s.EncryptAssigned(s.scratch, dst)
 	return dst
 }
 

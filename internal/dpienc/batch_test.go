@@ -30,7 +30,7 @@ func tokensEqual(a, b EncryptedToken) bool {
 }
 
 // TestEncryptTokensMatchesEncryptToken is the batch/sequential differential
-// property of the issue: for 1k randomized seeded streams, EncryptTokens
+// property: for 1k randomized seeded streams, EncryptTokensInto
 // over any partition of the stream yields exactly the per-token
 // EncryptToken results, under every protocol.
 func TestEncryptTokensMatchesEncryptToken(t *testing.T) {
@@ -81,34 +81,6 @@ func TestEncryptTokensMatchesEncryptToken(t *testing.T) {
 	}
 }
 
-// TestEncryptAssignedParallelMatchesSequential pins that the parallel AES
-// fan-out preserves exact stream order and values.
-func TestEncryptAssignedParallelMatchesSequential(t *testing.T) {
-	k := bbcrypto.DeriveBlock([]byte("par-test"), "k")
-	kSSL := bbcrypto.DeriveBlock([]byte("par-test"), "kssl")
-	for _, proto := range []Protocol{ProtocolII, ProtocolIII} {
-		rng := rand.New(rand.NewSource(42))
-		stream := randomStream(rng, 4096)
-
-		a := NewSender(k, kSSL, proto, 7)
-		asgA := a.AssignTokens(stream, nil)
-		seq := make([]EncryptedToken, len(stream))
-		a.EncryptAssigned(asgA, seq)
-
-		b := NewSender(k, kSSL, proto, 7)
-		asgB := b.AssignTokens(stream, nil)
-		for _, workers := range []int{1, 2, 3, 8, 64} {
-			par := make([]EncryptedToken, len(stream))
-			b.EncryptAssignedParallel(asgB, par, workers)
-			for i := range seq {
-				if !tokensEqual(par[i], seq[i]) {
-					t.Fatalf("proto %s workers %d: token %d differs", proto, workers, i)
-				}
-			}
-		}
-	}
-}
-
 // TestTokenBufPool checks the pooled buffers start empty and survive growth.
 func TestTokenBufPool(t *testing.T) {
 	buf := GetTokenBuf()
@@ -135,4 +107,33 @@ func TestEncryptTokensIntoReusesBuffer(t *testing.T) {
 	if &out[0] != &dst[:1][0] {
 		t.Fatal("EncryptTokensInto reallocated despite sufficient capacity")
 	}
+}
+
+// TestResetRestartsStream pins what a reset means to an observer: whatever
+// state the sender keeps across it (cached key schedules, stale table
+// slots), the post-reset stream is the stream of a fresh sender started at
+// the new salt0.
+func TestResetRestartsStream(t *testing.T) {
+	k := bbcrypto.DeriveBlock([]byte("reset-cache"), "k")
+	kSSL := bbcrypto.DeriveBlock([]byte("reset-cache"), "kssl")
+	toks := []tokenize.Token{tokAt("AAAAAAAA", 0), tokAt("BBBBBBBB", 8), tokAt("AAAAAAAA", 16)}
+	for _, proto := range []Protocol{ProtocolII, ProtocolIII} {
+		s := NewSender(k, kSSL, proto, 0)
+		s.EncryptTokensInto(nil, toks)
+		s.Reset(1000)
+		got := s.EncryptTokensInto(nil, toks)
+		want := NewSender(k, kSSL, proto, 1000).EncryptTokensInto(nil, toks)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("protocol %s: post-reset token %d differs from fresh sender", proto, i)
+			}
+		}
+	}
+}
+
+func tokAt(s string, off int) tokenize.Token {
+	var t tokenize.Token
+	copy(t.Text[:], s)
+	t.Offset = off
+	return t
 }

@@ -141,27 +141,17 @@ type Sender struct {
 	salt0 uint64
 	maxCt uint64
 
-	// tab is the §3.2 counter table; caches hold the key schedules of
-	// AES_k(t) (both in state.go). caches[0] serves every sequential call
-	// and caches[i] worker i of EncryptAssignedParallel, each created on
-	// first use with room for at most cacheLimit schedules
+	// tab is the §3.2 counter table; cache holds the key schedules of
+	// AES_k(t) (both in state.go). The cache is created by the first
+	// encryption, with room for at most cacheLimit schedules
 	// (maxCachedSchedules outside tests).
 	tab        counterTable
-	caches     []schedCache
+	cache      *schedCache
 	cacheLimit int
 
 	// scratch is the reusable assignment buffer of the batch path
 	// (EncryptTokensInto): batches allocate nothing in steady state.
 	scratch []TokenAssignment
-
-	// workers/minParBatch are the fan-out decision applied by
-	// EncryptTokensInto and EncryptAssignedAuto: batches of at least
-	// minParBatch tokens split their AES step across `workers`
-	// goroutines; everything else runs sequentially. Defaults (1,
-	// minParallelBatch) mean sequential; SetFanOut installs a measured
-	// decision (see internal/tuning).
-	workers     int
-	minParBatch int
 
 	bytesSinceReset int
 	resetInterval   int
@@ -182,8 +172,6 @@ func NewSender(k, kSSL bbcrypto.Block, protocol Protocol, salt0 uint64) *Sender 
 		tab:           newCounterTable(minTableSlots),
 		cacheLimit:    maxCachedSchedules,
 		resetInterval: ResetInterval,
-		workers:       1,
-		minParBatch:   minParallelBatch,
 	}
 	s.kSched.Expand(&k)
 	return s
@@ -226,14 +214,6 @@ func (s *Sender) EncryptToken(t tokenize.Token) EncryptedToken {
 	// Field by field: each load then matches one store just made, where a
 	// copy of the whole struct waits for all of them to reach the cache.
 	return EncryptedToken{C1: out[0].C1, C2: out[0].C2, Offset: out[0].Offset}
-}
-
-// EncryptTokens encrypts a batch of tokens in order. It is the allocating
-// convenience form of EncryptTokensInto (see batch.go), which amortizes
-// per-token call overhead by splitting counter-table assignment from the
-// AES work.
-func (s *Sender) EncryptTokens(toks []tokenize.Token) []EncryptedToken {
-	return s.EncryptTokensInto(nil, toks)
 }
 
 // maxCounter is the counter value at which AccountBytes resets whatever the

@@ -217,7 +217,7 @@ func TestEncryptTokensBatch(t *testing.T) {
 	k := bbcrypto.RandomBlock()
 	s := NewSender(k, bbcrypto.Block{}, ProtocolI, 0)
 	toks := []tokenize.Token{tok("AAAAAAAA", 0), tok("BBBBBBBB", 8), tok("AAAAAAAA", 16)}
-	ets := s.EncryptTokens(toks)
+	ets := s.EncryptTokensInto(nil, toks)
 	if len(ets) != 3 {
 		t.Fatalf("got %d", len(ets))
 	}

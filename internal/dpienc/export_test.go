@@ -7,24 +7,22 @@ import (
 	"repro/internal/tokenize"
 )
 
-// ShrinkScheduleCaches caps every schedule cache of s at limit entries, so a
+// ShrinkScheduleCache caps the schedule cache of s at limit entries, so a
 // test sees direct-mapped conflicts and cache growth within a few tokens.
-func (s *Sender) ShrinkScheduleCaches(limit int) {
+func (s *Sender) ShrinkScheduleCache(limit int) {
 	s.cacheLimit = limit
-	s.caches = nil
+	s.cache = nil
 }
 
 // StateSize reports the counter table's capacity in slots, the entries of
-// the sequential schedule cache, and the bytes the table and the caches
-// (scratch included) retain.
+// the schedule cache, and the bytes the table and the cache (scratch
+// included) retain.
 func (s *Sender) StateSize() (tableSlots, cachedSchedules, bytes int) {
 	tableSlots = len(s.tab.slots)
 	bytes = tableSlots * int(unsafe.Sizeof(counterSlot{}))
-	for i := range s.caches {
-		bytes += len(s.caches[i].entries)*int(unsafe.Sizeof(schedEntry{})) + int(unsafe.Sizeof(chunkScratch{}))
-	}
-	if len(s.caches) > 0 {
-		cachedSchedules = len(s.caches[0].entries)
+	if s.cache != nil {
+		cachedSchedules = len(s.cache.entries)
+		bytes += cachedSchedules*int(unsafe.Sizeof(schedEntry{})) + int(unsafe.Sizeof(chunkScratch{}))
 	}
 	return tableSlots, cachedSchedules, bytes
 }

@@ -76,7 +76,7 @@ func FuzzCounterResetSync(f *testing.F) {
 		k := bbcrypto.DeriveBlock(data, "fuzz k")
 		s := NewSender(k, bbcrypto.Block{}, ProtocolII, salt0)
 		s.SetResetInterval(int(interval%64) + 1)
-		s.ShrinkScheduleCaches(1 << (interval % 3))
+		s.ShrinkScheduleCache(1 << (interval % 3))
 
 		counts := make(map[[tokenize.TokenSize]byte]uint64)
 		modelSalt0 := salt0

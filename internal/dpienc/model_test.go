@@ -19,7 +19,7 @@ import (
 // modelSender is the §3.1/§3.2 sender written for obviousness: a map of
 // counters that is cleared at every reset, and a fresh crypto/aes cipher
 // for every AES call. dpienc.Sender must emit its stream byte for byte
-// whatever its table and caches evict.
+// whatever its table and cache evict.
 type modelSender struct {
 	k, kSSL      bbcrypto.Block
 	proto        dpienc.Protocol
@@ -128,7 +128,7 @@ func (g *skewedStream) next(n int) []tokenize.Token {
 // TestSenderMatchesModel is the divergence test of the flat DPIEnc state:
 // over random skewed token streams, byte-driven and forced resets and all
 // three protocols — through every encrypt entry point, with the schedule
-// caches shrunk so direct-mapped conflicts, cache growth, table growth and
+// cache shrunk so direct-mapped conflicts, cache growth, table growth and
 // stale-slot takeover happen every few hundred tokens — the Sender's output
 // equals the model's.
 func TestSenderMatchesModel(t *testing.T) {
@@ -144,10 +144,7 @@ func TestSenderMatchesModel(t *testing.T) {
 			counts: map[[tokenize.TokenSize]byte]uint64{}}
 		s := dpienc.NewSender(k, kSSL, proto, salt0)
 		s.SetResetInterval(p)
-		s.ShrinkScheduleCaches(1 << (seed % 7)) // 1 … 64 entries
-		if seed%4 == 3 {
-			s.SetFanOut(3, 1) // batches of 384 tokens and more fan out
-		}
+		s.ShrinkScheduleCache(1 << (seed % 7)) // 1 … 64 entries
 		slots0, _, _ := s.StateSize()
 		grew := false
 
@@ -164,7 +161,8 @@ func TestSenderMatchesModel(t *testing.T) {
 					buf = append(buf, s.EncryptToken(tok))
 				}
 			default:
-				buf = s.EncryptTokensParallelInto(buf, toks, 2)
+				buf = dpienc.GrowTokenBuf(buf, len(toks))
+				s.EncryptAssigned(s.AssignTokens(toks, nil), buf)
 			}
 			for i, tok := range toks {
 				if want := m.encrypt(tok); buf[i] != want {
@@ -196,36 +194,26 @@ func TestSenderMatchesModel(t *testing.T) {
 	}
 }
 
-// checkAgainstModel encrypts toks as one batch — sequentially, and again
-// through EncryptAssignedParallel with the workers' own caches — and holds
-// both outputs to the model's, byte for byte.
+// checkAgainstModel encrypts toks as one batch and holds the output to the
+// model's, byte for byte.
 func checkAgainstModel(t *testing.T, label string, s *dpienc.Sender, m *modelSender, toks []tokenize.Token) {
 	t.Helper()
-	asg := s.AssignTokens(toks, nil)
-	seq := make([]dpienc.EncryptedToken, len(toks))
-	par := make([]dpienc.EncryptedToken, len(toks))
-	s.EncryptAssigned(asg, seq)
-	s.EncryptAssignedParallel(asg, par, 2)
+	got := s.EncryptTokensInto(nil, toks)
 	for i, tok := range toks {
-		want := m.encrypt(tok)
-		if seq[i] != want {
-			t.Fatalf("%s: token %d of %d (%x): sender %+v, model %+v", label, i, len(toks), tok.Text, seq[i], want)
-		}
-		if par[i] != want {
-			t.Fatalf("%s: token %d of %d (%x): parallel sender %+v, model %+v", label, i, len(toks), tok.Text, par[i], want)
+		if want := m.encrypt(tok); got[i] != want {
+			t.Fatalf("%s: token %d of %d (%x): sender %+v, model %+v", label, i, len(toks), tok.Text, got[i], want)
 		}
 	}
 }
 
 // TestSenderMatchesModelAtChunkEdges aims at the chunked schedule
-// resolution of encryptAssigned what TestSenderMatchesModel leaves to
+// resolution of EncryptAssigned what TestSenderMatchesModel leaves to
 // chance: batches that end just before, on and after a group of four and a
 // chunk; a token repeated inside one chunk; a cached line hit and then
 // missed by a conflicting token in the same chunk (the hit's schedule must
 // survive until the chunk is encrypted), a line claimed by a miss and then
 // hit, and then conflicted with; and the cache doubling between the chunks
-// of one batch. Protocol II and III, the sequential path and the fan-out
-// path, which the race detector watches in CI.
+// of one batch. Protocol II and III.
 func TestSenderMatchesModelAtChunkEdges(t *testing.T) {
 	k := bbcrypto.DeriveBlock([]byte("edges"), "k")
 	kSSL := bbcrypto.DeriveBlock([]byte("edges"), "kssl")
@@ -252,7 +240,7 @@ func TestSenderMatchesModelAtChunkEdges(t *testing.T) {
 		m := &modelSender{k: k, kSSL: kSSL, proto: proto, salt0: 9, p: 1 << 30,
 			counts: map[[tokenize.TokenSize]byte]uint64{}}
 		s := dpienc.NewSender(k, kSSL, proto, 9)
-		s.ShrinkScheduleCaches(lines)
+		s.ShrinkScheduleCache(lines)
 		offset := 0
 		batch := func(texts ...[tokenize.TokenSize]byte) []tokenize.Token {
 			toks := make([]tokenize.Token, len(texts))
@@ -307,7 +295,7 @@ func TestSenderMatchesModelAtChunkEdges(t *testing.T) {
 		// Growth in the middle of a stream: with room for 256 lines, 129
 		// fresh tokens a batch double the cache between the chunks of a
 		// batch, while earlier tokens come back as hits.
-		s.ShrinkScheduleCaches(256)
+		s.ShrinkScheduleCache(256)
 		var seen [][tokenize.TokenSize]byte
 		for round := 0; round < 6; round++ {
 			texts := make([][tokenize.TokenSize]byte, 129)
@@ -388,7 +376,7 @@ func TestEngineFollowsSenderAcrossEvictions(t *testing.T) {
 
 		s := dpienc.NewSender(k, kSSL, proto, 77)
 		s.SetResetInterval(3000)
-		s.ShrinkScheduleCaches(4)
+		s.ShrinkScheduleCache(4)
 		eng := detect.NewEngine(rs, keys, detect.Config{Mode: tokenize.Window, Protocol: proto, Salt0: 77})
 
 		g := newSkewedStream(rng, planted)

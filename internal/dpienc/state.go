@@ -165,7 +165,7 @@ type schedCache struct {
 	// chunk numbers the chunks resolved so far; see schedEntry.stamp.
 	chunk uint32
 	// scratch is resolve's working memory, 13 KiB. (A Sender creates its
-	// caches when it first encrypts: one that never does pays for neither.)
+	// cache when it first encrypts: one that never does pays for neither.)
 	scratch *chunkScratch
 }
 
@@ -202,8 +202,8 @@ type chunkScratch struct {
 	spill [encChunk]bbcrypto.Schedule
 }
 
-func newSchedCache(limit int) schedCache {
-	c := schedCache{limit: limit, scratch: new(chunkScratch)}
+func newSchedCache(limit int) *schedCache {
+	c := &schedCache{limit: limit, scratch: new(chunkScratch)}
 	c.alloc(min(minCachedSchedules, limit))
 	return c
 }

@@ -47,7 +47,7 @@ func TestCounterOverflowIsLoud(t *testing.T) {
 			t.Fatal("a counter wrapped from 2^32-1 to 0 silently")
 		}
 	}()
-	s.EncryptTokens([]tokenize.Token{a, a})
+	s.EncryptTokensInto(nil, []tokenize.Token{a, a})
 }
 
 // TestEpochWrapClearsTable: after 2^32 resets the epoch stamp starts over,
@@ -58,7 +58,7 @@ func TestEpochWrapClearsTable(t *testing.T) {
 	toks := []tokenize.Token{tok("AAAAAAAA", 0), tok("BBBBBBBB", 8), tok("AAAAAAAA", 16)}
 
 	s.Reset(10) // epoch 2
-	s.EncryptTokens(toks)
+	s.EncryptTokensInto(nil, toks)
 	stale := s.tab.epoch
 	s.tab.epoch = math.MaxUint32
 	s.Reset(100) // wraps
@@ -75,8 +75,8 @@ func TestEpochWrapClearsTable(t *testing.T) {
 	if s.tab.epoch != stale {
 		t.Fatalf("test setup: epoch %d, want %d", s.tab.epoch, stale)
 	}
-	got := s.EncryptTokens(toks)
-	want := NewSender(k, bbcrypto.Block{}, ProtocolII, 200).EncryptTokens(toks)
+	got := s.EncryptTokensInto(nil, toks)
+	want := NewSender(k, bbcrypto.Block{}, ProtocolII, 200).EncryptTokensInto(nil, toks)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("token %d after the epoch wrapped differs from a fresh sender", i)
@@ -96,16 +96,16 @@ func TestChunkStampWrapForgetsCache(t *testing.T) {
 	for i := range toks {
 		toks[i] = tok(string(rune('A'+i%23))+"-stamp-", 8*i)
 	}
-	s.EncryptTokens(toks[:encChunk]) // chunk 1 fills lines
-	c := &s.caches[0]
+	s.EncryptTokensInto(nil, toks[:encChunk]) // chunk 1 fills lines
+	c := s.cache
 	c.chunk = math.MaxUint32 - 1
-	got := s.EncryptTokens(toks) // chunks 2^32-1, 0 → 1, 2
+	got := s.EncryptTokensInto(nil, toks) // chunks 2^32-1, 0 → 1, 2
 	if c.chunk != 2 {
 		t.Fatalf("chunk number %d after wrapping, want 2", c.chunk)
 	}
 	fresh := NewSender(k, bbcrypto.Block{}, ProtocolII, 0)
-	fresh.EncryptTokens(toks[:encChunk])
-	want := fresh.EncryptTokens(toks)
+	fresh.EncryptTokensInto(nil, toks[:encChunk])
+	want := fresh.EncryptTokensInto(nil, toks)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("token %d encrypted across the stamp wrap differs from a sender that never wrapped", i)

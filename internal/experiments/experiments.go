@@ -77,15 +77,20 @@ func minMax(xs []float64) (lo, hi float64) {
 // timeOp measures the per-op latency of f by running it in a loop sized to
 // take at least minDuration.
 func timeOp(minDuration time.Duration, f func()) time.Duration {
+	return timeOpOn(time.Now, minDuration, f)
+}
+
+// timeOpOn is timeOp reading the clock through now, so a test can script it.
+func timeOpOn(now func() time.Time, minDuration time.Duration, f func()) time.Duration {
 	// Warm up and estimate.
 	f()
 	n := 1
 	for {
-		start := time.Now()
+		start := now()
 		for i := 0; i < n; i++ {
 			f()
 		}
-		elapsed := time.Since(start)
+		elapsed := now().Sub(start)
 		if elapsed >= minDuration || n >= 1<<24 {
 			return elapsed / time.Duration(n)
 		}

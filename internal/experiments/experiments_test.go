@@ -298,25 +298,33 @@ func TestThroughputScalingPositive(t *testing.T) {
 	}
 }
 
+// TestTimeOpSane checks timeOp's scaling loop against a scripted clock: an
+// operation that advances the clock by a fixed cost is reported at exactly
+// that cost, after the warm-up call and timed loops of 1, 100 (the growth
+// cap) and then just enough repetitions to cover minDuration.
 func TestTimeOpSane(t *testing.T) {
-	// A busy loop (sleep granularity is too coarse to calibrate against).
-	var sink int
-	work := func() {
-		for i := 0; i < 10000; i++ {
-			sink += i * i
+	var clock time.Time
+	now := func() time.Time { return clock }
+	for _, c := range []struct {
+		cost  time.Duration
+		calls int
+	}{
+		{3 * time.Microsecond, 1 + 1 + 100 + 1700}, // 300µs → ×17
+		{6 * time.Microsecond, 1 + 1 + 100 + 900},  // twice the work: 600µs → ×9
+		{40 * time.Millisecond, 1 + 1},             // one call covers minDuration
+	} {
+		calls := 0
+		op := func() {
+			calls++
+			clock = clock.Add(c.cost)
+		}
+		if got := timeOpOn(now, 5*time.Millisecond, op); got != c.cost {
+			t.Errorf("cost %v: timeOp = %v", c.cost, got)
+		}
+		if calls != c.calls {
+			t.Errorf("cost %v: %d calls, want %d", c.cost, calls, c.calls)
 		}
 	}
-	single := timeOp(5*time.Millisecond, work)
-	if single <= 0 {
-		t.Fatal("non-positive measurement")
-	}
-	// Doubling the work should roughly double the per-op time.
-	double := timeOp(5*time.Millisecond, func() { work(); work() })
-	ratio := float64(double) / float64(single)
-	if ratio < 1.5 || ratio > 3.0 {
-		t.Fatalf("timeOp not proportional: %v vs %v (ratio %.2f)", single, double, ratio)
-	}
-	_ = sink
 }
 
 func TestFormattingHelpers(t *testing.T) {

@@ -394,3 +394,10 @@ func PrintObsOverhead(w io.Writer, r ObsOverheadResult) {
 	}
 	fmt.Fprintln(w, "budget: traced-but-unsampled flows must keep >= 95% of the tracing-off rate, and a scraped worker >= 95% of its unscraped rate (benchgate -obs)")
 }
+
+func tokensPerSec(tokens int, ns int64) float64 {
+	if ns <= 0 {
+		return 0
+	}
+	return float64(tokens) / (float64(ns) / 1e9)
+}

@@ -92,7 +92,7 @@ func blindboxRates(rs *rules.Ruleset, mode tokenize.Mode, traffic []byte) (sende
 	start := time.Now()
 	toks := tk.Append(traffic)
 	toks = append(toks, tk.Flush()...)
-	ets := sender.EncryptTokens(toks)
+	ets := sender.EncryptTokensInto(nil, toks)
 	senderMbps = mbps(len(traffic), time.Since(start))
 
 	// Middlebox rate: batched detection over the encrypted tokens, as the
@@ -136,7 +136,7 @@ func ThroughputScaling(opt ThroughputOptions, conns int) (float64, error) {
 	k := bbcrypto.DeriveBlock([]byte("throughput"), "k")
 	sender := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolII, 0)
 	toks := tokenize.TokenizeAll(opt.Mode, traffic)
-	ets := sender.EncryptTokens(toks)
+	ets := sender.EncryptTokensInto(nil, toks)
 	keys := core.DirectTokenKeys(k, rs, opt.Mode)
 
 	engines := make([]*detect.Engine, conns)

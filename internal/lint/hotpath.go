@@ -10,9 +10,8 @@ import (
 const hotpathAnnotation = "//bb:hotpath"
 
 // HotPathAlloc rejects per-call heap allocation constructs in functions
-// annotated //bb:hotpath — the per-token detect/encrypt loops whose
-// allocation churn the ROADMAP's zero-alloc item targets (BENCH_pipeline
-// showed parallel encrypt losing to sequential purely on buffer churn).
+// annotated //bb:hotpath — the per-token detect/encrypt loops, where
+// buffer churn once cost more than the AES work it carried.
 //
 // Flagged constructs, each of which forces (or in append's case, risks)
 // a heap allocation on every call:

@@ -14,6 +14,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -32,7 +33,6 @@ import (
 	"repro/internal/rules"
 	"repro/internal/tokenize"
 	"repro/internal/transport"
-	"repro/internal/tuning"
 )
 
 // Direction labels one half of a proxied connection.
@@ -66,13 +66,15 @@ type Config struct {
 	// RGPublicKey verifies the ruleset's provenance.
 	RGPublicKey ed25519.PublicKey
 	// OnAlert receives detection reports; may be nil. It is called from
-	// detection goroutines and MUST be safe for concurrent use: with the
-	// parallel pipeline, alerts of different connections (and of the two
-	// directions of one connection) may be delivered concurrently and in
-	// any relative order. Within one connection direction, alerts are
-	// always delivered in stream order — the flow is pinned to a single
-	// detection shard. A slow OnAlert stalls its shard (back-pressure),
-	// never loses alerts.
+	// the detection shards (secondary alerts from the forwarding
+	// goroutines) and MUST be safe for concurrent use: alerts of different
+	// connections, and of the two directions of one connection, may be
+	// delivered concurrently and in any relative order. Within one
+	// connection direction, alerts are always delivered in stream order —
+	// the flow is pinned to a single detection shard. A slow OnAlert
+	// stalls its shard, and with it every flow pinned there (back-pressure,
+	// and past Timeouts.Barrier the degradation Policy); it never loses
+	// alerts.
 	OnAlert func(Alert)
 	// NewIndex supplies the detection search structure per engine; nil
 	// uses the paper's tree.
@@ -80,24 +82,6 @@ type Config struct {
 	// Secondary enables the Protocol III decryption element and
 	// secondary full-rules inspection of flows with probable cause.
 	Secondary bool
-	// Sequential disables the sharded detection pool and runs detection
-	// inline on the forwarding goroutines, as the seed implementation
-	// did. Used by the conformance suite to compare pipelines; production
-	// configurations should leave it false.
-	Sequential bool
-	// DetectShards sets the number of detection worker shards, each one
-	// goroutine owning the engines of the flows pinned to it. 0 (the
-	// default) self-tunes: the internal/tuning calibration sizes the pool
-	// to the effective parallelism, and on hosts where fan-out cannot pay
-	// (a single effective proc) detection runs inline on the forwarding
-	// goroutines — the sequential fallback, so parallel is never slower
-	// than sequential. > 0 forces that shard count; negative forces the
-	// legacy GOMAXPROCS sizing. The count is adjustable at runtime with
-	// SetDetectShards.
-	DetectShards int
-	// ShardQueue overrides the per-shard bounded queue depth in token
-	// batches (default 64). Smaller values tighten back-pressure.
-	ShardQueue int
 	// Policy selects the degradation stance when detection becomes
 	// unavailable (the detection barrier exceeds Timeouts.Barrier). The
 	// zero value is FailClosed — the paper's stance and the safe default.
@@ -225,42 +209,14 @@ func New(cfg Config) (*Middlebox, error) {
 	if cfg.Secondary {
 		mb.secondary = baseline.New(cfg.Ruleset.Ruleset)
 	}
-	if !cfg.Sequential {
-		shards := cfg.DetectShards
-		if shards == 0 {
-			shards = tuning.Auto().DetectShards
-		}
-		// A tuned decision of <= 1 shard means fan-out cannot pay here:
-		// run detection inline (pool == nil), exactly like Sequential
-		// mode, rather than paying queue handoffs to a single worker.
-		if shards != 0 {
-			mb.pool = newDetectPool(mb, shards, cfg.ShardQueue)
-		}
-	}
+	mb.pool = newDetectPool(mb, runtime.GOMAXPROCS(0), shardQueueDepth)
 	return mb, nil
 }
 
-// SetDetectShards resizes the detection pool at runtime to n shards
-// (values below 1 are clamped to 1). Only new flows are re-balanced:
-// existing flows keep their pinned shard so the §3.2 per-flow ordering
-// invariant holds across the resize. It fails on middleboxes running
-// inline detection (Sequential mode or a self-tuned sequential fallback),
-// which have no pool to resize, and after Close.
-func (mb *Middlebox) SetDetectShards(n int) error {
-	if mb.pool == nil {
-		return errors.New("middlebox: inline detection (no shard pool) cannot be resized")
-	}
-	return mb.pool.resize(n)
-}
-
-// DetectShards reports how many detection shards new flows are currently
-// pinned across; 0 means detection runs inline on the forwarding
-// goroutines.
+// DetectShards reports how many detection shards flows are pinned across:
+// GOMAXPROCS as New found it.
 func (mb *Middlebox) DetectShards() int {
-	if mb.pool == nil {
-		return 0
-	}
-	return int(mb.pool.active.Load())
+	return len(mb.pool.chans)
 }
 
 // beginConn registers one active connection, failing after Close. The
@@ -309,9 +265,7 @@ func (mb *Middlebox) Close() error {
 		_ = legs[1].Close()
 	}
 	mb.connWG.Wait()
-	if mb.pool != nil {
-		mb.pool.close()
-	}
+	mb.pool.close()
 	return nil
 }
 
@@ -532,9 +486,9 @@ func (mb *Middlebox) interpose(id uint64, client, server net.Conn) (retErr error
 	// Setup is done: from here on Close drains instead of severing.
 	mb.endSetup(id)
 
-	// 3. Detection: one forwarding goroutine per direction. With the
-	// parallel pipeline the forwarding goroutines stay I/O-bound and the
-	// scanning happens on the flows' detection shards (see pool.go).
+	// 3. Detection: one forwarding goroutine per direction. The forwarding
+	// goroutines stay I/O-bound and the scanning happens on the flows'
+	// detection shards (see pool.go).
 	var idx1, idx2 detect.Index
 	if mb.cfg.NewIndex != nil {
 		idx1, idx2 = mb.cfg.NewIndex(), mb.cfg.NewIndex()
@@ -822,11 +776,11 @@ func (mb *Middlebox) runPrep(id uint64, leg net.Conn, prep *ruleprep.Middlebox, 
 	return jobs, perFrag, nil
 }
 
-// flow is per-direction detection state. With the parallel pipeline its
-// mutable fields are confined: the engine and the probable-cause state are
-// touched either by the flow's single detection shard (during jobs) or by
-// the forwarding goroutine strictly after a detection barrier (flow.wait),
-// never concurrently.
+// flow is per-direction detection state. Its mutable fields are confined:
+// the engine and the probable-cause state are touched either by the flow's
+// single detection shard (during jobs) or by the forwarding goroutine
+// strictly after a detection barrier (flow.waitTimeout), never
+// concurrently.
 type flow struct {
 	id     uint64
 	dir    Direction
@@ -847,23 +801,27 @@ type flow struct {
 	// the flow's terminal state drives tail sampling. All FlowRecorder
 	// methods are nil-safe.
 	fr *obs.FlowRecorder
-	// shard is the detection shard this flow is pinned to (parallel mode).
+	// shard is the detection shard this flow is pinned to.
 	shard int
-	// pending counts queued detection jobs; wait() is the barrier.
-	pending sync.WaitGroup
-	// inflight mirrors pending as a readable count: incremented before
-	// pending.Add, decremented after pending.Done. A zero load means the
-	// barrier is already clear, so waitTimeout can skip its waiter
-	// goroutine on the (common) idle-barrier fast path.
+	// inflight counts the flow's queued jobs that the shard has not
+	// finished; a zero load means the detection barrier is clear. The
+	// forwarding goroutine is the only one that adds to it and the only
+	// one that waits on it.
 	inflight atomic.Int64
+	// drained has one slot. The worker that takes inflight to zero puts a
+	// signal in it if it is empty; a signal left over from an earlier
+	// drain only costs the waiter one more look at inflight.
+	drained chan struct{}
+	// timer bounds barrier waits. It is created by the first wait that has
+	// to block and reused by every later one; only the forwarding
+	// goroutine touches it.
+	timer *time.Timer
 	// degraded marks a fail-open flow whose detection barrier timed out:
 	// it stops enqueueing and forwards unscanned. Only the forwarding
 	// goroutine touches it.
 	degraded bool
 	// blocked is set (once) when a block-action rule matched.
 	blocked atomic.Bool
-	// scratch is the sequential-mode event buffer, reused across batches.
-	scratch []detect.Event
 
 	// Protocol III decryption element state.
 	recovered  bool
@@ -882,10 +840,12 @@ const (
 
 func (mb *Middlebox) newFlow(id uint64, dir Direction, cfg core.Config, keys detect.TokenKeys, idx detect.Index, kill func()) *flow {
 	fl := &flow{
-		id:   id,
-		dir:  dir,
-		cfg:  cfg,
-		kill: kill,
+		id:      id,
+		dir:     dir,
+		cfg:     cfg,
+		kill:    kill,
+		shard:   mb.pool.shardIndex(id, dir),
+		drained: make(chan struct{}, 1),
 		engine: detect.NewEngine(mb.cfg.Ruleset.Ruleset, keys, detect.Config{
 			Mode:     cfg.Mode,
 			Protocol: cfg.Protocol,
@@ -896,62 +856,74 @@ func (mb *Middlebox) newFlow(id uint64, dir Direction, cfg core.Config, keys det
 	if dir == ServerToClient {
 		fl.dirByte = 1
 	}
-	if mb.pool != nil {
-		fl.shard = mb.pool.shardIndex(id, dir)
-	}
 	return fl
 }
 
 // enqueue hands a detection job for this flow to its shard.
 func (fl *flow) enqueue(p *detectPool, job detectJob) {
-	// The submitting goroutine is the only one calling wait(), so the
-	// Add-before-Wait ordering WaitGroup requires holds by program order.
 	fl.inflight.Add(1)
-	fl.pending.Add(1)
 	p.submit(job)
 }
 
-// wait is the detection barrier: it returns once every queued batch of this
-// flow has been scanned and its events dispatched.
-func (fl *flow) wait() {
-	fl.pending.Wait()
+// done marks one of the flow's jobs finished; the shard worker calls it
+// after the job's events are dispatched.
+func (fl *flow) done() {
+	if fl.inflight.Add(-1) == 0 {
+		select {
+		case fl.drained <- struct{}{}:
+		default: // a signal is already waiting
+		}
+	}
 }
 
-// waitTimeout is the bounded barrier: it returns true once the flow's
-// queued batches drain, false if d elapses first. d <= 0 waits forever.
-// A timed-out flow must stop enqueueing (degrade or die) — the abandoned
-// waiter goroutine still holds a pending.Wait and a later Add from zero
-// would race it.
+// waitTimeout is the detection barrier: it returns true once every queued
+// batch of this flow has been scanned and its events dispatched, false if
+// d elapses first. d <= 0 waits forever. A flow whose wait timed out still
+// has jobs queued; barrierWait degrades or kills it, so it enqueues no
+// more, and the worker's later done calls signal nobody.
 func (fl *flow) waitTimeout(d time.Duration) bool {
 	if fl.inflight.Load() == 0 {
 		return true
 	}
-	if d <= 0 {
-		fl.wait()
-		return true
+	var expired <-chan time.Time
+	if d > 0 {
+		if fl.timer == nil {
+			fl.timer = time.NewTimer(d)
+		} else {
+			fl.timer.Reset(d)
+		}
+		defer stopTimer(fl.timer)
+		expired = fl.timer.C
 	}
-	done := make(chan struct{})
-	go func() {
-		fl.pending.Wait()
-		close(done)
-	}()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-done:
-		return true
-	case <-t.C:
-		return false
+	for {
+		select {
+		case <-fl.drained:
+			if fl.inflight.Load() == 0 {
+				return true
+			}
+		case <-expired:
+			return false
+		}
+	}
+}
+
+// stopTimer stops t and empties its channel, so the next Reset starts
+// clean under the pre-Go 1.23 timer rules this module's go directive
+// selects.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
 	}
 }
 
 // forward relays records from src to dst while feeding the token channel to
-// detection. In parallel mode token batches are queued on the flow's shard
-// and only data/close records wait for detection (the barrier); in
-// sequential mode scanning happens inline, as in the paper's per-connection
-// detection threads. Read/write errors here are ordinary teardown (one
-// severed leg kills the other), so they are logged at debug level and not
-// counted as connection errors.
+// detection: token batches are queued on the flow's shard and only
+// data/close records wait for detection (the barrier). Read/write errors
+// here are ordinary teardown (one severed leg kills the other), so they are
+// logged at debug level and not counted as connection errors.
 func (mb *Middlebox) forward(src, dst net.Conn, fl *flow) {
 	fwdStart := time.Now()
 	fwdBytes := 0
@@ -984,14 +956,9 @@ func (mb *Middlebox) forward(src, dst net.Conn, fl *flow) {
 		switch typ {
 		case transport.RecSalt:
 			if len(body) == 8 && !fl.degraded {
-				salt := binary.BigEndian.Uint64(body)
-				if mb.pool != nil {
-					// Resets ride the shard queue so they stay ordered
-					// with the surrounding token batches.
-					fl.enqueue(mb.pool, detectJob{fl: fl, salt: salt, reset: true})
-				} else {
-					fl.engine.Reset(salt)
-				}
+				// Resets ride the shard queue so they stay ordered with the
+				// surrounding token batches.
+				fl.enqueue(mb.pool, detectJob{fl: fl, salt: binary.BigEndian.Uint64(body), reset: true})
 			}
 		case transport.RecTokens:
 			toks, err := transport.UnmarshalTokens(body, fl.cfg.Protocol == dpienc.ProtocolIII)
@@ -1006,17 +973,7 @@ func (mb *Middlebox) forward(src, dst net.Conn, fl *flow) {
 				break
 			}
 			mb.met.tokens.Add(uint64(len(toks)))
-			if mb.pool != nil {
-				fl.enqueue(mb.pool, detectJob{fl: fl, toks: toks})
-			} else {
-				// Inline scan: Shard -1 marks sequential-mode scan spans.
-				scanStart := time.Now()
-				fl.scratch = fl.engine.ScanBatch(toks, fl.scratch[:0])
-				mb.observeScan(fl, scanStart, -1, len(toks))
-				for _, ev := range fl.scratch {
-					mb.dispatchEvent(fl, ev)
-				}
-			}
+			fl.enqueue(mb.pool, detectJob{fl: fl, toks: toks})
 		case transport.RecData:
 			// Detection barrier: the block policy and the probable-cause
 			// element must have seen every token preceding this payload.
@@ -1063,16 +1020,10 @@ func (mb *Middlebox) forward(src, dst net.Conn, fl *flow) {
 // reports whether forwarding may continue. On a barrier timeout it applies
 // the degradation policy: FailOpen marks the flow degraded (the record is
 // then forwarded unscanned and counted) and returns true; FailClosed
-// severs the connection and returns false. The stall is timed in parallel
-// mode only (sequential mode has no queued work; the histogram would only
-// record the clock's noise floor).
+// severs the connection and returns false.
 func (mb *Middlebox) barrierWait(fl *flow) bool {
 	if fl.degraded {
 		// A degraded flow stopped enqueueing; nothing to wait for.
-		return true
-	}
-	if mb.pool == nil {
-		fl.wait()
 		return true
 	}
 	start := time.Now()
@@ -1098,24 +1049,9 @@ func (mb *Middlebox) barrierWait(fl *flow) bool {
 	return false
 }
 
-// seqShardID is the interned Span.Shard value of inline (sequential-mode)
-// scans, so the per-batch span path never allocates a fresh *int.
-var seqShardID = obs.ShardID(-1)
-
-// shardID resolves a shard number to its interned Span.Shard pointer.
-//
-//bb:hotpath
-func (mb *Middlebox) shardID(shard int) *int {
-	if shard < 0 || mb.pool == nil {
-		return seqShardID
-	}
-	return mb.pool.shardLabel(shard)
-}
-
 // observeScan records one ScanBatch in the scan histogram and, when tracing,
-// as a scan span. shard is -1 for inline (sequential-mode) scans. This runs
-// once per token batch on the detection shards — the hottest span-producing
-// path in the process — so it must not allocate.
+// as a scan span. This runs once per token batch on the detection shards —
+// the hottest span-producing path in the process — so it must not allocate.
 //
 //bb:hotpath
 func (mb *Middlebox) observeScan(fl *flow, start time.Time, shard, tokens int) {
@@ -1124,7 +1060,7 @@ func (mb *Middlebox) observeScan(fl *flow, start time.Time, shard, tokens int) {
 	if fl.sink != nil {
 		sp := obs.Span{
 			Flow: fl.id, Dir: string(fl.dir), Party: obs.PartyMB,
-			Name: obs.SpanScan, Shard: mb.shardID(shard),
+			Name: obs.SpanScan, Shard: mb.pool.ids[shard],
 			Start: start.UnixNano(), Dur: int64(dur), Tokens: tokens,
 		}
 		fl.tctx.Child().Stamp(&sp)
@@ -1145,8 +1081,7 @@ func (mb *Middlebox) observeSpan(sink obs.Sink, sp obs.Span, start time.Time, h 
 }
 
 // dispatchEvent reports one detection event and enforces the rule action.
-// It runs on the flow's detection shard (parallel mode) or the forwarding
-// goroutine (sequential mode) — never both concurrently.
+// It runs on the flow's detection shard.
 func (mb *Middlebox) dispatchEvent(fl *flow, ev detect.Event) {
 	mb.met.alerts.Inc()
 	if ev.Kind == detect.RuleMatch {

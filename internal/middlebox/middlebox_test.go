@@ -205,15 +205,18 @@ func TestEndToEndAlertOnAttack(t *testing.T) {
 func TestEndToEndBlockAction(t *testing.T) {
 	h := newHarness(t, `drop tcp any any -> any any (msg:"blocked"; content:"forbidden1"; sid:9;)`, false)
 	conn := h.dial(t, core.DefaultConfig())
-	if _, err := conn.Write([]byte("request containing forbidden1 keyword")); err != nil {
-		t.Fatal(err)
-	}
-	conn.CloseWrite()
-	// The middlebox must sever the connection: the read eventually fails
-	// (either an error or an abrupt EOF without the echo completing).
+	// The middlebox severs a drop flow on the token record that completes
+	// the match, so the data record written behind it, and the close after
+	// that, may meet a socket the middlebox already closed: a failed write
+	// is the sever arriving early, not a test failure. Stats().Blocked
+	// below tells the sever from any other failure.
+	_, _ = conn.Write([]byte("request containing forbidden1 keyword"))
+	_ = conn.CloseWrite()
+	// The read ends in an error or an abrupt EOF; either way no echo may
+	// carry the blocked payload.
 	buf, _ := io.ReadAll(conn)
-	if len(buf) > 0 && bytes.Contains(buf, []byte("forbidden1")) {
-		t.Fatal("blocked payload was fully delivered")
+	if bytes.Contains(buf, []byte("forbidden1")) {
+		t.Fatal("blocked payload was delivered")
 	}
 	waitFor(t, func() bool { return h.mb.Stats().Blocked > 0 })
 }

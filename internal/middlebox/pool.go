@@ -1,13 +1,13 @@
-// Sharded detection worker pool: the concurrency architecture of the
-// middlebox hot path.
+// The detection pool: the concurrency architecture of the middlebox hot
+// path.
 //
 // The paper's middlebox runs one "detection thread" per connection
-// direction (§6); at scale that means thousands of CPU-heavy goroutines
-// thrashing schedulers and caches. Instead, forwarding goroutines stay
-// I/O-bound and hand token *batches* to a small set of detection shards
-// (sized by the internal/tuning calibration by default, resizable at
-// runtime via Middlebox.SetDetectShards). Correctness hinges on two
-// invariants:
+// (§6). Here every flow direction has its own forwarding goroutine, which
+// stays I/O-bound and hands token *batches* to a fixed set of detection
+// shards, one per GOMAXPROCS. Keeping detection off the forwarding
+// goroutine is what lets it stall separately from forwarding, and so what
+// gives Timeouts.Barrier and the fail-open / fail-closed Policy something
+// to act on. Correctness hinges on two invariants:
 //
 //  1. Per-flow pinning. Every flow (connection direction) is pinned to one
 //     shard for its lifetime, so its engine — whose §3.2 fragment counters
@@ -19,24 +19,19 @@
 //
 //  2. Detection barrier. The forwarding goroutine waits for the flow's
 //     queued batches to finish before it forwards a data or close record
-//     (flow.wait). Rule actions (block) and probable-cause decisions
-//     therefore observe every token that preceded the payload, exactly as
-//     in the sequential pipeline; token records themselves are forwarded
-//     without waiting, which is what lets detection of one record overlap
-//     the network read of the next.
+//     (flow.waitTimeout). Rule actions (block) and probable-cause decisions
+//     therefore observe every token that preceded the payload; token
+//     records themselves are forwarded without waiting, which is what lets
+//     detection of one record overlap the network read of the next.
 //
 // Back-pressure: shard queues are bounded channels. A flow whose shard is
 // saturated blocks in submit, which stops it from reading more records —
-// the TCP receive window then pushes back on the sender, exactly like a
-// slow sequential middlebox would.
+// the TCP receive window then pushes back on the sender.
 package middlebox
 
 import (
-	"errors"
-	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/detect"
@@ -44,10 +39,11 @@ import (
 	"repro/internal/obs"
 )
 
-// defaultShardQueue is the default per-shard queue bound, in batches. One
-// batch is one RecTokens record (≤ maxDataRecord bytes of traffic), so the
-// default bounds in-flight detection work per shard to a few MB.
-const defaultShardQueue = 64
+// shardQueueDepth is the per-shard queue bound, in batches. One batch is one
+// RecTokens record (the tokens of at most one 16 KiB data record), so 64
+// bounds the detection work queued on a shard to a few MB while letting a
+// forwarding goroutine read ahead of a briefly busy shard.
+const shardQueueDepth = 64
 
 // detectJob is one unit of shard work: either a token batch or a
 // counter-table reset, always for a single flow.
@@ -59,137 +55,64 @@ type detectJob struct {
 	reset bool
 }
 
-// shardSet is one immutable snapshot of the pool's shards. Resizes
-// publish a fresh snapshot via detectPool.set instead of mutating slices
-// under live submitters; the channels themselves are shared between
-// snapshots, never re-created.
-type shardSet struct {
+// detectPool runs a fixed number of shard workers, each draining its own
+// bounded queue.
+type detectPool struct {
 	chans []chan detectJob
 	// depth[i] gauges the queue occupancy of shard i (batches enqueued and
-	// not yet dequeued), resolved from the registry once at shard start.
+	// not yet dequeued).
 	depth []*obs.Gauge
 	// ids[i] is the interned Span.Shard pointer for shard i, so the
 	// per-batch scan-span path never allocates one.
 	ids []*int
+	wg  sync.WaitGroup
 }
 
-// detectPool fans detection jobs across shard workers. The shard count is
-// resizable at runtime (SetDetectShards): growing starts new workers,
-// shrinking only lowers `active` — flows already pinned to a higher shard
-// keep it for their lifetime (the §3.2 pinning invariant), so drained
-// high shards idle until a grow reuses or close stops them.
-type detectPool struct {
-	mb         *Middlebox
-	queueDepth int
-
-	// set is the current shard snapshot; submit and shardLabel load it
-	// lock-free. It only ever grows.
-	set atomic.Pointer[shardSet]
-	// active is how many shards new flows are pinned across
-	// (active <= len(set.chans) always).
-	active atomic.Int64
-
-	// mu serializes resize and close (never taken on the hot path).
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup
-}
-
-// newDetectPool starts `shards` single-goroutine workers (<= 0 means
-// GOMAXPROCS) with queue depth `depth` (<= 0 means defaultShardQueue).
+// newDetectPool starts `shards` single-goroutine workers, each with a queue
+// of `depth` batches.
 func newDetectPool(mb *Middlebox, shards, depth int) *detectPool {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
+	p := &detectPool{
+		chans: make([]chan detectJob, shards),
+		depth: make([]*obs.Gauge, shards),
+		ids:   make([]*int, shards),
 	}
-	if depth <= 0 {
-		depth = defaultShardQueue
+	for i := range p.chans {
+		p.chans[i] = make(chan detectJob, depth)
+		p.depth[i] = mb.met.shardDepth.With(strconv.Itoa(i))
+		p.ids[i] = obs.ShardID(i)
+		p.wg.Add(1)
+		go p.worker(mb, i)
 	}
-	p := &detectPool{mb: mb, queueDepth: depth}
-	p.set.Store(&shardSet{})
-	p.grow(shards)
-	p.active.Store(int64(shards))
 	return p
 }
 
-// grow publishes a snapshot with at least n shards, starting workers for
-// the new ones. Callers hold p.mu (or are the constructor).
-func (p *detectPool) grow(n int) {
-	old := p.set.Load()
-	if n <= len(old.chans) {
-		return
-	}
-	ns := &shardSet{
-		chans: append([]chan detectJob(nil), old.chans...),
-		depth: append([]*obs.Gauge(nil), old.depth...),
-		ids:   append([]*int(nil), old.ids...),
-	}
-	for i := len(old.chans); i < n; i++ {
-		ch := make(chan detectJob, p.queueDepth)
-		ns.chans = append(ns.chans, ch)
-		ns.depth = append(ns.depth, p.mb.met.shardDepth.With(strconv.Itoa(i)))
-		ns.ids = append(ns.ids, obs.ShardID(i))
-		p.wg.Add(1)
-		go p.worker(p.mb, i, ns.depth[i], ch)
-	}
-	p.set.Store(ns)
-}
-
-// errPoolClosed reports a resize attempted after Close began.
-var errPoolClosed = errors.New("middlebox: detection pool closed")
-
-// resize changes the number of shards new flows are pinned across.
-// Existing flows keep their shard — moving a flow would let two workers
-// touch its engine and break the §3.2 counter-ordering invariant — so a
-// shrink takes effect as pinned flows finish.
-func (p *detectPool) resize(n int) error {
-	if n < 1 {
-		n = 1
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return errPoolClosed
-	}
-	p.grow(n)
-	p.active.Store(int64(n))
-	return nil
-}
-
-// shardIndex pins a flow to a shard among the currently active ones. Both
-// directions of one connection land on different shards when possible, so
-// a single busy connection can use two cores.
+// shardIndex pins a flow to a shard. Both directions of one connection land
+// on different shards when there is more than one, so a single busy
+// connection can use two cores.
 func (p *detectPool) shardIndex(connID uint64, dir Direction) int {
 	i := connID * 2
 	if dir == ServerToClient {
 		i++
 	}
-	return int(i % uint64(p.active.Load()))
-}
-
-// shardLabel resolves a shard to its interned Span.Shard pointer.
-func (p *detectPool) shardLabel(shard int) *int {
-	return p.set.Load().ids[shard]
+	return int(i % uint64(len(p.chans)))
 }
 
 // submit enqueues a job on the flow's shard. It blocks when the shard queue
-// is full — that is the back-pressure policy. The flow's pending count must
-// already be incremented (flow.enqueue does both). The loaded snapshot
-// always covers fl.shard: snapshots only grow, and the flow was pinned
-// against a snapshot at least as old.
+// is full — that is the back-pressure policy. The flow's in-flight count
+// must already be incremented (flow.enqueue does both).
 func (p *detectPool) submit(job detectJob) {
-	set := p.set.Load()
-	set.depth[job.fl.shard].Add(1)
-	set.chans[job.fl.shard] <- job
+	p.depth[job.fl.shard].Add(1)
+	p.chans[job.fl.shard] <- job
 }
 
 // worker drains one shard. The events scratch buffer is reused across
 // batches, so steady-state detection allocates only on matches that grow
 // it.
-func (p *detectPool) worker(mb *Middlebox, shard int, depth *obs.Gauge, ch chan detectJob) {
+func (p *detectPool) worker(mb *Middlebox, shard int) {
 	defer p.wg.Done()
 	var scratch []detect.Event
-	for job := range ch {
-		depth.Add(-1)
+	for job := range p.chans[shard] {
+		p.depth[shard].Add(-1)
 		fl := job.fl
 		if job.reset {
 			fl.engine.Reset(job.salt)
@@ -201,22 +124,16 @@ func (p *detectPool) worker(mb *Middlebox, shard int, depth *obs.Gauge, ch chan 
 				mb.dispatchEvent(fl, ev)
 			}
 		}
-		// Done before the inflight decrement: a zero inflight load must
-		// imply the pending counter already drained (flow.waitTimeout's
-		// fast path relies on that order).
-		fl.pending.Done()
-		fl.inflight.Add(-1)
+		// After the events are dispatched: a flow with nothing in flight
+		// has seen every alert of every batch it queued.
+		fl.done()
 	}
 }
 
 // close shuts the shard queues and waits for the workers to drain every
 // queued job — the graceful-drain half of Middlebox.Close.
 func (p *detectPool) close() {
-	p.mu.Lock()
-	p.closed = true
-	set := p.set.Load()
-	p.mu.Unlock()
-	for _, ch := range set.chans {
+	for _, ch := range p.chans {
 		close(ch)
 	}
 	p.wg.Wait()

@@ -8,8 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bbcrypto"
 	"repro/internal/core"
 	"repro/internal/detect"
+	"repro/internal/dpienc"
+	"repro/internal/rules"
 	"repro/internal/transport"
 )
 
@@ -156,38 +159,11 @@ func TestCloseDrainsAndRejectsNewConns(t *testing.T) {
 	}
 }
 
-// TestSequentialConfigDisablesPool checks the conformance escape hatch: a
-// Sequential middlebox has no shards yet detects identically.
-func TestSequentialConfigDisablesPool(t *testing.T) {
-	h := newHarnessSequential(t, `alert tcp any any -> any any (msg:"kw"; content:"attackkw"; sid:7;)`)
-	if h.mb.pool != nil {
-		t.Fatal("Sequential config built a detection pool")
-	}
-	conn := h.dial(t, core.DefaultConfig())
-	if _, err := conn.Write([]byte("payload with attackkw inside")); err != nil {
-		t.Fatal(err)
-	}
-	conn.CloseWrite()
-	if _, err := io.ReadAll(conn); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool {
-		for _, a := range h.snapshot() {
-			if a.Event.Kind == detect.RuleMatch && a.Event.Rule.SID == 7 {
-				return true
-			}
-		}
-		return false
-	})
-}
-
 // TestShardIndexPinsFlows sanity-checks the pinning function: stable per
 // flow, spread across shards, directions of one connection separated when
 // more than one shard exists.
 func TestShardIndexPinsFlows(t *testing.T) {
-	p := &detectPool{}
-	p.set.Store(&shardSet{chans: make([]chan detectJob, 4)})
-	p.active.Store(4)
+	p := &detectPool{chans: make([]chan detectJob, 4)}
 	for id := uint64(1); id < 100; id++ {
 		a := p.shardIndex(id, ClientToServer)
 		if a != p.shardIndex(id, ClientToServer) {
@@ -203,14 +179,105 @@ func TestShardIndexPinsFlows(t *testing.T) {
 	}
 }
 
+// newPoolFlow builds a middlebox on a one-rule ruleset ("attackkw", sid 7)
+// with the given OnAlert, and one client-to-server flow on it without
+// sockets. It also returns two token batches of that flow's stream, as its
+// sender would have encrypted them: hit carries the keyword, miss does not.
+func newPoolFlow(t *testing.T, onAlert func(Alert)) (mb *Middlebox, fl *flow, hit, miss []dpienc.EncryptedToken) {
+	t.Helper()
+	g, err := rules.NewGenerator("PoolRG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := rules.Parse("pool", `alert tcp any any -> any any (msg:"kw"; content:"attackkw"; sid:7;)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, err = New(Config{Ruleset: g.Sign(rs), OnAlert: onAlert})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mb.Close() })
+	cfg := core.DefaultConfig()
+	keys := bbcrypto.DeriveSessionKeys([]byte("pool test"))
+	fl = mb.newFlow(1, ClientToServer, cfg, core.DirectTokenKeys(keys.K, rs, cfg.Mode), nil, func() {})
+	pipe := core.NewSenderPipeline(keys, cfg)
+	hit, _ = pipe.ProcessText([]byte("a request carrying attackkw onward, "))
+	miss, _ = pipe.ProcessText([]byte("and then plain words travelling through, "))
+	if len(hit) == 0 || len(miss) == 0 {
+		t.Fatal("empty token batch")
+	}
+	return mb, fl, hit, miss
+}
+
+// TestSubmitBlocksOnFullQueue pins the back-pressure policy: with a shard
+// stalled in OnAlert and its queue full, the next submit blocks, the
+// barrier stays shut, and releasing the shard drains every queued batch.
+func TestSubmitBlocksOnFullQueue(t *testing.T) {
+	entered := make(chan struct{}, 8)
+	gate := make(chan struct{})
+	var alerts atomic.Int64
+	mb, fl, hit, miss := newPoolFlow(t, func(Alert) {
+		entered <- struct{}{}
+		<-gate
+		alerts.Add(1)
+	})
+	p := newDetectPool(mb, 1, 1)
+	fl.shard = p.shardIndex(fl.id, fl.dir)
+
+	fl.enqueue(p, detectJob{fl: fl, toks: hit})
+	<-entered                                    // the worker holds the hit batch, stalled
+	fl.enqueue(p, detectJob{fl: fl, toks: miss}) // fills the one-batch queue
+	submitted := make(chan struct{})
+	go func() {
+		fl.enqueue(p, detectJob{fl: fl, toks: miss})
+		close(submitted)
+	}()
+	select {
+	case <-submitted:
+		t.Fatal("submit returned while the shard's queue was full")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if fl.waitTimeout(10 * time.Millisecond) {
+		t.Fatal("detection barrier cleared with a stalled batch in flight")
+	}
+
+	close(gate)
+	<-submitted
+	if !fl.waitTimeout(0) {
+		t.Fatal("unbounded barrier wait returned false")
+	}
+	if n := fl.inflight.Load(); n != 0 {
+		t.Fatalf("%d jobs in flight after the barrier cleared", n)
+	}
+	p.close()
+	if alerts.Load() == 0 {
+		t.Fatal("the hit batch raised no alert")
+	}
+}
+
+// TestBarrierAllocatesNothing pins the per-record cost of the detection
+// barrier: once the flow's timer exists, queueing a batch and waiting for
+// it allocates nothing — no goroutine, channel or timer per wait.
+func TestBarrierAllocatesNothing(t *testing.T) {
+	mb, fl, _, miss := newPoolFlow(t, nil)
+	roundTrip := func() {
+		fl.enqueue(mb.pool, detectJob{fl: fl, toks: miss})
+		if !fl.waitTimeout(time.Minute) {
+			t.Fatal("barrier timed out")
+		}
+	}
+	// The first wait that has to block creates the timer.
+	for fl.timer == nil {
+		roundTrip()
+	}
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+		t.Fatalf("enqueue + barrier wait: %v allocs, want 0", allocs)
+	}
+}
+
 // newHarnessWithAlert is newHarness with a custom OnAlert callback.
 func newHarnessWithAlert(t *testing.T, rulesText string, onAlert func(Alert)) *harness {
 	t.Helper()
 	return newHarnessConfigured(t, rulesText, func(cfg *Config) { cfg.OnAlert = onAlert })
-}
-
-// newHarnessSequential is newHarness with the sequential (poolless) pipeline.
-func newHarnessSequential(t *testing.T, rulesText string) *harness {
-	t.Helper()
-	return newHarnessConfigured(t, rulesText, func(cfg *Config) { cfg.Sequential = true })
 }

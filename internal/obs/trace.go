@@ -74,9 +74,9 @@ const (
 // emitting party (middlebox conn ID, or a transport-local sequence number
 // on endpoints) — only TraceID joins parties. Dir is "c2s", "s2c" (data
 // direction), "client"/"server" (which middlebox prep leg), or empty for
-// connection-level spans. Shard is the detection shard for scan spans
-// (-1 when scanning ran inline on the forwarding goroutine) and nil for
-// every other span — a pointer so shard 0 survives JSON round-trips.
+// connection-level spans. Shard is the detection shard for scan spans and
+// nil for every other span — a pointer so shard 0 survives JSON
+// round-trips.
 type Span struct {
 	// TraceID is the 32-hex-digit flow trace ID shared across parties
 	// (empty when tracing context was not negotiated).

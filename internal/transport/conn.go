@@ -41,15 +41,6 @@ type ConnConfig struct {
 	Core core.Config
 	// RG is the installed rule-generator material.
 	RG RGMaterial
-	// EncryptWorkers fans the stateless AES step of outgoing token
-	// encryption across this many goroutines. 0 (the default) self-tunes:
-	// a cached calibration pass (internal/tuning) picks the worker count
-	// and the batch size below which fan-out falls back to sequential, so
-	// parallel is never slower than sequential. 1 forces everything onto
-	// the writing goroutine; > 1 forces that worker count; negative means
-	// GOMAXPROCS. The on-wire token stream is byte-identical in every
-	// case — only the sender's CPU use changes.
-	EncryptWorkers int
 	// Timeouts bounds the connection's blocking network steps; the zero
 	// value selects DefaultTimeouts (see Timeouts for the per-step
 	// semantics and NoTimeout for disabling a step's deadline).
@@ -348,11 +339,6 @@ func (c *Conn) runHandshake() error {
 	c.keys = bbcrypto.DeriveSessionKeys(k0)
 	c.aead = bbcrypto.NewGCM(c.keys.KSSL)
 	c.pipe = core.NewSenderPipeline(c.keys, c.cfg.Core)
-	if c.cfg.EncryptWorkers == 0 {
-		c.pipe.AutoTune()
-	} else if c.cfg.EncryptWorkers != 1 {
-		c.pipe.SetParallelism(c.cfg.EncryptWorkers)
-	}
 	c.validator = core.NewValidator(c.keys, c.cfg.Core)
 
 	if c.mbPresent {

@@ -1,206 +1,42 @@
-// Command benchgate guards against performance regressions in the
-// batched/parallel pipeline. It reads a freshly generated BENCH_pipeline.json
-// and fails when tokens/sec fell more than the tolerance below the
-// checked-in baseline (scripts/bench_baseline.json).
+// Command benchgate enforces the contracts of two experiment reports:
 //
-// Two layers of checks:
+//	go run ./scripts/benchgate -scenarios BENCH_scenarios.json -design DESIGN.md
+//	go run ./scripts/benchgate -obs BENCH_obs.json
 //
-//  1. Same-run invariants, valid on any host: the batched detection path
-//     and the parallel encryption path must not be slower than their
-//     per-token/sequential forms beyond a looser allowance (they measure
-//     the same work in the same process, so only scheduling noise
-//     separates them).
-//  2. Cross-run comparison against the baseline, applied only when the
-//     baseline was recorded on a matching host (same core count) —
-//     absolute tokens/sec on different hardware is not comparable.
-//  3. Per-core-count floors over the GOMAXPROCS scaling matrix: rows the
-//     host can genuinely parallelize must keep encrypt_speedup >= 1.0 and
-//     detect_par_speedup >= 1.0 (>= 1.2 from four procs up) — the
-//     self-tuning fan-out promises parallel is never slower than
-//     sequential. Matrix rows also diff against baseline rows with the
-//     same GOMAXPROCS value.
-//
-// BENCH_TOLERANCE overrides the default 0.15 (15%) cross-run tolerance.
+// -scenarios holds the adversarial-conformance result (every MustDetect case
+// caught, no undeclared miss, no false alert, every miss class documented);
+// -obs holds the flight recorder's overhead budget. Exactly one is required.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
 )
 
-// allocCeiling is the host-independent allocs/token ceiling for the
-// steady-state hot paths: effectively zero, with headroom for O(1)
-// bookkeeping per multi-million-token pass.
+// allocCeiling is the host-independent allocs/span ceiling for the flight
+// recorder's steady-state record path: effectively zero, with headroom for
+// O(1) bookkeeping per pass.
 const allocCeiling = 0.01
 
-// allocSlack is the absolute slack added to the cross-run allocation
-// comparison (a zero baseline would otherwise forbid any allocation ever).
-const allocSlack = 0.005
-
 func main() {
-	current := flag.String("current", "BENCH_pipeline.json", "freshly generated pipeline result")
-	baseline := flag.String("baseline", "scripts/bench_baseline.json", "checked-in baseline result")
-	scenarios := flag.String("scenarios", "", "gate a BENCH_scenarios.json instead of the pipeline result")
-	obsPath := flag.String("obs", "", "gate a BENCH_obs.json (flight-recorder overhead) instead of the pipeline result")
+	scenarios := flag.String("scenarios", "", "gate a BENCH_scenarios.json")
+	obsPath := flag.String("obs", "", "gate a BENCH_obs.json (flight-recorder overhead)")
 	design := flag.String("design", "DESIGN.md", "design doc that must enumerate every documented miss class")
 	flag.Parse()
 
-	if *scenarios != "" {
+	switch {
+	case *scenarios != "":
 		gateScenarios(*scenarios, *design)
-		return
-	}
-	if *obsPath != "" {
+	case *obsPath != "":
 		gateObs(*obsPath)
-		return
-	}
-
-	tol := 0.15
-	if v := os.Getenv("BENCH_TOLERANCE"); v != "" {
-		parsed, err := strconv.ParseFloat(v, 64)
-		if err != nil || parsed < 0 || parsed >= 1 {
-			fmt.Fprintf(os.Stderr, "benchgate: bad BENCH_TOLERANCE %q\n", v)
-			os.Exit(2)
-		}
-		tol = parsed
-	}
-
-	cur, err := experiments.ReadPipelineJSON(*current)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
+	default:
+		fmt.Fprintln(os.Stderr, "benchgate: one of -scenarios or -obs is required")
 		os.Exit(2)
 	}
-
-	failed := false
-	check := func(name string, got, min float64) {
-		if got < min {
-			failed = true
-			fmt.Printf("FAIL %-44s %.3g < %.3g\n", name, got, min)
-		} else {
-			fmt.Printf("ok   %-44s %.3g >= %.3g\n", name, got, min)
-		}
-	}
-	checkMax := func(name string, got, max float64) {
-		if got > max {
-			failed = true
-			fmt.Printf("FAIL %-44s %.3g > %.3g\n", name, got, max)
-		} else {
-			fmt.Printf("ok   %-44s %.3g <= %.3g\n", name, got, max)
-		}
-	}
-
-	// Same-run invariants. The allowance is looser than the cross-run
-	// tolerance: these compare two timings taken seconds apart, so pure
-	// scheduler noise is the dominant error.
-	sameRun := tol + 0.10
-	check("detect batch/per-token speedup", cur.DetectBatchSpeedup, 1-sameRun)
-	check("encrypt parallel/sequential speedup", cur.EncryptSpeedup, 1-sameRun)
-	// Metrics must be noise: the instrumented batched path may not fall
-	// below the uninstrumented one beyond scheduler jitter. Skipped for
-	// results recorded before the instrumented stage existed (value 0).
-	if cur.DetectObsSpeedup > 0 {
-		check("detect instrumented/batch speedup", cur.DetectObsSpeedup, 1-sameRun)
-	}
-	// Tracing must be noise too: one span per batch into an enabled JSONL
-	// sink may not drag the batched path down beyond scheduler jitter.
-	// Skipped for results recorded before the traced stage existed.
-	if cur.DetectTraceSpeedup > 0 {
-		check("detect traced/batch speedup", cur.DetectTraceSpeedup, 1-sameRun)
-	}
-	// Allocation ceilings, valid on any host: the steady-state batch
-	// encrypt and batched detect hot paths are written to allocate nothing
-	// per token (//bb:hotpath enforces the constructs statically; this
-	// catches what escapes the lint, e.g. map growth). The ceiling leaves
-	// room for O(1)-per-pass bookkeeping amortized over millions of tokens.
-	if cur.AllocsMeasured {
-		checkMax("encrypt steady-state allocs/token", cur.EncryptAllocsPerToken, allocCeiling)
-		checkMax("detect steady-state allocs/token", cur.DetectAllocsPerToken, allocCeiling)
-	}
-	// Per-core-count speedup floors over the scaling matrix: "parallel is
-	// never slower than sequential" is a hard promise of the self-tuning
-	// fan-out, so rows the host can genuinely parallelize (enough cores,
-	// more than one proc) must clear strict floors, and detection must
-	// actually scale once four procs are available. Oversubscribed or
-	// single-proc rows tune to the sequential fallback, where tuned and
-	// sequential run the same code and only scheduler noise separates them.
-	for _, row := range cur.Matrix {
-		name := func(metric string) string {
-			return fmt.Sprintf("matrix gmp=%d %s", row.GoMaxProcs, metric)
-		}
-		// Single-proc and oversubscribed rows tune to the sequential
-		// fallback: tuned and sequential run the same code, the parallel
-		// detect number additionally pays the cache pressure of draining
-		// many engines on one core, and GOMAXPROCS above the core count
-		// adds scheduler jitter on top. Only a catastrophe floor is
-		// meaningful there.
-		encFloor, detFloor := 0.5, 0.5
-		if row.Cores >= row.GoMaxProcs && row.GoMaxProcs > 1 {
-			encFloor, detFloor = 1.0, 1.0
-			if row.GoMaxProcs >= 4 {
-				detFloor = 1.2
-			}
-		}
-		check(name("encrypt tuned/seq speedup"), row.EncryptSpeedup, encFloor)
-		check(name("detect par/seq speedup"), row.DetectParSpeedup, detFloor)
-		checkMax(name("encrypt allocs/token"), row.EncryptAllocsPerToken, allocCeiling)
-		checkMax(name("detect allocs/token"), row.DetectAllocsPerToken, allocCeiling)
-	}
-
-	base, err := experiments.ReadPipelineJSON(*baseline)
-	switch {
-	case err != nil:
-		fmt.Printf("benchgate: no usable baseline (%v); cross-run comparison skipped\n", err)
-	case base.Cores != cur.Cores || base.GoMaxProcs != cur.GoMaxProcs:
-		fmt.Printf("benchgate: baseline host (%d cores, GOMAXPROCS %d) != this host (%d, %d); cross-run comparison skipped\n",
-			base.Cores, base.GoMaxProcs, cur.Cores, cur.GoMaxProcs)
-	case base.Rules != cur.Rules || base.TrafficBytes != cur.TrafficBytes || base.Mode != cur.Mode:
-		fmt.Printf("benchgate: baseline corpus (%d rules, %d bytes, %s) != current (%d, %d, %s); cross-run comparison skipped\n",
-			base.Rules, base.TrafficBytes, base.Mode, cur.Rules, cur.TrafficBytes, cur.Mode)
-	default:
-		floor := 1 - tol
-		check("detect per-token tokens/sec vs baseline", cur.DetectSeqTokensPerSec, floor*base.DetectSeqTokensPerSec)
-		check("detect batch tokens/sec vs baseline", cur.DetectBatchTokensPerSec, floor*base.DetectBatchTokensPerSec)
-		check("detect parallel tokens/sec vs baseline", cur.DetectParTokensPerSec, floor*base.DetectParTokensPerSec)
-		check("encrypt sequential tokens/sec vs baseline", cur.EncryptSeqTokensPerSec, floor*base.EncryptSeqTokensPerSec)
-		check("encrypt parallel tokens/sec vs baseline", cur.EncryptParTokensPerSec, floor*base.EncryptParTokensPerSec)
-		// Allocation regression: only when both sides carry the audit.
-		if base.AllocsMeasured && cur.AllocsMeasured {
-			checkMax("encrypt allocs/token vs baseline", cur.EncryptAllocsPerToken, base.EncryptAllocsPerToken*(1+tol)+allocSlack)
-			checkMax("detect allocs/token vs baseline", cur.DetectAllocsPerToken, base.DetectAllocsPerToken*(1+tol)+allocSlack)
-		}
-		// Matrix rows diff against the baseline row with the same
-		// GOMAXPROCS value (the host already matched above); rows present
-		// on only one side are skipped rather than failed, so widening or
-		// narrowing the matrix does not spuriously trip the gate.
-		baseRows := make(map[int]experiments.MatrixRow, len(base.Matrix))
-		for _, r := range base.Matrix {
-			baseRows[r.GoMaxProcs] = r
-		}
-		for _, r := range cur.Matrix {
-			b, ok := baseRows[r.GoMaxProcs]
-			if !ok {
-				fmt.Printf("benchgate: baseline has no matrix row for GOMAXPROCS %d; row skipped\n", r.GoMaxProcs)
-				continue
-			}
-			name := func(metric string) string {
-				return fmt.Sprintf("matrix gmp=%d %s vs baseline", r.GoMaxProcs, metric)
-			}
-			check(name("encrypt tuned tokens/sec"), r.EncryptTunedTokensPerSec, floor*b.EncryptTunedTokensPerSec)
-			check(name("detect par tokens/sec"), r.DetectParTokensPerSec, floor*b.DetectParTokensPerSec)
-			checkMax(name("encrypt allocs/token"), r.EncryptAllocsPerToken, b.EncryptAllocsPerToken*(1+tol)+allocSlack)
-			checkMax(name("detect allocs/token"), r.DetectAllocsPerToken, b.DetectAllocsPerToken*(1+tol)+allocSlack)
-		}
-	}
-
-	if failed {
-		fmt.Println("benchgate: REGRESSION (rerun on an idle machine, or refresh the baseline with scripts/bench.sh update)")
-		os.Exit(1)
-	}
-	fmt.Println("benchgate: ok")
 }
 
 // obsOverheadFloor is the tracing budget from DESIGN.md §8: a

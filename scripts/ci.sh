@@ -2,7 +2,7 @@
 # ci.sh — the full BlindBox verification gate, runnable locally or in CI.
 #
 #   scripts/ci.sh            # everything: vet, build, bblint, tests, race, fuzz smoke
-#   scripts/ci.sh quick      # vet + build + bblint + unit tests (root and benchmark modules) + F's gate count + sender pipeline rows only
+#   scripts/ci.sh quick      # vet + build + bblint + unit tests (root and benchmark modules) + F's gate count + sender pipeline rows + line counts only
 #
 # Every stage uses only the Go toolchain; the module has no dependencies.
 set -euo pipefail
@@ -53,6 +53,11 @@ go test -run '^$' -bench '^BenchmarkGarbleF$' -benchtime 1x . | grep '^Benchmark
 step "sender pipeline: ns/B and ns/token, delimiter P2 and window P3"
 go test -run '^$' -bench '^BenchmarkSenderStagePipeline$' -benchtime 1x . | grep '^BenchmarkSenderStagePipeline'
 
+# Go lines per package, non-test and test, so a change's effect on the
+# code's size is one number in this log.
+step "lines of Go per package"
+scripts/loc.sh
+
 if [ "$MODE" = "quick" ]; then
     echo "quick gate passed."
     exit 0
@@ -93,6 +98,13 @@ GOARCH=arm64 go build ./...
 
 step "go test -race"
 go test -race ./...
+
+# The middlebox's detection pool has GOMAXPROCS shards, so on one core it
+# is a single shard that every flow shares: run the middlebox tests and the
+# suites that stall a shard on purpose there too.
+step "one-proc middlebox (GOMAXPROCS=1)"
+GOMAXPROCS=1 go test ./internal/middlebox
+GOMAXPROCS=1 go test -run 'TestChaos|TestFleet' .
 
 # Chaos suite under the race detector: every injected fault (stall, reset,
 # corruption, truncation) must end in a clean typed outcome, never a hang —
