@@ -7,6 +7,8 @@
 package middlebox
 
 import (
+	"bufio"
+	"crypto/cipher"
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
@@ -368,6 +370,16 @@ func (mb *Middlebox) Interpose(client, server net.Conn) error {
 	return err
 }
 
+// leg is one side of a proxied connection: the socket, and the one reader
+// every record from it goes through, from the hello on — a reader placed in
+// front of a later phase would lose what an earlier one read ahead.
+type leg struct {
+	conn net.Conn
+	rd   *bufio.Reader
+}
+
+func newLeg(c net.Conn) *leg { return &leg{conn: c, rd: bufio.NewReaderSize(c, transport.BufSize)} }
+
 func (mb *Middlebox) interpose(id uint64, client, server net.Conn) (retErr error) {
 	// 1. Handshake interposition: mark MBPresent both ways, bounded by the
 	// handshake deadline on both legs. When tracing, the client's trace
@@ -376,8 +388,9 @@ func (mb *Middlebox) interpose(id uint64, client, server net.Conn) (retErr error
 	// roots the trace itself and injects the context into the forwarded
 	// hello so the server can still join (DESIGN.md §8).
 	hsStart := time.Now()
+	cl, sv := newLeg(client), newLeg(server)
 	setDeadline(deadlineFor(mb.tmo.Handshake), client, server)
-	hello, flowCtx, ownRoot, head, err := mb.interposeHello(client, server)
+	hello, flowCtx, ownRoot, head, err := mb.interposeHello(cl, sv)
 	setDeadline(time.Time{}, client, server)
 	if err != nil {
 		return mb.stepTimeout(id, "handshake", err)
@@ -449,11 +462,11 @@ func (mb *Middlebox) interpose(id uint64, client, server net.Conn) (retErr error
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		jobsC, labelsC, prepErr[0] = mb.runPrepRetry(id, client, prep, prepCtx, "client", sink, fr)
+		jobsC, labelsC, prepErr[0] = mb.runPrepRetry(id, cl, prep, prepCtx, "client", sink, fr)
 	}()
 	go func() {
 		defer wg.Done()
-		jobsS, labelsS, prepErr[1] = mb.runPrepRetry(id, server, prep, prepCtx, "server", sink, fr)
+		jobsS, labelsS, prepErr[1] = mb.runPrepRetry(id, sv, prep, prepCtx, "server", sink, fr)
 	}()
 	wg.Wait()
 	for _, e := range prepErr {
@@ -474,8 +487,8 @@ func (mb *Middlebox) interpose(id uint64, client, server net.Conn) (retErr error
 		keys[req.Fragments[i]] = key
 	}
 
-	for _, leg := range []net.Conn{client, server} {
-		if err := mb.writeRecordT(leg, transport.RecGarble, []byte{transport.SubPrepDone}); err != nil {
+	for _, c := range []net.Conn{client, server} {
+		if err := mb.writeRecordT(c, transport.RecGarble, []byte{transport.SubPrepDone}); err != nil {
 			return mb.stepTimeout(id, "write", err)
 		}
 	}
@@ -511,14 +524,16 @@ func (mb *Middlebox) interpose(id uint64, client, server net.Conn) (retErr error
 	flS.tctx = flowCtx.Child()
 	flC.sink, flC.fr = sink, fr
 	flS.sink, flS.fr = sink, fr
-	go func() {
+	// The error that ends a direction is ordinary teardown — a severed leg
+	// kills the other — so it is logged, not counted as a connection error.
+	fwd := func(src *leg, dst net.Conn, fl *flow) {
 		defer fwdWG.Done()
-		mb.forward(client, server, flC)
-	}()
-	go func() {
-		defer fwdWG.Done()
-		mb.forward(server, client, flS)
-	}()
+		if err := mb.forward(src, dst, fl); err != nil && !errors.Is(err, io.EOF) {
+			mb.log.Debug("forwarding ended", "conn", id, "dir", fl.dir, "err", err)
+		}
+	}
+	go fwd(cl, server, flC)
+	go fwd(sv, client, flS)
 	fwdWG.Wait()
 	return nil
 }
@@ -535,7 +550,7 @@ func (mb *Middlebox) interpose(id uint64, client, server net.Conn) (retErr error
 // head-sampling decision: adopted from the client's hello when present,
 // otherwise taken by the middlebox's recorder and injected into the
 // forwarded hello so the server agrees.
-func (mb *Middlebox) interposeHello(client, server net.Conn) (transport.Hello, obs.SpanCtx, bool, bool, error) {
+func (mb *Middlebox) interposeHello(client, server *leg) (transport.Hello, obs.SpanCtx, bool, bool, error) {
 	var (
 		flowCtx obs.SpanCtx
 		ownRoot bool
@@ -544,7 +559,7 @@ func (mb *Middlebox) interposeHello(client, server net.Conn) (transport.Hello, o
 	fail := func(err error) (transport.Hello, obs.SpanCtx, bool, bool, error) {
 		return transport.Hello{}, obs.SpanCtx{}, false, false, err
 	}
-	typ, body, err := transport.ReadRecord(client)
+	typ, body, err := transport.ReadRecord(client.rd)
 	if err != nil {
 		return fail(err)
 	}
@@ -579,10 +594,10 @@ func (mb *Middlebox) interposeHello(client, server net.Conn) (transport.Hello, o
 	if err := transport.SetMBPresent(body); err != nil {
 		return fail(err)
 	}
-	if err := transport.WriteRecord(server, transport.RecHello, body); err != nil {
+	if err := transport.WriteRecord(server.conn, transport.RecHello, body); err != nil {
 		return fail(err)
 	}
-	typ, body, err = transport.ReadRecord(server)
+	typ, body, err = transport.ReadRecord(server.rd)
 	if err != nil {
 		return fail(err)
 	}
@@ -592,7 +607,7 @@ func (mb *Middlebox) interposeHello(client, server net.Conn) (transport.Hello, o
 	if err := transport.SetMBPresent(body); err != nil {
 		return fail(err)
 	}
-	if err := transport.WriteRecord(client, transport.RecHelloReply, body); err != nil {
+	if err := transport.WriteRecord(client.conn, transport.RecHelloReply, body); err != nil {
 		return fail(err)
 	}
 	return hello, flowCtx, ownRoot, head, nil
@@ -602,7 +617,7 @@ func (mb *Middlebox) interposeHello(client, server net.Conn) (transport.Hello, o
 // Config.PrepRetry: each attempt restarts from SubPrepStart (the
 // endpoint's preparation loop is restartable) with a fresh Timeouts.Prep
 // deadline. Retries are counted (obs.MBRetriesTotal, op=prep) and logged.
-func (mb *Middlebox) runPrepRetry(id uint64, leg net.Conn, prep *ruleprep.Middlebox, prepCtx obs.SpanCtx, legName string, sink obs.Sink, fr *obs.FlowRecorder) ([]*ruleprep.FragmentJob, [][]bbcrypto.Block, error) {
+func (mb *Middlebox) runPrepRetry(id uint64, l *leg, prep *ruleprep.Middlebox, prepCtx obs.SpanCtx, legName string, sink obs.Sink, fr *obs.FlowRecorder) ([]*ruleprep.FragmentJob, [][]bbcrypto.Block, error) {
 	var (
 		jobs   []*ruleprep.FragmentJob
 		labels [][]bbcrypto.Block
@@ -619,10 +634,10 @@ func (mb *Middlebox) runPrepRetry(id uint64, leg net.Conn, prep *ruleprep.Middle
 		}
 	}
 	err := pol.Do(nil, func(int) error {
-		setDeadline(deadlineFor(mb.tmo.Prep), leg)
-		defer setDeadline(time.Time{}, leg)
+		setDeadline(deadlineFor(mb.tmo.Prep), l.conn)
+		defer setDeadline(time.Time{}, l.conn)
 		var aerr error
-		jobs, labels, aerr = mb.runPrep(id, leg, prep, prepCtx, legName, sink)
+		jobs, labels, aerr = mb.runPrep(id, l, prep, prepCtx, legName, sink)
 		return aerr
 	})
 	return jobs, labels, err
@@ -641,7 +656,7 @@ func (mb *Middlebox) writeRecordT(c net.Conn, typ transport.RecordType, body []b
 // (garbled rows + endpoint-label transfer, which includes the wait for the
 // endpoint's garbling), ot_base (base-OT round) and ot_ext (IKNP extension
 // + unmask) — all children of the flow's prep span, Dir marking the leg.
-func (mb *Middlebox) runPrep(id uint64, leg net.Conn, prep *ruleprep.Middlebox, prepCtx obs.SpanCtx, legName string, sink obs.Sink) ([]*ruleprep.FragmentJob, [][]bbcrypto.Block, error) {
+func (mb *Middlebox) runPrep(id uint64, l *leg, prep *ruleprep.Middlebox, prepCtx obs.SpanCtx, legName string, sink obs.Sink) ([]*ruleprep.FragmentJob, [][]bbcrypto.Block, error) {
 	emit := func(name string, start time.Time, fill func(*obs.Span)) {
 		if sink == nil {
 			return
@@ -660,14 +675,14 @@ func (mb *Middlebox) runPrep(id uint64, leg net.Conn, prep *ruleprep.Middlebox, 
 	start := make([]byte, 5)
 	start[0] = transport.SubPrepStart
 	binary.BigEndian.PutUint32(start[1:], uint32(n))
-	if err := transport.WriteRecord(leg, transport.RecGarble, start); err != nil {
+	if err := transport.WriteRecord(l.conn, transport.RecGarble, start); err != nil {
 		return nil, nil, err
 	}
 	labStart := time.Now()
 	var labBytes, labGates, labRows int
 
 	readSub := func(want byte) ([]byte, error) {
-		typ, body, err := transport.ReadRecord(leg)
+		typ, body, err := transport.ReadRecord(l.rd)
 		if err != nil {
 			return nil, err
 		}
@@ -719,7 +734,7 @@ func (mb *Middlebox) runPrep(id uint64, leg net.Conn, prep *ruleprep.Middlebox, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := transport.WriteRecord(leg, transport.RecGarble,
+	if err := transport.WriteRecord(l.conn, transport.RecGarble,
 		append([]byte{transport.SubOTMsgA}, transport.MarshalByteSlices(msgAs)...)); err != nil {
 		return nil, nil, err
 	}
@@ -741,7 +756,7 @@ func (mb *Middlebox) runPrep(id uint64, leg net.Conn, prep *ruleprep.Middlebox, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := transport.WriteRecord(leg, transport.RecGarble,
+	if err := transport.WriteRecord(l.conn, transport.RecGarble,
 		append([]byte{transport.SubOTU}, transport.MarshalByteSlices(u)...)); err != nil {
 		return nil, nil, err
 	}
@@ -822,14 +837,20 @@ type flow struct {
 	degraded bool
 	// blocked is set (once) when a block-action rule matched.
 	blocked atomic.Bool
+	// free has one slot: the shard puts a batch's token buffer back after
+	// ScanBatch, and the forwarding goroutine unmarshals the next batch into
+	// it. A flow that waits at the barrier between batches reuses one
+	// buffer; a buffer that finds the slot taken is dropped.
+	free chan []dpienc.EncryptedToken
 
-	// Protocol III decryption element state.
+	// Protocol III decryption element state. aead is built once, at key
+	// recovery; nonce is the direction byte, then seq in bytes 4–11.
 	recovered  bool
-	sslKey     bbcrypto.Block
+	aead       cipher.AEAD
 	ciphertext [][]byte // buffered data records awaiting a key
 	plaintext  []byte   // decrypted stream for secondary inspection
 	seq        uint64
-	dirByte    byte
+	nonce      [12]byte
 }
 
 // maxBuffered bounds probable-cause buffering per direction.
@@ -846,6 +867,7 @@ func (mb *Middlebox) newFlow(id uint64, dir Direction, cfg core.Config, keys det
 		kill:    kill,
 		shard:   mb.pool.shardIndex(id, dir),
 		drained: make(chan struct{}, 1),
+		free:    make(chan []dpienc.EncryptedToken, 1),
 		engine: detect.NewEngine(mb.cfg.Ruleset.Ruleset, keys, detect.Config{
 			Mode:     cfg.Mode,
 			Protocol: cfg.Protocol,
@@ -854,9 +876,28 @@ func (mb *Middlebox) newFlow(id uint64, dir Direction, cfg core.Config, keys det
 		}),
 	}
 	if dir == ServerToClient {
-		fl.dirByte = 1
+		fl.nonce[0] = 1
 	}
 	return fl
+}
+
+// tokenBuf takes the flow's free token buffer, or nil when the shard still
+// holds it (UnmarshalTokensInto then allocates one).
+func (fl *flow) tokenBuf() []dpienc.EncryptedToken {
+	select {
+	case b := <-fl.free:
+		return b
+	default:
+		return nil
+	}
+}
+
+// recycle offers a token buffer back to the flow once nothing reads it.
+func (fl *flow) recycle(toks []dpienc.EncryptedToken) {
+	select {
+	case fl.free <- toks:
+	default: // the slot holds another buffer
+	}
 }
 
 // enqueue hands a detection job for this flow to its shard.
@@ -921,10 +962,17 @@ func stopTimer(t *time.Timer) {
 
 // forward relays records from src to dst while feeding the token channel to
 // detection: token batches are queued on the flow's shard and only
-// data/close records wait for detection (the barrier). Read/write errors
-// here are ordinary teardown (one severed leg kills the other), so they are
-// logged at debug level and not counted as connection errors.
-func (mb *Middlebox) forward(src, dst net.Conn, fl *flow) {
+// data/close records wait for detection (the barrier). It returns the read
+// or write error that ended the flow (io.EOF when the sender closed it; nil
+// when the flow was blocked or dropped, which is counted where it is
+// decided), a *transport.RecordCapError among them.
+//
+// Records are relayed through a bufio.Writer, flushed whenever the next
+// record is not already buffered whole: the token and data records that
+// arrived in one read leave in one write, and no record waits behind a read
+// that could block. After a block nothing is flushed, so the data record
+// that completed a match never reaches the peer.
+func (mb *Middlebox) forward(src *leg, dst net.Conn, fl *flow) error {
 	fwdStart := time.Now()
 	fwdBytes := 0
 	if fl.sink != nil {
@@ -938,21 +986,25 @@ func (mb *Middlebox) forward(src, dst net.Conn, fl *flow) {
 			fl.sink.Emit(sp)
 		}()
 	}
+	w := bufio.NewWriterSize(deadlineWriter{dst, mb.tmo.Write}, transport.BufSize)
+	p3 := fl.cfg.Protocol == dpienc.ProtocolIII
+	var body []byte // the last record's body, reused by every record
 	for {
-		_ = src.SetReadDeadline(deadlineFor(mb.tmo.Idle))
-		typ, body, err := transport.ReadRecord(src)
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				if transport.IsTimeout(err) {
-					mb.met.timeout("idle")
-					fl.fr.Event(obs.SpanEventTimeout, string(fl.dir), "idle")
-					mb.log.Warn("idle deadline exceeded", "conn", fl.id, "dir", fl.dir)
-				}
-				mb.log.Debug("forward read ended", "conn", fl.id, "dir", fl.dir, "err", err)
+		if !transport.RecordBuffered(src.rd) {
+			// The next read may block: nothing may wait behind it.
+			if fl.blocked.Load() {
+				return nil
 			}
-			fl.kill()
-			return
+			if err := w.Flush(); err != nil {
+				return mb.endForward(fl, "write", err)
+			}
+			_ = src.conn.SetReadDeadline(deadlineFor(mb.tmo.Idle))
 		}
+		typ, b, err := transport.ReadRecordInto(src.rd, body)
+		if err != nil {
+			return mb.endForward(fl, "idle", err)
+		}
+		body = b
 		switch typ {
 		case transport.RecSalt:
 			if len(body) == 8 && !fl.degraded {
@@ -961,15 +1013,15 @@ func (mb *Middlebox) forward(src, dst net.Conn, fl *flow) {
 				fl.enqueue(mb.pool, detectJob{fl: fl, salt: binary.BigEndian.Uint64(body), reset: true})
 			}
 		case transport.RecTokens:
-			toks, err := transport.UnmarshalTokens(body, fl.cfg.Protocol == dpienc.ProtocolIII)
+			toks, err := transport.UnmarshalTokensInto(fl.tokenBuf(), body, p3)
 			if err != nil {
-				mb.log.Debug("forward read ended", "conn", fl.id, "dir", fl.dir, "err", err)
 				fl.kill()
-				return
+				return err
 			}
 			if fl.degraded {
 				// Detection is unavailable and the engine's counters are
 				// out of sync; the record is forwarded unscanned below.
+				fl.recycle(toks)
 				break
 			}
 			mb.met.tokens.Add(uint64(len(toks)))
@@ -978,18 +1030,18 @@ func (mb *Middlebox) forward(src, dst net.Conn, fl *flow) {
 			// Detection barrier: the block policy and the probable-cause
 			// element must have seen every token preceding this payload.
 			if !mb.barrierWait(fl) {
-				return
+				return nil
 			}
 			mb.met.bytes.Add(uint64(len(body)))
 			fwdBytes += len(body)
 			if fl.degraded {
 				mb.met.unscanned.Add(uint64(len(body)))
-			} else if mb.cfg.Secondary && fl.cfg.Protocol == dpienc.ProtocolIII {
+			} else if mb.cfg.Secondary && p3 {
 				mb.captureData(fl, body)
 			}
 		case transport.RecClose:
 			if !mb.barrierWait(fl) {
-				return
+				return nil
 			}
 			if !fl.degraded && fl.recovered && len(fl.plaintext) > 0 {
 				mb.secondaryInspect(fl)
@@ -998,22 +1050,39 @@ func (mb *Middlebox) forward(src, dst net.Conn, fl *flow) {
 		if fl.blocked.Load() {
 			// dispatchEvent already severed the connection and counted the
 			// block; do not forward the record that completed the match.
-			return
+			return nil
 		}
-		_ = dst.SetWriteDeadline(deadlineFor(mb.tmo.Write))
-		err = transport.WriteRecord(dst, typ, body)
-		_ = dst.SetWriteDeadline(time.Time{})
-		if err != nil {
-			if transport.IsTimeout(err) {
-				mb.met.timeout("write")
-				fl.fr.Event(obs.SpanEventTimeout, string(fl.dir), "write")
-				mb.log.Warn("write deadline exceeded", "conn", fl.id, "dir", fl.dir)
-			}
-			mb.log.Debug("forward write ended", "conn", fl.id, "dir", fl.dir, "err", err)
-			fl.kill()
-			return
+		// Errors are sticky in w: the body's write reports the header's.
+		_, _ = w.Write(transport.AppendHeader(w.AvailableBuffer(), typ, len(body)))
+		if _, err := w.Write(body); err != nil {
+			return mb.endForward(fl, "write", err)
 		}
 	}
+}
+
+// deadlineWriter writes to a connection under a fresh write deadline per
+// Write: what a bufio.Writer hands down is a flush, or a record too large to
+// buffer.
+type deadlineWriter struct {
+	c net.Conn
+	d time.Duration
+}
+
+func (w deadlineWriter) Write(p []byte) (int, error) {
+	_ = w.c.SetWriteDeadline(deadlineFor(w.d))
+	return w.c.Write(p)
+}
+
+// endForward severs the connection after a failed read ("idle") or write
+// step, counting and logging a deadline expiry, and returns err.
+func (mb *Middlebox) endForward(fl *flow, step string, err error) error {
+	if transport.IsTimeout(err) {
+		mb.met.timeout(step)
+		fl.fr.Event(obs.SpanEventTimeout, string(fl.dir), step)
+		mb.log.Warn(step+" deadline exceeded", "conn", fl.id, "dir", fl.dir)
+	}
+	fl.kill()
+	return err
 }
 
 // barrierWait runs the detection barrier, bounded by Timeouts.Barrier, and
@@ -1092,7 +1161,7 @@ func (mb *Middlebox) dispatchEvent(fl *flow, ev detect.Event) {
 	}
 	if ev.HasSSLKey && !fl.recovered {
 		fl.recovered = true
-		fl.sslKey = ev.SSLKey
+		fl.aead = bbcrypto.NewGCM(ev.SSLKey)
 		mb.met.keys.Inc()
 		mb.log.Info("probable cause: SSL key recovered", "conn", fl.id, "dir", fl.dir)
 		if mb.cfg.Secondary {
@@ -1133,15 +1202,16 @@ func (mb *Middlebox) drainBuffered(fl *flow) {
 	fl.ciphertext = nil
 }
 
+// dataAD is every data record's additional data: its record type.
+var dataAD = []byte{byte(transport.RecData)}
+
 // decryptRecord opens one SSL record with the recovered kSSL — the
-// ssldump-equivalent step of §6.
+// ssldump-equivalent step of §6. body is the forwarded record, so it is
+// opened into a plaintext of its own.
 func (mb *Middlebox) decryptRecord(fl *flow, body []byte) {
-	aead := bbcrypto.NewGCM(fl.sslKey)
-	nonce := make([]byte, 12)
-	nonce[0] = fl.dirByte
-	binary.BigEndian.PutUint64(nonce[4:], fl.seq)
+	binary.BigEndian.PutUint64(fl.nonce[4:], fl.seq)
 	fl.seq++
-	pt, err := aead.Open(nil, nonce, body, []byte{byte(transport.RecData)})
+	pt, err := fl.aead.Open(nil, fl.nonce[:], body, dataAD)
 	if err != nil || len(pt) < 1 {
 		return
 	}

@@ -123,6 +123,8 @@ func (p *detectPool) worker(mb *Middlebox, shard int) {
 			for _, ev := range scratch {
 				mb.dispatchEvent(fl, ev)
 			}
+			// Before done: the barrier's waiter finds the buffer back.
+			fl.recycle(job.toks)
 		}
 		// After the events are dispatched: a flow with nothing in flight
 		// has seen every alert of every batch it queued.

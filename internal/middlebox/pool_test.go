@@ -179,17 +179,18 @@ func TestShardIndexPinsFlows(t *testing.T) {
 	}
 }
 
-// newPoolFlow builds a middlebox on a one-rule ruleset ("attackkw", sid 7)
-// with the given OnAlert, and one client-to-server flow on it without
-// sockets. It also returns two token batches of that flow's stream, as its
-// sender would have encrypted them: hit carries the keyword, miss does not.
-func newPoolFlow(t *testing.T, onAlert func(Alert)) (mb *Middlebox, fl *flow, hit, miss []dpienc.EncryptedToken) {
+// newPoolFlow builds a middlebox on a one-rule ruleset ("attackkw", sid 7,
+// with the given action: "alert" or "drop") with the given OnAlert, and one
+// client-to-server flow on it without sockets. It also returns two token
+// batches of that flow's stream, as its sender would have encrypted them:
+// hit carries the keyword, miss does not.
+func newPoolFlow(t *testing.T, action string, onAlert func(Alert)) (mb *Middlebox, fl *flow, hit, miss []dpienc.EncryptedToken) {
 	t.Helper()
 	g, err := rules.NewGenerator("PoolRG")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := rules.Parse("pool", `alert tcp any any -> any any (msg:"kw"; content:"attackkw"; sid:7;)`)
+	rs, err := rules.Parse("pool", action+` tcp any any -> any any (msg:"kw"; content:"attackkw"; sid:7;)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestSubmitBlocksOnFullQueue(t *testing.T) {
 	entered := make(chan struct{}, 8)
 	gate := make(chan struct{})
 	var alerts atomic.Int64
-	mb, fl, hit, miss := newPoolFlow(t, func(Alert) {
+	mb, fl, hit, miss := newPoolFlow(t, "alert", func(Alert) {
 		entered <- struct{}{}
 		<-gate
 		alerts.Add(1)
@@ -260,7 +261,7 @@ func TestSubmitBlocksOnFullQueue(t *testing.T) {
 // barrier: once the flow's timer exists, queueing a batch and waiting for
 // it allocates nothing — no goroutine, channel or timer per wait.
 func TestBarrierAllocatesNothing(t *testing.T) {
-	mb, fl, _, miss := newPoolFlow(t, nil)
+	mb, fl, _, miss := newPoolFlow(t, "alert", nil)
 	roundTrip := func() {
 		fl.enqueue(mb.pool, detectJob{fl: fl, toks: miss})
 		if !fl.waitTimeout(time.Minute) {

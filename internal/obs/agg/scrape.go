@@ -408,8 +408,8 @@ func (s *Scraper) health(w *worker) WorkerHealth {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	h := WorkerHealth{
-		Name:    w.name,
-		URL:     w.url,
+		Name:      w.name,
+		URL:       w.url,
 		Scrapes:   w.nScrapes,
 		Errors:    w.nErrors,
 		LastError: w.lastErr,

@@ -300,6 +300,19 @@ const (
 	runAnchor = maxShortBoundaries
 )
 
+// maxTokensPerPosition is the most tokens one stream position yields: a
+// word anchor's full window and its padded words, or a run anchor's padded
+// words. Window mode yields one.
+const maxTokensPerPosition = max(1+wordAnchor, runAnchor)
+
+// MaxTokens bounds the tokens one AppendInto of n bytes, or one SkipInto or
+// FlushInto (n = 0), returns under either mode. A call decides at most
+// max(n, TokenSize-1) positions: every call but the last leaves the final
+// TokenSize-1 positions of the buffer undecided for want of lookahead, so a
+// call decides what it was given plus what the previous call left, less
+// what it leaves itself.
+func MaxTokens(n int) int { return maxTokensPerPosition * max(n, TokenSize-1) }
+
 var (
 	// classOf is IsDelimiter and IsKeywordDelimiter as one lookup, built
 	// from them at init. It is indexed by payload bytes, but it adds no

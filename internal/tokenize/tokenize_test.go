@@ -613,10 +613,31 @@ func checkAgainstModel(t testing.TB, mode Mode, ops []tokenizeOp) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s, call %d of %d (%q, skip %d): tokenizer returned %v, the model %v", mode, i, len(ops), op.data, op.skip, got, want)
 		}
+		if len(got) > MaxTokens(len(op.data)) {
+			t.Fatalf("%s, call %d of %d (%q, skip %d): %d tokens, over MaxTokens = %d", mode, i, len(ops), op.data, op.skip, len(got), MaxTokens(len(op.data)))
+		}
 		buf = got
 	}
-	if got, want := tk.FlushInto(buf), ref.Flush(); !slices.Equal(got, want) {
+	got, want := tk.FlushInto(buf), ref.Flush()
+	if !slices.Equal(got, want) {
 		t.Fatalf("%s, Flush after %d calls: tokenizer returned %v, the model %v", mode, len(ops), got, want)
+	}
+	if len(got) > MaxTokens(0) {
+		t.Fatalf("%s, Flush after %d calls: %d tokens, over MaxTokens = %d", mode, len(ops), len(got), MaxTokens(0))
+	}
+}
+
+// TestMaxTokensIsReached: the bound on an Append is tight. Alternating word
+// bytes and keyword delimiters make every position an anchor with three
+// tokens, and an Append after the first TokenSize-1 bytes decides as many
+// positions as it was given.
+func TestMaxTokensIsReached(t *testing.T) {
+	data := bytes.Repeat([]byte("a?"), 4096)
+	tk := New(Delimiter)
+	tk.Append(data[:TokenSize-1])
+	n := len(data) - (TokenSize - 1)
+	if got := tk.Append(data[TokenSize-1:]); len(got) != MaxTokens(n) {
+		t.Fatalf("Append of %d bytes: %d tokens, want MaxTokens = %d", n, len(got), MaxTokens(n))
 	}
 }
 

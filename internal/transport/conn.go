@@ -5,6 +5,7 @@
 package transport
 
 import (
+	"bufio"
 	"crypto/cipher"
 	"crypto/ecdh"
 	"crypto/rand"
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,7 +78,10 @@ var connSeq atomic.Uint64
 // io.ReadWriteCloser for text payloads; binary (untokenized) payloads go
 // through WriteBinary.
 type Conn struct {
-	raw      net.Conn
+	raw net.Conn
+	// rd is the connection's one reader, from the first hello on: a reader
+	// placed later would lose what the handshake read ahead.
+	rd       *bufio.Reader
 	isClient bool
 	cfg      ConnConfig
 	keys     bbcrypto.SessionKeys
@@ -88,13 +93,20 @@ type Conn struct {
 
 	aead          cipher.AEAD
 	seqOut, seqIn uint64
-	writeMu       sync.Mutex
-	pipe          *core.SenderPipeline
-	validator     *core.Validator
-	// tokBody (under writeMu) and recvToks (reader only) are the token
-	// record's marshalled body and its unmarshalled form, reused by every
-	// record.
-	tokBody  []byte
+	// nonceOut and nonceIn are each direction's GCM nonce: the direction
+	// byte, then the record's sequence number in bytes 4–11.
+	nonceOut, nonceIn [12]byte
+	writeMu           sync.Mutex
+	pipe              *core.SenderPipeline
+	validator         *core.Validator
+	// wbuf (under writeMu) is one chunk's salt, token and data records,
+	// framed for a single socket write and reused by every chunk.
+	wbuf []byte
+	// rbuf and recvToks (reader only) are the last data-phase record's body
+	// and its unmarshalled tokens, reused by every record. readBuf is the
+	// unread rest of the last data record's plaintext; it aliases rbuf, so
+	// Read serves all of it before reading the next record.
+	rbuf     []byte
 	recvToks []dpienc.EncryptedToken
 	readBuf  []byte
 	readErr  error
@@ -191,7 +203,7 @@ func Dial(addr string, cfg ConnConfig) (*Conn, error) {
 // Client runs the client side of the handshake over an established
 // transport.
 func Client(raw net.Conn, cfg ConnConfig) (*Conn, error) {
-	c := &Conn{raw: raw, isClient: true, cfg: cfg}
+	c := &Conn{raw: raw, rd: bufio.NewReaderSize(raw, BufSize), isClient: true, cfg: cfg}
 	if err := c.handshake(); err != nil {
 		return nil, err
 	}
@@ -201,7 +213,7 @@ func Client(raw net.Conn, cfg ConnConfig) (*Conn, error) {
 // Server runs the server side of the handshake over an accepted transport.
 // The server adopts the client's protocol parameters.
 func Server(raw net.Conn, cfg ConnConfig) (*Conn, error) {
-	c := &Conn{raw: raw, isClient: false, cfg: cfg}
+	c := &Conn{raw: raw, rd: bufio.NewReaderSize(raw, BufSize), isClient: false, cfg: cfg}
 	if err := c.handshake(); err != nil {
 		return nil, err
 	}
@@ -268,7 +280,7 @@ func (c *Conn) runHandshake() error {
 		if err := WriteRecord(c.raw, RecHello, MarshalHello(my)); err != nil {
 			return err
 		}
-		typ, body, err := ReadRecord(c.raw)
+		typ, body, err := ReadRecord(c.rd)
 		if err != nil {
 			return err
 		}
@@ -279,7 +291,7 @@ func (c *Conn) runHandshake() error {
 			return err
 		}
 	} else {
-		typ, body, err := ReadRecord(c.raw)
+		typ, body, err := ReadRecord(c.rd)
 		if err != nil {
 			return err
 		}
@@ -338,6 +350,12 @@ func (c *Conn) runHandshake() error {
 	}
 	c.keys = bbcrypto.DeriveSessionKeys(k0)
 	c.aead = bbcrypto.NewGCM(c.keys.KSSL)
+	// Client→server records use direction 0, server→client 1.
+	if c.isClient {
+		c.nonceIn[0] = 1
+	} else {
+		c.nonceOut[0] = 1
+	}
 	c.pipe = core.NewSenderPipeline(c.keys, c.cfg.Core)
 	c.validator = core.NewValidator(c.keys, c.cfg.Core)
 
@@ -380,16 +398,23 @@ func (c *Conn) instrument(hsStart time.Time) {
 	c.pipe.Instrument(r, c.trace, c.flowID, dir, c.ctx, c.party())
 }
 
-// writeRecord counts and sizes one outgoing record, then writes it under
-// the per-record write deadline. A deadline expiry surfaces as a
-// *StepError for step "write".
-func (c *Conn) writeRecord(typ RecordType, body []byte) error {
+// header appends the header of an outgoing record with an n-byte body to b,
+// counting and sizing the record.
+func (c *Conn) header(b []byte, typ RecordType, n int) []byte {
 	c.records.Inc()
-	c.recordBytes.Observe(float64(len(body)))
+	c.recordBytes.Observe(float64(n))
+	return AppendHeader(b, typ, n)
+}
+
+// send writes b, the framed records of one chunk, in one socket write under
+// the write deadline. A deadline expiry surfaces as a *StepError for step
+// "write".
+func (c *Conn) send(b []byte) error {
 	if dl := deadlineFor(c.tmo.Write); !dl.IsZero() {
 		_ = c.raw.SetWriteDeadline(dl)
 	}
-	return stepErr("write", WriteRecord(c.raw, typ, body))
+	_, err := c.raw.Write(b)
+	return stepErr("write", err)
 }
 
 // SessionKeys exposes the derived keys (tests and the probable-cause
@@ -415,7 +440,7 @@ func (c *Conn) servePreparation() error {
 		rec    []byte // the SubCircuit record body, reused by every fragment
 	)
 	for {
-		typ, body, err := ReadRecord(c.raw)
+		typ, body, err := ReadRecord(c.rd)
 		if err != nil {
 			return err
 		}
@@ -494,19 +519,8 @@ const (
 	kindBinary = 1
 )
 
-func (c *Conn) nonce(seq uint64, outbound bool) []byte {
-	n := make([]byte, 12)
-	dir := byte(0)
-	if c.isClient == outbound {
-		// Client→server records use direction 0; server→client use 1.
-		dir = 0
-	} else {
-		dir = 1
-	}
-	n[0] = dir
-	binary.BigEndian.PutUint64(n[4:], seq)
-	return n
-}
+// dataAD is every data record's additional data: its record type.
+var dataAD = []byte{byte(RecData)}
 
 // Write sends text (inspectable) payload. It tokenizes, encrypts tokens,
 // and sends the SSL data record, splitting large writes.
@@ -531,13 +545,13 @@ func (c *Conn) write(p []byte, binary_ bool) (int, error) {
 	// recycled once its batch has been marshaled onto the wire.
 	toks := dpienc.GetTokenBuf()
 	defer func() { dpienc.PutTokenBuf(toks) }()
+	kind := byte(kindText)
+	if binary_ {
+		kind = kindBinary
+	}
 	for len(p) > 0 {
-		n := len(p)
-		if n > maxDataRecord {
-			n = maxDataRecord
-		}
-		chunk := p[:n]
-		p = p[n:]
+		chunk := p[:min(len(p), maxDataRecord)]
+		p = p[len(chunk):]
 
 		var reset *core.SaltReset
 		if binary_ {
@@ -545,32 +559,40 @@ func (c *Conn) write(p []byte, binary_ bool) (int, error) {
 		} else {
 			toks, reset = c.pipe.ProcessTextInto(toks[:0], chunk)
 		}
+		b := c.wbuf[:0]
 		if reset != nil {
-			var s [8]byte
-			binary.BigEndian.PutUint64(s[:], reset.Salt0)
-			if err := c.writeRecord(RecSalt, s[:]); err != nil {
-				return total, err
-			}
+			b = binary.BigEndian.AppendUint64(c.header(b, RecSalt, 8), reset.Salt0)
 		}
-		if len(toks) > 0 {
-			c.tokBody = MarshalTokensInto(c.tokBody, toks, c.cfg.Core.Protocol == dpienc.ProtocolIII)
-			if err := c.writeRecord(RecTokens, c.tokBody); err != nil {
-				return total, err
-			}
-		}
-		pt := make([]byte, 1+len(chunk))
-		if binary_ {
-			pt[0] = kindBinary
-		}
-		copy(pt[1:], chunk)
-		ct := c.aead.Seal(nil, c.nonce(c.seqOut, true), pt, []byte{byte(RecData)})
-		c.seqOut++
-		if err := c.writeRecord(RecData, ct); err != nil {
+		b = c.appendTokens(b, toks)
+		c.wbuf = c.appendData(b, kind, chunk)
+		if err := c.send(c.wbuf); err != nil {
 			return total, err
 		}
 		total += len(chunk)
 	}
 	return total, nil
+}
+
+// appendTokens appends the token record of toks to b, if there are any.
+func (c *Conn) appendTokens(b []byte, toks []dpienc.EncryptedToken) []byte {
+	if len(toks) == 0 {
+		return b
+	}
+	p3 := c.cfg.Core.Protocol == dpienc.ProtocolIII
+	return appendTokens(c.header(b, RecTokens, 4+len(toks)*tokenSize(p3)), toks, p3)
+}
+
+// appendData appends the data record of one chunk to b: its header, then
+// kind ‖ chunk sealed in place behind it. b is grown first so that Seal
+// finds room for the tag and writes over the plaintext it reads.
+func (c *Conn) appendData(b []byte, kind byte, chunk []byte) []byte {
+	n := 1 + len(chunk) + c.aead.Overhead()
+	b = slices.Grow(c.header(b, RecData, n), n)
+	at := len(b)
+	b = append(append(b, kind), chunk...)
+	binary.BigEndian.PutUint64(c.nonceOut[4:], c.seqOut)
+	c.seqOut++
+	return c.aead.Seal(b[:at], c.nonceOut[:], b[at:], dataAD)
 }
 
 // CloseWrite flushes trailing tokens and signals end-of-stream; reads may
@@ -584,13 +606,8 @@ func (c *Conn) CloseWrite() error {
 	c.wroteClose = true
 	toks := c.pipe.FlushInto(dpienc.GetTokenBuf())
 	defer dpienc.PutTokenBuf(toks)
-	if len(toks) > 0 {
-		c.tokBody = MarshalTokensInto(c.tokBody, toks, c.cfg.Core.Protocol == dpienc.ProtocolIII)
-		if err := c.writeRecord(RecTokens, c.tokBody); err != nil {
-			return err
-		}
-	}
-	return c.writeRecord(RecClose, nil)
+	c.wbuf = c.header(c.appendTokens(c.wbuf[:0], toks), RecClose, 0)
+	return c.send(c.wbuf)
 }
 
 // Close closes the connection, sending the end-of-stream first, and emits
@@ -634,7 +651,8 @@ func (c *Conn) finishTrace(errMsg string) {
 func (c *Conn) SetValidationDisabled(v bool) { c.validationSkip = v }
 
 // Read returns decrypted, validated payload bytes (both text and binary
-// kinds). It returns io.EOF after the peer's RecClose.
+// kinds). It returns io.EOF after the peer's RecClose, and a
+// *RecordCapError for a record over its data-phase cap.
 func (c *Conn) Read(p []byte) (int, error) {
 	for len(c.readBuf) == 0 {
 		if c.readErr != nil {
@@ -642,7 +660,8 @@ func (c *Conn) Read(p []byte) (int, error) {
 		}
 		if err := c.readRecord(); err != nil {
 			c.readErr = err
-			c.termErr.Store(&err)
+			e := err // a copy, so that only a failed read moves one to the heap
+			c.termErr.Store(&e)
 			return 0, err
 		}
 	}
@@ -655,10 +674,11 @@ func (c *Conn) readRecord() error {
 	if dl := deadlineFor(c.tmo.Read); !dl.IsZero() {
 		_ = c.raw.SetReadDeadline(dl)
 	}
-	typ, body, err := ReadRecord(c.raw)
+	typ, body, err := ReadRecordInto(c.rd, c.rbuf)
 	if err != nil {
 		return stepErr("read", err)
 	}
+	c.rbuf = body
 	switch typ {
 	case RecSalt:
 		// The validator's own pipeline resets deterministically at the
@@ -676,7 +696,8 @@ func (c *Conn) readRecord() error {
 		}
 		return nil
 	case RecData:
-		pt, err := c.aead.Open(nil, c.nonce(c.seqIn, false), body, []byte{byte(RecData)})
+		binary.BigEndian.PutUint64(c.nonceIn[4:], c.seqIn)
+		pt, err := c.aead.Open(body[:0], c.nonceIn[:], body, dataAD)
 		if err != nil {
 			return fmt.Errorf("transport: record authentication failed: %w", err)
 		}
@@ -699,7 +720,7 @@ func (c *Conn) readRecord() error {
 				return fmt.Errorf("transport: unknown data kind %d", kind)
 			}
 		}
-		c.readBuf = append(c.readBuf, payload...)
+		c.readBuf = payload
 		return nil
 	case RecClose:
 		if !c.validationSkip {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/dpienc"
@@ -67,24 +68,57 @@ func FuzzUnmarshalByteSlices(f *testing.F) {
 	})
 }
 
-// FuzzReadRecord checks record framing against arbitrary byte streams.
+// FuzzReadRecord checks record framing against arbitrary byte streams, and
+// that ReadRecordInto, reading the stream record by record into one reused
+// buffer, returns what ReadRecord returns — or a *RecordCapError for a
+// record over its data-phase cap.
 func FuzzReadRecord(f *testing.F) {
 	var buf bytes.Buffer
 	WriteRecord(&buf, RecData, []byte("payload"))
 	f.Add(buf.Bytes())
 	f.Add([]byte{byte(RecClose), 0, 0, 0, 0})
 	f.Add([]byte{1, 255, 255, 255, 255})
+	buf.Reset()
+	WriteRecord(&buf, RecTokens, MarshalTokens([]dpienc.EncryptedToken{{Offset: 3}}, false))
+	WriteRecord(&buf, RecData, bytes.Repeat([]byte{7}, 40))
+	WriteRecord(&buf, RecSalt, make([]byte, 8))
+	WriteRecord(&buf, RecData, []byte("short"))
+	WriteRecord(&buf, RecClose, nil)
+	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, body, err := ReadRecord(bytes.NewReader(data))
-		if err != nil {
-			return
+		if err == nil {
+			var out bytes.Buffer
+			if err := WriteRecord(&out, typ, body); err != nil {
+				t.Fatalf("re-encode failed: %v", err)
+			}
+			if !bytes.Equal(out.Bytes(), data[:out.Len()]) {
+				t.Fatal("record round trip diverged")
+			}
 		}
-		var out bytes.Buffer
-		if err := WriteRecord(&out, typ, body); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		if !bytes.Equal(out.Bytes(), data[:out.Len()]) {
-			t.Fatal("record round trip diverged")
+
+		r, rInto := bytes.NewReader(data), bytes.NewReader(data)
+		var reused []byte
+		for {
+			typ, body, err := ReadRecord(r)
+			typInto, bodyInto, errInto := ReadRecordInto(rInto, reused)
+			var capErr *RecordCapError
+			if errors.As(errInto, &capErr) {
+				if err == nil && (typ != capErr.Type || uint32(len(body)) != capErr.Len || len(body) <= capErr.Cap) {
+					t.Fatalf("cap error %v for a record of type %d, %d bytes", capErr, typ, len(body))
+				}
+				return
+			}
+			if (err == nil) != (errInto == nil) {
+				t.Fatalf("ReadRecord: %v, ReadRecordInto: %v", err, errInto)
+			}
+			if err != nil {
+				return
+			}
+			if typ != typInto || !bytes.Equal(body, bodyInto) {
+				t.Fatalf("ReadRecordInto returned type %d %q, ReadRecord type %d %q", typInto, bodyInto, typ, body)
+			}
+			reused = bodyInto
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -49,6 +50,7 @@ func servePrepOverPipe(t *testing.T, w *prepWatcher) (net.Conn, <-chan error) {
 	t.Cleanup(func() { ours.Close(); theirs.Close() })
 	c := &Conn{
 		raw:  theirs,
+		rd:   bufio.NewReader(theirs),
 		cfg:  ConnConfig{Trace: w, RG: RGMaterial{TagKey: bbcrypto.Block{2}}},
 		keys: bbcrypto.SessionKeys{K: bbcrypto.Block{1}, KRand: bbcrypto.Block{3}},
 	}

@@ -6,6 +6,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/bbcrypto"
 	"repro/internal/dpienc"
+	"repro/internal/tokenize"
 )
 
 // RecordType identifies the logical channel of a record.
@@ -39,21 +41,69 @@ const (
 	RecClose
 )
 
-// MaxRecordLen bounds a record body. The largest legitimate records are
-// rule preparation's: one garbled circuit with its endpoint labels (0.4 MB)
-// and the OT extension's messages, which grow with the fragment count.
+// MaxRecordLen bounds a record body in the setup phase. The largest
+// legitimate records are rule preparation's: one garbled circuit with its
+// endpoint labels (0.4 MB) and the OT extension's messages, which grow with
+// the fragment count.
 const MaxRecordLen = 64 << 20
 
 // maxDataRecord bounds the plaintext of one data record; larger writes are
 // split. 16 KiB matches TLS record sizing.
 const maxDataRecord = 16 << 10
 
+// headerLen is a record header: the type byte and the body length.
+const headerLen = 5
+
+// tagSize is the AES-GCM tag a sealed data record carries.
+const tagSize = 16
+
+// BufSize is the buffer of every connection's bufio.Reader and of the
+// middlebox's bufio.Writer: twice the largest data record, so the token and
+// data records of a write of a few KiB arrive in one read and leave in one
+// write. Larger bodies bypass the buffer; bufio reads and writes them
+// straight through.
+const BufSize = 32 << 10
+
+// dataRecordCap is the largest body a record of type typ carries once rule
+// preparation is done — what a conforming sender emits for one chunk of at
+// most maxDataRecord bytes — or -1 for a type the data phase does not carry.
+func dataRecordCap(typ RecordType) int {
+	switch typ {
+	case RecData:
+		return 1 + maxDataRecord + tagSize // kind byte, chunk, tag
+	case RecTokens:
+		return 4 + tokenize.MaxTokens(maxDataRecord)*tokenSize(true)
+	case RecSalt:
+		return 8
+	case RecClose:
+		return 0
+	}
+	return -1
+}
+
+// RecordCapError is the error for a data-phase record whose header announces
+// more than its type's cap, or a type the data phase does not carry (Cap
+// -1). It is returned before any of the body is read or allocated.
+type RecordCapError struct {
+	Type RecordType
+	Len  uint32
+	Cap  int
+}
+
+// Error implements error.
+func (e *RecordCapError) Error() string {
+	if e.Cap < 0 {
+		return fmt.Sprintf("transport: record type %d after rule preparation", e.Type)
+	}
+	return fmt.Sprintf("transport: record type %d of %d bytes exceeds its cap of %d", e.Type, e.Len, e.Cap)
+}
+
 // WriteRecord frames and writes one record.
 func WriteRecord(w io.Writer, typ RecordType, body []byte) error {
 	if len(body) > MaxRecordLen {
 		return fmt.Errorf("transport: record body %d exceeds cap", len(body))
 	}
-	var hdr [5]byte
+	var hdr [headerLen]byte
 	hdr[0] = byte(typ)
 	binary.BigEndian.PutUint32(hdr[1:], uint32(len(body)))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -63,9 +113,28 @@ func WriteRecord(w io.Writer, typ RecordType, body []byte) error {
 	return err
 }
 
-// ReadRecord reads one framed record.
+// AppendHeader appends the header of a record of type typ with an n-byte
+// body to b.
+func AppendHeader(b []byte, typ RecordType, n int) []byte {
+	return binary.BigEndian.AppendUint32(append(b, byte(typ)), uint32(n))
+}
+
+// RecordBuffered reports whether rd already holds the whole next record, so
+// that reading it cannot block.
+func RecordBuffered(rd *bufio.Reader) bool {
+	n := rd.Buffered() // checked first: Peek past it would read
+	if n < headerLen {
+		return false
+	}
+	hdr, _ := rd.Peek(headerLen)
+	return int64(n-headerLen) >= int64(binary.BigEndian.Uint32(hdr[1:]))
+}
+
+// ReadRecord reads one framed record of at most MaxRecordLen bytes into a
+// body of its own — the setup phase's reader, whose large records are not
+// worth keeping a buffer for.
 func ReadRecord(r io.Reader) (RecordType, []byte, error) {
-	var hdr [5]byte
+	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
@@ -78,6 +147,29 @@ func ReadRecord(r io.Reader) (RecordType, []byte, error) {
 		return 0, nil, err
 	}
 	return RecordType(hdr[0]), body, nil
+}
+
+// ReadRecordInto reads one data-phase record into buf's backing array,
+// growing it only when it is too small. The body aliases buf and is valid
+// until the next read into the same buffer; callers keep the returned body
+// as their buffer. The header is checked against the type's data-phase cap
+// before the body is read: a record over it is a *RecordCapError.
+func ReadRecordInto(r io.Reader, buf []byte) (RecordType, []byte, error) {
+	// The header is read into buf too: a local array passed to r.Read would
+	// escape, one allocation per record.
+	hdr := slices.Grow(buf[:0], headerLen)[:headerLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return 0, nil, err
+	}
+	typ, n := RecordType(hdr[0]), binary.BigEndian.Uint32(hdr[1:])
+	if c := dataRecordCap(typ); int64(n) > int64(c) {
+		return 0, nil, &RecordCapError{Type: typ, Len: n, Cap: c}
+	}
+	body := slices.Grow(hdr[:0], int(n))[:n]
+	if _, err := io.ReadFull(r, body); err != nil {
+		return 0, nil, err
+	}
+	return typ, body, nil
 }
 
 // Hello is the cleartext handshake payload. The middlebox sets MBPresent
@@ -246,14 +338,15 @@ func tokenSize(protoIII bool) int {
 
 // MarshalTokens encodes a token batch into a buffer of its own.
 func MarshalTokens(toks []dpienc.EncryptedToken, protoIII bool) []byte {
-	return MarshalTokensInto(nil, toks, protoIII)
+	return appendTokens(nil, toks, protoIII)
 }
 
-// MarshalTokensInto is MarshalTokens writing into dst's backing array from
-// index 0, growing it only when it is too small; the result aliases dst.
-func MarshalTokensInto(dst []byte, toks []dpienc.EncryptedToken, protoIII bool) []byte {
+// appendTokens appends the MarshalTokens encoding of toks to dst.
+func appendTokens(dst []byte, toks []dpienc.EncryptedToken, protoIII bool) []byte {
 	sz := tokenSize(protoIII)
-	out := slices.Grow(dst[:0], 4+len(toks)*sz)[:4+len(toks)*sz]
+	start := len(dst)
+	dst = slices.Grow(dst, 4+len(toks)*sz)[:start+4+len(toks)*sz]
+	out := dst[start:]
 	binary.BigEndian.PutUint32(out, uint32(len(toks)))
 	at := out[4:]
 	for i := range toks {
@@ -265,7 +358,7 @@ func MarshalTokensInto(dst []byte, toks []dpienc.EncryptedToken, protoIII bool) 
 		}
 		at = at[sz:]
 	}
-	return out
+	return dst
 }
 
 // UnmarshalTokens decodes a token batch into a slice of its own.

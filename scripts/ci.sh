@@ -2,7 +2,7 @@
 # ci.sh — the full BlindBox verification gate, runnable locally or in CI.
 #
 #   scripts/ci.sh            # everything: vet, build, bblint, tests, race, fuzz smoke
-#   scripts/ci.sh quick      # vet + build + bblint + unit tests (root and benchmark modules) + F's gate count + sender pipeline rows + line counts only
+#   scripts/ci.sh quick      # vet + gofmt + build + bblint + unit tests (root and benchmark modules) + F's gate count + sender pipeline rows + line counts only
 #
 # Every stage uses only the Go toolchain; the module has no dependencies.
 set -euo pipefail
@@ -15,6 +15,15 @@ step() { printf '\n=== %s ===\n' "$*"; }
 
 step "go vet"
 go vet ./...
+
+# gofmt -l prints each file whose formatting differs; any name fails.
+step "gofmt"
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    echo "not gofmt-formatted:"
+    echo "$unformatted"
+    exit 1
+fi
 
 step "go build"
 go build ./...
