@@ -23,6 +23,7 @@ import (
 	"repro/internal/garble"
 	"repro/internal/netem"
 	"repro/internal/obs"
+	"repro/internal/ot"
 	"repro/internal/ruleprep"
 	"repro/internal/rules"
 	"repro/internal/strawman"
@@ -808,6 +809,27 @@ func BenchmarkEvalF(b *testing.B) {
 	}
 	b.ReportMetric(float64(f.NumAND()), "ANDs")
 	b.ReportMetric(float64(g.Size()), "bytes/circuit")
+}
+
+// BenchmarkOTLeg measures the oblivious transfer of one rule-preparation
+// leg at the benchmark's six-fragment size, 1 536 wires: the base phase and
+// the IKNP extension, both parties in one process.
+func BenchmarkOTLeg(b *testing.B) {
+	const wires = 6 * 256
+	pairs := make([][2]bbcrypto.Block, wires)
+	choices := make([]bool, wires)
+	for i := range pairs {
+		pairs[i] = [2]bbcrypto.Block{bbcrypto.RandomBlock(), bbcrypto.RandomBlock()}
+		choices[i] = i%3 == 0
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ot.ExtTransfer(pairs, choices); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(wires, "wires")
 }
 
 // BenchmarkGarbleRows compares the three AND-gate table constructions on

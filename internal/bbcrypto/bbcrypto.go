@@ -38,11 +38,26 @@ func (b Block) XOR(o Block) Block {
 // polynomial x^128 + x^7 + x^2 + x + 1, the block read as one big-endian
 // integer. It is used for the 2A ⊕ 4B tweakable hash of the garbling scheme.
 func (b Block) Double() Block {
-	hi, lo := binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
 	var r Block
-	binary.BigEndian.PutUint64(r[:8], hi<<1|lo>>63)
-	binary.BigEndian.PutUint64(r[8:], lo<<1^(0x87&-(hi>>63)))
+	hi, lo := double(b.words())
+	r.setWords(hi, lo)
 	return r
+}
+
+// double is Double on the block's big-endian words.
+func double(hi, lo uint64) (uint64, uint64) {
+	return hi<<1 | lo>>63, lo<<1 ^ (0x87 & -(hi >> 63))
+}
+
+// words returns the block's big-endian high and low words.
+func (b *Block) words() (hi, lo uint64) {
+	return binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
+}
+
+// setWords overwrites the block with big-endian words hi and lo.
+func (b *Block) setWords(hi, lo uint64) {
+	binary.BigEndian.PutUint64(b[:8], hi)
+	binary.BigEndian.PutUint64(b[8:], lo)
 }
 
 // LSB reports the least significant bit of the block (the last bit of the
@@ -95,7 +110,9 @@ func EncryptBlock(key, pt Block) Block {
 // AES permutation π: H(A, B, T) = π(K) ⊕ K where K = 2A ⊕ 4B ⊕ T.
 // Because the key never changes, the AES key schedule is computed once and
 // each hash costs exactly one AES block encryption — on the Schedule
-// kernel, so where that is allocation-free a hash is too.
+// kernel, so where that is allocation-free a hash is too. The same
+// permutation also drives CRHash4, the OT extension's row hash, under a
+// key of its own.
 type FixedKeyHash struct {
 	pi Schedule
 }
@@ -117,6 +134,45 @@ func (h *FixedKeyHash) Hash(a, b Block, tweak uint64) Block {
 // the hash of the half-gates construction.
 func (h *FixedKeyHash) Hash1(a Block, tweak uint64) Block {
 	return h.permute(a.Double(), tweak)
+}
+
+// Hash1x4 is four Hash1s on one Encrypt4: dst[i] = Hash1(a[i], tweak[i]).
+// dst and a may be the same array.
+func (h *FixedKeyHash) Hash1x4(dst, a *[4]Block, tweak *[4]uint64) {
+	// Each K is computed in words and stored once: a Block returned by one
+	// call and copied by the next waits on store forwarding, and those
+	// stalls, not AES, were most of the cost of four Hash1s.
+	var k [4]Block
+	for i := range k {
+		hi, lo := double(a[i].words())
+		k[i].setWords(hi, lo^tweak[i])
+	}
+	Encrypt4(h.pi4(), dst, &k)
+	for i := range dst {
+		dst[i] = dst[i].XOR(k[i])
+	}
+}
+
+// CRHash4 is the tweakable correlation-robust hash of Guo, Katz, Wang and
+// Yu (S&P 2020), H(x, j) = π(π(x) ⊕ j) ⊕ π(x), four inputs wide on two
+// Encrypt4s: dst[i] = H(x[i], tweak[i]), the tweak folded into the low word
+// as Hash1 folds its. dst and x may be the same array.
+func (h *FixedKeyHash) CRHash4(dst, x *[4]Block, tweak *[4]uint64) {
+	var px, k [4]Block
+	Encrypt4(h.pi4(), &px, x)
+	for i := range k {
+		hi, lo := px[i].words()
+		k[i].setWords(hi, lo^tweak[i])
+	}
+	Encrypt4(h.pi4(), dst, &k)
+	for i := range dst {
+		dst[i] = dst[i].XOR(px[i])
+	}
+}
+
+// pi4 lists the permutation's schedule four times, the lanes of Encrypt4.
+func (h *FixedKeyHash) pi4() *[4]*Schedule {
+	return &[4]*Schedule{&h.pi, &h.pi, &h.pi, &h.pi}
 }
 
 // permute folds the tweak into the low word of k and returns π(k) ⊕ k.

@@ -3,6 +3,7 @@ package bbcrypto
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -159,12 +160,66 @@ func TestFixedKeyHashMatchesDefinition(t *testing.T) {
 func TestFixedKeyHashDoesNotAllocate(t *testing.T) {
 	h := NewFixedKeyHash(Block{7})
 	a, b := Block{1}, Block{2}
+	x := [4]Block{{3}, {4}, {5}, {6}}
 	allocs := testing.AllocsPerRun(100, func() {
 		a = h.Hash(a, b, 5)
 		b = h.Hash1(b, 6)
+		h.Hash1x4(&x, &x, &[4]uint64{1, 2, 3, 4})
+		h.CRHash4(&x, &x, &[4]uint64{1, 2, 3, 4})
 	})
 	if scheduleAllocFree() && allocs != 0 {
-		t.Fatalf("Hash+Hash1 allocate %.0f objects per call, want 0", allocs)
+		t.Fatalf("Hash+Hash1+Hash1x4+CRHash4 allocate %.0f objects per call, want 0", allocs)
+	}
+}
+
+// TestHash1x4MatchesHash1: the four-wide form is exactly four Hash1s, so
+// garbling through it leaves every garbled byte where it was.
+func TestHash1x4MatchesHash1(t *testing.T) {
+	h := NewFixedKeyHash(Block{'f', 'i', 'x', 'e', 'd'})
+	f := func(a [4]Block, tweak [4]uint64) bool {
+		var got [4]Block
+		h.Hash1x4(&got, &a, &tweak)
+		for i := range got {
+			if got[i] != h.Hash1(a[i], tweak[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCRHash4MatchesDefinition recomputes π(π(x) ⊕ j) ⊕ π(x) through
+// crypto/aes, lane by lane.
+func TestCRHash4MatchesDefinition(t *testing.T) {
+	key := Block{'c', 'r'}
+	h, pi := NewFixedKeyHash(key), NewAES(key)
+	def := func(x Block, tweak uint64) Block {
+		var px, out Block
+		pi.Encrypt(px[:], x[:])
+		k := px
+		binary.BigEndian.PutUint64(k[8:], binary.BigEndian.Uint64(k[8:])^tweak)
+		pi.Encrypt(out[:], k[:])
+		return out.XOR(px)
+	}
+	f := func(x [4]Block, tweak [4]uint64) bool {
+		var got [4]Block
+		h.CRHash4(&got, &x, &tweak)
+		for i := range got {
+			if got[i] != def(x[i], tweak[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	x := [4]Block{{1}, {1}, {1}, {1}}
+	if h.CRHash4(&x, &x, &[4]uint64{0, 1, 0, 1}); x[0] == x[1] || x[0] != x[2] {
+		t.Fatal("CRHash4's tweak must matter, and only it")
 	}
 }
 

@@ -173,12 +173,14 @@ func GarbleWith(c *circuit.Circuit, fixedKey Block, rng io.Reader, opts Options)
 // halfGate garbles one AND gate as ZRE15's two half gates — a generator
 // half (the garbler knows pb) and an evaluator half (the evaluator knows its
 // own color) — and returns the output wire's false label and the two
-// ciphertexts. Four hashes: each of the four input labels once.
+// ciphertexts. Four hashes, each of the four input labels once, independent
+// of each other and so run four abreast.
 func halfGate(h *bbcrypto.FixedKeyHash, r, a0, b0 Block, gi uint64) (c0, tG, tE Block) {
 	pa, pb := a0.LSB(), b0.LSB()
 	jG, jE := 2*gi, 2*gi+1
-	hA0, hA1 := h.Hash1(a0, jG), h.Hash1(a0.XOR(r), jG)
-	hB0, hB1 := h.Hash1(b0, jE), h.Hash1(b0.XOR(r), jE)
+	hs := [4]Block{a0, a0.XOR(r), b0, b0.XOR(r)}
+	h.Hash1x4(&hs, &hs, &[4]uint64{jG, jG, jE, jE})
+	hA0, hA1, hB0, hB1 := hs[0], hs[1], hs[2], hs[3]
 
 	tG = hA0.XOR(hA1)
 	if pb == 1 {

@@ -735,7 +735,7 @@ func (mb *Middlebox) runPrep(id uint64, l *leg, prep *ruleprep.Middlebox, prepCt
 		return nil, nil, err
 	}
 	if err := transport.WriteRecord(l.conn, transport.RecGarble,
-		append([]byte{transport.SubOTMsgA}, transport.MarshalByteSlices(msgAs)...)); err != nil {
+		transport.AppendByteSlices([]byte{transport.SubOTMsgA}, msgAs)); err != nil {
 		return nil, nil, err
 	}
 	payload, err := readSub(transport.SubOTMsgB)
@@ -757,7 +757,7 @@ func (mb *Middlebox) runPrep(id uint64, l *leg, prep *ruleprep.Middlebox, prepCt
 		return nil, nil, err
 	}
 	if err := transport.WriteRecord(l.conn, transport.RecGarble,
-		append([]byte{transport.SubOTU}, transport.MarshalByteSlices(u)...)); err != nil {
+		transport.AppendByteSlices([]byte{transport.SubOTU}, u)); err != nil {
 		return nil, nil, err
 	}
 	payload, err = readSub(transport.SubOTMasked)

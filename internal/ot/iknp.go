@@ -5,8 +5,7 @@
 package ot
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
+	"crypto/elliptic"
 	"errors"
 
 	"repro/internal/bbcrypto"
@@ -16,11 +15,17 @@ import (
 // and matrix columns.
 const kappa = 128
 
+// rowHash is the extension's correlation-robust row hash. Its fixed key is
+// public and distinct from the garbling hash's.
+var rowHash = bbcrypto.NewFixedKeyHash(Block([]byte("blindbox iknp cr")))
+
 // ExtSender is the sender of the extended OTs (in BlindBox: the endpoint,
 // which holds the label pairs). Internally it plays the *receiver* of the
 // base OTs with a random choice vector s.
 type ExtSender struct {
-	s     [kappa]bool
+	//bb:secret
+	s Block // choice bit i is bit i%8 of byte i/8
+	//bb:secret
 	seeds [kappa]Block // k_i^{s_i}
 }
 
@@ -28,48 +33,43 @@ type ExtSender struct {
 // middlebox, choosing labels by its rule bits). Internally it plays the
 // *sender* of the base OTs.
 type ExtReceiver struct {
-	base  [kappa]*BaseSender
-	seed0 [kappa]Block
-	seed1 [kappa]Block
-	m     int
-	t     [][]byte // kappa columns, m bits each
+	base *baseSender
+	m    int
+	t    []byte // kappa columns of (m+7)/8 bytes, column i at i*(m+7)/8
 }
 
-// NewExtReceiver starts the base phase, returning the kappa base-OT first
-// messages to send to the ExtSender.
+// NewExtReceiver starts the base phase, returning the base-OT first
+// messages to send to the ExtSender: one point for the whole batch.
 func NewExtReceiver() (*ExtReceiver, [][]byte, error) {
-	r := &ExtReceiver{}
-	msgAs := make([][]byte, kappa)
-	for i := 0; i < kappa; i++ {
-		s, msgA, err := NewBaseSender()
-		if err != nil {
-			return nil, nil, err
-		}
-		r.base[i] = s
-		msgAs[i] = msgA
+	base, msgA, err := newBaseSender()
+	if err != nil {
+		return nil, nil, err
 	}
-	return r, msgAs, nil
+	return &ExtReceiver{base: base}, [][]byte{msgA}, nil
 }
 
 // NewExtSender creates the sender with a fresh random base-choice vector.
 func NewExtSender() *ExtSender {
-	s := &ExtSender{}
-	rnd := bbcrypto.RandomBlock()
-	for i := 0; i < kappa; i++ {
-		s.s[i] = rnd[i/8]&(1<<uint(i%8)) != 0
-	}
-	return s
+	return &ExtSender{s: bbcrypto.RandomBlock()}
 }
 
+// bit returns bit i of b, 0 or 1.
+func bit(b *Block, i int) int { return int(b[i/8]>>(i%8)) & 1 }
+
 // BaseRespond consumes the receiver's base-OT first messages and returns
-// the responses. After this, the ExtSender holds the seeds chosen by s.
+// the kappa responses. After this, the ExtSender holds the seeds chosen by
+// s. Any message count other than one is a *CountError.
 func (s *ExtSender) BaseRespond(msgAs [][]byte) ([][]byte, error) {
-	if len(msgAs) != kappa {
-		return nil, errors.New("ot: wrong number of base messages")
+	if len(msgAs) != 1 {
+		return nil, &CountError{What: "base points", Got: len(msgAs), Want: 1}
+	}
+	ax, ay := elliptic.Unmarshal(curve, msgAs[0])
+	if ax == nil {
+		return nil, errBadPoint
 	}
 	msgBs := make([][]byte, kappa)
-	for i := 0; i < kappa; i++ {
-		msgB, key, err := BaseReceiverRespond(s.s[i], msgAs[i])
+	for i := range msgBs {
+		msgB, key, err := baseReceive(i, bit(&s.s, i), ax, ay, msgAs[0])
 		if err != nil {
 			return nil, err
 		}
@@ -84,10 +84,9 @@ func (s *ExtSender) BaseRespond(msgAs [][]byte) ([][]byte, error) {
 // sender. It also fixes the T matrix used to decrypt the final messages.
 func (r *ExtReceiver) Extend(msgBs [][]byte, choices []bool) ([][]byte, error) {
 	if len(msgBs) != kappa {
-		return nil, errors.New("ot: wrong number of base responses")
+		return nil, &CountError{What: "base responses", Got: len(msgBs), Want: kappa}
 	}
 	m := len(choices)
-	r.m = m
 	cols := (m + 7) / 8
 	choiceBits := make([]byte, cols)
 	for j, c := range choices {
@@ -95,25 +94,23 @@ func (r *ExtReceiver) Extend(msgBs [][]byte, choices []bool) ([][]byte, error) {
 			choiceBits[j/8] |= 1 << uint(j%8)
 		}
 	}
+	t := make([]byte, kappa*cols)
+	ub := make([]byte, kappa*cols)
 	u := make([][]byte, kappa)
-	r.t = make([][]byte, kappa)
-	for i := 0; i < kappa; i++ {
-		k0, k1, err := r.base[i].Keys(msgBs[i])
+	for i := range u {
+		k0, k1, err := r.base.keys(i, msgBs[i])
 		if err != nil {
 			return nil, err
 		}
-		r.seed0[i], r.seed1[i] = k0, k1
-		ti := make([]byte, cols)
+		ti, ui := t[i*cols:(i+1)*cols], ub[i*cols:(i+1)*cols:(i+1)*cols]
 		bbcrypto.NewPRG(k0).Read(ti)
-		g1 := make([]byte, cols)
-		bbcrypto.NewPRG(k1).Read(g1)
-		ui := make([]byte, cols)
+		bbcrypto.NewPRG(k1).Read(ui)
 		for b := range ui {
-			ui[b] = ti[b] ^ g1[b] ^ choiceBits[b]
+			ui[b] ^= ti[b] ^ choiceBits[b]
 		}
-		r.t[i] = ti
 		u[i] = ui
 	}
+	r.m, r.t = m, t
 	return u, nil
 }
 
@@ -121,36 +118,33 @@ func (r *ExtReceiver) Extend(msgBs [][]byte, choices []bool) ([][]byte, error) {
 // the masked pairs for the receiver.
 func (s *ExtSender) Send(u [][]byte, pairs [][2]Block) ([][2]Block, error) {
 	if len(u) != kappa {
-		return nil, errors.New("ot: wrong correction matrix width")
+		return nil, &CountError{What: "correction columns", Got: len(u), Want: kappa}
 	}
 	m := len(pairs)
 	cols := (m + 7) / 8
-	// Column i of Q: PRG(seed_i) ⊕ s_i·u_i.
-	q := make([][]byte, kappa)
-	for i := 0; i < kappa; i++ {
-		if len(u[i]) < cols {
-			return nil, errors.New("ot: short correction column")
+	// Column i of Q: PRG(seed_i) ⊕ s_i·u_i, with s_i applied as a mask.
+	q := make([]byte, kappa*cols)
+	for i, ui := range u {
+		if len(ui) != cols {
+			return nil, errors.New("ot: correction column of the wrong length")
 		}
-		qi := make([]byte, cols)
+		qi := q[i*cols : (i+1)*cols]
 		bbcrypto.NewPRG(s.seeds[i]).Read(qi)
-		if s.s[i] {
-			for b := range qi {
-				qi[b] ^= u[i][b]
-			}
-		}
-		q[i] = qi
-	}
-	var sBlock Block
-	for i := 0; i < kappa; i++ {
-		if s.s[i] {
-			sBlock[i/8] |= 1 << uint(i%8)
+		mask := -byte(bit(&s.s, i))
+		for b := range qi {
+			qi[b] ^= ui[b] & mask
 		}
 	}
+	// Row j of Q is t_j ⊕ c_j·s: the receiver knows the hash of one of
+	// q_j and q_j ⊕ s, the one its choice c_j selects. Two rows a call.
+	rows := transpose(q, m)
 	out := make([][2]Block, m)
-	for j := 0; j < m; j++ {
-		qj := rowOf(q, j)
-		out[j][0] = pairs[j][0].XOR(rowHash(j, qj))
-		out[j][1] = pairs[j][1].XOR(rowHash(j, qj.XOR(sBlock)))
+	for j := 0; j < m; j += 2 {
+		j1 := min(j+1, m-1) // an odd m hashes its last row twice
+		h := [4]Block{rows[j], rows[j].XOR(s.s), rows[j1], rows[j1].XOR(s.s)}
+		rowHash.CRHash4(&h, &h, &[4]uint64{uint64(j), uint64(j), uint64(j1), uint64(j1)})
+		out[j] = [2]Block{pairs[j][0].XOR(h[0]), pairs[j][1].XOR(h[1])}
+		out[j1] = [2]Block{pairs[j1][0].XOR(h[2]), pairs[j1][1].XOR(h[3])}
 	}
 	return out, nil
 }
@@ -182,40 +176,60 @@ func (r *ExtReceiver) Receive(masked [][2]Block, choices []bool) ([]Block, error
 	if len(masked) != len(choices) || len(choices) != r.m {
 		return nil, errors.New("ot: receive length mismatch")
 	}
-	out := make([]Block, len(masked))
-	for j := range masked {
-		tj := rowOf(r.t, j)
-		h := rowHash(j, tj)
-		if choices[j] {
-			out[j] = masked[j][1].XOR(h)
-		} else {
-			out[j] = masked[j][0].XOR(h)
+	// Four rows of T a call; past the end, the last row again.
+	rows := transpose(r.t, r.m)
+	out := make([]Block, r.m)
+	for j := 0; j < r.m; j += 4 {
+		var h [4]Block
+		var tw [4]uint64
+		for l := range h {
+			jl := min(j+l, r.m-1)
+			h[l], tw[l] = rows[jl], uint64(jl)
+		}
+		rowHash.CRHash4(&h, &h, &tw)
+		for l := 0; l < 4 && j+l < r.m; l++ {
+			c := 0
+			if choices[j+l] {
+				c = 1
+			}
+			out[j+l] = masked[j+l][c].XOR(h[l])
 		}
 	}
 	return out, nil
 }
 
-// rowOf extracts row j (kappa bits packed into a Block) of a column-major
-// bit matrix.
-func rowOf(cols [][]byte, j int) Block {
-	var row Block
-	byteIdx, mask := j/8, byte(1)<<uint(j%8)
-	for i := 0; i < kappa; i++ {
-		if cols[i][byteIdx]&mask != 0 {
-			row[i/8] |= 1 << uint(i%8)
+// transpose returns the m rows of the kappa × m bit matrix held column-major
+// in cols — kappa columns of (m+7)/8 bytes, bit j of column i at byte j/8,
+// bit j%8 — as Blocks, bit i of a row at byte i/8, bit i%8. It moves one
+// 8 × 8 bit block per step: eight column bytes gathered into a word,
+// transposed in place, scattered to eight rows.
+func transpose(cols []byte, m int) []Block {
+	stride := (m + 7) / 8
+	rows := make([]Block, 8*stride)
+	for jb := 0; jb < stride; jb++ {
+		for ib := 0; ib < kappa/8; ib++ {
+			var x uint64
+			for k := 0; k < 8; k++ {
+				x |= uint64(cols[(8*ib+k)*stride+jb]) << (8 * k)
+			}
+			x = transpose8(x)
+			for r := 0; r < 8; r++ {
+				rows[8*jb+r][ib] = byte(x >> (8 * r))
+			}
 		}
 	}
-	return row
+	return rows[:m]
 }
 
-// rowHash is the correlation-robust hash H(j, v).
-func rowHash(j int, v Block) Block {
-	var idx [8]byte
-	binary.BigEndian.PutUint64(idx[:], uint64(j))
-	sum := sha256.Sum256(append(idx[:], v[:]...))
-	var out Block
-	copy(out[:], sum[:])
-	return out
+// transpose8 transposes the 8 × 8 bit matrix whose entry (r, c) is bit
+// 8r + c of x (Hacker's Delight §7-3).
+func transpose8(x uint64) uint64 {
+	t := (x ^ x>>7) & 0x00AA00AA00AA00AA
+	x ^= t ^ t<<7
+	t = (x ^ x>>14) & 0x0000CCCC0000CCCC
+	x ^= t ^ t<<14
+	t = (x ^ x>>28) & 0x00000000F0F0F0F0
+	return x ^ t ^ t<<28
 }
 
 // ExtTransfer runs a complete in-process OT extension for tests and

@@ -437,7 +437,7 @@ func (c *Conn) servePreparation() error {
 	var (
 		sender *ot.ExtSender
 		pairs  [][2]bbcrypto.Block
-		rec    []byte // the SubCircuit record body, reused by every fragment
+		rec    []byte // the outgoing record body, framed once and reused by every message
 	)
 	for {
 		typ, body, err := ReadRecord(c.rd)
@@ -483,7 +483,8 @@ func (c *Conn) servePreparation() error {
 			if err != nil {
 				return err
 			}
-			if err := WriteRecord(c.raw, RecGarble, append([]byte{SubOTMsgB}, MarshalByteSlices(msgBs)...)); err != nil {
+			rec = AppendByteSlices(append(rec[:0], SubOTMsgB), msgBs)
+			if err := WriteRecord(c.raw, RecGarble, rec); err != nil {
 				return err
 			}
 		case SubOTU:
@@ -498,11 +499,8 @@ func (c *Conn) servePreparation() error {
 			if err != nil {
 				return err
 			}
-			flat := make([]bbcrypto.Block, 0, 2*len(masked))
-			for _, p := range masked {
-				flat = append(flat, p[0], p[1])
-			}
-			if err := WriteRecord(c.raw, RecGarble, append([]byte{SubOTMasked}, MarshalBlocks(flat)...)); err != nil {
+			rec = AppendBlockPairs(append(rec[:0], SubOTMasked), masked)
+			if err := WriteRecord(c.raw, RecGarble, rec); err != nil {
 				return err
 			}
 		case SubPrepDone:

@@ -14,6 +14,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/garble"
 	"repro/internal/obs"
+	"repro/internal/ot"
 	"repro/internal/ruleprep"
 )
 
@@ -125,6 +126,30 @@ func TestPreparationHoldsBoundedCircuits(t *testing.T) {
 	}
 	if got := w.garbled.Load(); got != n {
 		t.Fatalf("%d circuits garbled, want %d", got, n)
+	}
+}
+
+// TestPreparationRefusesWrongBasePointCount: the base phase takes one
+// point for the whole batch. None, or one per base OT as an older peer
+// sends, ends preparation at the endpoint with a typed error.
+func TestPreparationRefusesWrongBasePointCount(t *testing.T) {
+	_, msgAs, err := ot.NewExtReceiver()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 128} {
+		mb, done := servePrepOverPipe(t, &prepWatcher{t: t, bound: 1 << 30})
+		points := make([][]byte, n)
+		for i := range points {
+			points[i] = msgAs[0]
+		}
+		if err := WriteRecord(mb, RecGarble, AppendByteSlices([]byte{SubOTMsgA}, points)); err != nil {
+			t.Fatal(err)
+		}
+		var ce *ot.CountError
+		if err := <-done; !errors.As(err, &ce) || ce.Got != n {
+			t.Fatalf("SubOTMsgA with %d points: %v, want an *ot.CountError", n, err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"slices"
 	"testing"
 
 	"repro/internal/bbcrypto"
@@ -255,7 +256,11 @@ func TestTokensRoundTrip(t *testing.T) {
 
 func TestByteSlicesRoundTrip(t *testing.T) {
 	in := [][]byte{[]byte("a"), {}, []byte("longer slice here")}
-	enc := MarshalByteSlices(in)
+	framed := AppendByteSlices([]byte{SubOTU}, in)
+	if framed[0] != SubOTU {
+		t.Fatal("append overwrote the prefix")
+	}
+	enc := framed[1:]
 	got, err := UnmarshalByteSlices(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -518,6 +523,14 @@ func TestBlocksRoundTrip(t *testing.T) {
 	}
 	if _, err := UnmarshalBlocks([]byte{1}); err == nil {
 		t.Fatal("short header accepted")
+	}
+	pairs := [][2]bbcrypto.Block{{in[0], in[1]}, {in[2], in[0]}}
+	flat, err := UnmarshalBlocks(AppendBlockPairs(nil, pairs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []bbcrypto.Block{in[0], in[1], in[2], in[0]}; !slices.Equal(flat, want) {
+		t.Fatalf("pairs decode as %v, want %v", flat, want)
 	}
 }
 

@@ -401,7 +401,8 @@ const (
 	// SubCircuit (EP→MB): uint32 index, uint32 len, garbled blob, then
 	// the endpoint-input labels (the round-key wires of k and kRG).
 	SubCircuit
-	// SubOTMsgA (MB→EP): 128 base-OT first messages.
+	// SubOTMsgA (MB→EP): the base-OT first message, one point for all
+	// 128 base OTs.
 	SubOTMsgA
 	// SubOTMsgB (EP→MB): 128 base-OT responses.
 	SubOTMsgB
@@ -413,24 +414,22 @@ const (
 	SubPrepDone
 )
 
-// MarshalByteSlices length-prefixes a list of byte slices.
-func MarshalByteSlices(slices [][]byte) []byte {
+// AppendByteSlices appends list to dst, a uint32 count and then each slice
+// behind its uint32 length, growing dst once.
+func AppendByteSlices(dst []byte, list [][]byte) []byte {
 	total := 4
-	for _, s := range slices {
+	for _, s := range list {
 		total += 4 + len(s)
 	}
-	out := make([]byte, 4, total)
-	binary.BigEndian.PutUint32(out, uint32(len(slices)))
-	var tmp [4]byte
-	for _, s := range slices {
-		binary.BigEndian.PutUint32(tmp[:], uint32(len(s)))
-		out = append(out, tmp[:]...)
-		out = append(out, s...)
+	dst = binary.BigEndian.AppendUint32(slices.Grow(dst, total), uint32(len(list)))
+	for _, s := range list {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
+		dst = append(dst, s...)
 	}
-	return out
+	return dst
 }
 
-// UnmarshalByteSlices inverts MarshalByteSlices.
+// UnmarshalByteSlices inverts AppendByteSlices.
 func UnmarshalByteSlices(data []byte) ([][]byte, error) {
 	if len(data) < 4 {
 		return nil, errors.New("transport: short slice list")
@@ -469,6 +468,17 @@ func AppendBlocks(dst []byte, blocks []bbcrypto.Block) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(blocks)))
 	for i := range blocks {
 		dst = append(dst, blocks[i][:]...)
+	}
+	return dst
+}
+
+// AppendBlockPairs appends the MarshalBlocks encoding of the 2·len(pairs)
+// blocks of pairs, in order, to dst, growing dst once.
+func AppendBlockPairs(dst []byte, pairs [][2]bbcrypto.Block) []byte {
+	dst = slices.Grow(dst, 4+2*len(pairs)*bbcrypto.BlockSize)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(2*len(pairs)))
+	for i := range pairs {
+		dst = append(append(dst, pairs[i][0][:]...), pairs[i][1][:]...)
 	}
 	return dst
 }

@@ -2,7 +2,7 @@
 # ci.sh — the full BlindBox verification gate, runnable locally or in CI.
 #
 #   scripts/ci.sh            # everything: vet, build, bblint, tests, race, fuzz smoke
-#   scripts/ci.sh quick      # vet + gofmt + build + bblint + unit tests (root and benchmark modules) + F's gate count + sender pipeline rows + line counts only
+#   scripts/ci.sh quick      # vet + gofmt + build + bblint + unit tests (root and benchmark modules) + F's gate count + one OT leg + sender pipeline rows + line counts only
 #
 # Every stage uses only the Go toolchain; the module has no dependencies.
 set -euo pipefail
@@ -49,10 +49,11 @@ step "go test -C benchmark (BENCHMARK.json drift)"
 go test -C benchmark .
 
 # Rule preparation's cost is set by two counts, F's AND gates and the bytes
-# of one garbled F; print them (one garbling, no timing claim) so that a
-# gate-count regression shows in this log without running the benchmark.
-step "rule-encryption circuit F: AND gates and garbled bytes"
-go test -run '^$' -bench '^BenchmarkGarbleF$' -benchtime 1x . | grep '^BenchmarkGarbleF'
+# of one garbled F, and by the OT of each leg; print them (one garbling and
+# one leg, no timing claim) so that a gate-count or OT regression shows in
+# this log without running the benchmark.
+step "rule preparation: F's AND gates and garbled bytes, one OT leg"
+go test -run '^$' -bench '^Benchmark(GarbleF|OTLeg)$' -benchtime 1x . | grep -E '^Benchmark(GarbleF|OTLeg)'
 
 # The sender pipeline — tokenize, salt assignment, DPIEnc AES — is most of
 # the CPU of both text workloads and is run twice a record (sender and §3.4
@@ -98,11 +99,11 @@ go run ./cmd/bbtrace -assemble -strict \
 # runs one of them, so run the token path on the other — and the garbling
 # path, whose hash rides on the same kernel: the middlebox compares circuits
 # garbled on different machines bit for bit, so the fallback must produce
-# the same ones — and cross-build a platform that has no assembly; both work
-# offline.
+# the same ones — and OT, whose row hash rides on it too, and cross-build a
+# platform that has no assembly; both work offline.
 step "portable AES fallback (-tags purego) + arm64 cross-build"
 go test -tags purego ./internal/bbcrypto ./internal/dpienc ./internal/core \
-    ./internal/garble ./internal/ruleprep
+    ./internal/garble ./internal/ot ./internal/ruleprep
 GOARCH=arm64 go build ./...
 
 step "go test -race"
@@ -202,6 +203,7 @@ done <<'EOF'
 ./internal/rules FuzzParseRule
 ./internal/rules FuzzParse
 ./internal/garble FuzzUnmarshal
+./internal/ot FuzzOTMessages
 ./internal/transport FuzzUnmarshalHello
 ./internal/transport FuzzUnmarshalTokens
 ./internal/transport FuzzUnmarshalByteSlices
