@@ -22,7 +22,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/garble"
 	"repro/internal/netem"
-	"repro/internal/obs"
 	"repro/internal/ot"
 	"repro/internal/ruleprep"
 	"repro/internal/rules"
@@ -209,25 +208,6 @@ func BenchmarkDetectBlindBox3KRules(b *testing.B) {
 // amortizes relative to BenchmarkDetectBlindBox3KRules.
 func BenchmarkScanBatch3KRules(b *testing.B) {
 	eng, et := detectEngine(b, 9900, nil)
-	batch := make([]dpienc.EncryptedToken, 512)
-	for i := range batch {
-		batch[i] = et
-	}
-	var dst []detect.Event
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = eng.ScanBatch(batch, dst[:0])
-	}
-	b.ReportMetric(float64(b.N)*512/b.Elapsed().Seconds(), "tokens/s")
-}
-
-// BenchmarkScanBatch3KRulesInstrumented is BenchmarkScanBatch3KRules with an
-// enabled (but unscraped) obs registry on the engine — the production
-// middlebox configuration. Its tokens/s must stay within scheduler noise of
-// the uninstrumented rate: two atomic adds per 512-token batch.
-func BenchmarkScanBatch3KRulesInstrumented(b *testing.B) {
-	eng, et := detectEngine(b, 9900, nil)
-	eng.Instrument(obs.NewRegistry())
 	batch := make([]dpienc.EncryptedToken, 512)
 	for i := range batch {
 		batch[i] = et

@@ -165,8 +165,8 @@ func ParseRule(line string) (*Rule, error) { return rules.ParseRule(line) }
 type SessionKeys = bbcrypto.SessionKeys
 
 // Metrics is a metrics registry: install one in MiddleboxConfig.Metrics or
-// ConnConfig.Metrics and serve it with AdminMux. A nil *Metrics disables
-// collection at near-zero cost.
+// RecorderConfig.Metrics and serve it with AdminMux. A nil *Metrics
+// disables collection at near-zero cost.
 type Metrics = obs.Registry
 
 // NewMetrics creates an empty metrics registry.

@@ -43,7 +43,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	rules := lint.DefaultRules(loader.ModulePath, loader.GoMinor)
+	rules := lint.DefaultRules(loader.ModulePath)
 	if *listRules {
 		for _, r := range rules {
 			fmt.Printf("%-14s %s\n", r.ID(), r.Doc())

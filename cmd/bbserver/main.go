@@ -7,9 +7,9 @@
 //	bbserver -listen :9443 -rgconfig blindbox.endpoint.json [-mode echo|page] [-bytes 65536]
 //	         [-admin :8082] [-trace spans.jsonl] [-trace-sample 0.01] [-recorder-events 256]
 //
-// With -admin, the server exposes its endpoint metrics (handshake duration,
-// records written) on /metrics plus net/http/pprof under /debug/pprof/ and
-// the flight recorder's flow tables on /debug/flows and
+// With -admin, the server exposes its flight recorder's counters (flows by
+// disposition, ring evictions) on /metrics plus net/http/pprof under
+// /debug/pprof/ and the recorder's flow tables on /debug/flows and
 // /debug/flightrecorder?flow=N.
 // With -trace, the server appends its pipeline spans (conn, handshake,
 // prep.garble, tokenize, encrypt) to the given JSONL file, joining the
@@ -91,7 +91,6 @@ func main() {
 	})
 
 	if *admin != "" {
-		cfg.Metrics = reg
 		mux := obs.AdminMux(reg)
 		cfg.Recorder.Mount(mux)
 		aln, err := obs.ServeAdminMux(*admin, mux, obs.NewLogger(os.Stderr, slog.LevelInfo))

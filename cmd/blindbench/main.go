@@ -4,10 +4,8 @@
 // Usage:
 //
 //	blindbench -experiment all
-//	blindbench -experiment table1|table2|fig3|fig4|fig5|fig6|accuracy|throughput|setup|setupbreakdown|ablation|faults|scenarios|obsoverhead
-//	blindbench -experiment faults -policy fail-closed -faults-out BENCH_faults.json
+//	blindbench -experiment table1|table2|fig3|fig4|fig5|fig6|accuracy|throughput|setup|setupbreakdown|ablation|scenarios
 //	blindbench -experiment setupbreakdown -setup-out BENCH_setup_breakdown.json [-trace-dir traces/]
-//	blindbench -experiment obsoverhead -obs-out BENCH_obs.json
 //
 // Absolute numbers reflect this host, not the paper's DPDK testbed; the
 // reproduced quantities are the comparative shapes (see EXPERIMENTS.md).
@@ -21,19 +19,15 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/middlebox"
 	"repro/internal/netem"
 	"repro/internal/tokenize"
 )
 
 func main() {
-	exp := flag.String("experiment", "all", "which experiment to run: all, table1, table2, fig3, fig4, fig5, fig6, accuracy, throughput, setup, setupbreakdown, ablation, faults, scenarios, obsoverhead")
+	exp := flag.String("experiment", "all", "which experiment to run: all, table1, table2, fig3, fig4, fig5, fig6, accuracy, throughput, setup, setupbreakdown, ablation, scenarios")
 	fast := flag.Bool("fast", false, "reduce sample sizes for a quicker run")
-	policy := flag.String("policy", "fail-closed", "degradation policy for the faults experiment: fail-closed or fail-open")
-	faultsOut := flag.String("faults-out", "BENCH_faults.json", "path for the faults experiment's machine-readable result (empty disables)")
 	setupOut := flag.String("setup-out", "BENCH_setup_breakdown.json", "path for the setupbreakdown experiment's machine-readable result (empty disables)")
 	scenariosOut := flag.String("scenarios-out", "BENCH_scenarios.json", "path for the scenarios experiment's machine-readable result (empty disables)")
-	obsOut := flag.String("obs-out", "BENCH_obs.json", "path for the obsoverhead experiment's machine-readable result (empty disables)")
 	traceDir := flag.String("trace-dir", "", "setupbreakdown: also write the parties' raw span files (client/mb/server.jsonl) to this directory")
 	flag.Parse()
 
@@ -50,12 +44,10 @@ func main() {
 		"setupbreakdown": func(fast bool) error {
 			return runSetupBreakdown(fast, *setupOut, *traceDir)
 		},
-		"ablation":    runAblation,
-		"faults":      func(fast bool) error { return runFaults(fast, *policy, *faultsOut) },
-		"scenarios":   func(bool) error { return runScenarios(*scenariosOut) },
-		"obsoverhead": func(fast bool) error { return runObsOverhead(fast, *obsOut) },
+		"ablation":  runAblation,
+		"scenarios": func(bool) error { return runScenarios(*scenariosOut) },
 	}
-	order := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6", "accuracy", "throughput", "setup", "setupbreakdown", "ablation", "faults", "scenarios", "obsoverhead"}
+	order := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6", "accuracy", "throughput", "setup", "setupbreakdown", "ablation", "scenarios"}
 
 	if *exp == "all" {
 		for _, name := range order {
@@ -204,31 +196,6 @@ func runSetupBreakdown(fast bool, out, traceDir string) error {
 	return nil
 }
 
-func runFaults(fast bool, policy, out string) error {
-	pol, err := middlebox.ParsePolicy(policy)
-	if err != nil {
-		return err
-	}
-	opt := experiments.DefaultFaultsOptions()
-	opt.Policy = pol
-	if fast {
-		opt.Sessions = 8
-		opt.PayloadBytes = 4 << 10
-	}
-	res, err := experiments.Faults(opt)
-	if err != nil {
-		return err
-	}
-	experiments.PrintFaults(os.Stdout, res)
-	if out != "" {
-		if err := experiments.WriteFaultsJSON(out, res); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", out)
-	}
-	return nil
-}
-
 func runScenarios(out string) error {
 	res, err := experiments.Scenarios(experiments.DefaultScenariosOptions())
 	if err != nil {
@@ -237,28 +204,6 @@ func runScenarios(out string) error {
 	experiments.PrintScenarios(os.Stdout, res)
 	if out != "" {
 		if err := experiments.WriteScenariosJSON(out, res); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", out)
-	}
-	return nil
-}
-
-func runObsOverhead(fast bool, out string) error {
-	opt := experiments.DefaultObsOverheadOptions()
-	if fast {
-		opt.Rules = 300
-		opt.TrafficBytes = 1 << 20
-		opt.Flows = 16
-		opt.Reps = 2
-	}
-	res, err := experiments.ObsOverhead(opt)
-	if err != nil {
-		return err
-	}
-	experiments.PrintObsOverhead(os.Stdout, res)
-	if out != "" {
-		if err := experiments.WriteObsOverheadJSON(out, res); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", out)

@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 
 	"repro/internal/ahocorasick"
-	"repro/internal/obs"
 )
 
 // PacketSize is the MTU-sized packet unit of the pipeline.
@@ -35,19 +34,6 @@ type PacketPipeline struct {
 	// Hits counts pattern hits; RuleEvals counts per-hit option checks.
 	Hits      int
 	RuleEvals int
-
-	// packetsC/hitsC are nil until Instrument; uninstrumented pipelines pay
-	// only a nil check per packet.
-	packetsC *obs.Counter
-	hitsC    *obs.Counter
-}
-
-// Instrument registers the pipeline's packet and hit counters in r (see
-// obs.BaselinePacketsTotal, obs.BaselineHitsTotal). A nil registry leaves
-// the pipeline uninstrumented.
-func (p *PacketPipeline) Instrument(r *obs.Registry) {
-	p.packetsC = r.Counter(obs.BaselinePacketsTotal, obs.Help(obs.BaselinePacketsTotal))
-	p.hitsC = r.Counter(obs.BaselineHitsTotal, obs.Help(obs.BaselineHitsTotal))
 }
 
 // NewPipeline compiles the case-folded automaton and empty flow table.
@@ -68,7 +54,6 @@ func (ids *IDS) NewPipeline() *PacketPipeline {
 // ProcessPacket inspects one packet of a flow: header decode, flow lookup,
 // case-folded scan, and rule-option evaluation per hit.
 func (p *PacketPipeline) ProcessPacket(header [40]byte, flowID uint64, payload []byte) {
-	p.packetsC.Inc()
 	// Decode: read the fields an IDS consults (addresses, ports, flags).
 	_ = binary.BigEndian.Uint32(header[12:]) // src
 	_ = binary.BigEndian.Uint32(header[16:]) // dst
@@ -89,7 +74,6 @@ func (p *PacketPipeline) ProcessPacket(header [40]byte, flowID uint64, payload [
 	}
 	for _, m := range fs.scanner.Scan(buf) {
 		p.Hits++
-		p.hitsC.Inc()
 		fs.hits++
 		// Rule-option evaluation: check the hit content's positional
 		// constraints against the match offset, as Snort's detection

@@ -76,7 +76,6 @@ func (c *Circuit) String() string {
 // and as the specification the garbled evaluation must agree with.
 func (c *Circuit) Evaluate(inputs []bool) []bool {
 	if len(inputs) != c.NInputs {
-		//lint:ignore todo-panic circuit-construction width invariant; a violation is a programming error, never reachable from wire data
 		panic(fmt.Sprintf("circuit: got %d inputs, want %d", len(inputs), c.NInputs))
 	}
 	values := make([]bool, c.NInputs+len(c.Gates))
@@ -170,7 +169,6 @@ func NewBuilder(nInputs int) *Builder {
 // Input returns a reference to input wire i.
 func (b *Builder) Input(i int) Ref {
 	if i < 0 || i >= b.nInputs {
-		//lint:ignore todo-panic circuit-construction index invariant; a violation is a programming error, never reachable from wire data
 		panic(fmt.Sprintf("circuit: input %d out of range [0,%d)", i, b.nInputs))
 	}
 	return Ref{ID: int32(i)}
@@ -287,7 +285,6 @@ func (b *Builder) Build(outputs []Ref) *Circuit {
 // S-box output bit) costs far fewer than 255 AND gates.
 func (b *Builder) MuxTree(sel []Ref, table []bool) Ref {
 	if len(table) != 1<<len(sel) {
-		//lint:ignore todo-panic circuit-construction width invariant; a violation is a programming error, never reachable from wire data
 		panic("circuit: table size must be 2^len(sel)")
 	}
 	if len(sel) == 0 {
@@ -317,7 +314,6 @@ func (b *Builder) EqualConst(wires []Ref, bits []bool) Ref {
 // Equal returns a reference that is true iff xs and ys are bitwise equal.
 func (b *Builder) Equal(xs, ys []Ref) Ref {
 	if len(xs) != len(ys) {
-		//lint:ignore todo-panic circuit-construction width invariant; a violation is a programming error, never reachable from wire data
 		panic("circuit: Equal on different widths")
 	}
 	acc := Const(true)
@@ -330,7 +326,6 @@ func (b *Builder) Equal(xs, ys []Ref) Ref {
 // XORWords XORs two equal-width bit vectors.
 func (b *Builder) XORWords(xs, ys []Ref) []Ref {
 	if len(xs) != len(ys) {
-		//lint:ignore todo-panic circuit-construction width invariant; a violation is a programming error, never reachable from wire data
 		panic("circuit: XORWords on different widths")
 	}
 	out := make([]Ref, len(xs))

@@ -53,20 +53,17 @@ type SenderPipeline struct {
 	enc *dpienc.Sender
 	// toks is the tokenizer's output buffer, reused by every chunk.
 	toks []tokenize.Token
-	// obs is nil until Instrument: the uninstrumented hot path pays one
-	// pointer check per chunk and takes no timestamps.
+	// obs is nil until Instrument: the untraced hot path pays one pointer
+	// check per chunk and takes no timestamps.
 	obs *pipelineObs
 }
 
-// pipelineObs is the optional stage instrumentation of a SenderPipeline:
-// tokenize and encrypt latency histograms, plus spans when a trace sink is
-// set.
+// pipelineObs is the optional span wiring of a SenderPipeline: one
+// tokenize and one encrypt span per chunk, emitted to trace.
 type pipelineObs struct {
-	tokenize *obs.Histogram
-	encrypt  *obs.Histogram
-	trace    obs.Sink
-	flow     uint64
-	dir      string
+	trace obs.Sink
+	flow  uint64
+	dir   string
 	// ctx parents per-batch tokenize/encrypt spans under the owning
 	// connection span; party labels the emitting endpoint. Both are
 	// zero/empty when distributed tracing is not negotiated, leaving the
@@ -90,33 +87,21 @@ func NewSenderPipeline(keys bbcrypto.SessionKeys, cfg Config) *SenderPipeline {
 // and goes at that benchmark's next revision.
 func (p *SenderPipeline) AutoTune() {}
 
-// Instrument enables per-chunk stage timing on this pipeline: tokenize and
-// encrypt latency histograms in r (obs.SenderTokenizeSeconds,
-// obs.SenderEncryptSeconds), DPIEnc counters on the underlying sender, and
-// — when trace is non-nil — tokenize/encrypt spans labeled with flow and
-// dir. A valid ctx additionally parents each batch span under the owning
-// connection span and stamps party, joining the distributed trace.
-// Passing a nil registry and nil sink leaves the pipeline uninstrumented
+// Instrument makes this pipeline emit a tokenize and an encrypt span per
+// chunk to trace, labeled with flow and dir. A valid ctx additionally
+// parents each span under the owning connection span and stamps party,
+// joining the distributed trace. A nil trace leaves the pipeline untraced
 // (the default, zero-overhead state).
-func (p *SenderPipeline) Instrument(r *obs.Registry, trace obs.Sink, flow uint64, dir string, ctx obs.SpanCtx, party string) {
-	if r == nil && trace == nil {
+func (p *SenderPipeline) Instrument(trace obs.Sink, flow uint64, dir string, ctx obs.SpanCtx, party string) {
+	if trace == nil {
 		p.obs = nil
 		return
 	}
-	p.obs = &pipelineObs{
-		tokenize: r.Histogram(obs.SenderTokenizeSeconds, obs.Help(obs.SenderTokenizeSeconds), obs.LatencyBuckets),
-		encrypt:  r.Histogram(obs.SenderEncryptSeconds, obs.Help(obs.SenderEncryptSeconds), obs.LatencyBuckets),
-		trace:    trace,
-		flow:     flow,
-		dir:      dir,
-		ctx:      ctx,
-		party:    party,
-	}
-	p.enc.Instrument(r)
+	p.obs = &pipelineObs{trace: trace, flow: flow, dir: dir, ctx: ctx, party: party}
 }
 
 // encrypt is the tail of every Process*Into call: p.toks were tokenized
-// starting at t0 (zero when uninstrumented) from `bytes` input bytes. It
+// starting at t0 (zero when untraced) from `bytes` input bytes. It
 // encrypts them into dst's backing array when that is large enough.
 func (p *SenderPipeline) encrypt(dst []dpienc.EncryptedToken, t0 time.Time, bytes int) []dpienc.EncryptedToken {
 	toks := p.toks
@@ -127,27 +112,23 @@ func (p *SenderPipeline) encrypt(dst []dpienc.EncryptedToken, t0 time.Time, byte
 	out := p.enc.EncryptTokensInto(dst, toks)
 	t2 := time.Now()
 	o := p.obs
-	o.tokenize.Observe(t1.Sub(t0).Seconds())
-	o.encrypt.Observe(t2.Sub(t1).Seconds())
-	if o.trace != nil {
-		tok := obs.Span{
-			Flow: o.flow, Dir: o.dir, Party: o.party, Name: obs.SpanTokenize,
-			Start: t0.UnixNano(), Dur: int64(t1.Sub(t0)), Tokens: len(toks), Bytes: bytes,
-		}
-		o.ctx.Child().Stamp(&tok)
-		o.trace.Emit(tok)
-		enc := obs.Span{
-			Flow: o.flow, Dir: o.dir, Party: o.party, Name: obs.SpanEncrypt,
-			Start: t1.UnixNano(), Dur: int64(t2.Sub(t1)), Tokens: len(toks),
-		}
-		o.ctx.Child().Stamp(&enc)
-		o.trace.Emit(enc)
+	tok := obs.Span{
+		Flow: o.flow, Dir: o.dir, Party: o.party, Name: obs.SpanTokenize,
+		Start: t0.UnixNano(), Dur: int64(t1.Sub(t0)), Tokens: len(toks), Bytes: bytes,
 	}
+	o.ctx.Child().Stamp(&tok)
+	o.trace.Emit(tok)
+	enc := obs.Span{
+		Flow: o.flow, Dir: o.dir, Party: o.party, Name: obs.SpanEncrypt,
+		Start: t1.UnixNano(), Dur: int64(t2.Sub(t1)), Tokens: len(toks),
+	}
+	o.ctx.Child().Stamp(&enc)
+	o.trace.Emit(enc)
 	return out
 }
 
 // tokenizeStart is the tokenize span's start time, taken only when the
-// pipeline is instrumented.
+// pipeline is traced.
 func (p *SenderPipeline) tokenizeStart() (t0 time.Time) {
 	if p.obs != nil {
 		t0 = time.Now()

@@ -51,7 +51,6 @@ type TextOption func(payload []byte)
 func WithHit(at int, data []byte) TextOption {
 	return func(payload []byte) {
 		if at < 0 || at+len(data) > len(payload) {
-			//lint:ignore todo-panic an out-of-range pinned placement is a caller programming error in corpus construction, never reachable from wire data
 			panic(fmt.Sprintf("corpus: pinned hit [%d:%d) outside payload of %d bytes",
 				at, at+len(data), len(payload)))
 		}

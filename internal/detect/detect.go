@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/bbcrypto"
 	"repro/internal/dpienc"
-	"repro/internal/obs"
 	"repro/internal/rules"
 	"repro/internal/tokenize"
 )
@@ -136,20 +135,6 @@ type Engine struct {
 	tokensSeen uint64
 	// pruneWatermark drives candidate-map pruning.
 	pruneWatermark int
-
-	// tokensC/eventsC are nil until Instrument; uninstrumented engines pay
-	// only a nil check per batch.
-	tokensC *obs.Counter
-	eventsC *obs.Counter
-}
-
-// Instrument registers this engine's token and event counters in r (see
-// obs.DetectTokensTotal, obs.DetectEventsTotal). Counts are added at batch
-// granularity, so instrumentation stays off the per-token path. A nil
-// registry leaves the engine uninstrumented.
-func (e *Engine) Instrument(r *obs.Registry) {
-	e.tokensC = r.Counter(obs.DetectTokensTotal, obs.Help(obs.DetectTokensTotal))
-	e.eventsC = r.Counter(obs.DetectEventsTotal, obs.Help(obs.DetectEventsTotal))
 }
 
 // NewEngine compiles a ruleset against the token keys obtained from rule
@@ -260,8 +245,6 @@ func (e *Engine) ProcessToken(et dpienc.EncryptedToken) []Event {
 	e.tokensSeen++
 	evs := e.scanToken(et, nil)
 	e.maybePrune(et.Offset)
-	e.tokensC.Inc()
-	e.eventsC.Add(uint64(len(evs)))
 	return evs
 }
 
@@ -272,10 +255,9 @@ func (e *Engine) ProcessToken(et dpienc.EncryptedToken) []Event {
 //
 // Allocation contract: 0 allocs/op steady-state — passing dst with spare
 // capacity (typically a buffer reused across batches, truncated with
-// dst[:0]) makes the hot path allocation-free; token counting, candidate
-// pruning, and instrumentation run once per batch, not per token.
+// dst[:0]) makes the hot path allocation-free; token counting and
+// candidate pruning run once per batch, not per token.
 func (e *Engine) ScanBatch(ets []dpienc.EncryptedToken, dst []Event) []Event {
-	before := len(dst)
 	for i := range ets {
 		dst = e.scanToken(ets[i], dst)
 	}
@@ -287,8 +269,6 @@ func (e *Engine) ScanBatch(ets []dpienc.EncryptedToken, dst []Event) []Event {
 		e.tokensSeen += uint64(n)
 		e.maybePrune(ets[n-1].Offset)
 	}
-	e.tokensC.Add(uint64(len(ets)))
-	e.eventsC.Add(uint64(len(dst) - before))
 	return dst
 }
 

@@ -43,7 +43,6 @@ type TokenAssignment struct {
 //
 //bb:hotpath
 func (s *Sender) AssignTokens(toks []tokenize.Token, dst []TokenAssignment) []TokenAssignment {
-	s.tokensC.Add(uint64(len(toks)))
 	stride := s.saltStride()
 	n := len(dst)
 	dst = slices.Grow(dst, len(toks))[:n+len(toks)]
@@ -62,7 +61,6 @@ func (s *Sender) AssignTokens(toks []tokenize.Token, dst []TokenAssignment) []To
 		// A 32-bit counter wrapped inside this batch. AccountBytes resets
 		// at 2^31, so this takes 2^31 more occurrences of one token
 		// without a call to it; nothing has been emitted yet.
-		//lint:ignore todo-panic encrypting gigabytes without AccountBytes is a caller programming error, never reachable from wire data (Conn accounts every record)
 		panic("dpienc: token counter overflow: AccountBytes not called for 2^31 occurrences of one token")
 	}
 	return dst

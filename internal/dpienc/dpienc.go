@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"repro/internal/bbcrypto"
-	"repro/internal/obs"
 	"repro/internal/tokenize"
 )
 
@@ -155,11 +154,6 @@ type Sender struct {
 
 	bytesSinceReset int
 	resetInterval   int
-
-	// tokensC/resetsC are nil until Instrument; the nil obs handles make
-	// uninstrumented senders pay only a nil check per batch.
-	tokensC *obs.Counter
-	resetsC *obs.Counter
 }
 
 // NewSender creates a Sender for session detection key k. kSSL is required
@@ -180,14 +174,6 @@ func NewSender(k, kSSL bbcrypto.Block, protocol Protocol, salt0 uint64) *Sender 
 // SetResetInterval overrides the counter-table reset interval P (mainly for
 // tests and benchmarks).
 func (s *Sender) SetResetInterval(p int) { s.resetInterval = p }
-
-// Instrument registers this sender's token and reset counters in r (see
-// obs.DPIEncTokensTotal, obs.DPIEncResetsTotal). A nil registry leaves the
-// sender uninstrumented.
-func (s *Sender) Instrument(r *obs.Registry) {
-	s.tokensC = r.Counter(obs.DPIEncTokensTotal, obs.Help(obs.DPIEncTokensTotal))
-	s.resetsC = r.Counter(obs.DPIEncResetsTotal, obs.Help(obs.DPIEncResetsTotal))
-}
 
 // Salt0 returns the current initial salt, which the sender announces to the
 // middlebox before sending encrypted tokens.
@@ -237,7 +223,6 @@ func (s *Sender) AccountBytes(n int) (uint64, bool) {
 	s.salt0 += s.maxCt + 1
 	s.maxCt = 0
 	s.tab.reset()
-	s.resetsC.Inc()
 	return s.salt0, true
 }
 
@@ -247,7 +232,6 @@ func (s *Sender) Reset(newSalt0 uint64) {
 	s.maxCt = 0
 	s.bytesSinceReset = 0
 	s.tab.reset()
-	s.resetsC.Inc()
 }
 
 // RecoverSSLKey inverts the Protocol III embedding for a matched keyword:

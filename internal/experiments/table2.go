@@ -215,17 +215,14 @@ func Table2(opt Table2Options) ([]Table2Row, error) {
 func vanillaHandshakeOp() func() {
 	peer, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
-		//lint:ignore todo-panic benchmark harness; a failed setup must abort the experiment, not skew the numbers
 		panic(err)
 	}
 	return func() {
 		priv, err := ecdh.X25519().GenerateKey(rand.Reader)
 		if err != nil {
-			//lint:ignore todo-panic benchmark harness; a failed setup must abort the experiment, not skew the numbers
 			panic(err)
 		}
 		if _, err := priv.ECDH(peer.PublicKey()); err != nil {
-			//lint:ignore todo-panic benchmark harness; a failed setup must abort the experiment, not skew the numbers
 			panic(err)
 		}
 	}
@@ -254,7 +251,6 @@ func detectionCosts(k bbcrypto.Block, numKeywords int, minSample time.Duration) 
 	}
 	rs, err := rules.Parse("bench", string(lines))
 	if err != nil {
-		//lint:ignore todo-panic benchmark harness; a failed setup must abort the experiment, not skew the numbers
 		panic(err)
 	}
 

@@ -6,173 +6,6 @@ import (
 	"go/types"
 )
 
-// MutexCopy flags locks passed by value: function parameters, results and
-// method receivers whose type is (or transitively contains, by value) a
-// sync.Mutex, RWMutex, WaitGroup, Once, Cond or Map. A copied lock guards
-// nothing; in the middlebox's per-connection state that turns into silent
-// data races under load.
-type MutexCopy struct{}
-
-// ID implements Rule.
-func (r *MutexCopy) ID() string { return "mutex-copy" }
-
-// Doc implements Rule.
-func (r *MutexCopy) Doc() string {
-	return "sync primitives must be passed by pointer, never copied by value"
-}
-
-// Check implements Rule.
-func (r *MutexCopy) Check(pkg *Package, report Reporter) {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			var fields []*ast.Field
-			if fd.Recv != nil {
-				fields = append(fields, fd.Recv.List...)
-			}
-			if fd.Type.Params != nil {
-				fields = append(fields, fd.Type.Params.List...)
-			}
-			if fd.Type.Results != nil {
-				fields = append(fields, fd.Type.Results.List...)
-			}
-			for _, field := range fields {
-				t := typeOf(pkg.Info, field.Type)
-				if t == nil {
-					continue
-				}
-				if lock := lockIn(t, nil); lock != "" {
-					report(field, "%s is passed by value and carries %s; pass a pointer", fieldDisplay(field), lock)
-				}
-			}
-		}
-	}
-}
-
-// lockIn returns the name of a sync primitive held by value inside t, or "".
-func lockIn(t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	if seen == nil {
-		seen = make(map[types.Type]bool)
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Map":
-				return "sync." + obj.Name()
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if l := lockIn(u.Field(i).Type(), seen); l != "" {
-				return l
-			}
-		}
-	case *types.Array:
-		return lockIn(u.Elem(), seen)
-	}
-	return ""
-}
-
-func fieldDisplay(field *ast.Field) string {
-	if len(field.Names) > 0 {
-		return "parameter " + field.Names[0].Name
-	}
-	return "parameter"
-}
-
-// LoopCapture flags `go func(){...}()` inside a loop when the function
-// literal captures the loop variable without rebinding it or passing it as
-// an argument. Before Go 1.22 every iteration shares one variable, so all
-// goroutines observe the final value. The rule disables itself when the
-// module's go directive is >= 1.22 (per-iteration variables), but stays in
-// the catalog for fixtures and for modules pinned to older semantics.
-type LoopCapture struct {
-	// GoMinor is the go.mod directive's minor version; >= 22 disables the
-	// rule.
-	GoMinor int
-}
-
-// ID implements Rule.
-func (r *LoopCapture) ID() string { return "loop-capture" }
-
-// Doc implements Rule.
-func (r *LoopCapture) Doc() string {
-	return "goroutines in loops must not capture the loop variable (pre-1.22 semantics)"
-}
-
-// Check implements Rule.
-func (r *LoopCapture) Check(pkg *Package, report Reporter) {
-	if r.GoMinor >= 22 {
-		return
-	}
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			loopVars := make(map[types.Object]string)
-			var body *ast.BlockStmt
-			switch loop := n.(type) {
-			case *ast.RangeStmt:
-				for _, e := range []ast.Expr{loop.Key, loop.Value} {
-					if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-						if obj := pkg.Info.Defs[id]; obj != nil {
-							loopVars[obj] = id.Name
-						}
-					}
-				}
-				body = loop.Body
-			case *ast.ForStmt:
-				if init, ok := loop.Init.(*ast.AssignStmt); ok && init.Tok == token.DEFINE {
-					for _, e := range init.Lhs {
-						if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-							if obj := pkg.Info.Defs[id]; obj != nil {
-								loopVars[obj] = id.Name
-							}
-						}
-					}
-				}
-				body = loop.Body
-			default:
-				return true
-			}
-			if len(loopVars) == 0 {
-				return true
-			}
-			ast.Inspect(body, func(m ast.Node) bool {
-				g, ok := m.(*ast.GoStmt)
-				if !ok {
-					return true
-				}
-				lit, ok := g.Call.Fun.(*ast.FuncLit)
-				if !ok {
-					return true
-				}
-				ast.Inspect(lit.Body, func(u ast.Node) bool {
-					id, ok := u.(*ast.Ident)
-					if !ok {
-						return true
-					}
-					if name, captured := loopVars[pkg.Info.Uses[id]]; captured {
-						report(id, "goroutine captures loop variable %s; pass it as an argument or rebind it (pre-1.22 loops share one variable)", name)
-						return false
-					}
-					return true
-				})
-				return true
-			})
-			return true
-		})
-	}
-}
-
 // ChanLeak flags sends on an unbuffered channel that is local to one
 // function and has no receiver anywhere in that function: the sending
 // goroutine blocks forever. The check is deliberately conservative — any
@@ -337,9 +170,4 @@ func isZeroConst(info *types.Info, e ast.Expr) bool {
 	return tv.Value.String() == "0"
 }
 
-var (
-	_ Rule = (*MutexCopy)(nil)
-	_ Rule = (*LoopCapture)(nil)
-	_ Rule = (*ChanLeak)(nil)
-	_ Rule = (*TodoPanic)(nil)
-)
+var _ Rule = (*ChanLeak)(nil)

@@ -7,8 +7,10 @@
 // invariants the Go type system cannot express: secret material must be
 // compared in constant time, randomness on cryptographic paths must come
 // from crypto/rand, and the multi-threaded middlebox must not leak
-// goroutines or copy locks. Each invariant is a Rule; cmd/bblint runs every
-// rule over every package and fails CI on violations.
+// goroutines. Each invariant is a Rule; cmd/bblint runs every rule over
+// every package and fails CI on violations. Checks the toolchain already
+// makes (go vet's copylocks, Go 1.22's per-iteration loop variables) are
+// not repeated here.
 //
 // Findings can be suppressed with an explanation:
 //
@@ -76,10 +78,8 @@ type Rule interface {
 }
 
 // DefaultRules returns the standard bblint rule set for a module.
-// modulePath qualifies the packages whose types mark values as secret;
-// goMinor is the module's go directive minor version (loop-capture is a
-// no-op from 1.22 on, where loop variables are per-iteration).
-func DefaultRules(modulePath string, goMinor int) []Rule {
+// modulePath qualifies the packages whose types mark values as secret.
+func DefaultRules(modulePath string) []Rule {
 	return []Rule{
 		NewCTCompare(modulePath),
 		NewWeakRand([]string{
@@ -87,10 +87,7 @@ func DefaultRules(modulePath string, goMinor int) []Rule {
 			modulePath + "/internal/experiments",
 		}),
 		&UncheckedErr{NeverFail: []string{"bbcrypto.PRG"}},
-		&MutexCopy{},
-		&LoopCapture{GoMinor: goMinor},
 		&ChanLeak{},
-		&TodoPanic{},
 		NewObsStats([]string{modulePath + "/internal/obs"}),
 		NewExportedDoc([]string{modulePath}),
 		NewSecretFlow(modulePath),

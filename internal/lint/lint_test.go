@@ -12,19 +12,14 @@ import (
 var update = flag.Bool("update", false, "rewrite the testdata golden expect.txt files")
 
 // fixtureRules is the rule set the fixtures are written against. It mirrors
-// DefaultRules for module path "repro" with two fixture-specific twists:
-// the weak-rand allowlist points at the testdata/weakrand/allowed package,
-// and loop-capture is forced on with a pre-1.22 go directive so its fixture
-// stays meaningful under the module's actual (>= 1.22) toolchain.
+// DefaultRules for module path "repro", except that the weak-rand and
+// exported-doc scopes point at their fixture packages.
 func fixtureRules() []Rule {
 	return []Rule{
 		NewCTCompare("repro"),
 		NewWeakRand([]string{"repro/internal/lint/testdata/weakrand/allowed"}),
 		&UncheckedErr{NeverFail: []string{"bbcrypto.PRG"}},
-		&MutexCopy{},
-		&LoopCapture{GoMinor: 21},
 		&ChanLeak{},
-		&TodoPanic{},
 		NewObsStats([]string{"repro/internal/obs"}),
 		NewExportedDoc([]string{"repro/internal/lint/testdata/exporteddoc"}),
 		NewSecretFlow("repro"),
@@ -40,10 +35,7 @@ var fixtureRuleID = map[string]string{
 	"weakrand":         "weak-rand",
 	"weakrand/allowed": "", // allowlisted: must be perfectly clean
 	"uncheckederr":     "unchecked-err",
-	"mutexcopy":        "mutex-copy",
-	"loopcapture":      "loop-capture",
 	"chanleak":         "chan-leak",
-	"todopanic":        "todo-panic",
 	"obsstats":         "obs-stats",
 	"exporteddoc":      "exported-doc",
 	"secretflow":       "secret-flow",
@@ -160,11 +152,10 @@ func TestExpandSkipsTestdata(t *testing.T) {
 // reference them by name.
 func TestDefaultRulesCatalog(t *testing.T) {
 	want := []string{
-		"ct-compare", "weak-rand", "unchecked-err",
-		"mutex-copy", "loop-capture", "chan-leak", "todo-panic",
+		"ct-compare", "weak-rand", "unchecked-err", "chan-leak",
 		"obs-stats", "exported-doc", "secret-flow", "hotpath-alloc",
 	}
-	rules := DefaultRules("repro", 22)
+	rules := DefaultRules("repro")
 	if len(rules) != len(want) {
 		t.Fatalf("got %d rules, want %d", len(rules), len(want))
 	}

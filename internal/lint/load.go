@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -37,9 +36,6 @@ type Loader struct {
 	ModulePath string
 	// RootDir is the directory containing go.mod.
 	RootDir string
-	// GoMinor is the minor version of the go.mod "go" directive (22 for
-	// "go 1.22"); 0 when absent.
-	GoMinor int
 
 	std   types.Importer
 	stdMu sync.Mutex
@@ -107,7 +103,7 @@ func NewLoader(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	module, minor := parseModFile(string(data))
+	module := parseModFile(string(data))
 	if module == "" {
 		return nil, fmt.Errorf("lint: no module directive in %s/go.mod", root)
 	}
@@ -120,29 +116,20 @@ func NewLoader(dir string) (*Loader, error) {
 		Fset:       fset,
 		ModulePath: module,
 		RootDir:    root,
-		GoMinor:    minor,
 		std:        importer.ForCompiler(fset, "source", nil),
 		entries:    make(map[string]*loadEntry),
 		waits:      make(map[int]string),
 	}, nil
 }
 
-// parseModFile extracts the module path and go-directive minor version.
-func parseModFile(src string) (module string, goMinor int) {
+// parseModFile extracts the module path from go.mod's module directive.
+func parseModFile(src string) string {
 	for _, line := range strings.Split(src, "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			module = strings.Trim(strings.TrimSpace(rest), `"`)
-		} else if rest, ok := strings.CutPrefix(line, "go "); ok {
-			parts := strings.SplitN(strings.TrimSpace(rest), ".", 3)
-			if len(parts) >= 2 {
-				if n, err := strconv.Atoi(parts[1]); err == nil {
-					goMinor = n
-				}
-			}
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.Trim(strings.TrimSpace(rest), `"`)
 		}
 	}
-	return module, goMinor
+	return ""
 }
 
 // Expand resolves package patterns to import paths. Supported forms:

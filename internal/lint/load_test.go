@@ -43,7 +43,7 @@ func TestLoadAllDeterministic(t *testing.T) {
 				t.Fatalf("%s: type errors: %v", pkg.ImportPath, pkg.TypeErrors)
 			}
 		}
-		findings := Run(pkgs, DefaultRules(loader.ModulePath, loader.GoMinor))
+		findings := Run(pkgs, DefaultRules(loader.ModulePath))
 		if !sort.SliceIsSorted(findings, func(i, j int) bool {
 			a, b := findings[i], findings[j]
 			if a.File != b.File {

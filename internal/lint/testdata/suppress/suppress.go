@@ -3,15 +3,18 @@
 // are themselves reported under the lint-directive pseudo-rule.
 package suppress
 
-import "log/slog"
+import (
+	"io"
+	"log/slog"
+)
 
-func lineAbove() {
-	//lint:ignore todo-panic fixture demonstrating a justified suppression
-	panic("suppressed by the directive on the previous line")
+func lineAbove(c io.Closer) {
+	//lint:ignore unchecked-err fixture demonstrating a justified suppression
+	c.Close()
 }
 
-func sameLine() {
-	panic("suppressed") //lint:ignore todo-panic fixture demonstrating same-line suppression
+func sameLine(c io.Closer) {
+	c.Close() //lint:ignore unchecked-err fixture demonstrating same-line suppression
 }
 
 //lint:ignore weak-rand this directive matches no finding and must be reported

@@ -845,10 +845,13 @@ type flow struct {
 
 	// Protocol III decryption element state. aead is built once, at key
 	// recovery; nonce is the direction byte, then seq in bytes 4–11.
+	// overflow counts the records that arrived before recovery with the
+	// buffer full: they are lost, but each used up a sequence number.
 	recovered  bool
 	aead       cipher.AEAD
 	ciphertext [][]byte // buffered data records awaiting a key
-	plaintext  []byte   // decrypted stream for secondary inspection
+	overflow   uint64
+	plaintext  []byte // decrypted stream for secondary inspection
 	seq        uint64
 	nonce      [12]byte
 }
@@ -1188,18 +1191,24 @@ func (mb *Middlebox) captureData(fl *flow, body []byte) {
 	if !fl.recovered {
 		if len(fl.ciphertext) < maxBufferedRecords {
 			fl.ciphertext = append(fl.ciphertext, append([]byte(nil), body...))
+		} else {
+			fl.overflow++
 		}
 		return
 	}
 	mb.decryptRecord(fl, body)
 }
 
-// drainBuffered decrypts records buffered before key recovery.
+// drainBuffered decrypts records buffered before key recovery, then skips
+// the sequence numbers of those that overflowed the buffer (they came after
+// every buffered one), so the next record opens under its own nonce.
 func (mb *Middlebox) drainBuffered(fl *flow) {
 	for _, rec := range fl.ciphertext {
 		mb.decryptRecord(fl, rec)
 	}
 	fl.ciphertext = nil
+	fl.seq += fl.overflow
+	fl.overflow = 0
 }
 
 // dataAD is every data record's additional data: its record type.

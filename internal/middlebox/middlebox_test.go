@@ -2,6 +2,7 @@ package middlebox
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
 	"strings"
@@ -274,6 +275,49 @@ func TestEndToEndNoProbableCauseNoDecryption(t *testing.T) {
 	}
 	if len(h.snapshot()) != 0 {
 		t.Fatalf("alerts without cause: %+v", h.snapshot())
+	}
+}
+
+// TestSecondaryNonceSurvivesBufferOverflow: records that arrive before key
+// recovery with the buffer full are lost, but each used up a sequence
+// number, so the first record after recovery still opens under its nonce.
+func TestSecondaryNonceSurvivesBufferOverflow(t *testing.T) {
+	g, err := rules.NewGenerator("DriftRG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := rules.Parse("drift", `alert tcp any any -> any any (msg:"kw"; content:"attackkw"; sid:7;)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, err := New(Config{Ruleset: g.Sign(rs), Secondary: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mb.Close() })
+	keys := bbcrypto.DeriveSessionKeys([]byte("nonce drift"))
+	cfg := core.Config{Protocol: dpienc.ProtocolIII, Mode: tokenize.Delimiter}
+	fl := mb.newFlow(1, ClientToServer, cfg, core.DirectTokenKeys(keys.K, rs, cfg.Mode), nil, func() {})
+
+	// seal builds the body of the client's next data record: a kind byte and
+	// the payload under the nonce direction 0 ‖ sequence number.
+	aead := bbcrypto.NewGCM(keys.KSSL)
+	var seq uint64
+	seal := func(payload string) []byte {
+		var nonce [12]byte
+		binary.BigEndian.PutUint64(nonce[4:], seq)
+		seq++
+		return aead.Seal(nil, nonce[:], append([]byte{0}, payload...), dataAD)
+	}
+	for i := 0; i < maxBufferedRecords+3; i++ {
+		mb.captureData(fl, seal("."))
+	}
+	mb.dispatchEvent(fl, detect.Event{Kind: detect.KeywordMatch, HasSSLKey: true, SSLKey: keys.KSSL})
+	const late = "sent after the key was recovered"
+	mb.captureData(fl, seal(late))
+	if want := strings.Repeat(".", maxBufferedRecords) + late; string(fl.plaintext) != want {
+		t.Fatalf("plaintext ends %q, want the %d buffered records and then %q",
+			fl.plaintext[max(0, len(fl.plaintext)-40):], maxBufferedRecords, late)
 	}
 }
 

@@ -6,8 +6,8 @@
 // connection resets, truncated writes and corrupted bytes. Faults trigger
 // at byte offsets of the wrapped connection's read or write stream, not at
 // wall-clock times, so a seeded schedule replays identically run-to-run:
-// the chaos suite (chaos_e2e_test.go) and `blindbench -experiment faults`
-// both rely on that determinism.
+// the chaos suite (chaos_e2e_test.go), which holds the fault-tolerance
+// contract, relies on that determinism.
 
 package netem
 

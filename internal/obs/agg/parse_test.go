@@ -37,29 +37,8 @@ var catalogKind = map[string]struct {
 	obs.MBFailClosedDropsTotal: {kind: "counter"},
 	obs.MBUnscannedBytes:       {kind: "counter"},
 
-	obs.ConnHandshakeSeconds: {kind: "histogram"},
-	obs.ConnRecordsTotal:     {kind: "counter"},
-	obs.ConnRecordBytes:      {kind: "histogram"},
-	obs.ConnDialRetriesTotal: {kind: "counter"},
-
-	obs.SenderTokenizeSeconds: {kind: "histogram"},
-	obs.SenderEncryptSeconds:  {kind: "histogram"},
-
-	obs.DPIEncTokensTotal: {kind: "counter"},
-	obs.DPIEncResetsTotal: {kind: "counter"},
-
-	obs.DetectTokensTotal: {kind: "counter"},
-	obs.DetectEventsTotal: {kind: "counter"},
-
-	obs.BaselinePacketsTotal: {kind: "counter"},
-	obs.BaselineHitsTotal:    {kind: "counter"},
-
-	obs.ObsSamplerDecisionsTotal: {kind: "countervec", label: "decision"},
-	obs.ObsFlowsTotal:            {kind: "countervec", label: "disposition"},
-	obs.ObsRingEvictionsTotal:    {kind: "counter"},
-	obs.ObsSpansFlushedTotal:     {kind: "counter"},
-	obs.ObsSpansDroppedTotal:     {kind: "counter"},
-	obs.ObsRecordSeconds:         {kind: "histogram"},
+	obs.ObsFlowsTotal:         {kind: "countervec", label: "disposition"},
+	obs.ObsRingEvictionsTotal: {kind: "counter"},
 
 	obs.BuildInfo:  {kind: "gaugevec", label: "version"},
 	obs.WorkerInfo: {kind: "gaugevec", label: "worker"},
@@ -104,9 +83,6 @@ func populateCatalog(t *testing.T, r *obs.Registry) {
 			r.Gauge(name, help).Set(int64(i*3 - 5))
 		case "histogram":
 			buckets := obs.LatencyBuckets
-			if strings.HasSuffix(name, "_bytes") {
-				buckets = obs.SizeBuckets
-			}
 			h := r.Histogram(name, help, buckets)
 			h.Observe(buckets[0])                      // exactly on the first bound
 			h.Observe((buckets[0] + buckets[1]) / 2)   // between bounds

@@ -2,7 +2,9 @@
 // with its help string. Packages register through these constants, and
 // TestMetricNames pins the catalog — a metric outside it (or one that
 // breaks the Prometheus name grammar) fails the build gate. DESIGN.md §8
-// documents the same catalog for operators.
+// documents the same catalog for operators, and every family needs a row
+// in RUNBOOK.md §3's metric reference naming what reads it
+// (TestCatalogFamiliesHaveARunbookRow).
 
 package obs
 
@@ -34,36 +36,10 @@ const (
 	MBFailClosedDropsTotal = "blindbox_mb_failclosed_drops_total"
 	MBUnscannedBytes       = "blindbox_mb_unscanned_bytes_total"
 
-	// transport endpoints
-	ConnHandshakeSeconds = "blindbox_conn_handshake_seconds"
-	ConnRecordsTotal     = "blindbox_conn_records_total"
-	ConnRecordBytes      = "blindbox_conn_record_bytes"
-	ConnDialRetriesTotal = "blindbox_conn_dial_retries_total"
-
-	// core sender pipeline
-	SenderTokenizeSeconds = "blindbox_sender_tokenize_seconds"
-	SenderEncryptSeconds  = "blindbox_sender_encrypt_seconds"
-
-	// dpienc
-	DPIEncTokensTotal = "blindbox_dpienc_tokens_encrypted_total"
-	DPIEncResetsTotal = "blindbox_dpienc_counter_resets_total"
-
-	// detect
-	DetectTokensTotal = "blindbox_detect_tokens_total"
-	DetectEventsTotal = "blindbox_detect_events_total"
-
-	// baseline (plaintext IDS)
-	BaselinePacketsTotal = "blindbox_baseline_packets_total"
-	BaselineHitsTotal    = "blindbox_baseline_pattern_hits_total"
-
-	// obs self-observability: the flight recorder / sampler watching itself
-	// (label owners: decision on sampler decisions, disposition on flows)
-	ObsSamplerDecisionsTotal = "blindbox_obs_sampler_decisions_total"
-	ObsFlowsTotal            = "blindbox_obs_flows_total"
-	ObsRingEvictionsTotal    = "blindbox_obs_ring_evictions_total"
-	ObsSpansFlushedTotal     = "blindbox_obs_spans_flushed_total"
-	ObsSpansDroppedTotal     = "blindbox_obs_spans_dropped_total"
-	ObsRecordSeconds         = "blindbox_obs_record_seconds"
+	// the flight recorder watching itself (label owner: disposition on
+	// flows)
+	ObsFlowsTotal         = "blindbox_obs_flows_total"
+	ObsRingEvictionsTotal = "blindbox_obs_ring_evictions_total"
 
 	// process identity (label owners: version on build info, worker on
 	// worker info)
@@ -103,29 +79,8 @@ var Catalog = map[string]string{
 	MBFailClosedDropsTotal: "Connections severed by the fail-closed policy after detection became unavailable.",
 	MBUnscannedBytes:       "Data-record payload bytes forwarded without detection under fail-open degradation.",
 
-	ConnHandshakeSeconds: "Endpoint handshake duration, including rule preparation when a middlebox is present.",
-	ConnRecordsTotal:     "Records written by this endpoint after the handshake (salt, token, data and close records).",
-	ConnRecordBytes:      "Body size of records written by this endpoint.",
-	ConnDialRetriesTotal: "Dial attempts retried by endpoint Dial (connect plus handshake, as one unit).",
-
-	SenderTokenizeSeconds: "Tokenization latency per processed chunk.",
-	SenderEncryptSeconds:  "DPIEnc encryption latency per token batch (after counter assignment).",
-
-	DPIEncTokensTotal: "Tokens encrypted by DPIEnc senders.",
-	DPIEncResetsTotal: "Counter-table resets (explicit and interval-driven).",
-
-	DetectTokensTotal: "Tokens processed by detection engines.",
-	DetectEventsTotal: "Detection events (keyword and rule matches) produced by engines.",
-
-	BaselinePacketsTotal: "Packets processed by the plaintext baseline IDS pipeline.",
-	BaselineHitsTotal:    "Multi-pattern hits in the plaintext baseline IDS pipeline.",
-
-	ObsSamplerDecisionsTotal: "Head-sampling decisions taken when a flow's flight recorder begins; label: decision (sampled, unsampled).",
-	ObsFlowsTotal:            "Flows ended by the flight recorder by terminal disposition; label: disposition (head, tail, drop).",
-	ObsRingEvictionsTotal:    "Spans overwritten in full flight-recorder rings (oldest-first eviction).",
-	ObsSpansFlushedTotal:     "Spans delivered to the trace sink (head-sampled streaming plus tail flushes).",
-	ObsSpansDroppedTotal:     "Spans discarded by the flight recorder (unsampled clean flows and post-flush stragglers).",
-	ObsRecordSeconds:         "Flight-recorder record-path latency per span (ring append, lock included).",
+	ObsFlowsTotal:         "Flows ended by the flight recorder by terminal disposition; label: disposition (head, tail, drop).",
+	ObsRingEvictionsTotal: "Spans overwritten in full flight-recorder rings (oldest-first eviction).",
 
 	BuildInfo:  "Build identity gauge, always 1; label: version (Go version and VCS revision from debug.ReadBuildInfo).",
 	WorkerInfo: "Worker identity gauge, always 1; label: worker (the operator-assigned worker name, e.g. bbmb -worker).",

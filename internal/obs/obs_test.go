@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"io"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -220,6 +223,36 @@ func TestMetricNames(t *testing.T) {
 	}
 	if Help(MBAlertsTotal) == "" || Help("nonexistent") != "" {
 		t.Error("Help lookup misbehaves")
+	}
+}
+
+// TestCatalogFamiliesHaveARunbookRow holds the catalog to its readers: a
+// family is registered only if RUNBOOK.md says who reads it, and RUNBOOK.md
+// names no family the code does not register. Histogram series suffixes
+// (_bucket, _sum, _count) count as their family.
+func TestCatalogFamiliesHaveARunbookRow(t *testing.T) {
+	runbook, err := os.ReadFile(filepath.Join("..", "..", "RUNBOOK.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := make(map[string]bool)
+	for _, name := range regexp.MustCompile(`blindbox_[a-z_]+`).FindAllString(string(runbook), -1) {
+		if _, ok := Catalog[name]; !ok {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				name = strings.TrimSuffix(name, suffix)
+			}
+		}
+		named[name] = true
+	}
+	for name := range Catalog {
+		if !named[name] {
+			t.Errorf("%s is registered but RUNBOOK.md names no reader for it", name)
+		}
+	}
+	for name := range named {
+		if _, ok := Catalog[name]; !ok {
+			t.Errorf("RUNBOOK.md names %s, which is not in the catalog", name)
+		}
 	}
 }
 

@@ -20,7 +20,8 @@
 //     block, conn error) its full ring is flushed, labeled Sampled="tail",
 //     regardless of the head decision. Otherwise the ring is dropped.
 //
-// The recorder watches itself through the blindbox_obs_* metric family and
+// The recorder counts its flows by disposition and its ring evictions
+// (blindbox_obs_flows_total, blindbox_obs_ring_evictions_total) and
 // exposes /debug/flows + /debug/flightrecorder (see admin.go).
 
 package obs
@@ -128,8 +129,9 @@ type RecorderConfig struct {
 	// and classifies flows but delivers nothing — useful for /debug-only
 	// deployments.
 	Sink Sink
-	// Metrics receives the blindbox_obs_* self-metrics; nil disables them
-	// at the usual nil-handle zero cost.
+	// Metrics receives blindbox_obs_flows_total and
+	// blindbox_obs_ring_evictions_total; nil disables them at the usual
+	// nil-handle zero cost.
 	Metrics *Registry
 }
 
@@ -152,15 +154,10 @@ type Recorder struct {
 
 	// Pre-resolved metric children so the per-flow paths never touch the
 	// vec maps.
-	decSampled   *Counter
-	decUnsampled *Counter
-	flowsHead    *Counter
-	flowsTail    *Counter
-	flowsDrop    *Counter
-	evictions    *Counter
-	flushed      *Counter
-	dropped      *Counter
-	recordNs     *Histogram
+	flowsHead *Counter
+	flowsTail *Counter
+	flowsDrop *Counter
+	evictions *Counter
 }
 
 // ringBuf is one pooled span ring. It is a named struct (not a bare slice)
@@ -186,17 +183,11 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 	}
 	r.rings.New = func() any { return &ringBuf{buf: make([]Span, cfg.Events)} }
 	if m := cfg.Metrics; m != nil {
-		decisions := m.CounterVec(ObsSamplerDecisionsTotal, Help(ObsSamplerDecisionsTotal), "decision")
 		flows := m.CounterVec(ObsFlowsTotal, Help(ObsFlowsTotal), "disposition")
-		r.decSampled = decisions.With("sampled")
-		r.decUnsampled = decisions.With("unsampled")
 		r.flowsHead = flows.With(string(DispositionHead))
 		r.flowsTail = flows.With(string(DispositionTail))
 		r.flowsDrop = flows.With(string(DispositionDrop))
 		r.evictions = m.Counter(ObsRingEvictionsTotal, Help(ObsRingEvictionsTotal))
-		r.flushed = m.Counter(ObsSpansFlushedTotal, Help(ObsSpansFlushedTotal))
-		r.dropped = m.Counter(ObsSpansDroppedTotal, Help(ObsSpansDroppedTotal))
-		r.recordNs = m.Histogram(ObsRecordSeconds, Help(ObsRecordSeconds), LatencyBuckets)
 	}
 	return r
 }
@@ -224,11 +215,6 @@ func (r *Recorder) BeginFlow(flow uint64, party string, ctx SpanCtx) *FlowRecord
 func (r *Recorder) BeginFlowSampled(flow uint64, party string, ctx SpanCtx, head bool) *FlowRecorder {
 	if r == nil {
 		return nil
-	}
-	if head {
-		r.decSampled.Inc()
-	} else {
-		r.decUnsampled.Inc()
 	}
 	f := &FlowRecorder{
 		rec:      r,
@@ -402,7 +388,7 @@ type FlowSummary struct {
 // FlowRecorder is one flow's flight recorder: a Sink whose Emit appends to
 // the pooled ring (and streams to the real sink when the flow is
 // head-sampled). All methods are safe for concurrent use and on a nil
-// receiver; Emits after End are counted as dropped stragglers.
+// receiver; Emits after End are dropped as stragglers.
 type FlowRecorder struct {
 	rec      *Recorder
 	flow     uint64
@@ -473,11 +459,9 @@ func (f *FlowRecorder) Event(name, dir, detail string) {
 //
 //bb:hotpath
 func (f *FlowRecorder) record(sp Span, interesting bool, reason string) {
-	t0 := time.Now()
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		f.rec.dropped.Inc()
 		return
 	}
 	if interesting && !f.interesting {
@@ -505,9 +489,7 @@ func (f *FlowRecorder) record(sp Span, interesting bool, reason string) {
 		}
 		sp.Sampled = string(DispositionHead)
 		f.rec.sink.Emit(sp)
-		f.rec.flushed.Inc()
 	}
-	f.rec.recordNs.Observe(time.Since(t0).Seconds())
 }
 
 // Interesting marks the flow for tail retention without recording a span
@@ -596,14 +578,6 @@ func (f *FlowRecorder) End(errMsg string) Disposition {
 			f.rec.sink.Emit(sp)
 		}
 		*slot = Span{} // release retained strings before pooling
-	}
-	switch {
-	case flush:
-		f.rec.flushed.Add(uint64(n))
-	case d != DispositionHead:
-		// Head flows streamed their spans already; anything else that did
-		// not flush was discarded.
-		f.rec.dropped.Add(uint64(n))
 	}
 	f.rec.rings.Put(ring)
 	f.rec.finish(f, f.summary(d, errMsg))

@@ -114,9 +114,6 @@ func TestRecorderTailFlushOnInterestingEnd(t *testing.T) {
 	if got[1].Name != SpanEventAlert || got[1].Err != "sid 42" {
 		t.Errorf("event span = %+v", got[1])
 	}
-	if v := reg.Counter(ObsSpansFlushedTotal, "").Value(); v != 2 {
-		t.Errorf("flushed counter = %d, want 2", v)
-	}
 	if v := reg.CounterVec(ObsFlowsTotal, "", "disposition").With(string(DispositionTail)).Value(); v != 1 {
 		t.Errorf("tail flows counter = %d, want 1", v)
 	}
@@ -169,8 +166,8 @@ func TestRecorderDropsBoringFlows(t *testing.T) {
 	if got := sink.Spans(); len(got) != 0 {
 		t.Fatalf("dropped flow reached the sink with %d span(s)", len(got))
 	}
-	if v := reg.Counter(ObsSpansDroppedTotal, "").Value(); v != 2 {
-		t.Errorf("dropped counter = %d, want 2", v)
+	if v := reg.CounterVec(ObsFlowsTotal, "", "disposition").With(string(DispositionDrop)).Value(); v != 1 {
+		t.Errorf("drop flows counter = %d, want 1", v)
 	}
 }
 

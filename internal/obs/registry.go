@@ -101,12 +101,6 @@ var LatencyBuckets = []float64{
 	1e-3, 2.5e-3, 1e-2, 2.5e-2, 0.1, 0.25, 1, 2.5,
 }
 
-// SizeBuckets are the default histogram bounds for byte sizes, spanning one
-// token record to the 1MiB counter-reset interval.
-var SizeBuckets = []float64{
-	64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20,
-}
-
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
@@ -295,14 +289,12 @@ func NewRegistry() *Registry {
 // silently split their counts.
 func (r *Registry) register(name, help string, kind metricKind, mk func(*metric)) *metric {
 	if !nameRE.MatchString(name) {
-		//lint:ignore todo-panic registration-time programmer error, caught by TestMetricNames before release
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.byName[name]; ok {
 		if m.kind != kind {
-			//lint:ignore todo-panic kind conflicts silently split counts; failing loudly at startup is the contract
 			panic(fmt.Sprintf("obs: metric %q re-registered as %s, was %s", name, kind, m.kind))
 		}
 		return m
@@ -343,7 +335,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 			buckets = LatencyBuckets
 		}
 		if !sort.Float64sAreSorted(buckets) {
-			//lint:ignore todo-panic registration-time programmer error; unsorted bounds corrupt every scrape
 			panic(fmt.Sprintf("obs: histogram %q buckets are not sorted", name))
 		}
 		bounds := append([]float64(nil), buckets...)
@@ -358,7 +349,6 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 		return nil
 	}
 	if !nameRE.MatchString(label) {
-		//lint:ignore todo-panic registration-time programmer error, same contract as register
 		panic(fmt.Sprintf("obs: invalid label name %q", label))
 	}
 	return r.register(name, help, kindCounterVec, func(m *metric) {
@@ -373,7 +363,6 @@ func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
 		return nil
 	}
 	if !nameRE.MatchString(label) {
-		//lint:ignore todo-panic registration-time programmer error, same contract as register
 		panic(fmt.Sprintf("obs: invalid label name %q", label))
 	}
 	return r.register(name, help, kindGaugeVec, func(m *metric) {

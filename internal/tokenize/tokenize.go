@@ -139,7 +139,6 @@ func (t *Tokenizer) Append(data []byte) []Token { return t.AppendInto(nil, data)
 // caller uses with one buffer it keeps. The result aliases dst.
 func (t *Tokenizer) AppendInto(dst []Token, data []byte) []Token {
 	if t.closed {
-		//lint:ignore todo-panic use-after-Flush is a caller programming error, never reachable from wire data
 		panic("tokenize: Append after Flush")
 	}
 	t.buf = append(t.buf, data...)
@@ -155,7 +154,6 @@ func (t *Tokenizer) Flush() []Token { return t.FlushInto(nil) }
 // FlushInto is Flush writing into dst's backing array (see AppendInto).
 func (t *Tokenizer) FlushInto(dst []Token) []Token {
 	if t.closed {
-		//lint:ignore todo-panic use-after-Flush is a caller programming error, never reachable from wire data
 		panic("tokenize: double Flush")
 	}
 	t.closed = true
@@ -175,11 +173,9 @@ func (t *Tokenizer) Skip(n int) []Token { return t.SkipInto(nil, n) }
 // SkipInto is Skip writing into dst's backing array (see AppendInto).
 func (t *Tokenizer) SkipInto(dst []Token, n int) []Token {
 	if t.closed {
-		//lint:ignore todo-panic use-after-Flush is a caller programming error, never reachable from wire data
 		panic("tokenize: Skip after Flush")
 	}
 	if n < 0 {
-		//lint:ignore todo-panic negative length is a caller programming error; stream lengths are validated at the transport layer
 		panic("tokenize: negative Skip")
 	}
 	toks := t.drain(dst[:0], true)
@@ -211,7 +207,6 @@ func (t *Tokenizer) drain(toks []Token, final bool) []Token {
 	case Delimiter:
 		return t.drainDelimiter(toks, final)
 	default:
-		//lint:ignore todo-panic exhaustive switch over the Mode enum; a new mode without a case is a programming error
 		panic("tokenize: unknown mode")
 	}
 }
@@ -498,7 +493,6 @@ func SplitKeyword(mode Mode, kw []byte) (frags [][TokenSize]byte, rel []int) {
 		}
 		return frags, rel
 	default:
-		//lint:ignore todo-panic exhaustive switch over the Mode enum; a new mode without a case is a programming error
 		panic("tokenize: unknown mode")
 	}
 }

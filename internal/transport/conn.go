@@ -53,10 +53,6 @@ type ConnConfig struct {
 	// Only Dial consults it — Client and Server run on an established
 	// transport and never retry.
 	DialRetry retry.Policy
-	// Metrics registers this endpoint's handshake/record metrics
-	// (obs.Conn*) and enables stage timing on the sender pipeline
-	// (obs.Sender*, obs.DPIEnc*). Nil disables instrumentation entirely.
-	Metrics *obs.Registry
 	// Trace receives this endpoint's spans (handshake, tokenize, encrypt).
 	// Endpoints never see middlebox connection IDs, so spans carry a
 	// transport-local flow sequence number instead.
@@ -116,13 +112,10 @@ type Conn struct {
 	wroteClose     bool
 	validationSkip bool
 
-	// flowID labels this endpoint's spans; records/recordBytes count what
-	// the endpoint writes after the handshake. All stay zero-valued (and
-	// the handles nil, no-op) when ConnConfig.Metrics and Trace are unset.
-	flowID      uint64
-	records     *obs.Counter
-	recordBytes *obs.Histogram
-	trace       obs.Sink
+	// flowID labels this endpoint's spans; it and trace stay zero when
+	// neither ConnConfig.Trace nor Recorder is set.
+	flowID uint64
+	trace  obs.Sink
 	// fr is this flow's flight recorder (nil without ConnConfig.Recorder);
 	// when set it is the span sink and owns the flush/drop decision.
 	fr *obs.FlowRecorder
@@ -167,21 +160,11 @@ func (c *Conn) traceSink() obs.Sink {
 // Dial opens a BlindBox HTTPS connection to addr (typically the middlebox
 // in front of the server). Connect and handshake are retried as one unit
 // under cfg.DialRetry — a handshake that died mid-way cannot be resumed,
-// only redone on a fresh transport. Retries are counted in cfg.Metrics
-// (obs.ConnDialRetriesTotal) when instrumentation is configured.
+// only redone on a fresh transport.
 func Dial(addr string, cfg ConnConfig) (*Conn, error) {
 	tmo := cfg.Timeouts.withDefaults()
-	pol := cfg.DialRetry
-	if pol.Notify == nil && cfg.Metrics != nil {
-		retries := cfg.Metrics.Counter(obs.ConnDialRetriesTotal, obs.Help(obs.ConnDialRetriesTotal))
-		pol.Notify = func(attempt int, err error, backoff time.Duration) {
-			if backoff > 0 {
-				retries.Inc()
-			}
-		}
-	}
 	var c *Conn
-	err := pol.Do(nil, func(int) error {
+	err := cfg.DialRetry.Do(nil, func(int) error {
 		raw, err := net.DialTimeout("tcp", addr, enabled(tmo.Handshake))
 		if err != nil {
 			return err
@@ -245,7 +228,7 @@ func (c *Conn) handshake() error {
 func (c *Conn) runHandshake() error {
 	hsStart := time.Now()
 	c.connStart = hsStart
-	if c.cfg.Metrics != nil || c.traced() {
+	if c.traced() {
 		c.flowID = connSeq.Add(1)
 	}
 	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
@@ -368,42 +351,26 @@ func (c *Conn) runHandshake() error {
 	return nil
 }
 
-// instrument wires the endpoint's observability after a successful
-// handshake: the handshake duration (rule preparation included), the
-// outgoing record metrics, and stage timing on the sender pipeline. With
-// neither Metrics nor Trace configured it leaves every handle nil.
+// instrument wires the endpoint's tracing after a successful handshake:
+// the handshake span (rule preparation included) and the sender
+// pipeline's tokenize/encrypt spans. Without Trace or Recorder it does
+// nothing.
 func (c *Conn) instrument(hsStart time.Time) {
-	if c.cfg.Metrics == nil && !c.traced() {
+	c.trace = c.traceSink()
+	if c.trace == nil {
 		return
 	}
-	c.trace = c.traceSink()
 	dir := "s2c"
 	if c.isClient {
 		dir = "c2s"
 	}
-	r := c.cfg.Metrics
-	c.records = r.Counter(obs.ConnRecordsTotal, obs.Help(obs.ConnRecordsTotal))
-	c.recordBytes = r.Histogram(obs.ConnRecordBytes, obs.Help(obs.ConnRecordBytes), obs.SizeBuckets)
-	hsDur := time.Since(hsStart)
-	r.Histogram(obs.ConnHandshakeSeconds, obs.Help(obs.ConnHandshakeSeconds), obs.LatencyBuckets).
-		Observe(hsDur.Seconds())
-	if c.trace != nil {
-		sp := obs.Span{
-			Flow: c.flowID, Party: c.party(), Name: obs.SpanHandshake,
-			Start: hsStart.UnixNano(), Dur: int64(hsDur),
-		}
-		c.hsCtx.Stamp(&sp)
-		c.trace.Emit(sp)
+	sp := obs.Span{
+		Flow: c.flowID, Party: c.party(), Name: obs.SpanHandshake,
+		Start: hsStart.UnixNano(), Dur: int64(time.Since(hsStart)),
 	}
-	c.pipe.Instrument(r, c.trace, c.flowID, dir, c.ctx, c.party())
-}
-
-// header appends the header of an outgoing record with an n-byte body to b,
-// counting and sizing the record.
-func (c *Conn) header(b []byte, typ RecordType, n int) []byte {
-	c.records.Inc()
-	c.recordBytes.Observe(float64(n))
-	return AppendHeader(b, typ, n)
+	c.hsCtx.Stamp(&sp)
+	c.trace.Emit(sp)
+	c.pipe.Instrument(c.trace, c.flowID, dir, c.ctx, c.party())
 }
 
 // send writes b, the framed records of one chunk, in one socket write under
@@ -559,7 +526,7 @@ func (c *Conn) write(p []byte, binary_ bool) (int, error) {
 		}
 		b := c.wbuf[:0]
 		if reset != nil {
-			b = binary.BigEndian.AppendUint64(c.header(b, RecSalt, 8), reset.Salt0)
+			b = binary.BigEndian.AppendUint64(AppendHeader(b, RecSalt, 8), reset.Salt0)
 		}
 		b = c.appendTokens(b, toks)
 		c.wbuf = c.appendData(b, kind, chunk)
@@ -577,7 +544,7 @@ func (c *Conn) appendTokens(b []byte, toks []dpienc.EncryptedToken) []byte {
 		return b
 	}
 	p3 := c.cfg.Core.Protocol == dpienc.ProtocolIII
-	return appendTokens(c.header(b, RecTokens, 4+len(toks)*tokenSize(p3)), toks, p3)
+	return appendTokens(AppendHeader(b, RecTokens, 4+len(toks)*tokenSize(p3)), toks, p3)
 }
 
 // appendData appends the data record of one chunk to b: its header, then
@@ -585,7 +552,7 @@ func (c *Conn) appendTokens(b []byte, toks []dpienc.EncryptedToken) []byte {
 // finds room for the tag and writes over the plaintext it reads.
 func (c *Conn) appendData(b []byte, kind byte, chunk []byte) []byte {
 	n := 1 + len(chunk) + c.aead.Overhead()
-	b = slices.Grow(c.header(b, RecData, n), n)
+	b = slices.Grow(AppendHeader(b, RecData, n), n)
 	at := len(b)
 	b = append(append(b, kind), chunk...)
 	binary.BigEndian.PutUint64(c.nonceOut[4:], c.seqOut)
@@ -604,7 +571,7 @@ func (c *Conn) CloseWrite() error {
 	c.wroteClose = true
 	toks := c.pipe.FlushInto(dpienc.GetTokenBuf())
 	defer dpienc.PutTokenBuf(toks)
-	c.wbuf = c.header(c.appendTokens(c.wbuf[:0], toks), RecClose, 0)
+	c.wbuf = AppendHeader(c.appendTokens(c.wbuf[:0], toks), RecClose, 0)
 	return c.send(c.wbuf)
 }
 

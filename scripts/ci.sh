@@ -13,6 +13,8 @@ FUZZTIME="${FUZZTIME:-10s}"
 
 step() { printf '\n=== %s ===\n' "$*"; }
 
+# go vet's copylocks check is the lock-copy check: a sync.Mutex (or a
+# struct holding one) passed, assigned or ranged over by value fails here.
 step "go vet"
 go vet ./...
 
@@ -63,8 +65,9 @@ go test -run '^$' -bench '^Benchmark(GarbleF|OTLeg)$' -benchtime 1x . | grep -E 
 step "sender pipeline: ns/B and ns/token, delimiter P2 and window P3"
 go test -run '^$' -bench '^BenchmarkSenderStagePipeline$' -benchtime 1x . | grep '^BenchmarkSenderStagePipeline'
 
-# Go lines per package, non-test and test, so a change's effect on the
-# code's size is one number in this log.
+# Go lines per package, non-test and test, and the data-path/support split
+# of the total, so a change's effect on the code's size is one number in
+# this log.
 step "lines of Go per package"
 scripts/loc.sh
 
@@ -131,16 +134,6 @@ step "adversarial scenarios (evasion e2e -race + benchgate -scenarios)"
 go test -race -run 'TestEvasionE2E' -timeout 10m .
 go run ./cmd/blindbench -experiment scenarios -scenarios-out BENCH_scenarios.json
 go run ./scripts/benchgate -scenarios BENCH_scenarios.json -design DESIGN.md
-
-# Observability overhead: the flight recorder's cost contract (DESIGN.md
-# §8). The experiment times the batched detection path with tracing off,
-# recorded-but-unsampled, and head-sampled; benchgate enforces the budget —
-# unsampled flows keep >= 95% of the tracing-off rate and the record path
-# allocates nothing per span at steady state. BENCH_obs.json is uploaded as
-# a workflow artifact.
-step "observability overhead (obsoverhead + benchgate -obs)"
-go run ./cmd/blindbench -experiment obsoverhead -fast -obs-out BENCH_obs.json
-go run ./scripts/benchgate -obs BENCH_obs.json
 
 # Fleet observability plane over two layers. First the in-process e2e
 # under the race detector: three live workers, /cluster/metrics rollups
