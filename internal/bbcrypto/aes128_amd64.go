@@ -79,6 +79,21 @@ func Encrypt4(s *[4]*Schedule, dst, src *[4]Block) {
 	}
 }
 
+// permuteXor4 sets dst[i] to π(k[i]) ⊕ k[i], π the encryption under s and
+// every block in words (Block.Words). dst and k may be the same array. On
+// AES-NI the words go straight into the AES unit, byte-swapped there, with
+// no Block in memory between.
+func (s *Schedule) permuteXor4(dst, k *[4][2]uint64) {
+	if useAESNI {
+		permuteXor128x4(&s.rk, dst, k)
+		return
+	}
+	permuteXor4Blocks(s, dst, k)
+}
+
+//go:noescape
+func permuteXor128x4(rk *[176]byte, dst, k *[4][2]uint64)
+
 //go:noescape
 func expand128(key *[BlockSize]byte, rk *[176]byte)
 

@@ -184,6 +184,69 @@ TEXT ·encrypt128x4(SB), NOSPLIT, $0-24
 	MOVUPS X3, 48(DX)
 	RET
 
+// Reverses the bytes of each 8-byte half: turns a block's big-endian words,
+// held as two little-endian uint64s, into the block's bytes, and back.
+DATA bswapw<>+0(SB)/8, $0x0001020304050607
+DATA bswapw<>+8(SB)/8, $0x08090a0b0c0d0e0f
+GLOBL bswapw<>(SB), (NOPTR+RODATA), $16
+
+// Lane X gets the block whose words sit at off(BX). The words come in with
+// two 8-byte loads: the caller has just written them a word at a time, and
+// one 16-byte load of two 8-byte stores would wait on store forwarding.
+#define LOAD_WORDS(off, X) \
+	MOVQ       off(BX), X    \
+	MOVQ       off+8(BX), X4 \
+	PUNPCKLQDQ X4, X         \
+	PSHUFB     X12, X
+
+// One round of four blocks under one schedule: its round key loaded once.
+#define PERMUTE_ROUND4(off, OP) \
+	MOVUPS off(AX), X4 \
+	OP     X4, X0      \
+	OP     X4, X1      \
+	OP     X4, X2      \
+	OP     X4, X3
+
+// func permuteXor128x4(rk *[176]byte, dst, k *[4][2]uint64)
+// Requires: AES, SSSE3
+TEXT ·permuteXor128x4(SB), NOSPLIT, $0-24
+	MOVQ  rk+0(FP), AX
+	MOVQ  dst+8(FP), DX
+	MOVQ  k+16(FP), BX
+	MOVOU bswapw<>(SB), X12
+	LOAD_WORDS(0, X0)
+	LOAD_WORDS(16, X1)
+	LOAD_WORDS(32, X2)
+	LOAD_WORDS(48, X3)
+	MOVO  X0, X8
+	MOVO  X1, X9
+	MOVO  X2, X10
+	MOVO  X3, X11
+	PERMUTE_ROUND4(0, PXOR)
+	PERMUTE_ROUND4(16, AESENC)
+	PERMUTE_ROUND4(32, AESENC)
+	PERMUTE_ROUND4(48, AESENC)
+	PERMUTE_ROUND4(64, AESENC)
+	PERMUTE_ROUND4(80, AESENC)
+	PERMUTE_ROUND4(96, AESENC)
+	PERMUTE_ROUND4(112, AESENC)
+	PERMUTE_ROUND4(128, AESENC)
+	PERMUTE_ROUND4(144, AESENC)
+	PERMUTE_ROUND4(160, AESENCLAST)
+	PXOR   X8, X0
+	PXOR   X9, X1
+	PXOR   X10, X2
+	PXOR   X11, X3
+	PSHUFB X12, X0
+	PSHUFB X12, X1
+	PSHUFB X12, X2
+	PSHUFB X12, X3
+	MOVUPS X0, 0(DX)
+	MOVUPS X1, 16(DX)
+	MOVUPS X2, 32(DX)
+	MOVUPS X3, 48(DX)
+	RET
+
 // func cpuHasAESNI() bool
 // The kernel needs AES-NI (CPUID.1:ECX bit 25) and, for the key expansion's
 // PSHUFB, SSSE3 (bit 9); no CPU has the first without the second, and both

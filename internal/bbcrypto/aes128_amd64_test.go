@@ -22,6 +22,7 @@ func TestScheduleWithoutAESNI(t *testing.T) {
 	checkScheduleAgainstStdlib(t, 500)
 	checkSchedule4Vectors(t)
 	checkSchedule4AgainstStdlib(t, 500)
+	checkHash1x4MatchesHash1(t)
 }
 
 // TestExpand4MatchesExpand: the four-lane expansion leaves the very bytes

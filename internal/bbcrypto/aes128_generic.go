@@ -21,6 +21,10 @@ func (s *Schedule) Expand(key *Block) { s.blk = NewAES(*key) }
 // dst and src may be the same block.
 func (s *Schedule) Encrypt(dst, src *Block) { s.blk.Encrypt(dst[:], src[:]) }
 
+// permuteXor4 sets dst[i] to π(k[i]) ⊕ k[i], π the encryption under s and
+// every block in words (Block.Words). dst and k may be the same array.
+func (s *Schedule) permuteXor4(dst, k *[4][2]uint64) { permuteXor4Blocks(s, dst, k) }
+
 // Expand4 is Expand four keys wide: *s[i] becomes the schedule of keys[i].
 // The amd64 kernel interleaves the four; this form loops.
 func Expand4(s *[4]*Schedule, keys *[4]Block) {

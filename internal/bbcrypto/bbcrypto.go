@@ -54,6 +54,21 @@ func (b *Block) words() (hi, lo uint64) {
 	return binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
 }
 
+// Words returns the block as its big-endian high and low words, {hi, lo}:
+// the form garbled-circuit wire labels take while a circuit is garbled or
+// evaluated. XOR is word XOR, Double is double, and LSB is lo&1.
+func (b Block) Words() [2]uint64 {
+	hi, lo := b.words()
+	return [2]uint64{hi, lo}
+}
+
+// FromWords is the inverse of Words.
+func FromWords(w [2]uint64) Block {
+	var b Block
+	b.setWords(w[0], w[1])
+	return b
+}
+
 // setWords overwrites the block with big-endian words hi and lo.
 func (b *Block) setWords(hi, lo uint64) {
 	binary.BigEndian.PutUint64(b[:8], hi)
@@ -136,20 +151,34 @@ func (h *FixedKeyHash) Hash1(a Block, tweak uint64) Block {
 	return h.permute(a.Double(), tweak)
 }
 
-// Hash1x4 is four Hash1s on one Encrypt4: dst[i] = Hash1(a[i], tweak[i]).
-// dst and a may be the same array.
-func (h *FixedKeyHash) Hash1x4(dst, a *[4]Block, tweak *[4]uint64) {
-	// Each K is computed in words and stored once: a Block returned by one
-	// call and copied by the next waits on store forwarding, and those
-	// stalls, not AES, were most of the cost of four Hash1s.
-	var k [4]Block
+// Hash1x4 is four Hash1s in one four-lane AES call, fed and read in words
+// (see Words): dst[i] = Hash1(a[i], tweak[i]). dst and a may be the same
+// array.
+// It is the garbling kernel's only hash: a half gate's four at the garbler,
+// two gates' two each at the evaluator.
+func (h *FixedKeyHash) Hash1x4(dst, a *[4][2]uint64, tweak *[4]uint64) {
+	// Every word is stored and loaded eight bytes at a time: a [2]uint64
+	// copied whole is a 16-byte load of two 8-byte stores, which waits on
+	// store forwarding.
+	var k [4][2]uint64
 	for i := range k {
-		hi, lo := double(a[i].words())
-		k[i].setWords(hi, lo^tweak[i])
+		k[i][0], k[i][1] = double(a[i][0], a[i][1])
+		k[i][1] ^= tweak[i]
 	}
-	Encrypt4(h.pi4(), dst, &k)
+	h.pi.permuteXor4(dst, &k)
+}
+
+// permuteXor4Blocks is Schedule.permuteXor4 through Encrypt4 on Blocks: the
+// portable form, and the amd64 form on a CPU without AES-NI.
+func permuteXor4Blocks(s *Schedule, dst, k *[4][2]uint64) {
+	var kb, pk [4]Block
+	for i := range kb {
+		kb[i].setWords(k[i][0], k[i][1])
+	}
+	Encrypt4(&[4]*Schedule{s, s, s, s}, &pk, &kb)
 	for i := range dst {
-		dst[i] = dst[i].XOR(k[i])
+		phi, plo := pk[i].words()
+		dst[i][0], dst[i][1] = phi^k[i][0], plo^k[i][1]
 	}
 }
 

@@ -66,7 +66,9 @@ func TestDoubleKnownValues(t *testing.T) {
 }
 
 // TestWordWiseBlockOpsMatchByteWise checks XOR and Double, which work on two
-// 64-bit words, against their byte-at-a-time definitions.
+// 64-bit words, against their byte-at-a-time definitions, and the Words form
+// the garbler computes in against Block: XOR and LSB carry over word for
+// word, and FromWords undoes Words.
 func TestWordWiseBlockOpsMatchByteWise(t *testing.T) {
 	xorBytes := func(a, b Block) Block {
 		var r Block
@@ -87,7 +89,10 @@ func TestWordWiseBlockOpsMatchByteWise(t *testing.T) {
 		return r
 	}
 	f := func(a, b Block) bool {
-		return a.XOR(b) == xorBytes(a, b) && a.Double() == doubleBytes(a)
+		wa, wb := a.Words(), b.Words()
+		return a.XOR(b) == xorBytes(a, b) && a.Double() == doubleBytes(a) &&
+			FromWords(wa) == a && FromWords([2]uint64{wa[0] ^ wb[0], wa[1] ^ wb[1]}) == a.XOR(b) &&
+			int(wa[1]&1) == a.LSB()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10000}); err != nil {
 		t.Fatal(err)
@@ -161,10 +166,11 @@ func TestFixedKeyHashDoesNotAllocate(t *testing.T) {
 	h := NewFixedKeyHash(Block{7})
 	a, b := Block{1}, Block{2}
 	x := [4]Block{{3}, {4}, {5}, {6}}
+	w := [4][2]uint64{{3}, {4}, {5}, {6}}
 	allocs := testing.AllocsPerRun(100, func() {
 		a = h.Hash(a, b, 5)
 		b = h.Hash1(b, 6)
-		h.Hash1x4(&x, &x, &[4]uint64{1, 2, 3, 4})
+		h.Hash1x4(&w, &w, &[4]uint64{1, 2, 3, 4})
 		h.CRHash4(&x, &x, &[4]uint64{1, 2, 3, 4})
 	})
 	if scheduleAllocFree() && allocs != 0 {
@@ -172,19 +178,30 @@ func TestFixedKeyHashDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestHash1x4MatchesHash1: the four-wide form is exactly four Hash1s, so
-// garbling through it leaves every garbled byte where it was.
-func TestHash1x4MatchesHash1(t *testing.T) {
+// TestHash1x4MatchesHash1: the four-wide word form is exactly four Hash1s
+// on the blocks the words spell, so garbling through it leaves every
+// garbled byte where it was.
+func TestHash1x4MatchesHash1(t *testing.T) { checkHash1x4MatchesHash1(t) }
+
+// checkHash1x4MatchesHash1 is TestHash1x4MatchesHash1; the amd64 test file
+// reruns it with AES-NI switched off.
+func checkHash1x4MatchesHash1(t *testing.T) {
+	t.Helper()
 	h := NewFixedKeyHash(Block{'f', 'i', 'x', 'e', 'd'})
 	f := func(a [4]Block, tweak [4]uint64) bool {
-		var got [4]Block
-		h.Hash1x4(&got, &a, &tweak)
+		var in, got [4][2]uint64
+		for i := range a {
+			in[i] = a[i].Words()
+		}
+		h.Hash1x4(&got, &in, &tweak)
 		for i := range got {
-			if got[i] != h.Hash1(a[i], tweak[i]) {
+			if FromWords(got[i]) != h.Hash1(a[i], tweak[i]) {
 				return false
 			}
 		}
-		return true
+		// In place, as the garbler calls it.
+		h.Hash1x4(&in, &in, &tweak)
+		return in == got
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ type Gate struct {
 	A, B Ref
 }
 
-// Circuit is an immutable built circuit.
+// Circuit is an immutable built circuit, made by Builder.Build.
 type Circuit struct {
 	// NInputs is the number of input wires.
 	NInputs int
@@ -53,18 +53,14 @@ type Circuit struct {
 	Gates []Gate
 	// Outputs reference the circuit's output values.
 	Outputs []Ref
+
+	// nAND is NumAND, counted once by Build: the garbler, the evaluator
+	// and the middlebox each ask once per circuit, and F has 62 239 gates.
+	nAND int
 }
 
 // NumAND returns the number of AND gates — the garbling cost metric.
-func (c *Circuit) NumAND() int {
-	n := 0
-	for _, g := range c.Gates {
-		if g.Op == AND {
-			n++
-		}
-	}
-	return n
-}
+func (c *Circuit) NumAND() int { return c.nAND }
 
 // String summarizes the circuit.
 func (c *Circuit) String() string {
@@ -276,7 +272,13 @@ func (b *Builder) emit(g Gate) Ref {
 
 // Build finalizes the circuit with the given outputs.
 func (b *Builder) Build(outputs []Ref) *Circuit {
-	return &Circuit{NInputs: b.nInputs, Gates: b.gates, Outputs: outputs}
+	c := &Circuit{NInputs: b.nInputs, Gates: b.gates, Outputs: outputs}
+	for _, g := range c.Gates {
+		if g.Op == AND {
+			c.nAND++
+		}
+	}
+	return c
 }
 
 // MuxTree selects table[index] where index is formed from the selector bits

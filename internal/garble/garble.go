@@ -3,8 +3,11 @@
 // point-and-permute, a fixed-key AES hash so that garbling and evaluation
 // cost a small constant number of AES calls per AND gate, and
 // Zahur–Rosulek–Evans half gates: two ciphertexts per AND gate, four hashes
-// to garble one and two to evaluate it. GRR3 row reduction and the classic
-// four-row table remain behind GarbleWith for the DESIGN.md ablation.
+// to garble one and two to evaluate it. Half gates run on wire labels held
+// as big-endian word pairs (bbcrypto.Block.Words), one FixedKeyHash.Hash1x4
+// per AND gate at the garbler and per two AND gates at the evaluator. GRR3
+// row reduction and the classic four-row table remain behind GarbleWith for
+// the DESIGN.md ablation.
 //
 // BlindBox requires garbling to be *deterministic given a shared seed*:
 // both endpoints garble the same function with randomness derived from
@@ -18,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/bbcrypto"
 	"repro/internal/circuit"
@@ -100,10 +104,17 @@ func Garble(c *circuit.Circuit, fixedKey Block, rng io.Reader) (*Garbled, *Label
 
 // GarbleWith garbles with an explicit table construction.
 func GarbleWith(c *circuit.Circuit, fixedKey Block, rng io.Reader, opts Options) (*Garbled, *Labels, error) {
+	g, labels, _, err := garbleLabels(c, fixedKey, rng, opts)
+	return g, labels, err
+}
+
+// garbleLabels is GarbleWith that also returns every wire's false label, in
+// words (bbcrypto.Block.Words), one array allocated per call.
+func garbleLabels(c *circuit.Circuit, fixedKey Block, rng io.Reader, opts Options) (*Garbled, *Labels, [][2]uint64, error) {
 	rows := 2
 	switch {
 	case opts.FullRows && opts.GRR3:
-		return nil, nil, errors.New("garble: FullRows and GRR3 are mutually exclusive")
+		return nil, nil, nil, errors.New("garble: FullRows and GRR3 are mutually exclusive")
 	case opts.FullRows:
 		rows = 4
 	case opts.GRR3:
@@ -115,88 +126,146 @@ func GarbleWith(c *circuit.Circuit, fixedKey Block, rng io.Reader, opts Options)
 	// through the io.Reader interface, one heap object per input wire.
 	seed := make([]byte, (1+c.NInputs)*bbcrypto.BlockSize)
 	if _, err := io.ReadFull(rng, seed); err != nil {
-		return nil, nil, fmt.Errorf("garble: reading R and input labels: %w", err)
+		return nil, nil, nil, fmt.Errorf("garble: reading R and input labels: %w", err)
 	}
-	var r Block
-	copy(r[:], seed)
-	r[bbcrypto.BlockSize-1] |= 1 // LSB(R)=1 so labels of a pair differ in color
-	l0 := make([]Block, c.NInputs+len(c.Gates))
+	r := blockAt(seed, 0).Words()
+	r[1] |= 1 // LSB(R)=1 so labels of a pair differ in color
+	lab := make([][2]uint64, c.NInputs+len(c.Gates))
 	for i := 0; i < c.NInputs; i++ {
-		copy(l0[i][:], seed[(1+i)*bbcrypto.BlockSize:])
+		lab[i] = blockAt(seed, 1+i).Words()
 	}
 
-	// refLabel0 returns the label that encodes "ref evaluates to false".
-	refLabel0 := func(ref circuit.Ref) Block {
-		lbl := l0[ref.ID]
-		if ref.Neg {
-			lbl = lbl.XOR(r)
-		}
-		return lbl
-	}
-
-	g := &Garbled{FixedKey: fixedKey, Rows: rows, Tables: make([]Block, 0, rows*c.NumAND())}
-	for gi, gate := range c.Gates {
-		out := c.NInputs + gi
-		a0 := refLabel0(gate.A)
-		b0 := refLabel0(gate.B)
-		switch {
-		case gate.Op == circuit.XOR:
-			// Free-XOR: C0 = A0 ⊕ B0, no table.
-			l0[out] = a0.XOR(b0)
-		case rows == 2:
-			var tG, tE Block
-			l0[out], tG, tE = halfGate(h, r, a0, b0, uint64(gi))
-			g.Tables = append(g.Tables, tG, tE)
-		default:
-			var c0 Block
-			if opts.FullRows {
-				// Classic P&P: fresh random output label.
-				if _, err := io.ReadFull(rng, c0[:]); err != nil {
-					return nil, nil, fmt.Errorf("garble: reading gate label: %w", err)
-				}
-			}
-			l0[out], g.Tables = rowGate(h, r, a0, b0, c0, uint64(gi), opts.FullRows, g.Tables)
+	g := &Garbled{FixedKey: fixedKey, Rows: rows}
+	if rows == 2 {
+		g.Tables = make([]Block, 2*c.NumAND())
+		garbleHalfGates(c, h, r, lab, g.Tables)
+	} else {
+		var err error
+		g.Tables, err = garbleRows(c, h, r, lab, make([]Block, 0, rows*c.NumAND()), opts.FullRows, rng)
+		if err != nil {
+			return nil, nil, nil, err
 		}
 	}
 
-	for _, ref := range c.Outputs {
+	g.Decode = make([]DecodeEntry, len(c.Outputs))
+	for i, ref := range c.Outputs {
 		if ref.IsConst {
-			g.Decode = append(g.Decode, DecodeEntry{Const: true, Val: ref.Val})
+			g.Decode[i] = DecodeEntry{Const: true, Val: ref.Val}
 			continue
 		}
-		g.Decode = append(g.Decode, DecodeEntry{Val: refLabel0(ref).LSB() == 1})
+		g.Decode[i] = DecodeEntry{Val: label0(lab, r, ref)[1]&1 == 1}
 	}
-	// A copy, so that the labels do not pin every internal wire's label.
-	return g, &Labels{L0: append([]Block(nil), l0[:c.NInputs]...), R: r}, nil
+	labels := &Labels{L0: make([]Block, c.NInputs), R: bbcrypto.FromWords(r)}
+	for i := range labels.L0 {
+		labels.L0[i] = bbcrypto.FromWords(lab[i])
+	}
+	return g, labels, lab, nil
 }
 
-// halfGate garbles one AND gate as ZRE15's two half gates — a generator
-// half (the garbler knows pb) and an evaluator half (the evaluator knows its
-// own color) — and returns the output wire's false label and the two
-// ciphertexts. Four hashes, each of the four input labels once, independent
-// of each other and so run four abreast.
-func halfGate(h *bbcrypto.FixedKeyHash, r, a0, b0 Block, gi uint64) (c0, tG, tE Block) {
-	pa, pb := a0.LSB(), b0.LSB()
-	jG, jE := 2*gi, 2*gi+1
-	hs := [4]Block{a0, a0.XOR(r), b0, b0.XOR(r)}
-	h.Hash1x4(&hs, &hs, &[4]uint64{jG, jG, jE, jE})
-	hA0, hA1, hB0, hB1 := hs[0], hs[1], hs[2], hs[3]
+// blockAt returns the i-th block of buf.
+func blockAt(buf []byte, i int) *Block {
+	return (*Block)(buf[i*bbcrypto.BlockSize:][:bbcrypto.BlockSize])
+}
 
-	tG = hA0.XOR(hA1)
-	if pb == 1 {
-		tG = tG.XOR(r)
+// label0 returns the words of the label that encodes "ref evaluates to
+// false": the wire's false label, or its true label if ref is negated.
+func label0(lab [][2]uint64, r [2]uint64, ref circuit.Ref) [2]uint64 {
+	w := lab[ref.ID]
+	if ref.Neg { // the circuit's own flag, public
+		w[0] ^= r[0]
+		w[1] ^= r[1]
 	}
-	wG0 := hA0
-	if pa == 1 {
-		wG0 = wG0.XOR(tG)
-	}
+	return w
+}
 
-	tE = hB0.XOR(hB1).XOR(a0)
-	wE0 := hB0
-	if pb == 1 {
-		wE0 = hB1 // hB0 ⊕ (tE ⊕ a0)
+// garbleHalfGates garbles every gate of c into lab, whose input wires are
+// set, and writes each AND gate's two ZRE15 half-gate ciphertexts — a
+// generator half (the garbler knows pb) and an evaluator half (the
+// evaluator knows its own color) — into tables in gate order. An AND gate's
+// four hashes, each of its four input labels once, are one Hash1x4; the
+// colors select through masks.
+//
+// The words are handled one at a time, never as [2]uint64 values: the
+// compiler keeps such an array in memory and copies it 16 bytes at a time,
+// and a 16-byte load of two 8-byte stores waits on store forwarding.
+func garbleHalfGates(c *circuit.Circuit, h *bbcrypto.FixedKeyHash, r [2]uint64, lab [][2]uint64, tables []Block) {
+	out := lab[c.NInputs:]
+	rh, rl := r[0], r[1]
+	t := 0
+	var in, hs [4][2]uint64
+	var tw [4]uint64
+	for gi := range c.Gates {
+		gate := &c.Gates[gi]
+		// Half of F's AND gates have a negated input, in no pattern a
+		// branch predictor learns, so negation is a mask.
+		na, nb := negMask(gate.A), negMask(gate.B)
+		a, b := &lab[gate.A.ID], &lab[gate.B.ID]
+		ah, al := a[0]^(rh&na), a[1]^(rl&na)
+		bh, bl := b[0]^(rh&nb), b[1]^(rl&nb)
+		o := &out[gi]
+		if gate.Op == circuit.XOR {
+			// Free-XOR: C0 = A0 ⊕ B0, no table.
+			o[0], o[1] = ah^bh, al^bl
+			continue
+		}
+		in[0][0], in[0][1] = ah, al
+		in[1][0], in[1][1] = ah^rh, al^rl
+		in[2][0], in[2][1] = bh, bl
+		in[3][0], in[3][1] = bh^rh, bl^rl
+		jG := 2 * uint64(gi)
+		tw[0], tw[1], tw[2], tw[3] = jG, jG, jG+1, jG+1
+		h.Hash1x4(&hs, &in, &tw)
+		// All ones where the false label's color pa (pb) is 1.
+		ma, mb := -(al & 1), -(bl & 1)
+		tGh, tGl := hs[0][0]^hs[1][0]^(rh&mb), hs[0][1]^hs[1][1]^(rl&mb)
+		tEh, tEl := hs[2][0]^hs[3][0]^ah, hs[2][1]^hs[3][1]^al
+		// C0 = wG0 ⊕ wE0, where wG0 = hA0 ⊕ pa·tG and wE0 = hB0 ⊕
+		// pb·(hB0 ⊕ hB1).
+		o[0] = hs[0][0] ^ (tGh & ma) ^ hs[2][0] ^ ((hs[2][0] ^ hs[3][0]) & mb)
+		o[1] = hs[0][1] ^ (tGl & ma) ^ hs[2][1] ^ ((hs[2][1] ^ hs[3][1]) & mb)
+		tab := (*[2]Block)(tables[t:])
+		putWords(&tab[0], tGh, tGl)
+		putWords(&tab[1], tEh, tEl)
+		t += 2
 	}
-	return wG0.XOR(wE0), tG, tE
+}
+
+// negMask is all ones if ref is negated, else zero.
+func negMask(ref circuit.Ref) uint64 {
+	var m uint64
+	if ref.Neg {
+		m = ^uint64(0)
+	}
+	return m
+}
+
+// putWords stores the words hi, lo into b, as bbcrypto.FromWords would.
+func putWords(b *Block, hi, lo uint64) {
+	binary.BigEndian.PutUint64(b[:8], hi)
+	binary.BigEndian.PutUint64(b[8:], lo)
+}
+
+// garbleRows garbles every gate of c into lab as garbleHalfGates does, an
+// AND gate as the point-and-permute table of rowGate, appended to tables.
+func garbleRows(c *circuit.Circuit, h *bbcrypto.FixedKeyHash, r [2]uint64, lab [][2]uint64, tables []Block, fullRows bool, rng io.Reader) ([]Block, error) {
+	rb := bbcrypto.FromWords(r)
+	for gi, gate := range c.Gates {
+		a, b := label0(lab, r, gate.A), label0(lab, r, gate.B)
+		if gate.Op == circuit.XOR {
+			lab[c.NInputs+gi] = [2]uint64{a[0] ^ b[0], a[1] ^ b[1]}
+			continue
+		}
+		var c0 Block
+		if fullRows {
+			// Classic P&P: fresh random output label.
+			if _, err := io.ReadFull(rng, c0[:]); err != nil {
+				return nil, fmt.Errorf("garble: reading gate label: %w", err)
+			}
+		}
+		c0, tables = rowGate(h, rb, bbcrypto.FromWords(a), bbcrypto.FromWords(b), c0, uint64(gi), fullRows, tables)
+		lab[c.NInputs+gi] = c0.Words()
+	}
+	return tables, nil
 }
 
 // rowGate garbles one AND gate as a point-and-permute table of two-input
@@ -240,6 +309,27 @@ func rowGate(h *bbcrypto.FixedKeyHash, r, a0, b0, c0 Block, tweak uint64, fullRo
 // returns the decoded output bits. The evaluator learns nothing about the
 // garbler's labels beyond the outputs.
 func Eval(c *circuit.Circuit, g *Garbled, inputLabels []Block) ([]bool, error) {
+	lab, err := evalLabels(c, g, inputLabels)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]bool, len(c.Outputs))
+	for i, ref := range c.Outputs {
+		d := g.Decode[i]
+		if d.Const {
+			out[i] = d.Val
+			continue
+		}
+		// The decode entry was computed from label0, which already folds
+		// in the reference's negation, so no extra flip is needed.
+		out[i] = (lab[ref.ID][1]&1 == 1) != d.Val
+	}
+	return out, nil
+}
+
+// evalLabels is Eval before decoding: the label of every wire, in words,
+// one array allocated per call.
+func evalLabels(c *circuit.Circuit, g *Garbled, inputLabels []Block) ([][2]uint64, error) {
 	if len(inputLabels) != c.NInputs {
 		return nil, fmt.Errorf("garble: got %d input labels, want %d", len(inputLabels), c.NInputs)
 	}
@@ -253,62 +343,102 @@ func Eval(c *circuit.Circuit, g *Garbled, inputLabels []Block) ([]bool, error) {
 		return nil, errors.New("garble: gate table size mismatch")
 	}
 	h := bbcrypto.NewFixedKeyHash(g.FixedKey)
-	labels := make([]Block, c.NInputs+len(c.Gates))
-	copy(labels, inputLabels)
-
-	andIdx := 0
-	for gi, gate := range c.Gates {
-		a := labels[gate.A.ID]
-		b := labels[gate.B.ID]
-		out := c.NInputs + gi
-		switch gate.Op {
-		case circuit.XOR:
-			labels[out] = a.XOR(b)
-		case circuit.AND:
-			switch g.Rows {
-			case 2:
-				// Half-gates evaluation: two single-input hashes.
-				tG := g.Tables[andIdx*2]
-				tE := g.Tables[andIdx*2+1]
-				wg := h.Hash1(a, uint64(2*gi))
-				if a.LSB() == 1 {
-					wg = wg.XOR(tG)
-				}
-				we := h.Hash1(b, uint64(2*gi+1))
-				if b.LSB() == 1 {
-					we = we.XOR(tE.XOR(a))
-				}
-				labels[out] = wg.XOR(we)
-			case 3:
-				hv := h.Hash(a, b, uint64(gi))
-				rowIdx := a.LSB()*2 + b.LSB()
-				if rowIdx == 0 {
-					// GRR3 implicit zero row: label = H(a, b, tweak).
-					labels[out] = hv
-				} else {
-					labels[out] = g.Tables[andIdx*3+rowIdx-1].XOR(hv)
-				}
-			default:
-				hv := h.Hash(a, b, uint64(gi))
-				labels[out] = g.Tables[andIdx*4+a.LSB()*2+b.LSB()].XOR(hv)
-			}
-			andIdx++
-		}
+	lab := make([][2]uint64, c.NInputs+len(c.Gates))
+	for i := range inputLabels {
+		lab[i] = inputLabels[i].Words()
 	}
+	if g.Rows == 2 {
+		evalHalfGates(c, h, g.Tables, lab)
+	} else {
+		evalRows(c, h, g, lab)
+	}
+	return lab, nil
+}
 
-	out := make([]bool, len(c.Outputs))
-	for i, ref := range c.Outputs {
-		d := g.Decode[i]
-		if d.Const {
-			out[i] = d.Val
+// evalHalfGates evaluates every gate of c into lab, whose input wires are
+// set, from half-gate tables. An AND gate costs two hashes, so one Hash1x4
+// carries two gates: the AND gate at hand and the next AND gate, whenever
+// that gate's inputs already exist (on F, 72 % of the ANDs go in pairs).
+// The pairing is found greedily as the gates go by, with no stored
+// schedule.
+func evalHalfGates(c *circuit.Circuit, h *bbcrypto.FixedKeyHash, tables []Block, lab [][2]uint64) {
+	gates := c.Gates
+	out := lab[c.NInputs:]
+	t := 0     // the next AND gate's first table row
+	done := -1 // an AND gate already evaluated with the one before it
+	var in, hs [4][2]uint64
+	var tw [4]uint64
+	for gi := range gates {
+		gate := &gates[gi]
+		a, b := &lab[gate.A.ID], &lab[gate.B.ID]
+		if gate.Op == circuit.XOR {
+			o := &out[gi]
+			o[0], o[1] = a[0]^b[0], a[1]^b[1]
 			continue
 		}
-		// The decode entry was computed from refLabel0, which already
-		// folds in the reference's negation, so no extra flip is needed.
-		bit := labels[ref.ID].LSB() == 1
-		out[i] = bit != d.Val
+		if gi == done {
+			continue
+		}
+		j := gi + 1
+		for j < len(gates) && gates[j].Op == circuit.XOR {
+			j++
+		}
+		// Wires below c.NInputs+gi exist; gi's own output does not yet.
+		exist := int32(c.NInputs + gi)
+		pair := j < len(gates) && gates[j].A.ID < exist && gates[j].B.ID < exist
+		in[0][0], in[0][1] = a[0], a[1]
+		in[1][0], in[1][1] = b[0], b[1]
+		tw[0], tw[1] = 2*uint64(gi), 2*uint64(gi)+1
+		n, dst := 1, [2]int{gi, j}
+		if pair {
+			n = 2
+			a, b := &lab[gates[j].A.ID], &lab[gates[j].B.ID]
+			in[2][0], in[2][1] = a[0], a[1]
+			in[3][0], in[3][1] = b[0], b[1]
+			tw[2], tw[3] = 2*uint64(j), 2*uint64(j)+1
+			done = j
+		} // else lanes 2 and 3 rehash stale inputs, and nothing reads them
+		h.Hash1x4(&hs, &in, &tw)
+		// Each gate's label is H(a) ⊕ ca·tG ⊕ H(b) ⊕ cb·(tE ⊕ a), where ca
+		// and cb are its input labels' colors, applied as masks.
+		for k := 0; k < n; k++ {
+			a, b, ha, hb := &in[2*k], &in[2*k+1], &hs[2*k], &hs[2*k+1]
+			tab := (*[2]Block)(tables[t:])
+			ma, mb := -(a[1] & 1), -(b[1] & 1)
+			tGh, tGl := binary.BigEndian.Uint64(tab[0][:8]), binary.BigEndian.Uint64(tab[0][8:])
+			tEh, tEl := binary.BigEndian.Uint64(tab[1][:8]), binary.BigEndian.Uint64(tab[1][8:])
+			o := &out[dst[k]]
+			o[0] = ha[0] ^ hb[0] ^ (tGh & ma) ^ ((tEh ^ a[0]) & mb)
+			o[1] = ha[1] ^ hb[1] ^ (tGl & ma) ^ ((tEl ^ a[1]) & mb)
+			t += 2
+		}
 	}
-	return out, nil
+}
+
+// evalRows evaluates every gate of c into lab from GRR3 or four-row
+// tables: one two-input hash per AND gate, the row picked by the colors.
+func evalRows(c *circuit.Circuit, h *bbcrypto.FixedKeyHash, g *Garbled, lab [][2]uint64) {
+	andIdx := 0
+	for gi, gate := range c.Gates {
+		a, b := lab[gate.A.ID], lab[gate.B.ID]
+		out := c.NInputs + gi
+		if gate.Op == circuit.XOR {
+			lab[out] = [2]uint64{a[0] ^ b[0], a[1] ^ b[1]}
+			continue
+		}
+		hv := h.Hash(bbcrypto.FromWords(a), bbcrypto.FromWords(b), uint64(gi))
+		row := int(a[1]&1)*2 + int(b[1]&1)
+		switch {
+		case g.Rows == 3 && row == 0:
+			// GRR3 implicit zero row: label = H(a, b, tweak).
+			lab[out] = hv.Words()
+		case g.Rows == 3:
+			lab[out] = g.Tables[andIdx*3+row-1].XOR(hv).Words()
+		default:
+			lab[out] = g.Tables[andIdx*4+row].XOR(hv).Words()
+		}
+		andIdx++
+	}
 }
 
 // Equal reports whether two garbled circuits are bit-identical — the
@@ -374,8 +504,12 @@ func (g *Garbled) AppendMarshal(dst []byte) []byte {
 	dst = append(dst, g.FixedKey[:]...)
 	dst = append(dst, byte(g.Rows))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(g.Tables)))
+	// One grow, then a 16-byte move per row rather than an append (and a
+	// memmove call) per row.
+	n := len(dst)
+	dst = slices.Grow(dst, len(g.Tables)*bbcrypto.BlockSize)[:n+len(g.Tables)*bbcrypto.BlockSize]
 	for i := range g.Tables {
-		dst = append(dst, g.Tables[i][:]...)
+		*(*Block)(dst[n+i*bbcrypto.BlockSize:]) = g.Tables[i]
 	}
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(g.Decode)))
 	for _, d := range g.Decode {
@@ -391,7 +525,10 @@ func (g *Garbled) AppendMarshal(dst []byte) []byte {
 	return dst
 }
 
-// Unmarshal parses a serialized garbled circuit.
+// Unmarshal parses a serialized garbled circuit. It accepts exactly what
+// Marshal writes: bytes after the decode table, or a decode entry with a bit
+// Marshal never sets, are errors, so two different blobs never parse to the
+// same circuit.
 func Unmarshal(data []byte) (*Garbled, error) {
 	g := &Garbled{}
 	if len(data) < bbcrypto.BlockSize+1+4 {
@@ -412,16 +549,22 @@ func Unmarshal(data []byte) (*Garbled, error) {
 	}
 	g.Tables = make([]Block, nTables)
 	for i := range g.Tables {
-		copy(g.Tables[i][:], data)
-		data = data[bbcrypto.BlockSize:]
+		g.Tables[i] = Block(data[i*bbcrypto.BlockSize:])
 	}
+	data = data[need:]
 	nDecode := binary.BigEndian.Uint32(data)
 	data = data[4:]
 	if int(nDecode) > len(data) {
 		return nil, errors.New("garble: truncated decode table")
 	}
+	if int(nDecode) < len(data) {
+		return nil, fmt.Errorf("garble: %d trailing bytes after the decode table", len(data)-int(nDecode))
+	}
 	g.Decode = make([]DecodeEntry, nDecode)
 	for i := range g.Decode {
+		if data[i]&^3 != 0 {
+			return nil, fmt.Errorf("garble: decode entry %d has unknown bits %#x", i, data[i])
+		}
 		g.Decode[i] = DecodeEntry{Const: data[i]&2 != 0, Val: data[i]&1 != 0}
 	}
 	return g, nil

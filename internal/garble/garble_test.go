@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"testing"
 
 	"repro/internal/bbcrypto"
@@ -200,6 +201,17 @@ func TestMarshalRoundTrip(t *testing.T) {
 		if _, err := Unmarshal(data[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes did not error", n)
 		}
+	}
+	// So must anything Marshal would not have written: a trailing byte, or
+	// a decode entry with a bit other than Const and Val. Either would let
+	// two different blobs stand for one circuit.
+	if _, err := Unmarshal(append(data[:len(data):len(data)], 0)); err == nil {
+		t.Fatal("trailing byte accepted")
+	}
+	odd := append([]byte(nil), data...)
+	odd[len(odd)-1] |= 4
+	if _, err := Unmarshal(odd); err == nil {
+		t.Fatal("decode entry with an unknown bit accepted")
 	}
 }
 
@@ -435,4 +447,235 @@ func hashAllocFree() bool {
 	h := bbcrypto.NewFixedKeyHash(bbcrypto.Block{1})
 	var x Block
 	return testing.AllocsPerRun(10, func() { x = h.Hash1(x, 1) }) == 0
+}
+
+// garbleScalar is the half-gate garbler one gate and one Hash1 at a time, on
+// Blocks and branches: the oracle garbleLabels is held to. It returns the
+// false label of every wire.
+func garbleScalar(c *circuit.Circuit, fixedKey Block, rng io.Reader) (*Garbled, *Labels, []Block, error) {
+	h := bbcrypto.NewFixedKeyHash(fixedKey)
+	seed := make([]byte, (1+c.NInputs)*bbcrypto.BlockSize)
+	if _, err := io.ReadFull(rng, seed); err != nil {
+		return nil, nil, nil, err
+	}
+	var r Block
+	copy(r[:], seed)
+	r[bbcrypto.BlockSize-1] |= 1
+	l0 := make([]Block, c.NInputs+len(c.Gates))
+	for i := 0; i < c.NInputs; i++ {
+		copy(l0[i][:], seed[(1+i)*bbcrypto.BlockSize:])
+	}
+	refLabel0 := func(ref circuit.Ref) Block {
+		lbl := l0[ref.ID]
+		if ref.Neg {
+			lbl = lbl.XOR(r)
+		}
+		return lbl
+	}
+	g := &Garbled{FixedKey: fixedKey, Rows: 2}
+	for gi, gate := range c.Gates {
+		out := c.NInputs + gi
+		a0, b0 := refLabel0(gate.A), refLabel0(gate.B)
+		if gate.Op == circuit.XOR {
+			l0[out] = a0.XOR(b0)
+			continue
+		}
+		var tG, tE Block
+		l0[out], tG, tE = halfGate(h, r, a0, b0, uint64(gi))
+		g.Tables = append(g.Tables, tG, tE)
+	}
+	for _, ref := range c.Outputs {
+		if ref.IsConst {
+			g.Decode = append(g.Decode, DecodeEntry{Const: true, Val: ref.Val})
+			continue
+		}
+		g.Decode = append(g.Decode, DecodeEntry{Val: refLabel0(ref).LSB() == 1})
+	}
+	return g, &Labels{L0: append([]Block(nil), l0[:c.NInputs]...), R: r}, l0, nil
+}
+
+// halfGate garbles one AND gate as ZRE15's two half gates with four Hash1s
+// and returns the output's false label and the two ciphertexts.
+func halfGate(h *bbcrypto.FixedKeyHash, r, a0, b0 Block, gi uint64) (c0, tG, tE Block) {
+	pa, pb := a0.LSB(), b0.LSB()
+	jG, jE := 2*gi, 2*gi+1
+	hA0, hA1 := h.Hash1(a0, jG), h.Hash1(a0.XOR(r), jG)
+	hB0, hB1 := h.Hash1(b0, jE), h.Hash1(b0.XOR(r), jE)
+
+	tG = hA0.XOR(hA1)
+	if pb == 1 {
+		tG = tG.XOR(r)
+	}
+	wG0 := hA0
+	if pa == 1 {
+		wG0 = wG0.XOR(tG)
+	}
+
+	tE = hB0.XOR(hB1).XOR(a0)
+	wE0 := hB0
+	if pb == 1 {
+		wE0 = hB1 // hB0 ⊕ (tE ⊕ a0)
+	}
+	return wG0.XOR(wE0), tG, tE
+}
+
+// evalScalar is the half-gate evaluator one gate and one Hash1 at a time:
+// the oracle evalLabels is held to. It returns the label of every wire.
+func evalScalar(c *circuit.Circuit, g *Garbled, inputLabels []Block) []Block {
+	h := bbcrypto.NewFixedKeyHash(g.FixedKey)
+	labels := make([]Block, c.NInputs+len(c.Gates))
+	copy(labels, inputLabels)
+	andIdx := 0
+	for gi, gate := range c.Gates {
+		a, b := labels[gate.A.ID], labels[gate.B.ID]
+		out := c.NInputs + gi
+		if gate.Op == circuit.XOR {
+			labels[out] = a.XOR(b)
+			continue
+		}
+		tG, tE := g.Tables[2*andIdx], g.Tables[2*andIdx+1]
+		wg := h.Hash1(a, uint64(2*gi))
+		if a.LSB() == 1 {
+			wg = wg.XOR(tG)
+		}
+		we := h.Hash1(b, uint64(2*gi+1))
+		if b.LSB() == 1 {
+			we = we.XOR(tE.XOR(a))
+		}
+		labels[out] = wg.XOR(we)
+		andIdx++
+	}
+	return labels
+}
+
+// oracleCircuits are the shapes the evaluator's AND pairing must get right,
+// plus F itself and a pseudorandom circuit.
+func oracleCircuits() map[string]*circuit.Circuit {
+	cs := map[string]*circuit.Circuit{"small": smallCircuit(), "F": circuit.BuildRuleEncrypt(circuit.SBoxGF)}
+
+	// An AND whose next AND consumes its output: never paired.
+	b := circuit.NewBuilder(3)
+	x, y, z := b.Input(0), b.Input(1), b.Input(2)
+	cs["chained"] = b.Build([]circuit.Ref{b.AND(b.AND(x, y), z)})
+
+	// Two independent adjacent ANDs: one pair.
+	b = circuit.NewBuilder(4)
+	x, y, z, w := b.Input(0), b.Input(1), b.Input(2), b.Input(3)
+	cs["independent"] = b.Build([]circuit.Ref{b.AND(x, y), b.AND(z, w)})
+
+	// Three ANDs, the last gate an AND left without a partner; an XOR
+	// between the pair.
+	b = circuit.NewBuilder(4)
+	x, y, z, w = b.Input(0), b.Input(1), b.Input(2), b.Input(3)
+	a1 := b.AND(x, y)
+	x1 := b.XOR(a1, z)
+	a2 := b.AND(z, w)
+	cs["odd"] = b.Build([]circuit.Ref{b.AND(x1, a2)})
+
+	// Negated AND inputs, on either side and both, and negated outputs.
+	b = circuit.NewBuilder(3)
+	x, y, z = b.Input(0), b.Input(1), b.Input(2)
+	n1 := b.AND(b.NOT(x), y)
+	n2 := b.AND(x, b.NOT(z))
+	n3 := b.AND(b.NOT(n1), b.NOT(n2))
+	cs["negated"] = b.Build([]circuit.Ref{b.NOT(n1), n2, b.NOT(n3), b.NOT(b.XOR(n3, y))})
+
+	// 600 gates over 16 inputs, each op, operand and negation drawn from a
+	// fixed stream.
+	const nIn = 16
+	b = circuit.NewBuilder(nIn)
+	refs := b.Inputs(0, nIn)
+	rnd := make([]byte, 4*600)
+	bbcrypto.NewPRG(bbcrypto.Block{'r', 'n', 'd'}).Read(rnd)
+	for i := 0; i+4 <= len(rnd); i += 4 {
+		p, q := refs[int(rnd[i])%len(refs)], refs[int(rnd[i+1])%len(refs)]
+		if rnd[i+2]&1 == 1 {
+			p = b.NOT(p)
+		}
+		if rnd[i+2]&2 == 2 {
+			q = b.NOT(q)
+		}
+		var g circuit.Ref
+		if rnd[i+3]&1 == 1 {
+			g = b.AND(p, q)
+		} else {
+			g = b.XOR(p, q)
+		}
+		if !g.IsConst {
+			refs = append(refs, g)
+		}
+	}
+	cs["random"] = b.Build(refs[len(refs)-32:])
+	return cs
+}
+
+// TestHalfGatesMatchScalarOracle holds the word kernel — four hashes per
+// Hash1x4 at the garbler, two AND gates per Hash1x4 at the evaluator — to
+// the scalar loops above: the same garbled bytes, the same label on every
+// wire at both ends, and the same decoded outputs.
+func TestHalfGatesMatchScalarOracle(t *testing.T) {
+	key := bbcrypto.Block{0xAA}
+	for name, c := range oracleCircuits() {
+		t.Run(name, func(t *testing.T) {
+			for seed := byte(0); seed < 3; seed++ {
+				g, labels, lab, err := garbleLabels(c, key, bbcrypto.NewPRG(bbcrypto.Block{seed}), Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wg, wlabels, wl0, err := garbleScalar(c, key, bbcrypto.NewPRG(bbcrypto.Block{seed}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(g.Marshal(), wg.Marshal()) {
+					t.Fatalf("seed %d: garbled bytes differ from the oracle's", seed)
+				}
+				if labels.R != wlabels.R {
+					t.Fatalf("seed %d: R differs", seed)
+				}
+				for i := range wl0 {
+					if bbcrypto.FromWords(lab[i]) != wl0[i] {
+						t.Fatalf("seed %d: garbler's false label of wire %d differs", seed, i)
+					}
+				}
+
+				bits := make([]byte, c.NInputs)
+				bbcrypto.NewPRG(bbcrypto.Block{seed, 1}).Read(bits)
+				in := make([]bool, c.NInputs)
+				inLabels := make([]Block, c.NInputs)
+				for i := range in {
+					in[i] = bits[i]&1 == 1
+					if labels.L0[i] != wlabels.L0[i] {
+						t.Fatalf("seed %d: input label %d differs", seed, i)
+					}
+					inLabels[i] = labels.For(i, in[i])
+				}
+				got, err := evalLabels(c, g, inLabels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := evalScalar(c, wg, inLabels)
+				for i := range want {
+					if bbcrypto.FromWords(got[i]) != want[i] {
+						t.Fatalf("seed %d: evaluator's label of wire %d differs", seed, i)
+					}
+				}
+				out, err := Eval(c, g, inLabels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plain := c.Evaluate(in)
+				for i, ref := range c.Outputs {
+					wantBit := plain[i]
+					if !ref.IsConst {
+						if oracle := (want[ref.ID].LSB() == 1) != wg.Decode[i].Val; oracle != wantBit {
+							t.Fatalf("seed %d: oracle decodes output %d wrong", seed, i)
+						}
+					}
+					if out[i] != wantBit {
+						t.Fatalf("seed %d: output %d = %v, want %v", seed, i, out[i], wantBit)
+					}
+				}
+			}
+		})
+	}
 }

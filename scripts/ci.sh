@@ -2,7 +2,7 @@
 # ci.sh — the full BlindBox verification gate, runnable locally or in CI.
 #
 #   scripts/ci.sh            # everything: vet, build, bblint, tests, race, fuzz smoke
-#   scripts/ci.sh quick      # vet + gofmt + build + bblint + unit tests (root and benchmark modules) + F's gate count + one OT leg + sender pipeline rows + line counts only
+#   scripts/ci.sh quick      # vet + gofmt + build + bblint + unit tests (root and benchmark modules) + F's gate count + one garbling, evaluation and OT leg + sender pipeline rows + line counts only
 #
 # Every stage uses only the Go toolchain; the module has no dependencies.
 set -euo pipefail
@@ -51,11 +51,13 @@ step "go test -C benchmark (BENCHMARK.json drift)"
 go test -C benchmark .
 
 # Rule preparation's cost is set by two counts, F's AND gates and the bytes
-# of one garbled F, and by the OT of each leg; print them (one garbling and
-# one leg, no timing claim) so that a gate-count or OT regression shows in
-# this log without running the benchmark.
-step "rule preparation: F's AND gates and garbled bytes, one OT leg"
-go test -run '^$' -bench '^Benchmark(GarbleF|OTLeg)$' -benchtime 1x . | grep -E '^Benchmark(GarbleF|OTLeg)'
+# of one garbled F, and by the three kernels a fragment runs: garbling F at
+# each endpoint, evaluating it at the middlebox, and the OT of each leg;
+# print them (one garbling, one evaluation and one leg, no timing claim) so
+# that a gate-count or kernel regression shows in this log without running
+# the benchmark.
+step "rule preparation: F's AND gates and garbled bytes, one garbling, one evaluation, one OT leg"
+go test -run '^$' -bench '^Benchmark(GarbleF|EvalF|OTLeg)$' -benchtime 1x . | grep -E '^Benchmark(GarbleF|EvalF|OTLeg)'
 
 # The sender pipeline — tokenize, salt assignment, DPIEnc AES — is most of
 # the CPU of both text workloads and is run twice a record (sender and §3.4
