@@ -392,14 +392,23 @@ func degradationDelta(old, cur *Exposition) float64 {
 		obs.MBDegradedTotal, obs.MBFailClosedDropsTotal,
 		obs.MBUnscannedBytes, obs.MBConnErrorsTotal,
 	} {
-		v, _ := cur.Value(name)
-		if old != nil {
-			o, _ := old.Value(name)
-			v -= o
-		}
-		total += v
+		total += increase(old, cur, name)
 	}
 	return total
+}
+
+// increase is one counter's growth from old to cur (its whole value when
+// old is nil). A counter that went backwards belongs to a restarted
+// worker, so all of its current value is new.
+func increase(old, cur *Exposition, name string) float64 {
+	c, _ := cur.Value(name)
+	if old == nil {
+		return c
+	}
+	if o, _ := old.Value(name); c >= o {
+		return c - o
+	}
+	return c
 }
 
 // health builds one worker's row. Caller does not hold w.mu.
