@@ -115,6 +115,55 @@ func TestScraperRatesAndStates(t *testing.T) {
 	}
 }
 
+// TestRestartedWorkerCannotMaskDegradation: a worker that restarts between
+// two scrapes resets its counters. A counter that went backwards counts
+// from zero, as in rates, so a reset conn_errors (10 → 0) cannot cancel
+// fresh unscanned bytes (0 → 5).
+func TestRestartedWorkerCannotMaskDegradation(t *testing.T) {
+	before := obs.NewRegistry()
+	before.Counter(obs.MBConnErrorsTotal, "e").Add(10)
+	var mu sync.Mutex
+	current := obs.AdminMux(before)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		mux := current
+		mu.Unlock()
+		mux.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	clock := newFakeClock()
+	s, err := New(Config{
+		Targets:  []Target{{Name: "w1", URL: srv.URL}},
+		Interval: time.Second,
+		Retry:    quickRetry,
+		Metrics:  obs.NewRegistry(),
+		Now:      clock.Now,
+		Client:   srv.Client(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ScrapeOnce(nil); err != nil {
+		t.Fatal(err)
+	}
+
+	// The restart: a fresh registry that has already forwarded unscanned
+	// bytes.
+	after := obs.NewRegistry()
+	after.Counter(obs.MBUnscannedBytes, "u").Add(5)
+	mu.Lock()
+	current = obs.AdminMux(after)
+	mu.Unlock()
+	clock.Advance(time.Second)
+	if err := s.ScrapeOnce(nil); err != nil {
+		t.Fatal(err)
+	}
+	if h := s.Workers()[0]; h.State != StateDegraded {
+		t.Fatalf("state after a restart with unscanned bytes = %s, want degraded", h.State)
+	}
+}
+
 func TestScraperWorkerDownMidScrapeAndAging(t *testing.T) {
 	w := newWorkerFixture(t)
 	w.reg.Counter(obs.MBConnectionsTotal, "c").Add(2)
