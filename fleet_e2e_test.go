@@ -239,10 +239,7 @@ func TestFleetObservabilityPlane(t *testing.T) {
 	if err := s.WriteClusterMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
-	expo, err := agg.Parse(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("reparsing /cluster/metrics: %v", err)
-	}
+	series := parseExposition(t, buf.String())
 	totals := map[string]func(middlebox.Stats) uint64{
 		"blindbox_mb_connections_total":     func(st middlebox.Stats) uint64 { return st.Connections },
 		"blindbox_mb_tokens_scanned_total":  func(st middlebox.Stats) uint64 { return st.TokensScanned },
@@ -251,21 +248,16 @@ func TestFleetObservabilityPlane(t *testing.T) {
 		"blindbox_mb_unscanned_bytes_total": func(st middlebox.Stats) uint64 { return st.UnscannedBytes },
 	}
 	for name, field := range totals {
-		fam := expo.Family(name)
-		if fam == nil {
-			t.Errorf("merged exposition lacks %s", name)
-			continue
-		}
 		var sum uint64
 		for i, w := range workers {
 			want := field(stats[i])
 			sum += want
-			got, ok := fam.With(map[string]string{"worker": w.name})
+			got, ok := series[fmt.Sprintf("%s{worker=%q}", name, w.name)]
 			if !ok || got != float64(want) {
 				t.Errorf("%s{worker=%q} = %v (present %v), Stats() says %d", name, w.name, got, ok, want)
 			}
 		}
-		got, ok := fam.With(map[string]string{"worker": agg.FleetLabel})
+		got, ok := series[fmt.Sprintf("%s{worker=%q}", name, agg.FleetLabel)]
 		if !ok || got != float64(sum) {
 			t.Errorf("%s{worker=\"fleet\"} = %v (present %v), want %d", name, got, ok, sum)
 		}
@@ -275,12 +267,8 @@ func TestFleetObservabilityPlane(t *testing.T) {
 	}
 	// Worker identity: the scrape-assigned name and the worker's
 	// self-reported blindbox_worker_info must agree side by side.
-	info := expo.Family(obs.WorkerInfo)
-	if info == nil {
-		t.Fatal("merged exposition lacks blindbox_worker_info")
-	}
 	for _, w := range workers {
-		got, ok := info.With(map[string]string{"worker": w.name, "exported_worker": w.name})
+		got, ok := series[fmt.Sprintf("%s{worker=%q,exported_worker=%q}", obs.WorkerInfo, w.name, w.name)]
 		if !ok || got != 1 {
 			t.Errorf("worker_info{worker=%q,exported_worker=%q} = %v (present %v), want 1", w.name, w.name, got, ok)
 		}

@@ -87,7 +87,6 @@ func DefaultRules(modulePath string) []Rule {
 			modulePath + "/internal/experiments",
 		}),
 		&UncheckedErr{NeverFail: []string{"bbcrypto.PRG"}},
-		&ChanLeak{},
 		NewObsStats([]string{modulePath + "/internal/obs"}),
 		NewExportedDoc([]string{modulePath}),
 		NewSecretFlow(modulePath),

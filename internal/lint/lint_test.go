@@ -19,7 +19,6 @@ func fixtureRules() []Rule {
 		NewCTCompare("repro"),
 		NewWeakRand([]string{"repro/internal/lint/testdata/weakrand/allowed"}),
 		&UncheckedErr{NeverFail: []string{"bbcrypto.PRG"}},
-		&ChanLeak{},
 		NewObsStats([]string{"repro/internal/obs"}),
 		NewExportedDoc([]string{"repro/internal/lint/testdata/exporteddoc"}),
 		NewSecretFlow("repro"),
@@ -35,7 +34,6 @@ var fixtureRuleID = map[string]string{
 	"weakrand":         "weak-rand",
 	"weakrand/allowed": "", // allowlisted: must be perfectly clean
 	"uncheckederr":     "unchecked-err",
-	"chanleak":         "chan-leak",
 	"obsstats":         "obs-stats",
 	"exporteddoc":      "exported-doc",
 	"secretflow":       "secret-flow",
@@ -152,8 +150,8 @@ func TestExpandSkipsTestdata(t *testing.T) {
 // reference them by name.
 func TestDefaultRulesCatalog(t *testing.T) {
 	want := []string{
-		"ct-compare", "weak-rand", "unchecked-err", "chan-leak",
-		"obs-stats", "exported-doc", "secret-flow", "hotpath-alloc",
+		"ct-compare", "weak-rand", "unchecked-err", "obs-stats",
+		"exported-doc", "secret-flow", "hotpath-alloc",
 	}
 	rules := DefaultRules("repro")
 	if len(rules) != len(want) {

@@ -1,8 +1,9 @@
 // The admin HTTP endpoint: /metrics (Prometheus text), /metrics.json
-// (registry snapshot), /healthz, net/http/pprof under /debug/pprof/, and —
-// when a Recorder is mounted — the flight-recorder views /debug/flows and
-// /debug/flightrecorder. cmd/bbmb and cmd/bbserver mount this behind their
-// -admin flag; tests mount it on httptest servers.
+// (the registry's Families, which the fleet scraper decodes), /healthz,
+// net/http/pprof under /debug/pprof/, and — when a Recorder is mounted —
+// the flight-recorder views /debug/flows and /debug/flightrecorder.
+// cmd/bbmb and cmd/bbserver mount this behind their -admin flag; tests
+// mount it on httptest servers.
 
 package obs
 
@@ -31,7 +32,7 @@ func AdminMux(r *Registry) *http.ServeMux {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		//lint:ignore unchecked-err a failed scrape write means the client went away; nothing to do
-		enc.Encode(r.Snapshot())
+		enc.Encode(r.Families())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -3,7 +3,7 @@
 //	/cluster/metrics   merged exposition — every worker family re-emitted
 //	                   with a worker label, plus a worker="fleet" rollup
 //	                   series per family (pointwise sum), plus the
-//	                   aggregator's own blindbox_fleet_* registry
+//	                   aggregator's own registry, all through obs.WriteText
 //	/cluster/workers   health JSON: per-worker rows + SLO verdicts
 //	/cluster/trace?id= cross-worker trace assembly: pulls the matching
 //	                   flight-recorder spans from every worker's /debug/
@@ -22,8 +22,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/obs"
@@ -81,204 +81,119 @@ func (s *Scraper) Mux() *http.ServeMux {
 	return mux
 }
 
-// mergedFamily accumulates one family across workers for rendering.
-type mergedFamily struct {
-	name string
-	fam  *Family // first worker's declaration (help/type source)
-	// series are the per-worker samples in (config order, body order).
-	series []workerSample
-}
-
-// workerSample is one re-labeled output series.
-type workerSample struct {
-	worker string
-	s      Sample
-}
-
-// WriteClusterMetrics renders the merged exposition. Rendering order:
-// worker families (union, first-seen order), each with its per-worker
-// series and a worker="fleet" rollup, then the aggregator's own
-// registry minus any family already emitted (blindbox_build_info is on
-// both sides; the worker-labeled series win).
+// WriteClusterMetrics renders the merged exposition: every worker family
+// (union, first-seen order) with a leading worker label on each series
+// and a worker="fleet" rollup after the per-worker series, then the
+// aggregator's own registry minus any family already emitted
+// (blindbox_build_info is on both sides; the worker-labeled series win).
 func (s *Scraper) WriteClusterMetrics(w io.Writer) error {
-	s.EvaluateSLOs() // refresh blindbox_fleet_slo_* before rendering
+	s.EvaluateSLOs() // refresh blindbox_fleet_slo_up before rendering
 
-	names, expos := s.latest()
-	var order []string
-	merged := map[string]*mergedFamily{}
+	names, snaps := s.latest()
+	fams := mergeFamilies(names, snaps)
+	emitted := make(map[string]bool, len(fams))
+	for _, f := range fams {
+		emitted[f.Name] = true
+	}
+	for _, f := range s.cfg.Metrics.Families() {
+		if !emitted[f.Name] {
+			fams = append(fams, f)
+		}
+	}
+	return obs.WriteText(w, fams)
+}
+
+// merged is one family being merged across workers.
+type merged struct {
+	out   obs.Family  // the rendered family: worker label first
+	first *obs.Family // the first worker's declaration, which later workers must match
+	// rollups are the fleet series, keyed by label values, in first-seen
+	// order.
+	rollups map[string]*rollup
+	order   []*rollup
+}
+
+// rollup is one worker="fleet" series: the sum over workers of the
+// series with these label values. A histogram whose bounds differ across
+// workers has no sum; bad drops it.
+type rollup struct {
+	values []string
+	value  float64
+	hist   *obs.Hist
+	bad    bool
+}
+
+// mergeFamilies re-labels every worker's series and appends the fleet
+// rollups. A worker whose family has a different type or label set from
+// the first worker's contributes no series to it. A series that already
+// carries its own worker label (blindbox_worker_info) keeps it under the
+// federation convention's exported_ prefix, so the scrape-assigned name
+// and the worker's self-reported name stay side by side.
+func mergeFamilies(names []string, snaps map[string]*Snapshot) []obs.Family {
+	var order []*merged
+	byName := map[string]*merged{}
 	for _, worker := range names {
-		for _, fam := range expos[worker].Families {
-			mf, ok := merged[fam.Name]
-			if !ok {
-				mf = &mergedFamily{name: fam.Name, fam: fam}
-				merged[fam.Name] = mf
-				order = append(order, fam.Name)
+		for i := range snaps[worker].Families {
+			f := &snaps[worker].Families[i]
+			m := byName[f.Name]
+			if m == nil {
+				labels := []string{"worker"}
+				for _, l := range f.Labels {
+					if l == "worker" {
+						l = "exported_worker"
+					}
+					labels = append(labels, l)
+				}
+				m = &merged{
+					out:     obs.Family{Name: f.Name, Help: f.Help, Type: f.Type, Labels: labels},
+					first:   f,
+					rollups: map[string]*rollup{},
+				}
+				byName[f.Name] = m
+				order = append(order, m)
+			} else if f.Type != m.first.Type || !slices.Equal(f.Labels, m.first.Labels) {
+				continue
 			}
-			for _, sample := range fam.Samples {
-				mf.series = append(mf.series, workerSample{worker: worker, s: sample})
-			}
-		}
-	}
-	for _, name := range order {
-		if err := writeMergedFamily(w, merged[name]); err != nil {
-			return err
-		}
-	}
-	return s.writeOwnRegistry(w, merged)
-}
-
-// writeMergedFamily emits one family: HELP/TYPE once, per-worker series,
-// then the worker="fleet" pointwise-sum rollup.
-func writeMergedFamily(w io.Writer, mf *mergedFamily) error {
-	if mf.fam.Help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", mf.name, escapeHelp(mf.fam.Help)); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", mf.name, mf.fam.Type); err != nil {
-		return err
-	}
-	// Rollup accumulation keyed by (suffix, canonical labels), first-seen
-	// order — for histograms this preserves ascending le order.
-	type rollup struct {
-		suffix string
-		labels map[string]string
-		value  float64
-	}
-	var rollOrder []string
-	rolls := map[string]*rollup{}
-	for _, ws := range mf.series {
-		if err := writeSample(w, mf.name, ws.s, ws.worker); err != nil {
-			return err
-		}
-		key := ws.s.Suffix + "|" + canonicalLabels(ws.s.Labels)
-		r, ok := rolls[key]
-		if !ok {
-			r = &rollup{suffix: ws.s.Suffix, labels: ws.s.Labels}
-			rolls[key] = r
-			rollOrder = append(rollOrder, key)
-		}
-		r.value += ws.s.Value
-	}
-	for _, key := range rollOrder {
-		r := rolls[key]
-		if err := writeSample(w, mf.name, Sample{Suffix: r.suffix, Labels: r.labels, Value: r.value}, FleetLabel); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeSample emits one series line with the worker label prepended. A
-// series that already carries its own worker label (blindbox_worker_info)
-// keeps it under the federation convention's exported_ prefix, so the
-// scrape-assigned name and the worker's self-reported name stay
-// side-by-side comparable instead of colliding.
-func writeSample(w io.Writer, name string, s Sample, worker string) error {
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteString(s.Suffix)
-	b.WriteString(`{worker=`)
-	b.WriteString(strconv.Quote(worker))
-	for _, k := range sortedKeys(s.Labels) {
-		b.WriteString(",")
-		if k == "worker" {
-			b.WriteString("exported_worker")
-		} else {
-			b.WriteString(k)
-		}
-		b.WriteString("=")
-		b.WriteString(strconv.Quote(s.Labels[k]))
-	}
-	b.WriteString("} ")
-	b.WriteString(formatValue(s.Value))
-	b.WriteString("\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// formatValue renders a sample value the way Prometheus clients do.
-func formatValue(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// canonicalLabels renders a label set as a stable map key.
-func canonicalLabels(labels map[string]string) string {
-	var b strings.Builder
-	for _, k := range sortedKeys(labels) {
-		b.WriteString(k)
-		b.WriteString("=")
-		b.WriteString(strconv.Quote(labels[k]))
-		b.WriteString(",")
-	}
-	return b.String()
-}
-
-// escapeHelp escapes newlines and backslashes per the exposition format
-// (the inverse of unescapeHelp).
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// writeOwnRegistry appends the aggregator's own registry, skipping any
-// family the merged section already declared.
-func (s *Scraper) writeOwnRegistry(w io.Writer, merged map[string]*mergedFamily) error {
-	reg := s.cfg.Metrics
-	if reg == nil {
-		return nil
-	}
-	var buf strings.Builder
-	if err := reg.WritePrometheus(&buf); err != nil {
-		return err
-	}
-	own, err := Parse(strings.NewReader(buf.String()))
-	if err != nil {
-		return err
-	}
-	for _, fam := range own.Families {
-		if _, dup := merged[fam.Name]; dup {
-			continue
-		}
-		if fam.Help != "" {
-			if _, werr := fmt.Fprintf(w, "# HELP %s %s\n", fam.Name, escapeHelp(fam.Help)); werr != nil {
-				return werr
-			}
-		}
-		if _, werr := fmt.Fprintf(w, "# TYPE %s %s\n", fam.Name, fam.Type); werr != nil {
-			return werr
-		}
-		for _, sample := range fam.Samples {
-			if werr := writePlainSample(w, fam.Name, sample); werr != nil {
-				return werr
+			for _, ser := range f.Series {
+				m.out.Series = append(m.out.Series, obs.Series{
+					Values: append([]string{worker}, ser.Values...), Value: ser.Value, Hist: ser.Hist,
+				})
+				m.add(ser)
 			}
 		}
 	}
-	return nil
+	out := make([]obs.Family, 0, len(order))
+	for _, m := range order {
+		for _, r := range m.order {
+			if !r.bad {
+				m.out.Series = append(m.out.Series, obs.Series{
+					Values: append([]string{FleetLabel}, r.values...), Value: r.value, Hist: r.hist,
+				})
+			}
+		}
+		out = append(out, m.out)
+	}
+	return out
 }
 
-// writePlainSample emits one series line without a worker label.
-func writePlainSample(w io.Writer, name string, s Sample) error {
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteString(s.Suffix)
-	if len(s.Labels) > 0 {
-		b.WriteString("{")
-		for i, k := range sortedKeys(s.Labels) {
-			if i > 0 {
-				b.WriteString(",")
-			}
-			b.WriteString(k)
-			b.WriteString("=")
-			b.WriteString(strconv.Quote(s.Labels[k]))
-		}
-		b.WriteString("}")
+// add sums one worker series into its rollup, seeding a new rollup with
+// the series itself.
+func (m *merged) add(ser obs.Series) {
+	key := fmt.Sprintf("%q", ser.Values)
+	r := m.rollups[key]
+	if r == nil {
+		m.rollups[key] = &rollup{values: ser.Values, value: ser.Value, hist: ser.Hist}
+		m.order = append(m.order, m.rollups[key])
+		return
 	}
-	b.WriteString(" ")
-	b.WriteString(formatValue(s.Value))
-	b.WriteString("\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+	switch {
+	case r.bad:
+	case r.hist == nil:
+		r.value += ser.Value
+	default:
+		h, err := mergeHist(r.hist, ser.Hist)
+		r.hist, r.bad = h, err != nil
+	}
 }
 
 // TraceNode is one span of an assembled cross-worker trace, flattened

@@ -50,60 +50,86 @@ func TestClusterMetricsMergeAndRollups(t *testing.T) {
 	if err := s.WriteClusterMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
-	body := buf.String()
-
-	// The merged body must itself be a valid exposition (dogfood the
-	// parser) with no duplicate family declarations.
-	expo, err := Parse(strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("cluster metrics body does not re-parse: %v\n%s", err, body)
-	}
-	declared := map[string]int{}
-	for _, line := range strings.Split(body, "\n") {
-		if strings.HasPrefix(line, "# TYPE ") {
-			declared[strings.Fields(line)[2]]++
-		}
-	}
-	for name, n := range declared {
-		if n > 1 {
-			t.Errorf("family %s declared %d times", name, n)
-		}
-	}
+	// The merged body parses, line by line, with no family declared
+	// twice.
+	series := parseText(t, buf.String())
 
 	// Per-worker series and the fleet rollup.
-	tok := expo.Family(obs.MBTokensScannedTotal)
-	for _, tc := range []struct {
-		labels map[string]string
-		want   float64
-	}{
-		{map[string]string{"worker": "w1"}, 100},
-		{map[string]string{"worker": "w2"}, 23},
-		{map[string]string{"worker": FleetLabel}, 123},
+	for key, want := range map[string]float64{
+		`blindbox_mb_tokens_scanned_total{worker="w1"}`:           100,
+		`blindbox_mb_tokens_scanned_total{worker="w2"}`:           23,
+		`blindbox_mb_tokens_scanned_total{worker="fleet"}`:        123,
+		`blindbox_mb_alerts_by_sid_total{worker="fleet",sid="7"}`: 5,
 	} {
-		if v, ok := tok.With(tc.labels); !ok || v != tc.want {
-			t.Errorf("tokens %v = %v, %v (want %g)", tc.labels, v, ok, tc.want)
+		if v, ok := series[key]; !ok || v != want {
+			t.Errorf("%s = %v, %v (want %g)", key, v, ok, want)
 		}
 	}
-	sid := expo.Family(obs.MBAlertsBySID)
-	if v, ok := sid.With(map[string]string{"worker": FleetLabel, "sid": "7"}); !ok || v != 5 {
-		t.Errorf("fleet alerts_by_sid{sid=7} = %v, %v, want 5", v, ok)
-	}
 	// Histogram rollup: bucket counts, sum and count sum pointwise.
-	hf, ok := expo.Family(obs.MBScanSeconds).Histogram(map[string]string{"worker": FleetLabel})
-	if !ok || hf.Count != 3 {
-		t.Fatalf("fleet scan histogram = %+v, %v", hf, ok)
+	if v := series[`blindbox_mb_scan_seconds_count{worker="fleet"}`]; v != 3 {
+		t.Fatalf("fleet scan histogram count = %v, want 3", v)
 	}
-	if math.Abs(hf.Sum-0.014) > 1e-9 {
-		t.Errorf("fleet scan sum = %g, want ~0.014", hf.Sum)
+	if v := series[`blindbox_mb_scan_seconds_bucket{worker="fleet",le="0.0025"}`]; v != 1 {
+		t.Errorf("fleet scan histogram le=0.0025 = %v, want 1", v)
+	}
+	if v := series[`blindbox_mb_scan_seconds_sum{worker="fleet"}`]; math.Abs(v-0.014) > 1e-9 {
+		t.Errorf("fleet scan sum = %g, want ~0.014", v)
 	}
 
-	// The aggregator's own registry rides along: scrape self-metrics and
-	// the SLO gauges refreshed by the render.
-	if v := expo.Labeled(obs.FleetScrapesTotal)["w1"]; v != 1 {
-		t.Errorf("own registry missing: scrapes{w1} = %v, want 1", v)
+	// The aggregator's own registry rides along: the health and SLO
+	// gauges refreshed by the round and the render.
+	if v, ok := series[`blindbox_fleet_worker_up{worker="w1"}`]; !ok || v != 1 {
+		t.Errorf("own registry missing: worker_up{w1} = %v, %v, want 1", v, ok)
 	}
-	if v := expo.Labeled(obs.FleetSLOUp)["scan_p99"]; v != 1 {
+	if v := series[`blindbox_fleet_slo_up{slo="scan_p99"}`]; v != 1 {
 		t.Errorf("slo_up{scan_p99} = %v, want 1", v)
+	}
+}
+
+// TestClusterMetricsShapeDisagreements: a worker whose family has a
+// different type or label set from the first worker's contributes no
+// series to it, and a histogram whose bounds differ across workers gets
+// no fleet series.
+func TestClusterMetricsShapeDisagreements(t *testing.T) {
+	w1 := newWorkerFixture(t)
+	w2 := newWorkerFixture(t)
+	w1.reg.Counter("bb_kind", "K.").Add(4)
+	w2.reg.Gauge("bb_kind", "K.").Set(5)
+	w1.reg.CounterVec("bb_labels_total", "L.", "a").With("x").Add(6)
+	w2.reg.CounterVec("bb_labels_total", "L.", "b").With("x").Add(7)
+	w1.reg.Histogram("bb_lat_seconds", "H.", []float64{1}).Observe(0.5)
+	w2.reg.Histogram("bb_lat_seconds", "H.", []float64{2}).Observe(0.5)
+
+	s := newTestScraper(t, map[string]*workerFixture{"w1": w1, "w2": w2})
+	if err := s.ScrapeOnce(nil); err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := s.WriteClusterMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.String()
+	series := parseText(t, body)
+	for key, want := range map[string]float64{
+		`bb_kind{worker="w1"}`:                      4,
+		`bb_kind{worker="fleet"}`:                   4,
+		`bb_labels_total{worker="w1",a="x"}`:        6,
+		`bb_labels_total{worker="fleet",a="x"}`:     6,
+		`bb_lat_seconds_count{worker="w1"}`:         1,
+		`bb_lat_seconds_count{worker="w2"}`:         1,
+		`bb_lat_seconds_bucket{worker="w2",le="2"}`: 1,
+	} {
+		if v, ok := series[key]; !ok || v != want {
+			t.Errorf("%s = %v, %v (want %g)", key, v, ok, want)
+		}
+	}
+	for _, absent := range []string{`bb_kind{worker="w2"}`, `worker="w2",b="x"`, `bb_lat_seconds_count{worker="fleet"}`, `bb_lat_seconds_bucket{worker="fleet"`} {
+		if strings.Contains(body, absent) {
+			t.Errorf("merged body has %s:\n%s", absent, body)
+		}
+	}
+	if !strings.Contains(body, "# TYPE bb_kind counter\n") {
+		t.Errorf("bb_kind lost the first worker's type:\n%s", body)
 	}
 }
 
@@ -148,15 +174,8 @@ func TestSLOEvaluationBreachFlipsCheck(t *testing.T) {
 	if err := s.cfg.Metrics.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	expo, err := Parse(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := expo.Labeled(obs.FleetSLOUp)["unscanned_bytes"]; v != 0 {
-		t.Errorf("slo_up{unscanned_bytes} = %v, want 0", v)
-	}
-	if v := expo.Labeled(obs.FleetSLOBreachesTotal)["unscanned_bytes"]; v < 1 {
-		t.Errorf("slo_breaches{unscanned_bytes} = %v, want >= 1", v)
+	if v, ok := parseText(t, buf.String())[`blindbox_fleet_slo_up{slo="unscanned_bytes"}`]; !ok || v != 0 {
+		t.Errorf("slo_up{unscanned_bytes} = %v, %v, want 0", v, ok)
 	}
 
 	// The check report must survive JSON encoding even with NaN SLO
@@ -166,26 +185,31 @@ func TestSLOEvaluationBreachFlipsCheck(t *testing.T) {
 	}
 }
 
-func TestSLOQuantileAndRatioKinds(t *testing.T) {
-	body := `# TYPE blindbox_mb_scan_seconds histogram
-blindbox_mb_scan_seconds_bucket{le="0.01"} 90
-blindbox_mb_scan_seconds_bucket{le="1"} 100
-blindbox_mb_scan_seconds_bucket{le="+Inf"} 100
-blindbox_mb_scan_seconds_sum 5.5
-blindbox_mb_scan_seconds_count 100
-# TYPE blindbox_mb_conn_errors_total counter
-blindbox_mb_conn_errors_total 10
-# TYPE blindbox_mb_connections_total counter
-blindbox_mb_connections_total 100
-`
-	expo, err := Parse(strings.NewReader(body))
+// snapshotOf serves fams the way a worker does and decodes them.
+func snapshotOf(t *testing.T, fams ...obs.Family) *Snapshot {
+	t.Helper()
+	body, err := json.Marshal(fams)
 	if err != nil {
 		t.Fatal(err)
 	}
-	expos := map[string]*Exposition{"w1": expo}
+	snap, err := Decode(strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+func TestSLOQuantileAndRatioKinds(t *testing.T) {
+	snaps := map[string]*Snapshot{"w1": snapshotOf(t,
+		obs.Family{Name: "blindbox_mb_scan_seconds", Type: "histogram", Series: []obs.Series{
+			{Hist: &obs.Hist{Bounds: []float64{0.01, 1}, Counts: []uint64{90, 100, 100}, Sum: 5.5, Count: 100}},
+		}},
+		obs.Family{Name: "blindbox_mb_conn_errors_total", Type: "counter", Series: []obs.Series{{Value: 10}}},
+		obs.Family{Name: "blindbox_mb_connections_total", Type: "counter", Series: []obs.Series{{Value: 100}}},
+	)}
 
 	byName := map[string]SLOResult{}
-	for _, r := range EvaluateSLOs(DefaultSLOs(), expos) {
+	for _, r := range EvaluateSLOs(DefaultSLOs(), snaps) {
 		byName[r.Name] = r
 	}
 	// p99 lands in the (0.01, 1] bucket: far over the 100 ms bound.
@@ -203,7 +227,7 @@ blindbox_mb_connections_total 100
 		}
 	}
 	// An unknown kind must not silently pass.
-	if bad := EvaluateSLOs([]SLO{{Name: "typo", Kind: "nonsense", Threshold: 1}}, expos); bad[0].OK {
+	if bad := EvaluateSLOs([]SLO{{Name: "typo", Kind: "nonsense", Threshold: 1}}, snaps); bad[0].OK {
 		t.Error("unknown SLO kind evaluated as met")
 	}
 }
@@ -373,11 +397,7 @@ func TestConcurrentScrapeAndRender(t *testing.T) {
 	if err := s.WriteClusterMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
-	expo, err := Parse(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatalf("final render does not parse: %v", err)
-	}
-	if v, ok := expo.Family(obs.MBTokensScannedTotal).With(map[string]string{"worker": FleetLabel}); !ok || v != 6000+10000 {
+	if v, ok := parseText(t, buf.String())[`blindbox_mb_tokens_scanned_total{worker="fleet"}`]; !ok || v != 6000+10000 {
 		t.Errorf("final fleet tokens = %v, %v, want 16000", v, ok)
 	}
 }

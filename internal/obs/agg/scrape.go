@@ -1,13 +1,13 @@
 // The multi-target scraper: polls every worker admin endpoint on an
 // interval with a per-target timeout and a bounded jittered retry
-// (internal/retry), keeps the last K parsed snapshots per worker,
+// (internal/retry), keeps the last K decoded snapshots per worker,
 // derives rates from the deltas, and classifies each worker
-// up / stale / degraded / down. The scraper watches itself through the
-// blindbox_fleet_* catalog metrics registered on Config.Metrics — the
-// same registry the cluster mux exposes on /metrics.
+// up / stale / degraded / down. The verdicts are exported as the
+// blindbox_fleet_* gauges registered on Config.Metrics — the same
+// registry the cluster mux exposes on /metrics.
 //
 // Secrecy note (bblint secret-flow): the scraper only ever handles
-// metric names, label values and numbers from /metrics bodies — no
+// metric names, label values and numbers from /metrics.json bodies — no
 // session keys, rule plaintext or payload bytes flow through this
 // package, and nothing scraped is ever interpreted as a secret.
 
@@ -34,7 +34,7 @@ const (
 	DefaultInterval = time.Second
 	// DefaultTimeout is the per-target HTTP timeout for one attempt.
 	DefaultTimeout = 2 * time.Second
-	// DefaultKeep is how many parsed snapshots are retained per worker
+	// DefaultKeep is how many decoded snapshots are retained per worker
 	// (the rate window is oldest-to-newest over these).
 	DefaultKeep = 8
 )
@@ -50,7 +50,7 @@ type Target struct {
 	// Empty derives a name from the URL.
 	Name string
 	// URL is the admin base, e.g. "http://127.0.0.1:9001"; the scraper
-	// appends /metrics, /debug/trace and friends.
+	// appends /metrics.json, /debug/trace and friends.
 	URL string
 }
 
@@ -76,7 +76,7 @@ type Config struct {
 	// DownAfter classifies a worker down when its last successful
 	// scrape is older than this (default 10×Interval).
 	DownAfter time.Duration
-	// Metrics receives the blindbox_fleet_* scraper self-metrics; nil
+	// Metrics receives the blindbox_fleet_* health and SLO gauges; nil
 	// disables them.
 	Metrics *obs.Registry
 	// SLOs are the declared service-level objectives Check evaluates
@@ -151,20 +151,17 @@ type WorkerHealth struct {
 	Rates Rates `json:"rates"`
 }
 
-// timedSnapshot is one parsed scrape with its receive time.
+// timedSnapshot is one decoded scrape with its receive time.
 type timedSnapshot struct {
 	at   time.Time
-	expo *Exposition
+	snap *Snapshot
 }
 
 // worker is the scraper's per-target state.
 type worker struct {
 	name, url string
 
-	scrapes   *obs.Counter
-	errsTotal *obs.Counter
-	upGauge   *obs.Gauge
-	staleness *obs.Gauge
+	upGauge *obs.Gauge
 
 	mu          sync.Mutex
 	snaps       []timedSnapshot // oldest first, bounded by Keep
@@ -186,9 +183,7 @@ type Scraper struct {
 	workers []*worker
 	byName  map[string]*worker
 
-	scrapeSeconds *obs.Histogram
-	sloUp         *obs.GaugeVec
-	sloBreaches   *obs.CounterVec
+	sloUp *obs.GaugeVec
 }
 
 // New validates cfg and builds a Scraper.
@@ -227,14 +222,8 @@ func New(cfg Config) (*Scraper, error) {
 	if s.now == nil {
 		s.now = time.Now
 	}
-	m := cfg.Metrics
-	scrapesVec := m.CounterVec(obs.FleetScrapesTotal, obs.Help(obs.FleetScrapesTotal), "worker")
-	errsVec := m.CounterVec(obs.FleetScrapeErrorsTotal, obs.Help(obs.FleetScrapeErrorsTotal), "worker")
-	upVec := m.GaugeVec(obs.FleetWorkerUp, obs.Help(obs.FleetWorkerUp), "worker")
-	staleVec := m.GaugeVec(obs.FleetStalenessSeconds, obs.Help(obs.FleetStalenessSeconds), "worker")
-	s.scrapeSeconds = m.Histogram(obs.FleetScrapeSeconds, obs.Help(obs.FleetScrapeSeconds), obs.LatencyBuckets)
-	s.sloUp = m.GaugeVec(obs.FleetSLOUp, obs.Help(obs.FleetSLOUp), "slo")
-	s.sloBreaches = m.CounterVec(obs.FleetSLOBreachesTotal, obs.Help(obs.FleetSLOBreachesTotal), "slo")
+	upVec := cfg.Metrics.GaugeVec(obs.FleetWorkerUp, obs.Help(obs.FleetWorkerUp), "worker")
+	s.sloUp = cfg.Metrics.GaugeVec(obs.FleetSLOUp, obs.Help(obs.FleetSLOUp), "slo")
 	for _, t := range cfg.Targets {
 		name := t.Name
 		if name == "" {
@@ -247,21 +236,15 @@ func New(cfg Config) (*Scraper, error) {
 			return nil, fmt.Errorf("agg: duplicate worker name %q", name)
 		}
 		w := &worker{
-			name:      name,
-			url:       strings.TrimRight(t.URL, "/"),
-			scrapes:   scrapesVec.With(name),
-			errsTotal: errsVec.With(name),
-			upGauge:   upVec.With(name),
-			staleness: staleVec.With(name),
+			name:    name,
+			url:     strings.TrimRight(t.URL, "/"),
+			upGauge: upVec.With(name),
 		}
 		s.byName[name] = w
 		s.workers = append(s.workers, w)
 	}
 	return s, nil
 }
-
-// Interval returns the configured scrape period.
-func (s *Scraper) Interval() time.Duration { return s.cfg.Interval }
 
 // Run scrapes every Interval until stop closes. The first round fires
 // immediately.
@@ -301,16 +284,11 @@ func (s *Scraper) ScrapeOnce(stop <-chan struct{}) error {
 // scrapeWorker runs one worker's scrape round under the retry policy
 // and ingests the result.
 func (s *Scraper) scrapeWorker(w *worker, stop <-chan struct{}) error {
-	var expo *Exposition
-	var took time.Duration
+	var snap *Snapshot
 	err := s.cfg.Retry.Do(stop, func(int) error {
-		t0 := s.now()
-		e, ferr := s.fetch(w.url + "/metrics")
-		if ferr != nil {
-			return ferr
-		}
-		expo, took = e, s.now().Sub(t0)
-		return nil
+		var ferr error
+		snap, ferr = s.fetch(w.url + "/metrics.json")
+		return ferr
 	})
 	now := s.now()
 	w.mu.Lock()
@@ -318,23 +296,20 @@ func (s *Scraper) scrapeWorker(w *worker, stop <-chan struct{}) error {
 	if err != nil {
 		w.nErrors++
 		w.lastErr = err.Error()
-		w.errsTotal.Inc()
 		return fmt.Errorf("worker %s: %w", w.name, err)
 	}
 	w.nScrapes++
 	w.lastErr = ""
 	w.lastSuccess = now
-	w.snaps = append(w.snaps, timedSnapshot{at: now, expo: expo})
+	w.snaps = append(w.snaps, timedSnapshot{at: now, snap: snap})
 	if len(w.snaps) > s.cfg.Keep {
 		w.snaps = w.snaps[len(w.snaps)-s.cfg.Keep:]
 	}
-	w.scrapes.Inc()
-	s.scrapeSeconds.Observe(took.Seconds())
 	return nil
 }
 
-// fetch GETs one exposition body and parses it.
-func (s *Scraper) fetch(url string) (*Exposition, error) {
+// fetch GETs one /metrics.json body and decodes it.
+func (s *Scraper) fetch(url string) (*Snapshot, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
@@ -346,7 +321,7 @@ func (s *Scraper) fetch(url string) (*Exposition, error) {
 		return nil, err
 	}
 	defer func() {
-		//lint:ignore unchecked-err drain-and-close of a scrape body; the parse result is what matters
+		//lint:ignore unchecked-err drain-and-close of a scrape body; the decode result is what matters
 		io.Copy(io.Discard, resp.Body)
 		//lint:ignore unchecked-err see above
 		resp.Body.Close()
@@ -354,31 +329,22 @@ func (s *Scraper) fetch(url string) (*Exposition, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("agg: %s: status %s", url, resp.Status)
 	}
-	return Parse(resp.Body)
+	return Decode(resp.Body)
 }
 
-// latest returns each worker's newest exposition (workers never scraped
+// latest returns each worker's newest snapshot (workers never scraped
 // are absent), in config order.
-func (s *Scraper) latest() (names []string, expos map[string]*Exposition) {
-	expos = map[string]*Exposition{}
+func (s *Scraper) latest() (names []string, snaps map[string]*Snapshot) {
+	snaps = map[string]*Snapshot{}
 	for _, w := range s.workers {
 		w.mu.Lock()
 		if n := len(w.snaps); n > 0 {
 			names = append(names, w.name)
-			expos[w.name] = w.snaps[n-1].expo
+			snaps[w.name] = w.snaps[n-1].snap
 		}
 		w.mu.Unlock()
 	}
-	return names, expos
-}
-
-// workerNames returns every configured worker name in config order.
-func (s *Scraper) workerNames() []string {
-	out := make([]string, len(s.workers))
-	for i, w := range s.workers {
-		out[i] = w.name
-	}
-	return out
+	return names, snaps
 }
 
 // degradationDelta sums the degradation signals (fail-open degradations,
@@ -386,7 +352,7 @@ func (s *Scraper) workerNames() []string {
 // between two snapshots. With old == nil it returns the cumulative
 // totals — right after the first scrape the whole process history is
 // the window, which a restarted aggregator outgrows one interval later.
-func degradationDelta(old, cur *Exposition) float64 {
+func degradationDelta(old, cur *Snapshot) float64 {
 	var total float64
 	for _, name := range []string{
 		obs.MBDegradedTotal, obs.MBFailClosedDropsTotal,
@@ -400,7 +366,7 @@ func degradationDelta(old, cur *Exposition) float64 {
 // increase is one counter's growth from old to cur (its whole value when
 // old is nil). A counter that went backwards belongs to a restarted
 // worker, so all of its current value is new.
-func increase(old, cur *Exposition, name string) float64 {
+func increase(old, cur *Snapshot, name string) float64 {
 	c, _ := cur.Value(name)
 	if old == nil {
 		return c
@@ -431,11 +397,11 @@ func (s *Scraper) health(w *worker) WorkerHealth {
 	h.LastScrapeUnixNs = w.lastSuccess.UnixNano()
 	age := now.Sub(w.lastSuccess)
 	h.StalenessSeconds = age.Seconds()
-	cur := w.snaps[len(w.snaps)-1].expo
-	var oldest *Exposition
+	cur := w.snaps[len(w.snaps)-1].snap
+	var oldest *Snapshot
 	var window time.Duration
 	if len(w.snaps) > 1 {
-		oldest = w.snaps[0].expo
+		oldest = w.snaps[0].snap
 		window = w.snaps[len(w.snaps)-1].at.Sub(w.snaps[0].at)
 	}
 	h.Rates = rates(oldest, cur, window)
@@ -454,7 +420,7 @@ func (s *Scraper) health(w *worker) WorkerHealth {
 
 // rates derives the Rates row from the oldest and newest retained
 // snapshots (old nil or window 0: rates are 0, totals still filled).
-func rates(old, cur *Exposition, window time.Duration) Rates {
+func rates(old, cur *Snapshot, window time.Duration) Rates {
 	var r Rates
 	r.Connections, _ = cur.Value(obs.MBConnectionsTotal)
 	r.TokensScanned, _ = cur.Value(obs.MBTokensScannedTotal)
@@ -484,7 +450,7 @@ func rates(old, cur *Exposition, window time.Duration) Rates {
 }
 
 // Workers returns every worker's health row in config order, refreshing
-// the blindbox_fleet_worker_up / staleness gauges as a side effect.
+// the blindbox_fleet_worker_up gauges as a side effect.
 func (s *Scraper) Workers() []WorkerHealth {
 	out := make([]WorkerHealth, len(s.workers))
 	for i, w := range s.workers {
@@ -502,31 +468,26 @@ func (s *Scraper) updateHealthMetrics() {
 	}
 }
 
-// setHealthGauges writes one worker's health into its gauges.
+// setHealthGauges writes one worker's health into its up gauge.
 func (s *Scraper) setHealthGauges(w *worker, h WorkerHealth) {
 	if h.State == StateUp {
 		w.upGauge.Set(1)
 	} else {
 		w.upGauge.Set(0)
 	}
-	if h.StalenessSeconds >= 0 {
-		w.staleness.Set(int64(h.StalenessSeconds))
-	}
 }
 
 // EvaluateSLOs evaluates the declared SLOs against the latest snapshots
-// and updates the blindbox_fleet_slo_* metrics. Results come back in
+// and updates the blindbox_fleet_slo_up gauges. Results come back in
 // declaration order.
 func (s *Scraper) EvaluateSLOs() []SLOResult {
-	_, expos := s.latest()
-	results := EvaluateSLOs(s.slos, expos)
+	_, snaps := s.latest()
+	results := EvaluateSLOs(s.slos, snaps)
 	for _, r := range results {
-		cell := s.sloUp.With(r.Name)
 		if r.OK {
-			cell.Set(1)
+			s.sloUp.With(r.Name).Set(1)
 		} else {
-			cell.Set(0)
-			s.sloBreaches.With(r.Name).Inc()
+			s.sloUp.With(r.Name).Set(0)
 		}
 	}
 	return results

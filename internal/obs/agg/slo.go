@@ -5,7 +5,7 @@
 // error rate). Every kind is computable from one scrape round, so
 // `bbfleet -check` needs exactly one round before flipping its exit
 // code; continuous runs re-evaluate per render and export the verdicts
-// as blindbox_fleet_slo_up / blindbox_fleet_slo_breaches_total.
+// as blindbox_fleet_slo_up.
 
 package agg
 
@@ -13,6 +13,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"repro/internal/obs"
 )
 
 // JSONFloat is a float64 whose JSON encoding tolerates the non-finite
@@ -92,35 +94,36 @@ func DefaultSLOs() []SLO {
 	}
 }
 
-// EvaluateSLOs computes every objective against the latest exposition
-// per worker. Unknown kinds evaluate as breached (a typo'd declaration
-// must not silently pass).
-func EvaluateSLOs(slos []SLO, expos map[string]*Exposition) []SLOResult {
+// EvaluateSLOs computes every objective against the latest snapshot per
+// worker. Unknown kinds evaluate as breached (a typo'd declaration must
+// not silently pass).
+func EvaluateSLOs(slos []SLO, snaps map[string]*Snapshot) []SLOResult {
 	out := make([]SLOResult, 0, len(slos))
 	for _, slo := range slos {
-		out = append(out, evaluateSLO(slo, expos))
+		out = append(out, evaluateSLO(slo, snaps))
 	}
 	return out
 }
 
 // evaluateSLO computes one objective.
-func evaluateSLO(slo SLO, expos map[string]*Exposition) SLOResult {
+func evaluateSLO(slo SLO, snaps map[string]*Snapshot) SLOResult {
 	res := SLOResult{SLO: slo}
 	value := math.NaN()
 	switch slo.Kind {
 	case SLOQuantileMax:
-		var merged *Hist
-		for _, name := range sortedKeys(expos) {
-			h, ok := expos[name].Histogram(slo.Metric)
+		var merged *obs.Hist
+		for _, name := range sortedKeys(snaps) {
+			h, ok := snaps[name].Histogram(slo.Metric)
 			if !ok {
 				continue
 			}
 			res.Workers++
 			if merged == nil {
-				merged = h.Clone()
+				merged = h
 				continue
 			}
-			if err := merged.Merge(h); err != nil {
+			var err error
+			if merged, err = mergeHist(merged, h); err != nil {
 				// Bound skew across workers: evaluate conservatively as
 				// a breach and surface the reason in the value.
 				res.OK = false
@@ -129,13 +132,13 @@ func evaluateSLO(slo SLO, expos map[string]*Exposition) SLOResult {
 			}
 		}
 		if merged != nil && merged.Count > 0 {
-			value = merged.Quantile(slo.Quantile)
+			value = quantile(merged, slo.Quantile)
 		}
 	case SLOTotalMax:
-		value, res.Workers = fleetSum(slo.Metric, expos)
+		value, res.Workers = fleetSum(slo.Metric, snaps)
 	case SLORatioMax:
-		num, n := fleetSum(slo.Metric, expos)
-		den, _ := fleetSum(slo.Denom, expos)
+		num, n := fleetSum(slo.Metric, snaps)
+		den, _ := fleetSum(slo.Denom, snaps)
 		res.Workers = n
 		switch {
 		case den > 0:
@@ -158,11 +161,11 @@ func evaluateSLO(slo SLO, expos map[string]*Exposition) SLOResult {
 }
 
 // fleetSum sums one scalar family across workers, counting contributors.
-func fleetSum(metric string, expos map[string]*Exposition) (float64, int) {
+func fleetSum(metric string, snaps map[string]*Snapshot) (float64, int) {
 	var total float64
 	n := 0
-	for _, name := range sortedKeys(expos) {
-		if v, ok := expos[name].Value(metric); ok {
+	for _, name := range sortedKeys(snaps) {
+		if v, ok := snaps[name].Value(metric); ok {
 			total += v
 			n++
 		}

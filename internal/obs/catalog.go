@@ -47,14 +47,9 @@ const (
 	WorkerInfo = "blindbox_worker_info"
 
 	// fleet aggregation plane (internal/obs/agg + cmd/bbfleet; label
-	// owners: worker on the scrape/health vecs, slo on the SLO vecs)
-	FleetScrapesTotal      = "blindbox_fleet_scrapes_total"
-	FleetScrapeErrorsTotal = "blindbox_fleet_scrape_errors_total"
-	FleetScrapeSeconds     = "blindbox_fleet_scrape_seconds"
-	FleetStalenessSeconds  = "blindbox_fleet_staleness_seconds"
-	FleetWorkerUp          = "blindbox_fleet_worker_up"
-	FleetSLOUp             = "blindbox_fleet_slo_up"
-	FleetSLOBreachesTotal  = "blindbox_fleet_slo_breaches_total"
+	// owners: worker on worker_up, slo on slo_up)
+	FleetWorkerUp = "blindbox_fleet_worker_up"
+	FleetSLOUp    = "blindbox_fleet_slo_up"
 )
 
 // Catalog maps every canonical metric name to its help string.
@@ -85,13 +80,8 @@ var Catalog = map[string]string{
 	BuildInfo:  "Build identity gauge, always 1; label: version (Go version and VCS revision from debug.ReadBuildInfo).",
 	WorkerInfo: "Worker identity gauge, always 1; label: worker (the operator-assigned worker name, e.g. bbmb -worker).",
 
-	FleetScrapesTotal:      "Successful scrapes of a worker admin endpoint by the fleet aggregator; label: worker.",
-	FleetScrapeErrorsTotal: "Failed scrape rounds per worker (after the retry budget was exhausted); label: worker.",
-	FleetScrapeSeconds:     "Wall-clock duration of one worker scrape (fetch plus parse, successful attempts only).",
-	FleetStalenessSeconds:  "Whole seconds since the last successful scrape of a worker; label: worker.",
-	FleetWorkerUp:          "Worker health as seen by the fleet aggregator: 1 up, 0 stale, degraded or down; label: worker.",
-	FleetSLOUp:             "Declared SLO status at last evaluation: 1 met, 0 breached; label: slo.",
-	FleetSLOBreachesTotal:  "SLO evaluations that found the objective breached; label: slo.",
+	FleetWorkerUp: "Worker health as seen by the fleet aggregator: 1 up, 0 stale, degraded or down; label: worker.",
+	FleetSLOUp:    "Declared SLO status at last evaluation: 1 met, 0 breached; label: slo.",
 }
 
 // Help returns the catalog help string for name ("" when uncataloged —

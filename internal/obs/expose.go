@@ -1,76 +1,156 @@
-// Metric exposition: Prometheus text format for scrapes and a JSON
-// (expvar-style) snapshot for humans, benchmarks, and the blindbench
-// -metrics-out flag.
+// Metric exposition. Families is the registry's one typed snapshot: the
+// admin endpoint serves it as JSON on /metrics.json, the fleet scraper
+// decodes that body, and WriteText renders any family list — a worker's
+// own or the fleet's merged one — in the Prometheus text format.
 
 package obs
 
 import (
-	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// WritePrometheus renders every registered metric in the Prometheus text
-// exposition format (version 0.0.4). Families appear in registration
-// order; labeled children are sorted by label value for stable output.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+// Family is one metric family: its declaration plus its series.
+type Family struct {
+	Name string `json:"name"`
+	Help string `json:"help"`
+	// Type is "counter", "gauge" or "histogram".
+	Type string `json:"type"`
+	// Labels names the labels every series carries, in order.
+	Labels []string `json:"labels,omitempty"`
+	Series []Series `json:"series"`
+}
+
+// Series is one labeled child of a family: a value, or a histogram when
+// the family's type is "histogram".
+type Series struct {
+	// Values holds the label values, aligned with Family.Labels.
+	Values []string `json:"values,omitempty"`
+	Value  float64  `json:"value"`
+	Hist   *Hist    `json:"hist,omitempty"`
+}
+
+// Hist is a fixed-bucket cumulative histogram at one instant.
+type Hist struct {
+	// Bounds are the finite upper bounds, ascending; an implicit +Inf
+	// bucket follows.
+	Bounds []float64 `json:"bounds"`
+	// Counts are the cumulative bucket counts, len(Bounds)+1, the last
+	// being the +Inf bucket and equal to Count.
+	Counts []uint64 `json:"counts"`
+	Sum    float64  `json:"sum"`
+	Count  uint64   `json:"count"`
+}
+
+// Families returns every registered metric in registration order;
+// labeled children are sorted by label value for stable output.
+func (r *Registry) Families() []Family {
 	if r == nil {
 		return nil
 	}
-	for _, m := range r.snapshotMetrics() {
-		if m.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.name, escapeHelp(m.help)); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.name, m.kind); err != nil {
-			return err
-		}
-		var err error
+	metrics := r.snapshotMetrics()
+	out := make([]Family, 0, len(metrics))
+	for _, m := range metrics {
+		f := Family{Name: m.name, Help: m.help, Type: m.kind.String()}
 		switch m.kind {
 		case kindCounter:
-			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.counter.Value())
+			f.Series = []Series{{Value: float64(m.counter.Value())}}
 		case kindGauge:
-			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.gauge.Value())
+			f.Series = []Series{{Value: float64(m.gauge.Value())}}
 		case kindHistogram:
-			err = writeHistogram(w, m.name, m.histogram)
+			h := m.histogram
+			cum := h.snapshot()
+			// Count is the +Inf bucket, not h.Count(): an Observe racing
+			// the snapshot must not leave the two disagreeing.
+			f.Series = []Series{{Hist: &Hist{Bounds: append([]float64(nil), h.bounds...), Counts: cum, Sum: h.Sum(), Count: cum[len(cum)-1]}}}
 		case kindCounterVec:
-			for _, kv := range sortedCounterChildren(m.counterVec) {
-				if _, err = fmt.Fprintf(w, "%s{%s=%q} %d\n", m.name, m.counterVec.label, kv.k, kv.v); err != nil {
-					break
-				}
-			}
+			f.Labels, f.Series = []string{m.counterVec.label}, vecSeries(m.counterVec.Values())
 		case kindGaugeVec:
-			for _, kv := range sortedGaugeChildren(m.gaugeVec) {
-				if _, err = fmt.Fprintf(w, "%s{%s=%q} %d\n", m.name, m.gaugeVec.label, kv.k, kv.v); err != nil {
-					break
-				}
-			}
+			f.Labels, f.Series = []string{m.gaugeVec.label}, vecSeries(m.gaugeVec.Values())
 		}
-		if err != nil {
-			return err
-		}
+		out = append(out, f)
 	}
-	return nil
+	return out
 }
 
-func writeHistogram(w io.Writer, name string, h *Histogram) error {
-	cum := h.snapshot()
-	for i, bound := range h.bounds {
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatFloat(bound), cum[i]); err != nil {
-			return err
+// vecSeries turns a vec's children into series sorted by label value.
+func vecSeries[V uint64 | int64](vals map[string]V) []Series {
+	out := make([]Series, 0, len(vals))
+	for k, v := range vals {
+		out = append(out, Series{Values: []string{k}, Value: float64(v)})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Values[0] < out[j].Values[0] })
+	return out
+}
+
+// WritePrometheus renders every registered metric in the Prometheus text
+// exposition format (version 0.0.4).
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	return WriteText(w, r.Families())
+}
+
+// WriteText renders fams in the Prometheus text exposition format
+// (version 0.0.4), families and series in slice order. Histogram series
+// expand to _bucket (with a trailing le label), _sum and _count lines.
+func WriteText(w io.Writer, fams []Family) error {
+	var b strings.Builder
+	for _, f := range fams {
+		if f.Help != "" {
+			b.WriteString("# HELP " + f.Name + " " + escapeHelp(f.Help) + "\n")
+		}
+		b.WriteString("# TYPE " + f.Name + " " + f.Type + "\n")
+		for _, s := range f.Series {
+			h := s.Hist
+			if h == nil {
+				writeLine(&b, f.Name, f.Labels, s.Values, formatValue(s.Value))
+				continue
+			}
+			labels := append(append([]string(nil), f.Labels...), "le")
+			values := append(append([]string(nil), s.Values...), "")
+			for i, c := range h.Counts {
+				values[len(values)-1] = "+Inf"
+				if i < len(h.Bounds) {
+					values[len(values)-1] = formatFloat(h.Bounds[i])
+				}
+				writeLine(&b, f.Name+"_bucket", labels, values, strconv.FormatUint(c, 10))
+			}
+			writeLine(&b, f.Name+"_sum", f.Labels, s.Values, formatFloat(h.Sum))
+			writeLine(&b, f.Name+"_count", f.Labels, s.Values, strconv.FormatUint(h.Count, 10))
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum[len(cum)-1]); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(h.Sum())); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
+	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// writeLine appends one series line: the name, the label set when there
+// is one, and the value.
+func writeLine(b *strings.Builder, name string, labels, values []string, value string) {
+	b.WriteString(name)
+	for i, l := range labels {
+		if i == 0 {
+			b.WriteByte('{')
+		} else {
+			b.WriteByte(',')
+		}
+		b.WriteString(l + "=" + strconv.Quote(values[i]))
+	}
+	if len(labels) > 0 {
+		b.WriteByte('}')
+	}
+	b.WriteString(" " + value + "\n")
+}
+
+// formatValue prints a counter or gauge value: integral values below
+// 2^53 as integers (a registry's uint64 and int64 values), anything else
+// as formatFloat does.
+func formatValue(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1<<53 {
+		return strconv.FormatInt(int64(v), 10)
+	}
+	return formatFloat(v)
 }
 
 // formatFloat renders a float the way Prometheus clients do: shortest
@@ -83,76 +163,4 @@ func formatFloat(v float64) string {
 func escapeHelp(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-type counterChild struct {
-	k string
-	v uint64
-}
-
-func sortedCounterChildren(vec *CounterVec) []counterChild {
-	vals := vec.Values()
-	out := make([]counterChild, 0, len(vals))
-	for k, v := range vals {
-		out = append(out, counterChild{k, v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].k < out[j].k })
-	return out
-}
-
-type gaugeChild struct {
-	k string
-	v int64
-}
-
-func sortedGaugeChildren(vec *GaugeVec) []gaugeChild {
-	vals := vec.Values()
-	out := make([]gaugeChild, 0, len(vals))
-	for k, v := range vals {
-		out = append(out, gaugeChild{k, v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].k < out[j].k })
-	return out
-}
-
-// HistogramSnapshot is the JSON form of one histogram.
-type HistogramSnapshot struct {
-	// Buckets maps each upper bound (formatted as by Prometheus, plus
-	// "+Inf") to its cumulative count.
-	Buckets map[string]uint64 `json:"buckets"`
-	Sum     float64           `json:"sum"`
-	Count   uint64            `json:"count"`
-}
-
-// Snapshot returns the current value of every metric as a JSON-ready map:
-// counters and gauges as numbers, vecs as label-value maps, histograms as
-// HistogramSnapshot. encoding/json sorts the keys, so marshaled snapshots
-// diff cleanly.
-func (r *Registry) Snapshot() map[string]any {
-	if r == nil {
-		return nil
-	}
-	out := make(map[string]any)
-	for _, m := range r.snapshotMetrics() {
-		switch m.kind {
-		case kindCounter:
-			out[m.name] = m.counter.Value()
-		case kindGauge:
-			out[m.name] = m.gauge.Value()
-		case kindHistogram:
-			h := m.histogram
-			cum := h.snapshot()
-			buckets := make(map[string]uint64, len(cum))
-			for i, bound := range h.bounds {
-				buckets[formatFloat(bound)] = cum[i]
-			}
-			buckets["+Inf"] = cum[len(cum)-1]
-			out[m.name] = HistogramSnapshot{Buckets: buckets, Sum: h.Sum(), Count: h.Count()}
-		case kindCounterVec:
-			out[m.name] = m.counterVec.Values()
-		case kindGaugeVec:
-			out[m.name] = m.gaugeVec.Values()
-		}
-	}
-	return out
 }

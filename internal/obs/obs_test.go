@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -51,7 +52,7 @@ func TestNilRegistryAndHandlesAreNoOps(t *testing.T) {
 	if err := r.WritePrometheus(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if r.Snapshot() != nil || r.Names() != nil {
+	if r.Families() != nil || r.Names() != nil {
 		t.Fatal("nil registry produced output")
 	}
 }
@@ -119,19 +120,18 @@ func TestPrometheusExposition(t *testing.T) {
 
 func TestSnapshotJSONShape(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c_total", "").Add(5)
+	r.Counter("c_total", "C.").Add(5)
 	r.Histogram("h_seconds", "", []float64{1}).Observe(2)
 	r.CounterVec("v_total", "", "k").With("a").Add(9)
-	snap := r.Snapshot()
-	if snap["c_total"].(uint64) != 5 {
-		t.Fatalf("snapshot counter = %v", snap["c_total"])
+	got, err := json.Marshal(r.Families())
+	if err != nil {
+		t.Fatal(err)
 	}
-	h := snap["h_seconds"].(HistogramSnapshot)
-	if h.Count != 1 || h.Sum != 2 || h.Buckets["+Inf"] != 1 || h.Buckets["1"] != 0 {
-		t.Fatalf("snapshot histogram = %+v", h)
-	}
-	if snap["v_total"].(map[string]uint64)["a"] != 9 {
-		t.Fatalf("snapshot vec = %v", snap["v_total"])
+	want := `[{"name":"c_total","help":"C.","type":"counter","series":[{"value":5}]},` +
+		`{"name":"h_seconds","help":"","type":"histogram","series":[{"value":0,"hist":{"bounds":[1],"counts":[0,1],"sum":2,"count":1}}]},` +
+		`{"name":"v_total","help":"","type":"counter","labels":["k"],"series":[{"values":["a"],"value":9}]}]`
+	if string(got) != want {
+		t.Errorf("/metrics.json shape:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -170,7 +170,7 @@ func TestConcurrentObserveAndScrape(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			r.Snapshot()
+			r.Families()
 			r.Counter("late_total", "").Inc()
 		}
 	}()
@@ -201,7 +201,7 @@ func TestMetricNames(t *testing.T) {
 		t.Fatal("empty catalog")
 	}
 	for name, help := range Catalog {
-		if !nameRE.MatchString(name) {
+		if !ValidName(name) {
 			t.Errorf("%s: not a valid Prometheus metric name", name)
 		}
 		if !strings.HasPrefix(name, "blindbox_") {
@@ -300,7 +300,7 @@ func TestAdminMuxEndpoints(t *testing.T) {
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, `blindbox_build_info{version="`) {
 		t.Errorf("/metrics missing build_info: code %d body %q", code, body)
 	}
-	if code, body := get("/metrics.json"); code != 200 || !strings.Contains(body, `"bb_x_total": 2`) {
+	if code, body := get("/metrics.json"); code != 200 || !strings.Contains(body, `"name": "bb_x_total"`) {
 		t.Errorf("/metrics.json: code %d body %q", code, body)
 	}
 	if code, body := get("/healthz"); code != 200 || body != "ok\n" {

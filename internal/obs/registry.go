@@ -30,6 +30,9 @@ import (
 // nameRE is the Prometheus metric/label name grammar.
 var nameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
+// ValidName reports whether s is a valid metric or label name.
+func ValidName(s string) bool { return nameRE.MatchString(s) }
+
 // Counter is a monotonically increasing uint64. A nil Counter is a valid
 // no-op.
 type Counter struct {
@@ -288,7 +291,7 @@ func NewRegistry() *Registry {
 // error and panics — two packages fighting over one name would otherwise
 // silently split their counts.
 func (r *Registry) register(name, help string, kind metricKind, mk func(*metric)) *metric {
-	if !nameRE.MatchString(name) {
+	if !ValidName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
 	r.mu.Lock()
@@ -348,7 +351,7 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	if !nameRE.MatchString(label) {
+	if !ValidName(label) {
 		panic(fmt.Sprintf("obs: invalid label name %q", label))
 	}
 	return r.register(name, help, kindCounterVec, func(m *metric) {
@@ -362,7 +365,7 @@ func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
 	if r == nil {
 		return nil
 	}
-	if !nameRE.MatchString(label) {
+	if !ValidName(label) {
 		panic(fmt.Sprintf("obs: invalid label name %q", label))
 	}
 	return r.register(name, help, kindGaugeVec, func(m *metric) {

@@ -207,6 +207,7 @@ done <<'EOF'
 ./internal/dpienc FuzzCounterResetSync
 ./internal/detect FuzzIndexConsistency
 ./internal/obs FuzzSamplerDecision
+./internal/obs/agg FuzzDecode
 EOF
 
 echo
