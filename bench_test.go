@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/bbcrypto"
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/detect"
@@ -160,7 +159,7 @@ func BenchmarkRulePreparation(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Table 2 — middlebox detection rows
 
-func detectEngine(b *testing.B, numKeywords int, idx detect.Index) (*detect.Engine, dpienc.EncryptedToken) {
+func detectEngine(b *testing.B, numKeywords int) (*detect.Engine, dpienc.EncryptedToken) {
 	b.Helper()
 	k := bbcrypto.Block{7}
 	keys := make(detect.TokenKeys, numKeywords)
@@ -177,7 +176,7 @@ func detectEngine(b *testing.B, numKeywords int, idx detect.Index) (*detect.Engi
 		b.Fatal(err)
 	}
 	eng := detect.NewEngine(rs, keys, detect.Config{
-		Mode: tokenize.Window, Protocol: dpienc.ProtocolII, Index: idx,
+		Mode: tokenize.Window, Protocol: dpienc.ProtocolII,
 	})
 	sender := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolII, 0)
 	et := sender.EncryptToken(benchToken()) // never matches
@@ -186,7 +185,7 @@ func detectEngine(b *testing.B, numKeywords int, idx detect.Index) (*detect.Engi
 
 // BenchmarkDetectBlindBox1Rule: one token against one rule (paper: 20 ns).
 func BenchmarkDetectBlindBox1Rule(b *testing.B) {
-	eng, et := detectEngine(b, 1, nil)
+	eng, et := detectEngine(b, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.ProcessToken(et)
@@ -196,7 +195,7 @@ func BenchmarkDetectBlindBox1Rule(b *testing.B) {
 // BenchmarkDetectBlindBox3KRules: one token against a 3K-rule keyword set
 // (paper: 137 ns — logarithmic in rules).
 func BenchmarkDetectBlindBox3KRules(b *testing.B) {
-	eng, et := detectEngine(b, 9900, nil)
+	eng, et := detectEngine(b, 9900)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.ProcessToken(et)
@@ -207,7 +206,7 @@ func BenchmarkDetectBlindBox3KRules(b *testing.B) {
 // token batches against the 3K-rule set — the per-token overhead ScanBatch
 // amortizes relative to BenchmarkDetectBlindBox3KRules.
 func BenchmarkScanBatch3KRules(b *testing.B) {
-	eng, et := detectEngine(b, 9900, nil)
+	eng, et := detectEngine(b, 9900)
 	batch := make([]dpienc.EncryptedToken, 512)
 	for i := range batch {
 		batch[i] = et
@@ -229,7 +228,7 @@ func BenchmarkDetectBlindBox3KRulesParallel(b *testing.B) {
 	engines := make(chan *detect.Engine, n)
 	var et dpienc.EncryptedToken
 	for i := 0; i < n; i++ {
-		eng, tok := detectEngine(b, 9900, nil)
+		eng, tok := detectEngine(b, 9900)
 		et = tok
 		engines <- eng
 	}
@@ -511,24 +510,6 @@ func BenchmarkBaselineThroughput(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Ablations (DESIGN.md §4)
 
-// BenchmarkDetectTreeVsHash compares the two Index implementations at 3K
-// rules (ablation #1).
-func BenchmarkDetectTreeVsHash(b *testing.B) {
-	for _, mk := range []func() detect.Index{
-		func() detect.Index { return detect.NewTreeIndex() },
-		func() detect.Index { return detect.NewHashIndex() },
-	} {
-		idx := mk()
-		b.Run(idx.Name(), func(b *testing.B) {
-			eng, et := detectEngine(b, 9900, mk())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.ProcessToken(et)
-			}
-		})
-	}
-}
-
 // BenchmarkTokenizerAblation compares per-byte tokenizer cost (ablation #2).
 func BenchmarkTokenizerAblation(b *testing.B) {
 	text := corpus.SynthesizeText(newBenchRand(), 64<<10)
@@ -735,21 +716,6 @@ func BenchmarkProtocolIIIOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkGarbleSBox compares garbling the AES circuit built with each
-// S-box construction (DESIGN.md substitution #2 ablation).
-func BenchmarkGarbleSBox(b *testing.B) {
-	for _, impl := range []circuit.SBoxImpl{circuit.SBoxGF, circuit.SBoxMux} {
-		c := circuit.BuildAES128(impl)
-		b.Run(impl.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := garble.Garble(c, ruleprep.FixedGarblingKey, bbcrypto.NewPRG(bbcrypto.Block{byte(i)})); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkGarbleF measures garbling the rule-encryption circuit F once — an
 // endpoint's per-fragment cost during setup — and reports what a gate-count
 // regression would move: F's AND gates and the bytes of one garbled F.
@@ -810,30 +776,4 @@ func BenchmarkOTLeg(b *testing.B) {
 		}
 	}
 	b.ReportMetric(wires, "wires")
-}
-
-// BenchmarkGarbleRows compares the three AND-gate table constructions on
-// a garbled AES-128 (wire sizes: 4, 3 and 2 blocks per gate).
-func BenchmarkGarbleRows(b *testing.B) {
-	c := circuit.BuildAES128(circuit.SBoxGF)
-	for _, v := range []struct {
-		name string
-		opts garble.Options
-	}{
-		{"pp4", garble.Options{FullRows: true}},
-		{"grr3", garble.Options{GRR3: true}},
-		{"half2", garble.Options{}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			var size int
-			for i := 0; i < b.N; i++ {
-				g, _, err := garble.GarbleWith(c, ruleprep.FixedGarblingKey, bbcrypto.NewPRG(bbcrypto.Block{byte(i)}), v.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				size = g.Size()
-			}
-			b.ReportMetric(float64(size), "wire-bytes")
-		})
-	}
 }

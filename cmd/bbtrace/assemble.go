@@ -14,8 +14,7 @@ import (
 	"repro/internal/obs"
 )
 
-// assembleReport is the machine-readable result of -assemble (-json); the
-// same shapes back BENCH_setup_breakdown.json.
+// assembleReport is the machine-readable result of -assemble (-json).
 type assembleReport struct {
 	// Files are the span files merged, in argument order.
 	Files []string `json:"files"`

@@ -4,8 +4,7 @@
 // Usage:
 //
 //	blindbench -experiment all
-//	blindbench -experiment table1|table2|fig3|fig4|fig5|fig6|accuracy|throughput|setup|setupbreakdown|ablation|scenarios
-//	blindbench -experiment setupbreakdown -setup-out BENCH_setup_breakdown.json [-trace-dir traces/]
+//	blindbench -experiment table1|table2|fig3|fig4|fig5|fig6|accuracy|throughput|setup|scenarios
 //
 // Absolute numbers reflect this host, not the paper's DPDK testbed; the
 // reproduced quantities are the comparative shapes (see EXPERIMENTS.md).
@@ -24,11 +23,9 @@ import (
 )
 
 func main() {
-	exp := flag.String("experiment", "all", "which experiment to run: all, table1, table2, fig3, fig4, fig5, fig6, accuracy, throughput, setup, setupbreakdown, ablation, scenarios")
+	exp := flag.String("experiment", "all", "which experiment to run: all, table1, table2, fig3, fig4, fig5, fig6, accuracy, throughput, setup, scenarios")
 	fast := flag.Bool("fast", false, "reduce sample sizes for a quicker run")
-	setupOut := flag.String("setup-out", "BENCH_setup_breakdown.json", "path for the setupbreakdown experiment's machine-readable result (empty disables)")
 	scenariosOut := flag.String("scenarios-out", "BENCH_scenarios.json", "path for the scenarios experiment's machine-readable result (empty disables)")
-	traceDir := flag.String("trace-dir", "", "setupbreakdown: also write the parties' raw span files (client/mb/server.jsonl) to this directory")
 	flag.Parse()
 
 	runners := map[string]func(fast bool) error{
@@ -41,13 +38,9 @@ func main() {
 		"accuracy":   runAccuracy,
 		"throughput": runThroughput,
 		"setup":      runSetup,
-		"setupbreakdown": func(fast bool) error {
-			return runSetupBreakdown(fast, *setupOut, *traceDir)
-		},
-		"ablation":  runAblation,
-		"scenarios": func(bool) error { return runScenarios(*scenariosOut) },
+		"scenarios":  func(bool) error { return runScenarios(*scenariosOut) },
 	}
-	order := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6", "accuracy", "throughput", "setup", "setupbreakdown", "ablation", "scenarios"}
+	order := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6", "accuracy", "throughput", "setup", "scenarios"}
 
 	if *exp == "all" {
 		for _, name := range order {
@@ -170,32 +163,6 @@ func runSetup(fast bool) error {
 	return nil
 }
 
-func runSetupBreakdown(fast bool, out, traceDir string) error {
-	opt := experiments.DefaultSetupBreakdownOptions()
-	opt.TraceDir = traceDir
-	if fast {
-		opt.Sessions = 1
-		opt.PayloadBytes = 1 << 10
-		opt.Keywords = 2
-	}
-	res, err := experiments.SetupBreakdown(opt)
-	if err != nil {
-		return err
-	}
-	experiments.PrintSetupBreakdown(os.Stdout, res)
-	if out != "" {
-		if err := experiments.WriteSetupBreakdownJSON(out, res); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", out)
-	}
-	if traceDir != "" {
-		fmt.Printf("wrote %s/{client,mb,server}.jsonl — assemble with: go run ./cmd/bbtrace -assemble %s/client.jsonl %s/mb.jsonl %s/server.jsonl\n",
-			traceDir, traceDir, traceDir, traceDir)
-	}
-	return nil
-}
-
 func runScenarios(out string) error {
 	res, err := experiments.Scenarios(experiments.DefaultScenariosOptions())
 	if err != nil {
@@ -209,14 +176,4 @@ func runScenarios(out string) error {
 		fmt.Printf("wrote %s\n", out)
 	}
 	return nil
-}
-
-func runAblation(bool) error {
-	if err := experiments.AblationGarbleSBox(os.Stdout); err != nil {
-		return err
-	}
-	if err := experiments.AblationGarbleRows(os.Stdout); err != nil {
-		return err
-	}
-	return experiments.AblationUnauthorized(os.Stdout)
 }

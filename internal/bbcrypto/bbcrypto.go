@@ -122,7 +122,7 @@ func EncryptBlock(key, pt Block) Block {
 }
 
 // FixedKeyHash is the JustGarble-style hash built from a single fixed-key
-// AES permutation π: H(A, B, T) = π(K) ⊕ K where K = 2A ⊕ 4B ⊕ T.
+// AES permutation π: H(A, T) = π(K) ⊕ K where K = 2A ⊕ T.
 // Because the key never changes, the AES key schedule is computed once and
 // each hash costs exactly one AES block encryption — on the Schedule
 // kernel, so where that is allocation-free a hash is too. The same
@@ -140,15 +140,14 @@ func NewFixedKeyHash(key Block) *FixedKeyHash {
 	return h
 }
 
-// Hash computes H(a, b, tweak).
-func (h *FixedKeyHash) Hash(a, b Block, tweak uint64) Block {
-	return h.permute(a.Double().XOR(b.Double().Double()), tweak)
-}
-
-// Hash1 computes the single-input variant H(a, T) = π(K) ⊕ K with K = 2a ⊕ T,
-// the hash of the half-gates construction.
+// Hash1 computes H(a, T) = π(K) ⊕ K with K = 2a ⊕ T, the hash of the
+// half-gates construction, one block at a time.
 func (h *FixedKeyHash) Hash1(a Block, tweak uint64) Block {
-	return h.permute(a.Double(), tweak)
+	k := a.Double()
+	binary.BigEndian.PutUint64(k[8:], binary.BigEndian.Uint64(k[8:])^tweak)
+	var out Block
+	h.pi.Encrypt(&out, &k)
+	return out.XOR(k)
 }
 
 // Hash1x4 is four Hash1s in one four-lane AES call, fed and read in words
@@ -202,14 +201,6 @@ func (h *FixedKeyHash) CRHash4(dst, x *[4]Block, tweak *[4]uint64) {
 // pi4 lists the permutation's schedule four times, the lanes of Encrypt4.
 func (h *FixedKeyHash) pi4() *[4]*Schedule {
 	return &[4]*Schedule{&h.pi, &h.pi, &h.pi, &h.pi}
-}
-
-// permute folds the tweak into the low word of k and returns π(k) ⊕ k.
-func (h *FixedKeyHash) permute(k Block, tweak uint64) Block {
-	binary.BigEndian.PutUint64(k[8:], binary.BigEndian.Uint64(k[8:])^tweak)
-	var out Block
-	h.pi.Encrypt(&out, &k)
-	return out.XOR(k)
 }
 
 // PRG is a deterministic pseudorandom generator implemented as AES-CTR with

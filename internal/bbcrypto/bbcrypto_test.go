@@ -123,15 +123,9 @@ func TestEncryptBlockMatchesStdlib(t *testing.T) {
 func TestFixedKeyHashDeterministic(t *testing.T) {
 	h1 := NewFixedKeyHash(Block{42})
 	h2 := NewFixedKeyHash(Block{42})
-	a, b := RandomBlock(), RandomBlock()
-	if h1.Hash(a, b, 7) != h2.Hash(a, b, 7) {
+	a := RandomBlock()
+	if h1.Hash1(a, 7) != h2.Hash1(a, 7) {
 		t.Fatal("same fixed key must give same hash")
-	}
-	if h1.Hash(a, b, 7) == h1.Hash(a, b, 8) {
-		t.Fatal("different tweaks must give different hashes")
-	}
-	if h1.Hash(a, b, 7) == h1.Hash(b, a, 7) {
-		t.Fatal("hash must not be symmetric in its inputs")
 	}
 	if h1.Hash1(a, 3) == h1.Hash1(a, 4) {
 		t.Fatal("Hash1 tweak must matter")
@@ -151,9 +145,8 @@ func TestFixedKeyHashMatchesDefinition(t *testing.T) {
 		pi.Encrypt(out[:], k[:])
 		return out.XOR(k)
 	}
-	f := func(a, b Block, tweak uint16) bool {
-		return h.Hash(a, b, uint64(tweak)) == def(a.Double().XOR(b.Double().Double()), uint64(tweak)) &&
-			h.Hash1(a, uint64(tweak)) == def(a.Double(), uint64(tweak))
+	f := func(a Block, tweak uint16) bool {
+		return h.Hash1(a, uint64(tweak)) == def(a.Double(), uint64(tweak))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -164,17 +157,16 @@ func TestFixedKeyHashMatchesDefinition(t *testing.T) {
 // AND gate; on the assembly kernel it must stay off the heap.
 func TestFixedKeyHashDoesNotAllocate(t *testing.T) {
 	h := NewFixedKeyHash(Block{7})
-	a, b := Block{1}, Block{2}
+	b := Block{2}
 	x := [4]Block{{3}, {4}, {5}, {6}}
 	w := [4][2]uint64{{3}, {4}, {5}, {6}}
 	allocs := testing.AllocsPerRun(100, func() {
-		a = h.Hash(a, b, 5)
 		b = h.Hash1(b, 6)
 		h.Hash1x4(&w, &w, &[4]uint64{1, 2, 3, 4})
 		h.CRHash4(&x, &x, &[4]uint64{1, 2, 3, 4})
 	})
 	if scheduleAllocFree() && allocs != 0 {
-		t.Fatalf("Hash+Hash1+Hash1x4+CRHash4 allocate %.0f objects per call, want 0", allocs)
+		t.Fatalf("Hash1+Hash1x4+CRHash4 allocate %.0f objects per call, want 0", allocs)
 	}
 }
 
@@ -241,8 +233,8 @@ func TestCRHash4MatchesDefinition(t *testing.T) {
 }
 
 func TestFixedKeyHashKeyMatters(t *testing.T) {
-	a, b := RandomBlock(), RandomBlock()
-	if NewFixedKeyHash(Block{1}).Hash(a, b, 0) == NewFixedKeyHash(Block{2}).Hash(a, b, 0) {
+	a := RandomBlock()
+	if NewFixedKeyHash(Block{1}).Hash1(a, 0) == NewFixedKeyHash(Block{2}).Hash1(a, 0) {
 		t.Fatal("different fixed keys must give different hashes")
 	}
 }

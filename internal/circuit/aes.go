@@ -9,30 +9,6 @@ import (
 	"sync"
 )
 
-// SBoxImpl selects the S-box circuit construction — a design ablation
-// (DESIGN.md): the field-inverse construction needs ~30x fewer AND gates
-// than the multiplexer tree.
-type SBoxImpl int
-
-const (
-	// SBoxGF computes the S-box as inversion in GF(2^8) followed by the
-	// affine transform. The inversion runs in the tower field
-	// GF(((2^2)^2)^2) (tower.go): 36 AND gates; the changes of basis and
-	// the affine transform are XOR-only and free.
-	SBoxGF SBoxImpl = iota
-	// SBoxMux computes each S-box output bit as an 8-level multiplexer
-	// tree over the 256-entry table (with constant folding).
-	SBoxMux
-)
-
-// String names the S-box implementation for benchmark output.
-func (s SBoxImpl) String() string {
-	if s == SBoxMux {
-		return "mux"
-	}
-	return "gf"
-}
-
 // sbox is the AES S-box, generated (rather than transcribed) to avoid
 // typos: multiplicative inverse in GF(2^8) followed by the affine map.
 var sbox = func() [256]byte {
@@ -77,7 +53,9 @@ type cbyte [8]Ref
 
 // sboxGF builds the S-box from the tower-field inverse: into the tower, invert,
 // and back out through the affine transform's linear part; the transform's
-// constant 0x63 is a negation of the bits it sets.
+// constant 0x63 is a negation of the bits it sets. The inversion runs in the
+// tower field GF(((2^2)^2)^2) (tower.go): 36 AND gates; the changes of basis
+// and the affine transform are XOR-only and free.
 func sboxGF(b *Builder, x cbyte) cbyte {
 	lin := linear(b, fromTowerAffine, cinv8(b, linear(b, toTower, x[:])))
 	var out cbyte
@@ -88,26 +66,6 @@ func sboxGF(b *Builder, x cbyte) cbyte {
 		}
 	}
 	return out
-}
-
-// sboxMux builds each S-box output bit as a multiplexer tree.
-func sboxMux(b *Builder, x cbyte) cbyte {
-	var out cbyte
-	for bit := 0; bit < 8; bit++ {
-		table := make([]bool, 256)
-		for v := 0; v < 256; v++ {
-			table[v] = sbox[v]&(1<<uint(bit)) != 0
-		}
-		out[bit] = b.MuxTree(x[:], table)
-	}
-	return out
-}
-
-func subByte(b *Builder, x cbyte, impl SBoxImpl) cbyte {
-	if impl == SBoxMux {
-		return sboxMux(b, x)
-	}
-	return sboxGF(b, x)
 }
 
 // xtimeC doubles a circuit byte in GF(2^8) — free.
@@ -162,7 +120,7 @@ func fromBytes(bytes []cbyte) []Ref {
 
 // keySchedule appends the AES-128 key expansion: 128 key bits in,
 // RoundKeyBits out (40 S-boxes).
-func keySchedule(b *Builder, keyBits []Ref, impl SBoxImpl) []Ref {
+func keySchedule(b *Builder, keyBits []Ref) []Ref {
 	mustWidth("AES key", len(keyBits), 128)
 	rcon := [10]byte{0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36}
 	w := toBytes(keyBits) // w[4i..4i+3] is word i
@@ -172,7 +130,7 @@ func keySchedule(b *Builder, keyBits []Ref, impl SBoxImpl) []Ref {
 			// RotWord then SubWord then Rcon.
 			temp = [4]cbyte{temp[1], temp[2], temp[3], temp[0]}
 			for j := range temp {
-				temp[j] = subByte(b, temp[j], impl)
+				temp[j] = sboxGF(b, temp[j])
 			}
 			temp[0] = xorBytes(b, temp[0], constByte(rcon[i/4-1]))
 		}
@@ -187,7 +145,7 @@ func keySchedule(b *Builder, keyBits []Ref, impl SBoxImpl) []Ref {
 // (RoundKeyBits wide) to the builder: 160 S-boxes. Whether the round keys
 // are computed in the circuit (AESEncrypt) or are input wires (F) is the
 // caller's business.
-func aesRounds(b *Builder, roundKeys, ptBits []Ref, impl SBoxImpl) []Ref {
+func aesRounds(b *Builder, roundKeys, ptBits []Ref) []Ref {
 	mustWidth("AES round keys", len(roundKeys), RoundKeyBits)
 	mustWidth("AES block", len(ptBits), 128)
 	rk := toBytes(roundKeys)
@@ -202,7 +160,7 @@ func aesRounds(b *Builder, roundKeys, ptBits []Ref, impl SBoxImpl) []Ref {
 	}
 	subBytesAll := func() {
 		for i := range state {
-			state[i] = subByte(b, state[i], impl)
+			state[i] = sboxGF(b, state[i])
 		}
 	}
 	shiftRows := func() {
@@ -250,22 +208,22 @@ func aesRounds(b *Builder, roundKeys, ptBits []Ref, impl SBoxImpl) []Ref {
 // builder: keyBits and ptBits are 128 wire references each (byte order as in
 // FIPS-197 input blocks, LSB-first within each byte); the returned 128 refs
 // are the ciphertext bits.
-func AESEncrypt(b *Builder, keyBits, ptBits []Ref, impl SBoxImpl) []Ref {
-	return aesRounds(b, keySchedule(b, keyBits, impl), ptBits, impl)
+func AESEncrypt(b *Builder, keyBits, ptBits []Ref) []Ref {
+	return aesRounds(b, keySchedule(b, keyBits), ptBits)
 }
 
 // BuildAES128 builds a standalone AES-128 circuit: inputs are 128 key bits
 // followed by 128 plaintext bits; outputs are the 128 ciphertext bits.
-func BuildAES128(impl SBoxImpl) *Circuit {
+func BuildAES128() *Circuit {
 	b := NewBuilder(256)
-	out := AESEncrypt(b, b.Inputs(0, 128), b.Inputs(128, 128), impl)
+	out := AESEncrypt(b, b.Inputs(0, 128), b.Inputs(128, 128))
 	return b.Build(out)
 }
 
 // keyScheduleCircuit is the key expansion on its own, for ExpandKey128.
 var keyScheduleCircuit = sync.OnceValue(func() *Circuit {
 	b := NewBuilder(128)
-	return b.Build(keySchedule(b, b.Inputs(0, 128), SBoxGF))
+	return b.Build(keySchedule(b, b.Inputs(0, 128)))
 })
 
 // ExpandKey128 returns the 11 AES-128 round keys of key, w[0..43] of
@@ -324,14 +282,14 @@ const (
 // endpoints expand them (ExpandKey128) and the round keys are input wires,
 // which costs labels but no gate. F is the 2 x 160 S-boxes of the rounds,
 // the 127 ANDs of the tag comparison and the 128 of the output gate.
-func BuildRuleEncrypt(impl SBoxImpl) *Circuit {
+func BuildRuleEncrypt() *Circuit {
 	b := NewBuilder(RuleEncryptNInputs)
 	x := b.Inputs(RuleEncryptXOff, 128)
 	tag := b.Inputs(RuleEncryptTagOff, 128)
 
-	mac := aesRounds(b, b.Inputs(RuleEncryptKRGOff, RoundKeyBits), x, impl)
+	mac := aesRounds(b, b.Inputs(RuleEncryptKRGOff, RoundKeyBits), x)
 	ok := b.Equal(mac, tag)
-	enc := aesRounds(b, b.Inputs(RuleEncryptKOff, RoundKeyBits), x, impl)
+	enc := aesRounds(b, b.Inputs(RuleEncryptKOff, RoundKeyBits), x)
 	out := make([]Ref, 128)
 	for i := range out {
 		out[i] = b.AND(ok, enc[i])

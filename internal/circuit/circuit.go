@@ -6,8 +6,8 @@
 // Circuits contain only two gate kinds — XOR (free under the free-XOR
 // garbling optimization) and AND (costing one garbled table) — with NOT
 // folded into wire references and constants propagated at build time. The
-// builder hash-conses gates, so structurally repeated subcircuits (such as
-// the S-box multiplexer trees) are shared automatically.
+// builder hash-conses gates, so structurally repeated subcircuits are shared
+// automatically.
 package circuit
 
 import "fmt"
@@ -279,24 +279,6 @@ func (b *Builder) Build(outputs []Ref) *Circuit {
 		}
 	}
 	return c
-}
-
-// MuxTree selects table[index] where index is formed from the selector bits
-// (sel[0] is the least significant). The table length must be 1<<len(sel).
-// Constant folding collapses the constant leaves, so an 8-bit tree (an
-// S-box output bit) costs far fewer than 255 AND gates.
-func (b *Builder) MuxTree(sel []Ref, table []bool) Ref {
-	if len(table) != 1<<len(sel) {
-		panic("circuit: table size must be 2^len(sel)")
-	}
-	if len(sel) == 0 {
-		return Const(table[0])
-	}
-	top := sel[len(sel)-1]
-	half := len(table) / 2
-	lo := b.MuxTree(sel[:len(sel)-1], table[:half])
-	hi := b.MuxTree(sel[:len(sel)-1], table[half:])
-	return b.MUX(top, hi, lo)
 }
 
 // EqualConst returns a reference that is true iff the wires equal the given

@@ -81,25 +81,6 @@ func TestEvaluateTruthTables(t *testing.T) {
 	}
 }
 
-func TestMuxTreeMatchesTable(t *testing.T) {
-	table := make([]bool, 256)
-	for i := range table {
-		table[i] = (i*37+11)%3 == 0
-	}
-	b := NewBuilder(8)
-	out := b.MuxTree(b.Inputs(0, 8), table)
-	c := b.Build([]Ref{out})
-	for v := 0; v < 256; v++ {
-		in := make([]bool, 8)
-		for j := 0; j < 8; j++ {
-			in[j] = v&(1<<uint(j)) != 0
-		}
-		if got := c.Evaluate(in)[0]; got != table[v] {
-			t.Fatalf("MuxTree(%d) = %v, want %v", v, got, table[v])
-		}
-	}
-}
-
 func TestEqualConstAndEqual(t *testing.T) {
 	b := NewBuilder(8)
 	xs := b.Inputs(0, 4)
@@ -139,28 +120,21 @@ func TestSBoxGeneration(t *testing.T) {
 	}
 }
 
-// sboxImpls lists every S-box construction; the exhaustive and FIPS-197
-// tests run over all of them.
-var sboxImpls = []SBoxImpl{SBoxGF, SBoxMux}
-
 func TestSBoxCircuitsExhaustive(t *testing.T) {
 	sb := SBoxTable()
-	for _, impl := range sboxImpls {
-		b := NewBuilder(8)
-		var in cbyte
-		copy(in[:], b.Inputs(0, 8))
-		out := subByte(b, in, impl)
-		c := b.Build(out[:])
-		for v := 0; v < 256; v++ {
-			got := BitsToBytes(c.Evaluate(BytesToBits([]byte{byte(v)})))[0]
-			if got != sb[v] {
-				t.Fatalf("impl %v: sbox(%#x) = %#x, want %#x", impl, v, got, sb[v])
-			}
+	b := NewBuilder(8)
+	var in cbyte
+	copy(in[:], b.Inputs(0, 8))
+	out := sboxGF(b, in)
+	c := b.Build(out[:])
+	for v := 0; v < 256; v++ {
+		got := BitsToBytes(c.Evaluate(BytesToBits([]byte{byte(v)})))[0]
+		if got != sb[v] {
+			t.Fatalf("sbox(%#x) = %#x, want %#x", v, got, sb[v])
 		}
-		if impl == SBoxGF && c.NumAND() != 36 {
-			t.Fatalf("tower S-box has %d AND gates, want 36", c.NumAND())
-		}
-		t.Logf("impl %v: %d AND gates, %d gates", impl, c.NumAND(), len(c.Gates))
+	}
+	if c.NumAND() != 36 {
+		t.Fatalf("tower S-box has %d AND gates, want 36", c.NumAND())
 	}
 }
 
@@ -270,7 +244,7 @@ func TestTowerCircuitsMatchModel(t *testing.T) {
 // TestEvaluateLanesMatchesEvaluate runs 64 random inputs through the
 // word-parallel evaluator at once and each through Evaluate.
 func TestEvaluateLanesMatchesEvaluate(t *testing.T) {
-	c := BuildAES128(SBoxGF)
+	c := BuildAES128()
 	lanes := make([]uint64, c.NInputs)
 	for i := range lanes {
 		var w [8]byte
@@ -311,7 +285,7 @@ func TestExpandKey128(t *testing.T) {
 	}
 
 	b := NewBuilder(RoundKeyBits + 128)
-	c := b.Build(aesRounds(b, b.Inputs(0, RoundKeyBits), b.Inputs(RoundKeyBits, 128), SBoxGF))
+	c := b.Build(aesRounds(b, b.Inputs(0, RoundKeyBits), b.Inputs(RoundKeyBits, 128)))
 	if c.NumAND() != 160*36 {
 		t.Fatalf("rounds-only AES has %d AND gates, want %d", c.NumAND(), 160*36)
 	}
@@ -331,16 +305,14 @@ func TestExpandKey128(t *testing.T) {
 // TestKeyScheduleInAndOutOfCircuitAgree: AESEncrypt's in-circuit schedule
 // and ExpandKey128 are the same gates; their outputs must be equal.
 func TestKeyScheduleInAndOutOfCircuitAgree(t *testing.T) {
-	for _, impl := range sboxImpls {
-		b := NewBuilder(128)
-		c := b.Build(keySchedule(b, b.Inputs(0, 128), impl))
-		for i := 0; i < 10; i++ {
-			var k [16]byte
-			rand.Read(k[:])
-			want := ExpandKey128(k)
-			if got := BitsToBytes(c.Evaluate(BytesToBits(k[:]))); !bytes.Equal(got, want[:]) {
-				t.Fatalf("impl %v key %x: in-circuit schedule %x, ExpandKey128 %x", impl, k, got, want)
-			}
+	b := NewBuilder(128)
+	c := b.Build(keySchedule(b, b.Inputs(0, 128)))
+	for i := 0; i < 10; i++ {
+		var k [16]byte
+		rand.Read(k[:])
+		want := ExpandKey128(k)
+		if got := BitsToBytes(c.Evaluate(BytesToBits(k[:]))); !bytes.Equal(got, want[:]) {
+			t.Fatalf("key %x: in-circuit schedule %x, ExpandKey128 %x", k, got, want)
 		}
 	}
 }
@@ -364,18 +336,16 @@ func TestAES128CircuitFIPS197Vector(t *testing.T) {
 		0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff}
 	want := []byte{0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30,
 		0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4, 0xc5, 0x5a}
-	for _, impl := range sboxImpls {
-		c := BuildAES128(impl)
-		in := append(BytesToBits(key), BytesToBits(pt)...)
-		got := BitsToBytes(c.Evaluate(in))
-		if !bytes.Equal(got, want) {
-			t.Fatalf("impl %v: AES circuit = %x, want %x", impl, got, want)
-		}
+	c := BuildAES128()
+	in := append(BytesToBits(key), BytesToBits(pt)...)
+	got := BitsToBytes(c.Evaluate(in))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("AES circuit = %x, want %x", got, want)
 	}
 }
 
 func TestAES128CircuitMatchesStdlib(t *testing.T) {
-	c := BuildAES128(SBoxGF)
+	c := BuildAES128()
 	for i := 0; i < 10; i++ {
 		key := make([]byte, 16)
 		pt := make([]byte, 16)
@@ -390,20 +360,12 @@ func TestAES128CircuitMatchesStdlib(t *testing.T) {
 	}
 }
 
-func TestAESGateCountAblation(t *testing.T) {
-	gf := BuildAES128(SBoxGF)
-	mux := BuildAES128(SBoxMux)
-	if gf.NumAND() >= mux.NumAND() {
-		t.Fatalf("GF S-box (%d ANDs) not smaller than mux S-box (%d ANDs)",
-			gf.NumAND(), mux.NumAND())
-	}
+func TestAESGateCount(t *testing.T) {
 	// 200 S-boxes (40 of them the key schedule) x 36 ANDs; nothing else
 	// costs ANDs.
-	if gf.NumAND() != 200*36 {
-		t.Fatalf("GF AES AND count = %d, want %d", gf.NumAND(), 200*36)
+	if n := BuildAES128().NumAND(); n != 200*36 {
+		t.Fatalf("AES AND count = %d, want %d", n, 200*36)
 	}
-	t.Logf("AES-128 AND gates: gf=%d mux=%d (total gates gf=%d mux=%d)",
-		gf.NumAND(), mux.NumAND(), len(gf.Gates), len(mux.Gates))
 }
 
 // ruleEncryptInput lays out F's inputs as an honest endpoint pair and a
@@ -422,7 +384,7 @@ func ruleEncryptInput(k, krg [16]byte, x, tag []byte) []bool {
 // (k, kRG, x): AES_k(x) under the right tag, all zeros (⊥) under a tag
 // that differs in one random bit.
 func TestRuleEncryptCircuit(t *testing.T) {
-	c := BuildRuleEncrypt(SBoxGF)
+	c := BuildRuleEncrypt()
 	for i := 0; i < 1000; i++ {
 		var k, krg [16]byte
 		x := make([]byte, 16)
@@ -445,7 +407,7 @@ func TestRuleEncryptCircuit(t *testing.T) {
 // (both key schedules are outside the circuit), 127 for the tag comparison,
 // 128 for the output gate.
 func TestRuleEncryptGateCount(t *testing.T) {
-	c := BuildRuleEncrypt(SBoxGF)
+	c := BuildRuleEncrypt()
 	if c.NumAND() != 320*36+127+128 {
 		t.Fatalf("F has %d AND gates, want %d", c.NumAND(), 320*36+127+128)
 	}

@@ -105,9 +105,6 @@ type Config struct {
 	Protocol dpienc.Protocol
 	// Salt0 is the initial salt announced by the sender.
 	Salt0 uint64
-	// Index is the search structure; nil defaults to NewTreeIndex()
-	// (the paper's logarithmic structure).
-	Index Index
 }
 
 // Engine is the middlebox-side detection state for one connection.
@@ -115,7 +112,7 @@ type Engine struct {
 	cfg     Config
 	salt0   uint64
 	stride  uint64
-	index   Index
+	index   *TreeIndex
 	entries map[bbcrypto.Block]*entry
 	order   []*entry
 	crules  []*compiledRule
@@ -142,14 +139,11 @@ type Engine struct {
 // (this is how uncoverable keywords and withheld authorizations degrade,
 // rather than break, detection).
 func NewEngine(rs *rules.Ruleset, keys TokenKeys, cfg Config) *Engine {
-	if cfg.Index == nil {
-		cfg.Index = NewTreeIndex()
-	}
 	e := &Engine{
 		cfg:     cfg,
 		salt0:   cfg.Salt0,
 		stride:  1,
-		index:   cfg.Index,
+		index:   NewTreeIndex(),
 		entries: make(map[bbcrypto.Block]*entry),
 	}
 	if cfg.Protocol == dpienc.ProtocolIII {

@@ -27,13 +27,13 @@ func keysFor(k bbcrypto.Block, rs *rules.Ruleset, mode tokenize.Mode) TokenKeys 
 
 // runTraffic tokenizes, encrypts and detects over one payload, returning
 // all events.
-func runTraffic(t *testing.T, rs *rules.Ruleset, mode tokenize.Mode, proto dpienc.Protocol, payload []byte, idx Index) ([]Event, bbcrypto.Block) {
+func runTraffic(t *testing.T, rs *rules.Ruleset, mode tokenize.Mode, proto dpienc.Protocol, payload []byte) ([]Event, bbcrypto.Block) {
 	t.Helper()
 	k := bbcrypto.RandomBlock()
 	kSSL := bbcrypto.RandomBlock()
 	sender := dpienc.NewSender(k, kSSL, proto, 1000)
 	eng := NewEngine(rs, keysFor(k, rs, mode), Config{
-		Mode: mode, Protocol: proto, Salt0: sender.Salt0(), Index: idx,
+		Mode: mode, Protocol: proto, Salt0: sender.Salt0(),
 	})
 	var events []Event
 	for _, tok := range tokenize.TokenizeAll(mode, payload) {
@@ -65,7 +65,7 @@ func TestProtocolIBasicDetection(t *testing.T) {
 	rs := mustParse(t, `alert tcp any any -> any any (msg:"wm"; content:"WATERMARK-CONF-77"; sid:1;)`)
 	for _, mode := range []tokenize.Mode{tokenize.Window, tokenize.Delimiter} {
 		payload := []byte("some document text WATERMARK-CONF-77 more text")
-		events, _ := runTraffic(t, rs, mode, dpienc.ProtocolI, payload, nil)
+		events, _ := runTraffic(t, rs, mode, dpienc.ProtocolI, payload)
 		if got := ruleMatches(events); len(got) != 1 || got[0] != 1 {
 			t.Fatalf("mode %v: rule matches = %v, want [1]", mode, got)
 		}
@@ -76,7 +76,7 @@ func TestNoFalsePositiveOnCleanTraffic(t *testing.T) {
 	rs := mustParse(t, `alert tcp any any -> any any (content:"WATERMARK-CONF-77"; sid:1;)`)
 	for _, mode := range []tokenize.Mode{tokenize.Window, tokenize.Delimiter} {
 		payload := []byte("completely innocent content with nothing suspicious at all, honest")
-		events, _ := runTraffic(t, rs, mode, dpienc.ProtocolI, payload, nil)
+		events, _ := runTraffic(t, rs, mode, dpienc.ProtocolI, payload)
 		if len(events) != 0 {
 			t.Fatalf("mode %v: got %d events on clean traffic", mode, len(events))
 		}
@@ -88,7 +88,7 @@ func TestRepeatedKeywordDetectedEveryTime(t *testing.T) {
 	// repeated occurrences of the same keyword.
 	rs := mustParse(t, `alert tcp any any -> any any (content:"evilword"; sid:1;)`)
 	payload := []byte(strings.Repeat("evilword filler ", 10))
-	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, payload, nil)
+	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, payload)
 	kwMatches := 0
 	for _, ev := range events {
 		if ev.Kind == KeywordMatch {
@@ -103,7 +103,7 @@ func TestRepeatedKeywordDetectedEveryTime(t *testing.T) {
 func TestKeywordMatchReportsOffset(t *testing.T) {
 	rs := mustParse(t, `alert tcp any any -> any any (content:"evilword"; sid:1;)`)
 	payload := []byte("0123456789 evilword tail")
-	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolI, payload, nil)
+	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolI, payload)
 	if len(events) == 0 {
 		t.Fatal("no events")
 	}
@@ -117,12 +117,12 @@ func TestLongKeywordRequiresAllFragments(t *testing.T) {
 	// containing only the first 8 bytes must not fire.
 	rs := mustParse(t, `alert tcp any any -> any any (content:"maliciouslylong!"; sid:1;)`)
 	partial := []byte("xx maliciou yy and unrelated data")
-	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolI, partial, nil)
+	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolI, partial)
 	if len(ruleMatches(events)) != 0 {
 		t.Fatal("rule fired on a fragment-only occurrence")
 	}
 	full := []byte("xx maliciouslylong! yy")
-	events, _ = runTraffic(t, rs, tokenize.Window, dpienc.ProtocolI, full, nil)
+	events, _ = runTraffic(t, rs, tokenize.Window, dpienc.ProtocolI, full)
 	if len(ruleMatches(events)) != 1 {
 		t.Fatal("rule did not fire on the full keyword")
 	}
@@ -133,7 +133,7 @@ func TestFragmentsAtInconsistentOffsetsDoNotMatch(t *testing.T) {
 	// disagree, so no keyword match may fire.
 	rs := mustParse(t, `alert tcp any any -> any any (content:"abcdefgh12345678"; sid:1;)`)
 	payload := []byte("abcdefgh ............................ 12345678")
-	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolI, payload, nil)
+	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolI, payload)
 	if len(events) != 0 {
 		t.Fatalf("got %d events for torn fragments", len(events))
 	}
@@ -142,12 +142,12 @@ func TestFragmentsAtInconsistentOffsetsDoNotMatch(t *testing.T) {
 func TestProtocolIIMultiKeywordRule(t *testing.T) {
 	rs := mustParse(t, `alert tcp any any -> any any (content:"keyword1"; content:"keyword2"; sid:5;)`)
 	one := []byte("has keyword1 only")
-	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, one, nil)
+	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, one)
 	if len(ruleMatches(events)) != 0 {
 		t.Fatal("rule fired with one of two keywords")
 	}
 	both := []byte("has keyword1 and keyword2 here")
-	events, _ = runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, both, nil)
+	events, _ = runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, both)
 	if len(ruleMatches(events)) != 1 {
 		t.Fatal("rule did not fire with both keywords")
 	}
@@ -158,11 +158,11 @@ func TestProtocolIIOffsetConstraints(t *testing.T) {
 	rs := mustParse(t, `alert tcp any any -> any any (content:"needle88"; offset:4; depth:12; sid:6;)`)
 	good := []byte("xxx needle88 and more")            // starts at 4
 	bad := []byte("needle88 starts at offset zero oh") // starts at 0
-	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, good, nil)
+	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, good)
 	if len(ruleMatches(events)) != 1 {
 		t.Fatal("in-range offset did not fire")
 	}
-	events, _ = runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, bad, nil)
+	events, _ = runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, bad)
 	if len(ruleMatches(events)) != 0 {
 		t.Fatal("out-of-range offset fired")
 	}
@@ -172,16 +172,16 @@ func TestProtocolIIDistanceWithin(t *testing.T) {
 	rs := mustParse(t, `alert tcp any any -> any any (content:"firstkw1"; content:"secondk2"; distance:4; within:20; sid:7;)`)
 	good := []byte("firstkw1 pad secondk2 x")            // gap 5, ends within 20
 	tooClose := []byte("firstkw1 secondk2 padding here") // gap 1 < 4
-	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, good, nil)
+	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, good)
 	if len(ruleMatches(events)) != 1 {
 		t.Fatal("valid distance/within did not fire")
 	}
-	events, _ = runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, tooClose, nil)
+	events, _ = runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, tooClose)
 	if len(ruleMatches(events)) != 0 {
 		t.Fatal("distance violation fired")
 	}
 	tooFar := []byte("firstkw1 " + strings.Repeat("z", 40) + " secondk2")
-	events, _ = runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, tooFar, nil)
+	events, _ = runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, tooFar)
 	if len(ruleMatches(events)) != 0 {
 		t.Fatal("within violation fired")
 	}
@@ -190,7 +190,7 @@ func TestProtocolIIDistanceWithin(t *testing.T) {
 func TestProtocolIIIRecoversSSLKeyOnMatch(t *testing.T) {
 	rs := mustParse(t, `alert tcp any any -> any any (content:"attackkw"; sid:9;)`)
 	payload := []byte("benign then attackkw appears")
-	events, kSSL := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolIII, payload, nil)
+	events, kSSL := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolIII, payload)
 	if len(events) == 0 {
 		t.Fatal("no events")
 	}
@@ -211,7 +211,7 @@ func TestProtocolIIIRecoversSSLKeyOnMatch(t *testing.T) {
 func TestProtocolIIINoKeyWithoutMatch(t *testing.T) {
 	rs := mustParse(t, `alert tcp any any -> any any (content:"attackkw"; sid:9;)`)
 	payload := []byte("entirely benign traffic, nothing to see")
-	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolIII, payload, nil)
+	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolIII, payload)
 	if len(events) != 0 {
 		t.Fatal("events fired without a keyword in traffic")
 	}
@@ -220,7 +220,7 @@ func TestProtocolIIINoKeyWithoutMatch(t *testing.T) {
 func TestRuleMatchFiresOncePerFlow(t *testing.T) {
 	rs := mustParse(t, `alert tcp any any -> any any (content:"evilword"; sid:1;)`)
 	payload := []byte("evilword evilword evilword")
-	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolI, payload, nil)
+	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolI, payload)
 	if got := len(ruleMatches(events)); got != 1 {
 		t.Fatalf("rule fired %d times, want 1", got)
 	}
@@ -262,16 +262,9 @@ func TestTreeAndHashIndexAgree(t *testing.T) {
 		`alert tcp any any -> any any (content:"maliciouslylong!"; sid:3;)`,
 	)
 	payload := []byte("evilword otherkw9 padding maliciouslylong! and moremore evilword")
-	var results [][]int
-	for _, idx := range []Index{NewTreeIndex(), NewHashIndex()} {
-		events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, payload, idx)
-		results = append(results, ruleMatches(events))
-	}
-	if fmt.Sprint(results[0]) != fmt.Sprint(results[1]) {
-		t.Fatalf("tree %v != hash %v", results[0], results[1])
-	}
-	if len(results[0]) != 3 {
-		t.Fatalf("expected all 3 rules to fire, got %v", results[0])
+	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, payload)
+	if got := ruleMatches(events); len(got) != 3 {
+		t.Fatalf("expected all 3 rules to fire, got %v", got)
 	}
 }
 
@@ -293,7 +286,7 @@ func TestEncryptedDetectionEqualsPlaintextSearch(t *testing.T) {
 		"almost evilkw0 but not quite; exploit9 also no",
 	}
 	for _, p := range payloads {
-		events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, []byte(p), nil)
+		events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, []byte(p))
 		fired := make(map[int]bool)
 		for _, sid := range ruleMatches(events) {
 			fired[sid] = true
@@ -334,7 +327,7 @@ func TestMissingTokenKeysDegradeGracefully(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	rs := mustParse(t, `alert tcp any any -> any any (content:"evilword"; sid:1;)`)
-	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolI, []byte("evilword spotted"), nil)
+	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolI, []byte("evilword spotted"))
 	if len(events) == 0 {
 		t.Fatal("no events")
 	}
@@ -362,7 +355,7 @@ func TestSharedFragmentAcrossRules(t *testing.T) {
 		`alert tcp any any -> any any (content:"sharedkw"; content:"extrakw2"; sid:2;)`,
 	)
 	payload := []byte("sharedkw and extrakw2 both present")
-	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, payload, nil)
+	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolII, payload)
 	got := ruleMatches(events)
 	if len(got) != 2 {
 		t.Fatalf("rule matches = %v, want both rules", got)
@@ -449,9 +442,6 @@ func TestEngineAccessors(t *testing.T) {
 	eng.ProcessToken(sender.EncryptToken(tokenize.Token{}))
 	if eng.TokensSeen() != 1 {
 		t.Fatalf("TokensSeen = %d", eng.TokensSeen())
-	}
-	if NewTreeIndex().Name() != "tree" || NewHashIndex().Name() != "hash" {
-		t.Fatal("index names wrong")
 	}
 }
 

@@ -1,11 +1,9 @@
-package detect_test
+package detect
 
 import (
 	"testing"
 
 	"repro/internal/bbcrypto"
-	"repro/internal/core"
-	"repro/internal/detect"
 	"repro/internal/dpienc"
 	"repro/internal/rules"
 	"repro/internal/tokenize"
@@ -15,10 +13,12 @@ const fuzzRules = `alert tcp any any -> any any (msg:"kw"; content:"malwarepaylo
 alert tcp any any -> any any (msg:"pair"; content:"attackvector"; content:"exfiltrated"; sid:2;)
 `
 
-// FuzzIndexConsistency drives the tree and hash search structures with the
-// same stream — genuine encrypted tokens or adversarial raw ciphertexts,
-// followed by a counter reset — and demands identical detection behavior
-// plus a balanced tree (every Update's delete matched by its insert).
+// FuzzIndexConsistency drives an engine with a stream — genuine encrypted
+// tokens or adversarial raw ciphertexts, followed by a counter reset and a
+// genuine stream — and after every token holds the search tree to the
+// engine's own list of fragments: one node entry per fragment (every
+// Update's delete matched by its insert), each found under its current
+// ciphertext.
 func FuzzIndexConsistency(f *testing.F) {
 	f.Add([]byte("malwarepayload"), uint64(0), false)
 	f.Add([]byte("xx attackvector yy exfiltrated zz"), uint64(1234), false)
@@ -35,15 +35,24 @@ func FuzzIndexConsistency(f *testing.F) {
 		var k bbcrypto.Block
 		copy(k[:], "fuzz-detection-k")
 		mode := tokenize.Window
-		keys := core.DirectTokenKeys(k, rs, mode)
-		newEngine := func(idx detect.Index) *detect.Engine {
-			return detect.NewEngine(rs, keys, detect.Config{
-				Mode: mode, Protocol: dpienc.ProtocolII, Salt0: salt0, Index: idx,
-			})
+		eng := NewEngine(rs, keysFor(k, rs, mode), Config{
+			Mode: mode, Protocol: dpienc.ProtocolII, Salt0: salt0,
+		})
+		check := func(when string, i int) {
+			t.Helper()
+			if eng.index.Len() != len(eng.order) {
+				t.Fatalf("%s token %d: tree holds %d entries, want %d", when, i, eng.index.Len(), len(eng.order))
+			}
+			for _, ent := range eng.order {
+				found := false
+				for _, hit := range eng.index.Lookup(ent.cur) {
+					found = found || hit == ent
+				}
+				if !found {
+					t.Fatalf("%s token %d: fragment %x not found under its current ciphertext", when, i, ent.frag)
+				}
+			}
 		}
-		treeIdx := detect.NewTreeIndex()
-		engTree := newEngine(treeIdx)
-		engHash := newEngine(detect.NewHashIndex())
 
 		var stream []dpienc.EncryptedToken
 		if adversarial {
@@ -59,36 +68,18 @@ func FuzzIndexConsistency(f *testing.F) {
 			stream = s.EncryptTokensInto(nil, tokenize.TokenizeAll(mode, data))
 		}
 		for i, et := range stream {
-			if !sameEvents(engTree.ProcessToken(et), engHash.ProcessToken(et)) {
-				t.Fatalf("token %d: tree and hash engines diverged", i)
-			}
-			if treeIdx.Len() != engTree.NumFragments() {
-				t.Fatalf("token %d: tree holds %d nodes, want %d", i, treeIdx.Len(), engTree.NumFragments())
-			}
+			eng.ProcessToken(et)
+			check("", i)
 		}
 
-		// A mid-connection reset rebuilds both indexes; the engines must
-		// keep agreeing on a genuine stream afterwards.
-		engTree.Reset(salt0 + 1)
-		engHash.Reset(salt0 + 1)
+		// A mid-connection reset rebuilds the tree; it must keep up on a
+		// genuine stream afterwards.
+		eng.Reset(salt0 + 1)
+		check("reset", 0)
 		s := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolII, salt0+1)
 		for i, et := range s.EncryptTokensInto(nil, tokenize.TokenizeAll(mode, data)) {
-			if !sameEvents(engTree.ProcessToken(et), engHash.ProcessToken(et)) {
-				t.Fatalf("post-reset token %d: tree and hash engines diverged", i)
-			}
+			eng.ProcessToken(et)
+			check("post-reset", i)
 		}
 	})
-}
-
-func sameEvents(a, b []detect.Event) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Kind != b[i].Kind || a[i].Rule.SID != b[i].Rule.SID ||
-			a[i].KeywordIndex != b[i].KeywordIndex || a[i].Offset != b[i].Offset {
-			return false
-		}
-	}
-	return true
 }

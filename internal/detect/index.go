@@ -4,83 +4,14 @@ import (
 	"repro/internal/dpienc"
 )
 
-// Index is the search structure BlindBox Detect keeps over the *current*
-// expected ciphertext of every rule fragment (§3.2). Lookups happen once
-// per traffic token; updates happen on matches (delete the old node,
-// insert the re-salted one).
-//
-// The paper describes a search tree with logarithmic operations; TreeIndex
-// implements one, and HashIndex is the O(1)-expected alternative the
-// benchmarks compare it against (DESIGN.md ablation #1).
-type Index interface {
-	// Lookup returns the entries whose current ciphertext equals c.
-	// Typically zero or one entry; more only on 40-bit collisions between
-	// rule fragments.
-	Lookup(c dpienc.Ciphertext) []*entry
-	// Update re-indexes e after its expected ciphertext changed from old
-	// to new (the §3.2 delete-then-insert step).
-	Update(e *entry, old, new dpienc.Ciphertext)
-	// Rebuild reconstructs the index from scratch (after a salt0 reset).
-	Rebuild(entries []*entry)
-	// Name identifies the implementation in benchmarks.
-	Name() string
-}
-
-// HashIndex keys entries by their 40-bit ciphertext in a map.
-type HashIndex struct {
-	m map[uint64][]*entry
-}
-
-// NewHashIndex returns an empty HashIndex.
-func NewHashIndex() *HashIndex { return &HashIndex{m: make(map[uint64][]*entry)} }
-
-// Name implements Index.
-func (h *HashIndex) Name() string { return "hash" }
-
-// Lookup implements Index.
-//
-//bb:hotpath
-func (h *HashIndex) Lookup(c dpienc.Ciphertext) []*entry { return h.m[c.Uint64()] }
-
-// Update implements Index.
-//
-//bb:hotpath
-func (h *HashIndex) Update(e *entry, old, new dpienc.Ciphertext) {
-	h.remove(e, old.Uint64())
-	//lint:ignore hotpath-alloc bucket slices reach steady-state capacity; re-appending a removed entry reuses the freed slot
-	h.m[new.Uint64()] = append(h.m[new.Uint64()], e)
-}
-
-func (h *HashIndex) remove(e *entry, key uint64) {
-	s := h.m[key]
-	for i, x := range s {
-		if x == e {
-			s[i] = s[len(s)-1]
-			s = s[:len(s)-1]
-			break
-		}
-	}
-	if len(s) == 0 {
-		delete(h.m, key)
-	} else {
-		h.m[key] = s
-	}
-}
-
-// Rebuild implements Index.
-func (h *HashIndex) Rebuild(entries []*entry) {
-	h.m = make(map[uint64][]*entry, len(entries))
-	for _, e := range entries {
-		k := e.cur.Uint64()
-		h.m[k] = append(h.m[k], e)
-	}
-}
-
-// TreeIndex is a binary search tree over the 40-bit ciphertexts — the
-// logarithmic structure of §3.2. DPIEnc ciphertexts are outputs of a
-// pseudorandom permutation, so keys are uniform and a plain (unbalanced)
-// BST has expected logarithmic depth for search, insert and delete alike;
-// no rebalancing machinery is needed.
+// TreeIndex is the search structure BlindBox Detect keeps over the
+// *current* expected ciphertext of every rule fragment (§3.2): a binary
+// search tree over the 40-bit ciphertexts, the paper's logarithmic
+// structure. Lookups happen once per traffic token; updates happen on
+// matches (delete the old node, insert the re-salted one). DPIEnc
+// ciphertexts are outputs of a pseudorandom permutation, so keys are
+// uniform and a plain (unbalanced) BST has expected logarithmic depth for
+// search, insert and delete alike; no rebalancing machinery is needed.
 type TreeIndex struct {
 	root *treeNode
 	size int
@@ -95,13 +26,11 @@ type treeNode struct {
 // NewTreeIndex returns an empty TreeIndex.
 func NewTreeIndex() *TreeIndex { return &TreeIndex{} }
 
-// Name implements Index.
-func (t *TreeIndex) Name() string { return "tree" }
-
 // Len returns the number of indexed entries.
 func (t *TreeIndex) Len() int { return t.size }
 
-// Lookup implements Index.
+// Lookup returns the entries whose current ciphertext equals c: typically
+// zero or one, more only on 40-bit collisions between rule fragments.
 func (t *TreeIndex) Lookup(c dpienc.Ciphertext) []*entry {
 	key := c.Uint64()
 	n := t.root
@@ -118,7 +47,8 @@ func (t *TreeIndex) Lookup(c dpienc.Ciphertext) []*entry {
 	return nil
 }
 
-// Update implements Index.
+// Update re-indexes e after its expected ciphertext changed from old to
+// new (the §3.2 delete-then-insert step).
 func (t *TreeIndex) Update(e *entry, old, new dpienc.Ciphertext) {
 	t.delete(e, old.Uint64())
 	t.insert(e, new.Uint64())
@@ -190,7 +120,7 @@ func (t *TreeIndex) removeNode(pos **treeNode) {
 	}
 }
 
-// Rebuild implements Index.
+// Rebuild reconstructs the index from scratch (after a salt0 reset).
 func (t *TreeIndex) Rebuild(entries []*entry) {
 	t.root = nil
 	t.size = 0

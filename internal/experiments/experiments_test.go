@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -130,8 +131,12 @@ func TestPageLoadShapes(t *testing.T) {
 	}
 }
 
+// bandwidthRows is Bandwidth computed once for the tests that read it: it
+// tokenizes and compresses every corpus page, seconds of CPU a call.
+var bandwidthRows = sync.OnceValue(Bandwidth)
+
 func TestBandwidthShapes(t *testing.T) {
-	rows := Bandwidth()
+	rows := bandwidthRows()
 	if len(rows) != 50 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -164,7 +169,7 @@ func TestBandwidthShapes(t *testing.T) {
 }
 
 func TestCDFMonotone(t *testing.T) {
-	rows := Bandwidth()
+	rows := bandwidthRows()
 	pts := CDF(rows, BandwidthRow.DelimOverhead)
 	for i := 1; i < len(pts); i++ {
 		if pts[i].Ratio < pts[i-1].Ratio || pts[i].Frac <= pts[i-1].Frac {
@@ -259,32 +264,6 @@ func TestMeasureCPURatesOrdering(t *testing.T) {
 	tlsRate, bbRate := MeasureCPURates(tokenize.Delimiter)
 	if tlsRate <= bbRate {
 		t.Fatalf("plain GCM (%.0f B/s) must outpace the BlindBox pipeline (%.0f B/s)", tlsRate, bbRate)
-	}
-}
-
-func TestAblationsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("garbling ablation is slow")
-	}
-	var buf bytes.Buffer
-	if err := AblationGarbleSBox(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := AblationUnauthorized(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := AblationGarbleRows(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "gf") || !strings.Contains(out, "mux") {
-		t.Fatal("sbox ablation output incomplete")
-	}
-	if !strings.Contains(out, "half gates") || !strings.Contains(out, "GRR3") {
-		t.Fatal("rows ablation output incomplete")
-	}
-	if !strings.Contains(out, "key=true") || !strings.Contains(out, "key=false") {
-		t.Fatalf("authorization ablation wrong: %s", out)
 	}
 }
 

@@ -10,11 +10,8 @@ import (
 	"time"
 
 	"repro/internal/bbcrypto"
-	"repro/internal/circuit"
 	"repro/internal/garble"
 	"repro/internal/ruleprep"
-	"repro/internal/rules"
-	"repro/internal/tokenize"
 )
 
 // SetupResult measures rule preparation.
@@ -118,79 +115,4 @@ func PrintSetup(w io.Writer, r SetupResult) {
 	}
 	t.flush()
 	fmt.Fprintln(w, "(* extrapolated as fixed + n x per-keyword: setup is linear in keyword count, §3.3)")
-}
-
-// AblationGarbleSBox compares garbling cost of the two S-box circuit
-// constructions (DESIGN.md ablation): the tower-field inverse circuit vs
-// the multiplexer-tree circuit.
-func AblationGarbleSBox(w io.Writer) error {
-	fmt.Fprintln(w, "Ablation: AES S-box circuit construction (per garbled AES-128)")
-	t := newTable(w)
-	t.row("S-box", "AND gates", "garble time", "wire size")
-	for _, impl := range []circuit.SBoxImpl{circuit.SBoxGF, circuit.SBoxMux} {
-		c := circuit.BuildAES128(impl)
-		start := time.Now()
-		g, _, err := garble.Garble(c, ruleprep.FixedGarblingKey, bbcrypto.NewPRG(bbcrypto.Block{9}))
-		if err != nil {
-			return err
-		}
-		t.row(impl.String(), fmt.Sprintf("%d", c.NumAND()), fmtDuration(time.Since(start)), fmtBytes(g.Size()))
-	}
-	t.flush()
-	return nil
-}
-
-// AblationGarbleRows compares the three AND-gate table constructions —
-// classic four-row point-and-permute, GRR3 row reduction, and ZRE15 half
-// gates (what every connection uses) — on the rule-encryption circuit F.
-// Wire size is the per-keyword setup traffic of §7.2.2.
-func AblationGarbleRows(w io.Writer) error {
-	fmt.Fprintln(w, "Ablation: garbled-table construction (per rule-encryption circuit F)")
-	f := ruleprep.F()
-	t := newTable(w)
-	t.row("Scheme", "rows/AND", "garble time", "wire size")
-	for _, v := range []struct {
-		name string
-		opts garble.Options
-	}{
-		{"point-and-permute", garble.Options{FullRows: true}},
-		{"GRR3", garble.Options{GRR3: true}},
-		{"half gates (default)", garble.Options{}},
-	} {
-		start := time.Now()
-		g, _, err := garble.GarbleWith(f, ruleprep.FixedGarblingKey, bbcrypto.NewPRG(bbcrypto.Block{7}), v.opts)
-		if err != nil {
-			return err
-		}
-		t.row(v.name, fmt.Sprintf("%d", g.Rows), fmtDuration(time.Since(start)), fmtBytes(g.Size()))
-	}
-	t.flush()
-	return nil
-}
-
-// AblationUnauthorized verifies the RG-authorization property end to end:
-// setup with a bad tag must yield no token key.
-func AblationUnauthorized(w io.Writer) error {
-	k := bbcrypto.RandomBlock()
-	kRG := bbcrypto.RandomBlock()
-	krand := bbcrypto.RandomBlock()
-	var frag [tokenize.TokenSize]byte
-	copy(frag[:], "badfrag!")
-	blk := rules.FragmentBlock(frag)
-	req := ruleprep.Request{
-		Fragments: []bbcrypto.Block{blk, blk},
-		Tags:      []bbcrypto.Block{bbcrypto.MAC(kRG, blk), bbcrypto.RandomBlock()},
-	}
-	mb, err := ruleprep.NewMiddlebox(req)
-	if err != nil {
-		return err
-	}
-	keys, _, err := ruleprep.RunLocal(
-		ruleprep.NewEndpoint(k, kRG, krand), ruleprep.NewEndpoint(k, kRG, krand), mb)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "authorization check: tagged fragment key=%v, forged-tag fragment key=%v (want true,false)\n",
-		keys[0] != nil, keys[1] != nil)
-	return nil
 }

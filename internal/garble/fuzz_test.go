@@ -18,11 +18,9 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(g.Marshal()) // Rows = 2
 	f.Add([]byte{})
 	f.Add(make([]byte, 21))
-	grr, _, err := GarbleWith(smallCircuit(), bbcrypto.Block{1}, bbcrypto.NewPRG(bbcrypto.Block{1}), Options{GRR3: true})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(grr.Marshal())          // Rows = 3
+	rows3 := g.Marshal()
+	rows3[16] = 3 // a row count Unmarshal refuses
+	f.Add(rows3)
 	f.Add(append(g.Marshal(), 0)) // a trailing byte
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Unmarshal(data)

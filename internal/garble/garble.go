@@ -5,9 +5,7 @@
 // Zahur–Rosulek–Evans half gates: two ciphertexts per AND gate, four hashes
 // to garble one and two to evaluate it. Half gates run on wire labels held
 // as big-endian word pairs (bbcrypto.Block.Words), one FixedKeyHash.Hash1x4
-// per AND gate at the garbler and per two AND gates at the evaluator. GRR3
-// row reduction and the classic four-row table remain behind GarbleWith for
-// the DESIGN.md ablation.
+// per AND gate at the garbler and per two AND gates at the evaluator.
 //
 // BlindBox requires garbling to be *deterministic given a shared seed*:
 // both endpoints garble the same function with randomness derived from
@@ -30,32 +28,18 @@ import (
 // Block is re-exported for convenience.
 type Block = bbcrypto.Block
 
-// Options selects the AND-gate table construction. The zero value is half
-// gates, which is what Garble and therefore every connection uses; the other
-// two exist for the DESIGN.md ablation (experiments.AblationGarbleRows). The
-// evaluator reads the construction off Garbled.Rows.
-type Options struct {
-	// GRR3 garbles with garbled row reduction: one two-input hash per row,
-	// the first row implicit, three transmitted.
-	GRR3 bool
-	// FullRows garbles the classic point-and-permute table: all four rows
-	// transmitted, output labels drawn from rng.
-	FullRows bool
-}
-
 // Garbled is the material the evaluator (the middlebox) receives: the
 // AND-gate tables plus output-decoding information. It reveals nothing
 // about wire values beyond what evaluation on one input exposes.
 type Garbled struct {
 	// FixedKey keys the garbling hash; it is public.
 	FixedKey Block
-	// Rows is the number of transmitted rows per AND gate: 2 (half
-	// gates), 3 (GRR3) or 4 (classic point-and-permute).
+	// Rows is the number of transmitted rows per AND gate. It is on the
+	// wire, and the only value Garble writes and Unmarshal and Eval
+	// accept is 2: the half-gate pair.
 	Rows int
 	// Tables holds Rows blocks per AND gate, flattened in gate order: the
-	// generator and evaluator ciphertexts of a half gate; with GRR3, whose
-	// row for input colors (0,0) is implicit (all zeros), the rows for
-	// colors (0,1), (1,0), (1,1).
+	// generator and evaluator ciphertexts of a half gate.
 	Tables []Block
 	// Decode holds one decode entry per circuit output: for wire outputs,
 	// the permute bit of the false label; for constant outputs, the value.
@@ -99,27 +83,13 @@ func (l *Labels) For(i int, bit bool) Block {
 // Given equal circuits, fixed keys and rng streams, the output is
 // bit-identical — the property the middlebox's equality check relies on.
 func Garble(c *circuit.Circuit, fixedKey Block, rng io.Reader) (*Garbled, *Labels, error) {
-	return GarbleWith(c, fixedKey, rng, Options{})
-}
-
-// GarbleWith garbles with an explicit table construction.
-func GarbleWith(c *circuit.Circuit, fixedKey Block, rng io.Reader, opts Options) (*Garbled, *Labels, error) {
-	g, labels, _, err := garbleLabels(c, fixedKey, rng, opts)
+	g, labels, _, err := garbleLabels(c, fixedKey, rng)
 	return g, labels, err
 }
 
-// garbleLabels is GarbleWith that also returns every wire's false label, in
+// garbleLabels is Garble that also returns every wire's false label, in
 // words (bbcrypto.Block.Words), one array allocated per call.
-func garbleLabels(c *circuit.Circuit, fixedKey Block, rng io.Reader, opts Options) (*Garbled, *Labels, [][2]uint64, error) {
-	rows := 2
-	switch {
-	case opts.FullRows && opts.GRR3:
-		return nil, nil, nil, errors.New("garble: FullRows and GRR3 are mutually exclusive")
-	case opts.FullRows:
-		rows = 4
-	case opts.GRR3:
-		rows = 3
-	}
+func garbleLabels(c *circuit.Circuit, fixedKey Block, rng io.Reader) (*Garbled, *Labels, [][2]uint64, error) {
 	h := bbcrypto.NewFixedKeyHash(fixedKey)
 
 	// R and every input label in one read: a Block read on its own escapes
@@ -135,17 +105,8 @@ func garbleLabels(c *circuit.Circuit, fixedKey Block, rng io.Reader, opts Option
 		lab[i] = blockAt(seed, 1+i).Words()
 	}
 
-	g := &Garbled{FixedKey: fixedKey, Rows: rows}
-	if rows == 2 {
-		g.Tables = make([]Block, 2*c.NumAND())
-		garbleHalfGates(c, h, r, lab, g.Tables)
-	} else {
-		var err error
-		g.Tables, err = garbleRows(c, h, r, lab, make([]Block, 0, rows*c.NumAND()), opts.FullRows, rng)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
+	g := &Garbled{FixedKey: fixedKey, Rows: 2, Tables: make([]Block, 2*c.NumAND())}
+	garbleHalfGates(c, h, r, lab, g.Tables)
 
 	g.Decode = make([]DecodeEntry, len(c.Outputs))
 	for i, ref := range c.Outputs {
@@ -245,66 +206,6 @@ func putWords(b *Block, hi, lo uint64) {
 	binary.BigEndian.PutUint64(b[8:], lo)
 }
 
-// garbleRows garbles every gate of c into lab as garbleHalfGates does, an
-// AND gate as the point-and-permute table of rowGate, appended to tables.
-func garbleRows(c *circuit.Circuit, h *bbcrypto.FixedKeyHash, r [2]uint64, lab [][2]uint64, tables []Block, fullRows bool, rng io.Reader) ([]Block, error) {
-	rb := bbcrypto.FromWords(r)
-	for gi, gate := range c.Gates {
-		a, b := label0(lab, r, gate.A), label0(lab, r, gate.B)
-		if gate.Op == circuit.XOR {
-			lab[c.NInputs+gi] = [2]uint64{a[0] ^ b[0], a[1] ^ b[1]}
-			continue
-		}
-		var c0 Block
-		if fullRows {
-			// Classic P&P: fresh random output label.
-			if _, err := io.ReadFull(rng, c0[:]); err != nil {
-				return nil, fmt.Errorf("garble: reading gate label: %w", err)
-			}
-		}
-		c0, tables = rowGate(h, rb, bbcrypto.FromWords(a), bbcrypto.FromWords(b), c0, uint64(gi), fullRows, tables)
-		lab[c.NInputs+gi] = c0.Words()
-	}
-	return tables, nil
-}
-
-// rowGate garbles one AND gate as a point-and-permute table of two-input
-// hashes, appending its rows to tables: all four around the given output
-// label c0 (fullRows), or GRR3's three, the output label chosen so that the
-// colors-(0,0) row is zero.
-func rowGate(h *bbcrypto.FixedKeyHash, r, a0, b0, c0 Block, tweak uint64, fullRows bool, tables []Block) (Block, []Block) {
-	pa, pb := a0.LSB(), b0.LSB()
-	// labelFor returns the input label carrying semantic value v.
-	labelFor := func(base Block, v int) Block {
-		if v == 1 {
-			return base.XOR(r)
-		}
-		return base
-	}
-	if !fullRows {
-		// A label with color 0 on wire A carries value pa (va = ca ⊕ pa).
-		c0 = h.Hash(labelFor(a0, pa), labelFor(b0, pb), tweak)
-		if pa&pb == 1 {
-			c0 = c0.XOR(r)
-		}
-	}
-	for ca := 0; ca < 2; ca++ {
-		for cb := 0; cb < 2; cb++ {
-			if !fullRows && ca == 0 && cb == 0 {
-				continue // implicit zero row
-			}
-			va := ca ^ pa
-			vb := cb ^ pb
-			cLbl := c0
-			if va&vb == 1 {
-				cLbl = cLbl.XOR(r)
-			}
-			tables = append(tables, h.Hash(labelFor(a0, va), labelFor(b0, vb), tweak).XOR(cLbl))
-		}
-	}
-	return c0, tables
-}
-
 // Eval evaluates the garbled circuit on one label per input wire and
 // returns the decoded output bits. The evaluator learns nothing about the
 // garbler's labels beyond the outputs.
@@ -336,10 +237,10 @@ func evalLabels(c *circuit.Circuit, g *Garbled, inputLabels []Block) ([][2]uint6
 	if len(g.Decode) != len(c.Outputs) {
 		return nil, errors.New("garble: decode table does not match circuit outputs")
 	}
-	if g.Rows < 2 || g.Rows > 4 {
+	if g.Rows != 2 {
 		return nil, fmt.Errorf("garble: unsupported row count %d", g.Rows)
 	}
-	if c.NumAND()*g.Rows != len(g.Tables) {
+	if 2*c.NumAND() != len(g.Tables) {
 		return nil, errors.New("garble: gate table size mismatch")
 	}
 	h := bbcrypto.NewFixedKeyHash(g.FixedKey)
@@ -347,11 +248,7 @@ func evalLabels(c *circuit.Circuit, g *Garbled, inputLabels []Block) ([][2]uint6
 	for i := range inputLabels {
 		lab[i] = inputLabels[i].Words()
 	}
-	if g.Rows == 2 {
-		evalHalfGates(c, h, g.Tables, lab)
-	} else {
-		evalRows(c, h, g, lab)
-	}
+	evalHalfGates(c, h, g.Tables, lab)
 	return lab, nil
 }
 
@@ -412,32 +309,6 @@ func evalHalfGates(c *circuit.Circuit, h *bbcrypto.FixedKeyHash, tables []Block,
 			o[1] = ha[1] ^ hb[1] ^ (tGl & ma) ^ ((tEl ^ a[1]) & mb)
 			t += 2
 		}
-	}
-}
-
-// evalRows evaluates every gate of c into lab from GRR3 or four-row
-// tables: one two-input hash per AND gate, the row picked by the colors.
-func evalRows(c *circuit.Circuit, h *bbcrypto.FixedKeyHash, g *Garbled, lab [][2]uint64) {
-	andIdx := 0
-	for gi, gate := range c.Gates {
-		a, b := lab[gate.A.ID], lab[gate.B.ID]
-		out := c.NInputs + gi
-		if gate.Op == circuit.XOR {
-			lab[out] = [2]uint64{a[0] ^ b[0], a[1] ^ b[1]}
-			continue
-		}
-		hv := h.Hash(bbcrypto.FromWords(a), bbcrypto.FromWords(b), uint64(gi))
-		row := int(a[1]&1)*2 + int(b[1]&1)
-		switch {
-		case g.Rows == 3 && row == 0:
-			// GRR3 implicit zero row: label = H(a, b, tweak).
-			lab[out] = hv.Words()
-		case g.Rows == 3:
-			lab[out] = g.Tables[andIdx*3+row-1].XOR(hv).Words()
-		default:
-			lab[out] = g.Tables[andIdx*4+row].XOR(hv).Words()
-		}
-		andIdx++
 	}
 }
 
@@ -538,7 +409,7 @@ func Unmarshal(data []byte) (*Garbled, error) {
 	data = data[bbcrypto.BlockSize:]
 	g.Rows = int(data[0])
 	data = data[1:]
-	if g.Rows < 2 || g.Rows > 4 {
+	if g.Rows != 2 {
 		return nil, fmt.Errorf("garble: bad row count %d", g.Rows)
 	}
 	nTables := binary.BigEndian.Uint32(data)

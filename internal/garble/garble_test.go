@@ -124,7 +124,7 @@ func TestLabelPairsDifferByR(t *testing.T) {
 func TestGarbledAESMatchesStdlib(t *testing.T) {
 	// The real workload: evaluate the garbled AES-128 circuit and compare
 	// with crypto/aes.
-	c := circuit.BuildAES128(circuit.SBoxGF)
+	c := circuit.BuildAES128()
 	key := make([]byte, 16)
 	pt := make([]byte, 16)
 	rand.Read(key)
@@ -145,7 +145,7 @@ func TestGarbledAESMatchesStdlib(t *testing.T) {
 // checks garbled evaluation against Circuit.Evaluate and crypto/aes, under
 // the right tag and under a wrong one.
 func TestGarbledRuleEncryptAuthorization(t *testing.T) {
-	c := circuit.BuildRuleEncrypt(circuit.SBoxGF)
+	c := circuit.BuildRuleEncrypt()
 	var key, krg [16]byte
 	x := make([]byte, 16)
 	rand.Read(key[:])
@@ -259,7 +259,7 @@ func TestWrongLabelGivesGarbage(t *testing.T) {
 }
 
 func TestGarbledSizeScalesWithANDGates(t *testing.T) {
-	small := circuit.BuildAES128(circuit.SBoxGF)
+	small := circuit.BuildAES128()
 	g, _, err := Garble(small, bbcrypto.Block{0xAA}, bbcrypto.NewPRG(bbcrypto.Block{6}))
 	if err != nil {
 		t.Fatal(err)
@@ -270,96 +270,6 @@ func TestGarbledSizeScalesWithANDGates(t *testing.T) {
 	}
 	t.Logf("garbled AES-128: %d AND gates, %d rows/gate, %d bytes on the wire",
 		small.NumAND(), g.Rows, g.Size())
-}
-
-func TestGRR3AndFullRowsAgree(t *testing.T) {
-	// Both ablation variants must decode to the plain evaluation on every
-	// input.
-	c := smallCircuit()
-	for v := 0; v < 8; v++ {
-		in := []bool{v&1 != 0, v&2 != 0, v&4 != 0}
-		want := c.Evaluate(in)
-		for _, opts := range []Options{{GRR3: true}, {FullRows: true}} {
-			g, labels, err := GarbleWith(c, bbcrypto.Block{0xAA}, bbcrypto.NewPRG(bbcrypto.Block{byte(v)}), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inLabels := make([]Block, c.NInputs)
-			for i, bit := range in {
-				inLabels[i] = labels.For(i, bit)
-			}
-			got, err := Eval(c, g, inLabels)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("opts %+v input %v output %d: garbled=%v plain=%v", opts, in, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestGRR3SavesAQuarter(t *testing.T) {
-	c := circuit.BuildAES128(circuit.SBoxGF)
-	grr, _, err := GarbleWith(c, bbcrypto.Block{1}, bbcrypto.NewPRG(bbcrypto.Block{1}), Options{GRR3: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, _, err := GarbleWith(c, bbcrypto.Block{1}, bbcrypto.NewPRG(bbcrypto.Block{1}), Options{FullRows: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grr.Rows != 3 || full.Rows != 4 {
-		t.Fatalf("rows = %d/%d", grr.Rows, full.Rows)
-	}
-	if len(grr.Tables)*4 != len(full.Tables)*3 {
-		t.Fatalf("GRR3 did not save exactly one row per gate: %d vs %d", len(grr.Tables), len(full.Tables))
-	}
-	ratio := float64(grr.Size()) / float64(full.Size())
-	if ratio < 0.74 || ratio > 0.76 {
-		t.Fatalf("GRR3 size ratio = %.3f, want ~0.75", ratio)
-	}
-}
-
-// garbledAES evaluates the AES-128 circuit garbled under opts on a random
-// key and block and compares with crypto/aes.
-func garbledAES(t *testing.T, opts Options, wantRows int) {
-	t.Helper()
-	c := circuit.BuildAES128(circuit.SBoxGF)
-	key := make([]byte, 16)
-	pt := make([]byte, 16)
-	rand.Read(key)
-	rand.Read(pt)
-	g, labels, err := GarbleWith(c, bbcrypto.Block{1}, bbcrypto.NewPRG(bbcrypto.Block{13}), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Rows != wantRows {
-		t.Fatalf("rows = %d, want %d", g.Rows, wantRows)
-	}
-	in := append(circuit.BytesToBits(key), circuit.BytesToBits(pt)...)
-	inLabels := make([]Block, c.NInputs)
-	for i, bit := range in {
-		inLabels[i] = labels.For(i, bit)
-	}
-	bits, err := Eval(c, g, inLabels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := circuit.BitsToBytes(bits)
-	blk, _ := aes.NewCipher(key)
-	want := make([]byte, 16)
-	blk.Encrypt(want, pt)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%d-row garbled AES = %x, want %x", wantRows, got, want)
-	}
-}
-
-func TestGarbledGRR3AESMatchesStdlib(t *testing.T) {
-	// The reduced-row garbled AES must still compute real AES.
-	garbledAES(t, Options{GRR3: true}, 3)
 }
 
 func TestUnmarshalRejectsBadRows(t *testing.T) {
@@ -398,28 +308,33 @@ func TestHalfGatesMatchPlainEval(t *testing.T) {
 }
 
 func TestHalfGatesAESMatchesStdlib(t *testing.T) {
-	garbledAES(t, Options{}, 2)
-}
-
-func TestHalfGatesHalveGRR3(t *testing.T) {
-	c := circuit.BuildAES128(circuit.SBoxGF)
-	hg, _, err := Garble(c, bbcrypto.Block{1}, bbcrypto.NewPRG(bbcrypto.Block{1}))
+	c := circuit.BuildAES128()
+	key := make([]byte, 16)
+	pt := make([]byte, 16)
+	rand.Read(key)
+	rand.Read(pt)
+	g, labels, err := Garble(c, bbcrypto.Block{1}, bbcrypto.NewPRG(bbcrypto.Block{13}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	grr, _, err := GarbleWith(c, bbcrypto.Block{1}, bbcrypto.NewPRG(bbcrypto.Block{1}), Options{GRR3: true})
+	if g.Rows != 2 {
+		t.Fatalf("rows = %d, want 2", g.Rows)
+	}
+	in := append(circuit.BytesToBits(key), circuit.BytesToBits(pt)...)
+	inLabels := make([]Block, c.NInputs)
+	for i, bit := range in {
+		inLabels[i] = labels.For(i, bit)
+	}
+	bits, err := Eval(c, g, inLabels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hg.Tables)*3 != len(grr.Tables)*2 {
-		t.Fatalf("half gates = %d rows, GRR3 = %d rows", len(hg.Tables), len(grr.Tables))
-	}
-}
-
-func TestConflictingOptionsRejected(t *testing.T) {
-	if _, _, err := GarbleWith(smallCircuit(), bbcrypto.Block{1}, bbcrypto.NewPRG(bbcrypto.Block{1}),
-		Options{FullRows: true, GRR3: true}); err == nil {
-		t.Fatal("conflicting options accepted")
+	got := circuit.BitsToBytes(bits)
+	blk, _ := aes.NewCipher(key)
+	want := make([]byte, 16)
+	blk.Encrypt(want, pt)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%d-row garbled AES = %x, want %x", g.Rows, got, want)
 	}
 }
 
@@ -551,7 +466,7 @@ func evalScalar(c *circuit.Circuit, g *Garbled, inputLabels []Block) []Block {
 // oracleCircuits are the shapes the evaluator's AND pairing must get right,
 // plus F itself and a pseudorandom circuit.
 func oracleCircuits() map[string]*circuit.Circuit {
-	cs := map[string]*circuit.Circuit{"small": smallCircuit(), "F": circuit.BuildRuleEncrypt(circuit.SBoxGF)}
+	cs := map[string]*circuit.Circuit{"small": smallCircuit(), "F": circuit.BuildRuleEncrypt()}
 
 	// An AND whose next AND consumes its output: never paired.
 	b := circuit.NewBuilder(3)
@@ -618,7 +533,7 @@ func TestHalfGatesMatchScalarOracle(t *testing.T) {
 	for name, c := range oracleCircuits() {
 		t.Run(name, func(t *testing.T) {
 			for seed := byte(0); seed < 3; seed++ {
-				g, labels, lab, err := garbleLabels(c, key, bbcrypto.NewPRG(bbcrypto.Block{seed}), Options{})
+				g, labels, lab, err := garbleLabels(c, key, bbcrypto.NewPRG(bbcrypto.Block{seed}))
 				if err != nil {
 					t.Fatal(err)
 				}

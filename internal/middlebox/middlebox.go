@@ -78,9 +78,6 @@ type Config struct {
 	// and past Timeouts.Barrier the degradation Policy); it never loses
 	// alerts.
 	OnAlert func(Alert)
-	// NewIndex supplies the detection search structure per engine; nil
-	// uses the paper's tree.
-	NewIndex func() detect.Index
 	// Secondary enables the Protocol III decryption element and
 	// secondary full-rules inspection of flows with probable cause.
 	Secondary bool
@@ -502,10 +499,6 @@ func (mb *Middlebox) interpose(id uint64, client, server net.Conn) (retErr error
 	// 3. Detection: one forwarding goroutine per direction. The forwarding
 	// goroutines stay I/O-bound and the scanning happens on the flows'
 	// detection shards (see pool.go).
-	var idx1, idx2 detect.Index
-	if mb.cfg.NewIndex != nil {
-		idx1, idx2 = mb.cfg.NewIndex(), mb.cfg.NewIndex()
-	}
 	var fwdWG sync.WaitGroup
 	fwdWG.Add(2)
 	var stopOnce sync.Once
@@ -515,8 +508,8 @@ func (mb *Middlebox) interpose(id uint64, client, server net.Conn) (retErr error
 			_ = server.Close()
 		})
 	}
-	flC := mb.newFlow(id, ClientToServer, cfg, keys, idx1, kill)
-	flS := mb.newFlow(id, ServerToClient, cfg, keys, idx2, kill)
+	flC := mb.newFlow(id, ClientToServer, cfg, keys, kill)
+	flS := mb.newFlow(id, ServerToClient, cfg, keys, kill)
 	// Forward-span contexts are fixed before the goroutines start; scan
 	// spans on the detection shards parent to their direction's forward
 	// span, so per-batch detection shows up under the right direction.
@@ -862,7 +855,7 @@ const (
 	maxPlaintextBytes  = 4 << 20
 )
 
-func (mb *Middlebox) newFlow(id uint64, dir Direction, cfg core.Config, keys detect.TokenKeys, idx detect.Index, kill func()) *flow {
+func (mb *Middlebox) newFlow(id uint64, dir Direction, cfg core.Config, keys detect.TokenKeys, kill func()) *flow {
 	fl := &flow{
 		id:      id,
 		dir:     dir,
@@ -875,7 +868,6 @@ func (mb *Middlebox) newFlow(id uint64, dir Direction, cfg core.Config, keys det
 			Mode:     cfg.Mode,
 			Protocol: cfg.Protocol,
 			Salt0:    cfg.Salt0,
-			Index:    idx,
 		}),
 	}
 	if dir == ServerToClient {

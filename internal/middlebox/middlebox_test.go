@@ -297,7 +297,7 @@ func TestSecondaryNonceSurvivesBufferOverflow(t *testing.T) {
 	t.Cleanup(func() { mb.Close() })
 	keys := bbcrypto.DeriveSessionKeys([]byte("nonce drift"))
 	cfg := core.Config{Protocol: dpienc.ProtocolIII, Mode: tokenize.Delimiter}
-	fl := mb.newFlow(1, ClientToServer, cfg, core.DirectTokenKeys(keys.K, rs, cfg.Mode), nil, func() {})
+	fl := mb.newFlow(1, ClientToServer, cfg, core.DirectTokenKeys(keys.K, rs, cfg.Mode), func() {})
 
 	// seal builds the body of the client's next data record: a kind byte and
 	// the payload under the nonce direction 0 ‖ sequence number.

@@ -201,7 +201,7 @@ func newPoolFlow(t *testing.T, action string, onAlert func(Alert)) (mb *Middlebo
 	t.Cleanup(func() { mb.Close() })
 	cfg := core.DefaultConfig()
 	keys := bbcrypto.DeriveSessionKeys([]byte("pool test"))
-	fl = mb.newFlow(1, ClientToServer, cfg, core.DirectTokenKeys(keys.K, rs, cfg.Mode), nil, func() {})
+	fl = mb.newFlow(1, ClientToServer, cfg, core.DirectTokenKeys(keys.K, rs, cfg.Mode), func() {})
 	pipe := core.NewSenderPipeline(keys, cfg)
 	hit, _ = pipe.ProcessText([]byte("a request carrying attackkw onward, "))
 	miss, _ = pipe.ProcessText([]byte("and then plain words travelling through, "))

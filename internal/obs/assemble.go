@@ -1,7 +1,7 @@
 // Trace assembly: merge span streams from the three BlindBox parties,
 // align their clocks, reconstruct the per-flow span tree, and attribute
 // the flow's wall-clock to a critical path. This is the library behind
-// `bbtrace -assemble` and `blindbench -experiment setupbreakdown`.
+// `bbtrace -assemble`.
 //
 // Clock alignment (DESIGN.md §8): span timestamps come from up to three
 // machines. For every cross-party parent→child link, the child is known

@@ -39,8 +39,7 @@ const (
 
 // §3.3 setup sub-span names: children of the prep / handshake spans that
 // break the obfuscated rule-encryption setup into its cost components, so
-// the paper's setup table regenerates from traces (bbtrace -assemble,
-// blindbench -experiment setupbreakdown).
+// the paper's setup table regenerates from traces (bbtrace -assemble).
 const (
 	SpanPrepGarble  = "prep.garble"   // endpoint: garbling one AES circuit
 	SpanPrepOTBase  = "prep.ot_base"  // middlebox leg: base-OT round (keys + msgA/msgB)

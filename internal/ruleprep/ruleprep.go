@@ -48,7 +48,7 @@ var (
 
 // F returns the shared rule-encryption circuit (built once per process).
 func F() *circuit.Circuit {
-	circOnce.Do(func() { circF = circuit.BuildRuleEncrypt(circuit.SBoxGF) })
+	circOnce.Do(func() { circF = circuit.BuildRuleEncrypt() })
 	return circF
 }
 

@@ -62,6 +62,9 @@ func FuzzUnmarshalByteSlices(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if len(slices) > len(data)/4 {
+			t.Fatalf("%d entries from %d bytes: more than one per 4-byte length", len(slices), len(data))
+		}
 		if !bytes.Equal(AppendByteSlices(nil, slices), data) {
 			t.Fatal("slice list round trip diverged")
 		}

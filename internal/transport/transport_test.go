@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
 	"slices"
@@ -273,6 +274,24 @@ func TestByteSlicesRoundTrip(t *testing.T) {
 	}
 	if _, err := UnmarshalByteSlices(append(enc, 1)); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+}
+
+// TestByteSlicesCountCannotSizeTheAllocation: a four-byte body claiming
+// MaxRecordLen entries is refused before anything is sized by the count.
+// Entries need four bytes each, so it is the body that bounds the list.
+func TestByteSlicesCountCannotSizeTheAllocation(t *testing.T) {
+	body := binary.BigEndian.AppendUint32(nil, MaxRecordLen)
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := UnmarshalByteSlices(body); err == nil {
+				b.Fatal("a count with no entries behind it was accepted")
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 1<<10 {
+		t.Fatalf("a %d-byte slice list allocates %d bytes, want under 1 KiB", len(body), got)
 	}
 }
 

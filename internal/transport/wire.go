@@ -434,10 +434,12 @@ func UnmarshalByteSlices(data []byte) ([][]byte, error) {
 	if len(data) < 4 {
 		return nil, errors.New("transport: short slice list")
 	}
-	n := int(binary.BigEndian.Uint32(data))
+	n := binary.BigEndian.Uint32(data)
 	data = data[4:]
-	if n > MaxRecordLen {
-		return nil, errors.New("transport: slice list too long")
+	// Every entry carries at least its 4-byte length, so a count the body
+	// cannot hold is refused before it sizes an allocation.
+	if uint64(n) > uint64(len(data)/4) {
+		return nil, errors.New("transport: slice list count exceeds its body")
 	}
 	out := make([][]byte, n)
 	for i := range out {

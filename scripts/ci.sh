@@ -78,26 +78,13 @@ if [ "$MODE" = "quick" ]; then
     exit 0
 fi
 
-# Three-party tracing over loopback: run a traced client/middlebox/server
-# session (setupbreakdown fails if the §3.3 sub-spans cover < 90% of the
-# preparation window), then strict-assemble the three span files — orphan
-# spans, a rootless trace, or critical path > wall-clock fail the gate.
-# Note: bbtrace flags must precede the positional file arguments.
-step "three-party tracing (setupbreakdown + strict assemble)"
-TRACEDIR="$(mktemp -d)"
-FLEETDIR=""
-FLEET_PIDS=()
-cleanup() {
-    if [ "${#FLEET_PIDS[@]}" -gt 0 ]; then
-        kill "${FLEET_PIDS[@]}" 2>/dev/null || true
-    fi
-    rm -rf "$TRACEDIR" ${FLEETDIR:+"$FLEETDIR"}
-}
-trap cleanup EXIT
-go run ./cmd/blindbench -experiment setupbreakdown -fast \
-    -setup-out "$TRACEDIR/BENCH_setup_breakdown.json" -trace-dir "$TRACEDIR"
-go run ./cmd/bbtrace -assemble -strict \
-    "$TRACEDIR/client.jsonl" "$TRACEDIR/mb.jsonl" "$TRACEDIR/server.jsonl"
+# Three-party tracing over loopback, under the race detector: traced
+# client/middlebox/server sessions must each assemble into one rooted,
+# orphan-free span tree with critical path <= wall-clock, carry every §3.3
+# sub-span, and those sub-spans must cover >= 90% of the middlebox's
+# preparation window. bbtrace -assemble -strict has golden tests of its own.
+step "three-party tracing (trace e2e -race)"
+go test -race -count=1 -run TestE2ETraceTreeProperties .
 
 # The AES-128 kernel has two build-tagged implementations (assembly on
 # amd64, crypto/aes elsewhere and under -tags purego). The host only ever
@@ -149,6 +136,14 @@ step "fleet observability (fleet e2e -race + bbfleet -check over live workers)"
 go test -race -run 'TestFleetObservabilityPlane' -timeout 5m .
 
 FLEETDIR="$(mktemp -d)"
+FLEET_PIDS=()
+cleanup() {
+    if [ "${#FLEET_PIDS[@]}" -gt 0 ]; then
+        kill "${FLEET_PIDS[@]}" 2>/dev/null || true
+    fi
+    rm -rf "$FLEETDIR"
+}
+trap cleanup EXIT
 go build -o "$FLEETDIR" ./cmd/bbrulegen ./cmd/bbserver ./cmd/bbmb ./cmd/bbclient ./cmd/bbfleet
 "$FLEETDIR/bbrulegen" -dataset "Snort Emerging Threats (HTTP)" -n 20 -out "$FLEETDIR/fleet"
 "$FLEETDIR/bbserver" -listen 127.0.0.1:19600 -rgconfig "$FLEETDIR/fleet.endpoint.json" \

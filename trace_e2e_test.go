@@ -9,6 +9,7 @@ package blindbox
 import (
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -161,5 +162,54 @@ func TestE2ETraceTreeProperties(t *testing.T) {
 		if ft.CritNs <= 0 || ft.CritNs > ft.WallNs {
 			t.Errorf("trace %s: critical path %dns outside (0, wall=%dns]", ft.Trace, ft.CritNs, ft.WallNs)
 		}
+		checkPrepCoverage(t, ft)
+	}
+}
+
+// prepSubSpans are the §3.3 rule-preparation stages the middlebox's prep
+// span breaks into.
+var prepSubSpans = []string{obs.SpanPrepGarble, obs.SpanPrepOTBase, obs.SpanPrepOTExt,
+	obs.SpanPrepLabels, obs.SpanPrepRuleEnc}
+
+// checkPrepCoverage checks that the trace carries the middlebox's prep span
+// and every §3.3 sub-span, and that the sub-spans, clipped to the prep span,
+// explain at least 90% of it. Endpoint garbling overlaps the label transfer
+// that waits on it; UnionNs counts the overlap once.
+func checkPrepCoverage(t *testing.T, ft *obs.FlowTrace) {
+	t.Helper()
+	nodes := ft.Nodes()
+	seen := map[string]bool{}
+	for _, n := range nodes {
+		seen[n.Span.Name] = true
+	}
+	for _, name := range append([]string{obs.SpanPrep}, prepSubSpans...) {
+		if !seen[name] {
+			t.Errorf("trace %s: no %q span", ft.Trace, name)
+		}
+	}
+	var prepNs, coveredNs int64
+	for _, prep := range nodes {
+		if prep.Span.Name != obs.SpanPrep || prep.Span.Party != obs.PartyMB {
+			continue
+		}
+		prepNs += prep.End - prep.Start
+		var iv []obs.Interval
+		for _, n := range nodes {
+			if !slices.Contains(prepSubSpans, n.Span.Name) {
+				continue
+			}
+			s, e := max(n.Start, prep.Start), min(n.End, prep.End)
+			if e > s {
+				iv = append(iv, obs.Interval{Start: s, End: e})
+			}
+		}
+		coveredNs += obs.UnionNs(iv)
+	}
+	if prepNs <= 0 {
+		t.Errorf("trace %s: no middlebox prep span", ft.Trace)
+		return
+	}
+	if cov := float64(coveredNs) / float64(prepNs); cov < 0.9 {
+		t.Errorf("trace %s: §3.3 sub-spans cover %.3f of the prep span, want >= 0.9", ft.Trace, cov)
 	}
 }
