@@ -89,7 +89,6 @@ func main() {
 			flushTrace()
 			os.Exit(1)
 		}()
-		cfg.Trace = sink
 		// The recorder enforces -trace-sample: at the default rate of 1
 		// every flow streams (legacy behavior); below 1 only sampled and
 		// interesting flows reach the span file.

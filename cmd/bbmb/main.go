@@ -7,7 +7,7 @@
 //
 //	bbmb -listen :8443 -forward server:9443 -rules rules.txt -rgconfig rg.json [-secondary]
 //	     [-admin :8081] [-worker mb-a] [-trace spans.jsonl] [-trace-sample 0.01] [-recorder-events 256]
-//	     [-log-level info] [-policy fail-closed] [-dial-retries 3] [-prep-retries 3]
+//	     [-log-level info] [-policy fail-closed] [-dial-retries 3]
 //	     [-timeout-handshake 10s] [-timeout-prep 60s] [-timeout-idle -1s]
 //	     [-timeout-write 1m] [-timeout-barrier 30s]
 //
@@ -67,9 +67,8 @@ func main() {
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn or error")
 	policy := flag.String("policy", "fail-closed", "degradation policy on barrier timeout: fail-closed or fail-open")
 	dialRetries := flag.Int("dial-retries", 0, "upstream dial attempts (0 = default 3)")
-	prepRetries := flag.Int("prep-retries", 0, "rule-preparation attempts per endpoint (0 = default 3)")
 	tmoHandshake := flag.Duration("timeout-handshake", 0, "interposed handshake deadline (0 = default 10s, negative disables)")
-	tmoPrep := flag.Duration("timeout-prep", 0, "per-attempt rule-preparation deadline (0 = default 60s, negative disables)")
+	tmoPrep := flag.Duration("timeout-prep", 0, "per-leg rule-preparation deadline (0 = default 60s, negative disables)")
 	tmoIdle := flag.Duration("timeout-idle", 0, "idle read deadline on forwarded flows (0 = default off, negative disables)")
 	tmoWrite := flag.Duration("timeout-write", 0, "per-record forward write deadline (0 = default 1m, negative disables)")
 	tmoBarrier := flag.Duration("timeout-barrier", 0, "detection barrier deadline (0 = default 30s, negative disables)")
@@ -137,7 +136,6 @@ func main() {
 		RGPublicKey: pub,
 		Secondary:   *secondary,
 		Metrics:     reg,
-		Trace:       trace,
 		Recorder:    rec,
 		Logger:      logger,
 		Policy:      pol,
@@ -146,7 +144,6 @@ func main() {
 			Write: *tmoWrite, Barrier: *tmoBarrier,
 		},
 		DialRetry: retry.Policy{Attempts: *dialRetries},
-		PrepRetry: retry.Policy{Attempts: *prepRetries},
 		OnAlert: func(a blindbox.Alert) {
 			switch {
 			case a.Secondary:

@@ -58,6 +58,7 @@ func main() {
 		log.Fatalf("loading RG config: %v", err)
 	}
 	cfg := blindbox.ConnConfig{Core: blindbox.DefaultConfig(), RG: rg}
+	var trace obs.Sink
 	flushTrace := func() {}
 	if *tracePath != "" {
 		f, err := os.OpenFile(*tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -77,7 +78,7 @@ func main() {
 				flushTrace()
 			}
 		}()
-		cfg.Trace = sink
+		trace = sink
 	}
 	// The flight recorder is always on: rings are pooled and bounded, the
 	// /debug endpoints work without -trace, and with -trace it enforces the
@@ -86,7 +87,7 @@ func main() {
 	cfg.Recorder = blindbox.NewRecorder(blindbox.RecorderConfig{
 		Events:  *recorderEvents,
 		Sample:  *traceSample,
-		Sink:    cfg.Trace,
+		Sink:    trace,
 		Metrics: reg,
 	})
 

@@ -53,23 +53,10 @@ type SenderPipeline struct {
 	enc *dpienc.Sender
 	// toks is the tokenizer's output buffer, reused by every chunk.
 	toks []tokenize.Token
-	// obs is nil until Instrument: the untraced hot path pays one pointer
-	// check per chunk and takes no timestamps.
-	obs *pipelineObs
-}
-
-// pipelineObs is the optional span wiring of a SenderPipeline: one
-// tokenize and one encrypt span per chunk, emitted to trace.
-type pipelineObs struct {
-	trace obs.Sink
-	flow  uint64
-	dir   string
-	// ctx parents per-batch tokenize/encrypt spans under the owning
-	// connection span; party labels the emitting endpoint. Both are
-	// zero/empty when distributed tracing is not negotiated, leaving the
-	// spans flat (schema v1).
-	ctx   obs.SpanCtx
-	party string
+	// fr and dir are set by Instrument: a nil fr is the untraced hot path,
+	// which pays one pointer check per chunk and takes no timestamps.
+	fr  *obs.FlowRecorder
+	dir string
 }
 
 // NewSenderPipeline creates the sender side of one connection direction.
@@ -87,17 +74,12 @@ func NewSenderPipeline(keys bbcrypto.SessionKeys, cfg Config) *SenderPipeline {
 // and goes at that benchmark's next revision.
 func (p *SenderPipeline) AutoTune() {}
 
-// Instrument makes this pipeline emit a tokenize and an encrypt span per
-// chunk to trace, labeled with flow and dir. A valid ctx additionally
-// parents each span under the owning connection span and stamps party,
-// joining the distributed trace. A nil trace leaves the pipeline untraced
-// (the default, zero-overhead state).
-func (p *SenderPipeline) Instrument(trace obs.Sink, flow uint64, dir string, ctx obs.SpanCtx, party string) {
-	if trace == nil {
-		p.obs = nil
-		return
-	}
-	p.obs = &pipelineObs{trace: trace, flow: flow, dir: dir, ctx: ctx, party: party}
+// Instrument makes this pipeline record a tokenize and an encrypt span per
+// chunk through fr, labeled with dir and parented under fr's connection
+// context. A nil fr leaves the pipeline untraced (the default,
+// zero-overhead state).
+func (p *SenderPipeline) Instrument(fr *obs.FlowRecorder, dir string) {
+	p.fr, p.dir = fr, dir
 }
 
 // encrypt is the tail of every Process*Into call: p.toks were tokenized
@@ -105,32 +87,21 @@ func (p *SenderPipeline) Instrument(trace obs.Sink, flow uint64, dir string, ctx
 // encrypts them into dst's backing array when that is large enough.
 func (p *SenderPipeline) encrypt(dst []dpienc.EncryptedToken, t0 time.Time, bytes int) []dpienc.EncryptedToken {
 	toks := p.toks
-	if p.obs == nil {
+	if p.fr == nil {
 		return p.enc.EncryptTokensInto(dst, toks)
 	}
+	ctx := p.fr.Context()
+	p.fr.Span(ctx.Child(), t0, obs.Span{Dir: p.dir, Name: obs.SpanTokenize, Tokens: len(toks), Bytes: bytes})
 	t1 := time.Now()
 	out := p.enc.EncryptTokensInto(dst, toks)
-	t2 := time.Now()
-	o := p.obs
-	tok := obs.Span{
-		Flow: o.flow, Dir: o.dir, Party: o.party, Name: obs.SpanTokenize,
-		Start: t0.UnixNano(), Dur: int64(t1.Sub(t0)), Tokens: len(toks), Bytes: bytes,
-	}
-	o.ctx.Child().Stamp(&tok)
-	o.trace.Emit(tok)
-	enc := obs.Span{
-		Flow: o.flow, Dir: o.dir, Party: o.party, Name: obs.SpanEncrypt,
-		Start: t1.UnixNano(), Dur: int64(t2.Sub(t1)), Tokens: len(toks),
-	}
-	o.ctx.Child().Stamp(&enc)
-	o.trace.Emit(enc)
+	p.fr.Span(ctx.Child(), t1, obs.Span{Dir: p.dir, Name: obs.SpanEncrypt, Tokens: len(toks)})
 	return out
 }
 
 // tokenizeStart is the tokenize span's start time, taken only when the
 // pipeline is traced.
 func (p *SenderPipeline) tokenizeStart() (t0 time.Time) {
-	if p.obs != nil {
+	if p.fr != nil {
 		t0 = time.Now()
 	}
 	return t0

@@ -92,28 +92,22 @@ type Config struct {
 	// The zero value retries retry.DefaultAttempts times; set Attempts
 	// to 1 to disable retrying.
 	DialRetry retry.Policy
-	// PrepRetry bounds rule-preparation attempts per endpoint leg. Each
-	// attempt restarts the preparation protocol from SubPrepStart (the
-	// endpoint's preparation loop is restartable) under a fresh
-	// Timeouts.Prep budget. The zero value retries retry.DefaultAttempts
-	// times.
-	PrepRetry retry.Policy
 	// Metrics is the registry the middlebox registers its counters,
 	// gauges and histograms in (see the obs.MB* catalog entries). When
 	// nil, a private registry backs the counters so Stats keeps working;
 	// pass a shared registry to expose them on an admin endpoint.
 	Metrics *obs.Registry
-	// Trace receives per-flow spans (handshake, prep, scan, forward).
-	// Nil disables tracing; Emit must be safe for concurrent use.
+	// Trace, when Recorder is nil, receives every per-flow span
+	// (handshake, prep, scan, forward) as it is recorded (obs.StreamFlow).
+	// Nil with a nil Recorder disables tracing; Emit must be safe for
+	// concurrent use.
 	Trace obs.Sink
-	// Recorder, when set, interposes a per-flow flight recorder between
-	// the span producers and Trace: head-sampled flows (the decision is
-	// adopted from the client's hello, or taken here and injected into
-	// the forwarded hello) stream their spans; flows ending in an
-	// interesting state — alert, block, timeout, degradation, prep-retry
-	// exhaustion, injected fault, connection error — flush their whole
-	// ring; the rest are dropped. Nil preserves the legacy
-	// stream-everything behavior of Trace.
+	// Recorder, when set, records each flow in its flight recorder and
+	// Trace is not read: head-sampled flows (the decision is adopted from
+	// the client's hello, or taken here and injected into the forwarded
+	// hello) stream their spans; flows ending in an interesting state —
+	// alert, block, timeout, degradation, injected fault, connection
+	// error — flush their whole ring; the rest are dropped.
 	Recorder *obs.Recorder
 	// Logger receives structured connection-lifecycle and error logs.
 	// Nil discards them.
@@ -392,36 +386,26 @@ func (mb *Middlebox) interpose(id uint64, client, server net.Conn) (retErr error
 	if err != nil {
 		return mb.stepTimeout(id, "handshake", err)
 	}
-	fr := mb.recorder.BeginFlowSampled(id, obs.PartyMB, flowCtx, head)
-	sink := mb.trace
-	if fr != nil {
-		sink = fr
+	var fr *obs.FlowRecorder
+	if mb.recorder != nil {
+		fr = mb.recorder.BeginFlowSampled(id, obs.PartyMB, flowCtx, head)
+	} else {
+		fr = obs.StreamFlow(mb.trace, id, obs.PartyMB, flowCtx)
 	}
-	if fr != nil {
-		// Registered before the conn-span defer so it runs after it
-		// (LIFO): the connection span and any harvested injected faults
-		// land in the ring before End flushes or drops it.
-		defer func() {
-			mb.harvestFaults(fr, client, server)
-			fr.End(errString(retErr))
-		}()
-	}
-	if sink != nil && ownRoot {
-		// The middlebox owns the trace root: emit the conn span covering
+	// Registered before the conn-span defer so it runs after it (LIFO):
+	// the connection span and any harvested injected faults land in the
+	// ring before End flushes or drops it.
+	defer func() {
+		mb.harvestFaults(fr, client, server)
+		fr.End(errString(retErr))
+	}()
+	if ownRoot {
+		// The middlebox owns the trace root: record the conn span covering
 		// the whole interposition when it ends.
-		defer func() {
-			sp := obs.Span{
-				Flow: id, Party: obs.PartyMB, Name: obs.SpanConn,
-				Start: hsStart.UnixNano(), Dur: int64(time.Since(hsStart)),
-				Err: errString(retErr),
-			}
-			flowCtx.Stamp(&sp)
-			sink.Emit(sp)
-		}()
+		defer func() { fr.Span(flowCtx, hsStart, obs.Span{Name: obs.SpanConn, Err: errString(retErr)}) }()
 	}
-	hsSp := obs.Span{Flow: id, Party: obs.PartyMB, Name: obs.SpanHandshake}
-	flowCtx.Child().Stamp(&hsSp)
-	mb.observeSpan(sink, hsSp, hsStart, mb.met.handshake)
+	mb.met.handshake.Observe(time.Since(hsStart).Seconds())
+	fr.Span(flowCtx.Child(), hsStart, obs.Span{Name: obs.SpanHandshake})
 
 	cfg := core.Config{
 		Protocol: hello.Protocol,
@@ -437,19 +421,11 @@ func (mb *Middlebox) interpose(id uint64, client, server net.Conn) (retErr error
 	if err != nil {
 		return err
 	}
-	prep.SetTrace(sink, prepCtx, id)
-	if sink != nil {
-		// Building the rule-encryption circuit F dominates NewMiddlebox and
-		// is part of the §3.3 rule-encryption step; without this span the
-		// head of the preparation window would be unattributed.
-		sp := obs.Span{
-			Flow: id, Party: obs.PartyMB, Name: obs.SpanPrepRuleEnc,
-			Start: prepStart.UnixNano(), Dur: int64(time.Since(prepStart)),
-			Gates: prep.CircuitANDs(), Rows: len(req.Fragments),
-		}
-		prepCtx.Child().Stamp(&sp)
-		sink.Emit(sp)
-	}
+	prep.SetTrace(fr, prepCtx)
+	// Building the rule-encryption circuit F dominates NewMiddlebox and is
+	// part of the §3.3 rule-encryption step; without this span the head of
+	// the preparation window would be unattributed.
+	fr.Span(prepCtx.Child(), prepStart, obs.Span{Name: obs.SpanPrepRuleEnc, Gates: prep.CircuitANDs(), Rows: len(req.Fragments)})
 	var (
 		jobsC, jobsS     []*ruleprep.FragmentJob
 		labelsC, labelsS [][]bbcrypto.Block
@@ -459,11 +435,11 @@ func (mb *Middlebox) interpose(id uint64, client, server net.Conn) (retErr error
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		jobsC, labelsC, prepErr[0] = mb.runPrepRetry(id, cl, prep, prepCtx, "client", sink, fr)
+		jobsC, labelsC, prepErr[0] = mb.runPrep(cl, prep, prepCtx, "client", fr)
 	}()
 	go func() {
 		defer wg.Done()
-		jobsS, labelsS, prepErr[1] = mb.runPrepRetry(id, sv, prep, prepCtx, "server", sink, fr)
+		jobsS, labelsS, prepErr[1] = mb.runPrep(sv, prep, prepCtx, "server", fr)
 	}()
 	wg.Wait()
 	for _, e := range prepErr {
@@ -489,9 +465,8 @@ func (mb *Middlebox) interpose(id uint64, client, server net.Conn) (retErr error
 			return mb.stepTimeout(id, "write", err)
 		}
 	}
-	prepSp := obs.Span{Flow: id, Party: obs.PartyMB, Name: obs.SpanPrep}
-	prepCtx.Stamp(&prepSp)
-	mb.observeSpan(sink, prepSp, prepStart, mb.met.prep)
+	mb.met.prep.Observe(time.Since(prepStart).Seconds())
+	fr.Span(prepCtx, prepStart, obs.Span{Name: obs.SpanPrep})
 
 	// Setup is done: from here on Close drains instead of severing.
 	mb.endSetup(id)
@@ -513,10 +488,8 @@ func (mb *Middlebox) interpose(id uint64, client, server net.Conn) (retErr error
 	// Forward-span contexts are fixed before the goroutines start; scan
 	// spans on the detection shards parent to their direction's forward
 	// span, so per-batch detection shows up under the right direction.
-	flC.tctx = flowCtx.Child()
-	flS.tctx = flowCtx.Child()
-	flC.sink, flC.fr = sink, fr
-	flS.sink, flS.fr = sink, fr
+	flC.tctx, flC.fr = flowCtx.Child(), fr
+	flS.tctx, flS.fr = flowCtx.Child(), fr
 	// The error that ends a direction is ordinary teardown — a severed leg
 	// kills the other — so it is logged, not counted as a connection error.
 	fwd := func(src *leg, dst net.Conn, fl *flow) {
@@ -606,36 +579,6 @@ func (mb *Middlebox) interposeHello(client, server *leg) (transport.Hello, obs.S
 	return hello, flowCtx, ownRoot, head, nil
 }
 
-// runPrepRetry runs the preparation protocol over one leg under
-// Config.PrepRetry: each attempt restarts from SubPrepStart (the
-// endpoint's preparation loop is restartable) with a fresh Timeouts.Prep
-// deadline. Retries are counted (obs.MBRetriesTotal, op=prep) and logged.
-func (mb *Middlebox) runPrepRetry(id uint64, l *leg, prep *ruleprep.Middlebox, prepCtx obs.SpanCtx, legName string, sink obs.Sink, fr *obs.FlowRecorder) ([]*ruleprep.FragmentJob, [][]bbcrypto.Block, error) {
-	var (
-		jobs   []*ruleprep.FragmentJob
-		labels [][]bbcrypto.Block
-	)
-	pol := mb.cfg.PrepRetry
-	if pol.Notify == nil {
-		pol.Notify = func(attempt int, err error, backoff time.Duration) {
-			if backoff > 0 {
-				mb.met.retried("prep")
-				fr.Event(obs.SpanEventRetry, legName, "prep")
-				mb.log.Warn("rule preparation failed, retrying",
-					"conn", id, "attempt", attempt, "backoff", backoff, "err", err)
-			}
-		}
-	}
-	err := pol.Do(nil, func(int) error {
-		setDeadline(deadlineFor(mb.tmo.Prep), l.conn)
-		defer setDeadline(time.Time{}, l.conn)
-		var aerr error
-		jobs, labels, aerr = mb.runPrep(id, l, prep, prepCtx, legName, sink)
-		return aerr
-	})
-	return jobs, labels, err
-}
-
 // writeRecordT writes one record under the Write deadline.
 func (mb *Middlebox) writeRecordT(c net.Conn, typ transport.RecordType, body []byte) error {
 	_ = c.SetWriteDeadline(deadlineFor(mb.tmo.Write))
@@ -644,26 +587,15 @@ func (mb *Middlebox) writeRecordT(c net.Conn, typ transport.RecordType, body []b
 	return err
 }
 
-// runPrep executes the MB side of the preparation protocol over one leg.
-// When tracing, it breaks the leg into the §3.3 setup sub-spans — labels
-// (garbled rows + endpoint-label transfer, which includes the wait for the
-// endpoint's garbling), ot_base (base-OT round) and ot_ext (IKNP extension
-// + unmask) — all children of the flow's prep span, Dir marking the leg.
-func (mb *Middlebox) runPrep(id uint64, l *leg, prep *ruleprep.Middlebox, prepCtx obs.SpanCtx, legName string, sink obs.Sink) ([]*ruleprep.FragmentJob, [][]bbcrypto.Block, error) {
-	emit := func(name string, start time.Time, fill func(*obs.Span)) {
-		if sink == nil {
-			return
-		}
-		sp := obs.Span{
-			Flow: id, Dir: legName, Party: obs.PartyMB, Name: name,
-			Start: start.UnixNano(), Dur: int64(time.Since(start)),
-		}
-		if fill != nil {
-			fill(&sp)
-		}
-		prepCtx.Child().Stamp(&sp)
-		sink.Emit(sp)
-	}
+// runPrep executes the MB side of the preparation protocol over one leg,
+// under one Timeouts.Prep deadline. When tracing, it breaks the leg into
+// the §3.3 setup sub-spans — labels (garbled rows + endpoint-label
+// transfer, which includes the wait for the endpoint's garbling), ot_base
+// (base-OT round) and ot_ext (IKNP extension + unmask) — all children of
+// the flow's prep span, Dir marking the leg.
+func (mb *Middlebox) runPrep(l *leg, prep *ruleprep.Middlebox, prepCtx obs.SpanCtx, legName string, fr *obs.FlowRecorder) ([]*ruleprep.FragmentJob, [][]bbcrypto.Block, error) {
+	setDeadline(deadlineFor(mb.tmo.Prep), l.conn)
+	defer setDeadline(time.Time{}, l.conn)
 	n := prep.NumFragments()
 	start := make([]byte, 5)
 	start[0] = transport.SubPrepStart
@@ -717,9 +649,7 @@ func (mb *Middlebox) runPrep(id uint64, l *leg, prep *ruleprep.Middlebox, prepCt
 		labRows += st.TableRows
 		jobs[idx] = ruleprep.NewFragmentJob(idx, g, epLabels)
 	}
-	emit(obs.SpanPrepLabels, labStart, func(sp *obs.Span) {
-		sp.Bytes, sp.Gates, sp.Rows = labBytes, labGates, labRows
-	})
+	fr.Span(prepCtx.Child(), labStart, obs.Span{Dir: legName, Name: obs.SpanPrepLabels, Bytes: labBytes, Gates: labGates, Rows: labRows})
 
 	// OT batch over all fragments' choice bits.
 	obStart := time.Now()
@@ -739,7 +669,7 @@ func (mb *Middlebox) runPrep(id uint64, l *leg, prep *ruleprep.Middlebox, prepCt
 	if err != nil {
 		return nil, nil, err
 	}
-	emit(obs.SpanPrepOTBase, obStart, func(sp *obs.Span) { sp.Bytes = len(payload) })
+	fr.Span(prepCtx.Child(), obStart, obs.Span{Dir: legName, Name: obs.SpanPrepOTBase, Bytes: len(payload)})
 	oeStart := time.Now()
 	var choices []bool
 	for i := 0; i < n; i++ {
@@ -772,11 +702,8 @@ func (mb *Middlebox) runPrep(id uint64, l *leg, prep *ruleprep.Middlebox, prepCt
 	if err != nil {
 		return nil, nil, err
 	}
-	emit(obs.SpanPrepOTExt, oeStart, func(sp *obs.Span) {
-		st := recv.Stats()
-		sp.Bytes = st.CorrectionBytes + st.MaskedBytes
-		sp.Rows = st.Wires
-	})
+	st := recv.Stats()
+	fr.Span(prepCtx.Child(), oeStart, obs.Span{Dir: legName, Name: obs.SpanPrepOTExt, Bytes: st.CorrectionBytes + st.MaskedBytes, Rows: st.Wires})
 	perFrag := make([][]bbcrypto.Block, n)
 	for i := 0; i < n; i++ {
 		perFrag[i] = labels[i*256 : (i+1)*256]
@@ -800,14 +727,10 @@ type flow struct {
 	// spans stamp children of it. Written once before the forwarding
 	// goroutine starts, then read-only (shards read it concurrently).
 	tctx obs.SpanCtx
-	// sink receives this flow's spans: the connection's flight recorder
-	// when one exists, else the middlebox-wide trace sink, else nil.
+	// fr records the connection's spans and events — alerts, blocks,
+	// timeouts, degradation — so the flow's terminal state drives tail
+	// sampling; nil when untraced, and all its methods are nil-safe.
 	// Written once with tctx, then read-only.
-	sink obs.Sink
-	// fr is the connection's flight recorder (nil without one); events —
-	// alerts, blocks, timeouts, degradation — are recorded through it so
-	// the flow's terminal state drives tail sampling. All FlowRecorder
-	// methods are nil-safe.
 	fr *obs.FlowRecorder
 	// shard is the detection shard this flow is pinned to.
 	shard int
@@ -970,15 +893,9 @@ func stopTimer(t *time.Timer) {
 func (mb *Middlebox) forward(src *leg, dst net.Conn, fl *flow) error {
 	fwdStart := time.Now()
 	fwdBytes := 0
-	if fl.sink != nil {
+	if fl.fr != nil {
 		defer func() {
-			sp := obs.Span{
-				Flow: fl.id, Dir: string(fl.dir), Party: obs.PartyMB, Name: obs.SpanForward,
-				Start: fwdStart.UnixNano(), Dur: int64(time.Since(fwdStart)),
-				Bytes: fwdBytes,
-			}
-			fl.tctx.Stamp(&sp)
-			fl.sink.Emit(sp)
+			fl.fr.Span(fl.tctx, fwdStart, obs.Span{Dir: string(fl.dir), Name: obs.SpanForward, Bytes: fwdBytes})
 		}()
 	}
 	w := bufio.NewWriterSize(deadlineWriter{dst, mb.tmo.Write}, transport.BufSize)
@@ -1119,28 +1036,9 @@ func (mb *Middlebox) barrierWait(fl *flow) bool {
 //
 //bb:hotpath
 func (mb *Middlebox) observeScan(fl *flow, start time.Time, shard, tokens int) {
-	dur := time.Since(start)
-	mb.met.scan.Observe(dur.Seconds())
-	if fl.sink != nil {
-		sp := obs.Span{
-			Flow: fl.id, Dir: string(fl.dir), Party: obs.PartyMB,
-			Name: obs.SpanScan, Shard: mb.pool.ids[shard],
-			Start: start.UnixNano(), Dur: int64(dur), Tokens: tokens,
-		}
-		fl.tctx.Child().Stamp(&sp)
-		fl.sink.Emit(sp)
-	}
-}
-
-// observeSpan records dur-since-start in h and, when sink is non-nil,
-// emits sp with the timing filled in.
-func (mb *Middlebox) observeSpan(sink obs.Sink, sp obs.Span, start time.Time, h *obs.Histogram) {
-	dur := time.Since(start)
-	h.Observe(dur.Seconds())
-	if sink != nil {
-		sp.Start = start.UnixNano()
-		sp.Dur = int64(dur)
-		sink.Emit(sp)
+	mb.met.scan.Observe(time.Since(start).Seconds())
+	if fl.fr != nil {
+		fl.fr.Span(fl.tctx.Child(), start, obs.Span{Dir: string(fl.dir), Name: obs.SpanScan, Shard: mb.pool.ids[shard], Tokens: tokens})
 	}
 }
 

@@ -69,7 +69,7 @@ var Catalog = map[string]string{
 	MBPrepSeconds:        "Obfuscated rule encryption duration per connection (both legs).",
 
 	MBTimeoutsTotal:        "Deadline expiries by blocking step; label: step (handshake, prep, idle, write, barrier).",
-	MBRetriesTotal:         "Backoff retries performed by the middlebox; label: op (dial, prep).",
+	MBRetriesTotal:         "Backoff retries performed by the middlebox; label: op (dial).",
 	MBDegradedTotal:        "Connections degraded to fail-open forwarding after detection became unavailable.",
 	MBFailClosedDropsTotal: "Connections severed by the fail-closed policy after detection became unavailable.",
 	MBUnscannedBytes:       "Data-record payload bytes forwarded without detection under fail-open degradation.",

@@ -388,9 +388,11 @@ type FlowSummary struct {
 // FlowRecorder is one flow's flight recorder: a Sink whose Emit appends to
 // the pooled ring (and streams to the real sink when the flow is
 // head-sampled). All methods are safe for concurrent use and on a nil
-// receiver; Emits after End are dropped as stragglers.
+// receiver; Emits after End are dropped as stragglers. A StreamFlow has no
+// ring and passes every span straight to its sink.
 type FlowRecorder struct {
 	rec      *Recorder
+	stream   Sink // a StreamFlow's sink; nil for a Recorder's flow
 	flow     uint64
 	party    string
 	ctx      SpanCtx
@@ -421,6 +423,33 @@ func (f *FlowRecorder) Context() SpanCtx {
 	return f.ctx
 }
 
+// StreamFlow returns the flow recorder of a party that has a sink and no
+// Recorder: it has no ring, every span goes straight to sink unlabeled and
+// unchanged, End drops nothing and Event records nothing. A nil sink
+// returns nil, the untraced flow.
+func StreamFlow(sink Sink, flow uint64, party string, ctx SpanCtx) *FlowRecorder {
+	if sink == nil {
+		return nil
+	}
+	return &FlowRecorder{stream: sink, flow: flow, party: party, ctx: ctx}
+}
+
+// Span records one finished span of this flow: it fills in the flow ID,
+// the party, and the start and duration from start to now, stamps ctx — the
+// span's own context, parent.Child() for a leaf — and records the span.
+// It does nothing on a nil receiver.
+//
+//bb:hotpath
+func (f *FlowRecorder) Span(ctx SpanCtx, start time.Time, sp Span) {
+	if f == nil {
+		return
+	}
+	sp.Flow, sp.Party = f.flow, f.party
+	sp.Start, sp.Dur = start.UnixNano(), int64(time.Since(start))
+	ctx.Stamp(&sp)
+	f.Emit(sp)
+}
+
 // Emit implements Sink: it records sp into the flow's ring and, when the
 // flow is head-sampled, streams it to the real sink immediately. A span
 // carrying an error marks the flow interesting (tail retention).
@@ -430,15 +459,19 @@ func (f *FlowRecorder) Emit(sp Span) {
 	if f == nil {
 		return
 	}
+	if f.stream != nil {
+		f.stream.Emit(sp)
+		return
+	}
 	f.record(sp, sp.Err != "", sp.Err)
 }
 
-// Event records a key lifecycle incident (retry, timeout, degradation,
-// fault, alert, block — the SpanEvent* names) as a zero-duration span
-// parented under the flow's connection context. Every event except a
-// survivable retry marks the flow interesting, so its ring tail-flushes.
+// Event records a key lifecycle incident (timeout, degradation, fault,
+// alert, block — the SpanEvent* names) as a zero-duration span parented
+// under the flow's connection context. Every event marks the flow
+// interesting, so its ring tail-flushes.
 func (f *FlowRecorder) Event(name, dir, detail string) {
-	if f == nil {
+	if f == nil || f.stream != nil {
 		return
 	}
 	sp := Span{
@@ -449,7 +482,7 @@ func (f *FlowRecorder) Event(name, dir, detail string) {
 		sp.SpanID = NewSpanID()
 		sp.Parent = f.ctx.Span
 	}
-	f.record(sp, name != SpanEventRetry, name)
+	f.record(sp, true, name)
 }
 
 // record is the shared append path of Emit and Event. It must stay free of
@@ -535,9 +568,13 @@ func (f *FlowRecorder) Snapshot() []Span {
 // non-empty errMsg counts — tail-flush their ring to the sink, and the
 // rest drop. The ring returns to the pool either way; stragglers emitting
 // after End are dropped. End is idempotent and returns the disposition.
+// On a StreamFlow, which has already streamed everything, it does nothing.
 func (f *FlowRecorder) End(errMsg string) Disposition {
 	if f == nil {
 		return DispositionDrop
+	}
+	if f.stream != nil {
+		return DispositionHead
 	}
 	f.mu.Lock()
 	if f.closed {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func testTraceID(n uint64) TraceID {
@@ -157,9 +158,6 @@ func TestRecorderDropsBoringFlows(t *testing.T) {
 	rec := NewRecorder(RecorderConfig{Sample: 0, Sink: sink, Metrics: reg})
 	fr := rec.BeginFlow(2, PartyServer, NewSpanCtx())
 	fr.Emit(Span{Flow: 2, Name: SpanTokenize})
-	// A survivable retry is the one event that does not mark the flow
-	// interesting on its own.
-	fr.Event(SpanEventRetry, "server", "prep")
 	if d := fr.End(""); d != DispositionDrop {
 		t.Fatalf("disposition = %v, want drop", d)
 	}
@@ -315,8 +313,9 @@ func TestRecorderConcurrentRecordFlushEvict(t *testing.T) {
 
 // TestRecordPathZeroAllocs pins the dynamic half of the //bb:hotpath
 // contract: at steady state (ring warmed past one wraparound) recording a
-// span allocates nothing. Skipped under -race, whose instrumentation
-// allocates on its own account.
+// span allocates nothing, whether emitted whole or through
+// FlowRecorder.Span, and neither does a StreamFlow's Emit. Skipped under
+// -race, whose instrumentation allocates on its own account.
 func TestRecordPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -332,8 +331,52 @@ func TestRecordPathZeroAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, func() { fr.Emit(sp) }); avg != 0 {
 		t.Errorf("record path allocates %.2f per span, want 0", avg)
 	}
+	start := time.Now()
+	leaf := Span{Dir: "c2s", Name: SpanScan, Shard: ShardID(0), Tokens: 512}
+	if avg := testing.AllocsPerRun(1000, func() { fr.Span(ctx.Child(), start, leaf) }); avg != 0 {
+		t.Errorf("FlowRecorder.Span allocates %.2f per span, want 0", avg)
+	}
 	fr.End("")
+	var n countSink
+	stream := StreamFlow(&n, 9, PartyMB, ctx)
+	if avg := testing.AllocsPerRun(1000, func() { stream.Emit(sp) }); avg != 0 {
+		t.Errorf("StreamFlow Emit allocates %.2f per span, want 0", avg)
+	}
 }
+
+// TestStreamFlowPassesSpansThrough: a StreamFlow hands every span to its
+// sink unchanged and unlabeled, records no events, keeps streaming after
+// End, and a nil sink is the untraced (nil) flow.
+func TestStreamFlowPassesSpansThrough(t *testing.T) {
+	if fr := StreamFlow(nil, 1, PartyClient, NewSpanCtx()); fr != nil {
+		t.Fatal("StreamFlow with a nil sink is not nil")
+	}
+	sink := &CollectSink{}
+	ctx := NewSpanCtx()
+	fr := StreamFlow(sink, 4, PartyServer, ctx)
+	start := time.Now()
+	fr.Span(ctx, start, Span{Name: SpanConn, Err: "boom"})
+	fr.Event(SpanEventAlert, "c2s", "sid 1")
+	fr.End("boom")
+	fr.Emit(Span{Flow: 4, Name: SpanTokenize})
+	got := sink.Spans()
+	if len(got) != 2 || got[0].Name != SpanConn || got[1].Name != SpanTokenize {
+		t.Fatalf("sink got %+v, want the conn span then the late tokenize span", got)
+	}
+	want := Span{TraceID: ctx.TraceString(), SpanID: ctx.Span, Party: PartyServer, Flow: 4,
+		Name: SpanConn, Start: start.UnixNano(), Dur: got[0].Dur, Err: "boom"}
+	if got[0] != want {
+		t.Errorf("conn span = %+v, want %+v", got[0], want)
+	}
+	if got[1].TraceID != "" || got[1].Sampled != "" {
+		t.Errorf("emitted span was restamped: %+v", got[1])
+	}
+}
+
+// countSink counts the spans it receives and keeps none.
+type countSink struct{ n int }
+
+func (s *countSink) Emit(Span) { s.n++ }
 
 func TestRecorderDebugEndpoints(t *testing.T) {
 	reg := NewRegistry()

@@ -53,7 +53,6 @@ const (
 // flow was interesting. They parent under the flow's connection context
 // like ordinary spans; Err carries the detail (leg, rule SID, fault).
 const (
-	SpanEventRetry    = "event.retry"    // a bounded retry fired (dial/prep)
 	SpanEventTimeout  = "event.timeout"  // a step deadline expired (barrier, idle, write)
 	SpanEventDegraded = "event.degraded" // fail-open degradation: flow forwards unscanned
 	SpanEventFault    = "event.fault"    // netem fault injected on a leg

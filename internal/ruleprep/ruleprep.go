@@ -109,19 +109,18 @@ type Endpoint struct {
 	//bb:secret
 	krand bbcrypto.Block
 
-	trace  obs.Sink
-	tctx   obs.SpanCtx
-	tflow  uint64
-	tparty string
+	fr   *obs.FlowRecorder
+	tctx obs.SpanCtx
 }
 
-// SetTrace attaches a span sink to the endpoint: every subsequent Garble
-// call emits one prep.garble span parented to ctx (the endpoint's
+// SetTrace attaches the endpoint's flow recorder: every subsequent Garble
+// call records one prep.garble span parented to ctx (the endpoint's
 // handshake span), sized by the circuit's AND gates, garbled rows and
 // wire bytes. Call it before GarbleEach; Garble itself may then run
-// concurrently, since span-ID allocation and sinks are concurrency-safe.
-func (e *Endpoint) SetTrace(sink obs.Sink, ctx obs.SpanCtx, flow uint64, party string) {
-	e.trace, e.tctx, e.tflow, e.tparty = sink, ctx, flow, party
+// concurrently, since span-ID allocation and flow recorders are
+// concurrency-safe.
+func (e *Endpoint) SetTrace(fr *obs.FlowRecorder, ctx obs.SpanCtx) {
+	e.fr, e.tctx = fr, ctx
 }
 
 // NewEndpoint creates an endpoint-side session. k is the session detection
@@ -152,21 +151,8 @@ func (e *Endpoint) Garble(i int) (*FragmentJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.trace != nil {
-		st := g.Stats()
-		sp := obs.Span{
-			Flow:  e.tflow,
-			Party: e.tparty,
-			Name:  obs.SpanPrepGarble,
-			Start: start.UnixNano(),
-			Dur:   time.Since(start).Nanoseconds(),
-			Gates: st.Gates,
-			Rows:  st.TableRows,
-			Bytes: st.WireBytes,
-		}
-		e.tctx.Child().Stamp(&sp)
-		e.trace.Emit(sp)
-	}
+	st := g.Stats()
+	e.fr.Span(e.tctx.Child(), start, obs.Span{Name: obs.SpanPrepGarble, Gates: st.Gates, Rows: st.TableRows, Bytes: st.WireBytes})
 	job := &FragmentJob{Index: i, G: g}
 
 	job.EndpointLabels = make([]bbcrypto.Block, endpointWires)
@@ -239,16 +225,15 @@ type Middlebox struct {
 	circ *circuit.Circuit
 	req  Request
 
-	trace obs.Sink
-	tctx  obs.SpanCtx
-	tflow uint64
+	fr   *obs.FlowRecorder
+	tctx obs.SpanCtx
 }
 
-// SetTrace attaches a span sink to the middlebox session: every
-// subsequent VerifyAndEvaluate emits one prep.rule_enc span parented to
-// ctx (the middlebox's prep span).
-func (m *Middlebox) SetTrace(sink obs.Sink, ctx obs.SpanCtx, flow uint64) {
-	m.trace, m.tctx, m.tflow = sink, ctx, flow
+// SetTrace attaches the middlebox's flow recorder: every subsequent
+// VerifyAndEvaluate records one prep.rule_enc span parented to ctx (the
+// middlebox's prep span).
+func (m *Middlebox) SetTrace(fr *obs.FlowRecorder, ctx obs.SpanCtx) {
+	m.fr, m.tctx = fr, ctx
 }
 
 // NewMiddlebox creates the MB session for the given rule fragments.
@@ -329,30 +314,18 @@ func (m *Middlebox) Evaluate(i int, job *FragmentJob, otLabels []bbcrypto.Block)
 // VerifyAndEvaluate performs the complete middlebox-side finishing work
 // for fragment i — cross-checking the two endpoints' garbled circuits,
 // cross-checking the labels each endpoint's OT delivered, and evaluating
-// the circuit — and, when tracing, emits one prep.rule_enc span covering
+// the circuit — and, when tracing, records one prep.rule_enc span covering
 // it. It is the single entry point the network middlebox and RunLocal
 // share, so traces describe every deployment the same way.
 func (m *Middlebox) VerifyAndEvaluate(i int, jobS, jobR *FragmentJob, labS, labR []bbcrypto.Block) (dpienc.TokenKey, error) {
 	start := time.Now()
 	key, err := m.verifyAndEvaluate(i, jobS, jobR, labS, labR)
-	if m.trace != nil {
-		st := jobS.G.Stats()
-		sp := obs.Span{
-			Flow:  m.tflow,
-			Party: obs.PartyMB,
-			Name:  obs.SpanPrepRuleEnc,
-			Start: start.UnixNano(),
-			Dur:   time.Since(start).Nanoseconds(),
-			Gates: st.Gates,
-			Rows:  st.TableRows,
-			Bytes: st.WireBytes,
-		}
-		if err != nil && err != ErrUnauthorized {
-			sp.Err = err.Error()
-		}
-		m.tctx.Child().Stamp(&sp)
-		m.trace.Emit(sp)
+	st := jobS.G.Stats()
+	sp := obs.Span{Name: obs.SpanPrepRuleEnc, Gates: st.Gates, Rows: st.TableRows, Bytes: st.WireBytes}
+	if err != nil && err != ErrUnauthorized {
+		sp.Err = err.Error()
 	}
+	m.fr.Span(m.tctx.Child(), start, sp)
 	return key, err
 }
 

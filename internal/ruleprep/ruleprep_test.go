@@ -224,7 +224,7 @@ func (s *spanCounter) Emit(sp obs.Span) {
 func TestGarbleEachRefusesOversizedRun(t *testing.T) {
 	ep := NewEndpoint(bbcrypto.Block{1}, bbcrypto.Block{2}, bbcrypto.Block{3})
 	var spans spanCounter
-	ep.SetTrace(&spans, obs.NewSpanCtx(), 1, obs.PartyClient)
+	ep.SetTrace(obs.StreamFlow(&spans, 1, obs.PartyClient, obs.SpanCtx{}), obs.NewSpanCtx())
 	for _, n := range []int{MaxFragments + 1, 1 << 31, -1} {
 		err := ep.GarbleEach(n, func(*FragmentJob) error {
 			t.Error("emit called for a refused run")
@@ -245,7 +245,7 @@ func TestGarbleEachRefusesOversizedRun(t *testing.T) {
 func TestGarbleEachIsOrderedAndBounded(t *testing.T) {
 	ep := NewEndpoint(bbcrypto.Block{1}, bbcrypto.Block{2}, bbcrypto.Block{3})
 	var spans spanCounter
-	ep.SetTrace(&spans, obs.NewSpanCtx(), 1, obs.PartyClient)
+	ep.SetTrace(obs.StreamFlow(&spans, 1, obs.PartyClient, obs.SpanCtx{}), obs.NewSpanCtx())
 	const n = 12
 	bound := int64(runtime.GOMAXPROCS(0) + 1)
 	emitted := 0
@@ -267,7 +267,7 @@ func TestGarbleEachIsOrderedAndBounded(t *testing.T) {
 	if emitted != n || spans.garbled.Load() != n {
 		t.Fatalf("emitted %d, garbled %d, want %d", emitted, spans.garbled.Load(), n)
 	}
-	ep.SetTrace(nil, obs.SpanCtx{}, 0, "")
+	ep.SetTrace(nil, obs.SpanCtx{})
 	want, err := ep.Garble(n - 1)
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestGarbleEachIsOrderedAndBounded(t *testing.T) {
 func TestGarbleEachStopsAtEmitError(t *testing.T) {
 	ep := NewEndpoint(bbcrypto.Block{1}, bbcrypto.Block{2}, bbcrypto.Block{3})
 	var spans spanCounter
-	ep.SetTrace(&spans, obs.NewSpanCtx(), 1, obs.PartyClient)
+	ep.SetTrace(obs.StreamFlow(&spans, 1, obs.PartyClient, obs.SpanCtx{}), obs.NewSpanCtx())
 	boom := errors.New("peer went away")
 	calls := 0
 	err := ep.GarbleEach(64, func(*FragmentJob) error {

@@ -53,16 +53,16 @@ type ConnConfig struct {
 	// Only Dial consults it — Client and Server run on an established
 	// transport and never retry.
 	DialRetry retry.Policy
-	// Trace receives this endpoint's spans (handshake, tokenize, encrypt).
-	// Endpoints never see middlebox connection IDs, so spans carry a
-	// transport-local flow sequence number instead.
+	// Trace, when Recorder is nil, receives every span of this endpoint
+	// (conn, handshake, prep.garble, tokenize, encrypt) as it is recorded
+	// (obs.StreamFlow). Endpoints never see middlebox connection IDs, so
+	// spans carry a transport-local flow sequence number instead.
 	Trace obs.Sink
-	// Recorder, when set, interposes a per-flow flight recorder between
-	// the span producers and Trace: head-sampled flows stream, flows that
+	// Recorder, when set, records this endpoint's flows in its flight
+	// recorder and Trace is not read: head-sampled flows stream, flows that
 	// end in an interesting state flush their ring, the rest are dropped.
 	// A tracing client puts its head-sampling decision on the hello so
-	// middlebox and server keep the same flows. Nil preserves the legacy
-	// stream-everything behavior of Trace.
+	// middlebox and server keep the same flows.
 	Recorder *obs.Recorder
 }
 
@@ -108,16 +108,14 @@ type Conn struct {
 	readErr  error
 	// termErr republishes readErr for Close, which may run on a
 	// different goroutine than the reader (e.g. under a stream Mux).
-	termErr        atomic.Pointer[error]
-	wroteClose     bool
-	validationSkip bool
+	termErr    atomic.Pointer[error]
+	wroteClose bool
 
-	// flowID labels this endpoint's spans; it and trace stay zero when
+	// flowID labels this endpoint's spans; it and fr stay zero when
 	// neither ConnConfig.Trace nor Recorder is set.
 	flowID uint64
-	trace  obs.Sink
-	// fr is this flow's flight recorder (nil without ConnConfig.Recorder);
-	// when set it is the span sink and owns the flush/drop decision.
+	// fr records every span of this flow (see beginFlow); nil when
+	// untraced, and all its methods are nil-safe.
 	fr *obs.FlowRecorder
 	// ctx is the connection span's trace context: the root of a fresh
 	// trace on a tracing client, or a child of the peer-negotiated root
@@ -144,17 +142,16 @@ func (c *Conn) traced() bool {
 	return c.cfg.Trace != nil || c.cfg.Recorder != nil
 }
 
-// traceSink is where this connection's spans go: the flow's flight
-// recorder when one exists, else the configured sink (legacy streaming),
-// else nil.
-func (c *Conn) traceSink() obs.Sink {
-	if c.fr != nil {
-		return c.fr
+// beginFlow starts this flow's recorder under c.ctx: the Recorder's flow,
+// with head-sampling decision head, when a Recorder is configured, else a
+// stream to Trace. It runs as soon as c.ctx is set — before the hello on a
+// client — so a failed handshake is recorded too.
+func (c *Conn) beginFlow(head bool) {
+	if r := c.cfg.Recorder; r != nil {
+		c.fr = r.BeginFlowSampled(c.flowID, c.party(), c.ctx, head)
+	} else {
+		c.fr = obs.StreamFlow(c.cfg.Trace, c.flowID, c.party(), c.ctx)
 	}
-	if c.cfg.Trace != nil {
-		return c.cfg.Trace
-	}
-	return nil
 }
 
 // Dial opens a BlindBox HTTPS connection to addr (typically the middlebox
@@ -259,6 +256,7 @@ func (c *Conn) runHandshake() error {
 				my.HasSample = true
 				my.Sampled = head
 			}
+			c.beginFlow(head)
 		}
 		if err := WriteRecord(c.raw, RecHello, MarshalHello(my)); err != nil {
 			return err
@@ -308,6 +306,7 @@ func (c *Conn) runHandshake() error {
 					head = c.cfg.Recorder.Decide(c.ctx.Trace)
 				}
 			}
+			c.beginFlow(head)
 		}
 		if err := WriteRecord(c.raw, RecHelloReply, MarshalHello(my)); err != nil {
 			return err
@@ -315,13 +314,6 @@ func (c *Conn) runHandshake() error {
 	}
 	c.mbPresent = peer.MBPresent
 	c.hsCtx = c.ctx.Child()
-	if c.cfg.Recorder != nil {
-		// Begin the flight recorder before rule preparation so the
-		// prep.garble sub-spans land in the ring too.
-		if fr := c.cfg.Recorder.BeginFlowSampled(c.flowID, c.party(), c.ctx, head); fr != nil {
-			c.fr = fr
-		}
-	}
 
 	peerKey, err := ecdh.X25519().NewPublicKey(peer.PublicKey)
 	if err != nil {
@@ -353,24 +345,14 @@ func (c *Conn) runHandshake() error {
 
 // instrument wires the endpoint's tracing after a successful handshake:
 // the handshake span (rule preparation included) and the sender
-// pipeline's tokenize/encrypt spans. Without Trace or Recorder it does
-// nothing.
+// pipeline's tokenize/encrypt spans. Untraced, it leaves both off.
 func (c *Conn) instrument(hsStart time.Time) {
-	c.trace = c.traceSink()
-	if c.trace == nil {
-		return
-	}
+	c.fr.Span(c.hsCtx, hsStart, obs.Span{Name: obs.SpanHandshake})
 	dir := "s2c"
 	if c.isClient {
 		dir = "c2s"
 	}
-	sp := obs.Span{
-		Flow: c.flowID, Party: c.party(), Name: obs.SpanHandshake,
-		Start: hsStart.UnixNano(), Dur: int64(time.Since(hsStart)),
-	}
-	c.hsCtx.Stamp(&sp)
-	c.trace.Emit(sp)
-	c.pipe.Instrument(c.trace, c.flowID, dir, c.ctx, c.party())
+	c.pipe.Instrument(c.fr, dir)
 }
 
 // send writes b, the framed records of one chunk, in one socket write under
@@ -396,15 +378,14 @@ func (c *Conn) MBPresent() bool { return c.mbPresent }
 // it garbles the generic function F and plays the OT sender.
 func (c *Conn) servePreparation() error {
 	ep := ruleprep.NewEndpoint(c.keys.K, c.cfg.RG.TagKey, c.keys.KRand)
-	if sink := c.traceSink(); sink != nil {
-		// Per-circuit prep.garble spans parent under this endpoint's
-		// handshake span.
-		ep.SetTrace(sink, c.hsCtx, c.flowID, c.party())
-	}
+	// Per-circuit prep.garble spans parent under this endpoint's handshake
+	// span.
+	ep.SetTrace(c.fr, c.hsCtx)
 	var (
-		sender *ot.ExtSender
-		pairs  [][2]bbcrypto.Block
-		rec    []byte // the outgoing record body, framed once and reused by every message
+		started bool
+		sender  *ot.ExtSender
+		pairs   [][2]bbcrypto.Block
+		rec     []byte // the outgoing record body, framed once and reused by every message
 	)
 	for {
 		typ, body, err := ReadRecord(c.rd)
@@ -420,14 +401,16 @@ func (c *Conn) servePreparation() error {
 		sub, payload := body[0], body[1:]
 		switch sub {
 		case SubPrepStart:
-			if len(payload) != 4 {
+			// One run per handshake: the OT phase covers the pairs of every
+			// circuit sent, so a second run could not be told from the first.
+			if len(payload) != 4 || started {
 				return errors.New("bad prep start")
 			}
+			started = true
 			// The count is the peer's word; GarbleEach refuses one over
 			// ruleprep.MaxFragments and keeps a bounded number of circuits
 			// alive however slowly the peer reads them.
 			n := int(binary.BigEndian.Uint32(payload))
-			pairs = pairs[:0]
 			err := ep.GarbleEach(n, func(job *ruleprep.FragmentJob) error {
 				rec = append(rec[:0], SubCircuit)
 				rec = binary.BigEndian.AppendUint32(rec, uint32(job.Index))
@@ -595,25 +578,10 @@ func (c *Conn) Close() error {
 // ("" for a clean close); a non-empty error marks the flow interesting.
 func (c *Conn) finishTrace(errMsg string) {
 	c.closeOnce.Do(func() {
-		if sink := c.traceSink(); sink != nil && c.ctx.Valid() {
-			sp := obs.Span{
-				Flow: c.flowID, Party: c.party(), Name: obs.SpanConn,
-				Start: c.connStart.UnixNano(), Dur: int64(time.Since(c.connStart)),
-				Err: errMsg,
-			}
-			c.ctx.Stamp(&sp)
-			sink.Emit(sp)
-		}
-		if c.fr != nil {
-			c.fr.End(errMsg)
-		}
+		c.fr.Span(c.ctx, c.connStart, obs.Span{Name: obs.SpanConn, Err: errMsg})
+		c.fr.End(errMsg)
 	})
 }
-
-// SetValidationDisabled turns off receiver-side token validation — used
-// only by tests modeling a lazy receiver; an honest BlindBox receiver
-// always validates (§3.4).
-func (c *Conn) SetValidationDisabled(v bool) { c.validationSkip = v }
 
 // Read returns decrypted, validated payload bytes (both text and binary
 // kinds). It returns io.EOF after the peer's RecClose, and a
@@ -656,9 +624,7 @@ func (c *Conn) readRecord() error {
 			return err
 		}
 		c.recvToks = toks
-		if !c.validationSkip {
-			c.validator.ReceiveTokens(toks) // copies
-		}
+		c.validator.ReceiveTokens(toks) // copies
 		return nil
 	case RecData:
 		binary.BigEndian.PutUint64(c.nonceIn[4:], c.seqIn)
@@ -671,27 +637,23 @@ func (c *Conn) readRecord() error {
 			return errors.New("transport: empty data record")
 		}
 		kind, payload := pt[0], pt[1:]
-		if !c.validationSkip {
-			switch kind {
-			case kindText:
-				if err := c.validator.ValidateText(payload); err != nil {
-					return err
-				}
-			case kindBinary:
-				if err := c.validator.ValidateBinary(len(payload)); err != nil {
-					return err
-				}
-			default:
-				return fmt.Errorf("transport: unknown data kind %d", kind)
+		switch kind {
+		case kindText:
+			if err := c.validator.ValidateText(payload); err != nil {
+				return err
 			}
+		case kindBinary:
+			if err := c.validator.ValidateBinary(len(payload)); err != nil {
+				return err
+			}
+		default:
+			return fmt.Errorf("transport: unknown data kind %d", kind)
 		}
 		c.readBuf = payload
 		return nil
 	case RecClose:
-		if !c.validationSkip {
-			if err := c.validator.Finish(); err != nil {
-				return err
-			}
+		if err := c.validator.Finish(); err != nil {
+			return err
 		}
 		return io.EOF
 	default:

@@ -54,6 +54,7 @@ func servePrepOverPipe(t *testing.T, w *prepWatcher) (net.Conn, <-chan error) {
 		rd:   bufio.NewReader(theirs),
 		cfg:  ConnConfig{Trace: w, RG: RGMaterial{TagKey: bbcrypto.Block{2}}},
 		keys: bbcrypto.SessionKeys{K: bbcrypto.Block{1}, KRand: bbcrypto.Block{3}},
+		fr:   obs.StreamFlow(w, 1, obs.PartyServer, obs.SpanCtx{}),
 	}
 	done := make(chan error, 1)
 	go func() { done <- c.servePreparation() }()
@@ -169,5 +170,27 @@ func TestPreparationRefusesHostileCount(t *testing.T) {
 		if got := w.garbled.Load(); got != 0 {
 			t.Fatalf("SubPrepStart(%d): %d circuits garbled", n, got)
 		}
+	}
+}
+
+// TestPreparationRefusesSecondStart: preparation runs once per handshake. A
+// second SubPrepStart after the first run's circuits ends preparation at the
+// endpoint with an error instead of garbling a second batch.
+func TestPreparationRefusesSecondStart(t *testing.T) {
+	w := &prepWatcher{t: t, bound: 1 << 30, reached: make(chan struct{})}
+	mb, done := servePrepOverPipe(t, w)
+	go func() { _, _ = io.Copy(io.Discard, mb) }()
+	go func() {
+		for _, rec := range [][]byte{prepStart(1), prepStart(1), {SubPrepDone}} {
+			if WriteRecord(mb, RecGarble, rec) != nil {
+				return
+			}
+		}
+	}()
+	if err := <-done; err == nil {
+		t.Fatal("second SubPrepStart accepted")
+	}
+	if got := w.garbled.Load(); got != 1 {
+		t.Fatalf("%d circuits garbled, want 1", got)
 	}
 }

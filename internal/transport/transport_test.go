@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"slices"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/bbcrypto"
 	"repro/internal/core"
 	"repro/internal/dpienc"
+	"repro/internal/obs"
 	"repro/internal/tokenize"
 )
 
@@ -553,53 +556,72 @@ func TestBlocksRoundTrip(t *testing.T) {
 	}
 }
 
-func TestValidationDisabledAcceptsForgedTokens(t *testing.T) {
-	// A receiver that opts out of §3.4 validation (lazy receiver model in
-	// tests) must deliver data even when the token channel is wrong.
+func TestForgedTokensRejected(t *testing.T) {
+	// A token channel that does not match the payload is evidence of an
+	// evading sender: the receiver's §3.4 validation must refuse the data.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
 	cfg := ConnConfig{Core: core.DefaultConfig()}
-	got := make(chan []byte, 1)
-	errCh := make(chan error, 1)
+	readErr := make(chan error, 1)
 	go func() {
 		raw, err := ln.Accept()
 		if err != nil {
-			errCh <- err
+			readErr <- err
 			return
 		}
 		s, err := Server(raw, cfg)
 		if err != nil {
-			errCh <- err
+			readErr <- err
 			return
 		}
-		s.SetValidationDisabled(true)
-		data, err := io.ReadAll(s)
-		if err != nil {
-			errCh <- err
-			return
-		}
-		got <- data
+		defer s.Close()
+		_, err = io.ReadAll(s)
+		readErr <- err
 	}()
 	client, err := Dial(ln.Addr().String(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer client.Close()
 	// Forge the token channel by writing a bogus token record directly.
 	if err := WriteRecord(client.raw, RecTokens, MarshalTokens([]dpienc.EncryptedToken{{Offset: 1}}, false)); err != nil {
 		t.Fatal(err)
 	}
 	client.Write([]byte("payload anyway"))
 	client.CloseWrite()
-	select {
-	case data := <-got:
-		if !bytes.Equal(data, []byte("payload anyway")) {
-			t.Fatalf("got %q", data)
-		}
-	case err := <-errCh:
-		t.Fatalf("lazy receiver rejected traffic: %v", err)
+	if err := <-readErr; !errors.Is(err, core.ErrTokenMismatch) {
+		t.Fatalf("server read = %v, want core.ErrTokenMismatch", err)
 	}
-	client.Close()
+}
+
+// TestFailedHandshakeIsRecorded: a client whose server reads its hello and
+// hangs up records its connection span, carrying the error, whether it
+// streams to Trace or keeps a flight recorder that samples nothing.
+func TestFailedHandshakeIsRecorded(t *testing.T) {
+	for name, cfg := range map[string]func(obs.Sink) ConnConfig{
+		"trace": func(s obs.Sink) ConnConfig { return ConnConfig{Core: core.DefaultConfig(), Trace: s} },
+		"recorder": func(s obs.Sink) ConnConfig {
+			return ConnConfig{Core: core.DefaultConfig(), Recorder: obs.NewRecorder(obs.RecorderConfig{Sink: s})}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cli, srv := net.Pipe()
+			defer cli.Close()
+			go func() {
+				defer srv.Close()
+				_, _, _ = ReadRecord(bufio.NewReader(srv))
+			}()
+			sink := &obs.CollectSink{}
+			if _, err := Client(cli, cfg(sink)); err == nil {
+				t.Fatal("handshake succeeded against a server that hung up")
+			}
+			spans := sink.Spans()
+			if len(spans) != 1 || spans[0].Name != obs.SpanConn || spans[0].Err == "" {
+				t.Fatalf("recorded %+v, want one conn span carrying the error", spans)
+			}
+		})
+	}
 }
