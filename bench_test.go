@@ -1,14 +1,15 @@
-// Benchmarks regenerating the paper's evaluation under `go test -bench`:
-// one benchmark (or family) per table and figure, plus the design-choice
-// ablations DESIGN.md calls out. cmd/blindbench prints the same results as
-// formatted tables; these expose them to standard Go tooling.
+// Benchmarks under `go test -bench`. BenchmarkPaper runs every timed cell
+// of the paper's tables: internal/experiments' Cells, the same functions
+// cmd/blindbench prints Table 2, §7.2.2, Figs. 3/4 and §7.2.3 from. The
+// rest time what no experiment prints: the sender pipeline stage by stage,
+// the AES kernel, batched and parallel detection, rule preparation's
+// evaluation and OT legs, and the design-choice ablations DESIGN.md calls
+// out.
 package blindbox
 
 import (
-	"crypto/rand"
 	"crypto/sha256"
 	"fmt"
-	mrand "math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -20,193 +21,35 @@ import (
 	"repro/internal/dpienc"
 	"repro/internal/experiments"
 	"repro/internal/garble"
-	"repro/internal/netem"
 	"repro/internal/ot"
 	"repro/internal/ruleprep"
-	"repro/internal/rules"
-	"repro/internal/strawman"
 	"repro/internal/tokenize"
 )
 
-func newBenchRand() *mrand.Rand { return mrand.New(mrand.NewSource(experiments.Seed)) }
-
-// ---------------------------------------------------------------------------
-// Table 1
-
-// BenchmarkTable1Classification parses and classifies all six dataset
-// models (the full Table 1 computation).
-func BenchmarkTable1Classification(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table1(); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkPaper runs each of the paper's timed cells as a sub-benchmark
+// named after the cell.
+func BenchmarkPaper(b *testing.B) {
+	for _, c := range experiments.Cells() {
+		b.Run(c.Name, c.F)
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Table 2 — client encryption rows
-
-func benchToken() tokenize.Token {
-	var t tokenize.Token
-	copy(t.Text[:], "benigntk")
-	return t
-}
-
-// BenchmarkEncryptTokenVanilla is the vanilla-HTTPS row: AES-GCM over one
-// 16-byte block (paper: 13 ns).
-func BenchmarkEncryptTokenVanilla(b *testing.B) {
-	gcm := bbcrypto.NewGCM(bbcrypto.Block{1})
-	nonce := make([]byte, gcm.NonceSize())
-	pt := make([]byte, 16)
-	buf := make([]byte, 0, 64)
-	b.SetBytes(16)
-	for i := 0; i < b.N; i++ {
-		buf = gcm.Seal(buf[:0], nonce, pt, nil)
-	}
-}
-
-// BenchmarkEncryptTokenBlindBox is DPIEnc token encryption (paper: 69 ns).
-func BenchmarkEncryptTokenBlindBox(b *testing.B) {
-	s := dpienc.NewSender(bbcrypto.Block{1}, bbcrypto.Block{2}, dpienc.ProtocolII, 0)
-	t := benchToken()
-	b.SetBytes(16)
-	for i := 0; i < b.N; i++ {
-		t.Offset = i
-		s.EncryptToken(t)
-	}
-}
-
-// BenchmarkEncryptTokenSearchable is the Song-et-al.-style strawman
-// (paper: 2.7 µs, dominated by per-token entropy reads).
-func BenchmarkEncryptTokenSearchable(b *testing.B) {
-	s := strawman.NewSearchableSender(bbcrypto.Block{1})
-	t := benchToken()
-	b.SetBytes(16)
-	for i := 0; i < b.N; i++ {
-		s.EncryptToken(t)
-	}
-}
-
-// BenchmarkEncryptTokenFE is the functional-encryption strawman (paper:
-// 70 ms per 128 bits).
-func BenchmarkEncryptTokenFE(b *testing.B) {
-	fe := strawman.NewFEScheme()
-	t := benchToken()
-	for i := 0; i < b.N; i++ {
-		fe.Encrypt(t)
-	}
-}
-
-// BenchmarkEncryptPacketVanilla seals a 1500-byte packet with AES-GCM
-// (paper: 3 µs).
-func BenchmarkEncryptPacketVanilla(b *testing.B) {
-	gcm := bbcrypto.NewGCM(bbcrypto.Block{1})
-	nonce := make([]byte, gcm.NonceSize())
-	pkt := make([]byte, 1500)
-	rand.Read(pkt)
-	buf := make([]byte, 0, 2048)
-	b.SetBytes(1500)
-	for i := 0; i < b.N; i++ {
-		buf = gcm.Seal(buf[:0], nonce, pkt, nil)
-	}
-}
-
-// BenchmarkEncryptPacketBlindBox runs the full sender pipeline (tokenize +
-// DPIEnc) over 1500-byte packets, window mode (paper: 90 µs).
-func BenchmarkEncryptPacketBlindBox(b *testing.B) {
-	keys := bbcrypto.DeriveSessionKeys([]byte("bench"))
-	pipe := core.NewSenderPipeline(keys, core.Config{Protocol: dpienc.ProtocolII, Mode: tokenize.Window})
-	pkt := corpus.SynthesizeText(newBenchRand(), 1500)
-	b.SetBytes(1500)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		toks, _ := pipe.ProcessText(pkt)
-		_ = toks
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Table 2 — setup rows (§7.2.2, also the "setup" experiment)
-
-// BenchmarkRulePreparation measures the complete per-keyword setup: both
-// endpoints garble F, the middlebox verifies, runs OT and evaluates
-// (paper: 588 ms for one keyword end to end).
-func BenchmarkRulePreparation(b *testing.B) {
-	k := bbcrypto.RandomBlock()
-	kRG := bbcrypto.RandomBlock()
-	krand := bbcrypto.RandomBlock()
-	var frag [tokenize.TokenSize]byte
-	copy(frag[:], "benchkw0")
-	blk := rules.FragmentBlock(frag)
-	req := ruleprep.Request{
-		Fragments: []bbcrypto.Block{blk},
-		Tags:      []bbcrypto.Block{bbcrypto.MAC(kRG, blk)},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mb, err := ruleprep.NewMiddlebox(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := ruleprep.RunLocal(
-			ruleprep.NewEndpoint(k, kRG, krand),
-			ruleprep.NewEndpoint(k, kRG, krand), mb); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Table 2 — middlebox detection rows
-
-func detectEngine(b *testing.B, numKeywords int) (*detect.Engine, dpienc.EncryptedToken) {
+// keywordEngine is experiments.KeywordEngine at the 3K-rule set's 9 900
+// keywords.
+func keywordEngine(b *testing.B) (*detect.Engine, dpienc.EncryptedToken) {
 	b.Helper()
-	k := bbcrypto.Block{7}
-	keys := make(detect.TokenKeys, numKeywords)
-	lines := make([]byte, 0, numKeywords*64)
-	for i := 0; i < numKeywords; i++ {
-		var frag [tokenize.TokenSize]byte
-		copy(frag[:], fmt.Sprintf("kw%06x", i))
-		keys[rules.FragmentBlock(frag)] = dpienc.ComputeTokenKey(k, frag)
-		lines = append(lines, []byte(fmt.Sprintf(
-			"alert tcp any any -> any any (content:\"kw%06x\"; sid:%d;)\n", i, i+1))...)
-	}
-	rs, err := rules.Parse("bench", string(lines))
+	eng, et, err := experiments.KeywordEngine(9900)
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := detect.NewEngine(rs, keys, detect.Config{
-		Mode: tokenize.Window, Protocol: dpienc.ProtocolII,
-	})
-	sender := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolII, 0)
-	et := sender.EncryptToken(benchToken()) // never matches
 	return eng, et
-}
-
-// BenchmarkDetectBlindBox1Rule: one token against one rule (paper: 20 ns).
-func BenchmarkDetectBlindBox1Rule(b *testing.B) {
-	eng, et := detectEngine(b, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.ProcessToken(et)
-	}
-}
-
-// BenchmarkDetectBlindBox3KRules: one token against a 3K-rule keyword set
-// (paper: 137 ns — logarithmic in rules).
-func BenchmarkDetectBlindBox3KRules(b *testing.B) {
-	eng, et := detectEngine(b, 9900)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.ProcessToken(et)
-	}
 }
 
 // BenchmarkScanBatch3KRules: the batched detection path over record-sized
 // token batches against the 3K-rule set — the per-token overhead ScanBatch
-// amortizes relative to BenchmarkDetectBlindBox3KRules.
+// amortizes relative to BenchmarkPaper/detect/blindbox-9900.
 func BenchmarkScanBatch3KRules(b *testing.B) {
-	eng, et := detectEngine(b, 9900)
+	eng, et := keywordEngine(b)
 	batch := make([]dpienc.EncryptedToken, 512)
 	for i := range batch {
 		batch[i] = et
@@ -228,7 +71,7 @@ func BenchmarkDetectBlindBox3KRulesParallel(b *testing.B) {
 	engines := make(chan *detect.Engine, n)
 	var et dpienc.EncryptedToken
 	for i := 0; i < n; i++ {
-		eng, tok := detectEngine(b, 9900)
+		eng, tok := keywordEngine(b)
 		et = tok
 		engines <- eng
 	}
@@ -375,52 +218,6 @@ func BenchmarkSenderStagePipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectSearchable3KRules: the linear-scan strawman at 9900
-// keywords (paper: 5.6 ms).
-func BenchmarkDetectSearchable3KRules(b *testing.B) {
-	k := bbcrypto.Block{7}
-	keys := make([]dpienc.TokenKey, 9900)
-	for i := range keys {
-		var frag [tokenize.TokenSize]byte
-		copy(frag[:], fmt.Sprintf("kw%06x", i))
-		keys[i] = dpienc.ComputeTokenKey(k, frag)
-	}
-	mb := strawman.NewSearchableMB(keys)
-	ct := strawman.NewSearchableSender(k).EncryptToken(benchToken())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mb.Detect(ct)
-	}
-}
-
-// BenchmarkDetectFE1Rule: one FE predicate test (paper: 170 ms).
-func BenchmarkDetectFE1Rule(b *testing.B) {
-	fe := strawman.NewFEScheme()
-	key := fe.KeyGen(benchToken().Text)
-	ct := fe.Encrypt(benchToken())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fe.Test(ct, key)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Figures 3 and 4 — page load model
-
-// BenchmarkPageLoad20Mbps evaluates the Fig. 3 model over all five sites.
-func BenchmarkPageLoad20Mbps(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.PageLoad(netem.Typical20Mbps(), tokenize.Delimiter)
-	}
-}
-
-// BenchmarkPageLoad1Gbps evaluates the Fig. 4 model.
-func BenchmarkPageLoad1Gbps(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.PageLoad(netem.Fast1Gbps(), tokenize.Delimiter)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Figures 5 and 6 — tokenization bandwidth
 
@@ -453,66 +250,11 @@ func BenchmarkTokenizeTop50(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// §7.1 accuracy and §7.2.3 throughput
-
-// BenchmarkAccuracyTrace runs the full ICTF-like accuracy experiment.
-func BenchmarkAccuracyTrace(b *testing.B) {
-	opt := experiments.DefaultAccuracyOptions()
-	opt.Rules = 100
-	opt.Trace.Flows = 40
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Accuracy(opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMiddleboxThroughput measures BlindBox Detect over encrypted
-// tokens of synthetic traffic; throughput is reported in traffic bytes.
-func BenchmarkMiddleboxThroughput(b *testing.B) {
-	spec, _ := corpus.DatasetByName("Snort Emerging Threats (HTTP)")
-	spec.NumRules = 3000
-	spec.P2Frac = 1.0
-	rs, err := spec.Generate(experiments.Seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	traffic := corpus.SynthesizeText(newBenchRand(), 1<<20)
-	k := bbcrypto.Block{3}
-	sender := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolII, 0)
-	ets := sender.EncryptTokensInto(nil, tokenize.TokenizeAll(tokenize.Delimiter, traffic))
-	eng := detect.NewEngine(rs, core.DirectTokenKeys(k, rs, tokenize.Delimiter), detect.Config{
-		Mode: tokenize.Delimiter, Protocol: dpienc.ProtocolII,
-	})
-	b.SetBytes(int64(len(traffic)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range ets {
-			eng.ProcessToken(ets[j])
-		}
-	}
-}
-
-// BenchmarkBaselineThroughput measures the Snort-like plaintext pipeline
-// over the same traffic.
-func BenchmarkBaselineThroughput(b *testing.B) {
-	res, err := experiments.Throughput(experiments.ThroughputOptions{
-		Rules: 3000, TrafficBytes: 1 << 20, Mode: tokenize.Delimiter,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.BaselineMbps, "baseline-Mbps")
-	b.ReportMetric(res.BlindBoxMbps, "blindbox-Mbps")
-	b.ReportMetric(res.SenderMbps, "sender-Mbps")
-}
-
-// ---------------------------------------------------------------------------
 // Ablations (DESIGN.md §4)
 
 // BenchmarkTokenizerAblation compares per-byte tokenizer cost (ablation #2).
 func BenchmarkTokenizerAblation(b *testing.B) {
-	text := corpus.SynthesizeText(newBenchRand(), 64<<10)
+	text := corpus.SynthesizeTextSeeded(experiments.Seed, 64<<10)
 	for _, mode := range []tokenize.Mode{tokenize.Window, tokenize.Delimiter} {
 		b.Run(mode.String(), func(b *testing.B) {
 			b.SetBytes(int64(len(text)))
@@ -523,33 +265,13 @@ func BenchmarkTokenizerAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkSaltAblation compares BlindBox counter-table salts against
-// transmitted per-token salts (the searchable strawman's approach,
-// ablation #3): same AES work, but the strawman pays an entropy read per
-// token and 8 extra wire bytes.
-func BenchmarkSaltAblation(b *testing.B) {
-	t := benchToken()
-	b.Run("counter-table", func(b *testing.B) {
-		s := dpienc.NewSender(bbcrypto.Block{1}, bbcrypto.Block{}, dpienc.ProtocolII, 0)
-		for i := 0; i < b.N; i++ {
-			s.EncryptToken(t)
-		}
-	})
-	b.Run("transmitted-salts", func(b *testing.B) {
-		s := strawman.NewSearchableSender(bbcrypto.Block{1})
-		for i := 0; i < b.N; i++ {
-			s.EncryptToken(t)
-		}
-	})
-}
-
 // BenchmarkDPIEncHashAblation compares the AES instantiation of H in
 // DPIEnc against a SHA-256 instantiation (§3.1: "SHA-1 is not as fast as
 // AES", ablation #4). Like the real sender, the AES variant keys the
 // cipher once per token (the key schedule amortizes over occurrences);
 // each op is then one block encryption vs one SHA-256 compression.
 func BenchmarkDPIEncHashAblation(b *testing.B) {
-	tk := dpienc.ComputeTokenKey(bbcrypto.Block{1}, benchToken().Text)
+	tk := dpienc.ComputeTokenKey(bbcrypto.Block{1}, experiments.BenchToken().Text)
 	b.Run("aes", func(b *testing.B) {
 		blk := bbcrypto.NewAES(tk)
 		var pt, ct bbcrypto.Block
@@ -704,7 +426,7 @@ func BenchmarkAES128ExpandEncrypt(b *testing.B) {
 // encryption (ablation #5: the paired ciphertext costs one extra AES call
 // and 16 wire bytes per token).
 func BenchmarkProtocolIIIOverhead(b *testing.B) {
-	t := benchToken()
+	t := experiments.BenchToken()
 	for _, proto := range []dpienc.Protocol{dpienc.ProtocolII, dpienc.ProtocolIII} {
 		b.Run(proto.String(), func(b *testing.B) {
 			s := dpienc.NewSender(bbcrypto.Block{1}, bbcrypto.Block{2}, proto, 0)
@@ -714,24 +436,6 @@ func BenchmarkProtocolIIIOverhead(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkGarbleF measures garbling the rule-encryption circuit F once — an
-// endpoint's per-fragment cost during setup — and reports what a gate-count
-// regression would move: F's AND gates and the bytes of one garbled F.
-func BenchmarkGarbleF(b *testing.B) {
-	f := ruleprep.F()
-	b.ReportAllocs()
-	var size int
-	for i := 0; i < b.N; i++ {
-		g, _, err := garble.Garble(f, ruleprep.FixedGarblingKey, bbcrypto.NewPRG(bbcrypto.Block{byte(i)}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		size = g.Size()
-	}
-	b.ReportMetric(float64(f.NumAND()), "ANDs")
-	b.ReportMetric(float64(size), "bytes/circuit")
 }
 
 // BenchmarkEvalF measures evaluating one garbled F — the middlebox's

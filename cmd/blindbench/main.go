@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"time"
+	"testing"
 
 	"repro/internal/experiments"
 	"repro/internal/netem"
@@ -27,6 +27,15 @@ func main() {
 	fast := flag.Bool("fast", false, "reduce sample sizes for a quicker run")
 	scenariosOut := flag.String("scenarios-out", "BENCH_scenarios.json", "path for the scenarios experiment's machine-readable result (empty disables)")
 	flag.Parse()
+	if *fast {
+		// The timed cells run through testing.Benchmark; -fast shortens
+		// its benchtime from testing's default 1s a cell.
+		testing.Init()
+		if err := flag.Set("test.benchtime", "10ms"); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+	}
 
 	runners := map[string]func(fast bool) error{
 		"table1":     runTable1,
@@ -76,13 +85,8 @@ func runTable1(bool) error {
 	return nil
 }
 
-func runTable2(fast bool) error {
-	opt := experiments.DefaultTable2Options()
-	if fast {
-		opt.SetupKeywords = 2
-		opt.MinSample = 5 * time.Millisecond
-	}
-	rows, err := experiments.Table2(opt)
+func runTable2(bool) error {
+	rows, err := experiments.Table2()
 	if err != nil {
 		return err
 	}
@@ -91,13 +95,19 @@ func runTable2(fast bool) error {
 }
 
 func runFig3(bool) error {
-	rows := experiments.PageLoad(netem.Typical20Mbps(), tokenize.Delimiter)
+	rows, err := experiments.PageLoad(netem.Typical20Mbps(), tokenize.Delimiter)
+	if err != nil {
+		return err
+	}
 	experiments.PrintPageLoad(os.Stdout, "3 (20Mbps x 10ms)", rows)
 	return nil
 }
 
 func runFig4(bool) error {
-	rows := experiments.PageLoad(netem.Fast1Gbps(), tokenize.Delimiter)
+	rows, err := experiments.PageLoad(netem.Fast1Gbps(), tokenize.Delimiter)
+	if err != nil {
+		return err
+	}
 	experiments.PrintPageLoad(os.Stdout, "4 (1Gbps x 10ms)", rows)
 	return nil
 }
@@ -150,12 +160,8 @@ func runThroughput(fast bool) error {
 	return nil
 }
 
-func runSetup(fast bool) error {
-	opt := experiments.DefaultSetupOptions()
-	if fast {
-		opt.MeasuredKeywords = 2
-	}
-	res, err := experiments.Setup(opt)
+func runSetup(bool) error {
+	res, err := experiments.Setup()
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,9 @@
 // Package experiments implements the paper's evaluation (§7): one function
 // per table or figure, each returning structured results and able to print
 // the same rows/series the paper reports. cmd/blindbench is the CLI front
-// end; the repository-root benchmarks reuse the same code under testing.B.
+// end. Every timed number is a Cell, one func(*testing.B) that the
+// experiment runs through testing.Benchmark and the repository root's
+// BenchmarkPaper runs under go test -bench.
 //
 // Absolute numbers differ from the paper's testbed (DPDK/Click on Xeon
 // cores vs a Go process); the reproduced quantities are the comparisons:
@@ -12,7 +14,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"testing"
 	"time"
+
+	"repro/internal/tokenize"
 )
 
 // Seed fixes all synthetic workload generation, making every experiment
@@ -74,47 +79,44 @@ func minMax(xs []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// timeOp measures the per-op latency of f by running it in a loop sized to
-// take at least minDuration.
-func timeOp(minDuration time.Duration, f func()) time.Duration {
-	return timeOpOn(time.Now, minDuration, f)
+// A Cell is one timed number the experiments print, as one benchmark
+// function: an experiment runs it through testing.Benchmark, and the root
+// BenchmarkPaper runs the same function under go test -bench, so each
+// number has one timing loop. -test.benchtime (1s by default) sizes it.
+type Cell struct {
+	Name string
+	F    func(*testing.B)
 }
 
-// timeOpOn is timeOp reading the clock through now, so a test can script it.
-func timeOpOn(now func() time.Time, minDuration time.Duration, f func()) time.Duration {
-	// Warm up and estimate.
-	f()
-	n := 1
-	for {
-		start := now()
-		for i := 0; i < n; i++ {
-			f()
-		}
-		elapsed := now().Sub(start)
-		if elapsed >= minDuration || n >= 1<<24 {
-			return elapsed / time.Duration(n)
-		}
-		if elapsed <= 0 {
-			elapsed = time.Nanosecond
-		}
-		scale := int(minDuration/elapsed) + 1
-		if scale > 100 {
-			scale = 100
-		}
-		n *= scale
-	}
+// Cells lists every cell: Table 2's, rule preparation's, the sender CPU
+// rates of Figs. 3/4 and §7.2.3, and §7.2.3's detection rates at
+// DefaultThroughputOptions.
+func Cells() []Cell {
+	cells := append(table2Cells(), prepareCell(1), prepareCell(setupFitKeywords), garbleCell)
+	cells = append(cells, cpuCells(tokenize.Delimiter)...)
+	return append(cells, throughputCells(DefaultThroughputOptions())...)
 }
 
-// bestTimeOp is the smallest of n timeOp samples. On a shared host a sample is
-// the operation's cost plus whatever else ran meanwhile, so the minimum is
-// the one nearest the cost; cells that a test compares with each other are
-// taken this way.
-func bestTimeOp(n int, minDuration time.Duration, f func()) time.Duration {
-	best := timeOp(minDuration, f)
-	for i := 1; i < n; i++ {
-		best = min(best, timeOp(minDuration, f))
+// run times each cell through testing.Benchmark. testing.Benchmark reports
+// a cell that called b.Fatal as zero iterations and drops the message, so
+// that is an error naming the cell rather than a 0ns reading.
+func run(cells []Cell) (map[string]testing.BenchmarkResult, error) {
+	res := make(map[string]testing.BenchmarkResult, len(cells))
+	for _, c := range cells {
+		r := testing.Benchmark(c.F)
+		if r.N == 0 {
+			return nil, fmt.Errorf("cell %s failed (go test -run '^$' -bench 'Paper/%s' . prints why)", c.Name, c.Name)
+		}
+		res[c.Name] = r
 	}
-	return best
+	return res, nil
+}
+
+func perOp(r testing.BenchmarkResult) time.Duration { return time.Duration(r.NsPerOp()) }
+
+// bytesPerSec is the rate of a cell that called b.SetBytes.
+func bytesPerSec(r testing.BenchmarkResult) float64 {
+	return float64(r.Bytes) / perOp(r).Seconds()
 }
 
 // table writes aligned rows.

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +13,20 @@ import (
 	"repro/internal/netem"
 	"repro/internal/tokenize"
 )
+
+// TestMain gives the timed cells a short benchtime unless -test.benchtime
+// was given: testing's default 1s a cell would add seconds per experiment.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == "test.benchtime" })
+	if !set {
+		if err := flag.Set("test.benchtime", "10ms"); err != nil {
+			panic(err)
+		}
+	}
+	os.Exit(m.Run())
+}
 
 func TestTable1MatchesPaperFractions(t *testing.T) {
 	rows, err := Table1()
@@ -42,7 +58,7 @@ func TestTable2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table2 micro-benchmarks are slow")
 	}
-	rows, err := Table2(Table2Options{SetupKeywords: 1, MinSample: 2 * time.Millisecond})
+	rows, err := Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +76,9 @@ func TestTable2Shape(t *testing.T) {
 	if enc.FE.Value < 1000*enc.BlindBox.Value {
 		t.Errorf("FE encrypt (%v) not ~orders slower than BlindBox (%v)", enc.FE.Value, enc.BlindBox.Value)
 	}
-	// Ordering only, on the best of five samples a cell: the ratio (about
-	// 3× on a quiet host) is EXPERIMENTS.md's to report, not a test's to
-	// assert from wall-clock samples on a shared machine.
+	// Ordering only, on one testing.Benchmark sample a cell: the ratio
+	// (about 3× on a quiet host) is EXPERIMENTS.md's to report, not a
+	// test's to assert from wall-clock samples on a shared machine.
 	if enc.Searchable.Value <= enc.BlindBox.Value {
 		t.Errorf("searchable encrypt (%v) not slower than BlindBox (%v)", enc.Searchable.Value, enc.BlindBox.Value)
 	}
@@ -80,7 +96,10 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestPageLoadShapes(t *testing.T) {
-	rows20 := PageLoad(netem.Typical20Mbps(), tokenize.Delimiter)
+	rows20, err := PageLoad(netem.Typical20Mbps(), tokenize.Delimiter)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows20) != len(corpus.Sites) {
 		t.Fatalf("got %d rows", len(rows20))
 	}
@@ -112,7 +131,10 @@ func TestPageLoadShapes(t *testing.T) {
 	// At 1 Gbps the text-heavy page becomes CPU-bound: its overhead must
 	// exceed its 20 Mbps overhead ratio relative... simply: Gutenberg at
 	// 1 Gbps shows a larger BB/TLS ratio than YouTube at 1 Gbps.
-	rows1g := PageLoad(netem.Fast1Gbps(), tokenize.Delimiter)
+	rows1g, err := PageLoad(netem.Fast1Gbps(), tokenize.Delimiter)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var yt1g, gb1g float64
 	for _, r := range rows1g {
 		w, _ := r.Overhead()
@@ -236,7 +258,7 @@ func TestSetupLinear(t *testing.T) {
 	if testing.Short() {
 		t.Skip("setup involves real garbling")
 	}
-	res, err := Setup(SetupOptions{MeasuredKeywords: 2})
+	res, err := Setup()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +283,10 @@ func TestSetupLinear(t *testing.T) {
 }
 
 func TestMeasureCPURatesOrdering(t *testing.T) {
-	tlsRate, bbRate := MeasureCPURates(tokenize.Delimiter)
+	tlsRate, bbRate, err := MeasureCPURates(tokenize.Delimiter)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tlsRate <= bbRate {
 		t.Fatalf("plain GCM (%.0f B/s) must outpace the BlindBox pipeline (%.0f B/s)", tlsRate, bbRate)
 	}
@@ -277,32 +302,17 @@ func TestThroughputScalingPositive(t *testing.T) {
 	}
 }
 
-// TestTimeOpSane checks timeOp's scaling loop against a scripted clock: an
-// operation that advances the clock by a fixed cost is reported at exactly
-// that cost, after the warm-up call and timed loops of 1, 100 (the growth
-// cap) and then just enough repetitions to cover minDuration.
-func TestTimeOpSane(t *testing.T) {
-	var clock time.Time
-	now := func() time.Time { return clock }
-	for _, c := range []struct {
-		cost  time.Duration
-		calls int
-	}{
-		{3 * time.Microsecond, 1 + 1 + 100 + 1700}, // 300µs → ×17
-		{6 * time.Microsecond, 1 + 1 + 100 + 900},  // twice the work: 600µs → ×9
-		{40 * time.Millisecond, 1 + 1},             // one call covers minDuration
-	} {
-		calls := 0
-		op := func() {
-			calls++
-			clock = clock.Add(c.cost)
-		}
-		if got := timeOpOn(now, 5*time.Millisecond, op); got != c.cost {
-			t.Errorf("cost %v: timeOp = %v", c.cost, got)
-		}
-		if calls != c.calls {
-			t.Errorf("cost %v: %d calls, want %d", c.cost, calls, c.calls)
-		}
+// TestRunReportsFailedCell holds the runner to a cell that calls b.Fatal:
+// testing.Benchmark returns zero iterations for it, and run must turn that
+// into an error naming the cell instead of a 0ns reading.
+func TestRunReportsFailedCell(t *testing.T) {
+	cells := []Cell{
+		{"fine", func(b *testing.B) {}},
+		{"prepare/broken", func(b *testing.B) { b.Fatal("no garbler") }},
+	}
+	res, err := run(cells)
+	if err == nil || !strings.Contains(err.Error(), "prepare/broken") {
+		t.Fatalf("run = %v, %v; want an error naming prepare/broken", res, err)
 	}
 }
 

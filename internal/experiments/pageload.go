@@ -7,6 +7,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"testing"
 	"time"
 
 	"repro/internal/bbcrypto"
@@ -36,8 +37,11 @@ func (r PageLoadRow) Overhead() (whole, text float64) {
 // rates for the two transports are measured on this machine, so the
 // CPU-vs-link bottleneck crossover (the paper's Fig. 3 vs Fig. 4 story)
 // emerges from real costs.
-func PageLoad(link netem.Model, mode tokenize.Mode) []PageLoadRow {
-	tlsRate, bbRate := MeasureCPURates(mode)
+func PageLoad(link netem.Model, mode tokenize.Mode) ([]PageLoadRow, error) {
+	tlsRate, bbRate, err := MeasureCPURates(mode)
+	if err != nil {
+		return nil, err
+	}
 	var rows []PageLoadRow
 	for i, sp := range corpus.Sites {
 		page := sp.Generate(Seed + int64(i))
@@ -49,7 +53,7 @@ func PageLoad(link netem.Model, mode tokenize.Mode) []PageLoadRow {
 			TextBB:   loadTime(page.TextCodeOnly(), link, mode, true, bbRate),
 		})
 	}
-	return rows
+	return rows, nil
 }
 
 // loadTime computes the page load time: per resource one request RTT, and
@@ -94,26 +98,40 @@ func countPageTokens(page *httpsim.Page, mode tokenize.Mode) int {
 // MeasureCPURates measures this machine's sender-side production rates in
 // bytes/second: plain AES-GCM (the TLS bound) and the full BlindBox
 // pipeline (tokenize + DPIEnc) for the given mode.
-func MeasureCPURates(mode tokenize.Mode) (tlsRate, bbRate float64) {
-	const sample = 256 << 10
-	text := corpus.SynthesizeText(newRand(), sample)
+func MeasureCPURates(mode tokenize.Mode) (tlsRate, bbRate float64, err error) {
+	cells := cpuCells(mode)
+	res, err := run(cells)
+	if err != nil {
+		return 0, 0, err
+	}
+	return bytesPerSec(res[cells[0].Name]), bytesPerSec(res[cells[1].Name]), nil
+}
 
-	gcm := bbcrypto.NewGCM(bbcrypto.Block{1})
-	nonce := make([]byte, gcm.NonceSize())
-	buf := make([]byte, 0, sample+64)
-	perOp := timeOp(30*time.Millisecond, func() {
-		buf = gcm.Seal(buf[:0], nonce, text, nil)
-	})
-	tlsRate = float64(sample) / perOp.Seconds()
+// cpuSampleBytes is the text the CPU-rate cells process per op.
+const cpuSampleBytes = 256 << 10
 
-	keys := bbcrypto.DeriveSessionKeys([]byte("cpu rate probe"))
-	pipe := core.NewSenderPipeline(keys, core.Config{Protocol: dpienc.ProtocolII, Mode: mode})
-	perOp = timeOp(50*time.Millisecond, func() {
-		toks, _ := pipe.ProcessText(text)
-		_ = toks
-	})
-	bbRate = float64(sample) / perOp.Seconds()
-	return tlsRate, bbRate
+// cpuCells are the sender's CPU rates: cpu/gcm seals the sample, and
+// senderCell(mode) runs it through the BlindBox pipeline.
+func cpuCells(mode tokenize.Mode) []Cell {
+	return []Cell{
+		{"cpu/gcm", func(b *testing.B) { sealLoop(b, corpus.SynthesizeText(newRand(), cpuSampleBytes)) }},
+		senderCell(mode),
+	}
+}
+
+// senderCell is the sender's tokenize + encrypt rate: Fig. 3/4's CPU bound
+// and §7.2.3's sender row.
+func senderCell(mode tokenize.Mode) Cell {
+	return Cell{"cpu/blindbox-" + mode.String(), func(b *testing.B) {
+		text := corpus.SynthesizeText(newRand(), cpuSampleBytes)
+		keys := bbcrypto.DeriveSessionKeys([]byte("cpu rate probe"))
+		pipe := core.NewSenderPipeline(keys, core.Config{Protocol: dpienc.ProtocolII, Mode: mode})
+		b.SetBytes(cpuSampleBytes)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pipe.ProcessText(text)
+		}
+	}}
 }
 
 // PrintPageLoad renders a Fig. 3/4-style table.

@@ -9,13 +9,13 @@ import (
 	"crypto/rand"
 	"fmt"
 	"io"
+	"testing"
 	"time"
 
 	"repro/internal/bbcrypto"
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/dpienc"
-	"repro/internal/ruleprep"
 	"repro/internal/rules"
 	"repro/internal/strawman"
 	"repro/internal/tokenize"
@@ -61,278 +61,205 @@ type Table2Row struct {
 	Paper                             string // the paper's row for comparison
 }
 
-// Table2Options tunes runtime; the defaults complete in roughly a minute.
-type Table2Options struct {
-	// SetupKeywords is the larger of the two ruleset sizes the setup cost
-	// model is fitted through (the smaller is one keyword); larger rows
-	// are extrapolated from the fit.
-	SetupKeywords int
-	// MinSample is the minimum wall time per measured op.
-	MinSample time.Duration
-}
-
-// DefaultTable2Options returns the standard configuration.
-func DefaultTable2Options() Table2Options {
-	return Table2Options{SetupKeywords: 16, MinSample: 20 * time.Millisecond}
-}
-
 // Table2 runs all micro-benchmarks.
-func Table2(opt Table2Options) ([]Table2Row, error) {
-	if opt.SetupKeywords <= 0 {
-		opt.SetupKeywords = DefaultTable2Options().SetupKeywords
-	}
-	if opt.MinSample <= 0 {
-		opt.MinSample = DefaultTable2Options().MinSample
-	}
-	var rows []Table2Row
-
-	k := bbcrypto.RandomBlock()
-	kSSL := bbcrypto.RandomBlock()
-	var token tokenize.Token
-	copy(token.Text[:], "benigntk")
-
-	// --- Client: encrypt 128 bits ------------------------------------
-	gcm := bbcrypto.NewGCM(k)
-	nonce := make([]byte, gcm.NonceSize())
-	block16 := make([]byte, 16)
-	sealBuf := make([]byte, 0, 64)
-	vanilla128 := timeOp(opt.MinSample, func() {
-		sealBuf = gcm.Seal(sealBuf[:0], nonce, block16, nil)
-	})
-
-	fe := strawman.NewFEScheme()
-	fe128 := timeOp(opt.MinSample/2, func() { _ = fe.Encrypt(token) })
-
-	searchSender := strawman.NewSearchableSender(k)
-	search128 := bestTimeOp(5, opt.MinSample, func() { _ = searchSender.EncryptToken(token) })
-
-	bbSender := dpienc.NewSender(k, kSSL, dpienc.ProtocolII, 0)
-	i := 0
-	bb128 := bestTimeOp(5, opt.MinSample, func() {
-		// Vary the offset but reuse token text, as real traffic does; the
-		// token-key cache mirrors the paper's AES-NI hot path.
-		token.Offset = i
-		i++
-		_ = bbSender.EncryptToken(token)
-	})
-	rows = append(rows, Table2Row{
-		Name: "Encrypt (128 bits)", Paper: "13ns / 70ms / 2.7µs / 69ns",
-		Vanilla:    Table2Cell{Value: vanilla128},
-		FE:         Table2Cell{Value: fe128},
-		Searchable: Table2Cell{Value: search128},
-		BlindBox:   Table2Cell{Value: bb128},
-	})
-
-	// --- Client: encrypt a 1500-byte packet --------------------------
-	packet := make([]byte, packetBytes)
-	// A failed entropy read leaves zeros; the text-like rewrite below makes
-	// the benchmark payload equally valid either way.
-	_, _ = rand.Read(packet)
-	for j := range packet {
-		packet[j] = 'a' + packet[j]%26 // text-like
-	}
-	vanillaPkt := timeOp(opt.MinSample, func() {
-		sealBuf = gcm.Seal(sealBuf[:0], nonce, packet, nil)
-	})
-	keys := bbcrypto.SessionKeys{K: k, KSSL: kSSL}
-	pipe := core.NewSenderPipeline(keys, core.Config{Protocol: dpienc.ProtocolII, Mode: tokenize.Window})
-	bbPkt := timeOp(opt.MinSample, func() {
-		toks, _ := pipe.ProcessText(packet)
-		_ = toks
-	})
-	rows = append(rows, Table2Row{
-		Name: "Encrypt (1500 bytes)", Paper: "3µs / 15s / 257µs / 90µs",
-		Vanilla:    Table2Cell{Value: vanillaPkt},
-		FE:         Table2Cell{Value: fe128 * packetTokens, Extrapolated: true},
-		Searchable: Table2Cell{Value: search128 * packetTokens, Extrapolated: true},
-		BlindBox:   Table2Cell{Value: bbPkt},
-	})
-
-	// --- Client: setup ------------------------------------------------
-	setup, err := fitSetup(opt.SetupKeywords)
+func Table2() ([]Table2Row, error) {
+	res, err := run(table2Cells())
 	if err != nil {
 		return nil, err
 	}
-	vanillaHS := timeOp(opt.MinSample, vanillaHandshakeOp())
-	rows = append(rows, Table2Row{
-		Name: "Setup (1 keyword)", Paper: "73ms / N/A / N/A / 588ms",
-		Vanilla:    Table2Cell{Value: vanillaHS},
-		FE:         Table2Cell{NotPossible: true},
-		Searchable: Table2Cell{NotPossible: true},
-		BlindBox:   Table2Cell{Value: setup.total(1)},
-	})
-	rows = append(rows, Table2Row{
-		Name: "Setup (3K rules)", Paper: "73ms / N/A / N/A / 97s",
-		Vanilla:    Table2Cell{Value: vanillaHS},
-		FE:         Table2Cell{NotPossible: true},
-		Searchable: Table2Cell{NotPossible: true},
-		BlindBox:   Table2Cell{Value: setup.total(table2Keywords3K), Extrapolated: true},
-	})
-
-	// --- Middlebox: detection ----------------------------------------
-	det1 := detectionCosts(k, 1, opt.MinSample)
-	det3k := detectionCosts(k, table2Keywords3K, opt.MinSample)
-	feKey := fe.KeyGen(token.Text)
-	feCt := fe.Encrypt(token)
-	feDetect := timeOp(opt.MinSample/2, func() { _ = fe.Test(feCt, feKey) })
-
-	rows = append(rows,
-		Table2Row{
-			Name: "Detect: 1 rule, 1 token", Paper: "NP / 170ms / 1.9µs / 20ns",
-			Vanilla:    Table2Cell{NotPossible: true},
-			FE:         Table2Cell{Value: feDetect},
-			Searchable: Table2Cell{Value: det1.searchable},
-			BlindBox:   Table2Cell{Value: det1.blindbox},
-		},
-		Table2Row{
-			Name: "Detect: 1 rule, 1 packet", Paper: "NP / 36s / 52µs / 5µs",
-			Vanilla:    Table2Cell{NotPossible: true},
-			FE:         Table2Cell{Value: feDetect * packetTokens, Extrapolated: true},
-			Searchable: Table2Cell{Value: det1.searchable * packetTokens, Extrapolated: true},
-			BlindBox:   Table2Cell{Value: det1.blindbox * packetTokens, Extrapolated: true},
-		},
-		Table2Row{
-			Name: "Detect: 3K rules, 1 token", Paper: "NP / 8.3min / 5.6ms / 137ns",
-			Vanilla:    Table2Cell{NotPossible: true},
-			FE:         Table2Cell{Value: feDetect * table2Keywords3K, Extrapolated: true},
-			Searchable: Table2Cell{Value: det3k.searchable},
-			BlindBox:   Table2Cell{Value: det3k.blindbox},
-		},
-		Table2Row{
-			Name: "Detect: 3K rules, 1 packet", Paper: "NP / 5.7 days / 157ms / 33µs",
-			Vanilla:    Table2Cell{NotPossible: true},
-			FE:         Table2Cell{Value: feDetect * table2Keywords3K * packetTokens, Extrapolated: true},
-			Searchable: Table2Cell{Value: det3k.searchable * packetTokens, Extrapolated: true},
-			BlindBox:   Table2Cell{Value: det3k.blindbox * packetTokens, Extrapolated: true},
-		},
-	)
-	return rows, nil
+	setup, err := theSetupFit()
+	if err != nil {
+		return nil, err
+	}
+	cell := func(name string) Table2Cell { return Table2Cell{Value: perOp(res[name])} }
+	times := func(name string, n int) Table2Cell {
+		return Table2Cell{Value: perOp(res[name]) * time.Duration(n), Extrapolated: true}
+	}
+	np, handshake := Table2Cell{NotPossible: true}, cell("handshake/vanilla")
+	return []Table2Row{
+		{Name: "Encrypt (128 bits)", Paper: "13ns / 70ms / 2.7µs / 69ns",
+			Vanilla: cell("encrypt-token/vanilla"), FE: cell("encrypt-token/fe"),
+			Searchable: cell("encrypt-token/searchable"), BlindBox: cell("encrypt-token/blindbox")},
+		{Name: "Encrypt (1500 bytes)", Paper: "3µs / 15s / 257µs / 90µs",
+			Vanilla: cell("encrypt-packet/vanilla"), FE: times("encrypt-token/fe", packetTokens),
+			Searchable: times("encrypt-token/searchable", packetTokens), BlindBox: cell("encrypt-packet/blindbox")},
+		{Name: "Setup (1 keyword)", Paper: "73ms / N/A / N/A / 588ms",
+			Vanilla: handshake, FE: np, Searchable: np, BlindBox: Table2Cell{Value: setup.total(1)}},
+		{Name: "Setup (3K rules)", Paper: "73ms / N/A / N/A / 97s",
+			Vanilla: handshake, FE: np, Searchable: np,
+			BlindBox: Table2Cell{Value: setup.total(table2Keywords3K), Extrapolated: true}},
+		{Name: "Detect: 1 rule, 1 token", Paper: "NP / 170ms / 1.9µs / 20ns",
+			Vanilla: np, FE: cell("detect/fe"),
+			Searchable: cell("detect/searchable-1"), BlindBox: cell("detect/blindbox-1")},
+		{Name: "Detect: 1 rule, 1 packet", Paper: "NP / 36s / 52µs / 5µs",
+			Vanilla: np, FE: times("detect/fe", packetTokens),
+			Searchable: times("detect/searchable-1", packetTokens), BlindBox: times("detect/blindbox-1", packetTokens)},
+		{Name: "Detect: 3K rules, 1 token", Paper: "NP / 8.3min / 5.6ms / 137ns",
+			Vanilla: np, FE: times("detect/fe", table2Keywords3K),
+			Searchable: cell("detect/searchable-9900"), BlindBox: cell("detect/blindbox-9900")},
+		{Name: "Detect: 3K rules, 1 packet", Paper: "NP / 5.7 days / 157ms / 33µs",
+			Vanilla: np, FE: times("detect/fe", table2Keywords3K*packetTokens),
+			Searchable: times("detect/searchable-9900", packetTokens), BlindBox: times("detect/blindbox-9900", packetTokens)},
+	}, nil
 }
 
-// vanillaHandshakeOp approximates a TLS handshake's asymmetric cost: an
+// Table 2's keys; every cell times the same work under any key.
+var table2K, table2KSSL = bbcrypto.Block{1}, bbcrypto.Block{2}
+
+// BenchToken is the token Table 2's cells encrypt and detect; it matches
+// none of their keywords.
+func BenchToken() tokenize.Token {
+	var t tokenize.Token
+	copy(t.Text[:], "benigntk")
+	return t
+}
+
+// table2Cells are Table 2's measured cells; the extrapolated ones are
+// per-op × count of these.
+func table2Cells() []Cell {
+	// The packet is random letters drawn from Seed, so every window token
+	// in it is a first occurrence, and both packet cells seal this one.
+	packet := make([]byte, packetBytes)
+	rng := newRand()
+	for i := range packet {
+		packet[i] = 'a' + byte(rng.Intn(26))
+	}
+	cells := []Cell{
+		{"encrypt-token/vanilla", func(b *testing.B) { sealLoop(b, make([]byte, 16)) }},
+		{"encrypt-token/fe", func(b *testing.B) {
+			fe, t := strawman.NewFEScheme(), BenchToken()
+			for i := 0; i < b.N; i++ {
+				fe.Encrypt(t)
+			}
+		}},
+		{"encrypt-token/searchable", func(b *testing.B) {
+			s, t := strawman.NewSearchableSender(table2K), BenchToken()
+			for i := 0; i < b.N; i++ {
+				s.EncryptToken(t)
+			}
+		}},
+		{"encrypt-token/blindbox", func(b *testing.B) {
+			// Vary the offset but reuse the token text, as real traffic
+			// does; the token-key cache mirrors the paper's AES-NI hot path.
+			s, t := dpienc.NewSender(table2K, table2KSSL, dpienc.ProtocolII, 0), BenchToken()
+			for i := 0; i < b.N; i++ {
+				t.Offset = i
+				s.EncryptToken(t)
+			}
+		}},
+		{"encrypt-packet/vanilla", func(b *testing.B) { sealLoop(b, packet) }},
+		{"encrypt-packet/blindbox", func(b *testing.B) {
+			keys := bbcrypto.SessionKeys{K: table2K, KSSL: table2KSSL}
+			pipe := core.NewSenderPipeline(keys, core.Config{Protocol: dpienc.ProtocolII, Mode: tokenize.Window})
+			b.SetBytes(packetBytes)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pipe.ProcessText(packet)
+			}
+		}},
+		{"handshake/vanilla", vanillaHandshake},
+		{"detect/fe", func(b *testing.B) {
+			fe := strawman.NewFEScheme()
+			key, ct := fe.KeyGen(BenchToken().Text), fe.Encrypt(BenchToken())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fe.Test(ct, key)
+			}
+		}},
+	}
+	// Per-token detection for the searchable strawman (a linear scan) and
+	// BlindBox Detect (a tree lookup), at one keyword and at 3K rules.
+	for _, n := range []int{1, table2Keywords3K} {
+		cells = append(cells,
+			Cell{fmt.Sprintf("detect/searchable-%d", n), func(b *testing.B) {
+				_, byFragment, err := keywordRules(n)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var keys []dpienc.TokenKey
+				for _, key := range byFragment {
+					keys = append(keys, key)
+				}
+				mb := strawman.NewSearchableMB(keys)
+				ct := strawman.NewSearchableSender(detectKey).EncryptToken(BenchToken())
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					mb.Detect(ct)
+				}
+			}},
+			Cell{fmt.Sprintf("detect/blindbox-%d", n), func(b *testing.B) {
+				eng, et, err := KeywordEngine(n)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					eng.ProcessToken(et)
+				}
+			}},
+		)
+	}
+	return cells
+}
+
+// sealLoop times AES-GCM over pt: vanilla HTTPS's cost for the same bytes.
+func sealLoop(b *testing.B, pt []byte) {
+	gcm := bbcrypto.NewGCM(table2K)
+	nonce := make([]byte, gcm.NonceSize())
+	buf := make([]byte, 0, len(pt)+gcm.Overhead())
+	b.SetBytes(int64(len(pt)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = gcm.Seal(buf[:0], nonce, pt, nil)
+	}
+}
+
+// vanillaHandshake approximates a TLS handshake's asymmetric cost: an
 // ephemeral X25519 key generation plus one shared-secret computation per
 // side (certificate signatures excluded, as in our BlindBox HTTPS).
-func vanillaHandshakeOp() func() {
+func vanillaHandshake(b *testing.B) {
 	peer, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
-		panic(err)
+		b.Fatal(err)
 	}
-	return func() {
+	for i := 0; i < b.N; i++ {
 		priv, err := ecdh.X25519().GenerateKey(rand.Reader)
 		if err != nil {
-			panic(err)
+			b.Fatal(err)
 		}
 		if _, err := priv.ECDH(peer.PublicKey()); err != nil {
-			panic(err)
+			b.Fatal(err)
 		}
 	}
 }
 
-type detCosts struct {
-	searchable time.Duration
-	blindbox   time.Duration
-}
+// detectKey is the key Table 2's keywords and detected token are under.
+var detectKey = bbcrypto.Block{7}
 
-// detectionCosts measures per-token detection against a ruleset with the
-// given keyword count, for the searchable strawman (linear scan) and
-// BlindBox Detect (tree lookup).
-func detectionCosts(k bbcrypto.Block, numKeywords int, minSample time.Duration) detCosts {
-	// Build keyword fragments and token keys.
-	ruleKeys := make([]dpienc.TokenKey, numKeywords)
-	tkeys := make(detect.TokenKeys, numKeywords)
-	lines := make([]byte, 0, numKeywords*64)
-	for i := 0; i < numKeywords; i++ {
-		var frag [tokenize.TokenSize]byte
-		copy(frag[:], fmt.Sprintf("kw%06x", i))
-		ruleKeys[i] = dpienc.ComputeTokenKey(k, frag)
-		tkeys[rules.FragmentBlock(frag)] = ruleKeys[i]
-		lines = append(lines, []byte(fmt.Sprintf(
-			"alert tcp any any -> any any (content:\"kw%06x\"; sid:%d;)\n", i, i+1))...)
+// keywordRules is n synthetic keywords, one rule each (Table 2's "1 rule"
+// and "3K rules" sets), and their window-mode token keys under detectKey.
+func keywordRules(n int) (*rules.Ruleset, detect.TokenKeys, error) {
+	lines := make([]byte, 0, n*64)
+	for i := 0; i < n; i++ {
+		lines = fmt.Appendf(lines, "alert tcp any any -> any any (content:\"kw%06x\"; sid:%d;)\n", i, i+1)
 	}
 	rs, err := rules.Parse("bench", string(lines))
 	if err != nil {
-		panic(err)
+		return nil, nil, err
 	}
-
-	searchMB := strawman.NewSearchableMB(ruleKeys)
-	searchSender := strawman.NewSearchableSender(k)
-	var benign tokenize.Token
-	copy(benign.Text[:], "no-match")
-	ct := searchSender.EncryptToken(benign)
-	searchable := timeOp(minSample, func() { _ = searchMB.Detect(ct) })
-
-	eng := detect.NewEngine(rs, tkeys, detect.Config{
-		Mode: tokenize.Window, Protocol: dpienc.ProtocolII, Salt0: 0,
-	})
-	bbSender := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolII, 0)
-	et := bbSender.EncryptToken(benign)
-	blindbox := timeOp(minSample, func() { _ = eng.ProcessToken(et) })
-	return detCosts{searchable: searchable, blindbox: blindbox}
+	return rs, core.DirectTokenKeys(detectKey, rs, tokenize.Window), nil
 }
 
-// measureSetup runs a real obfuscated rule encryption for n keywords (two
-// endpoint garblings per keyword, one OT extension per endpoint, circuit
-// verification and evaluation) and returns what the whole run took.
-func measureSetup(n int) (time.Duration, error) {
-	k := bbcrypto.RandomBlock()
-	kRG := bbcrypto.RandomBlock()
-	krand := bbcrypto.RandomBlock()
-	req := ruleprep.Request{}
-	for i := 0; i < n; i++ {
-		var frag [tokenize.TokenSize]byte
-		copy(frag[:], fmt.Sprintf("setup%03d", i))
-		blk := rules.FragmentBlock(frag)
-		req.Fragments = append(req.Fragments, blk)
-		req.Tags = append(req.Tags, bbcrypto.MAC(kRG, blk))
-	}
-	mb, err := ruleprep.NewMiddlebox(req)
+// KeywordEngine is window-mode BlindBox Detect over keywordRules(n), and
+// BenchToken encrypted for it, which matches none of the keywords.
+func KeywordEngine(n int) (*detect.Engine, dpienc.EncryptedToken, error) {
+	rs, keys, err := keywordRules(n)
 	if err != nil {
-		return 0, err
+		return nil, dpienc.EncryptedToken{}, err
 	}
-	epS := ruleprep.NewEndpoint(k, kRG, krand)
-	epR := ruleprep.NewEndpoint(k, kRG, krand)
-	start := time.Now()
-	if _, _, err := ruleprep.RunLocal(epS, epR, mb); err != nil {
-		return 0, err
-	}
-	return time.Since(start), nil
-}
-
-// setupFit is rule preparation's cost model, total(n) = Fixed + n·PerKeyword.
-// Fixed is what a connection pays whatever its ruleset — the OT base phase
-// of each endpoint — so multiplying a small run's average by n would charge
-// it once per keyword.
-type setupFit struct {
-	Fixed, PerKeyword time.Duration
-}
-
-func (f setupFit) total(n int) time.Duration {
-	return f.Fixed + time.Duration(n)*f.PerKeyword
-}
-
-// fitSetup measures setup at 1 and at hi keywords (at least 2) and puts the
-// line through the two points, after one untimed run that pays what only a
-// process's first preparation pays (building F, curve tables).
-func fitSetup(hi int) (setupFit, error) {
-	if hi < 2 {
-		hi = 2
-	}
-	if _, err := measureSetup(1); err != nil {
-		return setupFit{}, err
-	}
-	t1, err := measureSetup(1)
-	if err != nil {
-		return setupFit{}, err
-	}
-	tHi, err := measureSetup(hi)
-	if err != nil {
-		return setupFit{}, err
-	}
-	per := (tHi - t1) / time.Duration(hi-1)
-	if per < 0 {
-		per = 0 // timer noise on a loaded host; the fixed part then carries it all
-	}
-	return setupFit{Fixed: t1 - per, PerKeyword: per}, nil
+	eng := detect.NewEngine(rs, keys, detect.Config{Mode: tokenize.Window, Protocol: dpienc.ProtocolII})
+	sender := dpienc.NewSender(detectKey, bbcrypto.Block{}, dpienc.ProtocolII, 0)
+	return eng, sender.EncryptToken(BenchToken()), nil
 }
 
 // PrintTable2 renders the measurements alongside the paper's Table 2.

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"testing"
 	"time"
 
 	"repro/internal/baseline"
@@ -48,100 +49,113 @@ func DefaultThroughputOptions() ThroughputOptions {
 	return ThroughputOptions{Rules: 3000, TrafficBytes: 4 << 20, Mode: tokenize.Delimiter}
 }
 
-// Throughput measures both engines over the same synthetic traffic.
+// Throughput measures both engines over the same synthetic traffic, and
+// the sender's tokenize+encrypt rate.
 func Throughput(opt ThroughputOptions) (ThroughputResult, error) {
+	sender := senderCell(opt.Mode)
+	res, err := run(append(throughputCells(opt), sender))
+	if err != nil {
+		return ThroughputResult{}, err
+	}
+	mbps := func(name string) float64 { return bytesPerSec(res[name]) * 8 / 1e6 }
+	return ThroughputResult{
+		Rules: opt.Rules, Mode: opt.Mode,
+		BlindBoxMbps: mbps("throughput/blindbox"),
+		BaselineMbps: mbps("throughput/baseline"),
+		SenderMbps:   mbps(sender.Name),
+	}, nil
+}
+
+// throughputFixture is the experiment's workload: the rule set, the
+// traffic, the traffic's encrypted tokens and the token keys a middlebox
+// holds for the rule set.
+type throughputFixture struct {
+	rs      *rules.Ruleset
+	traffic []byte
+	ets     []dpienc.EncryptedToken
+	keys    detect.TokenKeys
+}
+
+func newThroughputFixture(opt ThroughputOptions) (*throughputFixture, error) {
 	spec, _ := corpus.DatasetByName("Snort Emerging Threats (HTTP)")
 	spec.NumRules = opt.Rules
 	spec.P2Frac = 1.0 // pure exact-match set, as in the paper's run
 	rs, err := spec.Generate(Seed)
 	if err != nil {
-		return ThroughputResult{}, err
+		return nil, err
 	}
 	traffic := corpus.SynthesizeText(newRand(), opt.TrafficBytes)
-
-	res := ThroughputResult{Rules: len(rs.Rules), Mode: opt.Mode}
-	res.BaselineMbps = baselineRate(rs, traffic)
-	res.SenderMbps, res.BlindBoxMbps = blindboxRates(rs, opt.Mode, traffic)
-	return res, nil
-}
-
-func baselineRate(rs *rules.Ruleset, traffic []byte) float64 {
-	ids := baseline.New(rs)
-	pipe := ids.NewPipeline()
-	var header [40]byte
-	process := func() {
-		for off := 0; off < len(traffic); off += baseline.PacketSize {
-			end := off + baseline.PacketSize
-			if end > len(traffic) {
-				end = len(traffic)
-			}
-			pipe.ProcessPacket(header, uint64(off%64), traffic[off:end])
-		}
-	}
-	process() // warm up
-	start := time.Now()
-	process()
-	return mbps(len(traffic), time.Since(start))
-}
-
-func blindboxRates(rs *rules.Ruleset, mode tokenize.Mode, traffic []byte) (senderMbps, mbMbps float64) {
 	k := bbcrypto.DeriveBlock([]byte("throughput"), "k")
 	sender := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolII, 0)
-	// Sender rate: tokenize + encrypt.
-	tk := tokenize.New(mode)
-	start := time.Now()
-	toks := tk.Append(traffic)
-	toks = append(toks, tk.Flush()...)
-	ets := sender.EncryptTokensInto(nil, toks)
-	senderMbps = mbps(len(traffic), time.Since(start))
-
-	// Middlebox rate: batched detection over the encrypted tokens, as the
-	// middlebox scans one RecTokens record at a time. The rate is reported
-	// against the traffic bytes those tokens represent, matching the
-	// paper's Mbps-of-traffic metric.
-	eng := detect.NewEngine(rs, core.DirectTokenKeys(k, rs, mode), detect.Config{
-		Mode: mode, Protocol: dpienc.ProtocolII,
-	})
-	const batch = 512
-	var scratch []detect.Event
-	start = time.Now()
-	for off := 0; off < len(ets); off += batch {
-		end := off + batch
-		if end > len(ets) {
-			end = len(ets)
-		}
-		scratch = eng.ScanBatch(ets[off:end], scratch[:0])
-	}
-	mbMbps = mbps(len(traffic), time.Since(start))
-	return senderMbps, mbMbps
+	return &throughputFixture{
+		rs:      rs,
+		traffic: traffic,
+		ets:     sender.EncryptTokensInto(nil, tokenize.TokenizeAll(opt.Mode, traffic)),
+		keys:    core.DirectTokenKeys(k, rs, opt.Mode),
+	}, nil
 }
 
-func mbps(bytes int, d time.Duration) float64 {
-	return float64(bytes) * 8 / 1e6 / d.Seconds()
+// throughputCells are the single-core detection rates, in bytes of
+// traffic inspected: BlindBox Detect over the encrypted tokens and the
+// Snort-like baseline over the plaintext. Both build the fixture once.
+func throughputCells(opt ThroughputOptions) []Cell {
+	fixture := sync.OnceValues(func() (*throughputFixture, error) { return newThroughputFixture(opt) })
+	load := func(b *testing.B) *throughputFixture {
+		fx, err := fixture()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(fx.traffic)))
+		return fx
+	}
+	return []Cell{
+		{"throughput/blindbox", func(b *testing.B) {
+			fx := load(b)
+			eng := detect.NewEngine(fx.rs, fx.keys, detect.Config{Mode: opt.Mode, Protocol: dpienc.ProtocolII})
+			var scratch []detect.Event
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				scratch = scanAll(eng, fx.ets, scratch)
+			}
+		}},
+		{"throughput/baseline", func(b *testing.B) {
+			fx := load(b)
+			pipe := baseline.New(fx.rs).NewPipeline()
+			var header [40]byte
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for off := 0; off < len(fx.traffic); off += baseline.PacketSize {
+					end := min(off+baseline.PacketSize, len(fx.traffic))
+					pipe.ProcessPacket(header, uint64(off%64), fx.traffic[off:end])
+				}
+			}
+		}},
+	}
+}
+
+// scanAll runs eng over ets in 512-token batches, as the middlebox scans
+// one RecTokens record at a time, and returns scratch reused for events.
+func scanAll(eng *detect.Engine, ets []dpienc.EncryptedToken, scratch []detect.Event) []detect.Event {
+	const batch = 512
+	for off := 0; off < len(ets); off += batch {
+		scratch = eng.ScanBatch(ets[off:min(off+batch, len(ets))], scratch[:0])
+	}
+	return scratch
 }
 
 // ThroughputScaling measures aggregate BlindBox detection over n parallel
 // connections (one engine per connection, as in the middlebox's
-// per-connection detection threads, §6). The paper reports per-core rates;
-// this shows the rate scales with cores since connections share nothing.
+// per-connection detection threads, §6), each scanning as the
+// single-core cell does. The paper reports per-core rates; this shows the
+// rate scales with cores since connections share nothing.
 func ThroughputScaling(opt ThroughputOptions, conns int) (float64, error) {
-	spec, _ := corpus.DatasetByName("Snort Emerging Threats (HTTP)")
-	spec.NumRules = opt.Rules
-	spec.P2Frac = 1.0
-	rs, err := spec.Generate(Seed)
+	fx, err := newThroughputFixture(opt)
 	if err != nil {
 		return 0, err
 	}
-	traffic := corpus.SynthesizeText(newRand(), opt.TrafficBytes)
-	k := bbcrypto.DeriveBlock([]byte("throughput"), "k")
-	sender := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolII, 0)
-	toks := tokenize.TokenizeAll(opt.Mode, traffic)
-	ets := sender.EncryptTokensInto(nil, toks)
-	keys := core.DirectTokenKeys(k, rs, opt.Mode)
-
 	engines := make([]*detect.Engine, conns)
 	for i := range engines {
-		engines[i] = detect.NewEngine(rs, keys, detect.Config{Mode: opt.Mode, Protocol: dpienc.ProtocolII})
+		engines[i] = detect.NewEngine(fx.rs, fx.keys, detect.Config{Mode: opt.Mode, Protocol: dpienc.ProtocolII})
 	}
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -149,13 +163,11 @@ func ThroughputScaling(opt ThroughputOptions, conns int) (float64, error) {
 		wg.Add(1)
 		go func(eng *detect.Engine) {
 			defer wg.Done()
-			for i := range ets {
-				eng.ProcessToken(ets[i])
-			}
+			scanAll(eng, fx.ets, nil)
 		}(eng)
 	}
 	wg.Wait()
-	return mbps(len(traffic)*conns, time.Since(start)), nil
+	return float64(len(fx.traffic)*conns) * 8 / 1e6 / time.Since(start).Seconds(), nil
 }
 
 // PrintThroughput renders the comparison.

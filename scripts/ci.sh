@@ -2,7 +2,7 @@
 # ci.sh — the full BlindBox verification gate, runnable locally or in CI.
 #
 #   scripts/ci.sh            # everything: vet, build, bblint, tests, race, fuzz smoke
-#   scripts/ci.sh quick      # vet + gofmt + build + bblint + unit tests (root and benchmark modules) + F's gate count + one garbling, evaluation and OT leg + sender pipeline rows + line counts only
+#   scripts/ci.sh quick      # vet + gofmt + build + bblint + unit tests (root and benchmark modules) + F's gate count + one evaluation and OT leg + every paper cell (one garbling among them) once + sender pipeline rows + line counts only
 #
 # Every stage uses only the Go toolchain; the module has no dependencies.
 set -euo pipefail
@@ -52,12 +52,16 @@ go test -C benchmark .
 
 # Rule preparation's cost is set by two counts, F's AND gates and the bytes
 # of one garbled F, and by the three kernels a fragment runs: garbling F at
-# each endpoint, evaluating it at the middlebox, and the OT of each leg;
-# print them (one garbling, one evaluation and one leg, no timing claim) so
-# that a gate-count or kernel regression shows in this log without running
-# the benchmark.
-step "rule preparation: F's AND gates and garbled bytes, one garbling, one evaluation, one OT leg"
-go test -run '^$' -bench '^Benchmark(GarbleF|EvalF|OTLeg)$' -benchtime 1x . | grep -E '^Benchmark(GarbleF|EvalF|OTLeg)'
+# each endpoint (BenchmarkPaper/setup/garble), evaluating it at the
+# middlebox, and the OT of each leg. Every other timed number blindbench
+# prints for Table 2, §7.2.2, Figs. 3/4 and §7.2.3 is a BenchmarkPaper cell
+# too. Run each once and print them (no timing claim), so that a gate-count
+# or kernel regression shows in this log, and a cell that no longer runs —
+# including the §7.2.3 cells at their default size, which no shape test
+# runs — fails the gate.
+step "rule preparation and paper cells: F's AND gates and garbled bytes, one evaluation, one OT leg, every timed cell once"
+go test -run '^$' -bench '^Benchmark(Paper|EvalF|OTLeg)$' -benchtime 1x . |
+    grep -E '^Benchmark(Paper/|EvalF|OTLeg)'
 
 # The sender pipeline — tokenize, salt assignment, DPIEnc AES — is most of
 # the CPU of both text workloads and is run twice a record (sender and §3.4
