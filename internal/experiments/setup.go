@@ -24,7 +24,8 @@ type SetupResult struct {
 	// endpoint's OT base phase.
 	Fixed time.Duration
 	// PerKeyword is the marginal setup cost of one keyword (both endpoints
-	// garbling, verification, its share of the OT extension, evaluation).
+	// garbling, one circuit message hashed per endpoint, verification, its
+	// share of the OT extension, evaluation).
 	PerKeyword time.Duration
 	// GarbleOnly is the cost of garbling one circuit once.
 	GarbleOnly time.Duration
@@ -69,8 +70,9 @@ func Setup() (SetupResult, error) {
 const setupFitKeywords = 16
 
 // prepareCell runs a real obfuscated rule encryption for n keywords (two
-// endpoint garblings per keyword, one OT extension per endpoint, circuit
-// verification and evaluation); NewMiddlebox builds F before the timer.
+// endpoint garblings and two circuit-message hashes per keyword, one OT
+// extension per endpoint, digest verification and evaluation); NewMiddlebox
+// builds F before the timer.
 func prepareCell(n int) Cell {
 	return Cell{fmt.Sprintf("prepare/%d", n), func(b *testing.B) {
 		k, kRG, krand := bbcrypto.RandomBlock(), bbcrypto.RandomBlock(), bbcrypto.RandomBlock()
@@ -143,7 +145,7 @@ func PrintSetup(w io.Writer, r SetupResult) {
 	fmt.Fprintf(w, "rule-encryption circuit: %d AND gates, %s per garbled circuit (paper: 599KB for a 6.8K-gate AES)\n",
 		r.CircuitANDs, fmtBytes(r.CircuitBytes))
 	fmt.Fprintf(w, "garble one circuit: %s (paper: 1042µs with JustGarble's hand-optimized AES)\n", fmtDuration(r.GarbleOnly))
-	fmt.Fprintf(w, "full setup: %s per connection (OT base phases) + %s per keyword (2 garblings + verify + OT extension + eval)\n",
+	fmt.Fprintf(w, "full setup: %s per connection (OT base phases) + %s per keyword (2 garblings + 2 hashes + verify + OT extension + eval)\n",
 		fmtDuration(r.Fixed), fmtDuration(r.PerKeyword))
 	t := newTable(w)
 	t.row("Keywords", "setup time", "paper")

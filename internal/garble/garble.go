@@ -9,9 +9,11 @@
 //
 // BlindBox requires garbling to be *deterministic given a shared seed*:
 // both endpoints garble the same function with randomness derived from
-// krand and the middlebox checks the two garbled circuits are identical
-// (§3.3 rule preparation step 2.2), which protects against one malicious
-// endpoint garbling incorrectly.
+// krand, and the middlebox accepts the server's garbled circuit only if the
+// client's SHA-256 of its own circuit matches it (§3.3 rule preparation step
+// 2.2, as a hashed-circuit commitment), which protects against one
+// malicious endpoint garbling incorrectly. Marshal's encoding is canonical,
+// so equal digests mean equal circuits.
 package garble
 
 import (
@@ -312,8 +314,9 @@ func evalHalfGates(c *circuit.Circuit, h *bbcrypto.FixedKeyHash, tables []Block,
 	}
 }
 
-// Equal reports whether two garbled circuits are bit-identical — the
-// middlebox's §3.3 consistency check between the two endpoints' circuits.
+// Equal reports whether two garbled circuits are bit-identical — what the
+// middlebox's §3.3 consistency check establishes by comparing digests of
+// their encodings.
 func Equal(a, b *Garbled) bool {
 	// The fixed key and garbled tables are the public transcript both
 	// endpoints send to the middlebox; comparison timing reveals nothing.

@@ -27,7 +27,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/dpienc"
-	"repro/internal/garble"
 	"repro/internal/obs"
 	"repro/internal/ot"
 	"repro/internal/retry"
@@ -435,11 +434,11 @@ func (mb *Middlebox) interpose(id uint64, client, server net.Conn) (retErr error
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		jobsC, labelsC, prepErr[0] = mb.runPrep(cl, prep, prepCtx, "client", fr)
+		jobsC, labelsC, prepErr[0] = mb.runPrep(cl, prep, prepCtx, true, fr)
 	}()
 	go func() {
 		defer wg.Done()
-		jobsS, labelsS, prepErr[1] = mb.runPrep(sv, prep, prepCtx, "server", fr)
+		jobsS, labelsS, prepErr[1] = mb.runPrep(sv, prep, prepCtx, false, fr)
 	}()
 	wg.Wait()
 	for _, e := range prepErr {
@@ -455,7 +454,7 @@ func (mb *Middlebox) interpose(id uint64, client, server net.Conn) (retErr error
 			continue
 		}
 		if err != nil {
-			return err
+			return fmt.Errorf("middlebox: rule preparation: %w", err)
 		}
 		keys[req.Fragments[i]] = key
 	}
@@ -588,12 +587,15 @@ func (mb *Middlebox) writeRecordT(c net.Conn, typ transport.RecordType, body []b
 }
 
 // runPrep executes the MB side of the preparation protocol over one leg,
-// under one Timeouts.Prep deadline. When tracing, it breaks the leg into
-// the §3.3 setup sub-spans — labels (garbled rows + endpoint-label
-// transfer, which includes the wait for the endpoint's garbling), ot_base
-// (base-OT round) and ot_ext (IKNP extension + unmask) — all children of
-// the flow's prep span, Dir marking the leg.
-func (mb *Middlebox) runPrep(l *leg, prep *ruleprep.Middlebox, prepCtx obs.SpanCtx, legName string, fr *obs.FlowRecorder) ([]*ruleprep.FragmentJob, [][]bbcrypto.Block, error) {
+// under one Timeouts.Prep deadline. The server leg ships a circuit message
+// per fragment, which is parsed and hashed once as it arrives; the client
+// leg ships only each message's digest, and every client record is read
+// against its message's cap (transport.ClientPrepCap). When tracing, it
+// breaks the leg into the §3.3 setup sub-spans — labels (garbled rows +
+// endpoint-label transfer, or the digests, which includes the wait for the
+// endpoint's garbling), ot_base (base-OT round) and ot_ext (IKNP extension +
+// unmask) — all children of the flow's prep span, Dir marking the leg.
+func (mb *Middlebox) runPrep(l *leg, prep *ruleprep.Middlebox, prepCtx obs.SpanCtx, client bool, fr *obs.FlowRecorder) ([]*ruleprep.FragmentJob, [][]bbcrypto.Block, error) {
 	setDeadline(deadlineFor(mb.tmo.Prep), l.conn)
 	defer setDeadline(time.Time{}, l.conn)
 	n := prep.NumFragments()
@@ -603,11 +605,19 @@ func (mb *Middlebox) runPrep(l *leg, prep *ruleprep.Middlebox, prepCtx obs.SpanC
 	if err := transport.WriteRecord(l.conn, transport.RecGarble, start); err != nil {
 		return nil, nil, err
 	}
+	legName, jobSub, parseJob := "server", transport.SubCircuit, ruleprep.ParseCircuitMsg
+	if client {
+		legName, jobSub, parseJob = "client", transport.SubDigest, ruleprep.ParseDigestMsg
+	}
 	labStart := time.Now()
 	var labBytes, labGates, labRows int
 
 	readSub := func(want byte) ([]byte, error) {
-		typ, body, err := transport.ReadRecord(l.rd)
+		limit := transport.MaxRecordLen
+		if client {
+			limit = transport.ClientPrepCap(want, n)
+		}
+		typ, body, err := transport.ReadRecordMax(l.rd, limit)
 		if err != nil {
 			return nil, err
 		}
@@ -619,35 +629,24 @@ func (mb *Middlebox) runPrep(l *leg, prep *ruleprep.Middlebox, prepCtx obs.SpanC
 
 	jobs := make([]*ruleprep.FragmentJob, n)
 	for i := 0; i < n; i++ {
-		payload, err := readSub(transport.SubCircuit)
+		payload, err := readSub(jobSub)
 		if err != nil {
 			return nil, nil, err
 		}
-		if len(payload) < 8 {
-			return nil, nil, errors.New("middlebox: short circuit message")
-		}
-		idx := int(binary.BigEndian.Uint32(payload))
-		blobLen := int(binary.BigEndian.Uint32(payload[4:]))
-		payload = payload[8:]
-		if len(payload) < blobLen {
-			return nil, nil, errors.New("middlebox: truncated circuit blob")
-		}
-		g, err := garble.Unmarshal(payload[:blobLen])
+		job, err := parseJob(payload)
 		if err != nil {
 			return nil, nil, err
 		}
-		epLabels, err := transport.UnmarshalBlocks(payload[blobLen:])
-		if err != nil {
-			return nil, nil, err
+		if job.Index < 0 || job.Index >= n || jobs[job.Index] != nil {
+			return nil, nil, errors.New("middlebox: bad fragment index")
 		}
-		if idx < 0 || idx >= n || jobs[idx] != nil {
-			return nil, nil, errors.New("middlebox: bad circuit index")
+		labBytes += len(payload)
+		if job.G != nil {
+			st := job.G.Stats()
+			labGates += st.Gates
+			labRows += st.TableRows
 		}
-		st := g.Stats()
-		labBytes += 8 + len(payload)
-		labGates += st.Gates
-		labRows += st.TableRows
-		jobs[idx] = ruleprep.NewFragmentJob(idx, g, epLabels)
+		jobs[job.Index] = job
 	}
 	fr.Span(prepCtx.Child(), labStart, obs.Span{Dir: legName, Name: obs.SpanPrepLabels, Bytes: labBytes, Gates: labGates, Rows: labRows})
 
@@ -706,7 +705,7 @@ func (mb *Middlebox) runPrep(l *leg, prep *ruleprep.Middlebox, prepCtx obs.SpanC
 	fr.Span(prepCtx.Child(), oeStart, obs.Span{Dir: legName, Name: obs.SpanPrepOTExt, Bytes: st.CorrectionBytes + st.MaskedBytes, Rows: st.Wires})
 	perFrag := make([][]bbcrypto.Block, n)
 	for i := 0; i < n; i++ {
-		perFrag[i] = labels[i*256 : (i+1)*256]
+		perFrag[i] = labels[i*ruleprep.OTWires : (i+1)*ruleprep.OTWires]
 	}
 	return jobs, perFrag, nil
 }

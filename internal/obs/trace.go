@@ -44,7 +44,7 @@ const (
 	SpanPrepGarble  = "prep.garble"   // endpoint: garbling one AES circuit
 	SpanPrepOTBase  = "prep.ot_base"  // middlebox leg: base-OT round (keys + msgA/msgB)
 	SpanPrepOTExt   = "prep.ot_ext"   // middlebox leg: IKNP extension + label unmask
-	SpanPrepLabels  = "prep.labels"   // middlebox leg: garbled rows + endpoint-label transfer
+	SpanPrepLabels  = "prep.labels"   // middlebox leg: garbled rows + endpoint labels (server), digests (client)
 	SpanPrepRuleEnc = "prep.rule_enc" // middlebox: verify + evaluate one rule circuit
 )
 

@@ -15,6 +15,14 @@ import (
 // and matrix columns.
 const kappa = 128
 
+// BaseResponses and BaseResponseSize are the shape of BaseRespond's result,
+// one uncompressed P-256 point per base OT, so that a reader can bound the
+// message before it arrives.
+const (
+	BaseResponses    = kappa
+	BaseResponseSize = pointSize
+)
+
 // rowHash is the extension's correlation-robust row hash. Its fixed key is
 // public and distinct from the garbling hash's.
 var rowHash = bbcrypto.NewFixedKeyHash(Block([]byte("blindbox iknp cr")))

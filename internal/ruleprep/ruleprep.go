@@ -4,11 +4,14 @@
 // without the endpoints learning the rules.
 //
 // Per fragment, both endpoints deterministically garble the function F
-// (circuit.BuildRuleEncrypt) using shared randomness derived from krand;
-// the middlebox checks the two garbled circuits are identical, obtains the
+// (circuit.BuildRuleEncrypt) using shared randomness derived from krand.
+// The server ships its garbled circuit and endpoint labels; the client ships
+// only the SHA-256 digest of the same message, and the middlebox accepts the
+// server's circuit only if its digest equals the client's (a hashed-circuit
+// commitment, DESIGN.md substitution 1). The middlebox then obtains the
 // input labels for its fragment and RG-tag bits by oblivious transfer (from
-// each endpoint, again cross-checked), and evaluates the circuit to obtain
-// the fragment's DPIEnc token key.
+// each endpoint, cross-checked), and evaluates the circuit to obtain the
+// fragment's DPIEnc token key.
 //
 // Both AES key schedules stay outside F: k and kRG are the endpoints' own
 // inputs, so an endpoint expands them once per connection and feeds F the
@@ -20,7 +23,9 @@
 package ruleprep
 
 import (
+	"crypto/sha256"
 	"crypto/subtle"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -52,12 +57,12 @@ func F() *circuit.Circuit {
 	return circF
 }
 
-// otWires is the number of input wires the middlebox chooses via OT per
+// OTWires is the number of input wires the middlebox chooses via OT per
 // fragment: the fragment block x (128) plus RG's tag (128). They are F's
 // first wires; the endpoints' endpointWires — the round keys of k, then of
 // kRG — follow.
 const (
-	otWires       = 256
+	OTWires       = 256
 	endpointWires = 2 * circuit.RoundKeyBits
 )
 
@@ -73,16 +78,22 @@ const MaxFragments = 1 << 16
 // preparation run of more than MaxFragments fragments.
 var ErrTooManyFragments = errors.New("ruleprep: fragment count exceeds MaxFragments")
 
-// FragmentJob is one endpoint-side garbling result for one fragment index.
+// FragmentJob is one endpoint-side garbling result for one fragment index,
+// or the middlebox's view of what one endpoint sent for it.
 type FragmentJob struct {
 	// Index is the fragment's position in the middlebox's rule list.
 	Index int
-	// G is the garbled circuit shipped to the middlebox.
+	// G is the garbled circuit shipped to the middlebox. It is nil in a
+	// middlebox-side job for which only a digest crossed the wire.
 	G *garble.Garbled
 	// EndpointLabels are the labels for the endpoint-held inputs (the bits
 	// of the round keys of k, then of kRG), in wire order, handed to the
 	// middlebox directly.
 	EndpointLabels []bbcrypto.Block
+	// Digest is the SHA-256 of the job's circuit message
+	// (AppendCircuitMsg). Verify compares digests; a job fresh from Garble
+	// has none until its message is written.
+	Digest [sha256.Size]byte
 	// otPairs are the label pairs of the OT-transferred wires (x, tag).
 	//bb:secret
 	otPairs [][2]bbcrypto.Block
@@ -92,11 +103,81 @@ type FragmentJob struct {
 func (j *FragmentJob) OTPairs() [][2]bbcrypto.Block { return j.otPairs }
 
 // NewFragmentJob reconstructs a middlebox-side view of a fragment job from
-// wire data (the garbled circuit and endpoint labels received from an
-// endpoint). The OT pairs stay with the endpoint; the middlebox never
-// holds them.
+// a garbled circuit and endpoint labels, with the digest of their circuit
+// message. The OT pairs stay with the endpoint; the middlebox never holds
+// them.
 func NewFragmentJob(index int, g *garble.Garbled, endpointLabels []bbcrypto.Block) *FragmentJob {
-	return &FragmentJob{Index: index, G: g, EndpointLabels: endpointLabels}
+	job := &FragmentJob{Index: index, G: g, EndpointLabels: endpointLabels}
+	job.Digest = sha256.Sum256(job.AppendCircuitMsg(nil))
+	return job
+}
+
+// DigestMsgLen is the length of a digest message: the index and the digest.
+const DigestMsgLen = 4 + sha256.Size
+
+// AppendCircuitMsg appends the job's circuit message to dst: uint32 index,
+// uint32 blob length, the garbled blob, then the endpoint labels as a uint32
+// count and the blocks. It is the body of the server's SubCircuit record,
+// and the client's digest is its SHA-256.
+func (j *FragmentJob) AppendCircuitMsg(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(j.Index))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(j.G.Size()))
+	dst = j.G.AppendMarshal(dst)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(j.EndpointLabels)))
+	for i := range j.EndpointLabels {
+		dst = append(dst, j.EndpointLabels[i][:]...)
+	}
+	return dst
+}
+
+// ParseCircuitMsg inverts AppendCircuitMsg, and the job's Digest is the
+// SHA-256 of msg. Only what AppendCircuitMsg writes is accepted: the blob is
+// canonical (garble.Unmarshal) and the labels fill the rest exactly, so
+// equal digests mean equal circuits and labels.
+func ParseCircuitMsg(msg []byte) (*FragmentJob, error) {
+	if len(msg) < 8 {
+		return nil, errors.New("ruleprep: short circuit message")
+	}
+	index, blobLen := binary.BigEndian.Uint32(msg), binary.BigEndian.Uint32(msg[4:])
+	rest := msg[8:]
+	if uint64(blobLen) > uint64(len(rest)) {
+		return nil, errors.New("ruleprep: truncated circuit blob")
+	}
+	g, err := garble.Unmarshal(rest[:blobLen])
+	if err != nil {
+		return nil, err
+	}
+	rest = rest[blobLen:]
+	if len(rest) < 4 {
+		return nil, errors.New("ruleprep: short endpoint label list")
+	}
+	count := binary.BigEndian.Uint32(rest)
+	rest = rest[4:]
+	if uint64(len(rest)) != uint64(count)*bbcrypto.BlockSize {
+		return nil, errors.New("ruleprep: endpoint label list size mismatch")
+	}
+	labels := make([]bbcrypto.Block, count)
+	for i := range labels {
+		copy(labels[i][:], rest[i*bbcrypto.BlockSize:])
+	}
+	return &FragmentJob{Index: int(index), G: g, EndpointLabels: labels, Digest: sha256.Sum256(msg)}, nil
+}
+
+// AppendDigestMsg appends the job's digest message to dst: uint32 index,
+// then the digest. It is the body of the client's SubDigest record.
+func (j *FragmentJob) AppendDigestMsg(dst []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(dst, uint32(j.Index)), j.Digest[:]...)
+}
+
+// ParseDigestMsg inverts AppendDigestMsg: the job carries only its index
+// and digest.
+func ParseDigestMsg(msg []byte) (*FragmentJob, error) {
+	if len(msg) != DigestMsgLen {
+		return nil, fmt.Errorf("ruleprep: digest message of %d bytes, want %d", len(msg), DigestMsgLen)
+	}
+	job := &FragmentJob{Index: int(binary.BigEndian.Uint32(msg))}
+	copy(job.Digest[:], msg[4:])
+	return job, nil
 }
 
 // Endpoint is one endpoint's (S or R) state for a rule-preparation run.
@@ -159,7 +240,7 @@ func (e *Endpoint) Garble(i int) (*FragmentJob, error) {
 	for b, bit := range e.keyBits {
 		job.EndpointLabels[b] = labels.For(circuit.RuleEncryptKOff+b, bit)
 	}
-	job.otPairs = make([][2]bbcrypto.Block, otWires)
+	job.otPairs = make([][2]bbcrypto.Block, OTWires)
 	for b := range job.otPairs {
 		job.otPairs[b][0], job.otPairs[b][1] = labels.Pair(circuit.RuleEncryptXOff + b)
 	}
@@ -254,29 +335,26 @@ func (m *Middlebox) CircuitANDs() int { return m.circ.NumAND() }
 // Choices returns MB's OT choice bits for fragment i: the bits of the
 // fragment block followed by the bits of its tag.
 func (m *Middlebox) Choices(i int) []bool {
-	out := make([]bool, 0, otWires)
+	out := make([]bool, 0, OTWires)
 	out = append(out, circuit.BytesToBits(m.req.Fragments[i][:])...)
 	out = append(out, circuit.BytesToBits(m.req.Tags[i][:])...)
 	return out
 }
 
-// Verify cross-checks the two endpoints' jobs for fragment i: identical
-// garbled circuits and identical endpoint labels. Since at least one
-// endpoint is honest (§2.2.2), equality proves correctness.
+// Verify cross-checks the two endpoints' jobs for fragment i: equal
+// digests of their circuit messages, so identical garbled circuits and
+// identical endpoint labels. Since at least one endpoint is honest
+// (§2.2.2), equality proves correctness.
 func (m *Middlebox) Verify(jobS, jobR *FragmentJob) error {
 	if jobS.Index != jobR.Index {
 		return errors.New("ruleprep: job index mismatch")
 	}
-	if !garble.Equal(jobS.G, jobR.G) {
+	var none [sha256.Size]byte
+	if jobS.Digest == none || jobR.Digest == none {
+		return errors.New("ruleprep: job carries no circuit digest")
+	}
+	if subtle.ConstantTimeCompare(jobS.Digest[:], jobR.Digest[:]) != 1 {
 		return errors.New("ruleprep: endpoints disagree on garbled circuit")
-	}
-	if len(jobS.EndpointLabels) != len(jobR.EndpointLabels) {
-		return errors.New("ruleprep: endpoint label count mismatch")
-	}
-	for b := range jobS.EndpointLabels {
-		if subtle.ConstantTimeCompare(jobS.EndpointLabels[b][:], jobR.EndpointLabels[b][:]) != 1 {
-			return errors.New("ruleprep: endpoints disagree on input labels")
-		}
 	}
 	return nil
 }
@@ -290,7 +368,7 @@ var ErrUnauthorized = errors.New("ruleprep: fragment not authorized by rule gene
 // wires of k, then of kRG), returning the fragment's DPIEnc token key
 // AES_k(x).
 func (m *Middlebox) Evaluate(i int, job *FragmentJob, otLabels []bbcrypto.Block) (dpienc.TokenKey, error) {
-	if len(otLabels) != otWires {
+	if len(otLabels) != OTWires {
 		return dpienc.TokenKey{}, errors.New("ruleprep: wrong OT label count")
 	}
 	if len(job.EndpointLabels) != endpointWires {
@@ -312,16 +390,24 @@ func (m *Middlebox) Evaluate(i int, job *FragmentJob, otLabels []bbcrypto.Block)
 }
 
 // VerifyAndEvaluate performs the complete middlebox-side finishing work
-// for fragment i — cross-checking the two endpoints' garbled circuits,
+// for fragment i — cross-checking the two endpoints' digests,
 // cross-checking the labels each endpoint's OT delivered, and evaluating
-// the circuit — and, when tracing, records one prep.rule_enc span covering
-// it. It is the single entry point the network middlebox and RunLocal
-// share, so traces describe every deployment the same way.
+// the job that carries a circuit (jobR's when both do) — and, when tracing,
+// records one prep.rule_enc span covering it. It is the single entry point
+// the network middlebox and RunLocal share, so traces describe every
+// deployment the same way.
 func (m *Middlebox) VerifyAndEvaluate(i int, jobS, jobR *FragmentJob, labS, labR []bbcrypto.Block) (dpienc.TokenKey, error) {
 	start := time.Now()
-	key, err := m.verifyAndEvaluate(i, jobS, jobR, labS, labR)
-	st := jobS.G.Stats()
-	sp := obs.Span{Name: obs.SpanPrepRuleEnc, Gates: st.Gates, Rows: st.TableRows, Bytes: st.WireBytes}
+	job := jobR
+	if job.G == nil {
+		job = jobS
+	}
+	key, err := m.verifyAndEvaluate(i, jobS, jobR, job, labS, labR)
+	sp := obs.Span{Name: obs.SpanPrepRuleEnc}
+	if job.G != nil {
+		st := job.G.Stats()
+		sp.Gates, sp.Rows, sp.Bytes = st.Gates, st.TableRows, st.WireBytes
+	}
 	if err != nil && err != ErrUnauthorized {
 		sp.Err = err.Error()
 	}
@@ -330,9 +416,12 @@ func (m *Middlebox) VerifyAndEvaluate(i int, jobS, jobR *FragmentJob, labS, labR
 }
 
 // verifyAndEvaluate is VerifyAndEvaluate without the tracing wrapper.
-func (m *Middlebox) verifyAndEvaluate(i int, jobS, jobR *FragmentJob, labS, labR []bbcrypto.Block) (dpienc.TokenKey, error) {
+func (m *Middlebox) verifyAndEvaluate(i int, jobS, jobR, job *FragmentJob, labS, labR []bbcrypto.Block) (dpienc.TokenKey, error) {
 	if err := m.Verify(jobS, jobR); err != nil {
 		return dpienc.TokenKey{}, err
+	}
+	if job.G == nil {
+		return dpienc.TokenKey{}, errors.New("ruleprep: neither endpoint's job carries a circuit")
 	}
 	if len(labS) != len(labR) {
 		return dpienc.TokenKey{}, errors.New("ruleprep: OT label count mismatch")
@@ -342,33 +431,43 @@ func (m *Middlebox) verifyAndEvaluate(i int, jobS, jobR *FragmentJob, labS, labR
 			return dpienc.TokenKey{}, errors.New("ruleprep: endpoints disagree on OT labels")
 		}
 	}
-	return m.Evaluate(i, jobS, labS)
+	return m.Evaluate(i, job, labS)
 }
 
 // RunLocal performs the complete rule preparation with both endpoints in
 // process — the building block for examples, benchmarks and the in-memory
 // transport — in the order the live path runs it: each endpoint garbles every
-// fragment, then one OT extension per endpoint covers all fragments' wires,
-// then the middlebox verifies and evaluates. It returns the token key for
-// every fragment (nil entries for unauthorized fragments) and the number of
-// bytes of garbled material that would cross the wire.
+// fragment, epS (the client) keeping only the digest of each circuit message
+// and epR (the server) the whole job, then one OT extension per endpoint
+// covers all fragments' wires, then the middlebox verifies and evaluates. It
+// returns the token key for every fragment (nil entries for unauthorized
+// fragments) and the bytes of the messages that would cross the wire: epR's
+// circuit messages plus epS's digest messages.
 func RunLocal(epS, epR *Endpoint, mb *Middlebox) ([]*dpienc.TokenKey, int, error) {
 	n := mb.NumFragments()
-	choices := make([]bool, 0, n*otWires)
+	choices := make([]bool, 0, n*OTWires)
 	for i := 0; i < n; i++ {
 		choices = append(choices, mb.Choices(i)...)
 	}
 	var (
 		jobs   [2][]*FragmentJob
 		labels [2][]bbcrypto.Block
+		msg    []byte
 	)
 	bytesOnWire := 0
 	for leg, ep := range []*Endpoint{epS, epR} {
-		pairs := make([][2]bbcrypto.Block, 0, n*otWires)
+		pairs := make([][2]bbcrypto.Block, 0, n*OTWires)
 		err := ep.GarbleEach(n, func(job *FragmentJob) error {
-			jobs[leg] = append(jobs[leg], job)
 			pairs = append(pairs, job.OTPairs()...)
-			bytesOnWire += job.G.Size()
+			msg = job.AppendCircuitMsg(msg[:0])
+			job.Digest = sha256.Sum256(msg)
+			if leg == 0 {
+				job = &FragmentJob{Index: job.Index, Digest: job.Digest}
+				bytesOnWire += DigestMsgLen
+			} else {
+				bytesOnWire += len(msg)
+			}
+			jobs[leg] = append(jobs[leg], job)
 			return nil
 		})
 		if err != nil {
@@ -380,7 +479,7 @@ func RunLocal(epS, epR *Endpoint, mb *Middlebox) ([]*dpienc.TokenKey, int, error
 	}
 	keys := make([]*dpienc.TokenKey, n)
 	for i := 0; i < n; i++ {
-		lo, hi := i*otWires, (i+1)*otWires
+		lo, hi := i*OTWires, (i+1)*OTWires
 		key, err := mb.VerifyAndEvaluate(i, jobs[0][i], jobs[1][i], labels[0][lo:hi], labels[1][lo:hi])
 		if err == ErrUnauthorized {
 			continue

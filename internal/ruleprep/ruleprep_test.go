@@ -1,7 +1,9 @@
 package ruleprep
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -47,8 +49,14 @@ func TestRunLocalProducesCorrectTokenKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wireBytes <= 0 {
-		t.Fatal("no garbled bytes accounted")
+	// One leg's circuit messages and the other's digest messages.
+	job, err := epR.Garble(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuitMsg := 8 + job.G.Size() + 4 + endpointWires*bbcrypto.BlockSize
+	if want := len(frags) * (circuitMsg + DigestMsgLen); wireBytes != want {
+		t.Fatalf("RunLocal counts %d wire bytes, want %d", wireBytes, want)
 	}
 	for i, f := range frags {
 		if keys[i] == nil {
@@ -78,6 +86,23 @@ func TestUnauthorizedFragmentRejected(t *testing.T) {
 	}
 }
 
+// clientDigest is what an honest client sends the middlebox for job: its
+// index and the SHA-256 of its circuit message.
+func clientDigest(job *FragmentJob) *FragmentJob {
+	return &FragmentJob{Index: job.Index, Digest: sha256.Sum256(job.AppendCircuitMsg(nil))}
+}
+
+// serverJob is the middlebox's parse of the circuit message a server sends
+// for job.
+func serverJob(t *testing.T, job *FragmentJob) *FragmentJob {
+	t.Helper()
+	got, err := ParseCircuitMsg(job.AppendCircuitMsg(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 func TestMismatchedEndpointsDetected(t *testing.T) {
 	// A malicious endpoint garbling with different randomness (or a
 	// different key) is caught by the §3.3 equality check.
@@ -93,36 +118,58 @@ func TestMismatchedEndpointsDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunLocal(honest, cheat, mb); err == nil {
-		t.Fatal("mismatched garbling not detected")
+	for _, eps := range [][2]*Endpoint{{honest, cheat}, {cheat, honest}} {
+		if _, _, err := RunLocal(eps[0], eps[1], mb); err == nil {
+			t.Fatal("mismatched garbling not detected")
+		}
 	}
 
-	// A cheating endpoint substituting its own session key is also caught:
-	// the garbled circuits are equal only if k, kRG and krand all agree.
-	cheat2 := NewEndpoint(bbcrypto.RandomBlock(), kRG, bbcrypto.Block{1})
-	mb2, _ := NewMiddlebox(req)
+	// The middlebox holds the honest client's digest and checks the
+	// server's circuit message against it. The honest server passes; a
+	// server whose message differs in any byte does not.
 	jobH, err := honest.Garble(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobC, err := cheat2.Garble(0)
+	digest := clientDigest(jobH)
+	if err := mb.Verify(digest, serverJob(t, jobH)); err != nil {
+		t.Fatalf("honest server rejected: %v", err)
+	}
+	reject := func(what string, job *FragmentJob) {
+		t.Helper()
+		if err := mb.Verify(digest, serverJob(t, job)); err == nil {
+			t.Fatalf("server job with %s accepted", what)
+		}
+		if _, err := mb.VerifyAndEvaluate(0, digest, serverJob(t, job), nil, nil); err == nil {
+			t.Fatalf("server job with %s evaluated", what)
+		}
+	}
+	table := serverJob(t, jobH) // a deep copy of the honest job
+	table.G.Tables[100][7] ^= 1
+	reject("one table byte flipped", table)
+	decode := serverJob(t, jobH)
+	decode.G.Decode[3].Val = !decode.G.Decode[3].Val
+	reject("one decode bit flipped", decode)
+	label := serverJob(t, jobH)
+	label.EndpointLabels[5][0] ^= 1
+	reject("one endpoint label flipped", label)
+	jobC, err := cheat.Garble(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mb2.Verify(jobH, jobC); err == nil {
-		t.Fatal("endpoint with different k not detected (labels must differ)")
+	reject("another krand", jobC)
+
+	// A cheating endpoint substituting its own session key is also caught:
+	// the messages are equal only if k, kRG and krand all agree.
+	jobC, err = NewEndpoint(bbcrypto.RandomBlock(), kRG, bbcrypto.Block{1}).Garble(0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	reject("another k (its labels differ)", jobC)
 
 	// The key schedules run outside the circuit, so an endpoint could feed
 	// round keys that are not the expansion of any key. One wrong bit on one
 	// round-key wire is one different label, which Verify catches.
-	jobH2, err := honest.Garble(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mb2.Verify(jobH, jobH2); err != nil {
-		t.Fatalf("two honest endpoints rejected: %v", err)
-	}
 	for _, wire := range []int{0, circuit.RoundKeyBits - 1, circuit.RoundKeyBits + 700} {
 		cheat3 := NewEndpoint(k, kRG, bbcrypto.Block{1})
 		cheat3.keyBits[wire] = !cheat3.keyBits[wire]
@@ -130,9 +177,12 @@ func TestMismatchedEndpointsDetected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := mb2.Verify(jobH, jobC); err == nil {
-			t.Fatalf("round-key wire %d flipped at one endpoint: not detected", wire)
-		}
+		reject(fmt.Sprintf("round-key wire %d flipped", wire), jobC)
+	}
+
+	// A job that carries no digest is never accepted, even against another.
+	if err := mb.Verify(jobH, jobH); err == nil {
+		t.Fatal("jobs without digests accepted")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"crypto/cipher"
 	"crypto/ecdh"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -375,7 +376,8 @@ func (c *Conn) MBPresent() bool { return c.mbPresent }
 
 // servePreparation answers the middlebox's obfuscated-rule-encryption
 // protocol until SubPrepDone (§3.3). The endpoint never learns the rules:
-// it garbles the generic function F and plays the OT sender.
+// it garbles the generic function F and plays the OT sender. The roles are
+// fixed: a server sends its circuits, a client their digests.
 func (c *Conn) servePreparation() error {
 	ep := ruleprep.NewEndpoint(c.keys.K, c.cfg.RG.TagKey, c.keys.KRand)
 	// Per-circuit prep.garble spans parent under this endpoint's handshake
@@ -411,12 +413,15 @@ func (c *Conn) servePreparation() error {
 			// ruleprep.MaxFragments and keeps a bounded number of circuits
 			// alive however slowly the peer reads them.
 			n := int(binary.BigEndian.Uint32(payload))
+			// The server ships each circuit message; the client garbles the
+			// same circuit and ships only the message's SHA-256, which the
+			// middlebox compares with the server's (DESIGN.md substitution 1).
 			err := ep.GarbleEach(n, func(job *ruleprep.FragmentJob) error {
-				rec = append(rec[:0], SubCircuit)
-				rec = binary.BigEndian.AppendUint32(rec, uint32(job.Index))
-				rec = binary.BigEndian.AppendUint32(rec, uint32(job.G.Size()))
-				rec = job.G.AppendMarshal(rec)
-				rec = AppendBlocks(rec, job.EndpointLabels)
+				rec = job.AppendCircuitMsg(append(rec[:0], SubCircuit))
+				if c.isClient {
+					job.Digest = sha256.Sum256(rec[1:])
+					rec = job.AppendDigestMsg(append(rec[:0], SubDigest))
+				}
 				pairs = append(pairs, job.OTPairs()...)
 				return WriteRecord(c.raw, RecGarble, rec)
 			})

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -12,7 +13,6 @@ import (
 
 	"repro/internal/bbcrypto"
 	"repro/internal/circuit"
-	"repro/internal/garble"
 	"repro/internal/obs"
 	"repro/internal/ot"
 	"repro/internal/ruleprep"
@@ -43,18 +43,26 @@ func (w *prepWatcher) Emit(sp obs.Span) {
 	}
 }
 
-// servePrepOverPipe runs the endpoint half of rule preparation on one end of
-// a net.Pipe and returns the other end and the channel its result arrives on.
-func servePrepOverPipe(t *testing.T, w *prepWatcher) (net.Conn, <-chan error) {
+// The keys every endpoint under test prepares with.
+var (
+	prepKeys   = bbcrypto.SessionKeys{K: bbcrypto.Block{1}, KRand: bbcrypto.Block{3}}
+	prepTagKey = bbcrypto.Block{2}
+)
+
+// prepOverPipe runs an endpoint's half of rule preparation, as a client or
+// a server, on one end of a net.Pipe and returns the other end and the
+// channel its result arrives on.
+func prepOverPipe(t *testing.T, w *prepWatcher, client bool) (net.Conn, <-chan error) {
 	t.Helper()
 	ours, theirs := net.Pipe()
 	t.Cleanup(func() { ours.Close(); theirs.Close() })
 	c := &Conn{
-		raw:  theirs,
-		rd:   bufio.NewReader(theirs),
-		cfg:  ConnConfig{Trace: w, RG: RGMaterial{TagKey: bbcrypto.Block{2}}},
-		keys: bbcrypto.SessionKeys{K: bbcrypto.Block{1}, KRand: bbcrypto.Block{3}},
-		fr:   obs.StreamFlow(w, 1, obs.PartyServer, obs.SpanCtx{}),
+		raw:      theirs,
+		rd:       bufio.NewReader(theirs),
+		isClient: client,
+		cfg:      ConnConfig{Trace: w, RG: RGMaterial{TagKey: prepTagKey}},
+		keys:     prepKeys,
+		fr:       obs.StreamFlow(w, 1, obs.PartyServer, obs.SpanCtx{}),
 	}
 	done := make(chan error, 1)
 	go func() { done <- c.servePreparation() }()
@@ -65,14 +73,63 @@ func prepStart(n uint32) []byte {
 	return binary.BigEndian.AppendUint32([]byte{SubPrepStart}, n)
 }
 
-// TestPreparationHoldsBoundedCircuits: a middlebox asks for 64 fragments and
-// then stalls. The endpoint must garble GOMAXPROCS circuits ahead of the one
-// it is writing and stop — not garble all 64 and hold them — and then stay
-// within that bound while the records are drained.
+// TestPreparationHoldsBoundedCircuits: a middlebox asks a server for 64
+// fragments and then stalls. The server must garble GOMAXPROCS circuits
+// ahead of the one it is writing and stop — not garble all 64 and hold them
+// — and then stay within that bound while the records are drained. Each
+// record is the fragment's circuit message.
 func TestPreparationHoldsBoundedCircuits(t *testing.T) {
+	checkBoundedPreparation(t, false, func(i int, sub byte, msg []byte) {
+		if sub != SubCircuit {
+			t.Fatalf("record %d: sub %d, want a circuit", i, sub)
+		}
+		job, err := ruleprep.ParseCircuitMsg(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.Index != i {
+			t.Fatalf("record %d carries fragment %d", i, job.Index)
+		}
+		if g := job.G; g.Rows != 2 || len(g.Tables) != 2*ruleprep.F().NumAND() || len(job.EndpointLabels) != 2*circuit.RoundKeyBits {
+			t.Fatalf("record %d: %d rows/gate, %d rows, %d endpoint labels", i, g.Rows, len(g.Tables), len(job.EndpointLabels))
+		}
+	})
+}
+
+// TestClientPreparationHoldsBoundedCircuits is the client's twin: the same
+// garbling bound, and each record is the fragment's digest message, the
+// SHA-256 of the circuit message a server with the same keys sends.
+func TestClientPreparationHoldsBoundedCircuits(t *testing.T) {
+	server := ruleprep.NewEndpoint(prepKeys.K, prepTagKey, prepKeys.KRand)
+	checkBoundedPreparation(t, true, func(i int, sub byte, msg []byte) {
+		if sub != SubDigest {
+			t.Fatalf("record %d: sub %d, want a digest", i, sub)
+		}
+		job, err := ruleprep.ParseDigestMsg(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.Index != i {
+			t.Fatalf("record %d carries fragment %d", i, job.Index)
+		}
+		want, err := server.Garble(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.Digest != sha256.Sum256(want.AppendCircuitMsg(nil)) {
+			t.Fatalf("record %d: digest is not that of the server's circuit message", i)
+		}
+	})
+}
+
+// checkBoundedPreparation asks an endpoint in the given role for 64
+// fragments, stalls until it has garbled as far ahead as it may, checks it
+// gets no further, and then drains its records through check, holding the
+// endpoint to GOMAXPROCS + 1 live circuits throughout.
+func checkBoundedPreparation(t *testing.T, client bool, check func(i int, sub byte, msg []byte)) {
 	const n = 64
 	w := &prepWatcher{t: t, bound: int64(runtime.GOMAXPROCS(0) + 1), reached: make(chan struct{})}
-	mb, done := servePrepOverPipe(t, w)
+	mb, done := prepOverPipe(t, w, client)
 	if err := WriteRecord(mb, RecGarble, prepStart(n)); err != nil {
 		t.Fatal(err)
 	}
@@ -100,24 +157,10 @@ func TestPreparationHoldsBoundedCircuits(t *testing.T) {
 		if _, err := io.ReadFull(mb, body); err != nil {
 			t.Fatal(err)
 		}
-		if RecordType(hdr[0]) != RecGarble || body[0] != SubCircuit {
-			t.Fatalf("record %d: type %d sub %d, want a circuit", i, hdr[0], body[0])
+		if RecordType(hdr[0]) != RecGarble || len(body) < 1 {
+			t.Fatalf("record %d: type %d, %d bytes", i, hdr[0], len(body))
 		}
-		idx, blobLen := binary.BigEndian.Uint32(body[1:]), binary.BigEndian.Uint32(body[5:])
-		if int(idx) != i {
-			t.Fatalf("record %d carries fragment %d", i, idx)
-		}
-		g, err := garble.Unmarshal(body[9 : 9+blobLen])
-		if err != nil {
-			t.Fatal(err)
-		}
-		labels, err := UnmarshalBlocks(body[9+blobLen:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.Rows != 2 || len(g.Tables) != 2*ruleprep.F().NumAND() || len(labels) != 2*circuit.RoundKeyBits {
-			t.Fatalf("record %d: %d rows/gate, %d rows, %d endpoint labels", i, g.Rows, len(g.Tables), len(labels))
-		}
+		check(i, body[0], body[1:])
 	}
 	if err := WriteRecord(mb, RecGarble, []byte{SubPrepDone}); err != nil {
 		t.Fatal(err)
@@ -139,7 +182,7 @@ func TestPreparationRefusesWrongBasePointCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{0, 128} {
-		mb, done := servePrepOverPipe(t, &prepWatcher{t: t, bound: 1 << 30})
+		mb, done := prepOverPipe(t, &prepWatcher{t: t, bound: 1 << 30}, false)
 		points := make([][]byte, n)
 		for i := range points {
 			points[i] = msgAs[0]
@@ -160,7 +203,7 @@ func TestPreparationRefusesWrongBasePointCount(t *testing.T) {
 func TestPreparationRefusesHostileCount(t *testing.T) {
 	for _, n := range []uint32{ruleprep.MaxFragments + 1, 1<<32 - 1} {
 		w := &prepWatcher{t: t, bound: 1 << 30, reached: make(chan struct{})}
-		mb, done := servePrepOverPipe(t, w)
+		mb, done := prepOverPipe(t, w, false)
 		if err := WriteRecord(mb, RecGarble, prepStart(n)); err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +221,7 @@ func TestPreparationRefusesHostileCount(t *testing.T) {
 // endpoint with an error instead of garbling a second batch.
 func TestPreparationRefusesSecondStart(t *testing.T) {
 	w := &prepWatcher{t: t, bound: 1 << 30, reached: make(chan struct{})}
-	mb, done := servePrepOverPipe(t, w)
+	mb, done := prepOverPipe(t, w, false)
 	go func() { _, _ = io.Copy(io.Discard, mb) }()
 	go func() {
 		for _, rec := range [][]byte{prepStart(1), prepStart(1), {SubPrepDone}} {

@@ -15,6 +15,8 @@ import (
 
 	"repro/internal/bbcrypto"
 	"repro/internal/dpienc"
+	"repro/internal/ot"
+	"repro/internal/ruleprep"
 	"repro/internal/tokenize"
 )
 
@@ -42,9 +44,10 @@ const (
 )
 
 // MaxRecordLen bounds a record body in the setup phase. The largest
-// legitimate records are rule preparation's: one garbled circuit with its
-// endpoint labels (0.4 MB) and the OT extension's messages, which grow with
-// the fragment count.
+// legitimate records are rule preparation's: the server's garbled circuit
+// with its endpoint labels (0.42 MB) and the OT extension's messages, which
+// grow with the fragment count. The middlebox reads the client's
+// preparation records against tighter caps (ClientPrepCap).
 const MaxRecordLen = 64 << 20
 
 // maxDataRecord bounds the plaintext of one data record; larger writes are
@@ -81,9 +84,10 @@ func dataRecordCap(typ RecordType) int {
 	return -1
 }
 
-// RecordCapError is the error for a data-phase record whose header announces
-// more than its type's cap, or a type the data phase does not carry (Cap
-// -1). It is returned before any of the body is read or allocated.
+// RecordCapError is the error for a record whose header announces more than
+// its cap — its type's in the data phase, the expected message's in rule
+// preparation — or a type the data phase does not carry (Cap -1). It is
+// returned before any of the body is read or allocated.
 type RecordCapError struct {
 	Type RecordType
 	Len  uint32
@@ -134,13 +138,20 @@ func RecordBuffered(rd *bufio.Reader) bool {
 // body of its own — the setup phase's reader, whose large records are not
 // worth keeping a buffer for.
 func ReadRecord(r io.Reader) (RecordType, []byte, error) {
+	return ReadRecordMax(r, MaxRecordLen)
+}
+
+// ReadRecordMax is ReadRecord for a record of at most limit bytes: a header
+// announcing more is a *RecordCapError, returned before the body is read or
+// allocated.
+func ReadRecordMax(r io.Reader, limit int) (RecordType, []byte, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > MaxRecordLen {
-		return 0, nil, fmt.Errorf("transport: record body %d exceeds cap", n)
+	if int64(n) > int64(limit) {
+		return 0, nil, &RecordCapError{Type: RecordType(hdr[0]), Len: n, Cap: limit}
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
@@ -398,8 +409,10 @@ func UnmarshalTokensInto(dst []dpienc.EncryptedToken, data []byte, protoIII bool
 const (
 	// SubPrepStart (MB→EP): uint32 fragment count.
 	SubPrepStart byte = iota + 1
-	// SubCircuit (EP→MB): uint32 index, uint32 len, garbled blob, then
-	// the endpoint-input labels (the round-key wires of k and kRG).
+	// SubCircuit (server→MB): the circuit message of one fragment
+	// (ruleprep.FragmentJob.AppendCircuitMsg): uint32 index, uint32 len,
+	// garbled blob, then the endpoint-input labels (the round-key wires of k
+	// and kRG).
 	SubCircuit
 	// SubOTMsgA (MB→EP): the base-OT first message, one point for all
 	// 128 base OTs.
@@ -412,7 +425,27 @@ const (
 	SubOTMasked
 	// SubPrepDone (MB→EP): setup complete, data may flow.
 	SubPrepDone
+	// SubDigest (client→MB): uint32 index, then the SHA-256 of the
+	// SubCircuit message the client would have sent for that fragment
+	// (ruleprep.FragmentJob.AppendDigestMsg).
+	SubDigest
 )
+
+// ClientPrepCap is the largest record body a client sends as preparation
+// message sub in a run of n fragments, at most MaxRecordLen: every message
+// of the client leg has a size known from n. It is -1 for a message a
+// client does not send.
+func ClientPrepCap(sub byte, n int) int {
+	switch sub {
+	case SubDigest:
+		return 1 + ruleprep.DigestMsgLen
+	case SubOTMsgB: // a slice list of the base-OT responses
+		return 1 + 4 + ot.BaseResponses*(4+ot.BaseResponseSize)
+	case SubOTMasked: // a block list of two labels per OT wire
+		return min(1+4+2*bbcrypto.BlockSize*ruleprep.OTWires*n, MaxRecordLen)
+	}
+	return -1
+}
 
 // AppendByteSlices appends list to dst, a uint32 count and then each slice
 // behind its uint32 length, growing dst once.
@@ -460,13 +493,9 @@ func UnmarshalByteSlices(data []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// MarshalBlocks packs 16-byte blocks.
+// MarshalBlocks packs 16-byte blocks: a uint32 count, then the blocks.
 func MarshalBlocks(blocks []bbcrypto.Block) []byte {
-	return AppendBlocks(make([]byte, 0, 4+len(blocks)*bbcrypto.BlockSize), blocks)
-}
-
-// AppendBlocks appends the MarshalBlocks encoding of blocks to dst.
-func AppendBlocks(dst []byte, blocks []bbcrypto.Block) []byte {
+	dst := make([]byte, 0, 4+len(blocks)*bbcrypto.BlockSize)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(blocks)))
 	for i := range blocks {
 		dst = append(dst, blocks[i][:]...)

@@ -197,6 +197,7 @@ done <<'EOF'
 ./internal/rules FuzzParseRule
 ./internal/rules FuzzParse
 ./internal/garble FuzzUnmarshal
+./internal/ruleprep FuzzUnmarshalCircuitMsg
 ./internal/ot FuzzOTMessages
 ./internal/transport FuzzUnmarshalHello
 ./internal/transport FuzzUnmarshalTokens
