@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
@@ -63,25 +64,12 @@ func main() {
 	}
 
 	cfg := blindbox.ConnConfig{Core: blindbox.DefaultConfig(), RG: rg}
-	flushTrace := func() {}
-	if *tracePath != "" {
-		f, err := os.OpenFile(*tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Fatalf("opening trace file: %v", err)
-		}
-		sink := obs.NewJSONLSink(f)
-		flushTrace = func() {
-			if err := sink.Flush(); err != nil {
-				log.Printf("flushing trace file: %v", err)
-			}
-		}
-		// Drain the buffered sink every second so the file tails usefully
-		// during long transfers; an interrupt flushes the remainder.
-		go func() {
-			for range time.Tick(time.Second) {
-				flushTrace()
-			}
-		}()
+	sink, flushTrace, err := obs.OpenTraceFile(*tracePath, slog.Default())
+	if err != nil {
+		log.Fatal(err)
+	}
+	if sink != nil {
+		// An interrupt flushes what the one-second drain has not.
 		sigC := make(chan os.Signal, 1)
 		signal.Notify(sigC, os.Interrupt, syscall.SIGTERM)
 		go func() {

@@ -1,15 +1,14 @@
 // Command bblint is the BlindBox static-analysis driver. It loads every
-// package named by its arguments (default ./...) in parallel, type-checks
-// them with the standard library's go/types, runs the rule suite of
-// internal/lint (including the secret-flow taint analysis and the
-// hotpath-alloc zero-allocation check), and prints findings as
-// file:line:col diagnostics with rule IDs. Diagnostics are deduplicated by
-// position and rule and always emitted in sorted order, independent of load
-// parallelism.
+// package named by its arguments (default ./...), type-checks them with the
+// standard library's go/types, runs the rule suite of internal/lint
+// (including the secret-flow taint analysis and the hotpath-alloc
+// zero-allocation check), and prints findings as file:line:col diagnostics
+// with rule IDs. Diagnostics are deduplicated by position and rule and
+// always emitted in sorted order.
 //
 // Usage:
 //
-//	bblint [-json] [-rules] [-parallel n] [packages...]
+//	bblint [-json] [-rules] [packages...]
 //
 // Exit status: 0 when the tree is clean, 1 when findings were reported,
 // 2 on load or analysis errors (unparseable source, unresolvable imports,
@@ -36,7 +35,6 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array (for CI diffing)")
 	listRules := flag.Bool("rules", false, "print the rule catalog and exit")
-	parallel := flag.Int("parallel", 0, "package-load worker goroutines (0 = one per core)")
 	flag.Parse()
 
 	loader, err := lint.NewLoader(".")
@@ -63,7 +61,7 @@ func main() {
 		fatal(fmt.Errorf("bblint: no packages match %v", patterns))
 	}
 
-	pkgs, err := loader.LoadAll(paths, *parallel)
+	pkgs, err := loader.LoadAll(paths)
 	if err != nil {
 		fatal(fmt.Errorf("bblint: %w", err))
 	}

@@ -44,7 +44,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	blindbox "repro"
 	"repro/internal/middlebox"
@@ -99,27 +98,9 @@ func main() {
 
 	reg := obs.NewRegistry()
 	obs.RegisterWorkerInfo(reg, *worker)
-	var trace obs.Sink
-	flushTrace := func() {}
-	if *tracePath != "" {
-		f, err := os.OpenFile(*tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Fatalf("opening trace file: %v", err)
-		}
-		sink := obs.NewJSONLSink(f)
-		flushTrace = func() {
-			if err := sink.Flush(); err != nil {
-				logger.Error("flushing trace file", "err", err)
-			}
-		}
-		// The sink buffers; drain it every second so the span file tails
-		// usefully while the daemon runs (shutdown flushes the remainder).
-		go func() {
-			for range time.Tick(time.Second) {
-				flushTrace()
-			}
-		}()
-		trace = sink
+	trace, flushTrace, err := obs.OpenTraceFile(*tracePath, logger)
+	if err != nil {
+		log.Fatal(err)
 	}
 	// The flight recorder is always on: rings are pooled and bounded, the
 	// /debug endpoints work without -trace, and with -trace it enforces the

@@ -31,7 +31,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	blindbox "repro"
 	"repro/internal/corpus"
@@ -58,27 +57,9 @@ func main() {
 		log.Fatalf("loading RG config: %v", err)
 	}
 	cfg := blindbox.ConnConfig{Core: blindbox.DefaultConfig(), RG: rg}
-	var trace obs.Sink
-	flushTrace := func() {}
-	if *tracePath != "" {
-		f, err := os.OpenFile(*tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Fatalf("opening trace file: %v", err)
-		}
-		sink := obs.NewJSONLSink(f)
-		flushTrace = func() {
-			if err := sink.Flush(); err != nil {
-				log.Printf("flushing trace file: %v", err)
-			}
-		}
-		// The sink buffers; drain it every second so the span file tails
-		// usefully while the daemon runs (shutdown flushes the remainder).
-		go func() {
-			for range time.Tick(time.Second) {
-				flushTrace()
-			}
-		}()
-		trace = sink
+	trace, flushTrace, err := obs.OpenTraceFile(*tracePath, slog.Default())
+	if err != nil {
+		log.Fatal(err)
 	}
 	// The flight recorder is always on: rings are pooled and bounded, the
 	// /debug endpoints work without -trace, and with -trace it enforces the

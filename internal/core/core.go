@@ -117,8 +117,8 @@ func (p *SenderPipeline) ProcessText(data []byte) ([]dpienc.EncryptedToken, *Sal
 
 // ProcessTextInto is ProcessText writing the encrypted tokens into dst's
 // backing array when it has capacity, so the result aliases dst — the
-// allocation-free form the transport hot path pairs with
-// dpienc.GetTokenBuf/PutTokenBuf. ProcessText returns memory of its own.
+// allocation-free form the transport hot path uses with a buffer each
+// connection keeps. ProcessText returns memory of its own.
 func (p *SenderPipeline) ProcessTextInto(dst []dpienc.EncryptedToken, data []byte) ([]dpienc.EncryptedToken, *SaltReset) {
 	reset := p.accountAndMaybeReset(len(data))
 	t0 := p.tokenizeStart()
@@ -126,14 +126,10 @@ func (p *SenderPipeline) ProcessTextInto(dst []dpienc.EncryptedToken, data []byt
 	return p.encrypt(dst, t0, len(data)), reset
 }
 
-// ProcessBinary accounts for payload the IDS does not inspect (images,
-// video): no new tokens are formed, but stream offsets advance and
-// buffered text is finalized (possibly emitting its trailing tokens).
-func (p *SenderPipeline) ProcessBinary(n int) ([]dpienc.EncryptedToken, *SaltReset) {
-	return p.ProcessBinaryInto(nil, n)
-}
-
-// ProcessBinaryInto is ProcessBinary reusing dst's backing array.
+// ProcessBinaryInto accounts for payload the IDS does not inspect (images,
+// video), reusing dst's backing array like ProcessTextInto: no new tokens
+// are formed, but stream offsets advance and buffered text is finalized
+// (possibly emitting its trailing tokens).
 func (p *SenderPipeline) ProcessBinaryInto(dst []dpienc.EncryptedToken, n int) ([]dpienc.EncryptedToken, *SaltReset) {
 	reset := p.accountAndMaybeReset(n)
 	t0 := p.tokenizeStart()

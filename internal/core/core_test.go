@@ -76,7 +76,7 @@ func TestBinarySkipKeepsSync(t *testing.T) {
 	}
 	toks, _ := sp.ProcessText([]byte("header text "))
 	run(toks)
-	toks, _ = sp.ProcessBinary(1 << 16) // a big image
+	toks, _ = sp.ProcessBinaryInto(nil, 1<<16) // a big image
 	run(toks)
 	toks, _ = sp.ProcessText([]byte("trailer with attackkw inside"))
 	run(toks)

@@ -40,7 +40,7 @@ func TestFreshPipelineIsSmall(t *testing.T) {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < 64; i++ {
-		if toks, _ := p.ProcessBinary(recordLen); len(toks) != 0 {
+		if toks, _ := p.ProcessBinaryInto(nil, recordLen); len(toks) != 0 {
 			t.Fatalf("binary payload produced %d tokens", len(toks))
 		}
 	}

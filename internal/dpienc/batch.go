@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/bbcrypto"
 	"repro/internal/tokenize"
@@ -176,24 +175,4 @@ func GrowTokenBuf(buf []EncryptedToken, n int) []EncryptedToken {
 		return make([]EncryptedToken, n)
 	}
 	return buf[:n]
-}
-
-// tokenBufPool recycles encrypted-token batch buffers across connections:
-// the sender hot path produces one ciphertext slice per data record, and at
-// millions of flows those allocations dominate the encryption cost.
-var tokenBufPool = sync.Pool{
-	New: func() any { return make([]EncryptedToken, 0, 512) },
-}
-
-// GetTokenBuf returns a reusable encrypted-token buffer of length zero.
-// Return it with PutTokenBuf once the batch has been marshaled or consumed;
-// the contents must not be retained afterwards.
-func GetTokenBuf() []EncryptedToken {
-	return tokenBufPool.Get().([]EncryptedToken)[:0]
-}
-
-// PutTokenBuf recycles a buffer obtained from GetTokenBuf (growing it in
-// the meantime is fine — the grown backing array is what gets pooled).
-func PutTokenBuf(buf []EncryptedToken) {
-	tokenBufPool.Put(buf[:0])
 }

@@ -81,21 +81,6 @@ func TestEncryptTokensMatchesEncryptToken(t *testing.T) {
 	}
 }
 
-// TestTokenBufPool checks the pooled buffers start empty and survive growth.
-func TestTokenBufPool(t *testing.T) {
-	buf := GetTokenBuf()
-	if len(buf) != 0 {
-		t.Fatalf("pooled buffer has length %d", len(buf))
-	}
-	buf = append(buf, EncryptedToken{Offset: 1})
-	PutTokenBuf(buf)
-	again := GetTokenBuf()
-	if len(again) != 0 {
-		t.Fatalf("recycled buffer has length %d", len(again))
-	}
-	PutTokenBuf(again)
-}
-
 // TestEncryptTokensIntoReusesBuffer pins the zero-allocation steady state:
 // a large-enough dst is reused, not reallocated.
 func TestEncryptTokensIntoReusesBuffer(t *testing.T) {

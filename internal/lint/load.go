@@ -10,10 +10,10 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
-	"sync"
 )
 
 // Loader parses and type-checks packages of one module. Module-internal
@@ -22,13 +22,9 @@ import (
 // ship export data, so "source" is the only compiler-independent mode).
 // External imports are impossible by construction: the module has none.
 //
-// The loader is safe for concurrent use: LoadAll type-checks independent
-// packages on parallel worker goroutines. Each package is built exactly
-// once (singleflight entries under mu); the stdlib source importer is not
-// concurrency-safe and is serialized behind stdMu. Workers that need a
-// package another worker is building wait on its entry; a cross-worker
-// wait cycle (only possible with a genuine import cycle) is detected by
-// walking the waits map and reported as an error instead of deadlocking.
+// Packages are built one at a time, each exactly once, and a package's
+// module imports are built before it is type-checked, so an import cycle
+// is a load error naming the cycle. A Loader is not safe for concurrent use.
 type Loader struct {
 	// Fset is shared by every package the loader touches.
 	Fset *token.FileSet
@@ -37,49 +33,33 @@ type Loader struct {
 	// RootDir is the directory containing go.mod.
 	RootDir string
 
-	std   types.Importer
-	stdMu sync.Mutex
-
-	mu         sync.Mutex
-	entries    map[string]*loadEntry
-	waits      map[int]string // worker id -> import path it is blocked on
-	nextWorker int
-}
-
-// loadEntry is the singleflight slot of one package build.
-type loadEntry struct {
-	done  chan struct{}
-	pkg   *Package
-	err   error
-	owner int // worker id building the package
-}
-
-// loadCtx is the per-worker load context: a worker id for deadlock
-// detection and the import stack for cycle diagnostics.
-type loadCtx struct {
-	l     *Loader
-	id    int
+	std types.Importer
+	// pkgs holds every package built so far by import path; a nil entry is
+	// a package still being built, whose path is then on stack.
+	pkgs  map[string]*Package
 	stack []string
 }
 
-// Import implements types.Importer for one worker: module-internal imports
-// resolve through the loader (recursively, possibly waiting on another
-// worker), everything else through the serialized stdlib source importer.
-func (ctx *loadCtx) Import(path string) (*types.Package, error) {
+// Import implements types.Importer for the type checker: module-internal
+// imports resolve through the loader, everything else through the stdlib
+// source importer.
+func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	l := ctx.l
-	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
-		p, err := l.loadPath(ctx, path)
-		if err != nil {
-			return nil, err
-		}
-		return p.Pkg, nil
+	if !l.inModule(path) {
+		return l.std.Import(path)
 	}
-	l.stdMu.Lock()
-	defer l.stdMu.Unlock()
-	return l.std.Import(path)
+	p, err := l.Load(path)
+	if err != nil {
+		return nil, err
+	}
+	return p.Pkg, nil
+}
+
+// inModule reports whether path names a package of the loader's module.
+func (l *Loader) inModule(path string) bool {
+	return path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/")
 }
 
 // NewLoader locates go.mod at or above dir and prepares a loader.
@@ -117,8 +97,7 @@ func NewLoader(dir string) (*Loader, error) {
 		ModulePath: module,
 		RootDir:    root,
 		std:        importer.ForCompiler(fset, "source", nil),
-		entries:    make(map[string]*loadEntry),
-		waits:      make(map[int]string),
+		pkgs:       make(map[string]*Package),
 	}, nil
 }
 
@@ -235,118 +214,47 @@ func (l *Loader) goFiles(dir string) []string {
 // Load parses and type-checks the package with the given module import
 // path, reusing prior work.
 func (l *Loader) Load(importPath string) (*Package, error) {
-	return l.loadPath(l.newCtx(), importPath)
+	rel := strings.TrimPrefix(strings.TrimPrefix(importPath, l.ModulePath), "/")
+	return l.LoadDir(filepath.Join(l.RootDir, filepath.FromSlash(rel)), importPath)
 }
 
-// LoadAll loads every listed package, fanning independent packages out to
-// up to `workers` goroutines (capped at the core count; <= 0 means the
-// cap). Results keep the input order. Shared dependencies are built exactly
-// once regardless of which worker gets there first.
-func (l *Loader) LoadAll(paths []string, workers int) ([]*Package, error) {
-	if max := runtime.NumCPU(); workers <= 0 || workers > max {
-		workers = max
-	}
-	if workers > len(paths) {
-		workers = len(paths)
-	}
+// LoadAll loads every listed package. Results keep the input order.
+func (l *Loader) LoadAll(paths []string) ([]*Package, error) {
 	pkgs := make([]*Package, len(paths))
-	errs := make([]error, len(paths))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
 	for i, p := range paths {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, p string) {
-			defer func() { <-sem; wg.Done() }()
-			pkgs[i], errs[i] = l.Load(p)
-		}(i, p)
-	}
-	wg.Wait()
-	for i, err := range errs {
+		pkg, err := l.Load(p)
 		if err != nil {
-			return nil, fmt.Errorf("loading %s: %w", paths[i], err)
+			return nil, fmt.Errorf("loading %s: %w", p, err)
 		}
+		pkgs[i] = pkg
 	}
 	return pkgs, nil
-}
-
-// newCtx allocates a load context with a fresh worker id.
-func (l *Loader) newCtx() *loadCtx {
-	l.mu.Lock()
-	l.nextWorker++
-	id := l.nextWorker
-	l.mu.Unlock()
-	return &loadCtx{l: l, id: id}
-}
-
-// loadPath resolves an import path to its directory and builds it.
-func (l *Loader) loadPath(ctx *loadCtx, importPath string) (*Package, error) {
-	rel := strings.TrimPrefix(strings.TrimPrefix(importPath, l.ModulePath), "/")
-	return l.loadDir(ctx, filepath.Join(l.RootDir, filepath.FromSlash(rel)), importPath)
 }
 
 // LoadDir loads the package in dir under the given import path. It also
 // serves testdata fixture packages, which Expand deliberately skips.
 func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	return l.loadDir(l.newCtx(), dir, importPath)
-}
-
-// loadDir is the singleflight core: the first worker to ask for a package
-// builds it, everyone else waits on its entry. Before blocking, the waiter
-// walks the owner chain through the waits map; finding itself there means
-// a genuine import cycle spans workers, which is reported instead of
-// deadlocking.
-func (l *Loader) loadDir(ctx *loadCtx, dir, importPath string) (*Package, error) {
-	l.mu.Lock()
-	if e, ok := l.entries[importPath]; ok {
-		select {
-		case <-e.done: // already built
-			l.mu.Unlock()
-			return e.pkg, e.err
-		default:
+	if pkg, ok := l.pkgs[importPath]; ok {
+		if pkg == nil {
+			cycle := l.stack[slices.Index(l.stack, importPath):]
+			return nil, fmt.Errorf("lint: import cycle: %s -> %s", strings.Join(cycle, " -> "), importPath)
 		}
-		if e.owner == ctx.id {
-			l.mu.Unlock()
-			return nil, fmt.Errorf("lint: import cycle through %s (via %s)",
-				importPath, strings.Join(ctx.stack, " -> "))
-		}
-		cur := e.owner
-		for i := 0; i < len(l.entries)+1; i++ {
-			next, waiting := l.waits[cur]
-			if !waiting {
-				break
-			}
-			ne, ok := l.entries[next]
-			if !ok {
-				break
-			}
-			if ne.owner == ctx.id {
-				l.mu.Unlock()
-				return nil, fmt.Errorf("lint: import cycle through %s (across concurrent loads)", importPath)
-			}
-			cur = ne.owner
-		}
-		l.waits[ctx.id] = importPath
-		l.mu.Unlock()
-		<-e.done
-		l.mu.Lock()
-		delete(l.waits, ctx.id)
-		l.mu.Unlock()
-		return e.pkg, e.err
+		return pkg, nil
 	}
-	e := &loadEntry{done: make(chan struct{}), owner: ctx.id}
-	l.entries[importPath] = e
-	l.mu.Unlock()
-
-	ctx.stack = append(ctx.stack, importPath)
-	e.pkg, e.err = l.build(ctx, dir, importPath)
-	ctx.stack = ctx.stack[:len(ctx.stack)-1]
-	close(e.done)
-	return e.pkg, e.err
+	l.pkgs[importPath] = nil
+	l.stack = append(l.stack, importPath)
+	pkg, err := l.build(dir, importPath)
+	l.stack = l.stack[:len(l.stack)-1]
+	if err != nil {
+		delete(l.pkgs, importPath)
+		return nil, err
+	}
+	l.pkgs[importPath] = pkg
+	return pkg, nil
 }
 
-// build parses and type-checks one package (exactly once per import path).
-func (l *Loader) build(ctx *loadCtx, dir, importPath string) (*Package, error) {
+// build parses one package, loads its module imports, and type-checks it.
+func (l *Loader) build(dir, importPath string) (*Package, error) {
 	files := l.goFiles(dir)
 	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
@@ -358,6 +266,13 @@ func (l *Loader) build(ctx *loadCtx, dir, importPath string) (*Package, error) {
 			return nil, err
 		}
 		asts = append(asts, a)
+		for _, spec := range a.Imports {
+			if path, err := strconv.Unquote(spec.Path.Value); err == nil && l.inModule(path) {
+				if _, err := l.Load(path); err != nil {
+					return nil, err
+				}
+			}
+		}
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -373,7 +288,7 @@ func (l *Loader) build(ctx *loadCtx, dir, importPath string) (*Package, error) {
 		Info:       info,
 	}
 	conf := types.Config{
-		Importer: ctx,
+		Importer: l,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
 	tpkg, err := conf.Check(importPath, l.Fset, asts, info)

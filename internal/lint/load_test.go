@@ -1,34 +1,45 @@
 package lint
 
 import (
+	"os"
+	"path/filepath"
 	"sort"
-	"sync"
+	"strings"
 	"testing"
 )
 
-// TestLoadAllDeterministic pins the concurrency contract of the parallel
-// loader: loading the same package set on many workers (run under -race in
-// CI) yields one Package per input path in input order, and the diagnostics
-// produced over them are identical — and sorted — no matter how the load
-// was scheduled. The package set deliberately shares deep dependencies
-// (core pulls bbcrypto, dpienc, tokenize...) so the singleflight paths get
-// real contention.
+// findingsSorted reports whether findings are ordered by file, line and
+// column, the order Run promises.
+func findingsSorted(findings []Finding) bool {
+	return sort.SliceIsSorted(findings, func(i, j int) bool {
+		a, b := findings[i], findings[j]
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		return a.Col < b.Col
+	})
+}
+
+// TestLoadAllDeterministic pins what bblint relies on from LoadAll: one
+// Package per input path in input order, and findings over them that come
+// back sorted by position and identical from one fresh loader to the next.
 func TestLoadAllDeterministic(t *testing.T) {
 	paths := []string{
+		"repro/internal/core",
 		"repro/internal/bbcrypto",
-		"repro/internal/tokenize",
 		"repro/internal/dpienc",
 		"repro/internal/detect",
-		"repro/internal/core",
-		"repro/internal/rules",
 	}
 	var base []Finding
-	for round := 0; round < 3; round++ {
+	for round := 0; round < 2; round++ {
 		loader, err := NewLoader(".")
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkgs, err := loader.LoadAll(paths, 8)
+		pkgs, err := loader.LoadAll(paths)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,16 +55,7 @@ func TestLoadAllDeterministic(t *testing.T) {
 			}
 		}
 		findings := Run(pkgs, DefaultRules(loader.ModulePath))
-		if !sort.SliceIsSorted(findings, func(i, j int) bool {
-			a, b := findings[i], findings[j]
-			if a.File != b.File {
-				return a.File < b.File
-			}
-			if a.Line != b.Line {
-				return a.Line < b.Line
-			}
-			return a.Col < b.Col
-		}) {
+		if !findingsSorted(findings) {
 			t.Error("findings are not sorted by position")
 		}
 		if round == 0 {
@@ -71,33 +73,73 @@ func TestLoadAllDeterministic(t *testing.T) {
 	}
 }
 
-// TestLoadAllSharedDependency hammers one loader from many goroutines
-// requesting overlapping packages; the singleflight layer must hand every
-// caller the same *Package instance rather than rebuilding.
+// TestLoadAllSharedDependency: a dependency shared by several loaded
+// packages is built once. dpienc and detect both import tokenize, and
+// each must see the one package a later Load returns.
 func TestLoadAllSharedDependency(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const goroutines = 8
-	results := make([]*Package, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			pkgs, err := loader.LoadAll([]string{"repro/internal/dpienc", "repro/internal/detect"}, 2)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[g] = pkgs[0]
-		}(g)
+	pkgs, err := loader.LoadAll([]string{"repro/internal/dpienc", "repro/internal/detect"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for g := 1; g < goroutines; g++ {
-		if results[g] != results[0] {
-			t.Fatalf("goroutine %d got a distinct Package instance for the same path", g)
+	tok, err := loader.Load("repro/internal/tokenize")
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := loader.Load("repro/internal/tokenize")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != tok {
+		t.Fatal("a second Load of the same path built a distinct Package")
+	}
+	for _, pkg := range pkgs {
+		seen := false
+		for _, imp := range pkg.Pkg.Imports() {
+			if imp.Path() != tok.ImportPath {
+				continue
+			}
+			seen = true
+			if imp != tok.Pkg {
+				t.Errorf("%s imports a second build of %s", pkg.ImportPath, tok.ImportPath)
+			}
 		}
+		if !seen {
+			t.Errorf("%s does not import %s; the test no longer exercises a shared dependency", pkg.ImportPath, tok.ImportPath)
+		}
+	}
+}
+
+// TestLoadImportCycle: two packages that import each other are a load
+// error naming the cycle, not unbounded recursion.
+func TestLoadImportCycle(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module cyc\n\ngo 1.22\n",
+		"a/a.go": "package a\n\nimport _ \"cyc/b\"\n",
+		"b/b.go": "package b\n\nimport _ \"cyc/a\"\n",
+	}
+	for name, src := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loader, err := NewLoader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = loader.Load("cyc/a")
+	if err == nil {
+		t.Fatal("Load of an import cycle succeeded")
+	}
+	if want := "import cycle: cyc/a -> cyc/b -> cyc/a"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the cycle %q", err, want)
 	}
 }

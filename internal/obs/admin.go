@@ -120,17 +120,11 @@ func (r *Recorder) Mount(mux *http.ServeMux) {
 	})
 }
 
-// ServeAdmin listens on addr and serves the admin endpoint in a background
-// goroutine, returning the bound listener (so callers can report the
-// resolved port and close it on shutdown). Serve errors after a successful
-// bind are logged, not fatal: losing the admin port must not take down the
-// data path.
-func ServeAdmin(addr string, r *Registry, log *slog.Logger) (net.Listener, error) {
-	return ServeAdminMux(addr, AdminMux(r), log)
-}
-
-// ServeAdminMux is ServeAdmin for a caller-built mux (typically AdminMux
-// plus Recorder.Mount).
+// ServeAdminMux listens on addr and serves mux (typically AdminMux plus
+// Recorder.Mount) in a background goroutine, returning the bound listener
+// (so callers can report the resolved port and close it on shutdown).
+// Serve errors after a successful bind are logged, not fatal: losing the
+// admin port must not take down the data path.
 func ServeAdminMux(addr string, mux *http.ServeMux, log *slog.Logger) (net.Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -138,7 +138,7 @@ type RecorderConfig struct {
 // Recorder manages the per-flow flight recorders of one process: a pool of
 // span rings, the live-flow table, the recent-flow table, and the sampler.
 // All methods are safe for concurrent use; a nil *Recorder is the
-// documented disabled state (BeginFlow returns a nil *FlowRecorder, whose
+// documented disabled state (BeginFlowSampled returns a nil *FlowRecorder, whose
 // methods are no-ops).
 type Recorder struct {
 	events  int
@@ -199,13 +199,6 @@ func (r *Recorder) Decide(t TraceID) bool {
 		return false
 	}
 	return r.sampler.Sample(t)
-}
-
-// BeginFlow starts recording one flow under r's own head decision for
-// ctx's trace ID. Parties that received a wire decision use
-// BeginFlowSampled instead.
-func (r *Recorder) BeginFlow(flow uint64, party string, ctx SpanCtx) *FlowRecorder {
-	return r.BeginFlowSampled(flow, party, ctx, r.Decide(ctx.Trace))
 }
 
 // BeginFlowSampled starts recording one flow with an explicit head
@@ -285,7 +278,7 @@ func (r *Recorder) Live() []FlowSummary {
 }
 
 // liveFlows snapshots the live-flow table under the lock; per-flow ring
-// copies happen outside it so a slow dump never stalls BeginFlow/End.
+// copies happen outside it so a slow dump never stalls BeginFlowSampled/End.
 func (r *Recorder) liveFlows() []*FlowRecorder {
 	r.mu.Lock()
 	frs := make([]*FlowRecorder, 0, len(r.live))
@@ -412,9 +405,6 @@ type FlowRecorder struct {
 	done        Disposition
 }
 
-// Head reports the flow's head-sampling decision (false on nil).
-func (f *FlowRecorder) Head() bool { return f != nil && f.head }
-
 // Context returns the flow's span context (zero on nil).
 func (f *FlowRecorder) Context() SpanCtx {
 	if f == nil {
@@ -523,20 +513,6 @@ func (f *FlowRecorder) record(sp Span, interesting bool, reason string) {
 		sp.Sampled = string(DispositionHead)
 		f.rec.sink.Emit(sp)
 	}
-}
-
-// Interesting marks the flow for tail retention without recording a span
-// (for terminal states observed outside span emission).
-func (f *FlowRecorder) Interesting(reason string) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	if !f.closed && !f.interesting {
-		f.interesting = true
-		f.reason = reason
-	}
-	f.mu.Unlock()
 }
 
 // Snapshot copies the flow's current ring contents in record order, trace

@@ -86,10 +86,7 @@ func TestRecorderTailFlushOnInterestingEnd(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewRecorder(RecorderConfig{Sample: 0, Sink: sink, Metrics: reg})
 	ctx := NewSpanCtx()
-	fr := rec.BeginFlow(7, PartyMB, ctx)
-	if fr.Head() {
-		t.Fatal("rate 0 flow head-sampled")
-	}
+	fr := rec.BeginFlowSampled(7, PartyMB, ctx, rec.Decide(ctx.Trace))
 	sp := Span{Flow: 7, Party: PartyMB, Name: SpanScan, Tokens: 8}
 	ctx.Child().Stamp(&sp)
 	fr.Emit(sp)
@@ -124,10 +121,7 @@ func TestRecorderHeadStreamsWithoutDuplicateFlush(t *testing.T) {
 	sink := &CollectSink{}
 	rec := NewRecorder(RecorderConfig{Sample: 1, Sink: sink})
 	ctx := NewSpanCtx()
-	fr := rec.BeginFlow(1, PartyClient, ctx)
-	if !fr.Head() {
-		t.Fatal("rate 1 flow not head-sampled")
-	}
+	fr := rec.BeginFlowSampled(1, PartyClient, ctx, rec.Decide(ctx.Trace))
 	for i := 0; i < 3; i++ {
 		sp := Span{Flow: 1, Party: PartyClient, Name: SpanEncrypt}
 		ctx.Child().Stamp(&sp)
@@ -156,7 +150,8 @@ func TestRecorderDropsBoringFlows(t *testing.T) {
 	sink := &CollectSink{}
 	reg := NewRegistry()
 	rec := NewRecorder(RecorderConfig{Sample: 0, Sink: sink, Metrics: reg})
-	fr := rec.BeginFlow(2, PartyServer, NewSpanCtx())
+	ctx := NewSpanCtx()
+	fr := rec.BeginFlowSampled(2, PartyServer, ctx, rec.Decide(ctx.Trace))
 	fr.Emit(Span{Flow: 2, Name: SpanTokenize})
 	if d := fr.End(""); d != DispositionDrop {
 		t.Fatalf("disposition = %v, want drop", d)
@@ -176,14 +171,14 @@ func TestRecorderErrorEndAndSpanErrAreInteresting(t *testing.T) {
 			fr.Emit(Span{Name: SpanForward, Err: "broken pipe"})
 			return fr.End("")
 		},
-		"interesting": func(fr *FlowRecorder) Disposition { fr.Interesting("manual"); return fr.End("") },
 		"fault event": func(fr *FlowRecorder) Disposition { fr.Event(SpanEventFault, "client", "reset@c2s"); return fr.End("") },
 		"timeout":     func(fr *FlowRecorder) Disposition { fr.Event(SpanEventTimeout, "c2s", "barrier"); return fr.End("") },
 		"degradation": func(fr *FlowRecorder) Disposition { fr.Event(SpanEventDegraded, "c2s", "fail-open"); return fr.End("") },
 		"block":       func(fr *FlowRecorder) Disposition { fr.Event(SpanEventBlocked, "c2s", "sid 9"); return fr.End("") },
 	} {
 		rec := NewRecorder(RecorderConfig{Sample: 0, Sink: &CollectSink{}})
-		fr := rec.BeginFlow(3, PartyMB, NewSpanCtx())
+		ctx := NewSpanCtx()
+		fr := rec.BeginFlowSampled(3, PartyMB, ctx, rec.Decide(ctx.Trace))
 		if d := drive(fr); d != DispositionTail {
 			t.Errorf("%s: disposition = %v, want tail", name, d)
 		}
@@ -194,7 +189,8 @@ func TestRecorderRingEviction(t *testing.T) {
 	reg := NewRegistry()
 	sink := &CollectSink{}
 	rec := NewRecorder(RecorderConfig{Events: 4, Sample: 0, Sink: sink, Metrics: reg})
-	fr := rec.BeginFlow(5, PartyMB, NewSpanCtx())
+	ctx := NewSpanCtx()
+	fr := rec.BeginFlowSampled(5, PartyMB, ctx, rec.Decide(ctx.Trace))
 	for i := 0; i < 10; i++ {
 		fr.Emit(Span{Flow: 5, Name: SpanScan, Tokens: i})
 	}
@@ -211,8 +207,7 @@ func TestRecorderRingEviction(t *testing.T) {
 	if v := reg.Counter(ObsRingEvictionsTotal, "").Value(); v != 6 {
 		t.Errorf("evictions = %d, want 6", v)
 	}
-	fr.Interesting("test")
-	fr.End("")
+	fr.End("test")
 	if got := sink.Spans(); len(got) != 4 {
 		t.Errorf("tail flush emitted %d span(s), want the surviving 4", len(got))
 	}
@@ -221,7 +216,8 @@ func TestRecorderRingEviction(t *testing.T) {
 func TestRecorderEndIdempotentAndStragglersDropped(t *testing.T) {
 	sink := &CollectSink{}
 	rec := NewRecorder(RecorderConfig{Sample: 0, Sink: sink})
-	fr := rec.BeginFlow(6, PartyMB, NewSpanCtx())
+	ctx := NewSpanCtx()
+	fr := rec.BeginFlowSampled(6, PartyMB, ctx, rec.Decide(ctx.Trace))
 	fr.Event(SpanEventAlert, "c2s", "sid 1")
 	if d := fr.End(""); d != DispositionTail {
 		t.Fatalf("first End = %v", d)
@@ -256,10 +252,6 @@ func TestRecorderNilSafety(t *testing.T) {
 	// Every method must be a no-op on the nil flow recorder.
 	fr.Emit(Span{Name: SpanScan})
 	fr.Event(SpanEventAlert, "c2s", "sid 1")
-	fr.Interesting("x")
-	if fr.Head() {
-		t.Error("nil flow recorder head-sampled")
-	}
 	if got := fr.Snapshot(); got != nil {
 		t.Errorf("nil Snapshot = %v", got)
 	}
@@ -273,14 +265,15 @@ func TestRecorderNilSafety(t *testing.T) {
 
 // TestRecorderConcurrentRecordFlushEvict drives many flows from many
 // goroutines — concurrent Emit on shared flow recorders, Snapshot dumps,
-// Interesting marks, and racing End calls — and is meaningful under -race.
+// alert events, and racing End calls — and is meaningful under -race.
 func TestRecorderConcurrentRecordFlushEvict(t *testing.T) {
 	sink := &CollectSink{}
 	rec := NewRecorder(RecorderConfig{Events: 8, Sample: 0.5, Sink: sink, Metrics: NewRegistry()})
 	const flows, writers, spans = 16, 4, 64
 	var wg sync.WaitGroup
 	for f := 0; f < flows; f++ {
-		fr := rec.BeginFlow(uint64(f+1), PartyMB, NewSpanCtx())
+		ctx := NewSpanCtx()
+		fr := rec.BeginFlowSampled(uint64(f+1), PartyMB, ctx, rec.Decide(ctx.Trace))
 		for w := 0; w < writers; w++ {
 			wg.Add(1)
 			go func(w int) {
@@ -382,11 +375,12 @@ func TestRecorderDebugEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewRecorder(RecorderConfig{Sample: 0, Metrics: reg})
 	ctx := NewSpanCtx()
-	live := rec.BeginFlow(11, PartyMB, ctx)
+	live := rec.BeginFlowSampled(11, PartyMB, ctx, rec.Decide(ctx.Trace))
 	sp := Span{Flow: 11, Party: PartyMB, Name: SpanScan, Tokens: 3}
 	ctx.Child().Stamp(&sp)
 	live.Emit(sp)
-	ended := rec.BeginFlow(12, PartyMB, NewSpanCtx())
+	endedCtx := NewSpanCtx()
+	ended := rec.BeginFlowSampled(12, PartyMB, endedCtx, rec.Decide(endedCtx.Trace))
 	ended.Event(SpanEventAlert, "c2s", "sid 5")
 	ended.End("")
 

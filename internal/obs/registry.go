@@ -373,20 +373,6 @@ func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
 	}).gaugeVec
 }
 
-// Names returns the registered metric names in registration order.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.metrics))
-	for i, m := range r.metrics {
-		out[i] = m.name
-	}
-	return out
-}
-
 // snapshotMetrics copies the metric list under the lock so scrapes read a
 // stable set while registrations continue.
 func (r *Registry) snapshotMetrics() []*metric {

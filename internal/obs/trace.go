@@ -21,8 +21,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
+	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Span names emitted by the pipeline. The set is closed on purpose: tools
@@ -285,6 +288,36 @@ func (s *JSONLSink) Close() error {
 	}
 	s.closed = true
 	return s.bw.Flush()
+}
+
+// traceFlushPeriod is how often OpenTraceFile drains its sink's buffer.
+const traceFlushPeriod = time.Second
+
+// OpenTraceFile opens path for append as a daemon's -trace span file: a
+// JSONL sink that a background goroutine flushes every traceFlushPeriod,
+// so the file tails usefully while the daemon runs. The returned flush
+// drains what is left; call it on shutdown. Flush errors go to log. An
+// empty path returns a nil sink and a flush that does nothing.
+func OpenTraceFile(path string, log *slog.Logger) (Sink, func(), error) {
+	if path == "" {
+		return nil, func() {}, nil
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, fmt.Errorf("opening trace file: %w", err)
+	}
+	sink := NewJSONLSink(f)
+	flush := func() {
+		if err := sink.Flush(); err != nil {
+			log.Error("flushing trace file", "err", err)
+		}
+	}
+	go func() {
+		for range time.Tick(traceFlushPeriod) {
+			flush()
+		}
+	}()
+	return sink, flush, nil
 }
 
 // CollectSink retains every span in memory — the test and tooling sink.

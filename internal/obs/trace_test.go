@@ -2,6 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"log/slog"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -237,5 +240,33 @@ func TestCollectSinkConcurrent(t *testing.T) {
 			t.Fatalf("flow %d span order regressed: %d after %d", sp.Flow, sp.Start, prev)
 		}
 		last[sp.Flow] = sp.Start
+	}
+}
+
+// TestOpenTraceFile: the daemons' span file appends to what is there, and
+// flush makes every emitted span readable; no path means no sink.
+func TestOpenTraceFile(t *testing.T) {
+	if sink, flush, err := OpenTraceFile("", nil); sink != nil || err != nil {
+		t.Fatalf("empty path: sink %v, err %v", sink, err)
+	} else {
+		flush()
+	}
+	path := filepath.Join(t.TempDir(), "spans.jsonl")
+	if err := os.WriteFile(path, []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sink, flush, err := OpenTraceFile(path, slog.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink.Emit(Span{Flow: 3, Name: SpanScan})
+	flush()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(got)), "\n")
+	if len(lines) != 2 || lines[0] != "{}" || !strings.Contains(lines[1], `"span":"scan"`) {
+		t.Fatalf("trace file holds %q", got)
 	}
 }

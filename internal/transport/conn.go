@@ -97,8 +97,10 @@ type Conn struct {
 	pipe              *core.SenderPipeline
 	validator         *core.Validator
 	// wbuf (under writeMu) is one chunk's salt, token and data records,
-	// framed for a single socket write and reused by every chunk.
-	wbuf []byte
+	// framed for a single socket write and reused by every chunk; sendToks
+	// (under writeMu) is that chunk's encrypted tokens, reused likewise.
+	wbuf     []byte
+	sendToks []dpienc.EncryptedToken
 	// rbuf and recvToks (reader only) are the last data-phase record's body
 	// and its unmarshalled tokens, reused by every record. readBuf is the
 	// unread rest of the last data record's plaintext; it aliases rbuf, so
@@ -494,10 +496,6 @@ func (c *Conn) write(p []byte, binary_ bool) (int, error) {
 		return 0, errors.New("transport: write after close")
 	}
 	total := 0
-	// The per-record ciphertext slice comes from the shared pool and is
-	// recycled once its batch has been marshaled onto the wire.
-	toks := dpienc.GetTokenBuf()
-	defer func() { dpienc.PutTokenBuf(toks) }()
 	kind := byte(kindText)
 	if binary_ {
 		kind = kindBinary
@@ -508,15 +506,15 @@ func (c *Conn) write(p []byte, binary_ bool) (int, error) {
 
 		var reset *core.SaltReset
 		if binary_ {
-			toks, reset = c.pipe.ProcessBinaryInto(toks[:0], len(chunk))
+			c.sendToks, reset = c.pipe.ProcessBinaryInto(c.sendToks[:0], len(chunk))
 		} else {
-			toks, reset = c.pipe.ProcessTextInto(toks[:0], chunk)
+			c.sendToks, reset = c.pipe.ProcessTextInto(c.sendToks[:0], chunk)
 		}
 		b := c.wbuf[:0]
 		if reset != nil {
 			b = binary.BigEndian.AppendUint64(AppendHeader(b, RecSalt, 8), reset.Salt0)
 		}
-		b = c.appendTokens(b, toks)
+		b = c.appendTokens(b, c.sendToks)
 		c.wbuf = c.appendData(b, kind, chunk)
 		if err := c.send(c.wbuf); err != nil {
 			return total, err
@@ -557,9 +555,8 @@ func (c *Conn) CloseWrite() error {
 		return nil
 	}
 	c.wroteClose = true
-	toks := c.pipe.FlushInto(dpienc.GetTokenBuf())
-	defer dpienc.PutTokenBuf(toks)
-	c.wbuf = AppendHeader(c.appendTokens(c.wbuf[:0], toks), RecClose, 0)
+	c.sendToks = c.pipe.FlushInto(c.sendToks[:0])
+	c.wbuf = AppendHeader(c.appendTokens(c.wbuf[:0], c.sendToks), RecClose, 0)
 	return c.send(c.wbuf)
 }
 
