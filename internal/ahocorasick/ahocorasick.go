@@ -124,6 +124,14 @@ func (s *Scanner) Scan(data []byte) []Match {
 // Offset returns the number of bytes consumed so far.
 func (s *Scanner) Offset() int { return s.offset }
 
+// Skip advances the stream past n bytes that will never be scanned. The
+// automaton restarts from its root, so no match spans the gap, and later
+// matches keep their absolute offsets.
+func (s *Scanner) Skip(n int) {
+	s.state = 0
+	s.offset += n
+}
+
 // FindAll is a one-shot convenience over a complete buffer.
 func (a *Automaton) FindAll(data []byte) []Match {
 	return a.NewScanner().Scan(data)

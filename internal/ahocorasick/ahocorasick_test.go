@@ -120,6 +120,25 @@ func TestStreamingEqualsOneShot(t *testing.T) {
 	}
 }
 
+func TestSkipBreaksMatchesAndKeepsOffsets(t *testing.T) {
+	a := New(pats("needle"))
+	s := a.NewScanner()
+	if got := s.Scan([]byte("a nee")); len(got) != 0 {
+		t.Fatalf("partial keyword matched: %v", got)
+	}
+	s.Skip(100)
+	if got := s.Scan([]byte("dle")); len(got) != 0 {
+		t.Fatalf("keyword matched across a skipped gap: %v", got)
+	}
+	got := s.Scan([]byte(" needle"))
+	if len(got) != 1 || got[0].End != 5+100+3+7 {
+		t.Fatalf("matches after the gap = %v, want one ending at %d", got, 5+100+3+7)
+	}
+	if s.Offset() != 5+100+3+7 {
+		t.Fatalf("offset = %d", s.Offset())
+	}
+}
+
 func TestEmptyAndDuplicatePatterns(t *testing.T) {
 	a := New(pats("", "dup", "dup"))
 	got := a.FindAll([]byte("a dup b"))

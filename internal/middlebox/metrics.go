@@ -28,6 +28,8 @@ type mbMetrics struct {
 	fcDrops   *obs.Counter
 	unscanned *obs.Counter
 
+	secDropped *obs.Counter
+
 	alertsBySID *obs.CounterVec
 	shardDepth  *obs.GaugeVec
 	timeouts    *obs.CounterVec
@@ -55,6 +57,8 @@ func newMBMetrics(r *obs.Registry) *mbMetrics {
 		degraded:  r.Counter(obs.MBDegradedTotal, obs.Help(obs.MBDegradedTotal)),
 		fcDrops:   r.Counter(obs.MBFailClosedDropsTotal, obs.Help(obs.MBFailClosedDropsTotal)),
 		unscanned: r.Counter(obs.MBUnscannedBytes, obs.Help(obs.MBUnscannedBytes)),
+
+		secDropped: r.Counter(obs.MBSecondaryDroppedBytes, obs.Help(obs.MBSecondaryDroppedBytes)),
 
 		alertsBySID: r.CounterVec(obs.MBAlertsBySID, obs.Help(obs.MBAlertsBySID), "sid"),
 		shardDepth:  r.GaugeVec(obs.MBShardQueueDepth, obs.Help(obs.MBShardQueueDepth), "shard"),

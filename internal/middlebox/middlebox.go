@@ -153,6 +153,11 @@ type Stats struct {
 	// detection by degraded fail-open flows (obs.MBUnscannedBytes). The
 	// fail-closed invariant is exactly UnscannedBytes == 0.
 	UnscannedBytes uint64
+	// SecondaryDroppedBytes counts Protocol III payload bytes the
+	// decryption element evicted unseen from a flow's pending ring before
+	// its key was recovered (obs.MBSecondaryDroppedBytes). The primary
+	// detection scanned their tokens.
+	SecondaryDroppedBytes uint64
 }
 
 // Middlebox proxies BlindBox HTTPS connections and inspects them.
@@ -275,6 +280,8 @@ func (mb *Middlebox) Stats() Stats {
 		Degraded:        mb.met.degraded.Value(),
 		FailClosedDrops: mb.met.fcDrops.Value(),
 		UnscannedBytes:  mb.met.unscanned.Value(),
+
+		SecondaryDroppedBytes: mb.met.secDropped.Value(),
 	}
 }
 
@@ -760,22 +767,18 @@ type flow struct {
 
 	// Protocol III decryption element state. aead is built once, at key
 	// recovery; nonce is the direction byte, then seq in bytes 4–11.
-	// overflow counts the records that arrived before recovery with the
-	// buffer full: they are lost, but each used up a sequence number.
-	recovered  bool
-	aead       cipher.AEAD
-	ciphertext [][]byte // buffered data records awaiting a key
-	overflow   uint64
-	plaintext  []byte // decrypted stream for secondary inspection
-	seq        uint64
-	nonce      [12]byte
+	// Before recovery, data records wait in pending; each record it
+	// evicts spends a sequence number, and skipBytes counts their payload
+	// bytes. From recovery on, each record is opened into pt and written
+	// to sec as it arrives.
+	aead      cipher.AEAD
+	pending   pendingRing
+	skipBytes int
+	pt        []byte
+	sec       *baseline.Stream
+	seq       uint64
+	nonce     [12]byte
 }
-
-// maxBuffered bounds probable-cause buffering per direction.
-const (
-	maxBufferedRecords = 4096
-	maxPlaintextBytes  = 4 << 20
-)
 
 func (mb *Middlebox) newFlow(id uint64, dir Direction, cfg core.Config, keys detect.TokenKeys, kill func()) *flow {
 	fl := &flow{
@@ -954,7 +957,7 @@ func (mb *Middlebox) forward(src *leg, dst net.Conn, fl *flow) error {
 			if !mb.barrierWait(fl) {
 				return nil
 			}
-			if !fl.degraded && fl.recovered && len(fl.plaintext) > 0 {
+			if !fl.degraded && fl.sec != nil {
 				mb.secondaryInspect(fl)
 			}
 		}
@@ -1051,13 +1054,12 @@ func (mb *Middlebox) dispatchEvent(fl *flow, ev detect.Event) {
 	} else {
 		fl.fr.Event(obs.SpanEventAlert, string(fl.dir), "keyword")
 	}
-	if ev.HasSSLKey && !fl.recovered {
-		fl.recovered = true
+	if ev.HasSSLKey && fl.aead == nil {
 		fl.aead = bbcrypto.NewGCM(ev.SSLKey)
 		mb.met.keys.Inc()
 		mb.log.Info("probable cause: SSL key recovered", "conn", fl.id, "dir", fl.dir)
 		if mb.cfg.Secondary {
-			mb.drainBuffered(fl)
+			mb.drainPending(fl)
 		}
 	}
 	if mb.cfg.OnAlert != nil {
@@ -1074,55 +1076,76 @@ func (mb *Middlebox) dispatchEvent(fl *flow, ev detect.Event) {
 	}
 }
 
-// captureData buffers or decrypts one data record for the probable-cause
-// element.
+// captureData hands one data record to the probable-cause element: it is
+// decrypted and inspected at once when the key is known, and held in the
+// flow's pending ring until then.
 func (mb *Middlebox) captureData(fl *flow, body []byte) {
-	if !fl.recovered {
-		if len(fl.ciphertext) < maxBufferedRecords {
-			fl.ciphertext = append(fl.ciphertext, append([]byte(nil), body...))
-		} else {
-			fl.overflow++
-		}
+	if fl.aead != nil {
+		mb.decryptRecord(fl, body)
 		return
 	}
-	mb.decryptRecord(fl, body)
+	// A data record is capped far below maxPendingBytes
+	// (transport.ReadRecordInto), so it fits once the ring is empty.
+	for !fl.pending.fits(len(body)) {
+		mb.evictPending(fl, fl.pending.dropOldest())
+	}
+	fl.pending.push(body)
 }
 
-// drainBuffered decrypts records buffered before key recovery, then skips
-// the sequence numbers of those that overflowed the buffer (they came after
-// every buffered one), so the next record opens under its own nonce.
-func (mb *Middlebox) drainBuffered(fl *flow) {
-	for _, rec := range fl.ciphertext {
-		mb.decryptRecord(fl, rec)
+// recordOverhead is what a data record's body adds to its payload: the
+// kind byte and the GCM tag.
+const recordOverhead = 1 + 16
+
+// evictPending accounts for one n-byte record the pending ring dropped
+// unseen: it used up a sequence number and its payload's stream offsets.
+func (mb *Middlebox) evictPending(fl *flow, n int) {
+	dropped := max(0, n-recordOverhead)
+	fl.seq++
+	fl.skipBytes += dropped
+	mb.met.secDropped.Add(uint64(dropped))
+}
+
+// drainPending starts the flow's secondary inspection at key recovery. The
+// records the ring evicted came before every record it still holds, and
+// their sequence numbers are spent, so once their payload bytes are
+// skipped the held records open under their own nonces, at their absolute
+// offsets.
+func (mb *Middlebox) drainPending(fl *flow) {
+	fl.sec = mb.secondary.NewStream()
+	fl.sec.Skip(fl.skipBytes)
+	for fl.pending.used > 0 {
+		fl.pt = fl.pending.pop(fl.pt)
+		mb.decryptRecord(fl, fl.pt)
 	}
-	fl.ciphertext = nil
-	fl.seq += fl.overflow
-	fl.overflow = 0
+	fl.pending = pendingRing{}
 }
 
 // dataAD is every data record's additional data: its record type.
 var dataAD = []byte{byte(transport.RecData)}
 
 // decryptRecord opens one SSL record with the recovered kSSL — the
-// ssldump-equivalent step of §6. body is the forwarded record, so it is
-// opened into a plaintext of its own.
+// ssldump-equivalent step of §6 — into the flow's reused open buffer, and
+// inspects its payload. body may be that buffer itself. A record that does
+// not open is skipped at its payload's length.
 func (mb *Middlebox) decryptRecord(fl *flow, body []byte) {
 	binary.BigEndian.PutUint64(fl.nonce[4:], fl.seq)
 	fl.seq++
-	pt, err := fl.aead.Open(nil, fl.nonce[:], body, dataAD)
-	if err != nil || len(pt) < 1 {
+	pt, err := fl.aead.Open(fl.pt[:0], fl.nonce[:], body, dataAD)
+	if err != nil {
+		fl.sec.Skip(max(0, len(body)-recordOverhead))
 		return
 	}
-	if len(fl.plaintext) < maxPlaintextBytes {
-		fl.plaintext = append(fl.plaintext, pt[1:]...)
+	fl.pt = pt
+	if len(pt) > 1 {
+		fl.sec.Write(pt[1:])
 	}
 }
 
-// secondaryInspect runs the full plaintext IDS (regexps included) over the
-// decrypted flow — the paper's "forwarded to any other system (Snort, Bro)
-// for more complex processing".
+// secondaryInspect reports the full plaintext IDS's verdict (regexps
+// included) on the decrypted flow at its close — the paper's "forwarded to
+// any other system (Snort, Bro) for more complex processing".
 func (mb *Middlebox) secondaryInspect(fl *flow) {
-	res := mb.secondary.Inspect(fl.plaintext)
+	res := fl.sec.Result()
 	if len(res.RuleSIDs) == 0 || mb.cfg.OnAlert == nil {
 		return
 	}

@@ -2,7 +2,9 @@ package middlebox
 
 import (
 	"bytes"
+	"crypto/cipher"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -278,46 +280,194 @@ func TestEndToEndNoProbableCauseNoDecryption(t *testing.T) {
 	}
 }
 
-// TestSecondaryNonceSurvivesBufferOverflow: records that arrive before key
-// recovery with the buffer full are lost, but each used up a sequence
-// number, so the first record after recovery still opens under its nonce.
-func TestSecondaryNonceSurvivesBufferOverflow(t *testing.T) {
-	g, err := rules.NewGenerator("DriftRG")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := rules.Parse("drift", `alert tcp any any -> any any (msg:"kw"; content:"attackkw"; sid:7;)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb, err := New(Config{Ruleset: g.Sign(rs), Secondary: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { mb.Close() })
-	keys := bbcrypto.DeriveSessionKeys([]byte("nonce drift"))
-	cfg := core.Config{Protocol: dpienc.ProtocolIII, Mode: tokenize.Delimiter}
-	fl := mb.newFlow(1, ClientToServer, cfg, core.DirectTokenKeys(keys.K, rs, cfg.Mode), func() {})
+// p3Flow is one client-to-server Protocol III flow of a Secondary
+// middlebox, driven record by record without sockets: seal builds the
+// client's next data record, and the flow's secondary alerts are collected.
+type p3Flow struct {
+	mb     *Middlebox
+	fl     *flow
+	kSSL   bbcrypto.Block
+	aead   cipher.AEAD
+	seq    uint64
+	alerts []Alert
+}
 
-	// seal builds the body of the client's next data record: a kind byte and
-	// the payload under the nonce direction 0 ‖ sequence number.
-	aead := bbcrypto.NewGCM(keys.KSSL)
-	var seq uint64
-	seal := func(payload string) []byte {
-		var nonce [12]byte
-		binary.BigEndian.PutUint64(nonce[4:], seq)
-		seq++
-		return aead.Seal(nil, nonce[:], append([]byte{0}, payload...), dataAD)
+func newP3Flow(t *testing.T, rulesText string) *p3Flow {
+	t.Helper()
+	g, err := rules.NewGenerator("P3RG")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < maxBufferedRecords+3; i++ {
-		mb.captureData(fl, seal("."))
+	rs, err := rules.Parse("p3", rulesText)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mb.dispatchEvent(fl, detect.Event{Kind: detect.KeywordMatch, HasSSLKey: true, SSLKey: keys.KSSL})
-	const late = "sent after the key was recovered"
-	mb.captureData(fl, seal(late))
-	if want := strings.Repeat(".", maxBufferedRecords) + late; string(fl.plaintext) != want {
-		t.Fatalf("plaintext ends %q, want the %d buffered records and then %q",
-			fl.plaintext[max(0, len(fl.plaintext)-40):], maxBufferedRecords, late)
+	f := &p3Flow{}
+	f.mb, err = New(Config{Ruleset: g.Sign(rs), Secondary: true, OnAlert: func(a Alert) {
+		if a.Secondary {
+			f.alerts = append(f.alerts, a)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.mb.Close() })
+	keys := bbcrypto.DeriveSessionKeys([]byte("p3 flow"))
+	cfg := core.Config{Protocol: dpienc.ProtocolIII, Mode: tokenize.Delimiter}
+	f.fl = f.mb.newFlow(1, ClientToServer, cfg, core.DirectTokenKeys(keys.K, rs, cfg.Mode), func() {})
+	f.kSSL = keys.KSSL
+	f.aead = bbcrypto.NewGCM(keys.KSSL)
+	return f
+}
+
+// seal builds the body of the client's next data record: a kind byte and
+// the payload under the nonce direction 0 ‖ sequence number.
+func (f *p3Flow) seal(payload []byte) []byte {
+	var nonce [12]byte
+	binary.BigEndian.PutUint64(nonce[4:], f.seq)
+	f.seq++
+	return f.aead.Seal(nil, nonce[:], append([]byte{0}, payload...), dataAD)
+}
+
+// capture seals payload as the next record and hands it to the element.
+func (f *p3Flow) capture(payload []byte) { f.mb.captureData(f.fl, f.seal(payload)) }
+
+// recover delivers the probable-cause event that carries kSSL.
+func (f *p3Flow) recover() {
+	f.mb.dispatchEvent(f.fl, detect.Event{Kind: detect.KeywordMatch, HasSSLKey: true, SSLKey: f.kSSL})
+}
+
+// fullRecord is a full-size record's payload; heldRecords of them fit in
+// the pending ring, with their length prefixes.
+const (
+	fullRecord  = 16 << 10
+	heldRecords = maxPendingBytes / (lenPrefix + fullRecord + recordOverhead)
+)
+
+// TestSecondaryNonceSurvivesBufferOverflow: records that the pending ring
+// evicts before key recovery are lost, but each used up a sequence number
+// and its payload's offsets, so every record still held, and every record
+// after recovery, opens under its own nonce at its absolute offset.
+func TestSecondaryNonceSurvivesBufferOverflow(t *testing.T) {
+	f := newP3Flow(t, `alert tcp any any -> any any (msg:"kw"; content:"attackkw"; sid:7;)`)
+	const evicted = 3
+	filler := bytes.Repeat([]byte("."), fullRecord)
+	for i := 0; i < heldRecords+evicted; i++ {
+		f.capture(filler)
+	}
+	if got, want := f.mb.Stats().SecondaryDroppedBytes, uint64(evicted*fullRecord); got != want {
+		t.Fatalf("SecondaryDroppedBytes = %d, want %d", got, want)
+	}
+	f.recover()
+	const late = "sent after the key was recovered: attackkw"
+	f.capture([]byte(late))
+	// A record opened under a wrong nonce fails authentication and is not
+	// written to the stream, so the byte count proves every held record
+	// and the late one opened.
+	if got, want := f.fl.sec.Scanned(), heldRecords*fullRecord+len(late); got != want {
+		t.Fatalf("stream scanned %d bytes, want %d held records of %d and the late %d",
+			got, heldRecords, fullRecord, len(late))
+	}
+	at := (heldRecords+evicted)*fullRecord + strings.Index(late, "attackkw")
+	if got := f.fl.sec.Result().KeywordOffsets[0][0]; len(got) != 1 || got[0] != at {
+		t.Fatalf("keyword offsets %v, want [%d]", got, at)
+	}
+	f.mb.secondaryInspect(f.fl)
+	if len(f.alerts) != 1 || fmt.Sprint(f.alerts[0].SecondarySIDs) != "[7]" {
+		t.Fatalf("secondary alerts %+v, want one for sid 7", f.alerts)
+	}
+}
+
+// TestSecondaryGapBreaksMatches: a keyword whose halves lie on either side
+// of a gap, one the pending ring evicted or one a record that did not
+// open, is not matched, and a keyword after a gap is reported at its
+// absolute offset.
+func TestSecondaryGapBreaksMatches(t *testing.T) {
+	f := newP3Flow(t, `alert tcp any any -> any any (msg:"kw"; content:"attackkw"; sid:7;)`)
+	record := func(head, tail string) []byte {
+		p := bytes.Repeat([]byte("."), fullRecord)
+		copy(p, head)
+		copy(p[len(p)-len(tail):], tail)
+		return p
+	}
+	// Records 0 and 1 are evicted: the first ends with one half, and the
+	// first held record (2) starts with the other.
+	f.capture(record("", "atta"))
+	f.capture(record("", ""))
+	f.capture(record("ckkw", ""))
+	for i := 3; i < heldRecords+2; i++ {
+		f.capture(record("", ""))
+	}
+	f.recover()
+	// After recovery: a record ending in one half, one that fails to open,
+	// then one starting with the other half.
+	f.capture(record("", "atta"))
+	corrupt := f.seal(record("", ""))
+	corrupt[0] ^= 1
+	f.mb.captureData(f.fl, corrupt)
+	f.capture(record("ckkw", ""))
+	if res := f.fl.sec.Result(); res.KeywordMatches != 0 {
+		t.Fatalf("keyword matched across a gap at %v", res.KeywordOffsets)
+	}
+	f.capture([]byte("a keyword after the gaps: attackkw"))
+	at := int(f.seq-1)*fullRecord + strings.Index("a keyword after the gaps: attackkw", "attackkw")
+	if got := f.fl.sec.Result().KeywordOffsets[0][0]; len(got) != 1 || got[0] != at {
+		t.Fatalf("keyword offsets %v, want [%d]", got, at)
+	}
+	if got, want := f.mb.Stats().SecondaryDroppedBytes, uint64(2*fullRecord); got != want {
+		t.Fatalf("SecondaryDroppedBytes = %d, want %d", got, want)
+	}
+	f.mb.secondaryInspect(f.fl)
+	if len(f.alerts) != 1 || fmt.Sprint(f.alerts[0].SecondarySIDs) != "[7]" {
+		t.Fatalf("secondary alerts %+v, want one for sid 7", f.alerts)
+	}
+}
+
+// TestSecondaryInspectsPastOldCap: a recovered flow is inspected however
+// long it runs — a keyword and its regexp after 4 MiB of payload still
+// raise the secondary alert.
+func TestSecondaryInspectsPastOldCap(t *testing.T) {
+	f := newP3Flow(t, `alert tcp any any -> any any (msg:"pc"; content:"attackkw"; pcre:"/attackkw=[0-9]+/"; sid:11;)`)
+	f.recover()
+	filler := bytes.Repeat([]byte("."), fullRecord)
+	for i := 0; i < (4<<20)/fullRecord+1; i++ {
+		f.capture(filler)
+	}
+	f.capture([]byte("query attackkw=12345 after the old 4 MiB cap"))
+	f.mb.secondaryInspect(f.fl)
+	if len(f.alerts) != 1 || fmt.Sprint(f.alerts[0].SecondarySIDs) != "[11]" {
+		t.Fatalf("secondary alerts %+v, want one for sid 11", f.alerts)
+	}
+	if f.mb.Stats().SecondaryDroppedBytes != 0 {
+		t.Fatalf("a recovered flow dropped %d bytes", f.mb.Stats().SecondaryDroppedBytes)
+	}
+}
+
+// TestSecondaryCaptureAllocs pins that a warm recovered flow opens and
+// inspects a hit-free data record, keyword scan and regexp included,
+// without allocating: the open buffer and the pcre window belong to the
+// flow.
+func TestSecondaryCaptureAllocs(t *testing.T) {
+	f := newP3Flow(t, `alert tcp any any -> any any (msg:"pc"; content:"attackkw"; pcre:"/attackkw=[0-9]+/"; sid:11;)`)
+	f.recover()
+	const warm, runs = 4, 50
+	records := make([][]byte, warm+runs+1)
+	for i := range records {
+		records[i] = f.seal(bytes.Repeat([]byte("hit-free payload "), fullRecord/17))
+	}
+	next := 0
+	capture := func() {
+		f.mb.captureData(f.fl, records[next])
+		next++
+	}
+	for i := 0; i < warm; i++ {
+		capture()
+	}
+	if got := testing.AllocsPerRun(runs, capture); got != 0 {
+		t.Fatalf("capturing a data record allocates %v times, want 0", got)
+	}
+	if f.fl.sec.Scanned() != len(records)*(fullRecord/17)*17 {
+		t.Fatalf("stream scanned %d bytes: a record did not open", f.fl.sec.Scanned())
 	}
 }
 

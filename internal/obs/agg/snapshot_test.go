@@ -43,6 +43,8 @@ var catalogKind = map[string]struct {
 	obs.MBFailClosedDropsTotal: {kind: "counter"},
 	obs.MBUnscannedBytes:       {kind: "counter"},
 
+	obs.MBSecondaryDroppedBytes: {kind: "counter"},
+
 	obs.ObsFlowsTotal:         {kind: "countervec", label: "disposition"},
 	obs.ObsRingEvictionsTotal: {kind: "counter"},
 

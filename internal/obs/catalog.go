@@ -36,6 +36,9 @@ const (
 	MBFailClosedDropsTotal = "blindbox_mb_failclosed_drops_total"
 	MBUnscannedBytes       = "blindbox_mb_unscanned_bytes_total"
 
+	// the Protocol III decryption element
+	MBSecondaryDroppedBytes = "blindbox_mb_secondary_dropped_bytes_total"
+
 	// the flight recorder watching itself (label owner: disposition on
 	// flows)
 	ObsFlowsTotal         = "blindbox_obs_flows_total"
@@ -73,6 +76,8 @@ var Catalog = map[string]string{
 	MBDegradedTotal:        "Connections degraded to fail-open forwarding after detection became unavailable.",
 	MBFailClosedDropsTotal: "Connections severed by the fail-closed policy after detection became unavailable.",
 	MBUnscannedBytes:       "Data-record payload bytes forwarded without detection under fail-open degradation.",
+
+	MBSecondaryDroppedBytes: "Protocol III payload bytes evicted unseen from a flow's pre-recovery ring before its key was recovered.",
 
 	ObsFlowsTotal:         "Flows ended by the flight recorder by terminal disposition; label: disposition (head, tail, drop).",
 	ObsRingEvictionsTotal: "Spans overwritten in full flight-recorder rings (oldest-first eviction).",

@@ -206,6 +206,7 @@ done <<'EOF'
 ./internal/dpienc FuzzEncryptRecoverRoundTrip
 ./internal/dpienc FuzzCounterResetSync
 ./internal/detect FuzzIndexConsistency
+./internal/baseline FuzzStreamMatchesInspect
 ./internal/obs FuzzSamplerDecision
 ./internal/obs/agg FuzzDecode
 EOF
