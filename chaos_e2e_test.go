@@ -459,10 +459,10 @@ func TestChaosDialRetryTyped(t *testing.T) {
 }
 
 // flightRecorderSession drives one echo session through a directly-driven
-// Interpose whose server leg is optionally wrapped in a FaultConn, with the
-// middlebox recording into rec. It returns once Interpose has ended the
-// flow (so the flight recorder has settled its disposition).
-func flightRecorderSession(t *testing.T, rec *obs.Recorder, serverFaults []netem.Fault, payload []byte) {
+// Interpose, with the middlebox recording into rec. It returns once
+// Interpose has ended the flow (so the flight recorder has settled its
+// disposition).
+func flightRecorderSession(t *testing.T, rec *obs.Recorder, payload []byte) {
 	t.Helper()
 	g, err := NewRuleGenerator("ChaosRG")
 	if err != nil {
@@ -525,15 +525,11 @@ func flightRecorderSession(t *testing.T, rec *obs.Recorder, serverFaults []netem
 			errC <- err
 			return
 		}
-		rawServer, err := net.Dial("tcp", serverLn.Addr().String())
+		serverLeg, err := net.Dial("tcp", serverLn.Addr().String())
 		if err != nil {
 			clientLeg.Close()
 			errC <- err
 			return
-		}
-		var serverLeg net.Conn = rawServer
-		if len(serverFaults) > 0 {
-			serverLeg = netem.NewFaultConn(rawServer, serverFaults...)
 		}
 		errC <- mb.Interpose(clientLeg, serverLeg)
 	}()
@@ -583,40 +579,13 @@ func assertSingleTailTrace(t *testing.T, spans []obs.Span, want ...string) {
 	}
 }
 
-// TestChaosFaultedFlowFlushesFlightRecorder injects a deterministic netem
-// fault on the middlebox's server leg and verifies the tail-sampling
-// contract for faulted flows: with head sampling off, the flow's full
-// flight-recorder ring is flushed, it contains the fault event harvested
-// from the FaultConn transcript, and every span sits on one trace ID.
-func TestChaosFaultedFlowFlushesFlightRecorder(t *testing.T) {
-	sink := &obs.CollectSink{}
-	rec := obs.NewRecorder(obs.RecorderConfig{Sample: 0, Sink: sink})
-	// A survivable latency fault on the first server-leg write: the session
-	// completes, so only the fault makes this flow interesting.
-	fault := netem.Fault{Kind: netem.FaultLatency, After: 0, Dur: 10 * time.Millisecond}
-	payload := bytes.Repeat([]byte("plain benign words here. "), 64)
-	flightRecorderSession(t, rec, []netem.Fault{fault}, payload)
-
-	spans := sink.Spans()
-	assertSingleTailTrace(t, spans, obs.SpanEventFault)
-	for _, sp := range spans {
-		if sp.Name == obs.SpanEventFault && sp.Err != fault.String() {
-			t.Errorf("fault event detail %q, want the transcript entry %q", sp.Err, fault.String())
-		}
-	}
-	recents := rec.Recent()
-	if len(recents) != 1 || recents[0].Disposition != obs.DispositionTail {
-		t.Fatalf("recent flow table = %+v, want one tail-flushed flow", recents)
-	}
-}
-
 // TestChaosAlertFlowFlushesFlightRecorder verifies the other interesting
 // terminal state: an unsampled flow that fires an alert flushes a complete
 // trace — scan, forward and the alert event — on a single trace ID.
 func TestChaosAlertFlowFlushesFlightRecorder(t *testing.T) {
 	sink := &obs.CollectSink{}
 	rec := obs.NewRecorder(obs.RecorderConfig{Sample: 0, Sink: sink})
-	flightRecorderSession(t, rec, nil, conformancePayload(77, 6<<10))
+	flightRecorderSession(t, rec, conformancePayload(77, 6<<10))
 
 	spans := sink.Spans()
 	assertSingleTailTrace(t, spans, obs.SpanScan, obs.SpanForward, obs.SpanEventAlert)

@@ -7,7 +7,8 @@
 //
 //	bbtrace -gen trace.pcap -rules out.rules.json [-flows 100] [-misalign 0.03]
 //
-// Inspect a trace:
+// Inspect a trace — print, over its reassembled TCP flows, the same §7.1
+// table as blindbench -experiment accuracy:
 //
 //	bbtrace -inspect trace.pcap -rules out.rules.json [-tokens delimiter]
 //
@@ -38,12 +39,8 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/baseline"
-	"repro/internal/bbcrypto"
-	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/detect"
-	"repro/internal/dpienc"
+	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/pcapio"
@@ -111,7 +108,7 @@ func main() {
 	if *tokens == "window" {
 		mode = tokenize.Window
 	}
-	if err := inspectPcap(*inspect, rs, mode); err != nil {
+	if err := inspectPcap(os.Stdout, *inspect, rs, mode); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -249,91 +246,20 @@ func generate(path string, rs *rules.Ruleset, flows, flowBytes int, attacks, mis
 	return nil
 }
 
-func inspectPcap(path string, rs *rules.Ruleset, mode tokenize.Mode) error {
+// inspectPcap reassembles the TCP flows of the capture at path and writes
+// the §7.1 comparison of the encrypted path against the plaintext IDS over
+// them to w.
+func inspectPcap(w io.Writer, path string, rs *rules.Ruleset, mode tokenize.Mode) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	r, err := pcapio.NewReader(f)
+	_, payloads, pkts, err := pcapio.ReadTCPFlows(f)
 	if err != nil {
 		return err
 	}
-	asm := packet.NewAssembler()
-	pkts := 0
-	for {
-		p, err := r.ReadPacket()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		seg, err := packet.Unmarshal(p.Data)
-		if err == packet.ErrNotTCP {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		asm.Add(seg)
-		pkts++
-	}
-	keys, payloads := asm.Flows()
-
-	ids := baseline.New(rs)
-	k := bbcrypto.DeriveBlock([]byte("bbtrace"), "k")
-	tkeys := core.DirectTokenKeys(k, rs, mode)
-
-	var (
-		baseRules, bbRules int
-		baseKeywords, bbKw int
-		flowsWithAlerts    int
-	)
-	for fi, payload := range payloads {
-		truth := ids.Inspect(payload)
-		baseRules += len(truth.RuleSIDs)
-		baseKeywords += truth.KeywordMatches
-
-		sender := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolII, 0)
-		eng := detect.NewEngine(rs, tkeys, detect.Config{Mode: mode, Protocol: dpienc.ProtocolII})
-		kwSeen := map[[2]int]bool{}
-		sids := map[int]bool{}
-		for _, tok := range tokenize.TokenizeAll(mode, payload) {
-			for _, ev := range eng.ProcessToken(sender.EncryptToken(tok)) {
-				switch ev.Kind {
-				case detect.KeywordMatch:
-					kwSeen[[2]int{ev.Rule.SID, ev.KeywordIndex}] = true
-				case detect.RuleMatch:
-					sids[ev.Rule.SID] = true
-				}
-			}
-		}
-		confirmed := 0
-		for _, sid := range truth.RuleSIDs {
-			if sids[sid] {
-				confirmed++
-			}
-		}
-		bbRules += confirmed
-		bbKw += min(len(kwSeen), truth.KeywordMatches)
-		if confirmed > 0 {
-			flowsWithAlerts++
-			if fi < 5 {
-				fmt.Printf("flow %s: %d rule(s) detected\n", keys[fi], confirmed)
-			}
-		}
-	}
-	fmt.Printf("inspected %d packets, %d flows (%s tokens)\n", pkts, len(payloads), mode)
-	fmt.Printf("plaintext baseline: %d rule matches, %d keyword matches\n", baseRules, baseKeywords)
-	rate := func(a, b int) float64 {
-		if b == 0 {
-			return 1
-		}
-		return float64(a) / float64(b)
-	}
-	fmt.Printf("BlindBox (encrypted): %d rule matches (%.1f%%), %d keyword matches (%.1f%%)\n",
-		bbRules, 100*rate(bbRules, baseRules), bbKw, 100*rate(bbKw, baseKeywords))
-	fmt.Printf("flows with alerts: %d\n", flowsWithAlerts)
+	fmt.Fprintf(w, "inspected %d packets, %d flows (%s tokens)\n", pkts, len(payloads), mode)
+	experiments.PrintAccuracy(w, []experiments.AccuracyResult{experiments.ScoreAccuracy(rs, mode, payloads)})
 	return nil
 }

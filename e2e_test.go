@@ -2,8 +2,8 @@
 // over all three protocols, held to an independent reference. What the live
 // middlebox reports — alerts from its detection pool, in order within each
 // connection direction — must be exactly what one sequential, offline pass
-// of the same bytes through core.SenderPipeline and detect.Engine (and, under
-// Protocol III, the plaintext IDS) predicts.
+// of the same bytes through core.Scan (and, under Protocol III, the
+// plaintext IDS) predicts.
 package blindbox
 
 import (
@@ -19,11 +19,9 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
-	"repro/internal/bbcrypto"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/detect"
-	"repro/internal/dpienc"
 	"repro/internal/middlebox"
 )
 
@@ -225,35 +223,27 @@ func runConformance(t *testing.T, tc conformanceCase, rs *Ruleset, sessions int)
 }
 
 // offlineAlerts is the reference for one direction that carried payload in
-// writes of at most `write` bytes: the canonical alerts of a sequential
-// core.SenderPipeline + detect.Engine pass over the same bytes, ending with
-// the flush an orderly close sends. Events carry no key material, so token
-// keys computed directly under any session key give the same canonical
-// alerts as the live flow's prepared ones. When the pass recovers the
-// Protocol III key and the secondary element is on, the plaintext IDS's
-// verdict over the whole payload follows, as the middlebox reports it at
-// close.
+// writes of at most `write` bytes: the canonical alerts of core.Scan over
+// the same bytes, which ends with the flush an orderly close sends. Events
+// carry no key material, so token keys computed directly under Scan's
+// session key give the same canonical alerts as the live flow's prepared
+// ones. When the pass recovers the Protocol III key and the secondary
+// element is on, the plaintext IDS's verdict over the whole payload
+// follows, as the middlebox reports it at close.
 func offlineAlerts(tc conformanceCase, rs *Ruleset, payload []byte, write int) []canonAlert {
-	keys := bbcrypto.DeriveSessionKeys([]byte("conformance reference"))
-	pipe := core.NewSenderPipeline(keys, tc.cfg)
-	eng := core.NewDetectEngine(rs, core.DirectTokenKeys(keys.K, rs, tc.cfg.Mode), tc.cfg, nil)
+	var cuts []int
+	for off := write; off < len(payload); off += write {
+		cuts = append(cuts, off)
+	}
+	evs, _ := core.Scan(rs, tc.cfg, payload, cuts)
 	var (
 		out       []canonAlert
 		recovered bool
 	)
-	scan := func(toks []dpienc.EncryptedToken, reset *core.SaltReset) {
-		if reset != nil {
-			eng.Reset(reset.Salt0)
-		}
-		for _, ev := range eng.ScanBatch(toks, nil) {
-			out = append(out, canonicalize(Alert{Event: ev}))
-			recovered = recovered || ev.HasSSLKey
-		}
+	for _, ev := range evs {
+		out = append(out, canonicalize(Alert{Event: ev}))
+		recovered = recovered || ev.HasSSLKey
 	}
-	for off := 0; off < len(payload); off += write {
-		scan(pipe.ProcessText(payload[off:min(off+write, len(payload))]))
-	}
-	scan(pipe.Flush(), nil)
 	if tc.secondary && recovered {
 		if sids := baseline.New(rs).Inspect(payload).RuleSIDs; len(sids) > 0 {
 			out = append(out, canonicalize(Alert{Secondary: true, SecondarySIDs: sids}))

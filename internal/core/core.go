@@ -320,3 +320,35 @@ func NewDetectEngine(rs *rules.Ruleset, keys detect.TokenKeys, cfg Config, _ *de
 		Salt0:    cfg.Salt0,
 	})
 }
+
+// Scan is the offline reference for one direction of a connection. It
+// writes payload at the absolute offsets cuts (ascending, exclusive of 0
+// and len(payload); nil is one write) through a SenderPipeline and scans
+// each write's tokens with one detection engine, keyed directly under a
+// fixed session key. A salt reset reaches the engine before that write's
+// tokens, as Conn.Write's RecSalt record reaches the middlebox. It returns
+// the detection events in stream order and the number of tokens scanned.
+func Scan(rs *rules.Ruleset, cfg Config, payload []byte, cuts []int) ([]detect.Event, int) {
+	keys := bbcrypto.DeriveSessionKeys([]byte("core.Scan reference"))
+	pipe := NewSenderPipeline(keys, cfg)
+	eng := NewDetectEngine(rs, DirectTokenKeys(keys.K, rs, cfg.Mode), cfg, nil)
+	var (
+		evs    []detect.Event
+		toks   []dpienc.EncryptedToken
+		reset  *SaltReset
+		tokens int
+		prev   int
+	)
+	// The full slice expression makes append copy, leaving cuts unmodified.
+	for _, cut := range append(cuts[:len(cuts):len(cuts)], len(payload)) {
+		toks, reset = pipe.ProcessTextInto(toks[:0], payload[prev:cut])
+		if reset != nil {
+			eng.Reset(reset.Salt0)
+		}
+		evs = eng.ScanBatch(toks, evs)
+		tokens += len(toks)
+		prev = cut
+	}
+	toks = pipe.FlushInto(toks[:0])
+	return eng.ScanBatch(toks, evs), tokens + len(toks)
+}

@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"repro/internal/baseline"
-	"repro/internal/bbcrypto"
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/dpienc"
@@ -143,70 +142,40 @@ type Verdict struct {
 	Reason string
 }
 
-// Runner drives cases through the offline encrypted path
-// (tokenize → dpienc → detect) and the plaintext baseline, with one fresh
-// detection engine per case so no state leaks across cases.
+// Runner drives cases through the offline encrypted path (core.Scan) and
+// the plaintext baseline, with one fresh detection engine per case so no
+// state leaks across cases.
 type Runner struct {
 	rs   *rules.Ruleset
 	ids  *baseline.IDS
 	mode tokenize.Mode
-	//bb:secret
-	k    bbcrypto.Block
-	keys detect.TokenKeys
 }
 
 // NewRunner compiles the ruleset for both engines under one mode.
 func NewRunner(rs *rules.Ruleset, mode tokenize.Mode) *Runner {
-	k := bbcrypto.DeriveBlock([]byte("evasion-adversary"), "k")
-	return &Runner{
-		rs:   rs,
-		ids:  baseline.New(rs),
-		mode: mode,
-		k:    k,
-		keys: core.DirectTokenKeys(k, rs, mode),
-	}
+	return &Runner{rs: rs, ids: baseline.New(rs), mode: mode}
 }
 
 // Mode returns the runner's tokenization mode.
 func (r *Runner) Mode() tokenize.Mode { return r.mode }
 
-// scan drives one bytestream through the offline encrypted path: the
-// payload is tokenized chunk by chunk at the given write boundaries,
-// encrypted, and fed to a fresh detection engine. It returns the fully
-// matched rule SIDs (sorted), the keyword-match offsets per (SID, keyword
-// index), and the token count.
+// scan drives one bytestream through core.Scan under Protocol II, written
+// at the given write boundaries. It returns the fully matched rule SIDs
+// (sorted), the keyword-match offsets per (SID, keyword index), and the
+// token count.
 func (r *Runner) scan(payload []byte, chunks []int) (sids []int, kwSeen map[[2]int][]int, tokens int) {
-	sender := dpienc.NewSender(r.k, bbcrypto.Block{}, dpienc.ProtocolII, 0)
-	eng := detect.NewEngine(r.rs, r.keys, detect.Config{Mode: r.mode, Protocol: dpienc.ProtocolII})
-	tk := tokenize.New(r.mode)
-
+	evs, tokens := core.Scan(r.rs, core.Config{Protocol: dpienc.ProtocolII, Mode: r.mode}, payload, chunks)
 	kwSeen = map[[2]int][]int{}
 	ruleSeen := map[int]bool{}
-	record := func(evs []detect.Event) {
-		for _, ev := range evs {
-			switch ev.Kind {
-			case detect.KeywordMatch:
-				key := [2]int{ev.Rule.SID, ev.KeywordIndex}
-				kwSeen[key] = append(kwSeen[key], ev.Offset)
-			case detect.RuleMatch:
-				ruleSeen[ev.Rule.SID] = true
-			}
+	for _, ev := range evs {
+		switch ev.Kind {
+		case detect.KeywordMatch:
+			key := [2]int{ev.Rule.SID, ev.KeywordIndex}
+			kwSeen[key] = append(kwSeen[key], ev.Offset)
+		case detect.RuleMatch:
+			ruleSeen[ev.Rule.SID] = true
 		}
 	}
-	feed := func(toks []tokenize.Token) {
-		for _, tok := range toks {
-			record(eng.ProcessToken(sender.EncryptToken(tok)))
-			tokens++
-		}
-	}
-	prev := 0
-	for _, cut := range chunks {
-		feed(tk.Append(payload[prev:cut]))
-		prev = cut
-	}
-	feed(tk.Append(payload[prev:]))
-	feed(tk.Flush())
-
 	for sid := range ruleSeen {
 		sids = append(sids, sid)
 	}

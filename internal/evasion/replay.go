@@ -10,9 +10,7 @@ package evasion
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/corpus"
 	"repro/internal/packet"
@@ -173,26 +171,10 @@ func ReplayThroughCapture(segs []*packet.Segment) ([]byte, error) {
 		}
 	}
 
-	rd, err := pcapio.NewReader(&buf)
+	keys, payloads, _, err := pcapio.ReadTCPFlows(&buf)
 	if err != nil {
 		return nil, err
 	}
-	asm := packet.NewAssembler()
-	for {
-		p, err := rd.ReadPacket()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		seg, err := packet.Unmarshal(p.Data)
-		if err != nil {
-			return nil, err
-		}
-		asm.Add(seg)
-	}
-	keys, payloads := asm.Flows()
 	if len(keys) != 1 {
 		return nil, fmt.Errorf("evasion: replay produced %d flows, want 1", len(keys))
 	}

@@ -11,7 +11,6 @@ import (
 	"io"
 
 	"repro/internal/baseline"
-	"repro/internal/bbcrypto"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/detect"
@@ -72,61 +71,53 @@ func Accuracy(opt AccuracyOptions) ([]AccuracyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	flows := corpus.AttackTrace(Seed+1, rs, opt.Trace)
-	ids := baseline.New(rs)
-
-	var out []AccuracyResult
-	for _, mode := range []tokenize.Mode{tokenize.Window, tokenize.Delimiter} {
-		res := AccuracyResult{Mode: mode}
-		for _, flow := range flows {
-			truth := ids.Inspect(flow.Payload)
-			kws, sids := detectEncrypted(rs, mode, flow.Payload)
-			// Score the exact intersection: of the (rule, keyword) pairs
-			// and rules the plaintext IDS detects, how many did the
-			// encrypted path also detect?
-			for ruleIdx, perContent := range truth.KeywordOffsets {
-				sid := rs.Rules[ruleIdx].SID
-				for contentIdx := range perContent {
-					res.BaselineKeywords++
-					if kws[[2]int{sid, contentIdx}] {
-						res.BlindBoxKeywords++
-					}
-				}
-			}
-			for _, sid := range truth.RuleSIDs {
-				res.BaselineRules++
-				if sids[sid] {
-					res.BlindBoxRules++
-				}
-			}
-		}
-		out = append(out, res)
+	var payloads [][]byte
+	for _, flow := range corpus.AttackTrace(Seed+1, rs, opt.Trace) {
+		payloads = append(payloads, flow.Payload)
 	}
-	return out, nil
+	return []AccuracyResult{
+		ScoreAccuracy(rs, tokenize.Window, payloads),
+		ScoreAccuracy(rs, tokenize.Delimiter, payloads),
+	}, nil
 }
 
-// detectEncrypted runs one flow through tokenize→encrypt→detect and
-// returns the set of matched (rule SID, keyword index) pairs and the set
-// of matched rule SIDs.
-func detectEncrypted(rs *rules.Ruleset, mode tokenize.Mode, payload []byte) (map[[2]int]bool, map[int]bool) {
-	k := bbcrypto.DeriveBlock([]byte("accuracy"), "k")
-	sender := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolII, 0)
-	eng := detect.NewEngine(rs, core.DirectTokenKeys(k, rs, mode), detect.Config{
-		Mode: mode, Protocol: dpienc.ProtocolII,
-	})
-	kwSeen := make(map[[2]int]bool)
-	sids := make(map[int]bool)
-	for _, tok := range tokenize.TokenizeAll(mode, payload) {
-		for _, ev := range eng.ProcessToken(sender.EncryptToken(tok)) {
+// ScoreAccuracy runs each flow through core.Scan (Protocol II, one write)
+// and through the plaintext IDS, and scores the exact intersection: of the
+// (rule, keyword) pairs and rules the plaintext IDS detects, how many the
+// encrypted path also detected.
+func ScoreAccuracy(rs *rules.Ruleset, mode tokenize.Mode, payloads [][]byte) AccuracyResult {
+	ids := baseline.New(rs)
+	res := AccuracyResult{Mode: mode}
+	for _, payload := range payloads {
+		evs, _ := core.Scan(rs, core.Config{Protocol: dpienc.ProtocolII, Mode: mode}, payload, nil)
+		kws := make(map[[2]int]bool)
+		sids := make(map[int]bool)
+		for _, ev := range evs {
 			switch ev.Kind {
 			case detect.KeywordMatch:
-				kwSeen[[2]int{ev.Rule.SID, ev.KeywordIndex}] = true
+				kws[[2]int{ev.Rule.SID, ev.KeywordIndex}] = true
 			case detect.RuleMatch:
 				sids[ev.Rule.SID] = true
 			}
 		}
+		truth := ids.Inspect(payload)
+		for ruleIdx, perContent := range truth.KeywordOffsets {
+			sid := rs.Rules[ruleIdx].SID
+			for contentIdx := range perContent {
+				res.BaselineKeywords++
+				if kws[[2]int{sid, contentIdx}] {
+					res.BlindBoxKeywords++
+				}
+			}
+		}
+		for _, sid := range truth.RuleSIDs {
+			res.BaselineRules++
+			if sids[sid] {
+				res.BlindBoxRules++
+			}
+		}
 	}
-	return kwSeen, sids
+	return res
 }
 
 // PrintAccuracy renders the results against the paper's numbers.

@@ -21,8 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/netem"
-	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -159,30 +157,4 @@ func errString(err error) string {
 		return ""
 	}
 	return err.Error()
-}
-
-// faultReporter is the transcript interface of netem.FaultConn: legs
-// wrapped by the chaos harness report the faults that fired on them.
-type faultReporter interface {
-	Fired() []netem.Fault
-}
-
-// harvestFaults records the injected-fault transcript of either leg as
-// flight-recorder events, so a netem-faulted flow always flushes with the
-// faults that hit it attached (the chaos suite asserts exactly that).
-// Legs that are not FaultConns — every production leg — are skipped.
-func (mb *Middlebox) harvestFaults(fr *obs.FlowRecorder, client, server net.Conn) {
-	for i, leg := range [...]net.Conn{client, server} {
-		rep, ok := leg.(faultReporter)
-		if !ok {
-			continue
-		}
-		legName := "client"
-		if i == 1 {
-			legName = "server"
-		}
-		for _, f := range rep.Fired() {
-			fr.Event(obs.SpanEventFault, legName, f.String())
-		}
-	}
 }

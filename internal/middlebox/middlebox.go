@@ -399,12 +399,8 @@ func (mb *Middlebox) interpose(id uint64, client, server net.Conn) (retErr error
 		fr = obs.StreamFlow(mb.trace, id, obs.PartyMB, flowCtx)
 	}
 	// Registered before the conn-span defer so it runs after it (LIFO):
-	// the connection span and any harvested injected faults land in the
-	// ring before End flushes or drops it.
-	defer func() {
-		mb.harvestFaults(fr, client, server)
-		fr.End(errString(retErr))
-	}()
+	// the connection span lands in the ring before End flushes or drops it.
+	defer func() { fr.End(errString(retErr)) }()
 	if ownRoot {
 		// The middlebox owns the trace root: record the conn span covering
 		// the whole interposition when it ends.
@@ -596,8 +592,8 @@ func (mb *Middlebox) writeRecordT(c net.Conn, typ transport.RecordType, body []b
 // runPrep executes the MB side of the preparation protocol over one leg,
 // under one Timeouts.Prep deadline. The server leg ships a circuit message
 // per fragment, which is parsed and hashed once as it arrives; the client
-// leg ships only each message's digest, and every client record is read
-// against its message's cap (transport.ClientPrepCap). When tracing, it
+// leg ships only each message's digest, and every record of either leg is
+// read against its message's cap (transport.PrepCap). When tracing, it
 // breaks the leg into the §3.3 setup sub-spans — labels (garbled rows +
 // endpoint-label transfer, or the digests, which includes the wait for the
 // endpoint's garbling), ot_base (base-OT round) and ot_ext (IKNP extension +
@@ -620,11 +616,7 @@ func (mb *Middlebox) runPrep(l *leg, prep *ruleprep.Middlebox, prepCtx obs.SpanC
 	var labBytes, labGates, labRows int
 
 	readSub := func(want byte) ([]byte, error) {
-		limit := transport.MaxRecordLen
-		if client {
-			limit = transport.ClientPrepCap(want, n)
-		}
-		typ, body, err := transport.ReadRecordMax(l.rd, limit)
+		typ, body, err := transport.ReadRecordMax(l.rd, transport.PrepCap(want, n))
 		if err != nil {
 			return nil, err
 		}

@@ -131,21 +131,34 @@ func TestPrepRefusesMalformedLeg(t *testing.T) {
 	}
 }
 
-// TestClientPrepRecordCap: every client preparation message has a size
-// known from the fragment count, so a client header announcing 64 MiB ends
-// preparation in a *transport.RecordCapError before the body is allocated.
+// TestClientPrepRecordCap: every preparation message of either leg has a
+// size known from the fragment count, so a header announcing 64 MiB, where
+// a client's digest or a server's circuit message is due, ends preparation
+// in a *transport.RecordCapError at that message's cap before the body is
+// allocated.
 func TestClientPrepRecordCap(t *testing.T) {
-	mb, prep := newPrep(t)
-	hdr := transport.AppendHeader(nil, transport.RecGarble, 64<<20)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err := runPrepAgainst(mb, prep, true, hdr)
-	runtime.ReadMemStats(&after)
-	var capErr *transport.RecordCapError
-	if !errors.As(err, &capErr) || capErr.Cap != transport.ClientPrepCap(transport.SubDigest, prepFragments) {
-		t.Fatalf("runPrep = %v, want a *transport.RecordCapError at SubDigest's cap", err)
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-		t.Fatalf("%d bytes allocated reading a 64 MiB header, want < 1 MiB", alloc)
+	for _, tc := range []struct {
+		leg    string
+		client bool
+		sub    byte
+	}{
+		{"client", true, transport.SubDigest},
+		{"server", false, transport.SubCircuit},
+	} {
+		t.Run(tc.leg, func(t *testing.T) {
+			mb, prep := newPrep(t)
+			hdr := transport.AppendHeader(nil, transport.RecGarble, 64<<20)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := runPrepAgainst(mb, prep, tc.client, hdr)
+			runtime.ReadMemStats(&after)
+			var capErr *transport.RecordCapError
+			if !errors.As(err, &capErr) || capErr.Cap != transport.PrepCap(tc.sub, prepFragments) {
+				t.Fatalf("runPrep = %v, want a *transport.RecordCapError at message %d's cap", err, tc.sub)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Fatalf("%d bytes allocated reading a 64 MiB header, want < 1 MiB", alloc)
+			}
+		})
 	}
 }

@@ -16,8 +16,8 @@
 //     extension (transport.AppendHelloSampled) so parties agree even when
 //     their configured rates differ.
 //   - tail retention: when a flow ends in an interesting terminal state
-//     (alert fired, step timeout, fail-open degradation, netem fault,
-//     block, conn error) its full ring is flushed, labeled Sampled="tail",
+//     (alert fired, step timeout, fail-open degradation, block, conn
+//     error) its full ring is flushed, labeled Sampled="tail",
 //     regardless of the head decision. Otherwise the ring is dropped.
 //
 // The recorder counts its flows by disposition and its ring evictions

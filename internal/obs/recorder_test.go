@@ -171,7 +171,7 @@ func TestRecorderErrorEndAndSpanErrAreInteresting(t *testing.T) {
 			fr.Emit(Span{Name: SpanForward, Err: "broken pipe"})
 			return fr.End("")
 		},
-		"fault event": func(fr *FlowRecorder) Disposition { fr.Event(SpanEventFault, "client", "reset@c2s"); return fr.End("") },
+		"any event":   func(fr *FlowRecorder) Disposition { fr.Event("event.other", "client", "detail"); return fr.End("") },
 		"timeout":     func(fr *FlowRecorder) Disposition { fr.Event(SpanEventTimeout, "c2s", "barrier"); return fr.End("") },
 		"degradation": func(fr *FlowRecorder) Disposition { fr.Event(SpanEventDegraded, "c2s", "fail-open"); return fr.End("") },
 		"block":       func(fr *FlowRecorder) Disposition { fr.Event(SpanEventBlocked, "c2s", "sid 9"); return fr.End("") },

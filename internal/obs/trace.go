@@ -58,7 +58,6 @@ const (
 const (
 	SpanEventTimeout  = "event.timeout"  // a step deadline expired (barrier, idle, write)
 	SpanEventDegraded = "event.degraded" // fail-open degradation: flow forwards unscanned
-	SpanEventFault    = "event.fault"    // netem fault injected on a leg
 	SpanEventAlert    = "event.alert"    // detection event dispatched
 	SpanEventBlocked  = "event.blocked"  // block-action rule severed the flow
 )

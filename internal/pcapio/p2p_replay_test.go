@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
-	"repro/internal/packet"
 )
 
 const goldenP2P = "testdata/p2p_golden.pcap"
@@ -30,26 +29,10 @@ func readGolden(t *testing.T) []byte {
 // was generated from — pinning both the corpus generator and the capture
 // format against drift.
 func TestGoldenP2PReplayMatchesCorpus(t *testing.T) {
-	r, err := NewReader(bytes.NewReader(readGolden(t)))
+	_, payloads, _, err := ReadTCPFlows(bytes.NewReader(readGolden(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	asm := packet.NewAssembler()
-	for {
-		p, err := r.ReadPacket()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		seg, err := packet.Unmarshal(p.Data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		asm.Add(seg)
-	}
-	_, payloads := asm.Flows()
 
 	flows := corpus.BitTorrentFlows(1)
 	if len(payloads) != len(flows) {

@@ -9,6 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/packet"
 )
 
 // magicLE is the little-endian pcap magic with microsecond timestamps.
@@ -130,5 +132,36 @@ func (r *Reader) ReadAll() ([]Packet, error) {
 			return nil, err
 		}
 		out = append(out, p)
+	}
+}
+
+// ReadTCPFlows reads a capture to its end: it parses every IPv4/TCP frame,
+// verifying its checksums, skips every other frame, and reassembles the
+// TCP streams. It returns each flow's key and payload in first-seen order
+// and the number of TCP packets read.
+func ReadTCPFlows(r io.Reader) (keys []packet.FlowKey, payloads [][]byte, packets int, err error) {
+	rd, err := NewReader(r)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	asm := packet.NewAssembler()
+	for {
+		p, err := rd.ReadPacket()
+		if err == io.EOF {
+			keys, payloads = asm.Flows()
+			return keys, payloads, packets, nil
+		}
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		seg, err := packet.Unmarshal(p.Data)
+		if errors.Is(err, packet.ErrNotTCP) {
+			continue
+		}
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		asm.Add(seg)
+		packets++
 	}
 }

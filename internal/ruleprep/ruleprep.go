@@ -115,6 +115,16 @@ func NewFragmentJob(index int, g *garble.Garbled, endpointLabels []bbcrypto.Bloc
 // DigestMsgLen is the length of a digest message: the index and the digest.
 const DigestMsgLen = 4 + sha256.Size
 
+// CircuitMsgLen returns the length of every circuit message. F is fixed
+// (garble's TestGarbledFIsPinned), so its garbled blob is too: the fixed
+// key, the row count, two half-gate rows per AND gate and a decode byte per
+// output, each list behind its uint32 length.
+func CircuitMsgLen() int {
+	f := F()
+	blob := bbcrypto.BlockSize + 1 + 4 + 2*f.NumAND()*bbcrypto.BlockSize + 4 + len(f.Outputs)
+	return 8 + blob + 4 + endpointWires*bbcrypto.BlockSize
+}
+
 // AppendCircuitMsg appends the job's circuit message to dst: uint32 index,
 // uint32 blob length, the garbled blob, then the endpoint labels as a uint32
 // count and the blocks. It is the body of the server's SubCircuit record,

@@ -55,6 +55,11 @@ func TestRunLocalProducesCorrectTokenKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	circuitMsg := 8 + job.G.Size() + 4 + endpointWires*bbcrypto.BlockSize
+	// The middlebox caps the server's SubCircuit records at CircuitMsgLen:
+	// F's 11 775 AND gates make 376 953 bytes of garbled blob.
+	if got := len(job.AppendCircuitMsg(nil)); got != circuitMsg || got != CircuitMsgLen() || got != 422_021 {
+		t.Fatalf("circuit message of %d bytes, want %d = CircuitMsgLen() %d = 422 021", got, circuitMsg, CircuitMsgLen())
+	}
 	if want := len(frags) * (circuitMsg + DigestMsgLen); wireBytes != want {
 		t.Fatalf("RunLocal counts %d wire bytes, want %d", wireBytes, want)
 	}

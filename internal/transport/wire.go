@@ -46,8 +46,8 @@ const (
 // MaxRecordLen bounds a record body in the setup phase. The largest
 // legitimate records are rule preparation's: the server's garbled circuit
 // with its endpoint labels (0.42 MB) and the OT extension's messages, which
-// grow with the fragment count. The middlebox reads the client's
-// preparation records against tighter caps (ClientPrepCap).
+// grow with the fragment count. The middlebox reads the endpoints'
+// preparation records against tighter caps (PrepCap).
 const MaxRecordLen = 64 << 20
 
 // maxDataRecord bounds the plaintext of one data record; larger writes are
@@ -431,12 +431,14 @@ const (
 	SubDigest
 )
 
-// ClientPrepCap is the largest record body a client sends as preparation
-// message sub in a run of n fragments, at most MaxRecordLen: every message
-// of the client leg has a size known from n. It is -1 for a message a
-// client does not send.
-func ClientPrepCap(sub byte, n int) int {
+// PrepCap is the largest record body an endpoint sends the middlebox as
+// preparation message sub in a run of n fragments, at most MaxRecordLen:
+// every message of either leg has a size known from n. It is -1 for a
+// message no endpoint sends.
+func PrepCap(sub byte, n int) int {
 	switch sub {
+	case SubCircuit:
+		return 1 + ruleprep.CircuitMsgLen()
 	case SubDigest:
 		return 1 + ruleprep.DigestMsgLen
 	case SubOTMsgB: // a slice list of the base-OT responses
