@@ -74,9 +74,10 @@ type Timeouts struct {
 	// Handshake bounds the hello interposition (client hello in, server
 	// hello back). Default 10 s.
 	Handshake time.Duration
-	// Prep bounds the rule-preparation protocol on each leg — the
-	// garbled-circuit transfer plus the OT rounds, the longest setup step.
-	// It is not retried (DESIGN.md §9). Default 60 s.
+	// Prep bounds the rule-preparation protocol on both legs — the
+	// garbled-circuit transfer, the OT rounds, verification and the Done
+	// messages, the longest setup step. It is not retried (DESIGN.md §9).
+	// Default 60 s.
 	Prep time.Duration
 	// Idle bounds each blocking record read during forwarding. Default
 	// NoTimeout: proxied connections legitimately idle between requests.

@@ -8,7 +8,6 @@ package middlebox
 
 import (
 	"bufio"
-	"crypto/cipher"
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
@@ -23,12 +22,10 @@ import (
 	"time"
 
 	"repro/internal/baseline"
-	"repro/internal/bbcrypto"
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/dpienc"
 	"repro/internal/obs"
-	"repro/internal/ot"
 	"repro/internal/retry"
 	"repro/internal/ruleprep"
 	"repro/internal/rules"
@@ -428,45 +425,13 @@ func (mb *Middlebox) interpose(id uint64, client, server net.Conn) (retErr error
 	// part of the §3.3 rule-encryption step; without this span the head of
 	// the preparation window would be unattributed.
 	fr.Span(prepCtx.Child(), prepStart, obs.Span{Name: obs.SpanPrepRuleEnc, Gates: prep.CircuitANDs(), Rows: len(req.Fragments)})
-	var (
-		jobsC, jobsS     []*ruleprep.FragmentJob
-		labelsC, labelsS [][]bbcrypto.Block
-		prepErr          [2]error
-		wg               sync.WaitGroup
-	)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		jobsC, labelsC, prepErr[0] = mb.runPrep(cl, prep, prepCtx, true, fr)
-	}()
-	go func() {
-		defer wg.Done()
-		jobsS, labelsS, prepErr[1] = mb.runPrep(sv, prep, prepCtx, false, fr)
-	}()
-	wg.Wait()
-	for _, e := range prepErr {
-		if e != nil {
-			return fmt.Errorf("middlebox: rule preparation: %w", mb.stepTimeout(id, "prep", e))
-		}
+	setDeadline(deadlineFor(mb.tmo.Prep), client, server)
+	prepped, err := prep.Run(transport.PrepPort{R: cl.rd, W: client}, transport.PrepPort{R: sv.rd, W: server})
+	setDeadline(time.Time{}, client, server)
+	if err != nil {
+		return fmt.Errorf("middlebox: rule preparation: %w", mb.stepTimeout(id, "prep", err))
 	}
-
-	keys := make(detect.TokenKeys)
-	for i := range jobsC {
-		key, err := prep.VerifyAndEvaluate(i, jobsC[i], jobsS[i], labelsC[i], labelsS[i])
-		if err == ruleprep.ErrUnauthorized {
-			continue
-		}
-		if err != nil {
-			return fmt.Errorf("middlebox: rule preparation: %w", err)
-		}
-		keys[req.Fragments[i]] = key
-	}
-
-	for _, c := range []net.Conn{client, server} {
-		if err := mb.writeRecordT(c, transport.RecGarble, []byte{transport.SubPrepDone}); err != nil {
-			return mb.stepTimeout(id, "write", err)
-		}
-	}
+	keys := core.TokenKeysFromPrep(req, prepped)
 	mb.met.prep.Observe(time.Since(prepStart).Seconds())
 	fr.Span(prepCtx, prepStart, obs.Span{Name: obs.SpanPrep})
 
@@ -527,12 +492,9 @@ func (mb *Middlebox) interposeHello(client, server *leg) (transport.Hello, obs.S
 	fail := func(err error) (transport.Hello, obs.SpanCtx, bool, bool, error) {
 		return transport.Hello{}, obs.SpanCtx{}, false, false, err
 	}
-	typ, body, err := transport.ReadRecord(client.rd)
+	body, err := transport.ReadHello(client.rd, transport.RecHello)
 	if err != nil {
 		return fail(err)
-	}
-	if typ != transport.RecHello {
-		return fail(fmt.Errorf("middlebox: expected client hello, got %d", typ))
 	}
 	hello, err := transport.UnmarshalHello(body)
 	if err != nil {
@@ -565,12 +527,8 @@ func (mb *Middlebox) interposeHello(client, server *leg) (transport.Hello, obs.S
 	if err := transport.WriteRecord(server.conn, transport.RecHello, body); err != nil {
 		return fail(err)
 	}
-	typ, body, err = transport.ReadRecord(server.rd)
-	if err != nil {
+	if body, err = transport.ReadHello(server.rd, transport.RecHelloReply); err != nil {
 		return fail(err)
-	}
-	if typ != transport.RecHelloReply {
-		return fail(fmt.Errorf("middlebox: expected server hello, got %d", typ))
 	}
 	if err := transport.SetMBPresent(body); err != nil {
 		return fail(err)
@@ -579,134 +537,6 @@ func (mb *Middlebox) interposeHello(client, server *leg) (transport.Hello, obs.S
 		return fail(err)
 	}
 	return hello, flowCtx, ownRoot, head, nil
-}
-
-// writeRecordT writes one record under the Write deadline.
-func (mb *Middlebox) writeRecordT(c net.Conn, typ transport.RecordType, body []byte) error {
-	_ = c.SetWriteDeadline(deadlineFor(mb.tmo.Write))
-	err := transport.WriteRecord(c, typ, body)
-	_ = c.SetWriteDeadline(time.Time{})
-	return err
-}
-
-// runPrep executes the MB side of the preparation protocol over one leg,
-// under one Timeouts.Prep deadline. The server leg ships a circuit message
-// per fragment, which is parsed and hashed once as it arrives; the client
-// leg ships only each message's digest, and every record of either leg is
-// read against its message's cap (transport.PrepCap). When tracing, it
-// breaks the leg into the §3.3 setup sub-spans — labels (garbled rows +
-// endpoint-label transfer, or the digests, which includes the wait for the
-// endpoint's garbling), ot_base (base-OT round) and ot_ext (IKNP extension +
-// unmask) — all children of the flow's prep span, Dir marking the leg.
-func (mb *Middlebox) runPrep(l *leg, prep *ruleprep.Middlebox, prepCtx obs.SpanCtx, client bool, fr *obs.FlowRecorder) ([]*ruleprep.FragmentJob, [][]bbcrypto.Block, error) {
-	setDeadline(deadlineFor(mb.tmo.Prep), l.conn)
-	defer setDeadline(time.Time{}, l.conn)
-	n := prep.NumFragments()
-	start := make([]byte, 5)
-	start[0] = transport.SubPrepStart
-	binary.BigEndian.PutUint32(start[1:], uint32(n))
-	if err := transport.WriteRecord(l.conn, transport.RecGarble, start); err != nil {
-		return nil, nil, err
-	}
-	legName, jobSub, parseJob := "server", transport.SubCircuit, ruleprep.ParseCircuitMsg
-	if client {
-		legName, jobSub, parseJob = "client", transport.SubDigest, ruleprep.ParseDigestMsg
-	}
-	labStart := time.Now()
-	var labBytes, labGates, labRows int
-
-	readSub := func(want byte) ([]byte, error) {
-		typ, body, err := transport.ReadRecordMax(l.rd, transport.PrepCap(want, n))
-		if err != nil {
-			return nil, err
-		}
-		if typ != transport.RecGarble || len(body) < 1 || body[0] != want {
-			return nil, fmt.Errorf("middlebox: expected prep message %d", want)
-		}
-		return body[1:], nil
-	}
-
-	jobs := make([]*ruleprep.FragmentJob, n)
-	for i := 0; i < n; i++ {
-		payload, err := readSub(jobSub)
-		if err != nil {
-			return nil, nil, err
-		}
-		job, err := parseJob(payload)
-		if err != nil {
-			return nil, nil, err
-		}
-		if job.Index < 0 || job.Index >= n || jobs[job.Index] != nil {
-			return nil, nil, errors.New("middlebox: bad fragment index")
-		}
-		labBytes += len(payload)
-		if job.G != nil {
-			st := job.G.Stats()
-			labGates += st.Gates
-			labRows += st.TableRows
-		}
-		jobs[job.Index] = job
-	}
-	fr.Span(prepCtx.Child(), labStart, obs.Span{Dir: legName, Name: obs.SpanPrepLabels, Bytes: labBytes, Gates: labGates, Rows: labRows})
-
-	// OT batch over all fragments' choice bits.
-	obStart := time.Now()
-	recv, msgAs, err := ot.NewExtReceiver()
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := transport.WriteRecord(l.conn, transport.RecGarble,
-		transport.AppendByteSlices([]byte{transport.SubOTMsgA}, msgAs)); err != nil {
-		return nil, nil, err
-	}
-	payload, err := readSub(transport.SubOTMsgB)
-	if err != nil {
-		return nil, nil, err
-	}
-	msgBs, err := transport.UnmarshalByteSlices(payload)
-	if err != nil {
-		return nil, nil, err
-	}
-	fr.Span(prepCtx.Child(), obStart, obs.Span{Dir: legName, Name: obs.SpanPrepOTBase, Bytes: len(payload)})
-	oeStart := time.Now()
-	var choices []bool
-	for i := 0; i < n; i++ {
-		choices = append(choices, prep.Choices(i)...)
-	}
-	u, err := recv.Extend(msgBs, choices)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := transport.WriteRecord(l.conn, transport.RecGarble,
-		transport.AppendByteSlices([]byte{transport.SubOTU}, u)); err != nil {
-		return nil, nil, err
-	}
-	payload, err = readSub(transport.SubOTMasked)
-	if err != nil {
-		return nil, nil, err
-	}
-	flat, err := transport.UnmarshalBlocks(payload)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(flat) != 2*len(choices) {
-		return nil, nil, errors.New("middlebox: masked pair count mismatch")
-	}
-	pairs := make([][2]bbcrypto.Block, len(choices))
-	for j := range pairs {
-		pairs[j][0], pairs[j][1] = flat[2*j], flat[2*j+1]
-	}
-	labels, err := recv.Receive(pairs, choices)
-	if err != nil {
-		return nil, nil, err
-	}
-	st := recv.Stats()
-	fr.Span(prepCtx.Child(), oeStart, obs.Span{Dir: legName, Name: obs.SpanPrepOTExt, Bytes: st.CorrectionBytes + st.MaskedBytes, Rows: st.Wires})
-	perFrag := make([][]bbcrypto.Block, n)
-	for i := 0; i < n; i++ {
-		perFrag[i] = labels[i*ruleprep.OTWires : (i+1)*ruleprep.OTWires]
-	}
-	return jobs, perFrag, nil
 }
 
 // flow is per-direction detection state. Its mutable fields are confined:
@@ -757,19 +587,18 @@ type flow struct {
 	// buffer; a buffer that finds the slot taken is dropped.
 	free chan []dpienc.EncryptedToken
 
-	// Protocol III decryption element state. aead is built once, at key
-	// recovery; nonce is the direction byte, then seq in bytes 4–11.
-	// Before recovery, data records wait in pending; each record it
-	// evicts spends a sequence number, and skipBytes counts their payload
-	// bytes. From recovery on, each record is opened into pt and written
-	// to sec as it arrives.
-	aead      cipher.AEAD
+	// Protocol III decryption element state. Before key recovery, data
+	// records wait in pending; evicted counts the records it dropped, each
+	// of which spent a sequence number, and skipBytes their payload bytes.
+	// open is built once, at recovery, to start after the evicted records;
+	// from then on each record is opened into pt and written to sec as it
+	// arrives.
+	open      *transport.DataCipher
 	pending   pendingRing
+	evicted   uint64
 	skipBytes int
 	pt        []byte
 	sec       *baseline.Stream
-	seq       uint64
-	nonce     [12]byte
 }
 
 func (mb *Middlebox) newFlow(id uint64, dir Direction, cfg core.Config, keys detect.TokenKeys, kill func()) *flow {
@@ -786,9 +615,6 @@ func (mb *Middlebox) newFlow(id uint64, dir Direction, cfg core.Config, keys det
 			Protocol: cfg.Protocol,
 			Salt0:    cfg.Salt0,
 		}),
-	}
-	if dir == ServerToClient {
-		fl.nonce[0] = 1
 	}
 	return fl
 }
@@ -1046,8 +872,8 @@ func (mb *Middlebox) dispatchEvent(fl *flow, ev detect.Event) {
 	} else {
 		fl.fr.Event(obs.SpanEventAlert, string(fl.dir), "keyword")
 	}
-	if ev.HasSSLKey && fl.aead == nil {
-		fl.aead = bbcrypto.NewGCM(ev.SSLKey)
+	if ev.HasSSLKey && fl.open == nil {
+		fl.open = transport.NewDataCipher(ev.SSLKey, fl.dir == ServerToClient, fl.evicted)
 		mb.met.keys.Inc()
 		mb.log.Info("probable cause: SSL key recovered", "conn", fl.id, "dir", fl.dir)
 		if mb.cfg.Secondary {
@@ -1072,7 +898,7 @@ func (mb *Middlebox) dispatchEvent(fl *flow, ev detect.Event) {
 // decrypted and inspected at once when the key is known, and held in the
 // flow's pending ring until then.
 func (mb *Middlebox) captureData(fl *flow, body []byte) {
-	if fl.aead != nil {
+	if fl.open != nil {
 		mb.decryptRecord(fl, body)
 		return
 	}
@@ -1084,15 +910,11 @@ func (mb *Middlebox) captureData(fl *flow, body []byte) {
 	fl.pending.push(body)
 }
 
-// recordOverhead is what a data record's body adds to its payload: the
-// kind byte and the GCM tag.
-const recordOverhead = 1 + 16
-
 // evictPending accounts for one n-byte record the pending ring dropped
 // unseen: it used up a sequence number and its payload's stream offsets.
 func (mb *Middlebox) evictPending(fl *flow, n int) {
-	dropped := max(0, n-recordOverhead)
-	fl.seq++
+	dropped := max(0, n-transport.DataRecordOverhead)
+	fl.evicted++
 	fl.skipBytes += dropped
 	mb.met.secDropped.Add(uint64(dropped))
 }
@@ -1112,19 +934,14 @@ func (mb *Middlebox) drainPending(fl *flow) {
 	fl.pending = pendingRing{}
 }
 
-// dataAD is every data record's additional data: its record type.
-var dataAD = []byte{byte(transport.RecData)}
-
 // decryptRecord opens one SSL record with the recovered kSSL — the
 // ssldump-equivalent step of §6 — into the flow's reused open buffer, and
 // inspects its payload. body may be that buffer itself. A record that does
 // not open is skipped at its payload's length.
 func (mb *Middlebox) decryptRecord(fl *flow, body []byte) {
-	binary.BigEndian.PutUint64(fl.nonce[4:], fl.seq)
-	fl.seq++
-	pt, err := fl.aead.Open(fl.pt[:0], fl.nonce[:], body, dataAD)
+	pt, err := fl.open.Open(fl.pt[:0], body)
 	if err != nil {
-		fl.sec.Skip(max(0, len(body)-recordOverhead))
+		fl.sec.Skip(max(0, len(body)-transport.DataRecordOverhead))
 		return
 	}
 	fl.pt = pt

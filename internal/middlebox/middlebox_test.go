@@ -320,13 +320,15 @@ func newP3Flow(t *testing.T, rulesText string) *p3Flow {
 	return f
 }
 
-// seal builds the body of the client's next data record: a kind byte and
-// the payload under the nonce direction 0 ‖ sequence number.
+// seal builds the body of the client's next data record as a client seals
+// it, written out here independently of transport.DataCipher: a kind byte
+// and the payload under the nonce direction 0 ‖ sequence number, with the
+// record type as additional data.
 func (f *p3Flow) seal(payload []byte) []byte {
 	var nonce [12]byte
 	binary.BigEndian.PutUint64(nonce[4:], f.seq)
 	f.seq++
-	return f.aead.Seal(nil, nonce[:], append([]byte{0}, payload...), dataAD)
+	return f.aead.Seal(nil, nonce[:], append([]byte{0}, payload...), []byte{byte(transport.RecData)})
 }
 
 // capture seals payload as the next record and hands it to the element.
@@ -341,7 +343,7 @@ func (f *p3Flow) recover() {
 // the pending ring, with their length prefixes.
 const (
 	fullRecord  = 16 << 10
-	heldRecords = maxPendingBytes / (lenPrefix + fullRecord + recordOverhead)
+	heldRecords = maxPendingBytes / (lenPrefix + fullRecord + transport.DataRecordOverhead)
 )
 
 // TestSecondaryNonceSurvivesBufferOverflow: records that the pending ring

@@ -1,8 +1,10 @@
 package middlebox
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -11,33 +13,18 @@ import (
 	"time"
 
 	"repro/internal/bbcrypto"
-	"repro/internal/obs"
 	"repro/internal/ruleprep"
 	"repro/internal/rules"
 	"repro/internal/transport"
 )
 
-// prepFragments is the fragment count of every hand-written preparation
-// leg below.
+// prepFragments is the fragment count of every preparation run below.
 const prepFragments = 2
 
-// newPrep returns a middlebox and a preparation run of prepFragments
-// fragments for it.
-func newPrep(t *testing.T) (*Middlebox, *ruleprep.Middlebox) {
+// newPrep returns the middlebox side of a preparation run of prepFragments
+// fragments, none of them authorized (every key comes out nil).
+func newPrep(t *testing.T) *ruleprep.Middlebox {
 	t.Helper()
-	g, err := rules.NewGenerator("PrepRG")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := rules.Parse("prep", `alert tcp any any -> any any (content:"attackkw"; sid:1;)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb, err := New(Config{Ruleset: g.Sign(rs)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { mb.Close() })
 	prep, err := ruleprep.NewMiddlebox(ruleprep.Request{
 		Fragments: make([]bbcrypto.Block, prepFragments),
 		Tags:      make([]bbcrypto.Block, prepFragments),
@@ -45,14 +32,34 @@ func newPrep(t *testing.T) (*Middlebox, *ruleprep.Middlebox) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mb, prep
+	return prep
 }
 
-// runPrepAgainst runs the middlebox's side of rule preparation on one leg
-// whose endpoint is hand-written: it reads SubPrepStart, writes the given
-// raw bytes, then drains whatever the middlebox sends until the leg closes.
-// It returns what runPrep returned, once both sides have finished.
-func runPrepAgainst(mb *Middlebox, prep *ruleprep.Middlebox, client bool, raw ...[]byte) error {
+// idlePort is the leg a test does not drive: it fails at once, so nothing
+// runs beside the leg under test, and Run reports both legs' errors.
+type idlePort struct{}
+
+var errNotUnderTest = errors.New("leg not under test")
+
+func (idlePort) Send([]byte) error { return errNotUnderTest }
+
+func (idlePort) Recv(byte, int) ([]byte, error) { return nil, errNotUnderTest }
+
+// legs returns Run's two ports: mbPort on the client's leg when client is
+// set, else on the server's, and an idle port on the other.
+func legs(mbPort ruleprep.Port, client bool) (ruleprep.Port, ruleprep.Port) {
+	if client {
+		return mbPort, idlePort{}
+	}
+	return idlePort{}, mbPort
+}
+
+// runPrepAgainst runs the middlebox's side of rule preparation with one leg
+// whose endpoint is hand-written: it reads Start, writes the given raw
+// bytes, then drains whatever the middlebox sends until the leg closes. The
+// other leg is idle. It returns what Run returned, once both sides have
+// finished.
+func runPrepAgainst(prep *ruleprep.Middlebox, client bool, raw ...[]byte) error {
 	ours, theirs := net.Pipe()
 	peer := make(chan struct{})
 	go func() {
@@ -67,7 +74,7 @@ func runPrepAgainst(mb *Middlebox, prep *ruleprep.Middlebox, client bool, raw ..
 		}
 		_, _ = io.Copy(io.Discard, theirs)
 	}()
-	_, _, err := mb.runPrep(newLeg(ours), prep, obs.SpanCtx{}, client, nil)
+	_, err := prep.Run(legs(transport.PrepPort{R: bufio.NewReader(ours), W: ours}, client))
 	ours.Close()
 	<-peer
 	theirs.Close()
@@ -82,7 +89,7 @@ func prepRecord(sub byte, msg []byte) []byte {
 
 // digestRecord is a client's SubDigest record for fragment index.
 func digestRecord(index uint32) []byte {
-	return prepRecord(transport.SubDigest, append(binary.BigEndian.AppendUint32(nil, index), make([]byte, 32)...))
+	return prepRecord(ruleprep.SubDigest, append(binary.BigEndian.AppendUint32(nil, index), make([]byte, 32)...))
 }
 
 // noGoroutineLeak fails the test if the goroutine count does not fall back
@@ -98,10 +105,11 @@ func noGoroutineLeak(t *testing.T, base int) {
 }
 
 // TestPrepRefusesMalformedLeg pins DESIGN.md §10's parse-ambiguity rows 5
-// and 6: a client digest message of the wrong length, or with an index out
-// of range or repeated, and a leg that sends the other role's message, each
-// end that leg's preparation in an error before anything is evaluated,
-// leaking no goroutine.
+// and 6 through the port the middlebox reads each leg with: a client digest
+// message of the wrong length (refused from its header), or with an index
+// out of order, and a leg that sends the other role's message, each end
+// that leg's preparation in an error before anything is evaluated, leaking
+// no goroutine.
 func TestPrepRefusesMalformedLeg(t *testing.T) {
 	circuitMsg := binary.BigEndian.AppendUint32(make([]byte, 4), 16) // index 0, a 16-byte blob that is not one
 	circuitMsg = append(circuitMsg, make([]byte, 16+4)...)
@@ -111,53 +119,232 @@ func TestPrepRefusesMalformedLeg(t *testing.T) {
 		raw    [][]byte
 		want   string
 	}{
-		{"row 5: digest of 35 bytes", true, [][]byte{prepRecord(transport.SubDigest, make([]byte, 35))}, "digest message of 35 bytes"},
-		{"row 5: digest of 37 bytes", true, [][]byte{prepRecord(transport.SubDigest, make([]byte, 37))}, "exceeds its cap"},
+		{"row 5: digest of 35 bytes", true, [][]byte{prepRecord(ruleprep.SubDigest, make([]byte, 35))}, "expected prep message"},
+		{"row 5: digest of 37 bytes", true, [][]byte{prepRecord(ruleprep.SubDigest, make([]byte, 37))}, "exceeds its cap"},
 		{"row 5: index out of range", true, [][]byte{digestRecord(prepFragments)}, "bad fragment index"},
 		{"row 5: index repeated", true, [][]byte{digestRecord(0), digestRecord(0)}, "bad fragment index"},
-		{"row 6: client sends a circuit", true, [][]byte{prepRecord(transport.SubCircuit, circuitMsg)}, "expected prep message"},
+		{"row 6: client sends a circuit", true, [][]byte{prepRecord(ruleprep.SubCircuit, circuitMsg)}, "expected prep message"},
 		{"row 6: server sends a digest", false, [][]byte{digestRecord(0)}, "expected prep message"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mb, prep := newPrep(t)
+			prep := newPrep(t)
 			base := runtime.NumGoroutine()
-			err := runPrepAgainst(mb, prep, tc.client, tc.raw...)
+			err := runPrepAgainst(prep, tc.client, tc.raw...)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("runPrep = %v, want an error containing %q", err, tc.want)
+				t.Fatalf("Run = %v, want an error containing %q", err, tc.want)
 			}
 			noGoroutineLeak(t, base)
 		})
 	}
 }
 
-// TestClientPrepRecordCap: every preparation message of either leg has a
-// size known from the fragment count, so a header announcing 64 MiB, where
-// a client's digest or a server's circuit message is due, ends preparation
-// in a *transport.RecordCapError at that message's cap before the body is
-// allocated.
+// capProbe puts raw bytes on the wire in place of the nth message of
+// subtype sub, and measures the allocation from just before they are
+// written until the receiver's Recv of that message fails.
+type capProbe struct {
+	sub  byte
+	nth  int
+	raw  []byte
+	conn net.Conn // the sender's end of the leg
+
+	sent          int
+	before, after runtime.MemStats
+}
+
+// tamperPort is the sending side's port.
+type tamperPort struct {
+	ruleprep.Port
+	p *capProbe
+}
+
+func (t tamperPort) Send(msg []byte) error {
+	if msg[0] != t.p.sub {
+		return t.Port.Send(msg)
+	}
+	if t.p.sent++; t.p.sent != t.p.nth {
+		return t.Port.Send(msg)
+	}
+	runtime.ReadMemStats(&t.p.before)
+	_, err := t.p.conn.Write(t.p.raw)
+	return err
+}
+
+// watchPort is the receiving side's port.
+type watchPort struct {
+	ruleprep.Port
+	p *capProbe
+}
+
+func (w watchPort) Recv(want byte, size int) ([]byte, error) {
+	body, err := w.Port.Recv(want, size)
+	if err != nil && want == w.p.sub {
+		runtime.ReadMemStats(&w.p.after)
+	}
+	return body, err
+}
+
+// probePrep runs rule preparation between the middlebox and one honest
+// endpoint of the given role, over net.Pipe and transport.PrepPort on both
+// sides, with probe's message replaced on the wire. toEndpoint says which
+// way that message goes. The other leg is idle, except for SubDone, which
+// the middlebox sends only once both legs are through: then it is a second
+// honest endpoint. It returns the error of the side that received the
+// replaced message.
+func probePrep(t *testing.T, client, toEndpoint bool, probe *capProbe) error {
+	t.Helper()
+	prep := newPrep(t)
+	run := func(c net.Conn, client bool, port func(ruleprep.Port) ruleprep.Port) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			ep := ruleprep.NewEndpoint(bbcrypto.Block{1}, bbcrypto.Block{2}, bbcrypto.Block{3})
+			err := ep.Serve(port(transport.PrepPort{R: bufio.NewReader(c), W: c}), client)
+			c.Close()
+			done <- err
+		}()
+		return done
+	}
+	ours, theirs := net.Pipe()
+	defer ours.Close()
+	var mbPort ruleprep.Port = transport.PrepPort{R: bufio.NewReader(ours), W: ours}
+	epPort := func(p ruleprep.Port) ruleprep.Port { return tamperPort{p, probe} }
+	if toEndpoint {
+		probe.conn = ours
+		mbPort = tamperPort{mbPort, probe}
+		epPort = func(p ruleprep.Port) ruleprep.Port { return watchPort{p, probe} }
+	} else {
+		probe.conn = theirs
+		mbPort = watchPort{mbPort, probe}
+	}
+	epErr := run(theirs, client, epPort)
+	cPort, sPort := legs(mbPort, client)
+	if probe.sub == ruleprep.SubDone {
+		otherMB, otherEP := net.Pipe()
+		defer otherMB.Close()
+		run(otherEP, !client, func(p ruleprep.Port) ruleprep.Port { return p })
+		other := transport.PrepPort{R: bufio.NewReader(otherMB), W: otherMB}
+		if client {
+			sPort = other
+		} else {
+			cPort = other
+		}
+	}
+	_, mbErr := prep.Run(cPort, sPort)
+	ours.Close()
+	if toEndpoint {
+		return <-epErr
+	}
+	<-epErr
+	return mbErr
+}
+
+// TestClientPrepRecordCap: every preparation message has one length, known
+// from the fragment count, and each party reads every message it receives
+// at exactly that length — the middlebox a client's digests, a server's
+// circuits and either leg's OT replies, an endpoint the middlebox's
+// messages. A header announcing 64 MiB in its place is a
+// *transport.RecordCapError at 1 + ruleprep.BodyLen before the body is
+// allocated, and a body one byte short the typed expected-message error.
 func TestClientPrepRecordCap(t *testing.T) {
 	for _, tc := range []struct {
-		leg    string
-		client bool
-		sub    byte
+		name               string
+		client, toEndpoint bool
+		sub                byte
 	}{
-		{"client", true, transport.SubDigest},
-		{"server", false, transport.SubCircuit},
+		{"client", true, false, ruleprep.SubDigest},
+		{"server", false, false, ruleprep.SubCircuit},
+		{"client MsgB", true, false, ruleprep.SubMsgB},
+		{"server MsgB", false, false, ruleprep.SubMsgB},
+		{"client Masked", true, false, ruleprep.SubMasked},
+		{"server Masked", false, false, ruleprep.SubMasked},
+		{"endpoint Start", false, true, ruleprep.SubStart},
+		{"endpoint MsgA", true, true, ruleprep.SubMsgA},
+		{"endpoint U", false, true, ruleprep.SubU},
+		{"endpoint Done", true, true, ruleprep.SubDone},
 	} {
-		t.Run(tc.leg, func(t *testing.T) {
-			mb, prep := newPrep(t)
-			hdr := transport.AppendHeader(nil, transport.RecGarble, 64<<20)
+		t.Run(tc.name, func(t *testing.T) {
+			size := ruleprep.BodyLen(tc.sub, prepFragments)
+			nth := 1
+			if tc.sub == ruleprep.SubDigest || tc.sub == ruleprep.SubCircuit {
+				nth = prepFragments // the last, so that no garbling runs beside the read
+			}
+			probe := &capProbe{sub: tc.sub, nth: nth, raw: transport.AppendHeader(nil, transport.RecGarble, 64<<20)}
+			err := probePrep(t, tc.client, tc.toEndpoint, probe)
+			var capErr *transport.RecordCapError
+			if !errors.As(err, &capErr) || capErr.Cap != 1+size {
+				t.Fatalf("64 MiB header for message %d: %v, want a *transport.RecordCapError at its cap %d", tc.sub, err, 1+size)
+			}
+			if alloc := probe.after.TotalAlloc - probe.before.TotalAlloc; alloc >= 1<<20 {
+				t.Fatalf("%d bytes allocated reading a 64 MiB header, want < 1 MiB", alloc)
+			}
+
+			short := transport.AppendHeader(nil, transport.RecGarble, size)
+			if size > 0 {
+				short = append(append(short, tc.sub), make([]byte, size-1)...)
+			}
+			probe = &capProbe{sub: tc.sub, nth: nth, raw: short}
+			err = probePrep(t, tc.client, tc.toEndpoint, probe)
+			var msgErr *ruleprep.MessageError
+			if !errors.As(err, &msgErr) || msgErr.Want != tc.sub || msgErr.Size != size {
+				t.Fatalf("message %d one byte short: %v, want a *ruleprep.MessageError", tc.sub, err)
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("expected prep message %d", tc.sub)) {
+				t.Fatalf("message %d one byte short: %q does not name the expected message", tc.sub, err)
+			}
+		})
+	}
+}
+
+// TestHelloRecordCap: hellos arrive unauthenticated, so a header announcing
+// 64 MiB where the client's hello or the server's reply is due ends the
+// interposition in a *transport.RecordCapError before the body is
+// allocated.
+func TestHelloRecordCap(t *testing.T) {
+	g, err := rules.NewGenerator("HelloRG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := rules.Parse("hello", `alert tcp any any -> any any (content:"attackkw"; sid:1;)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, err := New(Config{Ruleset: g.Sign(rs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mb.Close() })
+	hello := transport.MarshalHello(transport.Hello{PublicKey: make([]byte, 32)})
+	for _, tc := range []struct {
+		name           string
+		client, server []byte // what each peer writes
+	}{
+		{"client hello", transport.AppendHeader(nil, transport.RecHello, 64<<20), nil},
+		{"server hello", append(transport.AppendHeader(nil, transport.RecHello, len(hello)), hello...),
+			transport.AppendHeader(nil, transport.RecHelloReply, 64<<20)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cOurs, cTheirs := net.Pipe()
+			sOurs, sTheirs := net.Pipe()
+			defer func() { cOurs.Close(); cTheirs.Close(); sOurs.Close(); sTheirs.Close() }()
+			go func() { _, _ = cTheirs.Write(tc.client) }()
+			go func() {
+				if tc.server != nil {
+					// The forwarded client hello, then the reply.
+					if _, _, err := transport.ReadRecord(sTheirs); err == nil {
+						_, _ = sTheirs.Write(tc.server)
+					}
+				}
+			}()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			err := runPrepAgainst(mb, prep, tc.client, hdr)
+			_, _, _, _, err := mb.interposeHello(newLeg(cOurs), newLeg(sOurs))
 			runtime.ReadMemStats(&after)
 			var capErr *transport.RecordCapError
-			if !errors.As(err, &capErr) || capErr.Cap != transport.PrepCap(tc.sub, prepFragments) {
-				t.Fatalf("runPrep = %v, want a *transport.RecordCapError at message %d's cap", err, tc.sub)
+			if !errors.As(err, &capErr) || int64(capErr.Len) != 64<<20 {
+				t.Fatalf("interposeHello = %v, want a *transport.RecordCapError", err)
 			}
 			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-				t.Fatalf("%d bytes allocated reading a 64 MiB header, want < 1 MiB", alloc)
+				t.Fatalf("%d bytes allocated reading a 64 MiB hello header, want < 1 MiB", alloc)
 			}
 		})
 	}

@@ -15,12 +15,13 @@ import (
 // and matrix columns.
 const kappa = 128
 
-// BaseResponses and BaseResponseSize are the shape of BaseRespond's result,
-// one uncompressed P-256 point per base OT, so that a reader can bound the
-// message before it arrives.
+// BaseOTs is the number of base OTs, of base-OT responses (BaseRespond's
+// result) and of correction columns (Extend's); PointSize is the length of
+// every base-OT message, one uncompressed P-256 point. Together with the
+// transfer width they fix the length of every message of an extension run.
 const (
-	BaseResponses    = kappa
-	BaseResponseSize = pointSize
+	BaseOTs   = kappa
+	PointSize = pointSize
 )
 
 // rowHash is the extension's correlation-robust row hash. Its fixed key is

@@ -20,6 +20,20 @@
 // Garbling is embarrassingly parallel across fragments, mirroring the
 // paper's "garble threads" (§6); GarbleEach runs it as a bounded pipeline so
 // that an endpoint holds a few circuits at a time however many are asked for.
+//
+// The middlebox runs the exchange with each endpoint over a Port (Run and
+// Endpoint.Serve), one leg per endpoint, in this order and no other; each
+// message is a subtype byte and a body of the one length BodyLen gives it,
+// for n fragments:
+//
+//	MB → EP  SubStart    uint32 n                                    4 B
+//	EP → MB  SubCircuit  a server's circuit message, per fragment    CircuitMsgLen
+//	     or  SubDigest   a client's digest message, per fragment     36 B
+//	MB → EP  SubMsgA     the base-OT point                           65 B
+//	EP → MB  SubMsgB     128 base-OT response points                 128 × 65 B
+//	MB → EP  SubU        the IKNP correction matrix, 128 columns     128 × 32·n B
+//	EP → MB  SubMasked   two label blocks per OT wire                2 × 256·n × 16 B
+//	MB → EP  SubDone     empty: data may flow                        0
 package ruleprep
 
 import (
@@ -399,13 +413,10 @@ func (m *Middlebox) Evaluate(i int, job *FragmentJob, otLabels []bbcrypto.Block)
 	return key, nil
 }
 
-// VerifyAndEvaluate performs the complete middlebox-side finishing work
-// for fragment i — cross-checking the two endpoints' digests,
-// cross-checking the labels each endpoint's OT delivered, and evaluating
-// the job that carries a circuit (jobR's when both do) — and, when tracing,
-// records one prep.rule_enc span covering it. It is the single entry point
-// the network middlebox and RunLocal share, so traces describe every
-// deployment the same way.
+// VerifyAndEvaluate is the middlebox's finishing work for fragment i, the
+// same for Run and RunLocal: it cross-checks the endpoints' digests and
+// their OT labels, evaluates the job that carries a circuit (jobR's when
+// both do) and, when tracing, records a prep.rule_enc span covering it.
 func (m *Middlebox) VerifyAndEvaluate(i int, jobS, jobR *FragmentJob, labS, labR []bbcrypto.Block) (dpienc.TokenKey, error) {
 	start := time.Now()
 	job := jobR
@@ -444,21 +455,16 @@ func (m *Middlebox) verifyAndEvaluate(i int, jobS, jobR, job *FragmentJob, labS,
 	return m.Evaluate(i, job, labS)
 }
 
-// RunLocal performs the complete rule preparation with both endpoints in
-// process — the building block for examples, benchmarks and the in-memory
-// transport — in the order the live path runs it: each endpoint garbles every
-// fragment, epS (the client) keeping only the digest of each circuit message
-// and epR (the server) the whole job, then one OT extension per endpoint
-// covers all fragments' wires, then the middlebox verifies and evaluates. It
-// returns the token key for every fragment (nil entries for unauthorized
-// fragments) and the bytes of the messages that would cross the wire: epR's
-// circuit messages plus epS's digest messages.
+// RunLocal performs the complete rule preparation in process, without
+// Ports — §7.2.2's setup cells and the benchmark time it — one leg after the
+// other: the endpoint garbles every fragment, epS (the client) keeping each
+// circuit message's digest and epR (the server) the job, one OT extension
+// covers all wires, and then the middlebox verifies and evaluates as Run
+// does. It returns every fragment's token key (nil if unauthorized) and the
+// bytes of epR's circuit and epS's digest messages.
 func RunLocal(epS, epR *Endpoint, mb *Middlebox) ([]*dpienc.TokenKey, int, error) {
 	n := mb.NumFragments()
-	choices := make([]bool, 0, n*OTWires)
-	for i := 0; i < n; i++ {
-		choices = append(choices, mb.Choices(i)...)
-	}
+	choices := mb.choices()
 	var (
 		jobs   [2][]*FragmentJob
 		labels [2][]bbcrypto.Block
@@ -487,17 +493,9 @@ func RunLocal(epS, epR *Endpoint, mb *Middlebox) ([]*dpienc.TokenKey, int, error
 			return nil, 0, err
 		}
 	}
-	keys := make([]*dpienc.TokenKey, n)
-	for i := 0; i < n; i++ {
-		lo, hi := i*OTWires, (i+1)*OTWires
-		key, err := mb.VerifyAndEvaluate(i, jobs[0][i], jobs[1][i], labels[0][lo:hi], labels[1][lo:hi])
-		if err == ErrUnauthorized {
-			continue
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		keys[i] = &key
+	keys, err := mb.evaluate(jobs, labels)
+	if err != nil {
+		return nil, 0, err
 	}
 	return keys, bytesOnWire, nil
 }

@@ -1,15 +1,14 @@
 // Endpoint connection logic of BlindBox HTTPS: the handshake (§2.3), the
 // AES-GCM record layer, the token side-channel, receiver-side validation
-// (§3.4), and the endpoint half of the rule-preparation exchange (§3.3).
+// (§3.4); the endpoint half of the rule-preparation exchange (§3.3) runs
+// in ruleprep over a PrepPort.
 
 package transport
 
 import (
 	"bufio"
-	"crypto/cipher"
 	"crypto/ecdh"
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -24,7 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dpienc"
 	"repro/internal/obs"
-	"repro/internal/ot"
 	"repro/internal/retry"
 	"repro/internal/ruleprep"
 	"repro/internal/tokenize"
@@ -88,14 +86,12 @@ type Conn struct {
 	// tmo is cfg.Timeouts resolved once at handshake time.
 	tmo Timeouts
 
-	aead          cipher.AEAD
-	seqOut, seqIn uint64
-	// nonceOut and nonceIn are each direction's GCM nonce: the direction
-	// byte, then the record's sequence number in bytes 4–11.
-	nonceOut, nonceIn [12]byte
-	writeMu           sync.Mutex
-	pipe              *core.SenderPipeline
-	validator         *core.Validator
+	// out seals this endpoint's data records (under writeMu) and in opens
+	// the peer's (reader only).
+	out, in   *DataCipher
+	writeMu   sync.Mutex
+	pipe      *core.SenderPipeline
+	validator *core.Validator
 	// wbuf (under writeMu) is one chunk's salt, token and data records,
 	// framed for a single socket write and reused by every chunk; sendToks
 	// (under writeMu) is that chunk's encrypted tokens, reused likewise.
@@ -264,23 +260,17 @@ func (c *Conn) runHandshake() error {
 		if err := WriteRecord(c.raw, RecHello, MarshalHello(my)); err != nil {
 			return err
 		}
-		typ, body, err := ReadRecord(c.rd)
+		body, err := ReadHello(c.rd, RecHelloReply)
 		if err != nil {
 			return err
-		}
-		if typ != RecHelloReply {
-			return fmt.Errorf("transport: expected hello reply, got %d", typ)
 		}
 		if peer, err = UnmarshalHello(body); err != nil {
 			return err
 		}
 	} else {
-		typ, body, err := ReadRecord(c.rd)
+		body, err := ReadHello(c.rd, RecHello)
 		if err != nil {
 			return err
-		}
-		if typ != RecHello {
-			return fmt.Errorf("transport: expected hello, got %d", typ)
 		}
 		if peer, err = UnmarshalHello(body); err != nil {
 			return err
@@ -327,18 +317,16 @@ func (c *Conn) runHandshake() error {
 		return err
 	}
 	c.keys = bbcrypto.DeriveSessionKeys(k0)
-	c.aead = bbcrypto.NewGCM(c.keys.KSSL)
-	// Client→server records use direction 0, server→client 1.
-	if c.isClient {
-		c.nonceIn[0] = 1
-	} else {
-		c.nonceOut[0] = 1
-	}
+	c.out = NewDataCipher(c.keys.KSSL, !c.isClient, 0)
+	c.in = NewDataCipher(c.keys.KSSL, c.isClient, 0)
 	c.pipe = core.NewSenderPipeline(c.keys, c.cfg.Core)
 	c.validator = core.NewValidator(c.keys, c.cfg.Core)
 
 	if c.mbPresent {
-		if err := c.servePreparation(); err != nil {
+		// §3.3; the prep.garble spans parent under the handshake span.
+		ep := ruleprep.NewEndpoint(c.keys.K, c.cfg.RG.TagKey, c.keys.KRand)
+		ep.SetTrace(c.fr, c.hsCtx)
+		if err := ep.Serve(PrepPort{R: c.rd, W: c.raw}, c.isClient); err != nil {
 			return fmt.Errorf("transport: rule preparation: %w", err)
 		}
 	}
@@ -376,106 +364,11 @@ func (c *Conn) SessionKeys() bbcrypto.SessionKeys { return c.keys }
 // MBPresent reports whether a middlebox interposed on the handshake.
 func (c *Conn) MBPresent() bool { return c.mbPresent }
 
-// servePreparation answers the middlebox's obfuscated-rule-encryption
-// protocol until SubPrepDone (§3.3). The endpoint never learns the rules:
-// it garbles the generic function F and plays the OT sender. The roles are
-// fixed: a server sends its circuits, a client their digests.
-func (c *Conn) servePreparation() error {
-	ep := ruleprep.NewEndpoint(c.keys.K, c.cfg.RG.TagKey, c.keys.KRand)
-	// Per-circuit prep.garble spans parent under this endpoint's handshake
-	// span.
-	ep.SetTrace(c.fr, c.hsCtx)
-	var (
-		started bool
-		sender  *ot.ExtSender
-		pairs   [][2]bbcrypto.Block
-		rec     []byte // the outgoing record body, framed once and reused by every message
-	)
-	for {
-		typ, body, err := ReadRecord(c.rd)
-		if err != nil {
-			return err
-		}
-		if typ != RecGarble {
-			return fmt.Errorf("unexpected record %d during preparation", typ)
-		}
-		if len(body) < 1 {
-			return errors.New("empty preparation message")
-		}
-		sub, payload := body[0], body[1:]
-		switch sub {
-		case SubPrepStart:
-			// One run per handshake: the OT phase covers the pairs of every
-			// circuit sent, so a second run could not be told from the first.
-			if len(payload) != 4 || started {
-				return errors.New("bad prep start")
-			}
-			started = true
-			// The count is the peer's word; GarbleEach refuses one over
-			// ruleprep.MaxFragments and keeps a bounded number of circuits
-			// alive however slowly the peer reads them.
-			n := int(binary.BigEndian.Uint32(payload))
-			// The server ships each circuit message; the client garbles the
-			// same circuit and ships only the message's SHA-256, which the
-			// middlebox compares with the server's (DESIGN.md substitution 1).
-			err := ep.GarbleEach(n, func(job *ruleprep.FragmentJob) error {
-				rec = job.AppendCircuitMsg(append(rec[:0], SubCircuit))
-				if c.isClient {
-					job.Digest = sha256.Sum256(rec[1:])
-					rec = job.AppendDigestMsg(append(rec[:0], SubDigest))
-				}
-				pairs = append(pairs, job.OTPairs()...)
-				return WriteRecord(c.raw, RecGarble, rec)
-			})
-			if err != nil {
-				return err
-			}
-		case SubOTMsgA:
-			msgAs, err := UnmarshalByteSlices(payload)
-			if err != nil {
-				return err
-			}
-			sender = ot.NewExtSender()
-			msgBs, err := sender.BaseRespond(msgAs)
-			if err != nil {
-				return err
-			}
-			rec = AppendByteSlices(append(rec[:0], SubOTMsgB), msgBs)
-			if err := WriteRecord(c.raw, RecGarble, rec); err != nil {
-				return err
-			}
-		case SubOTU:
-			if sender == nil {
-				return errors.New("OT correction before base phase")
-			}
-			u, err := UnmarshalByteSlices(payload)
-			if err != nil {
-				return err
-			}
-			masked, err := sender.Send(u, pairs)
-			if err != nil {
-				return err
-			}
-			rec = AppendBlockPairs(append(rec[:0], SubOTMasked), masked)
-			if err := WriteRecord(c.raw, RecGarble, rec); err != nil {
-				return err
-			}
-		case SubPrepDone:
-			return nil
-		default:
-			return fmt.Errorf("unknown preparation message %d", sub)
-		}
-	}
-}
-
 // record plaintext kinds.
 const (
 	kindText   = 0
 	kindBinary = 1
 )
-
-// dataAD is every data record's additional data: its record type.
-var dataAD = []byte{byte(RecData)}
 
 // Write sends text (inspectable) payload. It tokenizes, encrypts tokens,
 // and sends the SSL data record, splitting large writes.
@@ -537,13 +430,11 @@ func (c *Conn) appendTokens(b []byte, toks []dpienc.EncryptedToken) []byte {
 // kind ‖ chunk sealed in place behind it. b is grown first so that Seal
 // finds room for the tag and writes over the plaintext it reads.
 func (c *Conn) appendData(b []byte, kind byte, chunk []byte) []byte {
-	n := 1 + len(chunk) + c.aead.Overhead()
+	n := len(chunk) + DataRecordOverhead
 	b = slices.Grow(AppendHeader(b, RecData, n), n)
 	at := len(b)
 	b = append(append(b, kind), chunk...)
-	binary.BigEndian.PutUint64(c.nonceOut[4:], c.seqOut)
-	c.seqOut++
-	return c.aead.Seal(b[:at], c.nonceOut[:], b[at:], dataAD)
+	return c.out.seal(b[:at], b[at:])
 }
 
 // CloseWrite flushes trailing tokens and signals end-of-stream; reads may
@@ -629,12 +520,10 @@ func (c *Conn) readRecord() error {
 		c.validator.ReceiveTokens(toks) // copies
 		return nil
 	case RecData:
-		binary.BigEndian.PutUint64(c.nonceIn[4:], c.seqIn)
-		pt, err := c.aead.Open(body[:0], c.nonceIn[:], body, dataAD)
+		pt, err := c.in.Open(body[:0], body)
 		if err != nil {
 			return fmt.Errorf("transport: record authentication failed: %w", err)
 		}
-		c.seqIn++
 		if len(pt) < 1 {
 			return errors.New("transport: empty data record")
 		}

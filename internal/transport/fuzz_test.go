@@ -53,24 +53,6 @@ func FuzzUnmarshalTokens(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalByteSlices checks the length-prefixed list codec.
-func FuzzUnmarshalByteSlices(f *testing.F) {
-	f.Add(AppendByteSlices(nil, [][]byte{[]byte("a"), {}, []byte("bcd")}))
-	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 200})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		slices, err := UnmarshalByteSlices(data)
-		if err != nil {
-			return
-		}
-		if len(slices) > len(data)/4 {
-			t.Fatalf("%d entries from %d bytes: more than one per 4-byte length", len(slices), len(data))
-		}
-		if !bytes.Equal(AppendByteSlices(nil, slices), data) {
-			t.Fatal("slice list round trip diverged")
-		}
-	})
-}
-
 // FuzzReadRecord checks record framing against arbitrary byte streams, and
 // that ReadRecordInto, reading the stream record by record into one reused
 // buffer, returns what ReadRecord returns — or a *RecordCapError for a

@@ -50,37 +50,33 @@ var (
 )
 
 // prepOverPipe runs an endpoint's half of rule preparation, as a client or
-// a server, on one end of a net.Pipe and returns the other end and the
-// channel its result arrives on.
+// a server, on one end of a net.Pipe through PrepPort, as a Conn's
+// handshake does, and returns the other end and the channel its result
+// arrives on.
 func prepOverPipe(t *testing.T, w *prepWatcher, client bool) (net.Conn, <-chan error) {
 	t.Helper()
 	ours, theirs := net.Pipe()
 	t.Cleanup(func() { ours.Close(); theirs.Close() })
-	c := &Conn{
-		raw:      theirs,
-		rd:       bufio.NewReader(theirs),
-		isClient: client,
-		cfg:      ConnConfig{Trace: w, RG: RGMaterial{TagKey: prepTagKey}},
-		keys:     prepKeys,
-		fr:       obs.StreamFlow(w, 1, obs.PartyServer, obs.SpanCtx{}),
-	}
+	ep := ruleprep.NewEndpoint(prepKeys.K, prepTagKey, prepKeys.KRand)
+	ep.SetTrace(obs.StreamFlow(w, 1, obs.PartyServer, obs.SpanCtx{}), obs.SpanCtx{})
 	done := make(chan error, 1)
-	go func() { done <- c.servePreparation() }()
+	go func() { done <- ep.Serve(PrepPort{R: bufio.NewReader(theirs), W: theirs}, client) }()
 	return ours, done
 }
 
 func prepStart(n uint32) []byte {
-	return binary.BigEndian.AppendUint32([]byte{SubPrepStart}, n)
+	return binary.BigEndian.AppendUint32([]byte{ruleprep.SubStart}, n)
 }
 
 // TestPreparationHoldsBoundedCircuits: a middlebox asks a server for 64
 // fragments and then stalls. The server must garble GOMAXPROCS circuits
 // ahead of the one it is writing and stop — not garble all 64 and hold them
 // — and then stay within that bound while the records are drained. Each
-// record is the fragment's circuit message.
+// record is the fragment's circuit message, and a Done in place of the OT
+// phase is refused.
 func TestPreparationHoldsBoundedCircuits(t *testing.T) {
 	checkBoundedPreparation(t, false, func(i int, sub byte, msg []byte) {
-		if sub != SubCircuit {
+		if sub != ruleprep.SubCircuit {
 			t.Fatalf("record %d: sub %d, want a circuit", i, sub)
 		}
 		job, err := ruleprep.ParseCircuitMsg(msg)
@@ -102,7 +98,7 @@ func TestPreparationHoldsBoundedCircuits(t *testing.T) {
 func TestClientPreparationHoldsBoundedCircuits(t *testing.T) {
 	server := ruleprep.NewEndpoint(prepKeys.K, prepTagKey, prepKeys.KRand)
 	checkBoundedPreparation(t, true, func(i int, sub byte, msg []byte) {
-		if sub != SubDigest {
+		if sub != ruleprep.SubDigest {
 			t.Fatalf("record %d: sub %d, want a digest", i, sub)
 		}
 		job, err := ruleprep.ParseDigestMsg(msg)
@@ -125,7 +121,8 @@ func TestClientPreparationHoldsBoundedCircuits(t *testing.T) {
 // checkBoundedPreparation asks an endpoint in the given role for 64
 // fragments, stalls until it has garbled as far ahead as it may, checks it
 // gets no further, and then drains its records through check, holding the
-// endpoint to GOMAXPROCS + 1 live circuits throughout.
+// endpoint to GOMAXPROCS + 1 live circuits throughout. A Done sent where
+// the base-OT message is due then ends the run in a *ruleprep.MessageError.
 func checkBoundedPreparation(t *testing.T, client bool, check func(i int, sub byte, msg []byte)) {
 	const n = 64
 	w := &prepWatcher{t: t, bound: int64(runtime.GOMAXPROCS(0) + 1), reached: make(chan struct{})}
@@ -162,11 +159,12 @@ func checkBoundedPreparation(t *testing.T, client bool, check func(i int, sub by
 		}
 		check(i, body[0], body[1:])
 	}
-	if err := WriteRecord(mb, RecGarble, []byte{SubPrepDone}); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("servePreparation: %v", err)
+	// The endpoint refuses the record from its header and never reads the
+	// body, so the write only ends when the pipe closes.
+	go func() { _ = WriteRecord(mb, RecGarble, []byte{ruleprep.SubDone}) }()
+	var msgErr *ruleprep.MessageError
+	if err := <-done; !errors.As(err, &msgErr) || msgErr.Want != ruleprep.SubMsgA {
+		t.Fatalf("Serve after a Done in place of the OT phase: %v, want a *ruleprep.MessageError for the base-OT message", err)
 	}
 	if got := w.garbled.Load(); got != n {
 		t.Fatalf("%d circuits garbled, want %d", got, n)
@@ -174,8 +172,10 @@ func checkBoundedPreparation(t *testing.T, client bool, check func(i int, sub by
 }
 
 // TestPreparationRefusesWrongBasePointCount: the base phase takes one
-// point for the whole batch. None, or one per base OT as an older peer
-// sends, ends preparation at the endpoint with a typed error.
+// point for the whole batch, and the base-OT message is that point's 65
+// bytes and no more. After Start and the circuit, none is a wrong-length
+// error and one per base OT, as an older peer sends, a cap error, each
+// ending preparation at the endpoint before the points are parsed.
 func TestPreparationRefusesWrongBasePointCount(t *testing.T) {
 	_, msgAs, err := ot.NewExtReceiver()
 	if err != nil {
@@ -183,16 +183,22 @@ func TestPreparationRefusesWrongBasePointCount(t *testing.T) {
 	}
 	for _, n := range []int{0, 128} {
 		mb, done := prepOverPipe(t, &prepWatcher{t: t, bound: 1 << 30}, false)
-		points := make([][]byte, n)
-		for i := range points {
-			points[i] = msgAs[0]
-		}
-		if err := WriteRecord(mb, RecGarble, AppendByteSlices([]byte{SubOTMsgA}, points)); err != nil {
+		if err := WriteRecord(mb, RecGarble, prepStart(1)); err != nil {
 			t.Fatal(err)
 		}
-		var ce *ot.CountError
-		if err := <-done; !errors.As(err, &ce) || ce.Got != n {
-			t.Fatalf("SubOTMsgA with %d points: %v, want an *ot.CountError", n, err)
+		if _, _, err := ReadRecord(mb); err != nil {
+			t.Fatal(err)
+		}
+		msg := []byte{ruleprep.SubMsgA}
+		for i := 0; i < n; i++ {
+			msg = append(msg, msgAs[0]...)
+		}
+		go func() { _ = WriteRecord(mb, RecGarble, msg) }()
+		err := <-done
+		var msgErr *ruleprep.MessageError
+		var capErr *RecordCapError
+		if n == 0 && !errors.As(err, &msgErr) || n > 0 && !errors.As(err, &capErr) {
+			t.Fatalf("SubMsgA with %d points: %v, want a wrong-length error for none, a cap error for more", n, err)
 		}
 	}
 }
@@ -208,30 +214,31 @@ func TestPreparationRefusesHostileCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := <-done; !errors.Is(err, ruleprep.ErrTooManyFragments) {
-			t.Fatalf("SubPrepStart(%d): %v, want ErrTooManyFragments", n, err)
+			t.Fatalf("Start(%d): %v, want ErrTooManyFragments", n, err)
 		}
 		if got := w.garbled.Load(); got != 0 {
-			t.Fatalf("SubPrepStart(%d): %d circuits garbled", n, got)
+			t.Fatalf("Start(%d): %d circuits garbled", n, got)
 		}
 	}
 }
 
 // TestPreparationRefusesSecondStart: preparation runs once per handshake. A
-// second SubPrepStart after the first run's circuits ends preparation at the
-// endpoint with an error instead of garbling a second batch.
+// second Start after the first run's circuits, where the base-OT message is
+// due, ends preparation at the endpoint with an error instead of garbling a
+// second batch.
 func TestPreparationRefusesSecondStart(t *testing.T) {
 	w := &prepWatcher{t: t, bound: 1 << 30, reached: make(chan struct{})}
 	mb, done := prepOverPipe(t, w, false)
 	go func() { _, _ = io.Copy(io.Discard, mb) }()
 	go func() {
-		for _, rec := range [][]byte{prepStart(1), prepStart(1), {SubPrepDone}} {
+		for _, rec := range [][]byte{prepStart(1), prepStart(1), {ruleprep.SubDone}} {
 			if WriteRecord(mb, RecGarble, rec) != nil {
 				return
 			}
 		}
 	}()
 	if err := <-done; err == nil {
-		t.Fatal("second SubPrepStart accepted")
+		t.Fatal("second Start accepted")
 	}
 	if got := w.garbled.Load(); got != 1 {
 		t.Fatalf("%d circuits garbled, want 1", got)

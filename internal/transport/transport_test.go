@@ -3,11 +3,10 @@ package transport
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"net"
-	"slices"
+	"runtime"
 	"testing"
 
 	"repro/internal/bbcrypto"
@@ -255,46 +254,6 @@ func TestTokensRoundTrip(t *testing.T) {
 		if _, err := UnmarshalTokens(enc[:len(enc)-1], protoIII); err == nil {
 			t.Fatal("truncated tokens accepted")
 		}
-	}
-}
-
-func TestByteSlicesRoundTrip(t *testing.T) {
-	in := [][]byte{[]byte("a"), {}, []byte("longer slice here")}
-	framed := AppendByteSlices([]byte{SubOTU}, in)
-	if framed[0] != SubOTU {
-		t.Fatal("append overwrote the prefix")
-	}
-	enc := framed[1:]
-	got, err := UnmarshalByteSlices(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || !bytes.Equal(got[0], in[0]) || len(got[1]) != 0 || !bytes.Equal(got[2], in[2]) {
-		t.Fatalf("round trip: %q", got)
-	}
-	if _, err := UnmarshalByteSlices(enc[:5]); err == nil {
-		t.Fatal("truncated slice list accepted")
-	}
-	if _, err := UnmarshalByteSlices(append(enc, 1)); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-}
-
-// TestByteSlicesCountCannotSizeTheAllocation: a four-byte body claiming
-// MaxRecordLen entries is refused before anything is sized by the count.
-// Entries need four bytes each, so it is the body that bounds the list.
-func TestByteSlicesCountCannotSizeTheAllocation(t *testing.T) {
-	body := binary.BigEndian.AppendUint32(nil, MaxRecordLen)
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := UnmarshalByteSlices(body); err == nil {
-				b.Fatal("a count with no entries behind it was accepted")
-			}
-		}
-	})
-	if got := res.AllocedBytesPerOp(); got >= 1<<10 {
-		t.Fatalf("a %d-byte slice list allocates %d bytes, want under 1 KiB", len(body), got)
 	}
 }
 
@@ -546,14 +505,6 @@ func TestBlocksRoundTrip(t *testing.T) {
 	if _, err := UnmarshalBlocks([]byte{1}); err == nil {
 		t.Fatal("short header accepted")
 	}
-	pairs := [][2]bbcrypto.Block{{in[0], in[1]}, {in[2], in[0]}}
-	flat, err := UnmarshalBlocks(AppendBlockPairs(nil, pairs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []bbcrypto.Block{in[0], in[1], in[2], in[0]}; !slices.Equal(flat, want) {
-		t.Fatalf("pairs decode as %v, want %v", flat, want)
-	}
 }
 
 func TestForgedTokensRejected(t *testing.T) {
@@ -621,6 +572,45 @@ func TestFailedHandshakeIsRecorded(t *testing.T) {
 			spans := sink.Spans()
 			if len(spans) != 1 || spans[0].Name != obs.SpanConn || spans[0].Err == "" {
 				t.Fatalf("recorded %+v, want one conn span carrying the error", spans)
+			}
+		})
+	}
+}
+
+// TestHelloRecordCap: a hello arrives unauthenticated, so a header
+// announcing 64 MiB where the peer's hello is due ends a client's or a
+// server's handshake in a *RecordCapError before the body is allocated.
+func TestHelloRecordCap(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		typ  RecordType
+		run  func(net.Conn, ConnConfig) (*Conn, error)
+	}{
+		{"client", RecHelloReply, Client},
+		{"server", RecHello, Server},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ours, theirs := net.Pipe()
+			defer ours.Close()
+			defer theirs.Close()
+			go func() {
+				if tc.typ == RecHelloReply {
+					if _, err := ReadHello(theirs, RecHello); err != nil {
+						return
+					}
+				}
+				_, _ = theirs.Write(AppendHeader(nil, tc.typ, 64<<20))
+			}()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := tc.run(ours, ConnConfig{Core: core.DefaultConfig()})
+			runtime.ReadMemStats(&after)
+			var capErr *RecordCapError
+			if !errors.As(err, &capErr) || capErr.Cap != maxHelloLen {
+				t.Fatalf("handshake = %v, want a *RecordCapError at maxHelloLen", err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Fatalf("%d bytes allocated reading a 64 MiB hello header, want < 1 MiB", alloc)
 			}
 		})
 	}

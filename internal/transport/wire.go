@@ -7,6 +7,7 @@ package transport
 
 import (
 	"bufio"
+	"crypto/cipher"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,7 +16,6 @@ import (
 
 	"repro/internal/bbcrypto"
 	"repro/internal/dpienc"
-	"repro/internal/ot"
 	"repro/internal/ruleprep"
 	"repro/internal/tokenize"
 )
@@ -43,12 +43,15 @@ const (
 	RecClose
 )
 
-// MaxRecordLen bounds a record body in the setup phase. The largest
-// legitimate records are rule preparation's: the server's garbled circuit
-// with its endpoint labels (0.42 MB) and the OT extension's messages, which
-// grow with the fragment count. The middlebox reads the endpoints'
-// preparation records against tighter caps (PrepCap).
+// MaxRecordLen bounds a record body that WriteRecord frames. The largest
+// legitimate records are rule preparation's, which every party reads at
+// their exact lengths (PrepPort).
 const MaxRecordLen = 64 << 20
+
+// maxHelloLen bounds an unauthenticated hello: today's longest is 71 bytes
+// (key, parameters, trace and sampling extensions), the rest is room for
+// extensions to come.
+const maxHelloLen = 1 << 10
 
 // maxDataRecord bounds the plaintext of one data record; larger writes are
 // split. 16 KiB matches TLS record sizing.
@@ -135,29 +138,69 @@ func RecordBuffered(rd *bufio.Reader) bool {
 }
 
 // ReadRecord reads one framed record of at most MaxRecordLen bytes into a
-// body of its own — the setup phase's reader, whose large records are not
-// worth keeping a buffer for.
+// body of its own.
 func ReadRecord(r io.Reader) (RecordType, []byte, error) {
-	return ReadRecordMax(r, MaxRecordLen)
+	return readRecord(r, MaxRecordLen, false)
 }
 
-// ReadRecordMax is ReadRecord for a record of at most limit bytes: a header
-// announcing more is a *RecordCapError, returned before the body is read or
-// allocated.
-func ReadRecordMax(r io.Reader, limit int) (RecordType, []byte, error) {
+// errShortRecord is readRecord's error for a record under an exact length.
+var errShortRecord = errors.New("transport: short record")
+
+// readRecord reads a record of at most limit bytes, exactly limit when
+// exact is set, into a body of its own. A header announcing more is a
+// *RecordCapError, or less when exact errShortRecord, before the body is
+// read or allocated.
+func readRecord(r io.Reader, limit int, exact bool) (RecordType, []byte, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
+	typ, n := RecordType(hdr[0]), binary.BigEndian.Uint32(hdr[1:])
 	if int64(n) > int64(limit) {
-		return 0, nil, &RecordCapError{Type: RecordType(hdr[0]), Len: n, Cap: limit}
+		return 0, nil, &RecordCapError{Type: typ, Len: n, Cap: limit}
+	}
+	if exact && int64(n) != int64(limit) {
+		return 0, nil, errShortRecord
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, nil, err
 	}
-	return RecordType(hdr[0]), body, nil
+	return typ, body, nil
+}
+
+// ReadHello reads a hello record of type want, RecHello or RecHelloReply,
+// of at most maxHelloLen bytes and returns its body.
+func ReadHello(r io.Reader, want RecordType) ([]byte, error) {
+	typ, body, err := readRecord(r, maxHelloLen, false)
+	if err == nil && typ != want {
+		err = fmt.Errorf("transport: expected hello record %d, got %d", want, typ)
+	}
+	return body, err
+}
+
+// PrepPort is one side's rule-preparation Port: each message is one
+// RecGarble record, written to W and read from R. A body of any length but
+// the expected message's is refused from its header, a longer one as a
+// *RecordCapError; every other refusal is a *ruleprep.MessageError.
+type PrepPort struct {
+	R io.Reader
+	W io.Writer
+}
+
+// Send implements ruleprep.Port.
+func (p PrepPort) Send(msg []byte) error { return WriteRecord(p.W, RecGarble, msg) }
+
+// Recv implements ruleprep.Port.
+func (p PrepPort) Recv(want byte, size int) ([]byte, error) {
+	typ, msg, err := readRecord(p.R, 1+size, true)
+	if err == errShortRecord || err == nil && (typ != RecGarble || msg[0] != want) {
+		return nil, &ruleprep.MessageError{Want: want, Size: size}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return msg[1:], nil
 }
 
 // ReadRecordInto reads one data-phase record into buf's backing array,
@@ -181,6 +224,49 @@ func ReadRecordInto(r io.Reader, buf []byte) (RecordType, []byte, error) {
 		return 0, nil, err
 	}
 	return typ, body, nil
+}
+
+// DataRecordOverhead is what a data record's body adds to its chunk.
+const DataRecordOverhead = 1 + tagSize
+
+// dataAD is every data record's additional data: its record type.
+var dataAD = []byte{byte(RecData)}
+
+// DataCipher owns one direction's data-record seal: AES-GCM under kSSL over
+// the kind byte and chunk, the record type as additional data, and a nonce
+// of the direction byte (1 server to client) then the sequence number in
+// bytes 4–11. A Conn seals and opens with two; the middlebox's decryption
+// element opens with one once it holds kSSL.
+type DataCipher struct {
+	aead  cipher.AEAD
+	nonce [12]byte
+	seq   uint64
+}
+
+// NewDataCipher returns the cipher of one direction whose next record has
+// sequence number seq.
+func NewDataCipher(kSSL bbcrypto.Block, serverToClient bool, seq uint64) *DataCipher {
+	d := &DataCipher{aead: bbcrypto.NewGCM(kSSL), seq: seq}
+	if serverToClient {
+		d.nonce[0] = 1
+	}
+	return d
+}
+
+// Open opens the next record's body into dst, which may alias it, and
+// returns kind byte and chunk; its sequence number is spent either way.
+func (d *DataCipher) Open(dst, body []byte) ([]byte, error) {
+	binary.BigEndian.PutUint64(d.nonce[4:], d.seq)
+	d.seq++
+	return d.aead.Open(dst, d.nonce[:], body, dataAD)
+}
+
+// seal appends the next record's body, plaintext sealed, to dst; plaintext
+// may sit just past dst's length and is then sealed in place.
+func (d *DataCipher) seal(dst, plaintext []byte) []byte {
+	binary.BigEndian.PutUint64(d.nonce[4:], d.seq)
+	d.seq++
+	return d.aead.Seal(dst, d.nonce[:], plaintext, dataAD)
 }
 
 // Hello is the cleartext handshake payload. The middlebox sets MBPresent
@@ -405,113 +491,12 @@ func UnmarshalTokensInto(dst []dpienc.EncryptedToken, data []byte, protoIII bool
 	return toks, nil
 }
 
-// Rule-preparation subtypes carried inside RecGarble records.
-const (
-	// SubPrepStart (MB→EP): uint32 fragment count.
-	SubPrepStart byte = iota + 1
-	// SubCircuit (server→MB): the circuit message of one fragment
-	// (ruleprep.FragmentJob.AppendCircuitMsg): uint32 index, uint32 len,
-	// garbled blob, then the endpoint-input labels (the round-key wires of k
-	// and kRG).
-	SubCircuit
-	// SubOTMsgA (MB→EP): the base-OT first message, one point for all
-	// 128 base OTs.
-	SubOTMsgA
-	// SubOTMsgB (EP→MB): 128 base-OT responses.
-	SubOTMsgB
-	// SubOTU (MB→EP): the IKNP correction matrix.
-	SubOTU
-	// SubOTMasked (EP→MB): the masked label pairs.
-	SubOTMasked
-	// SubPrepDone (MB→EP): setup complete, data may flow.
-	SubPrepDone
-	// SubDigest (client→MB): uint32 index, then the SHA-256 of the
-	// SubCircuit message the client would have sent for that fragment
-	// (ruleprep.FragmentJob.AppendDigestMsg).
-	SubDigest
-)
-
-// PrepCap is the largest record body an endpoint sends the middlebox as
-// preparation message sub in a run of n fragments, at most MaxRecordLen:
-// every message of either leg has a size known from n. It is -1 for a
-// message no endpoint sends.
-func PrepCap(sub byte, n int) int {
-	switch sub {
-	case SubCircuit:
-		return 1 + ruleprep.CircuitMsgLen()
-	case SubDigest:
-		return 1 + ruleprep.DigestMsgLen
-	case SubOTMsgB: // a slice list of the base-OT responses
-		return 1 + 4 + ot.BaseResponses*(4+ot.BaseResponseSize)
-	case SubOTMasked: // a block list of two labels per OT wire
-		return min(1+4+2*bbcrypto.BlockSize*ruleprep.OTWires*n, MaxRecordLen)
-	}
-	return -1
-}
-
-// AppendByteSlices appends list to dst, a uint32 count and then each slice
-// behind its uint32 length, growing dst once.
-func AppendByteSlices(dst []byte, list [][]byte) []byte {
-	total := 4
-	for _, s := range list {
-		total += 4 + len(s)
-	}
-	dst = binary.BigEndian.AppendUint32(slices.Grow(dst, total), uint32(len(list)))
-	for _, s := range list {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
-		dst = append(dst, s...)
-	}
-	return dst
-}
-
-// UnmarshalByteSlices inverts AppendByteSlices.
-func UnmarshalByteSlices(data []byte) ([][]byte, error) {
-	if len(data) < 4 {
-		return nil, errors.New("transport: short slice list")
-	}
-	n := binary.BigEndian.Uint32(data)
-	data = data[4:]
-	// Every entry carries at least its 4-byte length, so a count the body
-	// cannot hold is refused before it sizes an allocation.
-	if uint64(n) > uint64(len(data)/4) {
-		return nil, errors.New("transport: slice list count exceeds its body")
-	}
-	out := make([][]byte, n)
-	for i := range out {
-		if len(data) < 4 {
-			return nil, errors.New("transport: truncated slice list")
-		}
-		l := int(binary.BigEndian.Uint32(data))
-		data = data[4:]
-		if len(data) < l {
-			return nil, errors.New("transport: truncated slice entry")
-		}
-		out[i] = data[:l:l]
-		data = data[l:]
-	}
-	if len(data) != 0 {
-		return nil, errors.New("transport: trailing bytes in slice list")
-	}
-	return out, nil
-}
-
 // MarshalBlocks packs 16-byte blocks: a uint32 count, then the blocks.
 func MarshalBlocks(blocks []bbcrypto.Block) []byte {
 	dst := make([]byte, 0, 4+len(blocks)*bbcrypto.BlockSize)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(blocks)))
 	for i := range blocks {
 		dst = append(dst, blocks[i][:]...)
-	}
-	return dst
-}
-
-// AppendBlockPairs appends the MarshalBlocks encoding of the 2·len(pairs)
-// blocks of pairs, in order, to dst, growing dst once.
-func AppendBlockPairs(dst []byte, pairs [][2]bbcrypto.Block) []byte {
-	dst = slices.Grow(dst, 4+2*len(pairs)*bbcrypto.BlockSize)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(2*len(pairs)))
-	for i := range pairs {
-		dst = append(append(dst, pairs[i][0][:]...), pairs[i][1][:]...)
 	}
 	return dst
 }

@@ -203,7 +203,7 @@ done <<'EOF'
 ./internal/ot FuzzOTMessages
 ./internal/transport FuzzUnmarshalHello
 ./internal/transport FuzzUnmarshalTokens
-./internal/transport FuzzUnmarshalByteSlices
+./internal/ruleprep FuzzServe
 ./internal/transport FuzzReadRecord
 ./internal/dpienc FuzzEncryptRecoverRoundTrip
 ./internal/dpienc FuzzCounterResetSync
