@@ -223,22 +223,3 @@ func assign(rule *rules.Rule, perRule map[int][]int, i, prevEnd int) bool {
 	}
 	return false
 }
-
-// Throughput helpers: a streaming scanner with rule evaluation deferred,
-// used by throughput benchmarks where only the search cost matters.
-type Scanner struct {
-	ids *IDS
-	sc  *ahocorasick.Scanner
-	// Hits counts raw pattern hits.
-	Hits int
-}
-
-// NewScanner returns a streaming scanner over one flow.
-func (ids *IDS) NewScanner() *Scanner {
-	return &Scanner{ids: ids, sc: ids.ac.NewScanner()}
-}
-
-// Scan consumes a chunk, counting pattern hits.
-func (s *Scanner) Scan(data []byte) {
-	s.Hits += len(s.sc.Scan(data))
-}

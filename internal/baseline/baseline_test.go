@@ -73,16 +73,6 @@ func TestPurePcreRule(t *testing.T) {
 	}
 }
 
-func TestScannerCountsHits(t *testing.T) {
-	ids := New(mustParse(t, `alert tcp any any -> any any (content:"hit"; sid:1;)`))
-	sc := ids.NewScanner()
-	sc.Scan([]byte("hit and h"))
-	sc.Scan([]byte("it across chunks"))
-	if sc.Hits != 2 {
-		t.Fatalf("Hits = %d, want 2", sc.Hits)
-	}
-}
-
 func TestManyRules(t *testing.T) {
 	var lines []string
 	for i := 0; i < 200; i++ {

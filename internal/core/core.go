@@ -212,6 +212,10 @@ func (v *Validator) ValidateBinary(n int) error {
 	return v.consume(v.want)
 }
 
+// Salt0 returns the initial salt the recomputation has reached: it changes
+// exactly when the sender's counter table reset, by at least 1.
+func (v *Validator) Salt0() uint64 { return v.pipe.Salt0() }
+
 // Finish checks the trailing tokens and that no received tokens remain
 // unexplained.
 func (v *Validator) Finish() error {

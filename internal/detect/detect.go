@@ -436,15 +436,3 @@ func (e *Engine) String() string {
 	return fmt.Sprintf("detect.Engine{frags=%d tokens=%d rules=%d fired=%d}",
 		s.Fragments, s.Tokens, s.RulesTotal, s.RulesFired)
 }
-
-// DebugCounters exposes per-fragment hit counters for diagnostics and
-// tests: fragment text (trimmed of padding) -> occurrences matched so far.
-func (e *Engine) DebugCounters() map[string]uint64 {
-	out := make(map[string]uint64)
-	for _, ent := range e.order {
-		if ent.ct > 0 {
-			out[string(ent.frag[:tokenize.TokenSize])] = ent.ct
-		}
-	}
-	return out
-}

@@ -27,22 +27,39 @@ type AccuracyResult struct {
 	// BlindBoxKeywords / BlindBoxRules: of those, how many the encrypted
 	// path also detected.
 	BlindBoxKeywords, BlindBoxRules int
+	// FalseKeywords / FalseRules: (rule, keyword) pairs and rules the
+	// encrypted path raised that the plaintext IDS did not.
+	FalseKeywords, FalseRules int
 }
 
 // KeywordRate is the fraction of ground-truth keyword detections found.
 func (r AccuracyResult) KeywordRate() float64 {
-	if r.BaselineKeywords == 0 {
-		return 1
-	}
-	return float64(r.BlindBoxKeywords) / float64(r.BaselineKeywords)
+	return fraction(r.BlindBoxKeywords, r.BaselineKeywords)
 }
 
 // RuleRate is the fraction of ground-truth rule detections found.
 func (r AccuracyResult) RuleRate() float64 {
-	if r.BaselineRules == 0 {
+	return fraction(r.BlindBoxRules, r.BaselineRules)
+}
+
+// KeywordPrecision is the fraction of the encrypted path's keyword
+// detections that the ground truth holds.
+func (r AccuracyResult) KeywordPrecision() float64 {
+	return fraction(r.BlindBoxKeywords, r.BlindBoxKeywords+r.FalseKeywords)
+}
+
+// RulePrecision is the fraction of the encrypted path's rule detections
+// that the ground truth holds.
+func (r AccuracyResult) RulePrecision() float64 {
+	return fraction(r.BlindBoxRules, r.BlindBoxRules+r.FalseRules)
+}
+
+// fraction is n/d, or 1 when there is nothing to score.
+func fraction(n, d int) float64 {
+	if d == 0 {
 		return 1
 	}
-	return float64(r.BlindBoxRules) / float64(r.BaselineRules)
+	return float64(n) / float64(d)
 }
 
 // AccuracyOptions sizes the experiment.
@@ -84,7 +101,7 @@ func Accuracy(opt AccuracyOptions) ([]AccuracyResult, error) {
 // ScoreAccuracy runs each flow through core.Scan (Protocol II, one write)
 // and through the plaintext IDS, and scores the exact intersection: of the
 // (rule, keyword) pairs and rules the plaintext IDS detects, how many the
-// encrypted path also detected.
+// encrypted path also detected, and how many more it raised.
 func ScoreAccuracy(rs *rules.Ruleset, mode tokenize.Mode, payloads [][]byte) AccuracyResult {
 	ids := baseline.New(rs)
 	res := AccuracyResult{Mode: mode}
@@ -107,6 +124,7 @@ func ScoreAccuracy(rs *rules.Ruleset, mode tokenize.Mode, payloads [][]byte) Acc
 				res.BaselineKeywords++
 				if kws[[2]int{sid, contentIdx}] {
 					res.BlindBoxKeywords++
+					delete(kws, [2]int{sid, contentIdx})
 				}
 			}
 		}
@@ -114,8 +132,12 @@ func ScoreAccuracy(rs *rules.Ruleset, mode tokenize.Mode, payloads [][]byte) Acc
 			res.BaselineRules++
 			if sids[sid] {
 				res.BlindBoxRules++
+				delete(sids, sid)
 			}
 		}
+		// What is left the plaintext IDS did not detect.
+		res.FalseKeywords += len(kws)
+		res.FalseRules += len(sids)
 	}
 	return res
 }
@@ -124,7 +146,7 @@ func ScoreAccuracy(rs *rules.Ruleset, mode tokenize.Mode, payloads [][]byte) Acc
 func PrintAccuracy(w io.Writer, results []AccuracyResult) {
 	fmt.Fprintln(w, "§7.1 detection accuracy vs plaintext Snort-like ground truth (ICTF-like trace)")
 	t := newTable(w)
-	t.row("Tokenization", "keywords found", "keyword rate", "rules found", "rule rate", "paper")
+	t.row("Tokenization", "keywords found", "keyword rate", "keyword precision", "rules found", "rule rate", "rule precision", "paper")
 	for _, r := range results {
 		paper := "100% / 100% (window covers all offsets)"
 		if r.Mode == tokenize.Delimiter {
@@ -133,8 +155,10 @@ func PrintAccuracy(w io.Writer, results []AccuracyResult) {
 		t.row(r.Mode.String(),
 			fmt.Sprintf("%d/%d", r.BlindBoxKeywords, r.BaselineKeywords),
 			fmt.Sprintf("%.1f%%", r.KeywordRate()*100),
+			fmt.Sprintf("%.1f%% (%d false)", r.KeywordPrecision()*100, r.FalseKeywords),
 			fmt.Sprintf("%d/%d", r.BlindBoxRules, r.BaselineRules),
 			fmt.Sprintf("%.1f%%", r.RuleRate()*100),
+			fmt.Sprintf("%.1f%% (%d false)", r.RulePrecision()*100, r.FalseRules),
 			paper)
 	}
 	t.flush()

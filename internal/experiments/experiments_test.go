@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/netem"
+	"repro/internal/rules"
 	"repro/internal/tokenize"
 )
 
@@ -236,6 +237,36 @@ func TestAccuracyShapes(t *testing.T) {
 	PrintAccuracy(&buf, results)
 	if !strings.Contains(buf.String(), "97.1%") {
 		t.Fatal("accuracy print missing paper reference")
+	}
+}
+
+// TestScoreAccuracyCountsFalseDetections: under delimiter tokenization a
+// multi-word keyword's short last word is never checked, so a rule on
+// `X-Var: ev00225` fires on a flow carrying `X-Var: ev0034d`. The scorer
+// counts that pair and rule as false detections, and precision drops;
+// window tokenization checks every offset and raises neither.
+func TestScoreAccuracyCountsFalseDetections(t *testing.T) {
+	rs, err := rules.Parse("precision", `alert tcp any any -> any any (msg:"var"; content:"X-Var: ev00225"; sid:5;)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows := [][]byte{[]byte("GET /index.html HTTP/1.1\r\nX-Var: ev0034d\r\n\r\n")}
+	r := ScoreAccuracy(rs, tokenize.Delimiter, flows)
+	if r.BaselineKeywords != 0 || r.BaselineRules != 0 || r.FalseKeywords != 1 || r.FalseRules != 1 {
+		t.Fatalf("delimiter: %+v, want one false pair and one false rule", r)
+	}
+	if r.KeywordPrecision() != 0 || r.RulePrecision() != 0 || r.KeywordRate() != 1 {
+		t.Fatalf("delimiter: precision %v/%v, recall %v", r.KeywordPrecision(), r.RulePrecision(), r.KeywordRate())
+	}
+	if r := ScoreAccuracy(rs, tokenize.Window, flows); r.FalseKeywords != 0 || r.FalseRules != 0 {
+		t.Fatalf("window: %+v, want no false detections", r)
+	}
+	// The keyword itself is a true detection in both modes.
+	flows = [][]byte{[]byte("GET /index.html HTTP/1.1\r\nX-Var: ev00225\r\n\r\n")}
+	for _, mode := range []tokenize.Mode{tokenize.Delimiter, tokenize.Window} {
+		if r := ScoreAccuracy(rs, mode, flows); r.BlindBoxKeywords != 1 || r.BlindBoxRules != 1 || r.FalseKeywords != 0 || r.FalseRules != 0 {
+			t.Fatalf("%v: %+v, want one true pair and rule", mode, r)
+		}
 	}
 }
 

@@ -170,3 +170,17 @@ func TestForwardRecordOverCapIsTypedError(t *testing.T) {
 		t.Fatalf("%d writes after an over-cap record", len(got))
 	}
 }
+
+// TestForwardRefusesShortSaltRecord: a salt announcement whose body is not
+// 8 bytes ends the flow like a malformed token record, and is not
+// forwarded.
+func TestForwardRefusesShortSaltRecord(t *testing.T) {
+	r := startForward(t, "alert")
+	r.src.in <- record(transport.RecSalt, []byte{1, 2, 3, 4})
+	if err := r.end(t); err == nil {
+		t.Fatal("forward accepted a 4-byte salt announcement")
+	}
+	if got := r.dst.all(); len(got) != 0 {
+		t.Fatalf("%d writes after a short salt announcement", len(got))
+	}
+}

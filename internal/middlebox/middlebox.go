@@ -471,72 +471,35 @@ func (mb *Middlebox) interpose(id uint64, client, server net.Conn) (retErr error
 	return nil
 }
 
-// interposeHello relays the hello exchange, marking MBPresent both ways,
-// and returns the parsed client hello plus the flow's trace context.
+// interposeHello relays the hello exchange: each hello is parsed, marked
+// MBPresent and forwarded re-encoded, so the far side receives only what
+// the middlebox parsed (DESIGN.md §10 row 9). It returns the client hello
+// and, when the middlebox traces, the flow's trace context and
+// head-sampling decision as Hello.JoinTrace settles them on the forwarded
+// hello: the client's, or a fresh root the middlebox owns (ownRoot) and a
+// decision of its recorder, written in so the server joins the same trace.
 // Deadlines are the caller's job.
-//
-// The returned SpanCtx is the parent context middlebox spans hang off:
-// the client's connection root when the client sent trace context, or a
-// fresh root owned by the middlebox (ownRoot true) when only the
-// middlebox traces — in which case the context is injected into the
-// forwarded hello so the server joins the same trace. head is the flow's
-// head-sampling decision: adopted from the client's hello when present,
-// otherwise taken by the middlebox's recorder and injected into the
-// forwarded hello so the server agrees.
-func (mb *Middlebox) interposeHello(client, server *leg) (transport.Hello, obs.SpanCtx, bool, bool, error) {
-	var (
-		flowCtx obs.SpanCtx
-		ownRoot bool
-		head    bool
-	)
-	fail := func(err error) (transport.Hello, obs.SpanCtx, bool, bool, error) {
-		return transport.Hello{}, obs.SpanCtx{}, false, false, err
-	}
-	body, err := transport.ReadHello(client.rd, transport.RecHello)
-	if err != nil {
-		return fail(err)
-	}
-	hello, err := transport.UnmarshalHello(body)
-	if err != nil {
-		return fail(err)
+func (mb *Middlebox) interposeHello(client, server *leg) (hello transport.Hello, flowCtx obs.SpanCtx, ownRoot, head bool, err error) {
+	if hello, err = transport.ReadHello(client.rd, transport.RecHello); err != nil {
+		return
 	}
 	if mb.trace != nil || mb.recorder != nil {
-		if hello.HasTrace {
-			flowCtx = obs.JoinSpanCtx(obs.TraceID(hello.TraceID), hello.TraceSpan)
-		} else {
-			flowCtx = obs.NewSpanCtx()
-			ownRoot = true
-			if body, err = transport.AppendHelloTrace(body, flowCtx.Trace, flowCtx.Span); err != nil {
-				return fail(err)
-			}
-		}
-		if mb.recorder != nil {
-			if hello.HasSample {
-				head = hello.Sampled
-			} else {
-				head = mb.recorder.Decide(flowCtx.Trace)
-				if body, err = transport.AppendHelloSampled(body, head); err != nil {
-					return fail(err)
-				}
-			}
-		}
+		flowCtx, head, ownRoot = hello.JoinTrace(mb.recorder)
 	}
-	if err := transport.SetMBPresent(body); err != nil {
-		return fail(err)
+	if err = relayHello(server.conn, transport.RecHello, hello); err != nil {
+		return
 	}
-	if err := transport.WriteRecord(server.conn, transport.RecHello, body); err != nil {
-		return fail(err)
+	reply, err := transport.ReadHello(server.rd, transport.RecHelloReply)
+	if err == nil {
+		err = relayHello(client.conn, transport.RecHelloReply, reply)
 	}
-	if body, err = transport.ReadHello(server.rd, transport.RecHelloReply); err != nil {
-		return fail(err)
-	}
-	if err := transport.SetMBPresent(body); err != nil {
-		return fail(err)
-	}
-	if err := transport.WriteRecord(client.conn, transport.RecHelloReply, body); err != nil {
-		return fail(err)
-	}
-	return hello, flowCtx, ownRoot, head, nil
+	return
+}
+
+// relayHello writes h to dst as a hello record of type typ, MBPresent set.
+func relayHello(dst net.Conn, typ transport.RecordType, h transport.Hello) error {
+	h.MBPresent = true
+	return transport.WriteRecord(dst, typ, transport.MarshalHello(h))
 }
 
 // flow is per-direction detection state. Its mutable fields are confined:
@@ -739,7 +702,11 @@ func (mb *Middlebox) forward(src *leg, dst net.Conn, fl *flow) error {
 		body = b
 		switch typ {
 		case transport.RecSalt:
-			if len(body) == 8 && !fl.degraded {
+			if len(body) != 8 {
+				fl.kill()
+				return fmt.Errorf("middlebox: salt announcement of %d bytes", len(body))
+			}
+			if !fl.degraded {
 				// Resets ride the shard queue so they stay ordered with the
 				// surrounding token batches.
 				fl.enqueue(mb.pool, detectJob{fl: fl, salt: binary.BigEndian.Uint64(body), reset: true})

@@ -688,6 +688,35 @@ func TestMismatchedKrandKillsConnection(t *testing.T) {
 	})
 }
 
+// TestLyingSaltAnnouncementRefused: a sender that announces a salt its
+// counter table never reached re-keys the middlebox's engine off its
+// tokens, so the keyword behind the announcement passes unseen. The server
+// refuses the record rather than accept and echo it (DESIGN.md §10 row 10).
+func TestLyingSaltAnnouncementRefused(t *testing.T) {
+	h := newHarness(t, `alert tcp any any -> any any (content:"attackkw"; sid:1;)`, false)
+	raw, err := net.Dial("tcp", h.mbAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := transport.Client(raw, transport.ConnConfig{
+		Core: core.DefaultConfig(), RG: transport.RGMaterial{TagKey: h.tagKey},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := transport.WriteRecord(raw, transport.RecSalt, binary.BigEndian.AppendUint64(nil, 0xdeadbeef)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write([]byte("a request that carries attackkw past the middlebox")); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.CloseWrite() // the server may have refused the flow already
+	if echo, _ := io.ReadAll(conn); len(echo) != 0 {
+		t.Fatalf("the server accepted and echoed %d bytes behind a lying salt announcement", len(echo))
+	}
+}
+
 func TestStatsProgress(t *testing.T) {
 	h := newHarness(t, `alert tcp any any -> any any (content:"attackkw"; sid:1;)`, false)
 	conn := h.dial(t, core.DefaultConfig())

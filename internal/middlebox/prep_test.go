@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -295,11 +296,10 @@ func TestClientPrepRecordCap(t *testing.T) {
 	}
 }
 
-// TestHelloRecordCap: hellos arrive unauthenticated, so a header announcing
-// 64 MiB where the client's hello or the server's reply is due ends the
-// interposition in a *transport.RecordCapError before the body is
-// allocated.
-func TestHelloRecordCap(t *testing.T) {
+// helloMiddlebox is a one-rule middlebox for driving the hello exchange
+// over pipes.
+func helloMiddlebox(t *testing.T) *Middlebox {
+	t.Helper()
 	g, err := rules.NewGenerator("HelloRG")
 	if err != nil {
 		t.Fatal(err)
@@ -313,6 +313,15 @@ func TestHelloRecordCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mb.Close() })
+	return mb
+}
+
+// TestHelloRecordCap: hellos arrive unauthenticated, so a header announcing
+// 64 MiB where the client's hello or the server's reply is due ends the
+// interposition in a *transport.RecordCapError before the body is
+// allocated.
+func TestHelloRecordCap(t *testing.T) {
+	mb := helloMiddlebox(t)
 	hello := transport.MarshalHello(transport.Hello{PublicKey: make([]byte, 32)})
 	for _, tc := range []struct {
 		name           string
@@ -345,6 +354,66 @@ func TestHelloRecordCap(t *testing.T) {
 			}
 			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 				t.Fatalf("%d bytes allocated reading a 64 MiB hello header, want < 1 MiB", alloc)
+			}
+		})
+	}
+}
+
+// TestMalformedHelloEndsConnection: the middlebox forwards only the hellos
+// it parsed (DESIGN.md §10 row 9). A client hello with a trailing byte or
+// MBPresent 2 ends the connection as a handshake error before the server
+// receives anything, and a server reply that does not parse ends it before
+// the client receives one.
+func TestMalformedHelloEndsConnection(t *testing.T) {
+	mb := helloMiddlebox(t)
+	hello := transport.MarshalHello(transport.Hello{PublicKey: make([]byte, 32)})
+	trailing := append(slices.Clone(hello), 0)
+	mbPresent2 := slices.Clone(hello)
+	mbPresent2[len(hello)-1] = 2
+	for _, tc := range []struct {
+		name          string
+		client, reply []byte // the hello bodies each peer sends
+	}{
+		{"client hello with a trailing byte", trailing, nil},
+		{"client hello with MBPresent 2", mbPresent2, nil},
+		{"server reply with a trailing byte", hello, trailing},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cOurs, cTheirs := net.Pipe()
+			sOurs, sTheirs := net.Pipe()
+			defer func() { cTheirs.Close(); sTheirs.Close() }()
+			// Each peer reports whether a record reached it.
+			clientGot, serverGot := make(chan bool, 1), make(chan bool, 1)
+			go func() {
+				if transport.WriteRecord(cTheirs, transport.RecHello, tc.client) == nil {
+					_, _, err := transport.ReadRecord(cTheirs)
+					clientGot <- err == nil
+				} else {
+					clientGot <- false
+				}
+			}()
+			go func() {
+				_, _, err := transport.ReadRecord(sTheirs)
+				serverGot <- err == nil
+				if err == nil && tc.reply != nil {
+					_ = transport.WriteRecord(sTheirs, transport.RecHelloReply, tc.reply)
+				}
+			}()
+			before := mb.Stats().ConnErrors
+			err := mb.Interpose(cOurs, sOurs)
+			cOurs.Close()
+			sOurs.Close()
+			if err == nil {
+				t.Fatal("Interpose accepted a malformed hello")
+			}
+			if n := mb.Stats().ConnErrors - before; n != 1 {
+				t.Fatalf("ConnErrors rose by %d, want 1", n)
+			}
+			if <-clientGot {
+				t.Fatal("the client received a hello")
+			}
+			if got := <-serverGot; got != (tc.reply != nil) {
+				t.Fatalf("server received a hello: %v, want %v", got, tc.reply != nil)
 			}
 		})
 	}

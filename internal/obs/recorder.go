@@ -13,8 +13,8 @@
 //     sink as they happen, labeled Sampled="head". The decision is a pure
 //     function of (trace ID, rate), so every party that knows the trace ID
 //     reaches the same verdict — and it additionally rides the hello
-//     extension (transport.AppendHelloSampled) so parties agree even when
-//     their configured rates differ.
+//     extension (transport.Hello.JoinTrace, first writer wins) so parties
+//     agree even when their configured rates differ.
 //   - tail retention: when a flow ends in an interesting terminal state
 //     (alert fired, step timeout, fail-open degradation, block, conn
 //     error) its full ring is flushed, labeled Sampled="tail",

@@ -105,6 +105,10 @@ type Conn struct {
 	recvToks []dpienc.EncryptedToken
 	readBuf  []byte
 	readErr  error
+	// salt is the peer's pending salt announcement (reader only), which
+	// the next data record's counter reset must match; see checkSalt.
+	salt        uint64
+	saltPending bool
 	// termErr republishes readErr for Close, which may run on a
 	// different goroutine than the reader (e.g. under a stream Mux).
 	termErr    atomic.Pointer[error]
@@ -238,41 +242,23 @@ func (c *Conn) runHandshake() error {
 		Salt0:     c.cfg.Core.Salt0,
 	}
 	var peer Hello
-	var head bool
 	if c.isClient {
-		// A tracing client roots the flow's distributed trace and
-		// carries the context in its hello, so the middlebox and server
-		// parent their spans under this connection span. With a flight
-		// recorder the head-sampling decision rides along too, keeping
-		// all parties streaming (or buffering) the same flows.
+		// A tracing client roots the flow's distributed trace on its
+		// hello, with its recorder's head-sampling decision, so the
+		// middlebox and server join it and keep the same flows.
 		if c.traced() {
-			c.ctx = obs.NewSpanCtx()
-			my.HasTrace = true
-			my.TraceID = c.ctx.Trace
-			my.TraceSpan = c.ctx.Span
-			if c.cfg.Recorder != nil {
-				head = c.cfg.Recorder.Decide(c.ctx.Trace)
-				my.HasSample = true
-				my.Sampled = head
-			}
+			var head bool
+			c.ctx, head, _ = my.JoinTrace(c.cfg.Recorder)
 			c.beginFlow(head)
 		}
 		if err := WriteRecord(c.raw, RecHello, MarshalHello(my)); err != nil {
 			return err
 		}
-		body, err := ReadHello(c.rd, RecHelloReply)
-		if err != nil {
-			return err
-		}
-		if peer, err = UnmarshalHello(body); err != nil {
+		if peer, err = ReadHello(c.rd, RecHelloReply); err != nil {
 			return err
 		}
 	} else {
-		body, err := ReadHello(c.rd, RecHello)
-		if err != nil {
-			return err
-		}
-		if peer, err = UnmarshalHello(body); err != nil {
+		if peer, err = ReadHello(c.rd, RecHello); err != nil {
 			return err
 		}
 		// Adopt the client's parameters.
@@ -280,25 +266,16 @@ func (c *Conn) runHandshake() error {
 		c.cfg.Core.Mode = tokenize.Mode(peer.Mode)
 		c.cfg.Core.Salt0 = peer.Salt0
 		my.Protocol, my.Mode, my.Salt0 = peer.Protocol, peer.Mode, peer.Salt0
-		// A tracing server joins the trace negotiated in the hello
-		// (rooted at the client, or injected by a tracing middlebox);
-		// without one it roots its own single-party trace. The sampling
-		// decision on the hello wins over a local one, so all parties
-		// agree; absent a wire decision the server's sampler decides
-		// (deterministic on the trace ID, so equal rates still agree).
+		// A tracing server joins the trace and decision the hello carries
+		// (the client's, or a tracing middlebox's); without them it roots
+		// its own single-party trace and decides itself (deterministic on
+		// the trace ID, so equal rates still agree).
 		if c.traced() {
-			if peer.HasTrace {
-				c.ctx = obs.JoinSpanCtx(obs.TraceID(peer.TraceID), peer.TraceSpan).Child()
-			} else {
-				c.ctx = obs.NewSpanCtx()
+			ctx, head, root := peer.JoinTrace(c.cfg.Recorder)
+			if !root {
+				ctx = ctx.Child()
 			}
-			if c.cfg.Recorder != nil {
-				if peer.HasSample {
-					head = peer.Sampled
-				} else {
-					head = c.cfg.Recorder.Decide(c.ctx.Trace)
-				}
-			}
+			c.ctx = ctx
 			c.beginFlow(head)
 		}
 		if err := WriteRecord(c.raw, RecHelloReply, MarshalHello(my)); err != nil {
@@ -507,9 +484,13 @@ func (c *Conn) readRecord() error {
 	c.rbuf = body
 	switch typ {
 	case RecSalt:
-		// The validator's own pipeline resets deterministically at the
-		// same byte counts; the explicit announcement is for the
-		// middlebox.
+		if len(body) != 8 {
+			return &SaltError{Reason: fmt.Sprintf("a %d-byte announcement", len(body))}
+		}
+		if c.saltPending {
+			return &SaltError{Reason: "a second announcement before the reset"}
+		}
+		c.salt, c.saltPending = binary.BigEndian.Uint64(body), true
 		return nil
 	case RecTokens:
 		toks, err := UnmarshalTokensInto(c.recvToks, body, c.cfg.Core.Protocol == dpienc.ProtocolIII)
@@ -528,6 +509,7 @@ func (c *Conn) readRecord() error {
 			return errors.New("transport: empty data record")
 		}
 		kind, payload := pt[0], pt[1:]
+		salt0 := c.validator.Salt0()
 		switch kind {
 		case kindText:
 			if err := c.validator.ValidateText(payload); err != nil {
@@ -540,9 +522,15 @@ func (c *Conn) readRecord() error {
 		default:
 			return fmt.Errorf("transport: unknown data kind %d", kind)
 		}
+		if err := c.checkSalt(salt0); err != nil {
+			return err
+		}
 		c.readBuf = payload
 		return nil
 	case RecClose:
+		if c.saltPending {
+			return &SaltError{Reason: "an announcement pending at close"}
+		}
 		if err := c.validator.Finish(); err != nil {
 			return err
 		}
@@ -551,5 +539,43 @@ func (c *Conn) readRecord() error {
 		return fmt.Errorf("transport: unexpected record type %d", typ)
 	}
 }
+
+// checkSalt holds the data record just validated to the peer's salt
+// announcements (DESIGN.md §10 row 10). The middlebox re-keys its engine to
+// every announcement, so an announcement the validator's own reset does
+// not match, or a reset the middlebox was not told of, would have it scan
+// under the wrong salts: the record's reset, from salt0 to the
+// validator's salt0 now, must match the pending announcement, and a
+// record without one must find none pending.
+func (c *Conn) checkSalt(salt0 uint64) error {
+	now := c.validator.Salt0()
+	announced, pending := c.salt, c.saltPending
+	c.saltPending = false
+	switch {
+	case now == salt0 && !pending, now != salt0 && pending && announced == now:
+		return nil
+	case !pending:
+		return &SaltError{Reason: fmt.Sprintf("a reset to salt0 %d without an announcement", now)}
+	case now == salt0:
+		return &SaltError{Reason: fmt.Sprintf("announced salt0 %d without a reset", announced)}
+	}
+	return &SaltError{Reason: fmt.Sprintf("announced salt0 %d for a reset to %d", announced, now)}
+}
+
+// SaltError ends Read when the peer's salt announcements (RecSalt)
+// disagree with its counter resets: evidence that the sender, or a party
+// on the path, tried to move the middlebox's detection off its tokens
+// (§3.4). It wraps core.ErrTokenMismatch.
+type SaltError struct {
+	Reason string
+}
+
+// Error implements error.
+func (e *SaltError) Error() string {
+	return fmt.Sprintf("%v: salt announcement: %s", core.ErrTokenMismatch, e.Reason)
+}
+
+// Unwrap returns core.ErrTokenMismatch.
+func (e *SaltError) Unwrap() error { return core.ErrTokenMismatch }
 
 var _ io.ReadWriteCloser = (*Conn)(nil)

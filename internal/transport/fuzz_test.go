@@ -3,34 +3,48 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/dpienc"
 )
 
-// FuzzUnmarshalHello checks hello parsing never panics and accepted
-// hellos round-trip.
+// FuzzUnmarshalHello checks hello parsing never panics and accepts only
+// canonical bytes: MarshalHello(UnmarshalHello(b)) == b for every accepted
+// b (DESIGN.md §10 row 9).
 func FuzzUnmarshalHello(f *testing.F) {
 	f.Add(MarshalHello(Hello{PublicKey: make([]byte, 32), Protocol: 2, Mode: 1, Salt0: 7}))
 	f.Add(MarshalHello(Hello{PublicKey: make([]byte, 32), HasTrace: true, TraceID: [16]byte{1, 2}, TraceSpan: 99}))
-	f.Add(MarshalHello(Hello{PublicKey: make([]byte, 32), HasTrace: true, TraceID: [16]byte{3}, HasSample: true, Sampled: true}))
+	sampled := MarshalHello(Hello{PublicKey: make([]byte, 32), HasTrace: true, TraceID: [16]byte{3}, HasSample: true, Sampled: true})
+	f.Add(sampled)
 	f.Add([]byte{})
 	f.Add([]byte{32, 1, 2, 3})
+	// Non-canonical forms, each refused: a trailing byte, a flag byte of 2,
+	// an unknown or out-of-place extension, a truncated one.
+	plain := MarshalHello(Hello{PublicKey: make([]byte, 32)})
+	traced := sampled[:len(sampled)-helloSampledExtLen]
+	with := func(b []byte, tail ...byte) []byte { return append(slices.Clip(b), tail...) }
+	for _, b := range [][]byte{
+		with(plain, 0),
+		with(plain[:len(plain)-1], 2), // MBPresent
+		with(sampled[:len(sampled)-1], 2),
+		with(plain, helloSampledExt, 1),
+		with(plain, 0x7F, 0x7F),
+		with(traced, 0),
+		with(traced, traced[len(plain):]...),
+		with(sampled, 0),
+		sampled[:len(sampled)-1],
+		traced[:len(traced)-1],
+	} {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := UnmarshalHello(data)
 		if err != nil {
 			return
 		}
-		enc := MarshalHello(h)
-		h2, err := UnmarshalHello(enc)
-		if err != nil {
-			t.Fatalf("re-unmarshal failed: %v", err)
-		}
-		if !bytes.Equal(h2.PublicKey, h.PublicKey) || h2.Salt0 != h.Salt0 ||
-			h2.Protocol != h.Protocol || h2.Mode != h.Mode || h2.MBPresent != h.MBPresent ||
-			h2.HasTrace != h.HasTrace || h2.TraceID != h.TraceID || h2.TraceSpan != h.TraceSpan ||
-			h2.HasSample != h.HasSample || h2.Sampled != h.Sampled {
-			t.Fatal("hello round trip diverged")
+		if enc := MarshalHello(h); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted % x, which re-encodes as % x", data, enc)
 		}
 	})
 }

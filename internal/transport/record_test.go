@@ -248,3 +248,93 @@ func TestRecordOverCapIsTypedError(t *testing.T) {
 		}
 	}
 }
+
+// saltEdit is a client transport that, once armed, passes each salt
+// announcement of a socket write through edit: the body to send instead,
+// or nil to drop the record. Every data-phase write holds whole records.
+type saltEdit struct {
+	net.Conn
+	armed bool
+	edit  func(body []byte) []byte
+}
+
+func (s *saltEdit) Write(p []byte) (int, error) {
+	if !s.armed {
+		return s.Conn.Write(p)
+	}
+	var out []byte
+	for b := p; len(b) > 0; {
+		rec := b[:headerLen+int(binary.BigEndian.Uint32(b[1:]))]
+		b = b[len(rec):]
+		if RecordType(rec[0]) == RecSalt {
+			body := s.edit(rec[headerLen:])
+			if body == nil {
+				continue
+			}
+			rec = append(AppendHeader(nil, RecSalt, len(body)), body...)
+		}
+		out = append(out, rec...)
+	}
+	if _, err := s.Conn.Write(out); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// TestSaltAnnouncementsChecked: the middlebox re-keys its engine to every
+// salt announcement, so the receiver holds each one to the counter reset
+// its validator makes at the next data record (DESIGN.md §10 row 10). A
+// lying, extra, short, rewritten, dropped or dangling announcement ends
+// Read in a *SaltError wrapping core.ErrTokenMismatch, and the record it
+// concerns is never handed out.
+func TestSaltAnnouncementsChecked(t *testing.T) {
+	small := []byte("GET /attackkw HTTP/1.1\r\n")
+	// Past the 1 MiB reset interval: the client announces one reset.
+	large := bytes.Repeat([]byte("words and more words across resets "), 40000)
+	salt := func(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }
+	for _, tc := range []struct {
+		name    string
+		extra   [][]byte            // salt records the client sends before its payload
+		edit    func([]byte) []byte // what the wire does to the client's own announcements
+		payload []byte
+	}{
+		{name: "lying announcement", extra: [][]byte{salt(0xdeadbeef)}, payload: small},
+		{name: "second announcement", extra: [][]byte{salt(1), salt(2)}, payload: small},
+		{name: "short announcement", extra: [][]byte{{1, 2, 3, 4}}, payload: small},
+		{name: "announcement pending at close", extra: [][]byte{salt(7)}},
+		{name: "dropped announcement", edit: func([]byte) []byte { return nil }, payload: large},
+		{name: "rewritten announcement", edit: func(b []byte) []byte {
+			return salt(binary.BigEndian.Uint64(b) + 1)
+		}, payload: large},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wire := &saltEdit{edit: tc.edit}
+			client, server := pipePair(t, ConnConfig{Core: core.DefaultConfig()}, func(c net.Conn) net.Conn {
+				wire.Conn = c
+				return wire
+			})
+			wire.armed = tc.edit != nil
+			go func() {
+				// Writes fail once the server stops reading and the pipe closes.
+				for _, body := range tc.extra {
+					if _, err := wire.Conn.Write(append(AppendHeader(nil, RecSalt, len(body)), body...)); err != nil {
+						return
+					}
+				}
+				if _, err := client.Write(tc.payload); err == nil {
+					_ = client.CloseWrite()
+				}
+			}()
+			got, err := io.ReadAll(server)
+			var saltErr *SaltError
+			if !errors.As(err, &saltErr) || !errors.Is(err, core.ErrTokenMismatch) {
+				t.Fatalf("Read ended in %v after %d bytes, want a *SaltError", err, len(got))
+			}
+			// Extra records come first; an edited announcement rides with the
+			// record that resets.
+			if len(got) > 0 && (len(tc.extra) > 0 || len(got) >= len(tc.payload) || !bytes.HasPrefix(tc.payload, got)) {
+				t.Fatalf("%d of %d bytes handed out, want what precedes the bad announcement", len(got), len(tc.payload))
+			}
+		})
+	}
+}

@@ -50,24 +50,16 @@ func TestHelloRoundTripAndMBFlag(t *testing.T) {
 		Mode:      byte(tokenize.Delimiter),
 		Salt0:     12345,
 	}
-	enc := MarshalHello(h)
-	got, err := UnmarshalHello(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.PublicKey, h.PublicKey) || got.Protocol != h.Protocol ||
-		got.Mode != h.Mode || got.Salt0 != h.Salt0 || got.MBPresent {
-		t.Fatalf("hello round trip: %+v", got)
-	}
-	if err := SetMBPresent(enc); err != nil {
-		t.Fatal(err)
-	}
-	got, err = UnmarshalHello(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.MBPresent {
-		t.Fatal("MBPresent not set")
+	for _, mb := range []bool{false, true} {
+		h.MBPresent = mb
+		got, err := UnmarshalHello(MarshalHello(h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.PublicKey, h.PublicKey) || got.Protocol != h.Protocol ||
+			got.Mode != h.Mode || got.Salt0 != h.Salt0 || got.MBPresent != mb {
+			t.Fatalf("hello round trip: %+v", got)
+		}
 	}
 }
 
@@ -76,61 +68,17 @@ func TestHelloTraceExtension(t *testing.T) {
 		PublicKey: bytes.Repeat([]byte{9}, 32),
 		Protocol:  dpienc.ProtocolI,
 		Salt0:     42,
+		MBPresent: true,
 		HasTrace:  true,
 		TraceID:   [16]byte{0xAA, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0xBB},
 		TraceSpan: 0xDEADBEEF,
 	}
-	enc := MarshalHello(h)
-	got, err := UnmarshalHello(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.HasTrace || got.TraceID != h.TraceID || got.TraceSpan != h.TraceSpan {
-		t.Fatalf("trace extension round trip: %+v", got)
-	}
-	// The middlebox flips MBPresent in place; the extension must survive.
-	if err := SetMBPresent(enc); err != nil {
-		t.Fatal(err)
-	}
-	got, err = UnmarshalHello(enc)
+	got, err := UnmarshalHello(MarshalHello(h))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.MBPresent || !got.HasTrace || got.TraceID != h.TraceID || got.TraceSpan != h.TraceSpan {
-		t.Fatalf("extension lost across SetMBPresent: %+v", got)
-	}
-}
-
-func TestAppendHelloTrace(t *testing.T) {
-	plain := MarshalHello(Hello{PublicKey: bytes.Repeat([]byte{7}, 32), Salt0: 5})
-	id := [16]byte{1, 2, 3}
-	withTrace, err := AppendHelloTrace(plain, id, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalHello(withTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.HasTrace || got.TraceID != id || got.TraceSpan != 77 || got.Salt0 != 5 {
-		t.Fatalf("injected hello: %+v", got)
-	}
-	// Appending to a hello that already carries context is a no-op.
-	again, err := AppendHelloTrace(withTrace, [16]byte{9}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, withTrace) {
-		t.Fatal("AppendHelloTrace rewrote an existing extension")
-	}
-	// A hello with unknown trailing bytes is left alone.
-	weird := append(append([]byte(nil), plain...), 0x7F, 0x7F)
-	out, err := AppendHelloTrace(weird, id, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, weird) {
-		t.Fatal("AppendHelloTrace touched an unknown extension")
+		t.Fatalf("trace extension round trip: %+v", got)
 	}
 }
 
@@ -138,18 +86,18 @@ func TestHelloSampledExtension(t *testing.T) {
 	h := Hello{
 		PublicKey: bytes.Repeat([]byte{9}, 32),
 		Salt0:     42,
+		MBPresent: true,
 		HasTrace:  true,
 		TraceID:   [16]byte{0xAA, 15: 0xBB},
 		TraceSpan: 7,
 		HasSample: true,
 		Sampled:   true,
 	}
-	enc := MarshalHello(h)
-	got, err := UnmarshalHello(enc)
+	got, err := UnmarshalHello(MarshalHello(h))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.HasSample || !got.Sampled {
+	if !got.MBPresent || !got.HasTrace || !got.HasSample || !got.Sampled {
 		t.Fatalf("sampling extension round trip: %+v", got)
 	}
 	h.Sampled = false
@@ -168,61 +116,81 @@ func TestHelloSampledExtension(t *testing.T) {
 	if got.HasSample {
 		t.Fatalf("sampling extension without trace context: %+v", got)
 	}
-	// MBPresent flips in place without disturbing either extension.
-	if err := SetMBPresent(enc); err != nil {
-		t.Fatal(err)
+}
+
+// TestAppendHelloTrace: the first party to join a hello appends its trace
+// context, which crosses the wire with the rest of the hello, and every
+// later party adopts that context without rewriting the hello.
+func TestAppendHelloTrace(t *testing.T) {
+	h := Hello{PublicKey: bytes.Repeat([]byte{7}, 32), Salt0: 5}
+	ctx, head, root := h.JoinTrace(nil)
+	if !root || head || !ctx.Valid() || !h.HasTrace || h.HasSample {
+		t.Fatalf("first join: ctx %v head %v root %v, hello %+v", ctx, head, root, h)
 	}
-	got, err = UnmarshalHello(enc)
+	if h.TraceID != ctx.Trace || h.TraceSpan != ctx.Span {
+		t.Fatalf("hello names %x/%d, context %x/%d", h.TraceID, h.TraceSpan, ctx.Trace, ctx.Span)
+	}
+	got, err := UnmarshalHello(MarshalHello(h))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.MBPresent || !got.HasTrace || !got.HasSample || !got.Sampled {
-		t.Fatalf("extensions lost across SetMBPresent: %+v", got)
+	if !got.HasTrace || got.TraceID != h.TraceID || got.TraceSpan != h.TraceSpan || got.Salt0 != 5 {
+		t.Fatalf("joined hello across the wire: %+v", got)
+	}
+	before := MarshalHello(got)
+	ctx2, _, root := got.JoinTrace(nil)
+	if root || ctx2.Trace != ctx.Trace || ctx2.Span != ctx.Span {
+		t.Fatalf("later join: ctx %v root %v, want the first context %v", ctx2, root, ctx)
+	}
+	if !bytes.Equal(MarshalHello(got), before) {
+		t.Fatal("a later join rewrote the trace context")
 	}
 }
 
+// TestAppendHelloSampled: the first party with a recorder settles the
+// hello's head-sampling decision, and every later party adopts it — first
+// writer wins, so every party downstream of the decider sees one verdict.
 func TestAppendHelloSampled(t *testing.T) {
-	plain := MarshalHello(Hello{PublicKey: bytes.Repeat([]byte{7}, 32), Salt0: 5})
-	// Without a trace extension there is nowhere to hang the decision.
-	out, err := AppendHelloSampled(plain, true)
+	yes := obs.NewRecorder(obs.RecorderConfig{Sample: 1})
+	no := obs.NewRecorder(obs.RecorderConfig{Sample: 0})
+
+	// A party without a recorder leaves the decision unset, so a later
+	// party with one decides.
+	var h Hello
+	ctx, _, _ := h.JoinTrace(nil)
+	if h.HasSample {
+		t.Fatalf("join without a recorder wrote a decision: %+v", h)
+	}
+	ctx2, head, root := h.JoinTrace(yes)
+	if root || !head || ctx2.Trace != ctx.Trace || ctx2.Span != ctx.Span || !h.HasSample || !h.Sampled {
+		t.Fatalf("second join: ctx %v head %v root %v, hello %+v", ctx2, head, root, h)
+	}
+	got, err := UnmarshalHello(MarshalHello(h))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out, plain) {
-		t.Fatal("AppendHelloSampled modified an untraced hello")
+	if !got.HasTrace || got.TraceSpan != h.TraceSpan || !got.HasSample || !got.Sampled {
+		t.Fatalf("decided hello across the wire: %+v", got)
 	}
-	traced, err := AppendHelloTrace(plain, [16]byte{1, 2, 3}, 77)
-	if err != nil {
-		t.Fatal(err)
+	// A later party's recorder does not rewrite the decision, and one
+	// without a recorder reads it.
+	before := MarshalHello(h)
+	for _, rec := range []*obs.Recorder{no, nil} {
+		if _, head, root := h.JoinTrace(rec); root || !head {
+			t.Fatalf("later join (recorder %v): head %v root %v", rec != nil, head, root)
+		}
+		if !bytes.Equal(MarshalHello(h), before) {
+			t.Fatal("a later join rewrote the decision")
+		}
 	}
-	sampled, err := AppendHelloSampled(traced, true)
-	if err != nil {
-		t.Fatal(err)
+
+	// A first party with a recorder writes both; a negative decision sticks.
+	var g Hello
+	if _, head, root := g.JoinTrace(no); !root || head || !g.HasSample || g.Sampled {
+		t.Fatalf("first join with a recorder: head %v root %v, hello %+v", head, root, g)
 	}
-	got, err := UnmarshalHello(sampled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.HasTrace || got.TraceSpan != 77 || !got.HasSample || !got.Sampled {
-		t.Fatalf("appended decision: %+v", got)
-	}
-	// A present decision is never rewritten — first writer wins, so every
-	// party downstream of the decider sees the same verdict.
-	again, err := AppendHelloSampled(sampled, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, sampled) {
-		t.Fatal("AppendHelloSampled rewrote an existing decision")
-	}
-	// Unknown trailing bytes are left alone, like AppendHelloTrace.
-	weird := append(append([]byte(nil), traced...), 0x7F, 0x7F)
-	out, err = AppendHelloSampled(weird, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, weird) {
-		t.Fatal("AppendHelloSampled touched an unknown extension")
+	if _, head, _ := g.JoinTrace(yes); head || g.Sampled {
+		t.Fatal("a later recorder rewrote a negative decision")
 	}
 }
 

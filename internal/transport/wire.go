@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/bbcrypto"
 	"repro/internal/dpienc"
+	"repro/internal/obs"
 	"repro/internal/ruleprep"
 	"repro/internal/tokenize"
 )
@@ -170,13 +171,16 @@ func readRecord(r io.Reader, limit int, exact bool) (RecordType, []byte, error) 
 }
 
 // ReadHello reads a hello record of type want, RecHello or RecHelloReply,
-// of at most maxHelloLen bytes and returns its body.
-func ReadHello(r io.Reader, want RecordType) ([]byte, error) {
+// of at most maxHelloLen bytes and parses it.
+func ReadHello(r io.Reader, want RecordType) (Hello, error) {
 	typ, body, err := readRecord(r, maxHelloLen, false)
-	if err == nil && typ != want {
-		err = fmt.Errorf("transport: expected hello record %d, got %d", want, typ)
+	if err != nil {
+		return Hello{}, err
 	}
-	return body, err
+	if typ != want {
+		return Hello{}, fmt.Errorf("transport: expected hello record %d, got %d", want, typ)
+	}
+	return UnmarshalHello(body)
 }
 
 // PrepPort is one side's rule-preparation Port: each message is one
@@ -269,14 +273,16 @@ func (d *DataCipher) seal(dst, plaintext []byte) []byte {
 	return d.aead.Seal(dst, d.nonce[:], plaintext, dataAD)
 }
 
-// Hello is the cleartext handshake payload. The middlebox sets MBPresent
-// when forwarding, informing the endpoints that a rule-preparation
-// exchange will follow the handshake. HasTrace marks an optional trailing
-// trace-context extension: the 128-bit distributed trace ID plus the root
-// span ID, so client, middlebox and server spans of one flow join into
-// one trace (DESIGN.md §8). HasSample marks a second optional extension
-// carrying the head-sampling decision for the trace, so all three parties
-// stream or buffer the same flows. Peers without tracing ignore both.
+// Hello is the cleartext handshake payload, parsed once and written once:
+// UnmarshalHello accepts exactly what MarshalHello writes. The middlebox
+// forwards the re-encoding of each hello it parsed with MBPresent set,
+// informing the endpoints that a rule-preparation exchange will follow
+// the handshake. HasTrace marks the trace-context extension: the 128-bit
+// distributed trace ID plus the root span ID, so client, middlebox and
+// server spans of one flow join into one trace (DESIGN.md §8). HasSample
+// marks a second extension, only ever behind the first, carrying the
+// head-sampling decision for the trace, so all three parties stream or
+// buffer the same flows. JoinTrace settles both.
 type Hello struct {
 	PublicKey []byte // X25519, 32 bytes
 	Protocol  dpienc.Protocol
@@ -287,15 +293,15 @@ type Hello struct {
 	TraceID   [16]byte
 	TraceSpan uint64
 	HasSample bool // a head-sampling decision rides on the hello
-	Sampled   bool // the decision itself (bit0 of the extension flags)
+	Sampled   bool // the decision itself (the extension's flag byte)
 }
 
 // helloTraceExt tags the trace-context extension after the MBPresent
 // byte: 1 tag byte + 16 trace-ID bytes + 8 root-span-ID bytes.
 // helloSampledExt tags the sampling-decision extension after the trace
-// extension: 1 tag byte + 1 flags byte (bit0 = head-sampled). It is only
-// valid following a trace extension — a decision is meaningless without
-// the trace ID it applies to.
+// extension: 1 tag byte + 1 flag byte. It is only valid following a trace
+// extension — a decision is meaningless without the trace ID it applies
+// to.
 const (
 	helloTraceExt      byte = 0x01
 	helloTraceExtLen        = 1 + 16 + 8
@@ -303,126 +309,90 @@ const (
 	helloSampledExtLen      = 1 + 1
 )
 
-// MarshalHello encodes a Hello.
+var errMalformedHello = errors.New("transport: malformed hello")
+
+// MarshalHello encodes a Hello; a decision without trace context is not
+// written.
 func MarshalHello(h Hello) []byte {
 	out := make([]byte, 0, 32+11+helloTraceExtLen+helloSampledExtLen)
 	out = append(out, byte(len(h.PublicKey)))
 	out = append(out, h.PublicKey...)
 	out = append(out, byte(h.Protocol), h.Mode)
-	var s [8]byte
-	binary.BigEndian.PutUint64(s[:], h.Salt0)
-	out = append(out, s[:]...)
-	if h.MBPresent {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
-	}
+	out = binary.BigEndian.AppendUint64(out, h.Salt0)
+	out = append(out, flagByte(h.MBPresent))
 	if h.HasTrace {
 		out = append(out, helloTraceExt)
 		out = append(out, h.TraceID[:]...)
-		binary.BigEndian.PutUint64(s[:], h.TraceSpan)
-		out = append(out, s[:]...)
+		out = binary.BigEndian.AppendUint64(out, h.TraceSpan)
 		if h.HasSample {
-			var flags byte
-			if h.Sampled {
-				flags = 1
-			}
-			out = append(out, helloSampledExt, flags)
+			out = append(out, helloSampledExt, flagByte(h.Sampled))
 		}
 	}
 	return out
 }
 
-// UnmarshalHello decodes a Hello. Unknown trailing bytes are ignored for
-// forward compatibility; a well-formed trace extension is decoded.
+// flagByte is a hello flag's byte: 1 for true, 0 for false.
+func flagByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// UnmarshalHello decodes a Hello. It accepts exactly what MarshalHello
+// writes (DESIGN.md §10, "Parse ambiguities" row 9): a flag byte other
+// than 0 or 1, an extension out of place and any trailing byte are
+// errors, so an accepted hello has one encoding.
 func UnmarshalHello(data []byte) (Hello, error) {
-	var h Hello
-	if len(data) < 1 {
-		return h, errors.New("transport: short hello")
+	if len(data) < 1 || len(data) < 1+int(data[0])+11 {
+		return Hello{}, errMalformedHello
 	}
 	kl := int(data[0])
-	if len(data) < 1+kl+11 {
-		return h, errors.New("transport: short hello")
-	}
-	h.PublicKey = append([]byte(nil), data[1:1+kl]...)
 	rest := data[1+kl:]
-	h.Protocol = dpienc.Protocol(rest[0])
-	h.Mode = rest[1]
-	h.Salt0 = binary.BigEndian.Uint64(rest[2:10])
-	h.MBPresent = rest[10] == 1
-	if ext := rest[11:]; len(ext) >= helloTraceExtLen && ext[0] == helloTraceExt {
+	h := Hello{
+		PublicKey: append([]byte(nil), data[1:1+kl]...),
+		Protocol:  dpienc.Protocol(rest[0]),
+		Mode:      rest[1],
+		Salt0:     binary.BigEndian.Uint64(rest[2:10]),
+		MBPresent: rest[10] == 1,
+	}
+	flags := rest[10] // OR of the flag bytes: above 1 if either is
+	ext := rest[11:]
+	if len(ext) >= helloTraceExtLen && ext[0] == helloTraceExt {
 		h.HasTrace = true
 		copy(h.TraceID[:], ext[1:17])
 		h.TraceSpan = binary.BigEndian.Uint64(ext[17:25])
-		if ext = ext[helloTraceExtLen:]; len(ext) >= helloSampledExtLen && ext[0] == helloSampledExt {
-			h.HasSample = true
-			h.Sampled = ext[1]&1 == 1
+		ext = ext[helloTraceExtLen:]
+		if len(ext) == helloSampledExtLen && ext[0] == helloSampledExt {
+			h.HasSample, h.Sampled = true, ext[1] == 1
+			flags |= ext[1]
+			ext = nil
 		}
+	}
+	if len(ext) != 0 || flags > 1 {
+		return Hello{}, errMalformedHello
 	}
 	return h, nil
 }
 
-// AppendHelloTrace appends a trace-context extension to an encoded hello
-// that lacks one — what the middlebox does when it traces but the client
-// sent no context, so the server can still join the middlebox's trace.
-func AppendHelloTrace(encoded []byte, traceID [16]byte, rootSpan uint64) ([]byte, error) {
-	h, err := UnmarshalHello(encoded)
-	if err != nil {
-		return nil, err
-	}
+// JoinTrace settles the flow's trace context and head-sampling decision
+// on h, the first writer winning: a hello without trace context gets a
+// fresh root, written in (root true), and, when rec is set, a hello
+// without a decision gets rec's. It returns the context the hello names
+// and the decision it carries (false when none). The client joins its own
+// hello, a tracing middlebox the client's before forwarding it, and the
+// server the hello it receives (DESIGN.md §8).
+func (h *Hello) JoinTrace(rec *obs.Recorder) (ctx obs.SpanCtx, head, root bool) {
 	if h.HasTrace {
-		return encoded, nil
+		ctx = obs.JoinSpanCtx(obs.TraceID(h.TraceID), h.TraceSpan)
+	} else {
+		ctx, root = obs.NewSpanCtx(), true
+		h.HasTrace, h.TraceID, h.TraceSpan = true, ctx.Trace, ctx.Span
 	}
-	if base := 1 + int(encoded[0]) + 11; len(encoded) != base {
-		// Unknown trailing extension: leave the hello alone rather than
-		// append where no parser would look.
-		return encoded, nil
+	if rec != nil && !h.HasSample {
+		h.HasSample, h.Sampled = true, rec.Decide(ctx.Trace)
 	}
-	out := append(append([]byte(nil), encoded...), helloTraceExt)
-	out = append(out, traceID[:]...)
-	var s [8]byte
-	binary.BigEndian.PutUint64(s[:], rootSpan)
-	return append(out, s[:]...), nil
-}
-
-// AppendHelloSampled appends a sampling-decision extension to an encoded
-// hello that carries a trace extension but no decision — what the
-// middlebox does after deciding head sampling for a flow whose client
-// sent trace context without a decision. A hello without a trace
-// extension, with a decision already present, or with unknown trailing
-// bytes is returned unchanged (peers then decide locally).
-func AppendHelloSampled(encoded []byte, sampled bool) ([]byte, error) {
-	h, err := UnmarshalHello(encoded)
-	if err != nil {
-		return nil, err
-	}
-	if !h.HasTrace || h.HasSample {
-		return encoded, nil
-	}
-	if base := 1 + int(encoded[0]) + 11 + helloTraceExtLen; len(encoded) != base {
-		// Unknown trailing extension after the trace context: leave the
-		// hello alone rather than append where no parser would look.
-		return encoded, nil
-	}
-	var flags byte
-	if sampled {
-		flags = 1
-	}
-	return append(append([]byte(nil), encoded...), helloSampledExt, flags), nil
-}
-
-// SetMBPresent flips the MBPresent flag inside an encoded hello in place —
-// what the middlebox does when forwarding handshakes.
-func SetMBPresent(encoded []byte) error {
-	if len(encoded) < 1 {
-		return errors.New("transport: short hello")
-	}
-	kl := int(encoded[0])
-	if len(encoded) < 1+kl+11 {
-		return errors.New("transport: short hello")
-	}
-	encoded[1+kl+10] = 1
-	return nil
+	return ctx, h.HasSample && h.Sampled, root
 }
 
 // Token wire format: offset (8) + C1 (5) + optional C2 (16, Protocol III).
