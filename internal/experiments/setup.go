@@ -20,12 +20,13 @@ import (
 
 // SetupResult measures rule preparation.
 type SetupResult struct {
-	// Fixed is the setup cost a connection pays whatever its ruleset: each
-	// endpoint's OT base phase.
+	// Fixed is the setup cost a connection pays whatever its ruleset: the
+	// one OT base phase, with the server.
 	Fixed time.Duration
 	// PerKeyword is the marginal setup cost of one keyword (both endpoints
-	// garbling, one circuit message hashed per endpoint, verification, its
-	// share of the OT extension, evaluation).
+	// garbling, one circuit message hashed per endpoint, the client's label
+	// commitments and the middlebox's check of them, verification, its share
+	// of the OT extension, evaluation).
 	PerKeyword time.Duration
 	// GarbleOnly is the cost of garbling one circuit once.
 	GarbleOnly time.Duration
@@ -70,9 +71,10 @@ func Setup() (SetupResult, error) {
 const setupFitKeywords = 16
 
 // prepareCell runs a real obfuscated rule encryption for n keywords (two
-// endpoint garblings and two circuit-message hashes per keyword, one OT
-// extension per endpoint, digest verification and evaluation); NewMiddlebox
-// builds F before the timer.
+// endpoint garblings and two circuit-message hashes per keyword, the
+// client's label commitments, one OT base phase and extension with the
+// server, digest and commitment checks and evaluation); NewMiddlebox builds
+// F before the timer.
 func prepareCell(n int) Cell {
 	return Cell{fmt.Sprintf("prepare/%d", n), func(b *testing.B) {
 		k, kRG, krand := bbcrypto.RandomBlock(), bbcrypto.RandomBlock(), bbcrypto.RandomBlock()
@@ -145,7 +147,7 @@ func PrintSetup(w io.Writer, r SetupResult) {
 	fmt.Fprintf(w, "rule-encryption circuit: %d AND gates, %s per garbled circuit (paper: 599KB for a 6.8K-gate AES)\n",
 		r.CircuitANDs, fmtBytes(r.CircuitBytes))
 	fmt.Fprintf(w, "garble one circuit: %s (paper: 1042µs with JustGarble's hand-optimized AES)\n", fmtDuration(r.GarbleOnly))
-	fmt.Fprintf(w, "full setup: %s per connection (OT base phases) + %s per keyword (2 garblings + 2 hashes + verify + OT extension + eval)\n",
+	fmt.Fprintf(w, "full setup: %s per connection (one OT base phase) + %s per keyword (2 garblings + 2 hashes + label commitments + verify + OT extension + eval)\n",
 		fmtDuration(r.Fixed), fmtDuration(r.PerKeyword))
 	t := newTable(w)
 	t.row("Keywords", "setup time", "paper")

@@ -2,14 +2,17 @@ package middlebox
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -90,7 +93,7 @@ func prepRecord(sub byte, msg []byte) []byte {
 
 // digestRecord is a client's SubDigest record for fragment index.
 func digestRecord(index uint32) []byte {
-	return prepRecord(ruleprep.SubDigest, append(binary.BigEndian.AppendUint32(nil, index), make([]byte, 32)...))
+	return prepRecord(ruleprep.SubDigest, append(binary.BigEndian.AppendUint32(nil, index), make([]byte, ruleprep.DigestMsgLen-4)...))
 }
 
 // noGoroutineLeak fails the test if the goroutine count does not fall back
@@ -120,8 +123,12 @@ func TestPrepRefusesMalformedLeg(t *testing.T) {
 		raw    [][]byte
 		want   string
 	}{
+		{"row 5: digest one byte short", true, [][]byte{prepRecord(ruleprep.SubDigest, make([]byte, ruleprep.DigestMsgLen-1))}, "expected prep message"},
+		{"row 5: digest one byte long", true, [][]byte{prepRecord(ruleprep.SubDigest, make([]byte, ruleprep.DigestMsgLen+1))}, "exceeds its cap"},
+		// A byte either side of the 36-byte digest message that carried no
+		// label commitments: as short as any other.
 		{"row 5: digest of 35 bytes", true, [][]byte{prepRecord(ruleprep.SubDigest, make([]byte, 35))}, "expected prep message"},
-		{"row 5: digest of 37 bytes", true, [][]byte{prepRecord(ruleprep.SubDigest, make([]byte, 37))}, "exceeds its cap"},
+		{"row 5: digest of 37 bytes", true, [][]byte{prepRecord(ruleprep.SubDigest, make([]byte, 37))}, "expected prep message"},
 		{"row 5: index out of range", true, [][]byte{digestRecord(prepFragments)}, "bad fragment index"},
 		{"row 5: index repeated", true, [][]byte{digestRecord(0), digestRecord(0)}, "bad fragment index"},
 		{"row 6: client sends a circuit", true, [][]byte{prepRecord(ruleprep.SubCircuit, circuitMsg)}, "expected prep message"},
@@ -242,10 +249,10 @@ func probePrep(t *testing.T, client, toEndpoint bool, probe *capProbe) error {
 // TestClientPrepRecordCap: every preparation message has one length, known
 // from the fragment count, and each party reads every message it receives
 // at exactly that length — the middlebox a client's digests, a server's
-// circuits and either leg's OT replies, an endpoint the middlebox's
-// messages. A header announcing 64 MiB in its place is a
-// *transport.RecordCapError at 1 + ruleprep.BodyLen before the body is
-// allocated, and a body one byte short the typed expected-message error.
+// circuits and OT replies, an endpoint the middlebox's messages. A header
+// announcing 64 MiB in its place is a *transport.RecordCapError at
+// 1 + ruleprep.BodyLen before the body is allocated, and a body one byte
+// short the typed expected-message error.
 func TestClientPrepRecordCap(t *testing.T) {
 	for _, tc := range []struct {
 		name               string
@@ -254,12 +261,10 @@ func TestClientPrepRecordCap(t *testing.T) {
 	}{
 		{"client", true, false, ruleprep.SubDigest},
 		{"server", false, false, ruleprep.SubCircuit},
-		{"client MsgB", true, false, ruleprep.SubMsgB},
 		{"server MsgB", false, false, ruleprep.SubMsgB},
-		{"client Masked", true, false, ruleprep.SubMasked},
 		{"server Masked", false, false, ruleprep.SubMasked},
 		{"endpoint Start", false, true, ruleprep.SubStart},
-		{"endpoint MsgA", true, true, ruleprep.SubMsgA},
+		{"endpoint MsgA", false, true, ruleprep.SubMsgA},
 		{"endpoint U", false, true, ruleprep.SubU},
 		{"endpoint Done", true, true, ruleprep.SubDone},
 	} {
@@ -296,9 +301,108 @@ func TestClientPrepRecordCap(t *testing.T) {
 	}
 }
 
+// errLog is a slog handler that keeps the "err" attribute of every record.
+type errLog struct {
+	mu   sync.Mutex
+	errs []error
+}
+
+func (*errLog) Enabled(context.Context, slog.Level) bool { return true }
+func (l *errLog) WithAttrs([]slog.Attr) slog.Handler     { return l }
+func (l *errLog) WithGroup(string) slog.Handler          { return l }
+
+func (l *errLog) Handle(_ context.Context, r slog.Record) error {
+	r.Attrs(func(a slog.Attr) bool {
+		if err, ok := a.Value.Any().(error); ok && a.Key == "err" {
+			l.mu.Lock()
+			l.errs = append(l.errs, err)
+			l.mu.Unlock()
+		}
+		return true
+	})
+	return nil
+}
+
+// TestClientOTMessageAfterDigests: the client's leg ends at its digests, so
+// an OT message a client sends after them is not read by rule preparation,
+// which completes; it is the first record of the data phase, which carries
+// no preparation record, and forwarding ends in a *transport.RecordCapError
+// with Cap -1 before its body is read.
+func TestClientOTMessageAfterDigests(t *testing.T) {
+	var log errLog
+	mb := helloMiddlebox(t, slog.New(&log))
+	cOurs, cTheirs := net.Pipe()
+	sOurs, sTheirs := net.Pipe()
+	defer func() { cTheirs.Close(); sTheirs.Close() }()
+	hello := transport.MarshalHello(transport.Hello{PublicKey: make([]byte, 32)})
+	endpoint := func(c net.Conn, client bool) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			rd := bufio.NewReader(c)
+			var err error
+			if client {
+				if err = transport.WriteRecord(c, transport.RecHello, hello); err == nil {
+					_, err = transport.ReadHello(rd, transport.RecHelloReply)
+				}
+			} else if _, err = transport.ReadHello(rd, transport.RecHello); err == nil {
+				err = transport.WriteRecord(c, transport.RecHelloReply, hello)
+			}
+			if err == nil {
+				var p ruleprep.Port = transport.PrepPort{R: rd, W: c}
+				if client {
+					p = &otAfterDigests{Port: p, c: c}
+				}
+				err = ruleprep.NewEndpoint(bbcrypto.Block{1}, bbcrypto.Block{2}, bbcrypto.Block{3}).Serve(p, client)
+			}
+			done <- err
+			_, _ = io.Copy(io.Discard, rd)
+		}()
+		return done
+	}
+	clientDone, serverDone := endpoint(cTheirs, true), endpoint(sTheirs, false)
+	if err := mb.Interpose(cOurs, sOurs); err != nil {
+		t.Fatalf("Interpose = %v, want rule preparation to complete", err)
+	}
+	if err := <-clientDone; err != nil {
+		t.Fatalf("client Serve = %v, want nil at Done", err)
+	}
+	if err := <-serverDone; err != nil {
+		t.Fatalf("server Serve = %v", err)
+	}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	for _, err := range log.errs {
+		var capErr *transport.RecordCapError
+		if errors.As(err, &capErr) && capErr.Type == transport.RecGarble && capErr.Cap == -1 {
+			return
+		}
+	}
+	t.Fatalf("logged errors %v, want a *transport.RecordCapError for a RecGarble record with Cap -1", log.errs)
+}
+
+// otAfterDigests is a client's port that writes a base-OT response record,
+// the message a client's OT leg sent after its digests, just before it
+// waits for the first message after them. It writes on its own goroutine:
+// net.Pipe holds the writer until the record is read.
+type otAfterDigests struct {
+	ruleprep.Port
+	c    net.Conn
+	sent bool
+}
+
+func (p *otAfterDigests) Recv(want byte, size int) ([]byte, error) {
+	if want != ruleprep.SubStart && !p.sent {
+		p.sent = true
+		msgB := make([]byte, 1+ruleprep.BodyLen(ruleprep.SubMsgB, 1))
+		msgB[0] = ruleprep.SubMsgB
+		go func() { _ = transport.WriteRecord(p.c, transport.RecGarble, msgB) }()
+	}
+	return p.Port.Recv(want, size)
+}
+
 // helloMiddlebox is a one-rule middlebox for driving the hello exchange
-// over pipes.
-func helloMiddlebox(t *testing.T) *Middlebox {
+// over pipes, logging to logger if it is set.
+func helloMiddlebox(t *testing.T, logger *slog.Logger) *Middlebox {
 	t.Helper()
 	g, err := rules.NewGenerator("HelloRG")
 	if err != nil {
@@ -308,7 +412,7 @@ func helloMiddlebox(t *testing.T) *Middlebox {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := New(Config{Ruleset: g.Sign(rs)})
+	mb, err := New(Config{Ruleset: g.Sign(rs), Logger: logger})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +425,7 @@ func helloMiddlebox(t *testing.T) *Middlebox {
 // interposition in a *transport.RecordCapError before the body is
 // allocated.
 func TestHelloRecordCap(t *testing.T) {
-	mb := helloMiddlebox(t)
+	mb := helloMiddlebox(t, nil)
 	hello := transport.MarshalHello(transport.Hello{PublicKey: make([]byte, 32)})
 	for _, tc := range []struct {
 		name           string
@@ -365,7 +469,7 @@ func TestHelloRecordCap(t *testing.T) {
 // receives anything, and a server reply that does not parse ends it before
 // the client receives one.
 func TestMalformedHelloEndsConnection(t *testing.T) {
-	mb := helloMiddlebox(t)
+	mb := helloMiddlebox(t, nil)
 	hello := transport.MarshalHello(transport.Hello{PublicKey: make([]byte, 32)})
 	trailing := append(slices.Clone(hello), 0)
 	mbPresent2 := slices.Clone(hello)

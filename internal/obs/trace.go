@@ -45,9 +45,9 @@ const (
 // the paper's setup table regenerates from traces (bbtrace -assemble).
 const (
 	SpanPrepGarble  = "prep.garble"   // endpoint: garbling one AES circuit
-	SpanPrepOTBase  = "prep.ot_base"  // middlebox leg: base-OT round (keys + msgA/msgB)
-	SpanPrepOTExt   = "prep.ot_ext"   // middlebox leg: IKNP extension + label unmask
-	SpanPrepLabels  = "prep.labels"   // middlebox leg: garbled rows + endpoint labels (server), digests (client)
+	SpanPrepOTBase  = "prep.ot_base"  // middlebox server leg: base-OT round (keys + msgA/msgB)
+	SpanPrepOTExt   = "prep.ot_ext"   // middlebox server leg: IKNP extension + label unmask
+	SpanPrepLabels  = "prep.labels"   // middlebox leg: garbled rows + endpoint labels (server), digests + label commitments (client)
 	SpanPrepRuleEnc = "prep.rule_enc" // middlebox: verify + evaluate one rule circuit
 )
 

@@ -74,10 +74,11 @@ func (e *MessageError) Error() string {
 }
 
 // Serve runs the endpoint's leg over p in the one order the exchange
-// allows: Start, then each fragment's circuit message (a server) or digest
-// (a client), then the OT sender's half, returning nil at Done; anything
-// else is an error. The endpoint never learns the rules: it garbles the
-// generic F and hands over labels only through OT.
+// allows for its role: Start, then each fragment's circuit message (a
+// server) or digest message (a client), then a server's OT sender half,
+// returning nil at Done; anything else is an error. The endpoint never
+// learns the rules: it garbles the generic F, and a server hands over
+// labels only through OT, a client only commitments to them.
 func (e *Endpoint) Serve(p Port, client bool) error {
 	body, err := p.Recv(SubStart, BodyLen(SubStart, 0))
 	if err != nil {
@@ -87,19 +88,24 @@ func (e *Endpoint) Serve(p Port, client bool) error {
 	// and holds a bounded number of circuits however slowly the peer reads.
 	n := int(binary.BigEndian.Uint32(body))
 	var (
-		pairs [][2]bbcrypto.Block
-		msg   []byte // the outgoing message, reused by every send
+		pairs [][2]bbcrypto.Block // a server's OT sender inputs
+		msg   []byte              // the outgoing message, reused by every send
 	)
 	err = e.GarbleEach(n, func(job *FragmentJob) error {
 		msg = job.AppendCircuitMsg(append(msg[:0], SubCircuit))
-		if client { // DESIGN.md substitution 1: the digest stands in for the circuit
+		if client { // DESIGN.md substitution 1: a digest and label commitments stand in for the circuit and the OT leg
 			job.Digest = sha256.Sum256(msg[1:])
 			msg = job.AppendDigestMsg(append(msg[:0], SubDigest))
+		} else {
+			pairs = append(pairs, job.OTPairs()...)
 		}
-		pairs = append(pairs, job.OTPairs()...)
 		return p.Send(msg)
 	})
 	if err != nil {
+		return err
+	}
+	if client {
+		_, err = p.Recv(SubDone, BodyLen(SubDone, n))
 		return err
 	}
 	msgA, err := p.Recv(SubMsgA, BodyLen(SubMsgA, n))
@@ -180,17 +186,22 @@ func columns(b []byte, k int) [][]byte {
 }
 
 // Run runs the middlebox's side with both endpoints at once, a goroutine
-// per leg (the client's digests or the server's circuits, each hashed once
-// as it is parsed, then one OT extension for every fragment's choice bits);
-// then it verifies and evaluates every fragment and sends each endpoint
-// Done. It returns every fragment's token key (nil if unauthorized), or the
-// failed legs' errors joined, or the first verification error. Each leg
-// records labels, ot_base and ot_ext spans, each fragment a rule_enc span.
+// per leg: the client's digest messages, keeping each wire's commitment at
+// the middlebox's choice bit; the server's circuits, each hashed once as it
+// is parsed, then one OT extension for every fragment's choice bits. Then
+// it verifies and evaluates every fragment and sends each endpoint Done. It
+// returns every fragment's token key (nil if unauthorized), or the failed
+// legs' errors joined, or the first verification error (ErrLabelCommitment
+// for a label that fails its commitment). Each leg records a labels span,
+// the server's also ot_base and ot_ext spans, and each fragment a rule_enc
+// span; they follow one another from Run's entry to its return.
 func (m *Middlebox) Run(client, server Port) ([]*dpienc.TokenKey, error) {
+	start := time.Now()
 	choices := m.choices()
 	var (
 		jobs   [2][]*FragmentJob
-		labels [2][]bbcrypto.Block
+		labels []bbcrypto.Block
+		ends   [2]time.Time
 		errs   [2]error
 		wg     sync.WaitGroup
 	)
@@ -199,46 +210,60 @@ func (m *Middlebox) Run(client, server Port) ([]*dpienc.TokenKey, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			jobs[leg], labels[leg], errs[leg] = m.runLeg(p, leg == 0, choices)
+			jobs[leg], ends[leg], errs[leg] = m.recvJobs(p, leg == 0, choices, start)
+			if leg == 1 && errs[leg] == nil {
+				labels, ends[leg], errs[leg] = m.transfer(p, choices, ends[leg])
+			}
 		}()
 	}
 	wg.Wait()
 	if err := errors.Join(errs[:]...); err != nil {
 		return nil, err
 	}
-	keys, err := m.evaluate(jobs, labels)
-	for _, p := range ports {
-		if err == nil {
-			err = p.Send([]byte{SubDone})
-		}
+	// Fragment 0's span starts where the slower leg ended.
+	if ends[0].After(ends[1]) {
+		ends[1] = ends[0]
 	}
-	return keys, err
+	return m.evaluate(jobs[0], jobs[1], labels, choices, ends[1], func() error {
+		for _, p := range ports {
+			if err := p.Send([]byte{SubDone}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
-// runLeg runs one leg up to its OT labels: it returns the endpoint's jobs
-// in index order and the labels OT delivered, OTWires per fragment.
-func (m *Middlebox) runLeg(p Port, client bool, choices []bool) ([]*FragmentJob, []bbcrypto.Block, error) {
+// recvJobs sends p's endpoint Start and receives its jobs in index order:
+// a client's digest messages, each keeping only the commitments at the
+// fragment's choice bits, or a server's circuit messages, each hashed as it
+// is parsed. Its labels span, which includes the wait for the endpoint's
+// garbling, runs from start; it returns where the span ended.
+func (m *Middlebox) recvJobs(p Port, client bool, choices []bool, start time.Time) ([]*FragmentJob, time.Time, error) {
 	n := m.NumFragments()
 	if err := p.Send(binary.BigEndian.AppendUint32([]byte{SubStart}, uint32(n))); err != nil {
-		return nil, nil, err
+		return nil, start, err
 	}
-	sub, parse, sp := SubCircuit, ParseCircuitMsg, obs.Span{Dir: "server", Name: obs.SpanPrepLabels}
+	sub, sp := SubCircuit, obs.Span{Dir: "server", Name: obs.SpanPrepLabels}
 	if client {
-		sub, parse, sp.Dir = SubDigest, ParseDigestMsg, "client"
+		sub, sp.Dir = SubDigest, "client"
 	}
-	// The labels span includes the wait for the endpoint's garbling.
-	start := time.Now()
 	jobs := make([]*FragmentJob, n)
 	for i := range jobs {
 		body, err := p.Recv(sub, BodyLen(sub, n))
 		if err != nil {
-			return nil, nil, err
+			return nil, start, err
 		}
-		if jobs[i], err = parse(body); err != nil {
-			return nil, nil, err
+		if client {
+			jobs[i], err = ParseDigestMsg(body, choices[i*OTWires:(i+1)*OTWires])
+		} else {
+			jobs[i], err = ParseCircuitMsg(body)
+		}
+		if err != nil {
+			return nil, start, err
 		}
 		if jobs[i].Index != i {
-			return nil, nil, errors.New("ruleprep: bad fragment index")
+			return nil, start, errors.New("ruleprep: bad fragment index")
 		}
 		sp.Bytes += len(body)
 		if g := jobs[i].G; g != nil {
@@ -246,35 +271,39 @@ func (m *Middlebox) runLeg(p Port, client bool, choices []bool) ([]*FragmentJob,
 			sp.Gates, sp.Rows = sp.Gates+st.Gates, sp.Rows+st.TableRows
 		}
 	}
-	m.fr.Span(m.tctx.Child(), start, sp)
+	return jobs, m.span(start, sp), nil
+}
 
-	start = time.Now()
+// transfer runs oblivious transfer with the server for every fragment's
+// choice bits and returns the labels it delivered, OTWires per fragment.
+// Its ot_base and ot_ext spans follow one another from start; it returns
+// where the second ended.
+func (m *Middlebox) transfer(p Port, choices []bool, start time.Time) ([]bbcrypto.Block, time.Time, error) {
+	n := m.NumFragments()
 	recv, msgAs, err := ot.NewExtReceiver()
 	if err != nil {
-		return nil, nil, err
+		return nil, start, err
 	}
 	msgB, err := exchange(p, message(SubMsgA, msgAs), SubMsgB, n)
 	if err != nil {
-		return nil, nil, err
+		return nil, start, err
 	}
-	m.fr.Span(m.tctx.Child(), start, obs.Span{Dir: sp.Dir, Name: obs.SpanPrepOTBase, Bytes: len(msgB)})
+	start = m.span(start, obs.Span{Dir: "server", Name: obs.SpanPrepOTBase, Bytes: len(msgB)})
 
-	start = time.Now()
 	u, err := recv.Extend(columns(msgB, ot.BaseOTs), choices)
 	if err != nil {
-		return nil, nil, err
+		return nil, start, err
 	}
 	masked, err := exchange(p, message(SubU, u), SubMasked, n)
 	if err != nil {
-		return nil, nil, err
+		return nil, start, err
 	}
 	labels, err := recv.Receive(parsePairs(masked), choices)
 	if err != nil {
-		return nil, nil, err
+		return nil, start, err
 	}
 	st := recv.Stats()
-	m.fr.Span(m.tctx.Child(), start, obs.Span{Dir: sp.Dir, Name: obs.SpanPrepOTExt, Bytes: st.CorrectionBytes + st.MaskedBytes, Rows: st.Wires})
-	return jobs, labels, nil
+	return labels, m.span(start, obs.Span{Dir: "server", Name: obs.SpanPrepOTExt, Bytes: st.CorrectionBytes + st.MaskedBytes, Rows: st.Wires}), nil
 }
 
 // choices returns the OT choice bits of every fragment, in fragment order.
@@ -284,22 +313,4 @@ func (m *Middlebox) choices() []bool {
 		out = append(out, m.Choices(i)...)
 	}
 	return out
-}
-
-// evaluate verifies and evaluates every fragment from the client's jobs and
-// labels (index 0) and the server's (index 1); unauthorized keys are nil.
-func (m *Middlebox) evaluate(jobs [2][]*FragmentJob, labels [2][]bbcrypto.Block) ([]*dpienc.TokenKey, error) {
-	keys := make([]*dpienc.TokenKey, m.NumFragments())
-	for i := range keys {
-		lo, hi := i*OTWires, (i+1)*OTWires
-		key, err := m.VerifyAndEvaluate(i, jobs[0][i], jobs[1][i], labels[0][lo:hi], labels[1][lo:hi])
-		if err == ErrUnauthorized {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = &key
-	}
-	return keys, nil
 }

@@ -47,10 +47,25 @@ func (p memPort) Recv(want byte, size int) ([]byte, error) {
 	return msg[1:], nil
 }
 
+// tamperPort is an endpoint's end of a leg whose outgoing messages pass
+// through tamper first (each is already the receiver's copy).
+type tamperPort struct {
+	memPort
+	tamper func(msg []byte)
+}
+
+func (p tamperPort) Send(msg []byte) error {
+	msg = slices.Clone(msg)
+	p.tamper(msg)
+	p.out <- msg
+	return nil
+}
+
 // runOverPorts runs Run against epS (the client) and epR (the server),
 // each serving its leg over an in-memory port, and returns Run's result
-// and both endpoints' errors.
-func runOverPorts(epS, epR *Endpoint, mb *Middlebox) ([]*dpienc.TokenKey, error, [2]error) {
+// and both endpoints' errors. tamper, if set, sees every message an
+// endpoint sends, with its role, before the middlebox does.
+func runOverPorts(epS, epR *Endpoint, mb *Middlebox, tamper func(client bool, msg []byte)) ([]*dpienc.TokenKey, error, [2]error) {
 	mbC, epC := memLeg()
 	mbS, epSv := memLeg()
 	var epErr [2]error
@@ -60,8 +75,12 @@ func runOverPorts(epS, epR *Endpoint, mb *Middlebox) ([]*dpienc.TokenKey, error,
 		port   memPort
 		client bool
 	}{{epS, epC, true}, {epR, epSv, false}} {
+		var p Port = leg.port
+		if tamper != nil {
+			p = tamperPort{leg.port, func(msg []byte) { tamper(leg.client, msg) }}
+		}
 		go func() {
-			epErr[i] = leg.ep.Serve(leg.port, leg.client)
+			epErr[i] = leg.ep.Serve(p, leg.client)
 			done <- struct{}{}
 		}()
 	}
@@ -82,7 +101,7 @@ func TestRunOverPortsProducesCorrectTokenKeys(t *testing.T) {
 	frags := []string{"maliciou", "iciously", "autherok"}
 	epS, epR, mb, k, _ := setup(t, frags)
 	mb.req.Tags[2][0] ^= 1
-	keys, err, epErr := runOverPorts(epS, epR, mb)
+	keys, err, epErr := runOverPorts(epS, epR, mb, nil)
 	if err != nil || epErr[0] != nil || epErr[1] != nil {
 		t.Fatalf("Run = %v, client %v, server %v", err, epErr[0], epErr[1])
 	}
@@ -103,7 +122,7 @@ func TestRunOverPortsProducesCorrectTokenKeys(t *testing.T) {
 func TestRunRefusesMismatchedEndpoints(t *testing.T) {
 	epS, _, mb, _, kRG := setup(t, []string{"somefrag"})
 	cheat := NewEndpoint(bbcrypto.RandomBlock(), kRG, bbcrypto.RandomBlock())
-	_, err, epErr := runOverPorts(epS, cheat, mb)
+	_, err, epErr := runOverPorts(epS, cheat, mb, nil)
 	if err == nil {
 		t.Fatal("mismatched endpoints accepted")
 	}
@@ -111,6 +130,76 @@ func TestRunRefusesMismatchedEndpoints(t *testing.T) {
 		if !errors.Is(e, io.EOF) {
 			t.Fatalf("endpoint %d: %v, want it still waiting for Done", i, e)
 		}
+	}
+}
+
+// TestLabelCommitmentChecked: the middlebox checks each label the server's
+// OT hands over against the client's commitment at its choice bit. A wrong
+// label, or a wrong commitment at the chosen bit, ends preparation in
+// ErrLabelCommitment with no key for any fragment and neither endpoint told
+// Done. A wrong commitment at the bit the middlebox did not choose is never
+// checked, so it goes unnoticed and the keys come out right (DESIGN.md
+// substitution 1, "One OT phase"), as a wrong OT label at that bit does.
+func TestLabelCommitmentChecked(t *testing.T) {
+	const frag, wire = 1, 200 // a tag wire of the second fragment
+	frags := []string{"maliciou", "iciously"}
+	for _, tc := range []struct {
+		name   string
+		client bool // whose message is changed: the client's digests or the server's masked labels
+		chosen bool // the changed commitment is at the middlebox's choice bit
+	}{
+		{"(a) server's OT delivers a wrong label", false, true},
+		{"(b) client commits wrongly at the chosen bit", true, true},
+		{"(c) client commits wrongly at the other bit", true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			epS, epR, mb, k, _ := setup(t, frags)
+			choice := bit(mb.Choices(frag)[wire])
+			seen := 0
+			keys, err, epErr := runOverPorts(epS, epR, mb, func(client bool, msg []byte) {
+				switch {
+				case client != tc.client:
+				case client && msg[0] == SubDigest && binary.BigEndian.Uint32(msg[1:]) == frag:
+					b := choice
+					if !tc.chosen {
+						b = 1 - choice
+					}
+					msg[1+4+32+(2*wire+b)*16] ^= 1
+					seen++
+				case !client && msg[0] == SubMasked:
+					// Both masked blocks of the wire, so the label OT
+					// delivers is wrong whichever bit is chosen.
+					at := 1 + 2*(frag*OTWires+wire)*16
+					msg[at] ^= 1
+					msg[at+16] ^= 1
+					seen++
+				}
+			})
+			if seen != 1 {
+				t.Fatalf("changed %d messages, want 1", seen)
+			}
+			if !tc.chosen {
+				if err != nil || epErr[0] != nil || epErr[1] != nil {
+					t.Fatalf("Run = %v, client %v, server %v", err, epErr[0], epErr[1])
+				}
+				for i, f := range frags {
+					var tok [tokenize.TokenSize]byte
+					copy(tok[:], f)
+					if keys[i] == nil || *keys[i] != dpienc.ComputeTokenKey(k, tok) {
+						t.Fatalf("fragment %q: key %x, want AES_k of it", f, keys[i])
+					}
+				}
+				return
+			}
+			if !errors.Is(err, ErrLabelCommitment) || keys != nil {
+				t.Fatalf("Run = %d keys, %v, want no keys and ErrLabelCommitment", len(keys), err)
+			}
+			for i, e := range epErr {
+				if !errors.Is(e, io.EOF) {
+					t.Fatalf("endpoint %d: %v, want it still waiting for Done", i, e)
+				}
+			}
+		})
 	}
 }
 
@@ -176,8 +265,9 @@ func (p *scriptPort) Recv(want byte, size int) ([]byte, error) {
 
 // FuzzServe: an endpoint served any sequence of messages, of any subtype
 // and length, from a middlebox announcing at most two fragments, ends in an
-// error or nil, never a panic or a hang, and in nil only after the one legal
-// order: Start, MsgA, U, Done.
+// error or nil, never a panic or a hang, and in nil only after its role's
+// one legal order: Start, Done for a client; Start, MsgA, U, Done for a
+// server.
 func FuzzServe(f *testing.F) {
 	start := func(n uint32) []byte { return fuzzMsg(SubStart, binary.BigEndian.AppendUint32(nil, n)) }
 	point := elliptic.Marshal(elliptic.P256(), elliptic.P256().Params().Gx, elliptic.P256().Params().Gy)
@@ -190,6 +280,7 @@ func FuzzServe(f *testing.F) {
 	f.Add(true, slices.Concat(start(1), start(1)))
 	f.Add(false, slices.Concat(start(1), fuzzMsg(SubMsgA, make([]byte, len(point)))))
 	f.Add(false, legal[:len(legal)-3])
+	f.Add(true, slices.Concat(start(1), fuzzMsg(SubDone, nil)))
 	f.Fuzz(func(t *testing.T, client bool, data []byte) {
 		var msgs [][]byte
 		for len(data) >= 3 {
@@ -209,7 +300,11 @@ func FuzzServe(f *testing.F) {
 		if err := ep.Serve(p, client); err != nil {
 			return
 		}
-		if want := []byte{SubStart, SubMsgA, SubU, SubDone}; !bytes.Equal(p.got, want) {
+		want := []byte{SubStart, SubMsgA, SubU, SubDone}
+		if client {
+			want = []byte{SubStart, SubDone}
+		}
+		if !bytes.Equal(p.got, want) {
 			t.Fatalf("Serve returned nil after messages %v, want %v", p.got, want)
 		}
 	})

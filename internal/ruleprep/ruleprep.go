@@ -9,9 +9,11 @@
 // only the SHA-256 digest of the same message, and the middlebox accepts the
 // server's circuit only if its digest equals the client's (a hashed-circuit
 // commitment, DESIGN.md substitution 1). The middlebox then obtains the
-// input labels for its fragment and RG-tag bits by oblivious transfer (from
-// each endpoint, cross-checked), and evaluates the circuit to obtain the
-// fragment's DPIEnc token key.
+// input labels for its fragment and RG-tag bits by oblivious transfer from
+// the server, and accepts each label only if its hash equals the client's
+// commitment to that wire's label at the same choice bit (a label
+// commitment, DESIGN.md substitution 1, "One OT phase"). It evaluates the
+// circuit to obtain the fragment's DPIEnc token key.
 //
 // Both AES key schedules stay outside F: k and kRG are the endpoints' own
 // inputs, so an endpoint expands them once per connection and feeds F the
@@ -24,16 +26,21 @@
 // The middlebox runs the exchange with each endpoint over a Port (Run and
 // Endpoint.Serve), one leg per endpoint, in this order and no other; each
 // message is a subtype byte and a body of the one length BodyLen gives it,
-// for n fragments:
+// for n fragments. The client's leg is
 //
-//	MB → EP  SubStart    uint32 n                                    4 B
-//	EP → MB  SubCircuit  a server's circuit message, per fragment    CircuitMsgLen
-//	     or  SubDigest   a client's digest message, per fragment     36 B
-//	MB → EP  SubMsgA     the base-OT point                           65 B
-//	EP → MB  SubMsgB     128 base-OT response points                 128 × 65 B
-//	MB → EP  SubU        the IKNP correction matrix, 128 columns     128 × 32·n B
-//	EP → MB  SubMasked   two label blocks per OT wire                2 × 256·n × 16 B
-//	MB → EP  SubDone     empty: data may flow                        0
+//	MB → C   SubStart    uint32 n                                    4 B
+//	C → MB   SubDigest   a digest message, per fragment              DigestMsgLen
+//	MB → C   SubDone     empty: data may flow                        0
+//
+// and the server's
+//
+//	MB → S   SubStart    uint32 n                                    4 B
+//	S → MB   SubCircuit  a circuit message, per fragment             CircuitMsgLen
+//	MB → S   SubMsgA     the base-OT point                           65 B
+//	S → MB   SubMsgB     128 base-OT response points                 128 × 65 B
+//	MB → S   SubU        the IKNP correction matrix, 128 columns     128 × 32·n B
+//	S → MB   SubMasked   two label blocks per OT wire                2 × 256·n × 16 B
+//	MB → S   SubDone     empty: data may flow                        0
 package ruleprep
 
 import (
@@ -43,6 +50,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -82,10 +90,10 @@ const (
 
 // MaxFragments bounds the fragment count of one preparation run. The count
 // reaches an endpoint in an unauthenticated record from whoever sits on the
-// path, and every fragment costs it a garbling and 8 KiB of OT sender state,
-// so it is capped: an order of magnitude above the 3 000-rule set's 6 547
-// (delimiter) or 6 957 (window) fragments, the largest ruleset this
-// repository prepares (core.TestLargestRulesetFitsPreparationCap).
+// path, and every fragment costs it a garbling (and a server 8 KiB of OT
+// sender state), so it is capped: an order of magnitude above the 3 000-rule
+// set's 6 547 (delimiter) or 6 957 (window) fragments, the largest ruleset
+// this repository prepares (core.TestLargestRulesetFitsPreparationCap).
 const MaxFragments = 1 << 16
 
 // ErrTooManyFragments is returned, before anything is garbled, for a
@@ -108,6 +116,10 @@ type FragmentJob struct {
 	// (AppendCircuitMsg). Verify compares digests; a job fresh from Garble
 	// has none until its message is written.
 	Digest [sha256.Size]byte
+	// Commits are, in a middlebox-side client job, the client's commitments
+	// to the label of each OT wire at the middlebox's choice bit
+	// (ParseDigestMsg), OTWires of them.
+	Commits []bbcrypto.Block
 	// otPairs are the label pairs of the OT-transferred wires (x, tag).
 	//bb:secret
 	otPairs [][2]bbcrypto.Block
@@ -126,8 +138,9 @@ func NewFragmentJob(index int, g *garble.Garbled, endpointLabels []bbcrypto.Bloc
 	return job
 }
 
-// DigestMsgLen is the length of a digest message: the index and the digest.
-const DigestMsgLen = 4 + sha256.Size
+// DigestMsgLen is the length of a digest message: the index, the digest,
+// and two label commitments per OT wire.
+const DigestMsgLen = 4 + sha256.Size + 2*OTWires*bbcrypto.BlockSize
 
 // CircuitMsgLen returns the length of every circuit message. F is fixed
 // (garble's TestGarbledFIsPinned), so its garbled blob is too: the fixed
@@ -188,20 +201,65 @@ func ParseCircuitMsg(msg []byte) (*FragmentJob, error) {
 }
 
 // AppendDigestMsg appends the job's digest message to dst: uint32 index,
-// then the digest. It is the body of the client's SubDigest record.
+// the digest, then for each OT wire the commitments to its two labels,
+// bit 0's first. It is the body of the client's SubDigest record; the job
+// must come from Garble, which holds the label pairs.
 func (j *FragmentJob) AppendDigestMsg(dst []byte) []byte {
-	return append(binary.BigEndian.AppendUint32(dst, uint32(j.Index)), j.Digest[:]...)
+	dst = append(binary.BigEndian.AppendUint32(dst, uint32(j.Index)), j.Digest[:]...)
+	dst = slices.Grow(dst, 2*len(j.otPairs)*bbcrypto.BlockSize)
+	for w := range j.otPairs {
+		c0, c1 := commit(j.Index, w, false, &j.otPairs[w][0]), commit(j.Index, w, true, &j.otPairs[w][1])
+		dst = append(append(dst, c0[:]...), c1[:]...)
+	}
+	return dst
 }
 
-// ParseDigestMsg inverts AppendDigestMsg: the job carries only its index
-// and digest.
-func ParseDigestMsg(msg []byte) (*FragmentJob, error) {
+// ParseDigestMsg inverts AppendDigestMsg for the middlebox, whose choice
+// bits for the fragment are choices: the job carries the index, the digest
+// and, per OT wire, only the commitment at the choice bit.
+func ParseDigestMsg(msg []byte, choices []bool) (*FragmentJob, error) {
 	if len(msg) != DigestMsgLen {
 		return nil, fmt.Errorf("ruleprep: digest message of %d bytes, want %d", len(msg), DigestMsgLen)
 	}
-	job := &FragmentJob{Index: int(binary.BigEndian.Uint32(msg))}
+	if len(choices) != OTWires {
+		return nil, errors.New("ruleprep: wrong choice bit count")
+	}
+	job := &FragmentJob{Index: int(binary.BigEndian.Uint32(msg)), Commits: make([]bbcrypto.Block, OTWires)}
 	copy(job.Digest[:], msg[4:])
+	pairs := msg[4+sha256.Size:]
+	for w := range job.Commits {
+		pair := pairs[2*w*bbcrypto.BlockSize:]
+		copy(job.Commits[w][:], pair)
+		subtle.ConstantTimeCopy(bit(choices[w]), job.Commits[w][:], pair[bbcrypto.BlockSize:2*bbcrypto.BlockSize])
+	}
 	return job, nil
+}
+
+// commitDomain separates label commitments from every other hash in the
+// exchange, the garbling hash (a fixed-key AES) among them.
+const commitDomain = "blindbox ruleprep label commitment"
+
+// commit is the client's commitment to the label of OT wire w of fragment
+// index at bit b: SHA-256 of the domain, the index, the wire, the bit and
+// the label, truncated to a block.
+func commit(index, w int, b bool, label *bbcrypto.Block) (c bbcrypto.Block) {
+	var in [len(commitDomain) + 4 + 4 + 1 + bbcrypto.BlockSize]byte
+	n := copy(in[:], commitDomain)
+	binary.BigEndian.PutUint32(in[n:], uint32(index))
+	binary.BigEndian.PutUint32(in[n+4:], uint32(w))
+	in[n+8] = byte(bit(b))
+	copy(in[n+9:], label[:])
+	sum := sha256.Sum256(in[:])
+	copy(c[:], sum[:])
+	return c
+}
+
+// bit is b as 0 or 1.
+func bit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Endpoint is one endpoint's (S or R) state for a rule-preparation run.
@@ -365,9 +423,9 @@ func (m *Middlebox) Choices(i int) []bool {
 	return out
 }
 
-// Verify cross-checks the two endpoints' jobs for fragment i: equal
-// digests of their circuit messages, so identical garbled circuits and
-// identical endpoint labels. Since at least one endpoint is honest
+// Verify checks the client's job for fragment i against the server's:
+// equal digests of their circuit messages, so identical garbled circuits
+// and identical endpoint labels. Since at least one endpoint is honest
 // (§2.2.2), equality proves correctness.
 func (m *Middlebox) Verify(jobS, jobR *FragmentJob) error {
 	if jobS.Index != jobR.Index {
@@ -379,6 +437,29 @@ func (m *Middlebox) Verify(jobS, jobR *FragmentJob) error {
 	}
 	if subtle.ConstantTimeCompare(jobS.Digest[:], jobR.Digest[:]) != 1 {
 		return errors.New("ruleprep: endpoints disagree on garbled circuit")
+	}
+	return nil
+}
+
+// ErrLabelCommitment is returned when a label the server's OT handed over
+// does not hash to the client's commitment for its wire at the middlebox's
+// choice bit: the endpoints disagree, and preparation yields no key.
+var ErrLabelCommitment = errors.New("ruleprep: OT label does not match the client's commitment")
+
+// checkCommitments compares, in constant time, the hash of each label the
+// server's OT delivered for fragment i with the client's commitment at the
+// choice bit of its wire.
+func checkCommitments(i int, commits, labels []bbcrypto.Block, choices []bool) error {
+	if len(commits) != len(labels) || len(choices) != len(labels) {
+		return ErrLabelCommitment
+	}
+	ok := 1
+	for w := range labels {
+		c := commit(i, w, choices[w], &labels[w])
+		ok &= subtle.ConstantTimeCompare(c[:], commits[w][:])
+	}
+	if ok != 1 {
+		return ErrLabelCommitment
 	}
 	return nil
 }
@@ -413,87 +494,160 @@ func (m *Middlebox) Evaluate(i int, job *FragmentJob, otLabels []bbcrypto.Block)
 	return key, nil
 }
 
-// VerifyAndEvaluate is the middlebox's finishing work for fragment i, the
-// same for Run and RunLocal: it cross-checks the endpoints' digests and
-// their OT labels, evaluates the job that carries a circuit (jobR's when
+// VerifyAndEvaluate is the middlebox's finishing work for fragment i when
+// both endpoints' OT delivered labels: it compares the endpoints' digests
+// and their labels, evaluates the job that carries a circuit (jobR's when
 // both do) and, when tracing, records a prep.rule_enc span covering it.
+// Only the benchmark's replay calls it, re-enacting two OT legs (ROADMAP
+// 1(b)); Run and RunLocal check the server's labels against the client's
+// commitments instead.
 func (m *Middlebox) VerifyAndEvaluate(i int, jobS, jobR *FragmentJob, labS, labR []bbcrypto.Block) (dpienc.TokenKey, error) {
 	start := time.Now()
+	key, sp, err := m.ruleEnc(i, jobS, jobR, labS, equalLabels(labS, labR))
+	m.fr.Span(m.tctx.Child(), start, sp)
+	return key, err
+}
+
+// equalLabels is VerifyAndEvaluate's label check: both legs' OT delivered
+// the same labels.
+func equalLabels(labS, labR []bbcrypto.Block) error {
+	if len(labS) != len(labR) {
+		return errors.New("ruleprep: OT label count mismatch")
+	}
+	for b := range labS {
+		if subtle.ConstantTimeCompare(labS[b][:], labR[b][:]) != 1 {
+			return errors.New("ruleprep: endpoints disagree on OT labels")
+		}
+	}
+	return nil
+}
+
+// ruleEnc verifies fragment i's jobs and, if labelErr (the result of the
+// label check) is nil, evaluates the job that carries a circuit (jobR's
+// when both do) on labels. It returns the key and the prep.rule_enc span
+// that describes the work, its error set unless the fragment is merely
+// unauthorized.
+func (m *Middlebox) ruleEnc(i int, jobS, jobR *FragmentJob, labels []bbcrypto.Block, labelErr error) (dpienc.TokenKey, obs.Span, error) {
 	job := jobR
 	if job.G == nil {
 		job = jobS
 	}
-	key, err := m.verifyAndEvaluate(i, jobS, jobR, job, labS, labR)
 	sp := obs.Span{Name: obs.SpanPrepRuleEnc}
 	if job.G != nil {
 		st := job.G.Stats()
 		sp.Gates, sp.Rows, sp.Bytes = st.Gates, st.TableRows, st.WireBytes
 	}
-	if err != nil && err != ErrUnauthorized {
-		sp.Err = err.Error()
-	}
-	m.fr.Span(m.tctx.Child(), start, sp)
-	return key, err
-}
-
-// verifyAndEvaluate is VerifyAndEvaluate without the tracing wrapper.
-func (m *Middlebox) verifyAndEvaluate(i int, jobS, jobR, job *FragmentJob, labS, labR []bbcrypto.Block) (dpienc.TokenKey, error) {
-	if err := m.Verify(jobS, jobR); err != nil {
-		return dpienc.TokenKey{}, err
-	}
-	if job.G == nil {
-		return dpienc.TokenKey{}, errors.New("ruleprep: neither endpoint's job carries a circuit")
-	}
-	if len(labS) != len(labR) {
-		return dpienc.TokenKey{}, errors.New("ruleprep: OT label count mismatch")
-	}
-	for b := range labS {
-		if subtle.ConstantTimeCompare(labS[b][:], labR[b][:]) != 1 {
-			return dpienc.TokenKey{}, errors.New("ruleprep: endpoints disagree on OT labels")
+	err := m.Verify(jobS, jobR)
+	switch {
+	case err != nil:
+	case job.G == nil:
+		err = errors.New("ruleprep: neither endpoint's job carries a circuit")
+	case labelErr != nil:
+		err = labelErr
+	default:
+		var key dpienc.TokenKey
+		if key, err = m.Evaluate(i, job, labels); err == nil || err == ErrUnauthorized {
+			return key, sp, err
 		}
 	}
-	return m.Evaluate(i, job, labS)
+	sp.Err = err.Error()
+	return dpienc.TokenKey{}, sp, err
+}
+
+// evaluate verifies and evaluates every fragment from the client's digest
+// jobs and the server's circuit jobs and OT labels, each label checked
+// against the client's commitment at its choice bit; unauthorized keys are
+// nil, and any other failure yields no key at all. Each fragment's
+// rule_enc span starts where the last stage ended, the first at start.
+// finish, if set, runs before the last span ends (Run sends Done there),
+// and its error is evaluate's.
+func (m *Middlebox) evaluate(client, server []*FragmentJob, labels []bbcrypto.Block, choices []bool, start time.Time, finish func() error) ([]*dpienc.TokenKey, error) {
+	keys := make([]*dpienc.TokenKey, m.NumFragments())
+	var sp obs.Span
+	for i := range keys {
+		if i > 0 {
+			start = m.span(start, sp)
+		}
+		lo, hi := i*OTWires, (i+1)*OTWires
+		var (
+			key dpienc.TokenKey
+			err error
+		)
+		key, sp, err = m.ruleEnc(i, client[i], server[i], labels[lo:hi], checkCommitments(i, client[i].Commits, labels[lo:hi], choices[lo:hi]))
+		if err == ErrUnauthorized {
+			continue
+		}
+		if err != nil {
+			m.span(start, sp)
+			return nil, err
+		}
+		keys[i] = &key
+	}
+	var err error
+	if finish != nil {
+		err = finish()
+	}
+	if len(keys) > 0 {
+		m.span(start, sp)
+	}
+	return keys, err
+}
+
+// span records sp as a child of the middlebox's prep span, from start to
+// now, and returns now: where the next stage starts, so that consecutive
+// stages leave no gap between them.
+func (m *Middlebox) span(start time.Time, sp obs.Span) time.Time {
+	end := time.Now()
+	m.fr.Span(m.tctx.Child(), start, sp)
+	return end
 }
 
 // RunLocal performs the complete rule preparation in process, without
 // Ports — §7.2.2's setup cells and the benchmark time it — one leg after the
-// other: the endpoint garbles every fragment, epS (the client) keeping each
-// circuit message's digest and epR (the server) the job, one OT extension
-// covers all wires, and then the middlebox verifies and evaluates as Run
-// does. It returns every fragment's token key (nil if unauthorized) and the
-// bytes of epR's circuit and epS's digest messages.
+// other: epS (the client) garbles every fragment and writes its digest
+// message, which the middlebox parses as Run does; epR (the server) garbles
+// every fragment, keeping the job; one OT extension covers the server's
+// wires; and then the middlebox verifies and evaluates as Run does. It
+// returns every fragment's token key (nil if unauthorized) and the bytes of
+// epS's digest and epR's circuit messages.
 func RunLocal(epS, epR *Endpoint, mb *Middlebox) ([]*dpienc.TokenKey, int, error) {
 	n := mb.NumFragments()
 	choices := mb.choices()
 	var (
-		jobs   [2][]*FragmentJob
-		labels [2][]bbcrypto.Block
-		msg    []byte
+		client, server []*FragmentJob
+		msg            []byte
 	)
 	bytesOnWire := 0
-	for leg, ep := range []*Endpoint{epS, epR} {
-		pairs := make([][2]bbcrypto.Block, 0, n*OTWires)
-		err := ep.GarbleEach(n, func(job *FragmentJob) error {
-			pairs = append(pairs, job.OTPairs()...)
-			msg = job.AppendCircuitMsg(msg[:0])
-			job.Digest = sha256.Sum256(msg)
-			if leg == 0 {
-				job = &FragmentJob{Index: job.Index, Digest: job.Digest}
-				bytesOnWire += DigestMsgLen
-			} else {
-				bytesOnWire += len(msg)
-			}
-			jobs[leg] = append(jobs[leg], job)
-			return nil
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		if labels[leg], err = ot.ExtTransfer(pairs, choices); err != nil {
-			return nil, 0, err
-		}
+	err := epS.GarbleEach(n, func(job *FragmentJob) error {
+		msg = job.AppendCircuitMsg(msg[:0])
+		job.Digest = sha256.Sum256(msg)
+		msg = job.AppendDigestMsg(msg[:0])
+		bytesOnWire += len(msg)
+		lo := job.Index * OTWires
+		parsed, err := ParseDigestMsg(msg, choices[lo:lo+OTWires])
+		client = append(client, parsed)
+		return err
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	keys, err := mb.evaluate(jobs, labels)
+	pairs := make([][2]bbcrypto.Block, 0, n*OTWires)
+	err = epR.GarbleEach(n, func(job *FragmentJob) error {
+		msg = job.AppendCircuitMsg(msg[:0])
+		job.Digest = sha256.Sum256(msg)
+		bytesOnWire += len(msg)
+		pairs = append(pairs, job.OTPairs()...)
+		server = append(server, job)
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	labels, err := ot.ExtTransfer(pairs, choices)
+	if err != nil {
+		return nil, 0, err
+	}
+	keys, err := mb.evaluate(client, server, labels, choices, time.Now(), nil)
 	if err != nil {
 		return nil, 0, err
 	}

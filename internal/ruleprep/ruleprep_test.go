@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -59,6 +60,11 @@ func TestRunLocalProducesCorrectTokenKeys(t *testing.T) {
 	// F's 11 775 AND gates make 376 953 bytes of garbled blob.
 	if got := len(job.AppendCircuitMsg(nil)); got != circuitMsg || got != CircuitMsgLen() || got != 422_021 {
 		t.Fatalf("circuit message of %d bytes, want %d = CircuitMsgLen() %d = 422 021", got, circuitMsg, CircuitMsgLen())
+	}
+	// The client's digest message: index, digest, two 16-byte label
+	// commitments for each of 256 OT wires.
+	if DigestMsgLen != 8_228 {
+		t.Fatalf("DigestMsgLen = %d, want 8 228", DigestMsgLen)
 	}
 	if want := len(frags) * (circuitMsg + DigestMsgLen); wireBytes != want {
 		t.Fatalf("RunLocal counts %d wire bytes, want %d", wireBytes, want)
@@ -188,6 +194,56 @@ func TestMismatchedEndpointsDetected(t *testing.T) {
 	// A job that carries no digest is never accepted, even against another.
 	if err := mb.Verify(jobH, jobH); err == nil {
 		t.Fatal("jobs without digests accepted")
+	}
+}
+
+// TestDigestMsgKeepsChosenCommitments: a client's digest message carries
+// its circuit message's SHA-256 and both label commitments of every OT
+// wire; the middlebox's parse keeps the digest and, per wire, the one
+// 16-byte commitment at its choice bit, which the label OT delivers to it
+// passes and the other label fails.
+func TestDigestMsgKeepsChosenCommitments(t *testing.T) {
+	epS, _, mb, _, _ := setup(t, []string{"fragmen1", "fragmen2"})
+	job, err := epS.Garble(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.Digest = sha256.Sum256(job.AppendCircuitMsg(nil))
+	msg := job.AppendDigestMsg(nil)
+	if len(msg) != DigestMsgLen {
+		t.Fatalf("digest message of %d bytes, want %d", len(msg), DigestMsgLen)
+	}
+	choices := mb.Choices(1)
+	got, err := ParseDigestMsg(msg, choices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Index != 1 || got.Digest != job.Digest || got.G != nil || len(got.Commits) != OTWires {
+		t.Fatalf("parsed index %d, %d commitments, digest equal %v", got.Index, len(got.Commits), got.Digest == job.Digest)
+	}
+	chosen := make([]bbcrypto.Block, OTWires)
+	other := make([]bbcrypto.Block, OTWires)
+	for w, c := range choices {
+		chosen[w], other[w] = job.OTPairs()[w][bit(c)], job.OTPairs()[w][1-bit(c)]
+	}
+	if err := checkCommitments(1, got.Commits, chosen, choices); err != nil {
+		t.Fatalf("chosen labels fail their commitments: %v", err)
+	}
+	for w := range other {
+		labels := slices.Clone(chosen)
+		labels[w] = other[w]
+		if err := checkCommitments(1, got.Commits, labels, choices); !errors.Is(err, ErrLabelCommitment) {
+			t.Fatalf("wire %d's other label: %v, want ErrLabelCommitment", w, err)
+		}
+	}
+	// A commitment binds its fragment index: fragment 0 does not accept it.
+	if err := checkCommitments(0, got.Commits, chosen, choices); !errors.Is(err, ErrLabelCommitment) {
+		t.Fatalf("commitments checked under another index: %v, want ErrLabelCommitment", err)
+	}
+	for _, n := range []int{DigestMsgLen - 1, DigestMsgLen + 1} {
+		if _, err := ParseDigestMsg(make([]byte, n), choices); err == nil {
+			t.Fatalf("digest message of %d bytes accepted", n)
+		}
 	}
 }
 

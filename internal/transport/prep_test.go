@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -94,26 +95,22 @@ func TestPreparationHoldsBoundedCircuits(t *testing.T) {
 
 // TestClientPreparationHoldsBoundedCircuits is the client's twin: the same
 // garbling bound, and each record is the fragment's digest message, the
-// SHA-256 of the circuit message a server with the same keys sends.
+// SHA-256 of the circuit message a server with the same keys sends and the
+// commitments to that server's OT label pairs. Those records are all the
+// client sends: its Serve returns nil at the Done that follows them.
 func TestClientPreparationHoldsBoundedCircuits(t *testing.T) {
 	server := ruleprep.NewEndpoint(prepKeys.K, prepTagKey, prepKeys.KRand)
 	checkBoundedPreparation(t, true, func(i int, sub byte, msg []byte) {
 		if sub != ruleprep.SubDigest {
 			t.Fatalf("record %d: sub %d, want a digest", i, sub)
 		}
-		job, err := ruleprep.ParseDigestMsg(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if job.Index != i {
-			t.Fatalf("record %d carries fragment %d", i, job.Index)
-		}
 		want, err := server.Garble(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if job.Digest != sha256.Sum256(want.AppendCircuitMsg(nil)) {
-			t.Fatalf("record %d: digest is not that of the server's circuit message", i)
+		want.Digest = sha256.Sum256(want.AppendCircuitMsg(nil))
+		if !bytes.Equal(msg, want.AppendDigestMsg(nil)) {
+			t.Fatalf("record %d is not the digest message of the server's fragment %d", i, i)
 		}
 	})
 }
@@ -121,8 +118,10 @@ func TestClientPreparationHoldsBoundedCircuits(t *testing.T) {
 // checkBoundedPreparation asks an endpoint in the given role for 64
 // fragments, stalls until it has garbled as far ahead as it may, checks it
 // gets no further, and then drains its records through check, holding the
-// endpoint to GOMAXPROCS + 1 live circuits throughout. A Done sent where
-// the base-OT message is due then ends the run in a *ruleprep.MessageError.
+// endpoint to GOMAXPROCS + 1 live circuits throughout. It then sends Done,
+// which ends a client's run in nil (so it wrote nothing more: net.Pipe
+// holds a writer until its bytes are read) and a server's, where the
+// base-OT message is due, in a *ruleprep.MessageError.
 func checkBoundedPreparation(t *testing.T, client bool, check func(i int, sub byte, msg []byte)) {
 	const n = 64
 	w := &prepWatcher{t: t, bound: int64(runtime.GOMAXPROCS(0) + 1), reached: make(chan struct{})}
@@ -159,11 +158,15 @@ func checkBoundedPreparation(t *testing.T, client bool, check func(i int, sub by
 		}
 		check(i, body[0], body[1:])
 	}
-	// The endpoint refuses the record from its header and never reads the
+	// A server refuses the record from its header and never reads the
 	// body, so the write only ends when the pipe closes.
 	go func() { _ = WriteRecord(mb, RecGarble, []byte{ruleprep.SubDone}) }()
+	err := <-done
 	var msgErr *ruleprep.MessageError
-	if err := <-done; !errors.As(err, &msgErr) || msgErr.Want != ruleprep.SubMsgA {
+	if client && err != nil {
+		t.Fatalf("client Serve at Done after its digests: %v, want nil", err)
+	}
+	if !client && (!errors.As(err, &msgErr) || msgErr.Want != ruleprep.SubMsgA) {
 		t.Fatalf("Serve after a Done in place of the OT phase: %v, want a *ruleprep.MessageError for the base-OT message", err)
 	}
 	if got := w.garbled.Load(); got != n {

@@ -141,8 +141,12 @@ func TestOneSocketWritePerWrite(t *testing.T) {
 // a connection's buffers have grown: a Write and the peer's Read of it,
 // counted across both goroutines. Every buffer either side touches belongs
 // to its Conn. The write deadline is off because
-// net.Pipe allocates a timer for each one; a TCP socket does not.
+// net.Pipe allocates a timer for each one; a TCP socket does not. Skipped
+// under -race, whose instrumentation allocates on its own account.
 func TestSteadyStateRecordAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
 	cfg := ConnConfig{Core: core.DefaultConfig(), Timeouts: Timeouts{Write: NoTimeout}}
 	client, server := pipePair(t, cfg, func(c net.Conn) net.Conn { return c })
 	text := []byte(strings.Repeat("GET /search?q=encrypted+inspection HTTP/1.1\r\n", 6)[:256])
