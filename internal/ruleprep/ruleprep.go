@@ -59,7 +59,6 @@ import (
 	"repro/internal/dpienc"
 	"repro/internal/garble"
 	"repro/internal/obs"
-	"repro/internal/ot"
 )
 
 // FixedGarblingKey is the public fixed key of the garbling hash. It need
@@ -559,8 +558,8 @@ func (m *Middlebox) ruleEnc(i int, jobS, jobR *FragmentJob, labels []bbcrypto.Bl
 // against the client's commitment at its choice bit; unauthorized keys are
 // nil, and any other failure yields no key at all. Each fragment's
 // rule_enc span starts where the last stage ended, the first at start.
-// finish, if set, runs before the last span ends (Run sends Done there),
-// and its error is evaluate's.
+// finish runs before the last span ends (Run sends Done there), and its
+// error is evaluate's.
 func (m *Middlebox) evaluate(client, server []*FragmentJob, labels []bbcrypto.Block, choices []bool, start time.Time, finish func() error) ([]*dpienc.TokenKey, error) {
 	keys := make([]*dpienc.TokenKey, m.NumFragments())
 	var sp obs.Span
@@ -583,10 +582,7 @@ func (m *Middlebox) evaluate(client, server []*FragmentJob, labels []bbcrypto.Bl
 		}
 		keys[i] = &key
 	}
-	var err error
-	if finish != nil {
-		err = finish()
-	}
+	err := finish()
 	if len(keys) > 0 {
 		m.span(start, sp)
 	}
@@ -602,54 +598,80 @@ func (m *Middlebox) span(start time.Time, sp obs.Span) time.Time {
 	return end
 }
 
-// RunLocal performs the complete rule preparation in process, without
-// Ports — §7.2.2's setup cells and the benchmark time it — one leg after the
-// other: epS (the client) garbles every fragment and writes its digest
-// message, which the middlebox parses as Run does; epR (the server) garbles
-// every fragment, keeping the job; one OT extension covers the server's
-// wires; and then the middlebox verifies and evaluates as Run does. It
-// returns every fragment's token key (nil if unauthorized) and the bytes of
-// epS's digest and epR's circuit messages.
+// RunLocal performs the complete rule preparation in process — §7.2.2's
+// setup cells and the benchmark time it: epS (the client) and epR (the
+// server) each Serve their leg and the middlebox Runs both, over in-process
+// Ports, so the exchange has one order, Run's. It returns every fragment's
+// token key (nil if unauthorized) and the bytes of epS's digest and epR's
+// circuit messages.
 func RunLocal(epS, epR *Endpoint, mb *Middlebox) ([]*dpienc.TokenKey, int, error) {
-	n := mb.NumFragments()
-	choices := mb.choices()
+	mbDone := make(chan struct{})
 	var (
-		client, server []*FragmentJob
-		msg            []byte
+		mbEnds [2]*localPort
+		epEnds [2]*localPort
+		epErrs [2]error
+		wg     sync.WaitGroup
 	)
-	bytesOnWire := 0
-	err := epS.GarbleEach(n, func(job *FragmentJob) error {
-		msg = job.AppendCircuitMsg(msg[:0])
-		job.Digest = sha256.Sum256(msg)
-		msg = job.AppendDigestMsg(msg[:0])
-		bytesOnWire += len(msg)
-		lo := job.Index * OTWires
-		parsed, err := ParseDigestMsg(msg, choices[lo:lo+OTWires])
-		client = append(client, parsed)
-		return err
-	})
+	for i, ep := range [2]*Endpoint{epS, epR} {
+		toEP, toMB, epDone := make(chan []byte), make(chan []byte), make(chan struct{})
+		mbEnds[i] = &localPort{in: toMB, out: toEP, gone: epDone}
+		epEnds[i] = &localPort{in: toEP, out: toMB, gone: mbDone}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			epErrs[i] = ep.Serve(epEnds[i], i == 0)
+			close(epDone)
+		}()
+	}
+	keys, err := mb.Run(mbEnds[0], mbEnds[1])
+	close(mbDone)
+	wg.Wait()
 	if err != nil {
+		for _, e := range epErrs {
+			if !errors.Is(e, errLegClosed) {
+				err = errors.Join(err, e)
+			}
+		}
 		return nil, 0, err
 	}
-	pairs := make([][2]bbcrypto.Block, 0, n*OTWires)
-	err = epR.GarbleEach(n, func(job *FragmentJob) error {
-		msg = job.AppendCircuitMsg(msg[:0])
-		job.Digest = sha256.Sum256(msg)
-		bytesOnWire += len(msg)
-		pairs = append(pairs, job.OTPairs()...)
-		server = append(server, job)
+	return keys, epEnds[0].jobBytes + epEnds[1].jobBytes, nil
+}
+
+// errLegClosed ends a localPort call whose peer has returned.
+var errLegClosed = errors.New("ruleprep: in-process leg closed")
+
+// localPort is one end of an in-process leg. Each message crosses an
+// unbuffered channel as its own copy, so a sent message has been received;
+// Recv holds it to its subtype and length as transport.PrepPort does. Both
+// calls give up once the peer has returned (gone is closed).
+type localPort struct {
+	in   <-chan []byte
+	out  chan<- []byte
+	gone <-chan struct{}
+	// jobBytes counts the bodies of the digest and circuit messages sent.
+	jobBytes int
+}
+
+func (p *localPort) Send(msg []byte) error {
+	if msg[0] == SubDigest || msg[0] == SubCircuit {
+		p.jobBytes += len(msg) - 1
+	}
+	select {
+	case p.out <- slices.Clone(msg):
 		return nil
-	})
-	if err != nil {
-		return nil, 0, err
+	case <-p.gone:
+		return errLegClosed
 	}
-	labels, err := ot.ExtTransfer(pairs, choices)
-	if err != nil {
-		return nil, 0, err
+}
+
+func (p *localPort) Recv(want byte, size int) ([]byte, error) {
+	select {
+	case msg := <-p.in:
+		if len(msg) != 1+size || msg[0] != want {
+			return nil, &MessageError{Want: want, Size: size}
+		}
+		return msg[1:], nil
+	case <-p.gone:
+		return nil, errLegClosed
 	}
-	keys, err := mb.evaluate(client, server, labels, choices, time.Now(), nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	return keys, bytesOnWire, nil
 }
