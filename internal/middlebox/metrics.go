@@ -34,6 +34,7 @@ type mbMetrics struct {
 	shardDepth  *obs.GaugeVec
 	timeouts    *obs.CounterVec
 	retries     *obs.CounterVec
+	resume      *obs.CounterVec
 
 	scan      *obs.Histogram
 	barrier   *obs.Histogram
@@ -64,6 +65,7 @@ func newMBMetrics(r *obs.Registry) *mbMetrics {
 		shardDepth:  r.GaugeVec(obs.MBShardQueueDepth, obs.Help(obs.MBShardQueueDepth), "shard"),
 		timeouts:    r.CounterVec(obs.MBTimeoutsTotal, obs.Help(obs.MBTimeoutsTotal), "step"),
 		retries:     r.CounterVec(obs.MBRetriesTotal, obs.Help(obs.MBRetriesTotal), "op"),
+		resume:      r.CounterVec(obs.MBOTResumeTotal, obs.Help(obs.MBOTResumeTotal), "outcome"),
 
 		scan:      r.Histogram(obs.MBScanSeconds, obs.Help(obs.MBScanSeconds), obs.LatencyBuckets),
 		barrier:   r.Histogram(obs.MBBarrierWaitSeconds, obs.Help(obs.MBBarrierWaitSeconds), obs.LatencyBuckets),

@@ -168,6 +168,7 @@ type Middlebox struct {
 	trace     obs.Sink
 	recorder  *obs.Recorder
 	log       *slog.Logger
+	kept      keptBases
 
 	// lifecycle: Close waits for active connections, then drains the
 	// detection pool. setup tracks connections still in their setup phase
@@ -413,27 +414,10 @@ func (mb *Middlebox) interpose(id uint64, client, server net.Conn) (retErr error
 	}
 
 	// 2. Rule preparation with both endpoints (the "garble threads").
-	prepStart := time.Now()
-	prepCtx := flowCtx.Child()
-	req := core.BuildRequest(mb.cfg.Ruleset, cfg.Mode)
-	prep, err := ruleprep.NewMiddlebox(req)
+	keys, err := mb.prepare(id, cl, sv, cfg.Mode, fr, flowCtx.Child())
 	if err != nil {
 		return err
 	}
-	prep.SetTrace(fr, prepCtx)
-	// Building the rule-encryption circuit F dominates NewMiddlebox and is
-	// part of the §3.3 rule-encryption step; without this span the head of
-	// the preparation window would be unattributed.
-	fr.Span(prepCtx.Child(), prepStart, obs.Span{Name: obs.SpanPrepRuleEnc, Gates: prep.CircuitANDs(), Rows: len(req.Fragments)})
-	setDeadline(deadlineFor(mb.tmo.Prep), client, server)
-	prepped, err := prep.Run(transport.PrepPort{R: cl.rd, W: client}, transport.PrepPort{R: sv.rd, W: server})
-	setDeadline(time.Time{}, client, server)
-	if err != nil {
-		return fmt.Errorf("middlebox: rule preparation: %w", mb.stepTimeout(id, "prep", err))
-	}
-	keys := core.TokenKeysFromPrep(req, prepped)
-	mb.met.prep.Observe(time.Since(prepStart).Seconds())
-	fr.Span(prepCtx, prepStart, obs.Span{Name: obs.SpanPrep})
 
 	// Setup is done: from here on Close drains instead of severing.
 	mb.endSetup(id)
@@ -562,6 +546,70 @@ type flow struct {
 	skipBytes int
 	pt        []byte
 	sec       *baseline.Stream
+}
+
+// prepare runs rule preparation with both endpoints under the Prep
+// deadline and returns the connection's token keys. The OT with the server
+// resumes the base phase kept for its address, if the server accepts it
+// (DESIGN.md substitution 1, "Kept base phases").
+func (mb *Middlebox) prepare(id uint64, cl, sv *leg, mode tokenize.Mode, fr *obs.FlowRecorder, prepCtx obs.SpanCtx) (detect.TokenKeys, error) {
+	prepStart := time.Now()
+	req := core.BuildRequest(mb.cfg.Ruleset, mode)
+	prep, err := ruleprep.NewMiddlebox(req)
+	if err != nil {
+		return nil, err
+	}
+	prep.SetTrace(fr, prepCtx)
+	prep.Keep(mb.kept.get(sv.conn.RemoteAddr().String()))
+	// Building the rule-encryption circuit F dominates NewMiddlebox and is
+	// part of the §3.3 rule-encryption step; without this span the head of
+	// the preparation window would be unattributed.
+	fr.Span(prepCtx.Child(), prepStart, obs.Span{Name: obs.SpanPrepRuleEnc, Gates: prep.CircuitANDs(), Rows: len(req.Fragments)})
+	setDeadline(deadlineFor(mb.tmo.Prep), cl.conn, sv.conn)
+	prepped, err := prep.Run(transport.PrepPort{R: cl.rd, W: cl.conn}, transport.PrepPort{R: sv.rd, W: sv.conn})
+	setDeadline(time.Time{}, cl.conn, sv.conn)
+	if o := prep.Resumption(); o != "" {
+		mb.met.resume.With(o).Inc()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("middlebox: rule preparation: %w", mb.stepTimeout(id, "prep", err))
+	}
+	mb.met.prep.Observe(time.Since(prepStart).Seconds())
+	fr.Span(prepCtx, prepStart, obs.Span{Name: obs.SpanPrep})
+	return core.TokenKeysFromPrep(req, prepped), nil
+}
+
+// maxKeptBases bounds the base phases the middlebox keeps, one per
+// upstream address, ≈ 4 KiB each.
+const maxKeptBases = 1024
+
+// keptBases is the middlebox's kept base phases, one per upstream address.
+type keptBases struct {
+	mu sync.Mutex
+	m  map[string]*ruleprep.KeptBase
+}
+
+// get returns the kept base phase for addr, making room when the store is
+// full by forgetting another upstream's.
+func (k *keptBases) get(addr string) *ruleprep.KeptBase {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if kb := k.m[addr]; kb != nil {
+		return kb
+	}
+	if k.m == nil {
+		k.m = make(map[string]*ruleprep.KeptBase)
+	}
+	if len(k.m) >= maxKeptBases {
+		for a, kb := range k.m {
+			kb.Clear()
+			delete(k.m, a)
+			break
+		}
+	}
+	kb := new(ruleprep.KeptBase)
+	k.m[addr] = kb
+	return kb
 }
 
 func (mb *Middlebox) newFlow(id uint64, dir Direction, cfg core.Config, keys detect.TokenKeys, kill func()) *flow {

@@ -65,6 +65,7 @@ func legs(mbPort ruleprep.Port, client bool) (ruleprep.Port, ruleprep.Port) {
 // finished.
 func runPrepAgainst(prep *ruleprep.Middlebox, client bool, raw ...[]byte) error {
 	ours, theirs := net.Pipe()
+	hangGuard(ours, theirs)
 	peer := make(chan struct{})
 	go func() {
 		defer close(peer)
@@ -84,6 +85,19 @@ func runPrepAgainst(prep *ruleprep.Middlebox, client bool, raw ...[]byte) error 
 	theirs.Close()
 	return err
 }
+
+// hangGuard gives each pipe end a generous deadline. It guards against a
+// hang and is not a timing assertion: a peer whose messages no longer fit
+// the exchange fails a read or write in a minute instead of at go test's
+// timeout, and tests assert on the error's type or text only.
+func hangGuard(conns ...net.Conn) {
+	for _, c := range conns {
+		_ = c.SetDeadline(time.Now().Add(time.Minute))
+	}
+}
+
+// verdictRecord is a server's SubVerdict record with body v.
+func verdictRecord(v byte) []byte { return prepRecord(ruleprep.SubVerdict, []byte{v}) }
 
 // prepRecord frames one preparation message.
 func prepRecord(sub byte, msg []byte) []byte {
@@ -108,12 +122,14 @@ func noGoroutineLeak(t *testing.T, base int) {
 	}
 }
 
-// TestPrepRefusesMalformedLeg pins DESIGN.md §10's parse-ambiguity rows 5
-// and 6 through the port the middlebox reads each leg with: a client digest
-// message of the wrong length (refused from its header), or with an index
-// out of order, and a leg that sends the other role's message, each end
-// that leg's preparation in an error before anything is evaluated, leaking
-// no goroutine.
+// TestPrepRefusesMalformedLeg pins DESIGN.md §10's parse-ambiguity rows 5,
+// 6 and 13 through the port the middlebox reads each leg with: a client
+// digest message of the wrong length (refused from its header), or with an
+// index out of order, a leg that sends the other role's message, and a
+// server verdict other than the one byte 0 (the middlebox proposes no kept
+// state here, so 1 resumes nothing), each end that leg's preparation in an
+// error before anything is evaluated, leaking no goroutine. A server's
+// cases send the verdict first where they test a later message.
 func TestPrepRefusesMalformedLeg(t *testing.T) {
 	circuitMsg := binary.BigEndian.AppendUint32(make([]byte, 4), 16) // index 0, a 16-byte blob that is not one
 	circuitMsg = append(circuitMsg, make([]byte, 16+4)...)
@@ -132,7 +148,12 @@ func TestPrepRefusesMalformedLeg(t *testing.T) {
 		{"row 5: index out of range", true, [][]byte{digestRecord(prepFragments)}, "bad fragment index"},
 		{"row 5: index repeated", true, [][]byte{digestRecord(0), digestRecord(0)}, "bad fragment index"},
 		{"row 6: client sends a circuit", true, [][]byte{prepRecord(ruleprep.SubCircuit, circuitMsg)}, "expected prep message"},
-		{"row 6: server sends a digest", false, [][]byte{digestRecord(0)}, "expected prep message"},
+		{"row 6: server sends a digest", false, [][]byte{verdictRecord(0), digestRecord(0)}, "expected prep message"},
+		{"row 13: verdict 2", false, [][]byte{verdictRecord(2)}, "verdict"},
+		{"row 13: verdict 1 where nothing was proposed", false, [][]byte{verdictRecord(1)}, "verdict"},
+		{"row 13: verdict of two bytes", false, [][]byte{prepRecord(ruleprep.SubVerdict, []byte{0, 0})}, "exceeds its cap"},
+		{"row 13: empty verdict", false, [][]byte{prepRecord(ruleprep.SubVerdict, nil)}, "expected prep message"},
+		{"row 13: circuit where the verdict is due", false, [][]byte{prepRecord(ruleprep.SubCircuit, circuitMsg)}, "exceeds its cap"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -214,6 +235,7 @@ func probePrep(t *testing.T, client, toEndpoint bool, probe *capProbe) error {
 	}
 	ours, theirs := net.Pipe()
 	defer ours.Close()
+	hangGuard(ours, theirs)
 	var mbPort ruleprep.Port = transport.PrepPort{R: bufio.NewReader(ours), W: ours}
 	epPort := func(p ruleprep.Port) ruleprep.Port { return tamperPort{p, probe} }
 	if toEndpoint {
@@ -229,6 +251,7 @@ func probePrep(t *testing.T, client, toEndpoint bool, probe *capProbe) error {
 	if probe.sub == ruleprep.SubDone {
 		otherMB, otherEP := net.Pipe()
 		defer otherMB.Close()
+		hangGuard(otherMB, otherEP)
 		run(otherEP, !client, func(p ruleprep.Port) ruleprep.Port { return p })
 		other := transport.PrepPort{R: bufio.NewReader(otherMB), W: otherMB}
 		if client {
@@ -261,9 +284,11 @@ func TestClientPrepRecordCap(t *testing.T) {
 	}{
 		{"client", true, false, ruleprep.SubDigest},
 		{"server", false, false, ruleprep.SubCircuit},
+		{"server Verdict", false, false, ruleprep.SubVerdict},
 		{"server MsgB", false, false, ruleprep.SubMsgB},
 		{"server Masked", false, false, ruleprep.SubMasked},
-		{"endpoint Start", false, true, ruleprep.SubStart},
+		{"client Start", true, true, ruleprep.SubStart},
+		{"server Resume", false, true, ruleprep.SubResume},
 		{"endpoint MsgA", false, true, ruleprep.SubMsgA},
 		{"endpoint U", false, true, ruleprep.SubU},
 		{"endpoint Done", true, true, ruleprep.SubDone},
@@ -334,6 +359,7 @@ func TestClientOTMessageAfterDigests(t *testing.T) {
 	cOurs, cTheirs := net.Pipe()
 	sOurs, sTheirs := net.Pipe()
 	defer func() { cTheirs.Close(); sTheirs.Close() }()
+	hangGuard(cTheirs, sTheirs) // Interpose sets and clears the middlebox's own
 	hello := transport.MarshalHello(transport.Hello{PublicKey: make([]byte, 32)})
 	endpoint := func(c net.Conn, client bool) <-chan error {
 		done := make(chan error, 1)

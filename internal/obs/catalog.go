@@ -13,7 +13,8 @@ package obs
 // histograms end in their unit (_seconds, _bytes); vec metrics carry
 // exactly one label, named in the help string.
 const (
-	// middlebox (label owners: sid on alerts_by_sid, shard on queue depth)
+	// middlebox (label owners: sid on alerts_by_sid, shard on queue depth,
+	// outcome on ot_resume)
 	MBConnectionsTotal   = "blindbox_mb_connections_total"
 	MBConnErrorsTotal    = "blindbox_mb_conn_errors_total"
 	MBTokensScannedTotal = "blindbox_mb_tokens_scanned_total"
@@ -27,6 +28,7 @@ const (
 	MBBarrierWaitSeconds = "blindbox_mb_barrier_wait_seconds"
 	MBHandshakeSeconds   = "blindbox_mb_handshake_seconds"
 	MBPrepSeconds        = "blindbox_mb_prep_seconds"
+	MBOTResumeTotal      = "blindbox_mb_ot_resume_total"
 
 	// middlebox fault-tolerance layer (label owners: step on timeouts,
 	// op on retries)
@@ -70,6 +72,7 @@ var Catalog = map[string]string{
 	MBBarrierWaitSeconds: "Time the forwarding goroutine waited on the detection barrier before a data/close record.",
 	MBHandshakeSeconds:   "Middlebox hello-interposition duration per connection.",
 	MBPrepSeconds:        "Obfuscated rule encryption duration per connection (both legs).",
+	MBOTResumeTotal:      "Dials by what became of the base OT phase kept with their server; label: outcome (hit: resumed, no base OT ran; miss: none kept, a base phase ran and is kept; refused: the server refused the kept state, a base phase ran).",
 
 	MBTimeoutsTotal:        "Deadline expiries by blocking step; label: step (handshake, prep, idle, write, barrier).",
 	MBRetriesTotal:         "Backoff retries performed by the middlebox; label: op (dial).",

@@ -6,6 +6,7 @@ package ot
 
 import (
 	"crypto/elliptic"
+	"encoding/binary"
 	"errors"
 
 	"repro/internal/bbcrypto"
@@ -30,19 +31,26 @@ var rowHash = bbcrypto.NewFixedKeyHash(Block([]byte("blindbox iknp cr")))
 
 // ExtSender is the sender of the extended OTs (in BlindBox: the endpoint,
 // which holds the label pairs). Internally it plays the *receiver* of the
-// base OTs with a random choice vector s.
+// base OTs with a random choice vector s. It extends at one position (At):
+// dial c of a kept base phase uses rows [c·2³², c·2³² + m), every column
+// PRG read from AES-CTR block c·2²⁵ on, so no two dials share a PRG block
+// or a row tweak. A fresh sender is at position 0.
 type ExtSender struct {
 	//bb:secret
 	s Block // choice bit i is bit i%8 of byte i/8
 	//bb:secret
 	seeds [kappa]Block // k_i^{s_i}
+	c     uint32
 }
 
 // ExtReceiver is the receiver of the extended OTs (in BlindBox: the
 // middlebox, choosing labels by its rule bits). Internally it plays the
-// *sender* of the base OTs.
+// *sender* of the base OTs. Like ExtSender it extends at one position.
 type ExtReceiver struct {
-	base *baseSender
+	base *baseSender // nil in a receiver made by At
+	//bb:secret
+	keys [kappa][2]Block // k_i^0, k_i^1
+	c    uint32
 	m    int
 	t    []byte // kappa columns of (m+7)/8 bytes, column i at i*(m+7)/8
 }
@@ -60,6 +68,20 @@ func NewExtReceiver() (*ExtReceiver, [][]byte, error) {
 // NewExtSender creates the sender with a fresh random base-choice vector.
 func NewExtSender() *ExtSender {
 	return &ExtSender{s: bbcrypto.RandomBlock()}
+}
+
+// At returns a sender that shares s's base phase and extends at position
+// c. The caller must never use one position twice.
+func (s *ExtSender) At(c uint32) *ExtSender {
+	at := *s
+	at.c = c
+	return &at
+}
+
+// At returns a receiver that shares r's base phase (Base must have run) and
+// extends at position c. The caller must never use one position twice.
+func (r *ExtReceiver) At(c uint32) *ExtReceiver {
+	return &ExtReceiver{keys: r.keys, c: c}
 }
 
 // bit returns bit i of b, 0 or 1.
@@ -90,12 +112,48 @@ func (s *ExtSender) BaseRespond(msgAs [][]byte) ([][]byte, error) {
 
 // Extend consumes the base responses and the receiver's m choice bits,
 // returning the correction matrix u (kappa columns of m bits) for the
-// sender. It also fixes the T matrix used to decrypt the final messages.
+// sender: Base, then Correct.
 func (r *ExtReceiver) Extend(msgBs [][]byte, choices []bool) ([][]byte, error) {
-	if len(msgBs) != kappa {
-		return nil, &CountError{What: "base responses", Got: len(msgBs), Want: kappa}
+	if err := r.Base(msgBs); err != nil {
+		return nil, err
 	}
+	return r.Correct(choices)
+}
+
+// Base consumes the base responses and keeps both keys of every base OT,
+// from which r and every receiver At makes from it extend (Correct).
+// Anything but kappa responses is a *CountError.
+func (r *ExtReceiver) Base(msgBs [][]byte) error {
+	if len(msgBs) != kappa {
+		return &CountError{What: "base responses", Got: len(msgBs), Want: kappa}
+	}
+	if r.base == nil {
+		return errors.New("ot: no base phase to complete")
+	}
+	for i := range r.keys {
+		k0, k1, err := r.base.keys(i, msgBs[i])
+		if err != nil {
+			return err
+		}
+		r.keys[i] = [2]Block{k0, k1}
+	}
+	return nil
+}
+
+// maxRows bounds one extension: a position owns 2³² rows.
+const maxRows = 1 << 32
+
+// errTooWide refuses an extension that would run into the next position.
+var errTooWide = errors.New("ot: extension wider than one position")
+
+// Correct returns the correction matrix u (kappa columns of m bits) for
+// the receiver's m choice bits at its position, and fixes the T matrix
+// used to decrypt the final messages.
+func (r *ExtReceiver) Correct(choices []bool) ([][]byte, error) {
 	m := len(choices)
+	if uint64(m) > maxRows {
+		return nil, errTooWide
+	}
 	cols := (m + 7) / 8
 	choiceBits := make([]byte, cols)
 	for j, c := range choices {
@@ -107,13 +165,9 @@ func (r *ExtReceiver) Extend(msgBs [][]byte, choices []bool) ([][]byte, error) {
 	ub := make([]byte, kappa*cols)
 	u := make([][]byte, kappa)
 	for i := range u {
-		k0, k1, err := r.base.keys(i, msgBs[i])
-		if err != nil {
-			return nil, err
-		}
 		ti, ui := t[i*cols:(i+1)*cols], ub[i*cols:(i+1)*cols:(i+1)*cols]
-		bbcrypto.NewPRG(k0).Read(ti)
-		bbcrypto.NewPRG(k1).Read(ui)
+		prgAt(ti, &r.keys[i][0], r.c)
+		prgAt(ui, &r.keys[i][1], r.c)
 		for b := range ui {
 			ui[b] ^= ti[b] ^ choiceBits[b]
 		}
@@ -123,13 +177,37 @@ func (r *ExtReceiver) Extend(msgBs [][]byte, choices []bool) ([][]byte, error) {
 	return u, nil
 }
 
+// prgAt fills dst with the AES-CTR stream of key from block c·2²⁵ on, the
+// stretch position c owns: at c = 0 it is bbcrypto.NewPRG(key)'s stream.
+// The schedule stays on the stack, so a column costs no allocation.
+func prgAt(dst []byte, key *Block, c uint32) {
+	var (
+		sched   bbcrypto.Schedule
+		ctr, ks Block
+	)
+	sched.Expand(key)
+	first := uint64(c) << 25
+	for off := 0; off < len(dst); off += bbcrypto.BlockSize {
+		binary.BigEndian.PutUint64(ctr[8:], first+uint64(off/bbcrypto.BlockSize))
+		sched.Encrypt(&ks, &ctr)
+		copy(dst[off:], ks[:])
+	}
+}
+
+// tweak is the row hash's tweak for row j at position c: the row's global
+// index, so that no two rows of one base phase share one.
+func tweak(c uint32, j int) uint64 { return uint64(c)<<32 | uint64(j) }
+
 // Send consumes the correction matrix and the m message pairs, producing
-// the masked pairs for the receiver.
+// the masked pairs for the receiver, at the sender's position.
 func (s *ExtSender) Send(u [][]byte, pairs [][2]Block) ([][2]Block, error) {
 	if len(u) != kappa {
 		return nil, &CountError{What: "correction columns", Got: len(u), Want: kappa}
 	}
 	m := len(pairs)
+	if uint64(m) > maxRows {
+		return nil, errTooWide
+	}
 	cols := (m + 7) / 8
 	// Column i of Q: PRG(seed_i) ⊕ s_i·u_i, with s_i applied as a mask.
 	q := make([]byte, kappa*cols)
@@ -138,7 +216,7 @@ func (s *ExtSender) Send(u [][]byte, pairs [][2]Block) ([][2]Block, error) {
 			return nil, errors.New("ot: correction column of the wrong length")
 		}
 		qi := q[i*cols : (i+1)*cols]
-		bbcrypto.NewPRG(s.seeds[i]).Read(qi)
+		prgAt(qi, &s.seeds[i], s.c)
 		mask := -byte(bit(&s.s, i))
 		for b := range qi {
 			qi[b] ^= ui[b] & mask
@@ -151,7 +229,8 @@ func (s *ExtSender) Send(u [][]byte, pairs [][2]Block) ([][2]Block, error) {
 	for j := 0; j < m; j += 2 {
 		j1 := min(j+1, m-1) // an odd m hashes its last row twice
 		h := [4]Block{rows[j], rows[j].XOR(s.s), rows[j1], rows[j1].XOR(s.s)}
-		rowHash.CRHash4(&h, &h, &[4]uint64{uint64(j), uint64(j), uint64(j1), uint64(j1)})
+		tj, tj1 := tweak(s.c, j), tweak(s.c, j1)
+		rowHash.CRHash4(&h, &h, &[4]uint64{tj, tj, tj1, tj1})
 		out[j] = [2]Block{pairs[j][0].XOR(h[0]), pairs[j][1].XOR(h[1])}
 		out[j1] = [2]Block{pairs[j1][0].XOR(h[2]), pairs[j1][1].XOR(h[3])}
 	}
@@ -193,7 +272,7 @@ func (r *ExtReceiver) Receive(masked [][2]Block, choices []bool) ([]Block, error
 		var tw [4]uint64
 		for l := range h {
 			jl := min(j+l, r.m-1)
-			h[l], tw[l] = rows[jl], uint64(jl)
+			h[l], tw[l] = rows[jl], tweak(r.c, jl)
 		}
 		rowHash.CRHash4(&h, &h, &tw)
 		for l := 0; l < 4 && j+l < r.m; l++ {

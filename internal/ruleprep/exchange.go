@@ -25,6 +25,8 @@ const (
 	SubMasked
 	SubDone
 	SubDigest
+	SubResume
+	SubVerdict
 )
 
 // BodyLen is the length of every body of message sub in a run of n
@@ -33,6 +35,10 @@ func BodyLen(sub byte, n int) int {
 	switch sub {
 	case SubStart:
 		return 4
+	case SubResume:
+		return resumeLen
+	case SubVerdict:
+		return 1
 	case SubCircuit:
 		return CircuitMsgLen()
 	case SubDigest:
@@ -74,19 +80,50 @@ func (e *MessageError) Error() string {
 }
 
 // Serve runs the endpoint's leg over p in the one order the exchange
-// allows for its role: Start, then each fragment's circuit message (a
-// server) or digest message (a client), then a server's OT sender half,
-// returning nil at Done; anything else is an error. The endpoint never
-// learns the rules: it garbles the generic F, and a server hands over
-// labels only through OT, a client only commitments to them.
+// allows for its role: Start (a client) or Resume and the verdict (a
+// server), then each fragment's circuit message (a server) or digest
+// message (a client), then a server's OT sender half, returning nil at
+// Done; anything else is an error. The endpoint never learns the rules: it
+// garbles the generic F, and a server hands over labels only through OT, a
+// client only commitments to them.
 func (e *Endpoint) Serve(p Port, client bool) error {
-	body, err := p.Recv(SubStart, BodyLen(SubStart, 0))
+	sub := SubResume
+	if client {
+		sub = SubStart
+	}
+	body, err := p.Recv(sub, BodyLen(sub, 0))
 	if err != nil {
 		return err
 	}
-	// The count is the peer's word; GarbleEach refuses one over MaxFragments
-	// and holds a bounded number of circuits however slowly the peer reads.
+	// The count is the peer's word: it is refused over MaxFragments before
+	// anything is sent, and GarbleEach holds a bounded number of circuits
+	// however slowly the peer reads.
 	n := int(binary.BigEndian.Uint32(body))
+	if n > MaxFragments {
+		return fmt.Errorf("%w: %d", ErrTooManyFragments, n)
+	}
+	var (
+		id     StateID
+		sender *ot.ExtSender // a server's resumed OT sender, if any
+	)
+	if !client {
+		var c uint32
+		if id, c, err = parseResume(body); err != nil {
+			return err
+		}
+		verdict := verdictBase
+		if c > 0 {
+			if sender = keptSenders.resume(id, c); sender != nil {
+				verdict = verdictResume
+			}
+			// A refused resumption is not kept: the middlebox may have
+			// handed positions of the old state to concurrent dials.
+			id = StateID{}
+		}
+		if err := p.Send([]byte{SubVerdict, verdict}); err != nil {
+			return err
+		}
+	}
 	var (
 		pairs [][2]bbcrypto.Block // a server's OT sender inputs
 		msg   []byte              // the outgoing message, reused by every send
@@ -108,16 +145,12 @@ func (e *Endpoint) Serve(p Port, client bool) error {
 		_, err = p.Recv(SubDone, BodyLen(SubDone, n))
 		return err
 	}
-	msgA, err := p.Recv(SubMsgA, BodyLen(SubMsgA, n))
-	if err != nil {
-		return err
+	var u []byte
+	if sender != nil {
+		u, err = p.Recv(SubU, BodyLen(SubU, n))
+	} else {
+		u, sender, err = serverBase(p, id, n)
 	}
-	sender := ot.NewExtSender()
-	msgBs, err := sender.BaseRespond([][]byte{msgA})
-	if err != nil {
-		return err
-	}
-	u, err := exchange(p, message(SubMsgB, msgBs), SubU, n)
 	if err != nil {
 		return err
 	}
@@ -126,6 +159,24 @@ func (e *Endpoint) Serve(p Port, client bool) error {
 	}
 	_, err = exchange(p, msg, SubDone, n)
 	return err
+}
+
+// serverBase runs a server's base phase over p and keeps its outcome under
+// id (the server's store keeps nothing under the zero ID, nor replaces a
+// state), then receives the correction matrix.
+func serverBase(p Port, id StateID, n int) ([]byte, *ot.ExtSender, error) {
+	msgA, err := p.Recv(SubMsgA, BodyLen(SubMsgA, n))
+	if err != nil {
+		return nil, nil, err
+	}
+	sender := ot.NewExtSender()
+	msgBs, err := sender.BaseRespond([][]byte{msgA})
+	if err != nil {
+		return nil, nil, err
+	}
+	keptSenders.keep(id, sender)
+	u, err := exchange(p, message(SubMsgB, msgBs), SubU, n)
+	return u, sender, err
 }
 
 // exchange sends msg over p and receives the reply due, message want of a
@@ -188,16 +239,28 @@ func columns(b []byte, k int) [][]byte {
 // Run runs the middlebox's side with both endpoints at once, a goroutine
 // per leg: the client's digest messages, keeping each wire's commitment at
 // the middlebox's choice bit; the server's circuits, each hashed once as it
-// is parsed, then one OT extension for every fragment's choice bits. Then
+// is parsed, then one OT extension for every fragment's choice bits,
+// resumed from the kept base phase when the server accepts it (Keep). Then
 // it verifies and evaluates every fragment and sends each endpoint Done. It
 // returns every fragment's token key (nil if unauthorized), or the failed
 // legs' errors joined, or the first verification error (ErrLabelCommitment
 // for a label that fails its commitment). Each leg records a labels span,
-// the server's also ot_base and ot_ext spans, and each fragment a rule_enc
-// span; they follow one another from Run's entry to its return.
-func (m *Middlebox) Run(client, server Port) ([]*dpienc.TokenKey, error) {
+// the server's also ot_base (empty when resumed) and ot_ext spans, and each
+// fragment a rule_enc span; they follow one another from Run's entry to
+// its return.
+func (m *Middlebox) Run(client, server Port) (keys []*dpienc.TokenKey, err error) {
 	start := time.Now()
 	choices := m.choices()
+	m.dial, m.outcome = dialOT{}, ""
+	if m.kept != nil {
+		m.dial.id, m.dial.c, m.dial.recv = m.kept.reserve()
+		// A state the two sides may disagree on is not used again.
+		defer func() {
+			if err != nil && m.dial.resumed {
+				m.kept.drop(m.dial.id)
+			}
+		}()
+	}
 	var (
 		jobs   [2][]*FragmentJob
 		labels []bbcrypto.Block
@@ -234,19 +297,59 @@ func (m *Middlebox) Run(client, server Port) ([]*dpienc.TokenKey, error) {
 	})
 }
 
-// recvJobs sends p's endpoint Start and receives its jobs in index order:
-// a client's digest messages, each keeping only the commitments at the
-// fragment's choice bits, or a server's circuit messages, each hashed as it
-// is parsed. Its labels span, which includes the wait for the endpoint's
+// dialOT is one Run's OT with the server: the state ID and position it
+// proposes and, when a state is kept, the receiver at that position.
+type dialOT struct {
+	id      StateID
+	c       uint32
+	recv    *ot.ExtReceiver
+	resumed bool // the server's verdict
+}
+
+// errVerdict refuses a verdict byte other than 0 or 1, and a 1 for a
+// Start that proposed nothing to resume.
+var errVerdict = errors.New("ruleprep: server's verdict is neither a base phase nor the resumption proposed")
+
+// Keep makes Run propose resuming the base phase kb keeps with the server,
+// and keep in kb the one it runs when nothing is kept. Without it Run sends
+// the all-zero ID and always runs a base phase.
+func (m *Middlebox) Keep(kb *KeptBase) { m.kept = kb }
+
+// Resumption reports how the last Run's base phase went with a kept state
+// (ResumeHit, ResumeMiss or ResumeRefused), or "" when Run had none or
+// failed before the server's verdict.
+func (m *Middlebox) Resumption() string { return m.outcome }
+
+// recvJobs sends p's endpoint Start (a client) or Resume (a server, whose
+// verdict it then reads) and receives its jobs in index order: a client's
+// digest messages, each keeping only the commitments at the fragment's
+// choice bits, or a server's circuit messages, each hashed as it is
+// parsed. Its labels span, which includes the wait for the endpoint's
 // garbling, runs from start; it returns where the span ended.
 func (m *Middlebox) recvJobs(p Port, client bool, choices []bool, start time.Time) ([]*FragmentJob, time.Time, error) {
 	n := m.NumFragments()
-	if err := p.Send(binary.BigEndian.AppendUint32([]byte{SubStart}, uint32(n))); err != nil {
-		return nil, start, err
-	}
 	sub, sp := SubCircuit, obs.Span{Dir: "server", Name: obs.SpanPrepLabels}
 	if client {
 		sub, sp.Dir = SubDigest, "client"
+		if err := p.Send(binary.BigEndian.AppendUint32([]byte{SubStart}, uint32(n))); err != nil {
+			return nil, start, err
+		}
+	} else {
+		verdict, err := exchange(p, appendResume(nil, n, m.dial.id, m.dial.c), SubVerdict, n)
+		if err != nil {
+			return nil, start, err
+		}
+		switch {
+		case verdict[0] == verdictResume && m.dial.recv != nil:
+			m.dial.resumed, m.outcome = true, ResumeHit
+		case verdict[0] != verdictBase:
+			return nil, start, errVerdict
+		case m.dial.recv != nil:
+			m.outcome = ResumeRefused
+			m.kept.drop(m.dial.id)
+		case m.kept != nil:
+			m.outcome = ResumeMiss
+		}
 	}
 	jobs := make([]*FragmentJob, n)
 	for i := range jobs {
@@ -275,22 +378,35 @@ func (m *Middlebox) recvJobs(p Port, client bool, choices []bool, start time.Tim
 }
 
 // transfer runs oblivious transfer with the server for every fragment's
-// choice bits and returns the labels it delivered, OTWires per fragment.
-// Its ot_base and ot_ext spans follow one another from start; it returns
-// where the second ended.
+// choice bits and returns the labels it delivered, OTWires per fragment:
+// at the reserved position of the kept base phase when the server resumed
+// it, else after a base phase, which kb keeps when this Run proposed a
+// fresh ID. Its ot_base and ot_ext spans follow one another from start; it
+// returns where the second ended.
 func (m *Middlebox) transfer(p Port, choices []bool, start time.Time) ([]bbcrypto.Block, time.Time, error) {
 	n := m.NumFragments()
-	recv, msgAs, err := ot.NewExtReceiver()
-	if err != nil {
-		return nil, start, err
+	recv, base := m.dial.recv, obs.Span{Dir: "server", Name: obs.SpanPrepOTBase}
+	if !m.dial.resumed {
+		var msgAs [][]byte
+		var err error
+		if recv, msgAs, err = ot.NewExtReceiver(); err != nil {
+			return nil, start, err
+		}
+		msgB, err := exchange(p, message(SubMsgA, msgAs), SubMsgB, n)
+		if err != nil {
+			return nil, start, err
+		}
+		if err := recv.Base(columns(msgB, ot.BaseOTs)); err != nil {
+			return nil, start, err
+		}
+		if m.kept != nil && m.dial.c == 0 {
+			m.kept.keep(m.dial.id, recv)
+		}
+		base.Bytes = len(msgB)
 	}
-	msgB, err := exchange(p, message(SubMsgA, msgAs), SubMsgB, n)
-	if err != nil {
-		return nil, start, err
-	}
-	start = m.span(start, obs.Span{Dir: "server", Name: obs.SpanPrepOTBase, Bytes: len(msgB)})
+	start = m.span(start, base)
 
-	u, err := recv.Extend(columns(msgB, ot.BaseOTs), choices)
+	u, err := recv.Correct(choices)
 	if err != nil {
 		return nil, start, err
 	}

@@ -387,6 +387,10 @@ type Middlebox struct {
 	circ *circuit.Circuit
 	req  Request
 
+	kept    *KeptBase // Keep's; nil keeps nothing
+	dial    dialOT    // the last Run's OT with the server
+	outcome string    // Resumption's
+
 	fr   *obs.FlowRecorder
 	tctx obs.SpanCtx
 }

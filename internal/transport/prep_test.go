@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bbcrypto"
 	"repro/internal/circuit"
@@ -58,6 +59,10 @@ func prepOverPipe(t *testing.T, w *prepWatcher, client bool) (net.Conn, <-chan e
 	t.Helper()
 	ours, theirs := net.Pipe()
 	t.Cleanup(func() { ours.Close(); theirs.Close() })
+	// A guard, not a timing assertion: a peer whose messages no longer fit
+	// the exchange fails its read or write here instead of hanging until
+	// go test's timeout. Tests assert on the error's type only.
+	hangGuard(ours, theirs)
 	ep := ruleprep.NewEndpoint(prepKeys.K, prepTagKey, prepKeys.KRand)
 	ep.SetTrace(obs.StreamFlow(w, 1, obs.PartyServer, obs.SpanCtx{}), obs.SpanCtx{})
 	done := make(chan error, 1)
@@ -65,8 +70,35 @@ func prepOverPipe(t *testing.T, w *prepWatcher, client bool) (net.Conn, <-chan e
 	return ours, done
 }
 
-func prepStart(n uint32) []byte {
-	return binary.BigEndian.AppendUint32([]byte{ruleprep.SubStart}, n)
+// hangGuard gives each pipe end a generous deadline.
+func hangGuard(conns ...net.Conn) {
+	for _, c := range conns {
+		_ = c.SetDeadline(time.Now().Add(time.Minute))
+	}
+}
+
+// prepStart is the middlebox's first message to an endpoint announcing n
+// fragments: a client's Start, or a server's Resume proposing no kept
+// state.
+func prepStart(n uint32, client bool) []byte {
+	if client {
+		return binary.BigEndian.AppendUint32([]byte{ruleprep.SubStart}, n)
+	}
+	msg := binary.BigEndian.AppendUint32([]byte{ruleprep.SubResume}, n)
+	return append(msg, make([]byte, ruleprep.BodyLen(ruleprep.SubResume, 0)-4)...)
+}
+
+// readVerdict reads a server's verdict record and fails the test unless it
+// is a full base phase, all a server answers a Resume proposing nothing.
+func readVerdict(t *testing.T, mb net.Conn) {
+	t.Helper()
+	typ, body, err := ReadRecord(mb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ != RecGarble || !bytes.Equal(body, []byte{ruleprep.SubVerdict, 0}) {
+		t.Fatalf("record %d %x where the verdict is due, want a base phase", typ, body)
+	}
 }
 
 // TestPreparationHoldsBoundedCircuits: a middlebox asks a server for 64
@@ -126,8 +158,11 @@ func checkBoundedPreparation(t *testing.T, client bool, check func(i int, sub by
 	const n = 64
 	w := &prepWatcher{t: t, bound: int64(runtime.GOMAXPROCS(0) + 1), reached: make(chan struct{})}
 	mb, done := prepOverPipe(t, w, client)
-	if err := WriteRecord(mb, RecGarble, prepStart(n)); err != nil {
+	if err := WriteRecord(mb, RecGarble, prepStart(n, client)); err != nil {
 		t.Fatal(err)
+	}
+	if !client {
+		readVerdict(t, mb)
 	}
 
 	// Stalled: nothing is read until the endpoint has garbled as far ahead
@@ -186,9 +221,10 @@ func TestPreparationRefusesWrongBasePointCount(t *testing.T) {
 	}
 	for _, n := range []int{0, 128} {
 		mb, done := prepOverPipe(t, &prepWatcher{t: t, bound: 1 << 30}, false)
-		if err := WriteRecord(mb, RecGarble, prepStart(1)); err != nil {
+		if err := WriteRecord(mb, RecGarble, prepStart(1, false)); err != nil {
 			t.Fatal(err)
 		}
+		readVerdict(t, mb)
 		if _, _, err := ReadRecord(mb); err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +249,7 @@ func TestPreparationRefusesHostileCount(t *testing.T) {
 	for _, n := range []uint32{ruleprep.MaxFragments + 1, 1<<32 - 1} {
 		w := &prepWatcher{t: t, bound: 1 << 30, reached: make(chan struct{})}
 		mb, done := prepOverPipe(t, w, false)
-		if err := WriteRecord(mb, RecGarble, prepStart(n)); err != nil {
+		if err := WriteRecord(mb, RecGarble, prepStart(n, false)); err != nil {
 			t.Fatal(err)
 		}
 		if err := <-done; !errors.Is(err, ruleprep.ErrTooManyFragments) {
@@ -234,7 +270,7 @@ func TestPreparationRefusesSecondStart(t *testing.T) {
 	mb, done := prepOverPipe(t, w, false)
 	go func() { _, _ = io.Copy(io.Discard, mb) }()
 	go func() {
-		for _, rec := range [][]byte{prepStart(1), prepStart(1), {ruleprep.SubDone}} {
+		for _, rec := range [][]byte{prepStart(1, false), prepStart(1, false), {ruleprep.SubDone}} {
 			if WriteRecord(mb, RecGarble, rec) != nil {
 				return
 			}
