@@ -169,8 +169,9 @@ func TestPrepRefusesMalformedLeg(t *testing.T) {
 }
 
 // capProbe puts raw bytes on the wire in place of the nth message of
-// subtype sub, and measures the allocation from just before they are
-// written until the receiver's Recv of that message fails.
+// subtype sub, ending the sender's side there, and measures the allocation
+// from just before they are written until the receiver's Recv of that
+// message fails.
 type capProbe struct {
 	sub  byte
 	nth  int
@@ -195,9 +196,15 @@ func (t tamperPort) Send(msg []byte) error {
 		return t.Port.Send(msg)
 	}
 	runtime.ReadMemStats(&t.p.before)
-	_, err := t.p.conn.Write(t.p.raw)
-	return err
+	if _, err := t.p.conn.Write(t.p.raw); err != nil {
+		return err
+	}
+	// The sender stops here, so that nothing it would do next (a server
+	// garbles after its verdict) runs beside the read being measured.
+	return errProbeSent
 }
+
+var errProbeSent = errors.New("probe sent")
 
 // watchPort is the receiving side's port.
 type watchPort struct {
@@ -287,8 +294,8 @@ func TestClientPrepRecordCap(t *testing.T) {
 		{"server Verdict", false, false, ruleprep.SubVerdict},
 		{"server MsgB", false, false, ruleprep.SubMsgB},
 		{"server Masked", false, false, ruleprep.SubMasked},
+		{"endpoint Start", false, true, ruleprep.SubResume}, // the server's Start
 		{"client Start", true, true, ruleprep.SubStart},
-		{"server Resume", false, true, ruleprep.SubResume},
 		{"endpoint MsgA", false, true, ruleprep.SubMsgA},
 		{"endpoint U", false, true, ruleprep.SubU},
 		{"endpoint Done", true, true, ruleprep.SubDone},

@@ -36,6 +36,7 @@ var catalogKind = map[string]struct {
 	obs.MBBarrierWaitSeconds: {kind: "histogram"},
 	obs.MBHandshakeSeconds:   {kind: "histogram"},
 	obs.MBPrepSeconds:        {kind: "histogram"},
+	obs.MBOTResumeTotal:      {kind: "countervec", label: "outcome"},
 
 	obs.MBTimeoutsTotal:        {kind: "countervec", label: "step"},
 	obs.MBRetriesTotal:         {kind: "countervec", label: "op"},

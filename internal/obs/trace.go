@@ -45,7 +45,7 @@ const (
 // the paper's setup table regenerates from traces (bbtrace -assemble).
 const (
 	SpanPrepGarble  = "prep.garble"   // endpoint: garbling one AES circuit
-	SpanPrepOTBase  = "prep.ot_base"  // middlebox server leg: base-OT round (keys + msgA/msgB)
+	SpanPrepOTBase  = "prep.ot_base"  // middlebox server leg: base-OT round (keys + msgA/msgB); empty when the kept base phase resumed
 	SpanPrepOTExt   = "prep.ot_ext"   // middlebox server leg: IKNP extension + label unmask
 	SpanPrepLabels  = "prep.labels"   // middlebox leg: garbled rows + endpoint labels (server), digests + label commitments (client)
 	SpanPrepRuleEnc = "prep.rule_enc" // middlebox: verify + evaluate one rule circuit

@@ -3,6 +3,7 @@ package ot
 import (
 	"bytes"
 	"crypto/elliptic"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"slices"
@@ -319,4 +320,155 @@ func FuzzOTMessages(f *testing.F) {
 func onCurve(p []byte) bool {
 	x, _ := elliptic.Unmarshal(curve, p)
 	return x != nil
+}
+
+// TestPRGAtIsCTR: the column PRG at position c is AES-CTR from block
+// c·2²⁵ on, and at position 0 it is bbcrypto.NewPRG's stream byte for
+// byte, so a fresh extension is what it was before positions existed.
+func TestPRGAtIsCTR(t *testing.T) {
+	key := bbcrypto.RandomBlock()
+	for _, n := range []int{0, 1, 16, 37, 192} {
+		got, want := make([]byte, n), make([]byte, n)
+		prgAt(got, &key, 0)
+		bbcrypto.NewPRG(key).Read(want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d bytes at position 0 differ from NewPRG", n)
+		}
+	}
+	aes := bbcrypto.NewAES(key)
+	for _, c := range []uint32{1, 2, 1<<32 - 1} {
+		got := make([]byte, 40)
+		prgAt(got, &key, c)
+		for b := 0; b < 3; b++ {
+			var ctr, ks Block
+			binary.BigEndian.PutUint64(ctr[:], uint64(c)>>39)
+			binary.BigEndian.PutUint64(ctr[8:], uint64(c)<<25+uint64(b))
+			aes.Encrypt(ks[:], ctr[:])
+			if !bytes.Equal(got[16*b:min(16*b+16, len(got))], ks[:min(16, len(got)-16*b)]) {
+				t.Fatalf("position %d block %d is not AES-CTR block c·2²⁵ + %d", c, b, b)
+			}
+		}
+	}
+}
+
+// keptBase runs one base phase and returns both sides, from which dials
+// extend at their positions.
+func keptBase(t testing.TB) (*ExtReceiver, *ExtSender) {
+	t.Helper()
+	recv, msgAs, err := NewExtReceiver()
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := NewExtSender()
+	msgBs, err := send.BaseRespond(msgAs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := recv.Base(msgBs); err != nil {
+		t.Fatal(err)
+	}
+	return recv, send
+}
+
+// TestDialsFromOneBasePhase: dials at positions 0, 1 and 7 of one base
+// phase each deliver the chosen message of every pair. With the same choice
+// bits their correction matrices share no 16-byte block, which they would
+// wherever two dials read one PRG block, and their rows hash under
+// disjoint tweak ranges.
+func TestDialsFromOneBasePhase(t *testing.T) {
+	const m = 1037
+	recv, send := keptBase(t)
+	rng := rand.New(rand.NewSource(3))
+	pairs := make([][2]Block, m)
+	choices := make([]bool, m)
+	for j := range pairs {
+		pairs[j] = [2]Block{bbcrypto.RandomBlock(), bbcrypto.RandomBlock()}
+		choices[j] = rng.Intn(2) == 1
+	}
+	positions := []uint32{0, 1, 7}
+	us := make([][][]byte, len(positions))
+	for d, c := range positions {
+		r := recv.At(c)
+		u, err := r.Correct(choices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		masked, err := send.At(c).Send(u, pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Receive(masked, choices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range got {
+			if want := pairs[j][bit01(choices[j])]; got[j] != want {
+				t.Fatalf("position %d OT %d: wrong message", c, j)
+			}
+		}
+		us[d] = u
+	}
+	for a := range us {
+		for b := a + 1; b < len(us); b++ {
+			for i := range us[a] {
+				for off := 0; off < len(us[a][i]); off += bbcrypto.BlockSize {
+					end := min(off+bbcrypto.BlockSize, len(us[a][i]))
+					if bytes.Equal(us[a][i][off:end], us[b][i][off:end]) {
+						t.Fatalf("positions %d and %d share column %d's block at byte %d", positions[a], positions[b], i, off)
+					}
+				}
+			}
+		}
+	}
+	for _, c := range []uint32{0, 1, 1<<32 - 2} {
+		if lo, hi, next := tweak(c, 0), tweak(c, maxRows-1), tweak(c+1, 0); lo != uint64(c)<<32 || hi >= next {
+			t.Fatalf("position %d: tweaks [%d, %d] run into position %d's %d", c, lo, hi, c+1, next)
+		}
+	}
+}
+
+// resumedExtensionAllocs is TestResumedExtensionAllocs' gate.
+const resumedExtensionAllocs = 9
+
+func bit01(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestResumedExtensionAllocs pins the allocations of one resumed dial's
+// extension at both ends: the receiver At its position, its correction
+// matrix, the sender's masked pairs, and the receiver's labels. The column
+// PRGs key a schedule on the stack and allocate nothing.
+func TestResumedExtensionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	var key Block
+	if testing.AllocsPerRun(10, func() { new(bbcrypto.Schedule).Expand(&key) }) > 0 {
+		t.Skip("this build keys AES through crypto/aes (purego or no assembly kernel), which allocates per schedule")
+	}
+	const m = 1536 // six fragments' wires
+	recv, send := keptBase(t)
+	pairs := make([][2]Block, m)
+	choices := make([]bool, m)
+	sender := send.At(1)
+	allocs := testing.AllocsPerRun(20, func() {
+		r := recv.At(2)
+		u, err := r.Correct(choices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		masked, err := sender.Send(u, pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Receive(masked, choices); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > resumedExtensionAllocs {
+		t.Fatalf("a resumed extension allocates %v times, want at most %d", allocs, resumedExtensionAllocs)
+	}
 }

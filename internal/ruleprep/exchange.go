@@ -334,22 +334,8 @@ func (m *Middlebox) recvJobs(p Port, client bool, choices []bool, start time.Tim
 		if err := p.Send(binary.BigEndian.AppendUint32([]byte{SubStart}, uint32(n))); err != nil {
 			return nil, start, err
 		}
-	} else {
-		verdict, err := exchange(p, appendResume(nil, n, m.dial.id, m.dial.c), SubVerdict, n)
-		if err != nil {
-			return nil, start, err
-		}
-		switch {
-		case verdict[0] == verdictResume && m.dial.recv != nil:
-			m.dial.resumed, m.outcome = true, ResumeHit
-		case verdict[0] != verdictBase:
-			return nil, start, errVerdict
-		case m.dial.recv != nil:
-			m.outcome = ResumeRefused
-			m.kept.drop(m.dial.id)
-		case m.kept != nil:
-			m.outcome = ResumeMiss
-		}
+	} else if err := m.propose(p); err != nil {
+		return nil, start, err
 	}
 	jobs := make([]*FragmentJob, n)
 	for i := range jobs {
@@ -377,6 +363,27 @@ func (m *Middlebox) recvJobs(p Port, client bool, choices []bool, start time.Tim
 	return jobs, m.span(start, sp), nil
 }
 
+// propose sends the server its Resume, proposing this Run's state ID and
+// position, and reads the server's verdict.
+func (m *Middlebox) propose(p Port) error {
+	verdict, err := exchange(p, appendResume(nil, m.NumFragments(), m.dial.id, m.dial.c), SubVerdict, m.NumFragments())
+	if err != nil {
+		return err
+	}
+	switch {
+	case verdict[0] == verdictResume && m.dial.recv != nil:
+		m.dial.resumed, m.outcome = true, ResumeHit
+	case verdict[0] != verdictBase:
+		return errVerdict
+	case m.dial.recv != nil:
+		m.outcome = ResumeRefused
+		m.kept.drop(m.dial.id)
+	case m.kept != nil:
+		m.outcome = ResumeMiss
+	}
+	return nil
+}
+
 // transfer runs oblivious transfer with the server for every fragment's
 // choice bits and returns the labels it delivered, OTWires per fragment:
 // at the reserved position of the kept base phase when the server resumed
@@ -387,22 +394,10 @@ func (m *Middlebox) transfer(p Port, choices []bool, start time.Time) ([]bbcrypt
 	n := m.NumFragments()
 	recv, base := m.dial.recv, obs.Span{Dir: "server", Name: obs.SpanPrepOTBase}
 	if !m.dial.resumed {
-		var msgAs [][]byte
 		var err error
-		if recv, msgAs, err = ot.NewExtReceiver(); err != nil {
+		if recv, base.Bytes, err = m.baseOT(p); err != nil {
 			return nil, start, err
 		}
-		msgB, err := exchange(p, message(SubMsgA, msgAs), SubMsgB, n)
-		if err != nil {
-			return nil, start, err
-		}
-		if err := recv.Base(columns(msgB, ot.BaseOTs)); err != nil {
-			return nil, start, err
-		}
-		if m.kept != nil && m.dial.c == 0 {
-			m.kept.keep(m.dial.id, recv)
-		}
-		base.Bytes = len(msgB)
 	}
 	start = m.span(start, base)
 
@@ -420,6 +415,27 @@ func (m *Middlebox) transfer(p Port, choices []bool, start time.Time) ([]bbcrypt
 	}
 	st := recv.Stats()
 	return labels, m.span(start, obs.Span{Dir: "server", Name: obs.SpanPrepOTExt, Bytes: st.CorrectionBytes + st.MaskedBytes, Rows: st.Wires}), nil
+}
+
+// baseOT runs the base phase with the server over p, keeping its outcome
+// when this Run proposed a fresh ID, and returns the receiver and the
+// length of the server's reply.
+func (m *Middlebox) baseOT(p Port) (*ot.ExtReceiver, int, error) {
+	recv, msgAs, err := ot.NewExtReceiver()
+	if err != nil {
+		return nil, 0, err
+	}
+	msgB, err := exchange(p, message(SubMsgA, msgAs), SubMsgB, m.NumFragments())
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := recv.Base(columns(msgB, ot.BaseOTs)); err != nil {
+		return nil, 0, err
+	}
+	if m.kept != nil && m.dial.c == 0 {
+		m.kept.keep(m.dial.id, recv)
+	}
+	return recv, len(msgB), nil
 }
 
 // choices returns the OT choice bits of every fragment, in fragment order.

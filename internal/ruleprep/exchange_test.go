@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bbcrypto"
 	"repro/internal/dpienc"
+	"repro/internal/ot"
 	"repro/internal/tokenize"
 )
 
@@ -242,15 +243,23 @@ func fuzzMsg(sub byte, body []byte) []byte {
 }
 
 // scriptPort plays a middlebox that sends a fixed script of messages and
-// ignores what it receives. got is what Serve took from it, in order.
+// ignores what it receives. got is what Serve took from it, in order, due
+// the subtype its last Recv asked for, and sent the first two bytes of each
+// message Serve sent.
 type scriptPort struct {
 	msgs [][]byte
 	got  []byte
+	due  byte
+	sent [][]byte
 }
 
-func (p *scriptPort) Send([]byte) error { return nil }
+func (p *scriptPort) Send(msg []byte) error {
+	p.sent = append(p.sent, slices.Clone(msg[:min(2, len(msg))]))
+	return nil
+}
 
 func (p *scriptPort) Recv(want byte, size int) ([]byte, error) {
+	p.due = want
 	if len(p.msgs) == 0 {
 		return nil, io.EOF
 	}
@@ -266,21 +275,31 @@ func (p *scriptPort) Recv(want byte, size int) ([]byte, error) {
 // FuzzServe: an endpoint served any sequence of messages, of any subtype
 // and length, from a middlebox announcing at most two fragments, ends in an
 // error or nil, never a panic or a hang, and in nil only after its role's
-// one legal order: Start, Done for a client; Start, MsgA, U, Done for a
-// server.
+// one legal order: Start, Done for a client; Resume, MsgA, U, Done for a
+// server that sent verdict 0, and Resume, U, Done for one that sent 1. Each
+// run starts with one state kept under fuzzKept, so a Resume naming it at
+// a position above 0 resumes.
 func FuzzServe(f *testing.F) {
 	start := func(n uint32) []byte { return fuzzMsg(SubStart, binary.BigEndian.AppendUint32(nil, n)) }
+	resume := func(n uint32, id StateID, c uint32) []byte {
+		return fuzzMsg(SubResume, appendResume(nil, int(n), id, c)[1:])
+	}
 	point := elliptic.Marshal(elliptic.P256(), elliptic.P256().Params().Gx, elliptic.P256().Params().Gy)
-	legal := slices.Concat(start(1), fuzzMsg(SubMsgA, point),
-		fuzzMsg(SubU, make([]byte, BodyLen(SubU, 1))), fuzzMsg(SubDone, nil))
+	u1, done := fuzzMsg(SubU, make([]byte, BodyLen(SubU, 1))), fuzzMsg(SubDone, nil)
+	legal := slices.Concat(resume(1, StateID{}, 0), fuzzMsg(SubMsgA, point), u1, done)
+	resumed := slices.Concat(resume(1, fuzzKept, 1), u1, done)
 	f.Add(false, legal)
-	f.Add(true, legal)
-	f.Add(false, slices.Concat(start(0), fuzzMsg(SubMsgA, point), fuzzMsg(SubU, nil), fuzzMsg(SubDone, nil)))
-	f.Add(false, slices.Concat(start(1), fuzzMsg(SubDone, nil)))
+	f.Add(false, resumed)
+	f.Add(false, slices.Concat(resume(1, fuzzKept, 0), fuzzMsg(SubMsgA, point), u1, done))
+	f.Add(false, slices.Concat(resume(1, StateID{}, 1), u1, done))
+	f.Add(true, slices.Concat(start(1), done))
+	f.Add(false, slices.Concat(start(0), fuzzMsg(SubMsgA, point), fuzzMsg(SubU, nil), done))
+	f.Add(false, slices.Concat(resume(1, StateID{}, 0), done))
 	f.Add(true, slices.Concat(start(1), start(1)))
-	f.Add(false, slices.Concat(start(1), fuzzMsg(SubMsgA, make([]byte, len(point)))))
+	f.Add(false, slices.Concat(resume(1, StateID{}, 0), fuzzMsg(SubMsgA, make([]byte, len(point)))))
 	f.Add(false, legal[:len(legal)-3])
-	f.Add(true, slices.Concat(start(1), fuzzMsg(SubDone, nil)))
+	f.Add(true, legal)
+	sender := ot.NewExtSender()
 	f.Fuzz(func(t *testing.T, client bool, data []byte) {
 		var msgs [][]byte
 		for len(data) >= 3 {
@@ -289,23 +308,31 @@ func FuzzServe(f *testing.F) {
 				break
 			}
 			msg := append([]byte{data[0]}, data[3:3+n]...)
-			if msg[0] == SubStart && n == 4 && binary.BigEndian.Uint32(msg[1:]) > 2 {
+			if (msg[0] == SubStart || msg[0] == SubResume) && n >= 4 && binary.BigEndian.Uint32(msg[1:]) > 2 {
 				return // garbling more fragments only slows the search
 			}
 			msgs = append(msgs, msg)
 			data = data[3+n:]
 		}
+		keptSenders.clear()
+		keptSenders.keep(fuzzKept, sender)
 		p := &scriptPort{msgs: msgs}
 		ep := NewEndpoint(bbcrypto.Block{1}, bbcrypto.Block{2}, bbcrypto.Block{3})
 		if err := ep.Serve(p, client); err != nil {
 			return
 		}
-		want := []byte{SubStart, SubMsgA, SubU, SubDone}
-		if client {
+		want := []byte{SubResume, SubMsgA, SubU, SubDone}
+		switch {
+		case client:
 			want = []byte{SubStart, SubDone}
+		case p.sent[0][1] == verdictResume:
+			want = []byte{SubResume, SubU, SubDone}
 		}
 		if !bytes.Equal(p.got, want) {
 			t.Fatalf("Serve returned nil after messages %v, want %v", p.got, want)
 		}
 	})
 }
+
+// fuzzKept is the state ID FuzzServe keeps a state under.
+var fuzzKept = StateID{'f', 'u', 'z', 'z'}

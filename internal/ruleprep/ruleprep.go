@@ -34,13 +34,19 @@
 //
 // and the server's
 //
-//	MB → S   SubStart    uint32 n                                    4 B
+//	MB → S   SubResume   uint32 n, 16-byte state ID, uint32 position 24 B
+//	S → MB   SubVerdict  1: resume the kept base phase, 0: run one   1 B
 //	S → MB   SubCircuit  a circuit message, per fragment             CircuitMsgLen
-//	MB → S   SubMsgA     the base-OT point                           65 B
-//	S → MB   SubMsgB     128 base-OT response points                 128 × 65 B
+//	MB → S   SubMsgA     the base-OT point (verdict 0 only)          65 B
+//	S → MB   SubMsgB     128 base-OT response points (verdict 0)     128 × 65 B
 //	MB → S   SubU        the IKNP correction matrix, 128 columns     128 × 32·n B
 //	S → MB   SubMasked   two label blocks per OT wire                2 × 256·n × 16 B
 //	MB → S   SubDone     empty: data may flow                        0
+//
+// The base phase's outcome is kept by both sides under the state ID the
+// middlebox draws, and later dials extend it at fresh positions instead of
+// running MsgA and MsgB (KeptBase, DESIGN.md substitution 1, "Kept base
+// phases"). An all-zero ID keeps nothing.
 package ruleprep
 
 import (
@@ -382,7 +388,8 @@ type Request struct {
 	Tags      []bbcrypto.Block
 }
 
-// Middlebox is the MB-side state of a rule-preparation run.
+// Middlebox is the MB-side state of a rule-preparation run. It runs one
+// preparation at a time.
 type Middlebox struct {
 	circ *circuit.Circuit
 	req  Request
