@@ -179,18 +179,25 @@ func (r *ExtReceiver) Correct(choices []bool) ([][]byte, error) {
 
 // prgAt fills dst with the AES-CTR stream of key from block c·2²⁵ on, the
 // stretch position c owns: at c = 0 it is bbcrypto.NewPRG(key)'s stream.
-// The schedule stays on the stack, so a column costs no allocation.
+// The schedule stays on the stack, so a column costs no allocation, and
+// four counter blocks go through each Encrypt4.
 func prgAt(dst []byte, key *Block, c uint32) {
 	var (
 		sched   bbcrypto.Schedule
-		ctr, ks Block
+		ctr, ks [4]Block
 	)
 	sched.Expand(key)
-	first := uint64(c) << 25
-	for off := 0; off < len(dst); off += bbcrypto.BlockSize {
-		binary.BigEndian.PutUint64(ctr[8:], first+uint64(off/bbcrypto.BlockSize))
-		sched.Encrypt(&ks, &ctr)
-		copy(dst[off:], ks[:])
+	lanes := [4]*bbcrypto.Schedule{&sched, &sched, &sched, &sched}
+	next := uint64(c) << 25
+	for off := 0; off < len(dst); off += 4 * bbcrypto.BlockSize {
+		for l := range ctr {
+			binary.BigEndian.PutUint64(ctr[l][8:], next)
+			next++
+		}
+		bbcrypto.Encrypt4(&lanes, &ks, &ctr)
+		for l := 0; l < 4 && off+l*bbcrypto.BlockSize < len(dst); l++ {
+			copy(dst[off+l*bbcrypto.BlockSize:], ks[l][:])
+		}
 	}
 }
 

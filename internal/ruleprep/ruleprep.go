@@ -639,7 +639,7 @@ func RunLocal(epS, epR *Endpoint, mb *Middlebox) ([]*dpienc.TokenKey, int, error
 	wg.Wait()
 	if err != nil {
 		for _, e := range epErrs {
-			if !errors.Is(e, errLegClosed) {
+			if e != nil && !errors.Is(e, errLegClosed) {
 				err = errors.Join(err, e)
 			}
 		}
