@@ -75,12 +75,8 @@ type window struct {
 func (w *window) accept(c uint32) bool {
 	switch {
 	case c > w.top:
-		if d := c - w.top; d < 64 {
-			w.seen <<= d
-		} else {
-			w.seen = 0
-		}
-		w.seen |= 1
+		// A shift of 64 or more empties the bitmap.
+		w.seen = w.seen<<(c-w.top) | 1
 		w.top = c
 		return true
 	case w.top-c >= 64:
