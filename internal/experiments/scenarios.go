@@ -327,19 +327,6 @@ func WriteScenariosJSON(path string, res *ScenariosResult) error {
 	return os.WriteFile(path, append(blob, '\n'), 0o644)
 }
 
-// ReadScenariosJSON loads a result written by WriteScenariosJSON.
-func ReadScenariosJSON(path string) (*ScenariosResult, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var res ScenariosResult
-	if err := json.Unmarshal(blob, &res); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &res, nil
-}
-
 // PrintScenarios renders the per-pack summary and any non-conforming
 // cases.
 func PrintScenarios(w io.Writer, res *ScenariosResult) {

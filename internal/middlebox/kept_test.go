@@ -46,11 +46,11 @@ alert tcp any any -> any any (content:"beaconid"; sid:2;)`)
 	return &keptFixture{mb: mb, rs: rs, tagKey: g.TagKey(), k: bbcrypto.RandomBlock(), kr: bbcrypto.RandomBlock()}
 }
 
-// dial runs the middlebox's preparation step, as Interpose does after the
-// hellos, against an honest client and server over net.Pipe, and returns
-// the connection's token keys. Every pipe's remote address is "pipe", so
-// every dial goes to one upstream.
-func (f *keptFixture) dial() (detect.TokenKeys, error) {
+// dial runs the middlebox's preparation step in mode, as Interpose does
+// after the hellos, against an honest client and server over net.Pipe, and
+// returns the connection's token keys. Every pipe's remote address is
+// "pipe", so every dial goes to one upstream.
+func (f *keptFixture) dial(mode tokenize.Mode) (detect.TokenKeys, error) {
 	cOurs, cTheirs := net.Pipe()
 	sOurs, sTheirs := net.Pipe()
 	conns := []net.Conn{cOurs, cTheirs, sOurs, sTheirs}
@@ -67,7 +67,7 @@ func (f *keptFixture) dial() (detect.TokenKeys, error) {
 			errs <- ep.Serve(transport.PrepPort{R: bufio.NewReader(c), W: c}, i == 0)
 		}()
 	}
-	keys, err := f.mb.prepare(1, newLeg(cOurs), newLeg(sOurs), tokenize.Delimiter, nil, obs.SpanCtx{})
+	keys, err := f.mb.prepare(1, newLeg(cOurs), newLeg(sOurs), mode, nil, obs.SpanCtx{})
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +86,7 @@ func TestKeptBaseAcrossDials(t *testing.T) {
 	const dials = 4
 	var cold detect.TokenKeys
 	for d := 0; d < dials; d++ {
-		keys, err := f.dial()
+		keys, err := f.dial(tokenize.Delimiter)
 		if err != nil {
 			t.Fatalf("dial %d: %v", d, err)
 		}
@@ -117,7 +117,7 @@ func TestConcurrentDialsShareKeptBase(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				keys, err := f.dial()
+				keys, err := f.dial(tokenize.Delimiter)
 				if err == nil && !maps.Equal(keys, direct) {
 					err = errors.New("token keys differ from DirectTokenKeys")
 				}
@@ -135,5 +135,26 @@ func TestConcurrentDialsShareKeptBase(t *testing.T) {
 	}
 	if got[ruleprep.ResumeHit] < width {
 		t.Fatalf("base phases %v: the second round should resume", got)
+	}
+}
+
+// TestKeptBaseSharedAcrossModes: the base phase belongs to the
+// middlebox-server pair, not to a request, so dials in both tokenization
+// modes to one upstream share it. The first dial runs it and the rest,
+// in either mode, resume it, each with its own mode's token keys.
+func TestKeptBaseSharedAcrossModes(t *testing.T) {
+	f := newKeptFixture(t)
+	modes := []tokenize.Mode{tokenize.Window, tokenize.Delimiter, tokenize.Window, tokenize.Delimiter}
+	for d, mode := range modes {
+		keys, err := f.dial(mode)
+		if err != nil {
+			t.Fatalf("dial %d (%v): %v", d, mode, err)
+		}
+		if !maps.Equal(keys, core.DirectTokenKeys(f.k, f.rs, mode)) {
+			t.Fatalf("dial %d (%v): token keys differ from DirectTokenKeys", d, mode)
+		}
+	}
+	if got := f.outcomes(); got[ruleprep.ResumeMiss] != 1 || got[ruleprep.ResumeHit] != uint64(len(modes)-1) || got[ruleprep.ResumeRefused] != 0 {
+		t.Fatalf("base phases %v, want 1 miss and %d hits", got, len(modes)-1)
 	}
 }

@@ -169,6 +169,14 @@ type Middlebox struct {
 	recorder  *obs.Recorder
 	log       *slog.Logger
 	kept      keptBases
+	// prep is rule preparation's middlebox side, per tokenization mode
+	// (indexed by tokenize.Mode): the request the ruleset makes in that
+	// mode and the ruleprep.Middlebox that runs it, built once by New and
+	// shared by every dial.
+	prep [2]struct {
+		req ruleprep.Request
+		mb  *ruleprep.Middlebox
+	}
 
 	// lifecycle: Close waits for active connections, then drains the
 	// detection pool. setup tracks connections still in their setup phase
@@ -200,6 +208,14 @@ func New(cfg Config) (*Middlebox, error) {
 		recorder: cfg.Recorder,
 		log:      obs.OrNop(cfg.Logger),
 		setup:    make(map[uint64][2]net.Conn),
+	}
+	for mode := range mb.prep {
+		p := &mb.prep[mode]
+		p.req = core.BuildRequest(cfg.Ruleset, tokenize.Mode(mode))
+		var err error
+		if p.mb, err = ruleprep.NewMiddlebox(p.req); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.Secondary {
 		mb.secondary = baseline.New(cfg.Ruleset.Ruleset)
@@ -554,29 +570,20 @@ type flow struct {
 // (DESIGN.md substitution 1, "Kept base phases").
 func (mb *Middlebox) prepare(id uint64, cl, sv *leg, mode tokenize.Mode, fr *obs.FlowRecorder, prepCtx obs.SpanCtx) (detect.TokenKeys, error) {
 	prepStart := time.Now()
-	req := core.BuildRequest(mb.cfg.Ruleset, mode)
-	prep, err := ruleprep.NewMiddlebox(req)
-	if err != nil {
-		return nil, err
-	}
-	prep.SetTrace(fr, prepCtx)
-	prep.Keep(mb.kept.get(sv.conn.RemoteAddr().String()))
-	// Building the rule-encryption circuit F dominates NewMiddlebox and is
-	// part of the §3.3 rule-encryption step; without this span the head of
-	// the preparation window would be unattributed.
-	fr.Span(prepCtx.Child(), prepStart, obs.Span{Name: obs.SpanPrepRuleEnc, Gates: prep.CircuitANDs(), Rows: len(req.Fragments)})
+	p := &mb.prep[mode]
+	dial := ruleprep.Dial{Kept: mb.kept.get(sv.conn.RemoteAddr().String()), Trace: fr, Prep: prepCtx}
 	setDeadline(deadlineFor(mb.tmo.Prep), cl.conn, sv.conn)
-	prepped, err := prep.Run(transport.PrepPort{R: cl.rd, W: cl.conn}, transport.PrepPort{R: sv.rd, W: sv.conn})
+	prepped, outcome, err := p.mb.Run(transport.PrepPort{R: cl.rd, W: cl.conn}, transport.PrepPort{R: sv.rd, W: sv.conn}, dial)
 	setDeadline(time.Time{}, cl.conn, sv.conn)
-	if o := prep.Resumption(); o != "" {
-		mb.met.resume.With(o).Inc()
+	if outcome != "" {
+		mb.met.resume.With(outcome).Inc()
 	}
 	if err != nil {
 		return nil, fmt.Errorf("middlebox: rule preparation: %w", mb.stepTimeout(id, "prep", err))
 	}
 	mb.met.prep.Observe(time.Since(prepStart).Seconds())
 	fr.Span(prepCtx, prepStart, obs.Span{Name: obs.SpanPrep})
-	return core.TokenKeysFromPrep(req, prepped), nil
+	return core.TokenKeysFromPrep(p.req, prepped), nil
 }
 
 // maxKeptBases bounds the base phases the middlebox keeps, one per

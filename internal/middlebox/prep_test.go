@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/bbcrypto"
+	"repro/internal/dpienc"
 	"repro/internal/ruleprep"
 	"repro/internal/rules"
 	"repro/internal/transport"
@@ -79,7 +80,8 @@ func runPrepAgainst(prep *ruleprep.Middlebox, client bool, raw ...[]byte) error 
 		}
 		_, _ = io.Copy(io.Discard, theirs)
 	}()
-	_, err := prep.Run(legs(transport.PrepPort{R: bufio.NewReader(ours), W: ours}, client))
+	cPort, sPort := legs(transport.PrepPort{R: bufio.NewReader(ours), W: ours}, client)
+	_, _, err := prep.Run(cPort, sPort, ruleprep.Dial{})
 	ours.Close()
 	<-peer
 	theirs.Close()
@@ -267,7 +269,7 @@ func probePrep(t *testing.T, client, toEndpoint bool, probe *capProbe) error {
 			cPort = other
 		}
 	}
-	_, mbErr := prep.Run(cPort, sPort)
+	_, _, mbErr := prep.Run(cPort, sPort, ruleprep.Dial{})
 	ours.Close()
 	if toEndpoint {
 		return <-epErr
@@ -367,7 +369,7 @@ func TestClientOTMessageAfterDigests(t *testing.T) {
 	sOurs, sTheirs := net.Pipe()
 	defer func() { cTheirs.Close(); sTheirs.Close() }()
 	hangGuard(cTheirs, sTheirs) // Interpose sets and clears the middlebox's own
-	hello := transport.MarshalHello(transport.Hello{PublicKey: make([]byte, 32)})
+	hello := transport.MarshalHello(transport.Hello{PublicKey: make([]byte, 32), Protocol: dpienc.ProtocolII})
 	endpoint := func(c net.Conn, client bool) <-chan error {
 		done := make(chan error, 1)
 		go func() {
@@ -459,7 +461,7 @@ func helloMiddlebox(t *testing.T, logger *slog.Logger) *Middlebox {
 // allocated.
 func TestHelloRecordCap(t *testing.T) {
 	mb := helloMiddlebox(t, nil)
-	hello := transport.MarshalHello(transport.Hello{PublicKey: make([]byte, 32)})
+	hello := transport.MarshalHello(transport.Hello{PublicKey: make([]byte, 32), Protocol: dpienc.ProtocolII})
 	for _, tc := range []struct {
 		name           string
 		client, server []byte // what each peer writes
@@ -497,22 +499,29 @@ func TestHelloRecordCap(t *testing.T) {
 }
 
 // TestMalformedHelloEndsConnection: the middlebox forwards only the hellos
-// it parsed (DESIGN.md §10 row 9). A client hello with a trailing byte or
-// MBPresent 2 ends the connection as a handshake error before the server
-// receives anything, and a server reply that does not parse ends it before
-// the client receives one.
+// it parsed (DESIGN.md §10 rows 9 and 14). A client hello with a trailing
+// byte, MBPresent 2, or a mode or protocol no party runs ends the
+// connection as a malformed-hello error before the server receives
+// anything, and a server reply that does not parse ends it before the
+// client receives one. Nothing panics: a mode 7 hello once crashed the
+// middlebox process in rule preparation.
 func TestMalformedHelloEndsConnection(t *testing.T) {
 	mb := helloMiddlebox(t, nil)
-	hello := transport.MarshalHello(transport.Hello{PublicKey: make([]byte, 32)})
+	valid := transport.Hello{PublicKey: make([]byte, 32), Protocol: dpienc.ProtocolII}
+	hello := transport.MarshalHello(valid)
 	trailing := append(slices.Clone(hello), 0)
 	mbPresent2 := slices.Clone(hello)
 	mbPresent2[len(hello)-1] = 2
+	mode7, protocol9 := valid, valid
+	mode7.Mode, protocol9.Protocol = 7, 9
 	for _, tc := range []struct {
 		name          string
 		client, reply []byte // the hello bodies each peer sends
 	}{
 		{"client hello with a trailing byte", trailing, nil},
 		{"client hello with MBPresent 2", mbPresent2, nil},
+		{"client hello with mode 7", transport.MarshalHello(mode7), nil},
+		{"client hello with protocol 9", transport.MarshalHello(protocol9), nil},
 		{"server reply with a trailing byte", hello, trailing},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -540,8 +549,8 @@ func TestMalformedHelloEndsConnection(t *testing.T) {
 			err := mb.Interpose(cOurs, sOurs)
 			cOurs.Close()
 			sOurs.Close()
-			if err == nil {
-				t.Fatal("Interpose accepted a malformed hello")
+			if err == nil || !strings.Contains(err.Error(), "malformed hello") {
+				t.Fatalf("Interpose = %v, want a malformed-hello error", err)
 			}
 			if n := mb.Stats().ConnErrors - before; n != 1 {
 				t.Fatalf("ConnErrors rose by %d, want 1", n)

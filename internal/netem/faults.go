@@ -1,6 +1,6 @@
 // Deterministic fault injection: the chaos half of the link emulator.
 //
-// The Model/Throttle half of this package reproduces the paper's
+// The Model half of this package reproduces the paper's
 // well-behaved links (Figs. 3–4); this half produces the misbehaving ones
 // a production middlebox must survive — added latency, indefinite stalls,
 // connection resets, truncated writes and corrupted bytes. Faults trigger

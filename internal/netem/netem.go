@@ -2,21 +2,13 @@
 // Figs. 3 and 4: the paper measures at 20 Mbps × 10 ms RTT ("typical end
 // user") and 1 Gbps × 10 ms (where the sender becomes CPU-bound).
 //
-// Two emulation styles are provided:
-//
-//   - Model: an analytic transfer-time model (bytes, link rate, RTT, and a
-//     measured CPU encryption rate), used by the benchmark harness so a
-//     page-load sweep does not take wall-clock minutes; and
-//
-//   - Throttle: a real-time rate/latency-shaped net.Conn wrapper for
-//     examples and integration tests that want live traffic.
+// Model is an analytic transfer-time model (bytes, link rate, RTT, and a
+// measured CPU encryption rate), used by the benchmark harness so a
+// page-load sweep does not take wall-clock minutes; FaultConn (faults.go)
+// injects deterministic faults into a live connection.
 package netem
 
-import (
-	"net"
-	"sync"
-	"time"
-)
+import "time"
 
 // Mbps converts megabits/second to bytes/second.
 func Mbps(m float64) float64 { return m * 1e6 / 8 }
@@ -62,43 +54,4 @@ func Typical20Mbps() Model {
 // Fast1Gbps is the paper's fast-link configuration.
 func Fast1Gbps() Model {
 	return Model{RateBytesPerSec: Mbps(1000), RTT: 10 * time.Millisecond}
-}
-
-// Throttle wraps a net.Conn, shaping writes to the given rate and adding
-// one-way latency of RTT/2 per chunk batch. Reads are unshaped (the peer's
-// Throttle shapes them).
-type Throttle struct {
-	net.Conn
-	rate  float64 // bytes/sec
-	delay time.Duration
-
-	mu sync.Mutex
-	// nextFree is when the link is next available.
-	nextFree time.Time
-}
-
-// NewThrottle shapes conn at rateBytesPerSec with the given RTT.
-func NewThrottle(conn net.Conn, rateBytesPerSec float64, rtt time.Duration) *Throttle {
-	return &Throttle{Conn: conn, rate: rateBytesPerSec, delay: rtt / 2}
-}
-
-// Write transmits p at the shaped rate: the call blocks for the
-// serialization time of p plus (once per quiet period) the propagation
-// delay.
-func (t *Throttle) Write(p []byte) (int, error) {
-	t.mu.Lock()
-	now := time.Now()
-	if t.nextFree.Before(now) {
-		// Link idle: pay propagation delay.
-		t.nextFree = now.Add(t.delay)
-	}
-	serialize := time.Duration(float64(len(p)) / t.rate * float64(time.Second))
-	t.nextFree = t.nextFree.Add(serialize)
-	wake := t.nextFree
-	t.mu.Unlock()
-
-	if d := time.Until(wake); d > 0 {
-		time.Sleep(d)
-	}
-	return t.Conn.Write(p)
 }

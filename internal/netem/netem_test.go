@@ -1,7 +1,6 @@
 package netem
 
 import (
-	"net"
 	"testing"
 	"time"
 )
@@ -45,51 +44,4 @@ func TestMbps(t *testing.T) {
 	if Mbps(8) != 1e6 {
 		t.Fatalf("Mbps(8) = %v", Mbps(8))
 	}
-}
-
-func TestThrottleShapesRate(t *testing.T) {
-	client, server := net.Pipe()
-	defer server.Close()
-	// 1 MB/s, zero RTT: 100 KB should take ~100 ms.
-	th := NewThrottle(client, 1e6, 0)
-	done := make(chan time.Duration, 1)
-	go func() {
-		buf := make([]byte, 4096)
-		for {
-			if _, err := server.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
-	start := time.Now()
-	chunk := make([]byte, 10<<10)
-	for sent := 0; sent < 100<<10; sent += len(chunk) {
-		if _, err := th.Write(chunk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	done <- time.Since(start)
-	d := <-done
-	if d < 80*time.Millisecond || d > 400*time.Millisecond {
-		t.Fatalf("100KB at 1MB/s took %v, want ~100ms", d)
-	}
-	th.Close()
-}
-
-func TestThrottleAddsPropagationDelay(t *testing.T) {
-	client, server := net.Pipe()
-	defer server.Close()
-	th := NewThrottle(client, 1e9, 100*time.Millisecond) // fast link, 50ms one-way
-	go func() {
-		buf := make([]byte, 64)
-		server.Read(buf)
-	}()
-	start := time.Now()
-	if _, err := th.Write([]byte("ping")); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 45*time.Millisecond {
-		t.Fatalf("write returned in %v, want >= ~50ms propagation", d)
-	}
-	th.Close()
 }

@@ -236,28 +236,55 @@ func columns(b []byte, k int) [][]byte {
 	return out
 }
 
+// Dial is what one Run carries beyond the request. The zero Dial keeps
+// nothing and records no span.
+type Dial struct {
+	// Kept is the base phase kept with this server: Run proposes resuming
+	// it, and keeps in it the one it runs when nothing is kept. Nil sends
+	// the all-zero ID and always runs a base phase.
+	Kept *KeptBase
+	// Trace records Run's spans as children of Prep, the middlebox's prep
+	// span.
+	Trace *obs.FlowRecorder
+	Prep  obs.SpanCtx
+}
+
+// run is one Run's state: its Middlebox and Dial, and its OT with the
+// server — the state ID and position it proposes, the receiver at that
+// position when a state is kept, the server's verdict and the outcome.
+type run struct {
+	*Middlebox
+	Dial
+	id      StateID
+	c       uint32
+	recv    *ot.ExtReceiver
+	resumed bool
+	outcome string
+}
+
 // Run runs the middlebox's side with both endpoints at once, a goroutine
 // per leg: the client's digest messages, keeping each wire's commitment at
 // the middlebox's choice bit; the server's circuits, each hashed once as it
 // is parsed, then one OT extension for every fragment's choice bits,
-// resumed from the kept base phase when the server accepts it (Keep). Then
-// it verifies and evaluates every fragment and sends each endpoint Done. It
-// returns every fragment's token key (nil if unauthorized), or the failed
-// legs' errors joined, or the first verification error (ErrLabelCommitment
-// for a label that fails its commitment). Each leg records a labels span,
-// the server's also ot_base (empty when resumed) and ot_ext spans, and each
-// fragment a rule_enc span; they follow one another from Run's entry to
-// its return.
-func (m *Middlebox) Run(client, server Port) (keys []*dpienc.TokenKey, err error) {
+// resumed from d.Kept when the server accepts it. Then it verifies and
+// evaluates every fragment and sends each endpoint Done. It returns every
+// fragment's token key (nil if unauthorized), or the failed legs' errors
+// joined, or the first verification error (ErrLabelCommitment for a label
+// that fails its commitment); and how the base phase went with d.Kept
+// (ResumeHit, ResumeMiss or ResumeRefused), "" without one or when Run
+// failed before the server's verdict. A Run that fails forgets the state it
+// proposed: the two sides may disagree on it. Each leg records a labels
+// span, the server's also ot_base (empty when resumed) and ot_ext spans,
+// and each fragment a rule_enc span; they follow one another from Run's
+// entry to its return.
+func (m *Middlebox) Run(client, server Port, d Dial) (keys []*dpienc.TokenKey, outcome string, err error) {
 	start := time.Now()
-	choices := m.choices()
-	m.dial, m.outcome = dialOT{}, ""
-	if m.kept != nil {
-		m.dial.id, m.dial.c, m.dial.recv = m.kept.reserve()
-		// A state the two sides may disagree on is not used again.
+	r := &run{Middlebox: m, Dial: d}
+	if d.Kept != nil {
+		r.id, r.c, r.recv = d.Kept.reserve()
 		defer func() {
-			if err != nil && m.dial.resumed {
-				m.kept.drop(m.dial.id)
+			if err != nil {
+				d.Kept.drop(r.id)
 			}
 		}()
 	}
@@ -273,21 +300,21 @@ func (m *Middlebox) Run(client, server Port) (keys []*dpienc.TokenKey, err error
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			jobs[leg], ends[leg], errs[leg] = m.recvJobs(p, leg == 0, choices, start)
+			jobs[leg], ends[leg], errs[leg] = r.recvJobs(p, leg == 0, start)
 			if leg == 1 && errs[leg] == nil {
-				labels, ends[leg], errs[leg] = m.transfer(p, choices, ends[leg])
+				labels, ends[leg], errs[leg] = r.transfer(p, ends[leg])
 			}
 		}()
 	}
 	wg.Wait()
 	if err := errors.Join(errs[:]...); err != nil {
-		return nil, err
+		return nil, r.outcome, err
 	}
 	// Fragment 0's span starts where the slower leg ended.
 	if ends[0].After(ends[1]) {
 		ends[1] = ends[0]
 	}
-	return m.evaluate(jobs[0], jobs[1], labels, choices, ends[1], func() error {
+	keys, err = r.evaluate(jobs[0], jobs[1], labels, ends[1], func() error {
 		for _, p := range ports {
 			if err := p.Send([]byte{SubDone}); err != nil {
 				return err
@@ -295,30 +322,12 @@ func (m *Middlebox) Run(client, server Port) (keys []*dpienc.TokenKey, err error
 		}
 		return nil
 	})
-}
-
-// dialOT is one Run's OT with the server: the state ID and position it
-// proposes and, when a state is kept, the receiver at that position.
-type dialOT struct {
-	id      StateID
-	c       uint32
-	recv    *ot.ExtReceiver
-	resumed bool // the server's verdict
+	return keys, r.outcome, err
 }
 
 // errVerdict refuses a verdict byte other than 0 or 1, and a 1 for a
 // Start that proposed nothing to resume.
 var errVerdict = errors.New("ruleprep: server's verdict is neither a base phase nor the resumption proposed")
-
-// Keep makes Run propose resuming the base phase kb keeps with the server,
-// and keep in kb the one it runs when nothing is kept. Without it Run sends
-// the all-zero ID and always runs a base phase.
-func (m *Middlebox) Keep(kb *KeptBase) { m.kept = kb }
-
-// Resumption reports how the last Run's base phase went with a kept state
-// (ResumeHit, ResumeMiss or ResumeRefused), or "" when Run had none or
-// failed before the server's verdict.
-func (m *Middlebox) Resumption() string { return m.outcome }
 
 // recvJobs sends p's endpoint Start (a client) or Resume (a server, whose
 // verdict it then reads) and receives its jobs in index order: a client's
@@ -326,15 +335,15 @@ func (m *Middlebox) Resumption() string { return m.outcome }
 // choice bits, or a server's circuit messages, each hashed as it is
 // parsed. Its labels span, which includes the wait for the endpoint's
 // garbling, runs from start; it returns where the span ended.
-func (m *Middlebox) recvJobs(p Port, client bool, choices []bool, start time.Time) ([]*FragmentJob, time.Time, error) {
-	n := m.NumFragments()
+func (r *run) recvJobs(p Port, client bool, start time.Time) ([]*FragmentJob, time.Time, error) {
+	n := r.NumFragments()
 	sub, sp := SubCircuit, obs.Span{Dir: "server", Name: obs.SpanPrepLabels}
 	if client {
 		sub, sp.Dir = SubDigest, "client"
 		if err := p.Send(binary.BigEndian.AppendUint32([]byte{SubStart}, uint32(n))); err != nil {
 			return nil, start, err
 		}
-	} else if err := m.propose(p); err != nil {
+	} else if err := r.propose(p); err != nil {
 		return nil, start, err
 	}
 	jobs := make([]*FragmentJob, n)
@@ -344,7 +353,7 @@ func (m *Middlebox) recvJobs(p Port, client bool, choices []bool, start time.Tim
 			return nil, start, err
 		}
 		if client {
-			jobs[i], err = ParseDigestMsg(body, choices[i*OTWires:(i+1)*OTWires])
+			jobs[i], err = ParseDigestMsg(body, r.Choices(i))
 		} else {
 			jobs[i], err = ParseCircuitMsg(body)
 		}
@@ -360,26 +369,26 @@ func (m *Middlebox) recvJobs(p Port, client bool, choices []bool, start time.Tim
 			sp.Gates, sp.Rows = sp.Gates+st.Gates, sp.Rows+st.TableRows
 		}
 	}
-	return jobs, m.span(start, sp), nil
+	return jobs, r.span(start, sp), nil
 }
 
 // propose sends the server its Resume, proposing this Run's state ID and
 // position, and reads the server's verdict.
-func (m *Middlebox) propose(p Port) error {
-	verdict, err := exchange(p, appendResume(nil, m.NumFragments(), m.dial.id, m.dial.c), SubVerdict, m.NumFragments())
+func (r *run) propose(p Port) error {
+	verdict, err := exchange(p, appendResume(nil, r.NumFragments(), r.id, r.c), SubVerdict, r.NumFragments())
 	if err != nil {
 		return err
 	}
 	switch {
-	case verdict[0] == verdictResume && m.dial.recv != nil:
-		m.dial.resumed, m.outcome = true, ResumeHit
+	case verdict[0] == verdictResume && r.recv != nil:
+		r.resumed, r.outcome = true, ResumeHit
 	case verdict[0] != verdictBase:
 		return errVerdict
-	case m.dial.recv != nil:
-		m.outcome = ResumeRefused
-		m.kept.drop(m.dial.id)
-	case m.kept != nil:
-		m.outcome = ResumeMiss
+	case r.recv != nil:
+		r.outcome = ResumeRefused
+		r.Kept.drop(r.id)
+	case r.Kept != nil:
+		r.outcome = ResumeMiss
 	}
 	return nil
 }
@@ -387,62 +396,107 @@ func (m *Middlebox) propose(p Port) error {
 // transfer runs oblivious transfer with the server for every fragment's
 // choice bits and returns the labels it delivered, OTWires per fragment:
 // at the reserved position of the kept base phase when the server resumed
-// it, else after a base phase, which kb keeps when this Run proposed a
-// fresh ID. Its ot_base and ot_ext spans follow one another from start; it
-// returns where the second ended.
-func (m *Middlebox) transfer(p Port, choices []bool, start time.Time) ([]bbcrypto.Block, time.Time, error) {
-	n := m.NumFragments()
-	recv, base := m.dial.recv, obs.Span{Dir: "server", Name: obs.SpanPrepOTBase}
-	if !m.dial.resumed {
+// it, else after a base phase. Its ot_base and ot_ext spans follow one
+// another from start; it returns where the second ended.
+func (r *run) transfer(p Port, start time.Time) ([]bbcrypto.Block, time.Time, error) {
+	recv, base := r.recv, obs.Span{Dir: "server", Name: obs.SpanPrepOTBase}
+	if !r.resumed {
 		var err error
-		if recv, base.Bytes, err = m.baseOT(p); err != nil {
+		if recv, base.Bytes, err = r.baseOT(p); err != nil {
 			return nil, start, err
 		}
 	}
-	start = m.span(start, base)
+	start = r.span(start, base)
 
-	u, err := recv.Correct(choices)
+	u, err := recv.Correct(r.choices)
 	if err != nil {
 		return nil, start, err
 	}
-	masked, err := exchange(p, message(SubU, u), SubMasked, n)
+	masked, err := exchange(p, message(SubU, u), SubMasked, r.NumFragments())
 	if err != nil {
 		return nil, start, err
 	}
-	labels, err := recv.Receive(parsePairs(masked), choices)
+	labels, err := recv.Receive(parsePairs(masked), r.choices)
 	if err != nil {
 		return nil, start, err
 	}
 	st := recv.Stats()
-	return labels, m.span(start, obs.Span{Dir: "server", Name: obs.SpanPrepOTExt, Bytes: st.CorrectionBytes + st.MaskedBytes, Rows: st.Wires}), nil
+	return labels, r.span(start, obs.Span{Dir: "server", Name: obs.SpanPrepOTExt, Bytes: st.CorrectionBytes + st.MaskedBytes, Rows: st.Wires}), nil
 }
 
 // baseOT runs the base phase with the server over p, keeping its outcome
-// when this Run proposed a fresh ID, and returns the receiver and the
-// length of the server's reply.
-func (m *Middlebox) baseOT(p Port) (*ot.ExtReceiver, int, error) {
+// in the Dial's KeptBase when this Run proposed a fresh ID, and returns the
+// receiver and the length of the server's reply.
+func (r *run) baseOT(p Port) (*ot.ExtReceiver, int, error) {
 	recv, msgAs, err := ot.NewExtReceiver()
 	if err != nil {
 		return nil, 0, err
 	}
-	msgB, err := exchange(p, message(SubMsgA, msgAs), SubMsgB, m.NumFragments())
+	msgB, err := exchange(p, message(SubMsgA, msgAs), SubMsgB, r.NumFragments())
 	if err != nil {
 		return nil, 0, err
 	}
 	if err := recv.Base(columns(msgB, ot.BaseOTs)); err != nil {
 		return nil, 0, err
 	}
-	if m.kept != nil && m.dial.c == 0 {
-		m.kept.keep(m.dial.id, recv)
+	if r.Kept != nil && r.c == 0 {
+		r.Kept.keep(r.id, recv)
 	}
 	return recv, len(msgB), nil
 }
 
-// choices returns the OT choice bits of every fragment, in fragment order.
-func (m *Middlebox) choices() []bool {
-	out := make([]bool, 0, m.NumFragments()*OTWires)
-	for i := 0; i < m.NumFragments(); i++ {
-		out = append(out, m.Choices(i)...)
+// evaluate verifies and evaluates every fragment from the client's digest
+// jobs and the server's circuit jobs and OT labels (ruleEnc); unauthorized
+// keys are nil, and any other failure yields no key at all. Each
+// fragment's rule_enc span starts where the last stage ended, the first at
+// start. finish runs before the last span ends (Run sends Done there), and
+// its error is evaluate's.
+func (r *run) evaluate(client, server []*FragmentJob, labels []bbcrypto.Block, start time.Time, finish func() error) ([]*dpienc.TokenKey, error) {
+	keys := make([]*dpienc.TokenKey, r.NumFragments())
+	var sp obs.Span
+	for i := range keys {
+		if i > 0 {
+			start = r.span(start, sp)
+		}
+		st := server[i].G.Stats()
+		sp = obs.Span{Name: obs.SpanPrepRuleEnc, Gates: st.Gates, Rows: st.TableRows, Bytes: st.WireBytes}
+		key, err := r.ruleEnc(i, client[i], server[i], labels[i*OTWires:(i+1)*OTWires])
+		if err == ErrUnauthorized {
+			continue
+		}
+		if err != nil {
+			sp.Err = err.Error()
+			r.span(start, sp)
+			return nil, err
+		}
+		keys[i] = &key
 	}
-	return out
+	err := finish()
+	if len(keys) > 0 {
+		r.span(start, sp)
+	}
+	return keys, err
+}
+
+// ruleEnc is Run's finishing work for fragment i: the client's digest must
+// equal the server's, each label the server's OT delivered must match the
+// client's commitment at its choice bit, and then the server's circuit is
+// evaluated on them.
+func (m *Middlebox) ruleEnc(i int, client, server *FragmentJob, labels []bbcrypto.Block) (dpienc.TokenKey, error) {
+	if err := m.Verify(client, server); err != nil {
+		return dpienc.TokenKey{}, err
+	}
+	if err := checkCommitments(i, client.Commits, labels, m.Choices(i)); err != nil {
+		return dpienc.TokenKey{}, err
+	}
+	return m.Evaluate(i, server, labels)
+}
+
+// span records sp as a child of the Dial's prep span, from start to now,
+// and returns now: where the next stage starts, so that consecutive stages
+// leave no gap between them.
+func (r *run) span(start time.Time, sp obs.Span) time.Time {
+	end := time.Now()
+	r.Trace.Span(r.Prep.Child(), start, sp)
+	return end
 }

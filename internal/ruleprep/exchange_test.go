@@ -12,7 +12,6 @@ import (
 	"repro/internal/bbcrypto"
 	"repro/internal/dpienc"
 	"repro/internal/ot"
-	"repro/internal/tokenize"
 )
 
 // memPort is one end of an in-memory leg. Messages cross buffered channels,
@@ -62,11 +61,11 @@ func (p tamperPort) Send(msg []byte) error {
 	return nil
 }
 
-// runOverPorts runs Run against epS (the client) and epR (the server),
-// each serving its leg over an in-memory port, and returns Run's result
-// and both endpoints' errors. tamper, if set, sees every message an
+// runOverPorts runs Run with d against epS (the client) and epR (the
+// server), each serving its leg over an in-memory port, and returns Run's
+// result and both endpoints' errors. tamper, if set, sees every message an
 // endpoint sends, with its role, before the middlebox does.
-func runOverPorts(epS, epR *Endpoint, mb *Middlebox, tamper func(client bool, msg []byte)) ([]*dpienc.TokenKey, error, [2]error) {
+func runOverPorts(epS, epR *Endpoint, mb *Middlebox, d Dial, tamper func(client bool, msg []byte)) ([]*dpienc.TokenKey, string, error, [2]error) {
 	mbC, epC := memLeg()
 	mbS, epSv := memLeg()
 	var epErr [2]error
@@ -85,14 +84,14 @@ func runOverPorts(epS, epR *Endpoint, mb *Middlebox, tamper func(client bool, ms
 			done <- struct{}{}
 		}()
 	}
-	keys, err := mb.Run(mbC, mbS)
+	keys, outcome, err := mb.Run(mbC, mbS, d)
 	// An endpoint whose middlebox gave up waits for a message that will not
 	// come: closing its inbound channel ends it.
 	close(mbC.out)
 	close(mbS.out)
 	<-done
 	<-done
-	return keys, err, epErr
+	return keys, outcome, err, epErr
 }
 
 // TestRunOverPortsProducesCorrectTokenKeys: the middlebox's Run against two
@@ -100,18 +99,13 @@ func runOverPorts(epS, epR *Endpoint, mb *Middlebox, tamper func(client bool, ms
 // fragment, nil for one RG never tagged — and both endpoints end at Done.
 func TestRunOverPortsProducesCorrectTokenKeys(t *testing.T) {
 	frags := []string{"maliciou", "iciously", "autherok"}
-	epS, epR, mb, k, _ := setup(t, frags)
-	mb.req.Tags[2][0] ^= 1
-	keys, err, epErr := runOverPorts(epS, epR, mb, nil)
+	epS, epR, mb, k, _ := setup(t, frags, 2)
+	keys, _, err, epErr := runOverPorts(epS, epR, mb, Dial{}, nil)
 	if err != nil || epErr[0] != nil || epErr[1] != nil {
 		t.Fatalf("Run = %v, client %v, server %v", err, epErr[0], epErr[1])
 	}
-	for i, f := range frags[:2] {
-		var tok [tokenize.TokenSize]byte
-		copy(tok[:], f)
-		if keys[i] == nil || *keys[i] != dpienc.ComputeTokenKey(k, tok) {
-			t.Fatalf("fragment %q: key %x, want AES_k of it", f, keys[i])
-		}
+	if err := keysErr(keys, frags[:2], k); err != nil {
+		t.Fatal(err)
 	}
 	if keys[2] != nil {
 		t.Fatal("unauthorized fragment produced a token key")
@@ -123,7 +117,7 @@ func TestRunOverPortsProducesCorrectTokenKeys(t *testing.T) {
 func TestRunRefusesMismatchedEndpoints(t *testing.T) {
 	epS, _, mb, _, kRG := setup(t, []string{"somefrag"})
 	cheat := NewEndpoint(bbcrypto.RandomBlock(), kRG, bbcrypto.RandomBlock())
-	_, err, epErr := runOverPorts(epS, cheat, mb, nil)
+	_, _, err, epErr := runOverPorts(epS, cheat, mb, Dial{}, nil)
 	if err == nil {
 		t.Fatal("mismatched endpoints accepted")
 	}
@@ -157,7 +151,7 @@ func TestLabelCommitmentChecked(t *testing.T) {
 			epS, epR, mb, k, _ := setup(t, frags)
 			choice := bit(mb.Choices(frag)[wire])
 			seen := 0
-			keys, err, epErr := runOverPorts(epS, epR, mb, func(client bool, msg []byte) {
+			keys, _, err, epErr := runOverPorts(epS, epR, mb, Dial{}, func(client bool, msg []byte) {
 				switch {
 				case client != tc.client:
 				case client && msg[0] == SubDigest && binary.BigEndian.Uint32(msg[1:]) == frag:
@@ -183,12 +177,8 @@ func TestLabelCommitmentChecked(t *testing.T) {
 				if err != nil || epErr[0] != nil || epErr[1] != nil {
 					t.Fatalf("Run = %v, client %v, server %v", err, epErr[0], epErr[1])
 				}
-				for i, f := range frags {
-					var tok [tokenize.TokenSize]byte
-					copy(tok[:], f)
-					if keys[i] == nil || *keys[i] != dpienc.ComputeTokenKey(k, tok) {
-						t.Fatalf("fragment %q: key %x, want AES_k of it", f, keys[i])
-					}
+				if err := keysErr(keys, frags, k); err != nil {
+					t.Fatal(err)
 				}
 				return
 			}

@@ -25,12 +25,13 @@ const (
 	verdictResume byte = 1
 )
 
-// Resumption outcomes of a dial's base phase (Middlebox.Resumption).
+// Resumption outcomes of a dial's base phase (Middlebox.Run).
 const (
 	// ResumeHit: the server resumed the kept base phase; no base OT ran.
 	ResumeHit = "hit"
 	// ResumeMiss: nothing was kept for the server; the dial ran a base
-	// phase under a fresh ID, kept from then on.
+	// phase, kept from then on unless another dial's was already pending
+	// (KeptBase.reserve).
 	ResumeMiss = "miss"
 	// ResumeRefused: the server refused the kept state (an unknown,
 	// evicted or replayed position); the dial ran a base phase, and the
@@ -166,8 +167,8 @@ func (st *senderStore) evict(e *list.Element) {
 }
 
 // KeptBase is the middlebox's kept base phase with one server: the ID, the
-// receiver's base keys and the next position to hand out. A Middlebox given
-// one (Keep) resumes it instead of running base OTs; concurrent dials share
+// receiver's base keys and the next position to hand out. A Run given one
+// (Dial.Kept) resumes it instead of running base OTs; concurrent dials share
 // it, each reserving its own position at its start. The zero value keeps
 // nothing yet. Safe for concurrent use.
 type KeptBase struct {
@@ -175,37 +176,54 @@ type KeptBase struct {
 	id   StateID
 	recv *ot.ExtReceiver // nil: nothing kept
 	next uint32
+	// pending is the fresh ID a cold dial proposed and has neither kept
+	// nor failed under yet; zero when there is none.
+	pending StateID
 }
 
 // reserve returns the ID and position the next dial proposes, with a
-// receiver at that position when a state is kept; with none it draws a
-// fresh ID at position 0.
+// receiver at that position when a state is kept. With none it draws a
+// fresh ID at position 0, pending until that dial keeps its base phase or
+// fails; meanwhile other dials propose the zero ID and keep nothing, so
+// concurrent cold dials leave the server one state, not one each.
 func (k *KeptBase) reserve() (StateID, uint32, *ot.ExtReceiver) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if k.recv == nil || k.next == 1<<32-1 {
-		return StateID(bbcrypto.RandomBlock()), 0, nil
+	switch {
+	case k.recv != nil && k.next < 1<<32-1:
+		c := k.next
+		k.next++
+		return k.id, c, k.recv.At(c)
+	case k.pending != (StateID{}):
+		return StateID{}, 0, nil
 	}
-	c := k.next
-	k.next++
-	return k.id, c, k.recv.At(c)
+	k.pending = StateID(bbcrypto.RandomBlock())
+	return k.pending, 0, nil
 }
 
-// keep keeps recv's base phase, run under id at position 0.
+// keep keeps recv's base phase, run under id at position 0, unless id is
+// zero.
 func (k *KeptBase) keep(id StateID, recv *ot.ExtReceiver) {
+	if id == (StateID{}) {
+		return
+	}
 	kept := recv.At(0)
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.clearLocked()
-	k.id, k.recv, k.next = id, kept, 1
+	k.id, k.recv, k.next, k.pending = id, kept, 1, StateID{}
 }
 
-// drop forgets the kept state if it is still id's.
+// drop forgets the kept state if it is still id's, and releases id if it is
+// the pending one.
 func (k *KeptBase) drop(id StateID) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if k.id == id {
 		k.clearLocked()
+	}
+	if k.pending == id {
+		k.pending = StateID{}
 	}
 }
 

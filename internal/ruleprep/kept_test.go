@@ -4,7 +4,9 @@ import (
 	"container/list"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/bbcrypto"
@@ -90,29 +92,117 @@ func TestSenderStoreEvictsAndZeroes(t *testing.T) {
 	}
 }
 
-// checkKeys fails the test unless keys are AES_k of each fragment.
-func checkKeys(t *testing.T, keys []*dpienc.TokenKey, frags []string, k bbcrypto.Block) {
-	t.Helper()
+// keysErr says which of keys is not AES_k of its fragment, if any is.
+func keysErr(keys []*dpienc.TokenKey, frags []string, k bbcrypto.Block) error {
 	for i, f := range frags {
 		var tok [tokenize.TokenSize]byte
 		copy(tok[:], f)
 		if keys[i] == nil || *keys[i] != dpienc.ComputeTokenKey(k, tok) {
-			t.Fatalf("fragment %q: key %x, want AES_k of it", f, keys[i])
+			return fmt.Errorf("fragment %q: key %x, want AES_k of it", f, keys[i])
 		}
 	}
+	return nil
 }
 
 // dialKept runs one preparation over in-memory ports with mb keeping kb,
 // checks its keys, and fails the test unless its base phase went as want.
-func dialKept(t *testing.T, epS, epR *Endpoint, mb *Middlebox, frags []string, k bbcrypto.Block, want string) {
+// tamper is runOverPorts'.
+func dialKept(t *testing.T, epS, epR *Endpoint, mb *Middlebox, kb *KeptBase, frags []string, k bbcrypto.Block, want string, tamper func(bool, []byte)) {
 	t.Helper()
-	keys, err, epErr := runOverPorts(epS, epR, mb, nil)
-	if err != nil || epErr[0] != nil || epErr[1] != nil {
-		t.Fatalf("Run = %v, client %v, server %v", err, epErr[0], epErr[1])
+	if err := tryDialKept(epS, epR, mb, kb, frags, k, want, tamper); err != nil {
+		t.Fatal(err)
 	}
-	checkKeys(t, keys, frags, k)
-	if got := mb.Resumption(); got != want {
-		t.Fatalf("base phase %q, want %q", got, want)
+}
+
+// tryDialKept is dialKept for a goroutine other than the test's: it
+// returns what went wrong.
+func tryDialKept(epS, epR *Endpoint, mb *Middlebox, kb *KeptBase, frags []string, k bbcrypto.Block, want string, tamper func(bool, []byte)) error {
+	keys, outcome, err, epErr := runOverPorts(epS, epR, mb, Dial{Kept: kb}, tamper)
+	if err != nil || epErr[0] != nil || epErr[1] != nil {
+		return fmt.Errorf("Run = %v, client %v, server %v", err, epErr[0], epErr[1])
+	}
+	if err := keysErr(keys, frags, k); err != nil {
+		return err
+	}
+	if outcome != want {
+		return fmt.Errorf("base phase %q, want %q", outcome, want)
+	}
+	return nil
+}
+
+// atVerdict returns a runOverPorts tamper that holds each server's verdict
+// until n servers have reached theirs, so that n Runs are all past their
+// start before any gets further.
+func atVerdict(n int) func(bool, []byte) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	return func(client bool, msg []byte) {
+		if !client && msg[0] == SubVerdict {
+			wg.Done()
+			wg.Wait()
+		}
+	}
+}
+
+// TestConcurrentColdDialsKeepOneState: cold dials that share one KeptBase
+// and all start before any keeps a base phase leave the server one kept
+// state, not one each: only the first proposes a fresh ID, and the rest
+// propose the zero ID. Every dial's keys are right, none is refused, and
+// the next dial resumes the one state.
+func TestConcurrentColdDialsKeepOneState(t *testing.T) {
+	const dials = 4
+	frags := []string{"maliciou"}
+	epS, epR, mb, k, _ := setup(t, frags)
+	keptSenders.clear()
+	kb := new(KeptBase)
+	var wg sync.WaitGroup
+	tamper := atVerdict(dials)
+	errs := make([]error, dials)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = tryDialKept(epS, epR, mb, kb, frags, k, ResumeMiss, tamper)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	if n := keptSenders.lru.Len(); n != 1 {
+		t.Fatalf("the server keeps %d states after %d concurrent cold dials, want 1", n, dials)
+	}
+	dialKept(t, epS, epR, mb, kb, frags, k, ResumeHit, nil)
+}
+
+// TestOverlappingRunsKeepTheirOwnState: one Middlebox runs two dials at
+// once (go test -race checks them), one resuming a kept base phase with one
+// client-server pair and one cold with another pair under another key.
+// Each reports its own outcome and its own pair's keys.
+func TestOverlappingRunsKeepTheirOwnState(t *testing.T) {
+	frags := []string{"maliciou", "iciously"}
+	epS, epR, mb, k, kRG := setup(t, frags)
+	k2, krand2 := bbcrypto.RandomBlock(), bbcrypto.RandomBlock()
+	epS2, epR2 := NewEndpoint(k2, kRG, krand2), NewEndpoint(k2, kRG, krand2)
+	kb := new(KeptBase)
+	dialKept(t, epS, epR, mb, kb, frags, k, ResumeMiss, nil)
+	var (
+		wg   sync.WaitGroup
+		errs [2]error
+	)
+	tamper := atVerdict(2)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		errs[0] = tryDialKept(epS, epR, mb, kb, frags, k, ResumeHit, tamper)
+	}()
+	go func() {
+		defer wg.Done()
+		errs[1] = tryDialKept(epS2, epR2, mb, new(KeptBase), frags, k2, ResumeMiss, tamper)
+	}()
+	wg.Wait()
+	if err := errors.Join(errs[:]...); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -140,20 +230,19 @@ func TestRefusedResumptionRunsBasePhase(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			epS, epR, mb, k, _ := setup(t, frags)
 			kb := new(KeptBase)
-			mb.Keep(kb)
-			dialKept(t, epS, epR, mb, frags, k, ResumeMiss)
-			dialKept(t, epS, epR, mb, frags, k, ResumeHit)
+			dialKept(t, epS, epR, mb, kb, frags, k, ResumeMiss, nil)
+			dialKept(t, epS, epR, mb, kb, frags, k, ResumeHit, nil)
 			first := kb.id
 			tc.spoil(kb)
-			dialKept(t, epS, epR, mb, frags, k, ResumeRefused)
+			dialKept(t, epS, epR, mb, kb, frags, k, ResumeRefused, nil)
 			if kb.recv != nil {
 				t.Fatal("the middlebox kept a state the server refused")
 			}
-			dialKept(t, epS, epR, mb, frags, k, ResumeMiss)
+			dialKept(t, epS, epR, mb, kb, frags, k, ResumeMiss, nil)
 			if kb.id == first || kb.id == (StateID{}) {
 				t.Fatal("the cold dial after a refusal reused the refused ID")
 			}
-			dialKept(t, epS, epR, mb, frags, k, ResumeHit)
+			dialKept(t, epS, epR, mb, kb, frags, k, ResumeHit, nil)
 		})
 	}
 }
@@ -167,20 +256,20 @@ func TestDisagreeingStateIsDropped(t *testing.T) {
 	frags := []string{"maliciou"}
 	epS, epR, mb, k, _ := setup(t, frags)
 	kb := new(KeptBase)
-	mb.Keep(kb)
-	dialKept(t, epS, epR, mb, frags, k, ResumeMiss)
+	dialKept(t, epS, epR, mb, kb, frags, k, ResumeMiss, nil)
 	keptSenders.mu.Lock()
 	keptSenders.evict(keptSenders.ids[kb.id])
 	keptSenders.mu.Unlock()
 	keptSenders.keep(kb.id, ot.NewExtSender())
-	if _, err, _ := runOverPorts(epS, epR, mb, nil); !errors.Is(err, ErrLabelCommitment) {
+	_, outcome, err, _ := runOverPorts(epS, epR, mb, Dial{Kept: kb}, nil)
+	if !errors.Is(err, ErrLabelCommitment) {
 		t.Fatalf("Run = %v, want ErrLabelCommitment", err)
 	}
-	if mb.Resumption() != ResumeHit || kb.recv != nil {
-		t.Fatalf("base phase %q, state kept %v: want a resumption, then the state dropped", mb.Resumption(), kb.recv != nil)
+	if outcome != ResumeHit || kb.recv != nil {
+		t.Fatalf("base phase %q, state kept %v: want a resumption, then the state dropped", outcome, kb.recv != nil)
 	}
-	dialKept(t, epS, epR, mb, frags, k, ResumeMiss)
-	dialKept(t, epS, epR, mb, frags, k, ResumeHit)
+	dialKept(t, epS, epR, mb, kb, frags, k, ResumeMiss, nil)
+	dialKept(t, epS, epR, mb, kb, frags, k, ResumeHit, nil)
 }
 
 // resumeMsg is a middlebox's SubResume message.

@@ -388,49 +388,34 @@ type Request struct {
 	Tags      []bbcrypto.Block
 }
 
-// Middlebox is the MB-side state of a rule-preparation run. It runs one
-// preparation at a time.
+// Middlebox is the middlebox's side of rule preparation for one request:
+// every fragment's OT choice bits, fixed by NewMiddlebox and never written
+// after, so one Middlebox serves any number of concurrent Runs.
 type Middlebox struct {
-	circ *circuit.Circuit
-	req  Request
-
-	kept    *KeptBase // Keep's; nil keeps nothing
-	dial    dialOT    // the last Run's OT with the server
-	outcome string    // Resumption's
-
-	fr   *obs.FlowRecorder
-	tctx obs.SpanCtx
+	choices []bool // every fragment's, in fragment order
 }
 
-// SetTrace attaches the middlebox's flow recorder: every subsequent
-// VerifyAndEvaluate records one prep.rule_enc span parented to ctx (the
-// middlebox's prep span).
-func (m *Middlebox) SetTrace(fr *obs.FlowRecorder, ctx obs.SpanCtx) {
-	m.fr, m.tctx = fr, ctx
-}
-
-// NewMiddlebox creates the MB session for the given rule fragments.
+// NewMiddlebox creates the MB side for the given rule fragments.
 func NewMiddlebox(req Request) (*Middlebox, error) {
 	if len(req.Fragments) != len(req.Tags) {
 		return nil, errors.New("ruleprep: fragments and tags must align")
 	}
-	return &Middlebox{circ: F(), req: req}, nil
+	m := &Middlebox{choices: make([]bool, 0, len(req.Fragments)*OTWires)}
+	for i := range req.Fragments {
+		m.choices = append(m.choices, circuit.BytesToBits(req.Fragments[i][:])...)
+		m.choices = append(m.choices, circuit.BytesToBits(req.Tags[i][:])...)
+	}
+	return m, nil
 }
 
 // NumFragments returns N, which MB announces to the endpoints (§3.3 step 1).
-func (m *Middlebox) NumFragments() int { return len(m.req.Fragments) }
-
-// CircuitANDs returns the AND-gate count of the rule-encryption circuit F
-// — the gate counter trace spans covering circuit construction carry.
-func (m *Middlebox) CircuitANDs() int { return m.circ.NumAND() }
+func (m *Middlebox) NumFragments() int { return len(m.choices) / OTWires }
 
 // Choices returns MB's OT choice bits for fragment i: the bits of the
-// fragment block followed by the bits of its tag.
+// fragment block followed by the bits of its tag. The caller must not
+// modify them.
 func (m *Middlebox) Choices(i int) []bool {
-	out := make([]bool, 0, OTWires)
-	out = append(out, circuit.BytesToBits(m.req.Fragments[i][:])...)
-	out = append(out, circuit.BytesToBits(m.req.Tags[i][:])...)
-	return out
+	return m.choices[i*OTWires : (i+1)*OTWires : (i+1)*OTWires]
 }
 
 // Verify checks the client's job for fragment i against the server's:
@@ -483,16 +468,19 @@ var ErrUnauthorized = errors.New("ruleprep: fragment not authorized by rule gene
 // wires of k, then of kRG), returning the fragment's DPIEnc token key
 // AES_k(x).
 func (m *Middlebox) Evaluate(i int, job *FragmentJob, otLabels []bbcrypto.Block) (dpienc.TokenKey, error) {
-	if len(otLabels) != OTWires {
+	switch {
+	case job.G == nil:
+		return dpienc.TokenKey{}, errors.New("ruleprep: job carries no circuit")
+	case len(otLabels) != OTWires:
 		return dpienc.TokenKey{}, errors.New("ruleprep: wrong OT label count")
-	}
-	if len(job.EndpointLabels) != endpointWires {
+	case len(job.EndpointLabels) != endpointWires:
 		return dpienc.TokenKey{}, errors.New("ruleprep: wrong endpoint label count")
 	}
-	in := make([]bbcrypto.Block, m.circ.NInputs)
+	f := F()
+	in := make([]bbcrypto.Block, f.NInputs)
 	copy(in[circuit.RuleEncryptXOff:], otLabels)
 	copy(in[circuit.RuleEncryptKOff:], job.EndpointLabels)
-	bits, err := garble.Eval(m.circ, job.G, in)
+	bits, err := garble.Eval(f, job.G, in)
 	if err != nil {
 		return dpienc.TokenKey{}, err
 	}
@@ -505,17 +493,18 @@ func (m *Middlebox) Evaluate(i int, job *FragmentJob, otLabels []bbcrypto.Block)
 }
 
 // VerifyAndEvaluate is the middlebox's finishing work for fragment i when
-// both endpoints' OT delivered labels: it compares the endpoints' digests
-// and their labels, evaluates the job that carries a circuit (jobR's when
-// both do) and, when tracing, records a prep.rule_enc span covering it.
-// Only the benchmark's replay calls it, re-enacting two OT legs (ROADMAP
-// 1(b)); Run and RunLocal check the server's labels against the client's
-// commitments instead.
+// both endpoints' OT delivered labels: it compares the endpoints' digests,
+// then their labels, then evaluates jobR's circuit. Only the benchmark's
+// replay calls it, re-enacting two OT legs (ROADMAP 1(b)); Run checks the
+// server's labels against the client's commitments instead (ruleEnc).
 func (m *Middlebox) VerifyAndEvaluate(i int, jobS, jobR *FragmentJob, labS, labR []bbcrypto.Block) (dpienc.TokenKey, error) {
-	start := time.Now()
-	key, sp, err := m.ruleEnc(i, jobS, jobR, labS, equalLabels(labS, labR))
-	m.fr.Span(m.tctx.Child(), start, sp)
-	return key, err
+	if err := m.Verify(jobS, jobR); err != nil {
+		return dpienc.TokenKey{}, err
+	}
+	if err := equalLabels(labS, labR); err != nil {
+		return dpienc.TokenKey{}, err
+	}
+	return m.Evaluate(i, jobR, labR)
 }
 
 // equalLabels is VerifyAndEvaluate's label check: both legs' OT delivered
@@ -532,87 +521,12 @@ func equalLabels(labS, labR []bbcrypto.Block) error {
 	return nil
 }
 
-// ruleEnc verifies fragment i's jobs and, if labelErr (the result of the
-// label check) is nil, evaluates the job that carries a circuit (jobR's
-// when both do) on labels. It returns the key and the prep.rule_enc span
-// that describes the work, its error set unless the fragment is merely
-// unauthorized.
-func (m *Middlebox) ruleEnc(i int, jobS, jobR *FragmentJob, labels []bbcrypto.Block, labelErr error) (dpienc.TokenKey, obs.Span, error) {
-	job := jobR
-	if job.G == nil {
-		job = jobS
-	}
-	sp := obs.Span{Name: obs.SpanPrepRuleEnc}
-	if job.G != nil {
-		st := job.G.Stats()
-		sp.Gates, sp.Rows, sp.Bytes = st.Gates, st.TableRows, st.WireBytes
-	}
-	err := m.Verify(jobS, jobR)
-	switch {
-	case err != nil:
-	case job.G == nil:
-		err = errors.New("ruleprep: neither endpoint's job carries a circuit")
-	case labelErr != nil:
-		err = labelErr
-	default:
-		var key dpienc.TokenKey
-		if key, err = m.Evaluate(i, job, labels); err == nil || err == ErrUnauthorized {
-			return key, sp, err
-		}
-	}
-	sp.Err = err.Error()
-	return dpienc.TokenKey{}, sp, err
-}
-
-// evaluate verifies and evaluates every fragment from the client's digest
-// jobs and the server's circuit jobs and OT labels, each label checked
-// against the client's commitment at its choice bit; unauthorized keys are
-// nil, and any other failure yields no key at all. Each fragment's
-// rule_enc span starts where the last stage ended, the first at start.
-// finish runs before the last span ends (Run sends Done there), and its
-// error is evaluate's.
-func (m *Middlebox) evaluate(client, server []*FragmentJob, labels []bbcrypto.Block, choices []bool, start time.Time, finish func() error) ([]*dpienc.TokenKey, error) {
-	keys := make([]*dpienc.TokenKey, m.NumFragments())
-	var sp obs.Span
-	for i := range keys {
-		if i > 0 {
-			start = m.span(start, sp)
-		}
-		lo, hi := i*OTWires, (i+1)*OTWires
-		var (
-			key dpienc.TokenKey
-			err error
-		)
-		key, sp, err = m.ruleEnc(i, client[i], server[i], labels[lo:hi], checkCommitments(i, client[i].Commits, labels[lo:hi], choices[lo:hi]))
-		if err == ErrUnauthorized {
-			continue
-		}
-		if err != nil {
-			m.span(start, sp)
-			return nil, err
-		}
-		keys[i] = &key
-	}
-	err := finish()
-	if len(keys) > 0 {
-		m.span(start, sp)
-	}
-	return keys, err
-}
-
-// span records sp as a child of the middlebox's prep span, from start to
-// now, and returns now: where the next stage starts, so that consecutive
-// stages leave no gap between them.
-func (m *Middlebox) span(start time.Time, sp obs.Span) time.Time {
-	end := time.Now()
-	m.fr.Span(m.tctx.Child(), start, sp)
-	return end
-}
-
 // RunLocal performs the complete rule preparation in process — §7.2.2's
 // setup cells and the benchmark time it: epS (the client) and epR (the
 // server) each Serve their leg and the middlebox Runs both, over in-process
-// Ports, so the exchange has one order, Run's. It returns every fragment's
+// Ports, so the exchange has one order, Run's. It Runs with the zero Dial:
+// nothing is kept, so every call pays the base phase, and nothing is
+// traced. It returns every fragment's
 // token key (nil if unauthorized) and the bytes of epS's digest and epR's
 // circuit messages.
 func RunLocal(epS, epR *Endpoint, mb *Middlebox) ([]*dpienc.TokenKey, int, error) {
@@ -634,7 +548,7 @@ func RunLocal(epS, epR *Endpoint, mb *Middlebox) ([]*dpienc.TokenKey, int, error
 			close(epDone)
 		}()
 	}
-	keys, err := mb.Run(mbEnds[0], mbEnds[1])
+	keys, _, err := mb.Run(mbEnds[0], mbEnds[1], Dial{})
 	close(mbDone)
 	wg.Wait()
 	if err != nil {

@@ -25,7 +25,9 @@ func fragBlock(s string) bbcrypto.Block {
 	return rules.FragmentBlock(f)
 }
 
-func setup(t *testing.T, frags []string) (*Endpoint, *Endpoint, *Middlebox, bbcrypto.Block, bbcrypto.Block) {
+// setup returns two endpoints sharing fresh keys and a middlebox asking for
+// frags, each tagged by RG except those at the indices unauthorized.
+func setup(t *testing.T, frags []string, unauthorized ...int) (*Endpoint, *Endpoint, *Middlebox, bbcrypto.Block, bbcrypto.Block) {
 	t.Helper()
 	k := bbcrypto.RandomBlock()
 	kRG := bbcrypto.RandomBlock()
@@ -35,6 +37,9 @@ func setup(t *testing.T, frags []string) (*Endpoint, *Endpoint, *Middlebox, bbcr
 		blk := fragBlock(f)
 		req.Fragments = append(req.Fragments, blk)
 		req.Tags = append(req.Tags, bbcrypto.MAC(kRG, blk))
+	}
+	for _, i := range unauthorized {
+		req.Tags[i][0] ^= 1
 	}
 	mb, err := NewMiddlebox(req)
 	if err != nil {
@@ -85,9 +90,7 @@ func TestRunLocalProducesCorrectTokenKeys(t *testing.T) {
 func TestUnauthorizedFragmentRejected(t *testing.T) {
 	// MB tries to get AES_k for a fragment RG never tagged: the circuit
 	// must output ⊥.
-	epS, epR, mb, _, _ := setup(t, []string{"autherok"})
-	// Corrupt the tag.
-	mb.req.Tags[0][0] ^= 1
+	epS, epR, mb, _, _ := setup(t, []string{"autherok"}, 0)
 	keys, _, err := RunLocal(epS, epR, mb)
 	if err != nil {
 		t.Fatal(err)

@@ -11,17 +11,19 @@ import (
 
 // FuzzUnmarshalHello checks hello parsing never panics and accepts only
 // canonical bytes: MarshalHello(UnmarshalHello(b)) == b for every accepted
-// b (DESIGN.md §10 row 9).
+// b (DESIGN.md §10 row 9), whose mode and protocol are ones a party runs
+// (row 14).
 func FuzzUnmarshalHello(f *testing.F) {
 	f.Add(MarshalHello(Hello{PublicKey: make([]byte, 32), Protocol: 2, Mode: 1, Salt0: 7}))
-	f.Add(MarshalHello(Hello{PublicKey: make([]byte, 32), HasTrace: true, TraceID: [16]byte{1, 2}, TraceSpan: 99}))
-	sampled := MarshalHello(Hello{PublicKey: make([]byte, 32), HasTrace: true, TraceID: [16]byte{3}, HasSample: true, Sampled: true})
+	f.Add(MarshalHello(Hello{PublicKey: make([]byte, 32), Protocol: dpienc.ProtocolII, HasTrace: true, TraceID: [16]byte{1, 2}, TraceSpan: 99}))
+	sampled := MarshalHello(Hello{PublicKey: make([]byte, 32), Protocol: dpienc.ProtocolII, HasTrace: true, TraceID: [16]byte{3}, HasSample: true, Sampled: true})
 	f.Add(sampled)
 	f.Add([]byte{})
 	f.Add([]byte{32, 1, 2, 3})
-	// Non-canonical forms, each refused: a trailing byte, a flag byte of 2,
-	// an unknown or out-of-place extension, a truncated one.
-	plain := MarshalHello(Hello{PublicKey: make([]byte, 32)})
+	// Forms each refused: a trailing byte, a flag byte of 2, an unknown or
+	// out-of-place extension, a truncated one, a mode or protocol no party
+	// runs (row 14).
+	plain := MarshalHello(Hello{PublicKey: make([]byte, 32), Protocol: dpienc.ProtocolII})
 	traced := sampled[:len(sampled)-helloSampledExtLen]
 	with := func(b []byte, tail ...byte) []byte { return append(slices.Clip(b), tail...) }
 	for _, b := range [][]byte{
@@ -35,6 +37,9 @@ func FuzzUnmarshalHello(f *testing.F) {
 		with(sampled, 0),
 		sampled[:len(sampled)-1],
 		traced[:len(traced)-1],
+		MarshalHello(Hello{PublicKey: make([]byte, 32), Protocol: dpienc.ProtocolII, Mode: 7}),
+		MarshalHello(Hello{PublicKey: make([]byte, 32), Protocol: 9}),
+		MarshalHello(Hello{PublicKey: make([]byte, 32)}),
 	} {
 		f.Add(b)
 	}
@@ -45,6 +50,9 @@ func FuzzUnmarshalHello(f *testing.F) {
 		}
 		if enc := MarshalHello(h); !bytes.Equal(enc, data) {
 			t.Fatalf("accepted % x, which re-encodes as % x", data, enc)
+		}
+		if h.Mode > 1 || h.Protocol < dpienc.ProtocolI || h.Protocol > dpienc.ProtocolIII {
+			t.Fatalf("accepted mode %d, protocol %d", h.Mode, h.Protocol)
 		}
 	})
 }

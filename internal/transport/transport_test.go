@@ -85,6 +85,7 @@ func TestHelloTraceExtension(t *testing.T) {
 func TestHelloSampledExtension(t *testing.T) {
 	h := Hello{
 		PublicKey: bytes.Repeat([]byte{9}, 32),
+		Protocol:  dpienc.ProtocolII,
 		Salt0:     42,
 		MBPresent: true,
 		HasTrace:  true,
@@ -109,7 +110,7 @@ func TestHelloSampledExtension(t *testing.T) {
 		t.Fatalf("negative decision round trip: %+v", got)
 	}
 	// The decision only rides along with a trace extension.
-	got, err = UnmarshalHello(MarshalHello(Hello{PublicKey: h.PublicKey, HasSample: true, Sampled: true}))
+	got, err = UnmarshalHello(MarshalHello(Hello{PublicKey: h.PublicKey, Protocol: h.Protocol, HasSample: true, Sampled: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestHelloSampledExtension(t *testing.T) {
 // context, which crosses the wire with the rest of the hello, and every
 // later party adopts that context without rewriting the hello.
 func TestAppendHelloTrace(t *testing.T) {
-	h := Hello{PublicKey: bytes.Repeat([]byte{7}, 32), Salt0: 5}
+	h := Hello{PublicKey: bytes.Repeat([]byte{7}, 32), Protocol: dpienc.ProtocolII, Salt0: 5}
 	ctx, head, root := h.JoinTrace(nil)
 	if !root || head || !ctx.Valid() || !h.HasTrace || h.HasSample {
 		t.Fatalf("first join: ctx %v head %v root %v, hello %+v", ctx, head, root, h)
@@ -156,7 +157,7 @@ func TestAppendHelloSampled(t *testing.T) {
 
 	// A party without a recorder leaves the decision unset, so a later
 	// party with one decides.
-	var h Hello
+	h := Hello{Protocol: dpienc.ProtocolII}
 	ctx, _, _ := h.JoinTrace(nil)
 	if h.HasSample {
 		t.Fatalf("join without a recorder wrote a decision: %+v", h)
@@ -579,6 +580,37 @@ func TestHelloRecordCap(t *testing.T) {
 			}
 			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 				t.Fatalf("%d bytes allocated reading a 64 MiB hello header, want < 1 MiB", alloc)
+			}
+		})
+	}
+}
+
+// TestServerRefusesUnknownModeAndProtocol pins DESIGN.md §10 row 14 at the
+// server: a client hello naming a tokenization mode or protocol no party
+// runs ends Server's handshake in errMalformedHello before anything is
+// built for it, where the sender pipeline would have panicked on it.
+func TestServerRefusesUnknownModeAndProtocol(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		mode     byte
+		protocol dpienc.Protocol
+	}{
+		{"mode 7", 7, dpienc.ProtocolII},
+		{"protocol 9", byte(tokenize.Delimiter), 9},
+		{"protocol 0", byte(tokenize.Delimiter), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ours, theirs := net.Pipe()
+			defer ours.Close()
+			defer theirs.Close()
+			hello := MarshalHello(Hello{PublicKey: make([]byte, 32), Protocol: tc.protocol, Mode: tc.mode})
+			go func() {
+				if WriteRecord(theirs, RecHello, hello) == nil {
+					_, _ = io.Copy(io.Discard, theirs)
+				}
+			}()
+			if _, err := Server(ours, ConnConfig{Core: core.DefaultConfig()}); !errors.Is(err, errMalformedHello) {
+				t.Fatalf("Server = %v, want errMalformedHello", err)
 			}
 		})
 	}

@@ -342,7 +342,9 @@ func flagByte(b bool) byte {
 // UnmarshalHello decodes a Hello. It accepts exactly what MarshalHello
 // writes (DESIGN.md §10, "Parse ambiguities" row 9): a flag byte other
 // than 0 or 1, an extension out of place and any trailing byte are
-// errors, so an accepted hello has one encoding.
+// errors, so an accepted hello has one encoding. A mode other than Window
+// and Delimiter, or a protocol other than I, II and III, is an error too
+// (row 14): no party runs one.
 func UnmarshalHello(data []byte) (Hello, error) {
 	if len(data) < 1 || len(data) < 1+int(data[0])+11 {
 		return Hello{}, errMalformedHello
@@ -369,7 +371,8 @@ func UnmarshalHello(data []byte) (Hello, error) {
 			ext = nil
 		}
 	}
-	if len(ext) != 0 || flags > 1 {
+	if len(ext) != 0 || flags > 1 || h.Mode > byte(tokenize.Delimiter) ||
+		h.Protocol < dpienc.ProtocolI || h.Protocol > dpienc.ProtocolIII {
 		return Hello{}, errMalformedHello
 	}
 	return h, nil

@@ -123,12 +123,11 @@ go test -race -run 'TestChaos' -timeout 5m .
 # Adversarial scenarios: the evasion suite runs as live loopback sessions
 # under the race detector (an undeclared miss, an undocumented miss class,
 # or a false alert fails the test), then the scenarios experiment
-# regenerates BENCH_scenarios.json and benchgate enforces the conformance
-# contract against it (and against DESIGN.md's miss-class enumeration).
-step "adversarial scenarios (evasion e2e -race + benchgate -scenarios)"
+# regenerates BENCH_scenarios.json, the CI artifact. Its conformance
+# contract is tier-1's: TestScenariosConformance and TestEvasionE2E.
+step "adversarial scenarios (evasion e2e -race + BENCH_scenarios.json)"
 go test -race -run 'TestEvasionE2E' -timeout 10m .
 go run ./cmd/blindbench -experiment scenarios -scenarios-out BENCH_scenarios.json
-go run ./scripts/benchgate -scenarios BENCH_scenarios.json -design DESIGN.md
 
 # Fleet observability plane over two layers. First the in-process e2e
 # under the race detector: three live workers, /cluster/metrics rollups
