@@ -4,7 +4,7 @@
 // Usage:
 //
 //	blindbench -experiment all
-//	blindbench -experiment table1|table2|fig3|fig4|fig5|fig6|accuracy|throughput|setup|scenarios
+//	blindbench -experiment table1|table2|fig3|fig4|fig5|fig6|accuracy|throughput|setup
 //
 // Absolute numbers reflect this host, not the paper's DPDK testbed; the
 // reproduced quantities are the comparative shapes (see EXPERIMENTS.md).
@@ -23,9 +23,8 @@ import (
 )
 
 func main() {
-	exp := flag.String("experiment", "all", "which experiment to run: all, table1, table2, fig3, fig4, fig5, fig6, accuracy, throughput, setup, scenarios")
+	exp := flag.String("experiment", "all", "which experiment to run: all, table1, table2, fig3, fig4, fig5, fig6, accuracy, throughput, setup")
 	fast := flag.Bool("fast", false, "reduce sample sizes for a quicker run")
-	scenariosOut := flag.String("scenarios-out", "BENCH_scenarios.json", "path for the scenarios experiment's machine-readable result (empty disables)")
 	flag.Parse()
 	if *fast {
 		// The timed cells run through testing.Benchmark; -fast shortens
@@ -47,9 +46,8 @@ func main() {
 		"accuracy":   runAccuracy,
 		"throughput": runThroughput,
 		"setup":      runSetup,
-		"scenarios":  func(bool) error { return runScenarios(*scenariosOut) },
 	}
-	order := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6", "accuracy", "throughput", "setup", "scenarios"}
+	order := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6", "accuracy", "throughput", "setup"}
 
 	if *exp == "all" {
 		for _, name := range order {
@@ -166,20 +164,5 @@ func runSetup(bool) error {
 		return err
 	}
 	experiments.PrintSetup(os.Stdout, res)
-	return nil
-}
-
-func runScenarios(out string) error {
-	res, err := experiments.Scenarios(experiments.DefaultScenariosOptions())
-	if err != nil {
-		return err
-	}
-	experiments.PrintScenarios(os.Stdout, res)
-	if out != "" {
-		if err := experiments.WriteScenariosJSON(out, res); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", out)
-	}
 	return nil
 }

@@ -156,9 +156,6 @@ func NewRunner(rs *rules.Ruleset, mode tokenize.Mode) *Runner {
 	return &Runner{rs: rs, ids: baseline.New(rs), mode: mode}
 }
 
-// Mode returns the runner's tokenization mode.
-func (r *Runner) Mode() tokenize.Mode { return r.mode }
-
 // scan drives one bytestream through core.Scan under Protocol II, written
 // at the given write boundaries. It returns the fully matched rule SIDs
 // (sorted), the keyword-match offsets per (SID, keyword index), and the
@@ -185,7 +182,8 @@ func (r *Runner) scan(payload []byte, chunks []int) (sids []int, kwSeen map[[2]i
 
 // Detect runs one payload through the offline encrypted path in a single
 // write and returns the fully matched rule SIDs (sorted) and the token
-// count — the scenario harness's flow-level entry point.
+// count. It judges nothing: callers compare the SIDs with their own
+// ground truth (the BitTorrent flows carry theirs).
 func (r *Runner) Detect(payload []byte) (sids []int, tokens int) {
 	sids, _, tokens = r.scan(payload, nil)
 	return sids, tokens

@@ -1,12 +1,21 @@
 package evasion_test
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/evasion"
+	"repro/internal/packet"
 	"repro/internal/tokenize"
 )
+
+// seed is the corpus seed of the paper experiments (experiments.Seed);
+// the packet and BitTorrent corpora are checked at it as well as at
+// small seeds.
+const seed = 20150817
 
 func modes() map[string]tokenize.Mode {
 	return map[string]tokenize.Mode{
@@ -49,13 +58,53 @@ func TestPacketCasesConform(t *testing.T) {
 	for name, mode := range modes() {
 		t.Run(name, func(t *testing.T) {
 			r := evasion.NewRunner(rs, mode)
-			for _, pc := range evasion.PacketCases(4242) {
-				v, err := r.RunPacket(pc)
-				if err != nil {
-					t.Fatalf("%s: RunPacket: %v", pc.Label, err)
+			for _, s := range []int64{4242, seed} {
+				for _, pc := range evasion.PacketCases(s) {
+					v, err := r.RunPacket(pc)
+					if err != nil {
+						t.Fatalf("seed %d %s: RunPacket: %v", s, pc.Label, err)
+					}
+					if !v.OK {
+						t.Errorf("seed %d %s [%s]: %s", s, pc.Label, pc.Expect, v.Reason)
+					}
+					if v.Tokens == 0 {
+						t.Errorf("seed %d %s: no tokens flowed through the encrypted path", s, pc.Label)
+					}
 				}
-				if !v.OK {
-					t.Errorf("%s [%s]: %s", pc.Label, pc.Expect, v.Reason)
+			}
+		})
+	}
+}
+
+// TestBitTorrentFlowsConform replays every P2P flow through the capture
+// path and requires the encrypted path's rule alerts to equal the flow's
+// pinned ground truth exactly: none on a benign flow, and on the others no
+// SID missing and none extra.
+func TestBitTorrentFlowsConform(t *testing.T) {
+	rs, err := corpus.BitTorrentRules()
+	if err != nil {
+		t.Fatalf("BitTorrentRules: %v", err)
+	}
+	r := evasion.NewRunner(rs, tokenize.Delimiter)
+	key := packet.FlowKey{
+		SrcIP: [4]byte{10, 0, 0, 3}, DstIP: [4]byte{10, 0, 0, 4},
+		SrcPort: 51413, DstPort: 6881,
+	}
+	for _, s := range []int64{1, seed} {
+		t.Run(fmt.Sprint(s), func(t *testing.T) {
+			for _, f := range corpus.BitTorrentFlows(s) {
+				view, err := evasion.ReplayThroughCapture(packet.Segmentize(key, f.Payload, 1460))
+				if err != nil {
+					t.Fatalf("%s: replay: %v", f.Name, err)
+				}
+				sids, tokens := r.Detect(view)
+				want := slices.Clone(f.MustSIDs)
+				slices.Sort(want)
+				if !slices.Equal(sids, want) {
+					t.Errorf("%s: encrypted path alerted on %v, ground truth %v", f.Name, sids, want)
+				}
+				if tokens == 0 {
+					t.Errorf("%s: no tokens flowed through the encrypted path", f.Name)
 				}
 			}
 		})
@@ -148,7 +197,7 @@ func TestTransformInventory(t *testing.T) {
 	}
 }
 
-// TestOutcomeString pins the JSON/report names.
+// TestOutcomeString pins the names that failure messages print.
 func TestOutcomeString(t *testing.T) {
 	want := map[evasion.Outcome]string{
 		evasion.MustDetect:        "must-detect",

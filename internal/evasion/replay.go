@@ -157,8 +157,8 @@ func covers(s *packet.Segment, payload []byte, at int) bool {
 // ReplayThroughCapture pushes a single-flow segment sequence through the
 // real capture path — written to an in-memory pcap, read back, parsed and
 // checksum-verified, stream-reassembled — and returns the middlebox's
-// reassembled view of the flow. Scenario harnesses replay their corpora
-// through this path so pcap serialization and reassembly stay in the loop.
+// reassembled view of the flow. RunPacket and the BitTorrent flow test
+// replay through it so pcap serialization and reassembly stay in the loop.
 func ReplayThroughCapture(segs []*packet.Segment) ([]byte, error) {
 	var buf bytes.Buffer
 	w, err := pcapio.NewWriter(&buf)
