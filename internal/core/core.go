@@ -137,12 +137,8 @@ func (p *SenderPipeline) ProcessBinaryInto(dst []dpienc.EncryptedToken, n int) (
 	return p.encrypt(dst, t0, n), reset
 }
 
-// Flush finalizes the stream, returning the trailing tokens.
-func (p *SenderPipeline) Flush() []dpienc.EncryptedToken {
-	return p.FlushInto(nil)
-}
-
-// FlushInto is Flush reusing dst's backing array.
+// FlushInto finalizes the stream, writing its trailing tokens into dst's
+// backing array when it has capacity (a nil dst allocates the result).
 func (p *SenderPipeline) FlushInto(dst []dpienc.EncryptedToken) []dpienc.EncryptedToken {
 	t0 := p.tokenizeStart()
 	p.toks = p.tk.FlushInto(p.toks)
@@ -317,7 +313,7 @@ func DirectTokenKeys(k bbcrypto.Block, rs *rules.Ruleset, mode tokenize.Mode) de
 // benchmark (benchmark/), which is revised separately from the code it
 // measures, still passes nil there, and goes at that benchmark's next
 // revision.
-func NewDetectEngine(rs *rules.Ruleset, keys detect.TokenKeys, cfg Config, _ *detect.TreeIndex) *detect.Engine {
+func NewDetectEngine(rs *rules.Ruleset, keys detect.TokenKeys, cfg Config, _ any) *detect.Engine {
 	return detect.NewEngine(rs, keys, detect.Config{
 		Mode:     cfg.Mode,
 		Protocol: cfg.Protocol,

@@ -38,8 +38,8 @@ func TestSenderToDetectEndToEnd(t *testing.T) {
 		eng := NewDetectEngine(rs, DirectTokenKeys(keys.K, rs, cfg.Mode), cfg, nil)
 		var fired bool
 		feed := func(toks []dpienc.EncryptedToken) {
-			for _, et := range toks {
-				for _, ev := range eng.ProcessToken(et) {
+			for i := range toks {
+				for _, ev := range eng.ScanBatch(toks[i:i+1], nil) {
 					if ev.Kind == detect.RuleMatch {
 						fired = true
 						if cfg.Protocol == dpienc.ProtocolIII && ev.SSLKey != keys.KSSL {
@@ -51,7 +51,7 @@ func TestSenderToDetectEndToEnd(t *testing.T) {
 		}
 		toks, _ := sp.ProcessText([]byte("benign prefix attackkw benign suffix"))
 		feed(toks)
-		feed(sp.Flush())
+		feed(sp.FlushInto(nil))
 		if !fired {
 			t.Fatalf("cfg %+v: rule did not fire", cfg)
 		}
@@ -66,8 +66,8 @@ func TestBinarySkipKeepsSync(t *testing.T) {
 	eng := NewDetectEngine(rs, DirectTokenKeys(keys.K, rs, cfg.Mode), cfg, nil)
 	fired := false
 	run := func(toks []dpienc.EncryptedToken) {
-		for _, et := range toks {
-			for _, ev := range eng.ProcessToken(et) {
+		for i := range toks {
+			for _, ev := range eng.ScanBatch(toks[i:i+1], nil) {
 				if ev.Kind == detect.RuleMatch {
 					fired = true
 				}
@@ -80,7 +80,7 @@ func TestBinarySkipKeepsSync(t *testing.T) {
 	run(toks)
 	toks, _ = sp.ProcessText([]byte("trailer with attackkw inside"))
 	run(toks)
-	run(sp.Flush())
+	run(sp.FlushInto(nil))
 	if !fired {
 		t.Fatal("rule did not fire after binary skip")
 	}
@@ -104,7 +104,7 @@ func TestValidatorAcceptsHonestSender(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v.ReceiveTokens(sp.Flush())
+	v.ReceiveTokens(sp.FlushInto(nil))
 	if err := v.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestValidatorCatchesSurplusTokens(t *testing.T) {
 		}
 		return
 	}
-	v.ReceiveTokens(sp.Flush())
+	v.ReceiveTokens(sp.FlushInto(nil))
 	if err := v.Finish(); !errors.Is(err, ErrTokenMismatch) {
 		t.Fatalf("surplus not caught: %v", err)
 	}
@@ -179,8 +179,8 @@ func TestSaltResetAnnouncedAndApplied(t *testing.T) {
 		if reset != nil {
 			eng.Reset(reset.Salt0)
 		}
-		for _, et := range toks {
-			for _, ev := range eng.ProcessToken(et) {
+		for i := range toks {
+			for _, ev := range eng.ScanBatch(toks[i:i+1], nil) {
 				if ev.Kind == detect.KeywordMatch {
 					matches++
 				}
@@ -191,7 +191,7 @@ func TestSaltResetAnnouncedAndApplied(t *testing.T) {
 		toks, reset := sp.ProcessText([]byte("some filler text then attackkw and padding padding"))
 		feed(toks, reset)
 	}
-	feed(sp.Flush(), nil)
+	feed(sp.FlushInto(nil), nil)
 	if matches != 10 {
 		t.Fatalf("matches across salt resets = %d, want 10", matches)
 	}

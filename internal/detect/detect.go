@@ -9,8 +9,6 @@
 package detect
 
 import (
-	"fmt"
-
 	"repro/internal/bbcrypto"
 	"repro/internal/dpienc"
 	"repro/internal/rules"
@@ -56,7 +54,6 @@ type Event struct {
 // entry is the per-fragment detection state: the §3.2 counter ct* and the
 // precomputed encryption under the current expected salt.
 type entry struct {
-	frag bbcrypto.Block
 	tk   dpienc.TokenKey
 	ct   uint64
 	cur  dpienc.Ciphertext
@@ -109,27 +106,22 @@ type Config struct {
 
 // Engine is the middlebox-side detection state for one connection.
 type Engine struct {
-	cfg     Config
-	salt0   uint64
-	stride  uint64
-	index   *TreeIndex
-	entries map[bbcrypto.Block]*entry
-	order   []*entry
-	crules  []*compiledRule
+	cfg    Config
+	salt0  uint64
+	stride uint64
+	// entries holds one value per distinct fragment, in first-seen order.
+	entries []entry
+	// slots is an open-addressed table over the entries' current
+	// ciphertexts: each slot holds an entry index + 1, or 0 when empty.
+	// An entry's home slot is cur.Uint64() & mask and it sits in the
+	// probe run (linear probing) that starts there; deletion shifts the
+	// run back, so the table holds no tombstones. At ≤ 1/16 load the
+	// home slot of almost every non-matching token is empty: the common
+	// per-token outcome costs one array load.
+	slots  []uint32
+	mask   uint64
+	crules []*compiledRule
 
-	// filter/filterMask form a counting prefilter over the low bits of
-	// the current fragment ciphertexts: filter[c & filterMask] is how
-	// many live entries hash to that slot. The overwhelmingly common
-	// per-token outcome is "no fragment matches", and the filter decides
-	// it with one array load instead of a search-structure lookup (~11
-	// pointer chases in the paper's tree at 3000 fragments) — the
-	// fastest check runs first. uint16 counters cannot realistically
-	// saturate (that would need 65k fragments sharing one slot).
-	filter     []uint16
-	filterMask uint64
-
-	// tokensSeen counts processed tokens, for throughput accounting.
-	tokensSeen uint64
 	// pruneWatermark drives candidate-map pruning.
 	pruneWatermark int
 }
@@ -139,16 +131,11 @@ type Engine struct {
 // (this is how uncoverable keywords and withheld authorizations degrade,
 // rather than break, detection).
 func NewEngine(rs *rules.Ruleset, keys TokenKeys, cfg Config) *Engine {
-	e := &Engine{
-		cfg:     cfg,
-		salt0:   cfg.Salt0,
-		stride:  1,
-		index:   NewTreeIndex(),
-		entries: make(map[bbcrypto.Block]*entry),
-	}
+	e := &Engine{cfg: cfg, stride: 1}
 	if cfg.Protocol == dpienc.ProtocolIII {
 		e.stride = 2
 	}
+	seen := make(map[bbcrypto.Block]int)
 	for _, r := range rs.Rules {
 		cr := &compiledRule{rule: r}
 		for ki := range r.Contents {
@@ -172,125 +159,131 @@ func NewEngine(rs *rules.Ruleset, keys TokenKeys, cfg Config) *Engine {
 						ks.missing = true
 						break
 					}
-					ent := e.entries[blk]
-					if ent == nil {
-						ent = &entry{frag: blk, tk: tk}
-						ent.cur = dpienc.Encrypt(tk, e.salt0)
-						e.entries[blk] = ent
-						e.order = append(e.order, ent)
+					x, ok := seen[blk]
+					if !ok {
+						x = len(e.entries)
+						seen[blk] = x
+						e.entries = append(e.entries, entry{tk: tk})
 					}
-					ent.refs = append(ent.refs, fragRef{kw: ks, idx: idx})
+					e.entries[x].refs = append(e.entries[x].refs, fragRef{kw: ks, idx: idx})
 				}
 			}
 			cr.keywords = append(cr.keywords, ks)
 		}
 		e.crules = append(e.crules, cr)
 	}
-	e.index.Rebuild(e.order)
-	e.rebuildFilter()
+	// 2^10–2^17 slots at ≤ 1/16 load, and never above 1/2 load.
+	bits := 10
+	for bits < 17 && 1<<bits < 16*len(e.entries) || 1<<bits < 2*len(e.entries) {
+		bits++
+	}
+	e.slots = make([]uint32, 1<<bits)
+	e.mask = uint64(len(e.slots) - 1)
+	e.Reset(cfg.Salt0)
 	return e
 }
 
-// rebuildFilter sizes the prefilter to keep its load factor low (~1/16
-// occupied slots, so ~94% of non-matching tokens early-exit on the first
-// load) and repopulates it from the current entry ciphertexts. Slot count
-// is clamped to [2^10, 2^17] — at most 256 KiB per engine, small next to
-// the entry map and candidate state it fronts.
-func (e *Engine) rebuildFilter() {
-	bits := 10
-	for bits < 17 && 1<<bits < 16*len(e.order) {
-		bits++
-	}
-	if e.filter == nil || len(e.filter) != 1<<bits {
-		e.filter = make([]uint16, 1<<bits)
-	} else {
-		clear(e.filter)
-	}
-	e.filterMask = uint64(len(e.filter) - 1)
-	for _, ent := range e.order {
-		e.filter[ent.cur.Uint64()&e.filterMask]++
-	}
-}
-
 // NumFragments reports how many distinct fragments the engine searches for.
-func (e *Engine) NumFragments() int { return len(e.order) }
-
-// TokensSeen reports how many tokens have been processed.
-func (e *Engine) TokensSeen() uint64 { return e.tokensSeen }
+func (e *Engine) NumFragments() int { return len(e.entries) }
 
 // Reset re-synchronizes with a sender counter-table reset (§3.2): all
 // fragment counters restart at zero under the announced salt0.
 func (e *Engine) Reset(salt0 uint64) {
 	e.salt0 = salt0
-	for _, ent := range e.order {
-		ent.ct = 0
-		ent.cur = dpienc.Encrypt(ent.tk, salt0)
+	clear(e.slots)
+	for x := range e.entries {
+		e.entries[x].ct = 0
+		e.entries[x].cur = dpienc.Encrypt(e.entries[x].tk, salt0)
+		e.insert(uint32(x))
 	}
-	e.index.Rebuild(e.order)
-	e.rebuildFilter()
 }
 
-// ProcessToken runs one encrypted token through BlindBox Detect and returns
-// any detection events. Tokens must be processed in stream order. For batch
-// workloads prefer ScanBatch, which amortizes call overhead and reuses the
-// caller's event buffer; ProcessToken allocates its result slice only when
-// events actually fire.
-func (e *Engine) ProcessToken(et dpienc.EncryptedToken) []Event {
-	e.tokensSeen++
-	evs := e.scanToken(et, nil)
-	e.maybePrune(et.Offset)
-	return evs
+// insert puts entry x in the first empty slot of the probe run from its
+// home. The table is at most half full, so there always is one.
+func (e *Engine) insert(x uint32) {
+	i := e.entries[x].cur.Uint64() & e.mask
+	for e.slots[i] != 0 {
+		i = (i + 1) & e.mask
+	}
+	e.slots[i] = x + 1
+}
+
+// remove takes entry x out of the table by backward-shift deletion: each
+// later entry of the probe run whose home does not lie between the hole
+// and itself moves back into the hole. It reads every entry's home from
+// its cur, so it must run before x's cur changes.
+func (e *Engine) remove(x uint32) {
+	i := e.entries[x].cur.Uint64() & e.mask
+	for e.slots[i] != x+1 {
+		i = (i + 1) & e.mask
+	}
+	for j := (i + 1) & e.mask; e.slots[j] != 0; j = (j + 1) & e.mask {
+		home := e.entries[e.slots[j]-1].cur.Uint64() & e.mask
+		if (j-home)&e.mask >= (j-i)&e.mask {
+			e.slots[i] = e.slots[j]
+			i = j
+		}
+	}
+	e.slots[i] = 0
 }
 
 // ScanBatch runs a batch of encrypted tokens (in stream order) through the
 // engine, appending detection events to dst and returning the extended
-// slice. Events appear in the same stream-offset order per-token Scan
-// (ProcessToken) would produce.
+// slice. Any partition of a stream into batches yields the same events in
+// the same stream-offset order.
 //
 // Allocation contract: 0 allocs/op steady-state — passing dst with spare
 // capacity (typically a buffer reused across batches, truncated with
-// dst[:0]) makes the hot path allocation-free; token counting and
-// candidate pruning run once per batch, not per token.
+// dst[:0]) makes the hot path allocation-free; candidate pruning runs once
+// per batch, not per token.
 func (e *Engine) ScanBatch(ets []dpienc.EncryptedToken, dst []Event) []Event {
 	for i := range ets {
-		dst = e.scanToken(ets[i], dst)
+		// Every entry whose current ciphertext equals C1 sits in the
+		// probe run from C1's home slot, so an empty home slot ends the
+		// common miss with one load.
+		if e.slots[ets[i].C1.Uint64()&e.mask] != 0 {
+			dst = e.scanToken(&ets[i], dst)
+		}
 	}
 	if n := len(ets); n > 0 {
-		// Bookkeeping hoisted out of the per-token path: the counter is
-		// batch-granular anyway, and pruning from the batch's last offset
-		// is equivalent — a candidate completing within this batch is at
-		// most a keyword length (≪ the 64 KiB horizon) behind it.
-		e.tokensSeen += uint64(n)
+		// Pruning from the batch's last offset is equivalent to pruning
+		// per token: a candidate completing within this batch is at most
+		// a keyword length (≪ the 64 KiB horizon) behind it.
 		e.maybePrune(ets[n-1].Offset)
 	}
 	return dst
 }
 
-// scanToken is the per-token §3.2 step shared by ProcessToken and
-// ScanBatch; it appends events to dst. Checks run fastest-first: the
-// prefilter load rejects almost every token before the search-structure
-// lookup, which in turn runs before any counter/candidate work.
+// scanToken is the per-token §3.2 step for a token whose home slot is
+// occupied; it appends events to dst. Matching entries are handled in
+// fragment order: each pass walks the probe run for the lowest-numbered
+// match after the last one handled, which also keeps an entry re-inserted
+// by this token from being seen twice.
 //
 //bb:hotpath
-func (e *Engine) scanToken(et dpienc.EncryptedToken, dst []Event) []Event {
-	if e.filter[et.C1.Uint64()&e.filterMask] == 0 {
-		return dst
-	}
-	hits := e.index.Lookup(et.C1)
-	if len(hits) == 0 {
-		return dst
-	}
-	for _, ent := range hits {
+func (e *Engine) scanToken(et *dpienc.EncryptedToken, dst []Event) []Event {
+	key := et.C1.Uint64()
+	home := key & e.mask
+	for last := uint32(0); e.slots[home] != 0; {
+		hit := uint32(0)
+		for i := home; e.slots[i] != 0; i = (i + 1) & e.mask {
+			s := e.slots[i]
+			if s > last && (hit == 0 || s < hit) && e.entries[s-1].cur.Uint64() == key {
+				hit = s
+			}
+		}
+		if hit == 0 {
+			break
+		}
+		last = hit
 		// §3.2 steps 1.1.2–1.1.3: advance the counter, re-encrypt, and
-		// replace the node in the search structure and prefilter.
+		// re-index the entry under its new ciphertext.
+		ent := &e.entries[hit-1]
 		saltUsed := e.salt0 + ent.ct
-		old := ent.cur
+		e.remove(hit - 1)
 		ent.ct += e.stride
 		ent.cur = dpienc.Encrypt(ent.tk, e.salt0+ent.ct)
-		e.index.Update(ent, old, ent.cur)
-		e.filter[old.Uint64()&e.filterMask]--
-		e.filter[ent.cur.Uint64()&e.filterMask]++
-
+		e.insert(hit - 1)
 		for _, ref := range ent.refs {
 			dst = e.recordFragment(ref, ent, et, saltUsed, dst)
 		}
@@ -300,7 +293,7 @@ func (e *Engine) scanToken(et dpienc.EncryptedToken, dst []Event) []Event {
 
 // recordFragment folds one fragment sighting into keyword and rule state,
 // appending resulting events to dst.
-func (e *Engine) recordFragment(ref fragRef, ent *entry, et dpienc.EncryptedToken, saltUsed uint64, dst []Event) []Event {
+func (e *Engine) recordFragment(ref fragRef, ent *entry, et *dpienc.EncryptedToken, saltUsed uint64, dst []Event) []Event {
 	ks := ref.kw
 	start := et.Offset - ks.rel[ref.idx]
 	if start < 0 {
@@ -409,30 +402,4 @@ func (e *Engine) maybePrune(offset int) {
 			}
 		}
 	}
-}
-
-// Stats summarizes per-connection detection state.
-type Stats struct {
-	Fragments  int
-	Tokens     uint64
-	RulesTotal int
-	RulesFired int
-}
-
-// Stats returns detection statistics.
-func (e *Engine) Stats() Stats {
-	s := Stats{Fragments: len(e.order), Tokens: e.tokensSeen, RulesTotal: len(e.crules)}
-	for _, cr := range e.crules {
-		if cr.alerted {
-			s.RulesFired++
-		}
-	}
-	return s
-}
-
-// String implements fmt.Stringer for debugging.
-func (e *Engine) String() string {
-	s := e.Stats()
-	return fmt.Sprintf("detect.Engine{frags=%d tokens=%d rules=%d fired=%d}",
-		s.Fragments, s.Tokens, s.RulesTotal, s.RulesFired)
 }

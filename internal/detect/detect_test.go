@@ -37,7 +37,7 @@ func runTraffic(t *testing.T, rs *rules.Ruleset, mode tokenize.Mode, proto dpien
 	})
 	var events []Event
 	for _, tok := range tokenize.TokenizeAll(mode, payload) {
-		events = append(events, eng.ProcessToken(sender.EncryptToken(tok))...)
+		events = eng.ScanBatch([]dpienc.EncryptedToken{sender.EncryptToken(tok)}, events)
 	}
 	return events, kSSL
 }
@@ -237,7 +237,7 @@ func TestEngineResetResynchronizes(t *testing.T) {
 	matches := 0
 	feed := func(payload []byte) {
 		for _, tok := range tokenize.TokenizeAll(tokenize.Window, payload) {
-			for _, ev := range eng.ProcessToken(sender.EncryptToken(tok)) {
+			for _, ev := range eng.ScanBatch([]dpienc.EncryptedToken{sender.EncryptToken(tok)}, nil) {
 				if ev.Kind == KeywordMatch {
 					matches++
 				}
@@ -317,33 +317,11 @@ func TestMissingTokenKeysDegradeGracefully(t *testing.T) {
 	eng := NewEngine(rs, keys, Config{Mode: tokenize.Window, Protocol: dpienc.ProtocolII})
 	var events []Event
 	for _, tok := range tokenize.TokenizeAll(tokenize.Window, []byte("evilword and otherkw9")) {
-		events = append(events, eng.ProcessToken(sender.EncryptToken(tok))...)
+		events = eng.ScanBatch([]dpienc.EncryptedToken{sender.EncryptToken(tok)}, events)
 	}
 	got := ruleMatches(events)
 	if len(got) != 1 || got[0] != 2 {
 		t.Fatalf("rule matches = %v, want [2]", got)
-	}
-}
-
-func TestStats(t *testing.T) {
-	rs := mustParse(t, `alert tcp any any -> any any (content:"evilword"; sid:1;)`)
-	events, _ := runTraffic(t, rs, tokenize.Window, dpienc.ProtocolI, []byte("evilword spotted"))
-	if len(events) == 0 {
-		t.Fatal("no events")
-	}
-	// Re-run with a persistent engine to check Stats.
-	k := bbcrypto.RandomBlock()
-	sender := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolI, 0)
-	eng := NewEngine(rs, keysFor(k, rs, tokenize.Window), Config{Mode: tokenize.Window, Protocol: dpienc.ProtocolI})
-	for _, tok := range tokenize.TokenizeAll(tokenize.Window, []byte("evilword spotted")) {
-		eng.ProcessToken(sender.EncryptToken(tok))
-	}
-	s := eng.Stats()
-	if s.RulesFired != 1 || s.RulesTotal != 1 || s.Fragments != 1 || s.Tokens == 0 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if !strings.Contains(eng.String(), "fired=1") {
-		t.Fatalf("String() = %q", eng.String())
 	}
 }
 
@@ -404,7 +382,7 @@ func TestEncryptedEqualsPlaintextProperty(t *testing.T) {
 		})
 		fired := make(map[int]bool)
 		for _, tok := range tokenize.TokenizeAll(tokenize.Window, payload) {
-			for _, ev := range eng.ProcessToken(sender.EncryptToken(tok)) {
+			for _, ev := range eng.ScanBatch([]dpienc.EncryptedToken{sender.EncryptToken(tok)}, nil) {
 				if ev.Kind == RuleMatch {
 					fired[ev.Rule.SID] = true
 				}
@@ -432,64 +410,20 @@ func escapeForRule(s string) string {
 }
 
 func TestEngineAccessors(t *testing.T) {
-	rs := mustParse(t, `alert tcp any any -> any any (content:"evilword"; sid:1;)`)
+	// Two rules sharing a keyword search for one fragment, before and
+	// after a counter reset.
+	rs := mustParse(t,
+		`alert tcp any any -> any any (content:"evilword"; sid:1;)`,
+		`alert tcp any any -> any any (content:"evilword"; content:"otherkw9"; sid:2;)`,
+	)
 	k := bbcrypto.RandomBlock()
 	eng := NewEngine(rs, keysFor(k, rs, tokenize.Window), Config{Mode: tokenize.Window, Protocol: dpienc.ProtocolII})
-	if eng.NumFragments() != 1 {
-		t.Fatalf("NumFragments = %d", eng.NumFragments())
+	if eng.NumFragments() != 2 {
+		t.Fatalf("NumFragments = %d, want 2", eng.NumFragments())
 	}
-	sender := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolII, 0)
-	eng.ProcessToken(sender.EncryptToken(tokenize.Token{}))
-	if eng.TokensSeen() != 1 {
-		t.Fatalf("TokensSeen = %d", eng.TokensSeen())
-	}
-}
-
-func TestTreeIndexLenAndCollisionHandling(t *testing.T) {
-	ti := NewTreeIndex()
-	e1 := &entry{cur: dpienc.CiphertextFromUint64(42)}
-	e2 := &entry{cur: dpienc.CiphertextFromUint64(42)} // colliding key
-	e3 := &entry{cur: dpienc.CiphertextFromUint64(7)}
-	ti.Rebuild([]*entry{e1, e2, e3})
-	if ti.Len() != 3 {
-		t.Fatalf("Len = %d", ti.Len())
-	}
-	hits := ti.Lookup(dpienc.CiphertextFromUint64(42))
-	if len(hits) != 2 {
-		t.Fatalf("colliding lookup = %d entries", len(hits))
-	}
-	// Move e1 away; e2 must remain findable at the old key.
-	ti.Update(e1, dpienc.CiphertextFromUint64(42), dpienc.CiphertextFromUint64(99))
-	if got := ti.Lookup(dpienc.CiphertextFromUint64(42)); len(got) != 1 || got[0] != e2 {
-		t.Fatalf("collision survivor lost: %v", got)
-	}
-	if got := ti.Lookup(dpienc.CiphertextFromUint64(99)); len(got) != 1 || got[0] != e1 {
-		t.Fatal("moved entry not found")
-	}
-	if ti.Len() != 3 {
-		t.Fatalf("Len after update = %d", ti.Len())
-	}
-}
-
-func TestTreeIndexDeleteInternalNode(t *testing.T) {
-	// Exercise BST deletion of a node with two children: build a known
-	// shape and delete the root's successor chain.
-	ti := NewTreeIndex()
-	var entries []*entry
-	for _, v := range []uint64{50, 30, 70, 20, 40, 60, 80, 65} {
-		e := &entry{cur: dpienc.CiphertextFromUint64(v)}
-		entries = append(entries, e)
-	}
-	ti.Rebuild(entries)
-	// Delete the root (50): replaced by successor (60), which has a child.
-	ti.Update(entries[0], dpienc.CiphertextFromUint64(50), dpienc.CiphertextFromUint64(55))
-	for _, v := range []uint64{30, 70, 20, 40, 60, 80, 65, 55} {
-		if len(ti.Lookup(dpienc.CiphertextFromUint64(v))) != 1 {
-			t.Fatalf("key %d lost after internal deletion", v)
-		}
-	}
-	if len(ti.Lookup(dpienc.CiphertextFromUint64(50))) != 0 {
-		t.Fatal("deleted key still present")
+	eng.Reset(7)
+	if eng.NumFragments() != 2 {
+		t.Fatalf("NumFragments after Reset = %d, want 2", eng.NumFragments())
 	}
 }
 
@@ -507,7 +441,7 @@ func TestCandidatePruningBoundsMemory(t *testing.T) {
 	var frag [tokenize.TokenSize]byte
 	copy(frag[:], "fragAAAA")
 	for off := 0; off < 1<<20; off += 64 {
-		eng.ProcessToken(sender.EncryptToken(tokenize.Token{Text: frag, Offset: off}))
+		eng.ScanBatch([]dpienc.EncryptedToken{sender.EncryptToken(tokenize.Token{Text: frag, Offset: off})}, nil)
 	}
 	// All candidates older than the horizon must have been pruned.
 	total := 0

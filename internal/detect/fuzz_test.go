@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bbcrypto"
@@ -15,10 +16,9 @@ alert tcp any any -> any any (msg:"pair"; content:"attackvector"; content:"exfil
 
 // FuzzIndexConsistency drives an engine with a stream — genuine encrypted
 // tokens or adversarial raw ciphertexts, followed by a counter reset and a
-// genuine stream — and after every token holds the search tree to the
-// engine's own list of fragments: one node entry per fragment (every
-// Update's delete matched by its insert), each found under its current
-// ciphertext.
+// genuine stream — and after every token holds the table to its invariant
+// (checkTable): every fragment in exactly one slot, reachable from the home
+// slot of its current ciphertext.
 func FuzzIndexConsistency(f *testing.F) {
 	f.Add([]byte("malwarepayload"), uint64(0), false)
 	f.Add([]byte("xx attackvector yy exfiltrated zz"), uint64(1234), false)
@@ -38,22 +38,6 @@ func FuzzIndexConsistency(f *testing.F) {
 		eng := NewEngine(rs, keysFor(k, rs, mode), Config{
 			Mode: mode, Protocol: dpienc.ProtocolII, Salt0: salt0,
 		})
-		check := func(when string, i int) {
-			t.Helper()
-			if eng.index.Len() != len(eng.order) {
-				t.Fatalf("%s token %d: tree holds %d entries, want %d", when, i, eng.index.Len(), len(eng.order))
-			}
-			for _, ent := range eng.order {
-				found := false
-				for _, hit := range eng.index.Lookup(ent.cur) {
-					found = found || hit == ent
-				}
-				if !found {
-					t.Fatalf("%s token %d: fragment %x not found under its current ciphertext", when, i, ent.frag)
-				}
-			}
-		}
-
 		var stream []dpienc.EncryptedToken
 		if adversarial {
 			// Raw windows of the input as C1: the middlebox must handle
@@ -67,19 +51,20 @@ func FuzzIndexConsistency(f *testing.F) {
 			s := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolII, salt0)
 			stream = s.EncryptTokensInto(nil, tokenize.TokenizeAll(mode, data))
 		}
-		for i, et := range stream {
-			eng.ProcessToken(et)
-			check("", i)
+		for i := range stream {
+			eng.ScanBatch(stream[i:i+1], nil)
+			checkTable(t, eng, fmt.Sprintf("token %d", i))
 		}
 
-		// A mid-connection reset rebuilds the tree; it must keep up on a
+		// A mid-connection reset rebuilds the table; it must keep up on a
 		// genuine stream afterwards.
 		eng.Reset(salt0 + 1)
-		check("reset", 0)
+		checkTable(t, eng, "reset")
 		s := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolII, salt0+1)
-		for i, et := range s.EncryptTokensInto(nil, tokenize.TokenizeAll(mode, data)) {
-			eng.ProcessToken(et)
-			check("post-reset", i)
+		post := s.EncryptTokensInto(nil, tokenize.TokenizeAll(mode, data))
+		for i := range post {
+			eng.ScanBatch(post[i:i+1], nil)
+			checkTable(t, eng, fmt.Sprintf("post-reset token %d", i))
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/bbcrypto"
@@ -39,11 +40,11 @@ func eventsEqual(a, b Event) bool {
 		a.Offset == b.Offset && a.SSLKey == b.SSLKey && a.HasSSLKey == b.HasSSLKey
 }
 
-// TestScanBatchMatchesProcessToken is the batch/sequential differential
-// property of the issue: for 1k randomized (seeded) token streams,
-// ScanBatch over ANY batch-size partition of the stream yields the same
-// events, in the same stream-offset order, as per-token ProcessToken.
-func TestScanBatchMatchesProcessToken(t *testing.T) {
+// TestScanBatchMatchesOneTokenBatches is the batch partition property: for
+// 1k randomized (seeded) token streams, ScanBatch over the whole stream and
+// over a random partition of it yields the same events, in the same
+// stream-offset order, as one-token batches.
+func TestScanBatchMatchesOneTokenBatches(t *testing.T) {
 	rs := mustParse(t,
 		`alert tcp any any -> any any (content:"attack01"; sid:1;)`,
 		`alert tcp any any -> any any (content:"exfil-marker-long"; sid:2;)`,
@@ -69,35 +70,40 @@ func TestScanBatchMatchesProcessToken(t *testing.T) {
 		sender := dpienc.NewSender(k, kSSL, proto, uint64(iter))
 		ets := sender.EncryptTokensInto(nil, tokenize.TokenizeAll(mode, traffic))
 
-		seqEng := NewEngine(rs, keys, Config{Mode: mode, Protocol: proto, Salt0: uint64(iter)})
+		newEngine := func() *Engine {
+			return NewEngine(rs, keys, Config{Mode: mode, Protocol: proto, Salt0: uint64(iter)})
+		}
+		oneEng := newEngine()
 		var want []Event
 		for i := range ets {
-			want = append(want, seqEng.ProcessToken(ets[i])...)
+			want = oneEng.ScanBatch(ets[i:i+1], want)
 		}
 
-		batchEng := NewEngine(rs, keys, Config{Mode: mode, Protocol: proto, Salt0: uint64(iter)})
-		var got, scratch []Event
+		partEng := newEngine()
+		var parted, scratch []Event
 		for off := 0; off < len(ets); {
 			n := 1 + rng.Intn(len(ets)-off)
-			scratch = batchEng.ScanBatch(ets[off:off+n], scratch[:0])
-			got = append(got, scratch...)
+			scratch = partEng.ScanBatch(ets[off:off+n], scratch[:0])
+			parted = append(parted, scratch...)
 			off += n
 		}
 
-		if len(got) != len(want) {
-			t.Fatalf("iter %d (proto %s, %s): %d batch events, want %d",
-				iter, proto, mode, len(got), len(want))
-		}
-		for i := range want {
-			if !eventsEqual(got[i], want[i]) {
-				t.Fatalf("iter %d (proto %s, %s): event %d differs:\n got %+v\nwant %+v",
-					iter, proto, mode, i, got[i], want[i])
+		for name, got := range map[string][]Event{
+			"whole stream": newEngine().ScanBatch(ets, nil),
+			"partition":    parted,
+		} {
+			if len(got) != len(want) {
+				t.Fatalf("iter %d (proto %s, %s): %d events from the %s, want %d",
+					iter, proto, mode, len(got), name, len(want))
+			}
+			for i := range want {
+				if !eventsEqual(got[i], want[i]) {
+					t.Fatalf("iter %d (proto %s, %s): %s event %d differs:\n got %+v\nwant %+v",
+						iter, proto, mode, name, i, got[i], want[i])
+				}
 			}
 		}
 		sawEvents += len(want)
-		if seqEng.TokensSeen() != batchEng.TokensSeen() {
-			t.Fatalf("iter %d: token counters diverged", iter)
-		}
 	}
 	if sawEvents == 0 {
 		t.Fatal("differential corpus produced no events — the property was vacuous")
@@ -126,7 +132,7 @@ func TestScanBatchReusesDst(t *testing.T) {
 
 // TestScanBatchLargeStreamKeywordCount cross-checks aggregate semantics on
 // a bigger stream: every occurrence of a repeated keyword is found exactly
-// once by both paths.
+// once.
 func TestScanBatchLargeStreamKeywordCount(t *testing.T) {
 	rs := mustParse(t, `alert tcp any any -> any any (content:"needlekw"; sid:9;)`)
 	k := bbcrypto.DeriveBlock([]byte("scanbatch-count"), "k")
@@ -156,10 +162,13 @@ func TestScanBatchLargeStreamKeywordCount(t *testing.T) {
 // TestScanBatchSteadyStateAllocatesNothing pins the detection hot path's
 // allocation contract: once an engine has scanned a stretch of attack
 // traffic (candidate tables at size) and the event buffer has room,
-// scanning ordinary traffic batch by batch allocates nothing. (A match
-// re-keys its fragment's ciphertext in the tree index, which may cost a
-// node; matches are the rare case.)
+// scanning batch by batch allocates nothing, whether the batch is ordinary
+// traffic or a keyword repeated (each match re-keys its fragment in the
+// table), and neither does a counter reset.
 func TestScanBatchSteadyStateAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
 	rs := mustParse(t,
 		`alert tcp any any -> any any (content:"attack01"; sid:1;)`,
 		`alert tcp any any -> any any (content:"exfil-marker-long"; sid:2;)`,
@@ -175,25 +184,48 @@ func TestScanBatchSteadyStateAllocatesNothing(t *testing.T) {
 		traffic = append(traffic, words[rng.Intn(len(words))]...)
 		traffic = append(traffic, " ,;=/"[rng.Intn(5)])
 	}
+	quiet := len(traffic)
+	for len(traffic) < quiet+64<<10 {
+		traffic = append(traffic, "attack01 "...)
+	}
 	sender := dpienc.NewSender(k, bbcrypto.Block{}, dpienc.ProtocolII, 0)
 	ets := sender.EncryptTokensInto(nil, tokenize.TokenizeAll(tokenize.Delimiter, traffic))
 	eng := NewEngine(rs, keys, Config{Mode: tokenize.Delimiter, Protocol: dpienc.ProtocolII})
+	from := func(offset int) int {
+		return sort.Search(len(ets), func(i int) bool { return ets[i].Offset >= offset })
+	}
+	ordinary, matching := ets[from(warm):from(quiet)], ets[from(quiet):]
 
 	const batch = 128
 	events := make([]Event, 0, batch)
-	off, warmEvents := 0, 0
-	for ; off < len(ets) && ets[off].Offset < warm; off += batch {
-		events = eng.ScanBatch(ets[off:min(off+batch, len(ets))], events[:0])
+	warmEvents := 0
+	for off := 0; off < from(warm); off += batch {
+		events = eng.ScanBatch(ets[off:min(off+batch, from(warm))], events[:0])
 		warmEvents += len(events)
 	}
 	if warmEvents == 0 {
 		t.Fatal("the warm-up raised no events; the candidate tables were never used")
 	}
-	allocs := testing.AllocsPerRun((len(ets)-off)/batch-1, func() {
-		events = eng.ScanBatch(ets[off:off+batch], events[:0])
-		off += batch
-	})
-	if allocs != 0 {
-		t.Fatalf("ScanBatch: %v allocs per batch in steady state, want 0", allocs)
+	steady := func(name string, ets []dpienc.EncryptedToken) int {
+		t.Helper()
+		raised := 0
+		allocs := testing.AllocsPerRun(len(ets)/batch-1, func() {
+			events = eng.ScanBatch(ets[:batch], events[:0])
+			raised += len(events)
+			ets = ets[batch:]
+		})
+		if allocs != 0 {
+			t.Fatalf("ScanBatch over %s: %v allocs per batch in steady state, want 0", name, allocs)
+		}
+		return raised
+	}
+	steady("ordinary traffic", ordinary)
+	if steady("matching traffic", matching) == 0 {
+		t.Fatal("the matching traffic raised no events")
+	}
+
+	salt := uint64(1)
+	if allocs := testing.AllocsPerRun(10, func() { eng.Reset(salt); salt++ }); allocs != 0 {
+		t.Fatalf("Reset: %v allocs, want 0", allocs)
 	}
 }

@@ -2,7 +2,7 @@
 # ci.sh — the full BlindBox verification gate, runnable locally or in CI.
 #
 #   scripts/ci.sh            # everything: vet, build, bblint, tests, race, fuzz smoke
-#   scripts/ci.sh quick      # vet + gofmt + build + bblint + unit tests (root and benchmark modules) + F's gate count + one evaluation and OT leg + every paper cell (one garbling among them) once + sender pipeline rows + line counts only
+#   scripts/ci.sh quick      # vet + gofmt + build + bblint + unit tests (root and benchmark modules) + F's gate count + one evaluation and OT leg + every paper cell (one garbling among them) once + sender pipeline rows + one 3K-rule detection row + line counts only
 #
 # Every stage uses only the Go toolchain; the module has no dependencies.
 set -euo pipefail
@@ -72,6 +72,12 @@ go test -run '^$' -bench '^Benchmark(Paper|EvalF|OTLeg)$' -benchtime 1x . |
 # so that a kernel or tokenizer regression shows in this log.
 step "sender pipeline: ns/B and ns/token, delimiter P2 and window P3"
 go test -run '^$' -bench '^BenchmarkSenderStagePipeline$' -benchtime 1x . | grep '^BenchmarkSenderStagePipeline'
+
+# Detection at the 3K-rule set's 9 900 keywords, on one 512-token batch of
+# window-mode traffic with keywords planted in it (no timing claim), so that
+# a regression of the engine's table shows in this log.
+step "detection: one batch against the 3K-rule set"
+go test -run '^$' -bench '^BenchmarkScanBatch3KRules$' -benchtime 1x . | grep '^BenchmarkScanBatch3KRules'
 
 # Go lines per package, non-test and test, and the data-path/support split
 # of the total, so a change's effect on the code's size is one number in
