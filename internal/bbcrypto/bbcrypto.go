@@ -1,6 +1,6 @@
 // Package bbcrypto provides the low-level cryptographic primitives shared by
-// the rest of the BlindBox implementation: HKDF key derivation, an AES-CTR
-// pseudorandom generator (used to derive the common randomness seeded by
+// the rest of the BlindBox implementation: HKDF key derivation, AES-CTR
+// pseudorandom generators (used to derive the common randomness seeded by
 // krand, §2.3 of the paper), the fixed-key AES hash used by the garbling
 // scheme (JustGarble-style), and small helpers for AES block operations.
 //
@@ -10,7 +10,6 @@ package bbcrypto
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
@@ -136,9 +135,13 @@ type FixedKeyHash struct {
 // garbling session must use the same fixed key; it need not be secret.
 func NewFixedKeyHash(key Block) *FixedKeyHash {
 	h := &FixedKeyHash{}
-	h.pi.Expand(&key)
+	h.Reset(&key)
 	return h
 }
+
+// Reset rekeys h in place with key, so a hash held by value is reused from
+// one key to the next; on the amd64 kernel that allocates nothing.
+func (h *FixedKeyHash) Reset(key *Block) { h.pi.Expand(key) }
 
 // Hash1 computes H(a, T) = π(K) ⊕ K with K = 2a ⊕ T, the hash of the
 // half-gates construction, one block at a time.
@@ -235,37 +238,104 @@ func (g *PRG) Block() Block {
 
 var _ io.Reader = (*PRG)(nil)
 
-// HKDF derives n bytes of key material from the input secret, salt and
-// info label using HKDF-SHA256 (RFC 5869). It is used by the BlindBox HTTPS
-// handshake to derive kSSL, k and krand from the master secret k0 (§2.3).
-func HKDF(secret, salt, info []byte, n int) []byte {
-	if salt == nil {
-		salt = make([]byte, sha256.Size)
-	}
-	ext := hmac.New(sha256.New, salt)
-	ext.Write(secret)
-	prk := ext.Sum(nil)
-
-	var (
-		out  []byte
-		prev []byte
-	)
-	for counter := byte(1); len(out) < n; counter++ {
-		exp := hmac.New(sha256.New, prk)
-		exp.Write(prev)
-		exp.Write(info)
-		exp.Write([]byte{counter})
-		prev = exp.Sum(nil)
-		out = append(out, prev...)
-	}
-	return out[:n]
+// CTR is the AES-CTR stream of NewPRG — a zero IV, the counter a 128-bit
+// big-endian integer — read from any block position on: the garbling PRG
+// and the OT extension's column PRG. Its schedule is inline, so where a
+// Schedule allocates nothing (the amd64 kernel) neither keying nor reading
+// a CTR does. The zero value is not a usable stream; call Reset first.
+//
+//bb:secret
+type CTR struct {
+	s    Schedule
+	next uint64 // the counter of the next keystream block
+	ks   Block  // the last keystream block, read up to off
+	off  int
 }
 
-// DeriveBlock derives a single named 16-byte key from a secret via HKDF.
+// Reset keys c with key and moves it to counter block pos: the next byte
+// read is the first of that block.
+func (c *CTR) Reset(key *Block, pos uint64) {
+	c.s.Expand(key)
+	c.next, c.off = pos, BlockSize
+}
+
+// Read fills p with the next len(p) bytes of the stream, four counter
+// blocks to an Encrypt4 while at least four blocks remain. It never fails;
+// the error is part of the io.Reader contract.
+func (c *CTR) Read(p []byte) (int, error) {
+	n := len(p)
+	if c.off < BlockSize {
+		k := copy(p, c.ks[c.off:])
+		c.off += k
+		p = p[k:]
+	}
+	lanes := [4]*Schedule{&c.s, &c.s, &c.s, &c.s}
+	var ctr, ks [4]Block
+	for ; len(p) >= 4*BlockSize; p = p[4*BlockSize:] {
+		for l := range ctr {
+			binary.BigEndian.PutUint64(ctr[l][8:], c.next)
+			c.next++
+		}
+		Encrypt4(&lanes, &ks, &ctr)
+		for l := range ks {
+			*(*Block)(p[l*BlockSize:]) = ks[l]
+		}
+	}
+	for len(p) > 0 {
+		binary.BigEndian.PutUint64(ctr[0][8:], c.next)
+		c.next++
+		c.s.Encrypt(&c.ks, &ctr[0])
+		c.off = copy(p, c.ks[:])
+		p = p[c.off:]
+	}
+	return n, nil
+}
+
+var _ io.Reader = (*CTR)(nil)
+
+// DeriveBlock derives a single named 16-byte key from a secret: the first
+// block of HKDF-SHA256 (RFC 5869) with no salt and the label as info. Both
+// HMACs hash on the stack, so for a secret and label that fit hmacSHA256's
+// buffer a derivation allocates nothing.
 func DeriveBlock(secret []byte, label string) Block {
-	var b Block
-	copy(b[:], HKDF(secret, nil, []byte(label), BlockSize))
-	return b
+	var salt [sha256.Size]byte // RFC 5869's default salt: HashLen zero bytes
+	prk := hmacSHA256(&salt, secret, "")
+	t1 := hmacSHA256(&prk, nil, label, 1) // T(1) = HMAC(PRK, T(0) ‖ info ‖ 0x01), T(0) empty
+	return Block(t1[:BlockSize])
+}
+
+// hmacBlock is SHA-256's block size, to which HMAC pads its key.
+const hmacBlock = 64
+
+// hmacStack bounds the message hmacSHA256 hashes in a stack buffer.
+const hmacStack = 192
+
+// hmacSHA256 returns HMAC-SHA256 (RFC 2104) under key of the message a ‖ b
+// ‖ tail, each pass one sha256.Sum256 over a buffer on the stack. A message
+// longer than hmacStack gets a heap buffer of its own for that one call;
+// the arguments are only read, so no caller's buffer moves to the heap.
+func hmacSHA256(key *[sha256.Size]byte, a []byte, b string, tail ...byte) [sha256.Size]byte {
+	n := len(a) + len(b) + len(tail)
+	var buf [hmacBlock + hmacStack]byte
+	in := buf[:]
+	if n > hmacStack {
+		in = make([]byte, hmacBlock+n)
+	}
+	in = in[:hmacBlock+n]
+	var out [hmacBlock + sha256.Size]byte
+	for i := 0; i < hmacBlock; i++ {
+		in[i], out[i] = 0x36, 0x5c
+	}
+	for i, k := range key {
+		in[i] ^= k
+		out[i] ^= k
+	}
+	m := hmacBlock + copy(in[hmacBlock:], a)
+	m += copy(in[m:], b)
+	copy(in[m:], tail)
+	inner := sha256.Sum256(in)
+	copy(out[hmacBlock:], inner[:])
+	return sha256.Sum256(out[:])
 }
 
 // SessionKeys holds the three keys every BlindBox HTTPS connection derives

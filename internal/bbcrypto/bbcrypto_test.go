@@ -2,6 +2,8 @@ package bbcrypto
 
 import (
 	"bytes"
+	"crypto/cipher"
+	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"testing"
@@ -281,6 +283,128 @@ func TestPRGBlockAdvances(t *testing.T) {
 	g := NewPRG(Block{1})
 	if g.Block() == g.Block() {
 		t.Fatal("consecutive PRG blocks must differ")
+	}
+}
+
+// HKDF derives n bytes of key material from the input secret, salt and
+// info label using HKDF-SHA256 (RFC 5869), on crypto/hmac: the reference
+// DeriveBlock is held to.
+func HKDF(secret, salt, info []byte, n int) []byte {
+	if salt == nil {
+		salt = make([]byte, sha256.Size)
+	}
+	ext := hmac.New(sha256.New, salt)
+	ext.Write(secret)
+	prk := ext.Sum(nil)
+
+	var (
+		out  []byte
+		prev []byte
+	)
+	for counter := byte(1); len(out) < n; counter++ {
+		exp := hmac.New(sha256.New, prk)
+		exp.Write(prev)
+		exp.Write(info)
+		exp.Write([]byte{counter})
+		prev = exp.Sum(nil)
+		out = append(out, prev...)
+	}
+	return out[:n]
+}
+
+// TestDeriveBlockMatchesHKDF holds DeriveBlock's stack HMACs to the
+// crypto/hmac reference: random secrets of 0–100 bytes under random labels,
+// and secrets and labels on both sides of the stack buffer's bound.
+func TestDeriveBlockMatchesHKDF(t *testing.T) {
+	rnd := NewPRG(Block{'h', 'k', 'd', 'f'})
+	buf := make([]byte, 2*hmacStack+2)
+	check := func(secret []byte, label string) {
+		t.Helper()
+		got := DeriveBlock(secret, label)
+		if want := HKDF(secret, nil, []byte(label), BlockSize); !bytes.Equal(got[:], want) {
+			t.Fatalf("DeriveBlock(%d-byte secret, %d-byte label) = %x, want %x", len(secret), len(label), got, want)
+		}
+	}
+	for i := 0; i < 500; i++ {
+		rnd.Read(buf[:2])
+		secret, label := make([]byte, int(buf[0])%101), make([]byte, int(buf[1])%40)
+		rnd.Read(secret)
+		rnd.Read(label)
+		check(secret, string(label))
+	}
+	for _, n := range []int{0, hmacStack - 1, hmacStack, hmacStack + 1, 2*hmacStack + 2} {
+		rnd.Read(buf)
+		check(buf[:n], "blindbox k")
+		check([]byte("k0"), string(buf[:n]))
+	}
+}
+
+// TestDeriveBlockDoesNotAllocate: a connection derives its session keys
+// and every garbling seed through DeriveBlock, so it allocates nothing.
+func TestDeriveBlockDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	secret := []byte("a master secret of some length")
+	var sink Block
+	for _, label := range []string{"blindbox krand", "blindbox ruleprep 65535"} {
+		if allocs := testing.AllocsPerRun(100, func() { sink = DeriveBlock(secret, label) }); allocs != 0 {
+			t.Fatalf("DeriveBlock(%q) allocates %.0f objects, want 0", label, allocs)
+		}
+	}
+	_ = sink
+}
+
+// TestCTRMatchesPRG holds CTR to crypto/cipher's CTR, which NewPRG wraps:
+// at block 0 its stream is NewPRG's, at any position it is the stream
+// from that counter on, however the reads are split.
+func TestCTRMatchesPRG(t *testing.T) {
+	key := Block{'c', 't', 'r'}
+	want := make([]byte, 1000)
+	NewPRG(key).Read(want)
+	for _, split := range []int{1, 5, 16, 17, 63, 64, 65, 200} {
+		var c CTR
+		c.Reset(&key, 0)
+		got := make([]byte, len(want))
+		for off := 0; off < len(got); off += split {
+			c.Read(got[off:min(off+split, len(got))])
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("reads of %d bytes differ from NewPRG's stream", split)
+		}
+	}
+	for _, pos := range []uint64{1, 7, 1 << 25, 1<<57 + 3} {
+		var iv Block
+		binary.BigEndian.PutUint64(iv[8:], pos)
+		want := make([]byte, 100)
+		cipher.NewCTR(NewAES(key), iv[:]).XORKeyStream(want, want)
+		var c CTR
+		c.Reset(&key, pos)
+		got := make([]byte, len(want))
+		c.Read(got[:3])
+		c.Read(got[3:])
+		if !bytes.Equal(got, want) {
+			t.Fatalf("the stream at block %d is not AES-CTR from that counter", pos)
+		}
+	}
+}
+
+// TestCTRDoesNotAllocate: keying and reading a CTR held by value costs no
+// heap object where the Schedule kernel exists.
+func TestCTRDoesNotAllocate(t *testing.T) {
+	if raceEnabled || !scheduleAllocFree() {
+		t.Skip("the race detector or crypto/aes behind Schedule allocates on its own")
+	}
+	key := Block{1}
+	buf := make([]byte, 1000)
+	var c CTR
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Reset(&key, 3)
+		c.Read(buf[:7])
+		c.Read(buf[7:])
+	})
+	if allocs != 0 {
+		t.Fatalf("Reset and Read allocate %.0f objects, want 0", allocs)
 	}
 }
 

@@ -84,33 +84,75 @@ func (l *Labels) For(i int, bit bool) Block {
 // Garble garbles the circuit with half gates and randomness drawn from rng.
 // Given equal circuits, fixed keys and rng streams, the output is
 // bit-identical — the property the middlebox's equality check relies on.
+// It is Scratch.Garble on a scratch of its own, so the result is the
+// caller's.
 func Garble(c *circuit.Circuit, fixedKey Block, rng io.Reader) (*Garbled, *Labels, error) {
-	g, labels, _, err := garbleLabels(c, fixedKey, rng)
+	return new(Scratch).Garble(c, fixedKey, rng)
+}
+
+// Scratch is the memory of one garbling or evaluation at a time, reused from
+// one circuit to the next: every wire's label in words
+// (bbcrypto.Block.Words), the seed bytes a garbling reads, the evaluator's
+// input labels and decoded outputs, the garbled tables, decode entries and
+// input labels a garbling writes, and the fixed-key hash, rekeyed in place
+// for each circuit. The kernels write every wire before they read it, so
+// reused memory is never zeroed. What a Scratch method returns lives in the
+// scratch and is overwritten by its next call. A Scratch is not safe for
+// concurrent use; the zero value is ready.
+//
+//bb:secret
+type Scratch struct {
+	h      bbcrypto.FixedKeyHash
+	lab    [][2]uint64
+	seed   []byte
+	in     []Block
+	out    []bool
+	g      *Garbled
+	labels *Labels
+}
+
+// resize returns b with length n, reallocated only when its capacity is
+// short; its contents are stale.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
+// Garble is the package's Garble in the scratch's memory: the returned
+// circuit and labels are valid until the scratch is next used.
+func (s *Scratch) Garble(c *circuit.Circuit, fixedKey Block, rng io.Reader) (*Garbled, *Labels, error) {
+	g, labels, _, err := s.garbleLabels(c, fixedKey, rng)
 	return g, labels, err
 }
 
 // garbleLabels is Garble that also returns every wire's false label, in
-// words (bbcrypto.Block.Words), one array allocated per call.
-func garbleLabels(c *circuit.Circuit, fixedKey Block, rng io.Reader) (*Garbled, *Labels, [][2]uint64, error) {
-	h := bbcrypto.NewFixedKeyHash(fixedKey)
-
+// words (bbcrypto.Block.Words).
+func (s *Scratch) garbleLabels(c *circuit.Circuit, fixedKey Block, rng io.Reader) (*Garbled, *Labels, [][2]uint64, error) {
 	// R and every input label in one read: a Block read on its own escapes
 	// through the io.Reader interface, one heap object per input wire.
-	seed := make([]byte, (1+c.NInputs)*bbcrypto.BlockSize)
-	if _, err := io.ReadFull(rng, seed); err != nil {
+	s.seed = resize(s.seed, (1+c.NInputs)*bbcrypto.BlockSize)
+	if _, err := io.ReadFull(rng, s.seed); err != nil {
 		return nil, nil, nil, fmt.Errorf("garble: reading R and input labels: %w", err)
 	}
-	r := blockAt(seed, 0).Words()
+	s.h.Reset(&fixedKey)
+	r := blockAt(s.seed, 0).Words()
 	r[1] |= 1 // LSB(R)=1 so labels of a pair differ in color
-	lab := make([][2]uint64, c.NInputs+len(c.Gates))
+	s.lab = resize(s.lab, c.NInputs+len(c.Gates))
+	lab := s.lab
 	for i := 0; i < c.NInputs; i++ {
-		lab[i] = blockAt(seed, 1+i).Words()
+		lab[i] = blockAt(s.seed, 1+i).Words()
 	}
 
-	g := &Garbled{FixedKey: fixedKey, Rows: 2, Tables: make([]Block, 2*c.NumAND())}
-	garbleHalfGates(c, h, r, lab, g.Tables)
+	if s.g == nil {
+		s.g, s.labels = new(Garbled), new(Labels)
+	}
+	g := s.g
+	g.FixedKey, g.Rows, g.Tables = fixedKey, 2, resize(g.Tables, 2*c.NumAND())
+	garbleHalfGates(c, &s.h, r, lab, g.Tables)
 
-	g.Decode = make([]DecodeEntry, len(c.Outputs))
+	g.Decode = resize(g.Decode, len(c.Outputs))
 	for i, ref := range c.Outputs {
 		if ref.IsConst {
 			g.Decode[i] = DecodeEntry{Const: true, Val: ref.Val}
@@ -118,7 +160,8 @@ func garbleLabels(c *circuit.Circuit, fixedKey Block, rng io.Reader) (*Garbled, 
 		}
 		g.Decode[i] = DecodeEntry{Val: label0(lab, r, ref)[1]&1 == 1}
 	}
-	labels := &Labels{L0: make([]Block, c.NInputs), R: bbcrypto.FromWords(r)}
+	labels := s.labels
+	labels.L0, labels.R = resize(labels.L0, c.NInputs), bbcrypto.FromWords(r)
 	for i := range labels.L0 {
 		labels.L0[i] = bbcrypto.FromWords(lab[i])
 	}
@@ -210,29 +253,42 @@ func putWords(b *Block, hi, lo uint64) {
 
 // Eval evaluates the garbled circuit on one label per input wire and
 // returns the decoded output bits. The evaluator learns nothing about the
-// garbler's labels beyond the outputs.
+// garbler's labels beyond the outputs. It is Scratch.Eval on a scratch of
+// its own, so the result is the caller's.
 func Eval(c *circuit.Circuit, g *Garbled, inputLabels []Block) ([]bool, error) {
-	lab, err := evalLabels(c, g, inputLabels)
+	return new(Scratch).Eval(c, g, inputLabels)
+}
+
+// Inputs returns n input labels in the scratch's memory, for the caller to
+// fill and hand to Eval; their contents are stale.
+func (s *Scratch) Inputs(n int) []Block {
+	s.in = resize(s.in, n)
+	return s.in
+}
+
+// Eval is the package's Eval in the scratch's memory: the returned bits are
+// valid until the scratch is next used. inputLabels may be Inputs' slice.
+func (s *Scratch) Eval(c *circuit.Circuit, g *Garbled, inputLabels []Block) ([]bool, error) {
+	lab, err := s.evalLabels(c, g, inputLabels)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]bool, len(c.Outputs))
+	s.out = resize(s.out, len(c.Outputs))
 	for i, ref := range c.Outputs {
 		d := g.Decode[i]
 		if d.Const {
-			out[i] = d.Val
+			s.out[i] = d.Val
 			continue
 		}
 		// The decode entry was computed from label0, which already folds
 		// in the reference's negation, so no extra flip is needed.
-		out[i] = (lab[ref.ID][1]&1 == 1) != d.Val
+		s.out[i] = (lab[ref.ID][1]&1 == 1) != d.Val
 	}
-	return out, nil
+	return s.out, nil
 }
 
-// evalLabels is Eval before decoding: the label of every wire, in words,
-// one array allocated per call.
-func evalLabels(c *circuit.Circuit, g *Garbled, inputLabels []Block) ([][2]uint64, error) {
+// evalLabels is Eval before decoding: the label of every wire, in words.
+func (s *Scratch) evalLabels(c *circuit.Circuit, g *Garbled, inputLabels []Block) ([][2]uint64, error) {
 	if len(inputLabels) != c.NInputs {
 		return nil, fmt.Errorf("garble: got %d input labels, want %d", len(inputLabels), c.NInputs)
 	}
@@ -245,13 +301,13 @@ func evalLabels(c *circuit.Circuit, g *Garbled, inputLabels []Block) ([][2]uint6
 	if 2*c.NumAND() != len(g.Tables) {
 		return nil, errors.New("garble: gate table size mismatch")
 	}
-	h := bbcrypto.NewFixedKeyHash(g.FixedKey)
-	lab := make([][2]uint64, c.NInputs+len(c.Gates))
+	s.h.Reset(&g.FixedKey)
+	s.lab = resize(s.lab, c.NInputs+len(c.Gates))
 	for i := range inputLabels {
-		lab[i] = inputLabels[i].Words()
+		s.lab[i] = inputLabels[i].Words()
 	}
-	evalHalfGates(c, h, g.Tables, lab)
-	return lab, nil
+	evalHalfGates(c, &s.h, g.Tables, s.lab)
+	return s.lab, nil
 }
 
 // evalHalfGates evaluates every gate of c into lab, whose input wires are

@@ -356,6 +356,36 @@ func TestGarbleReadsInputLabelsAtOnce(t *testing.T) {
 	}
 }
 
+// TestScratchReusesItsMemory: once a scratch has garbled and evaluated a
+// circuit, garbling and evaluating it again allocates nothing.
+func TestScratchReusesItsMemory(t *testing.T) {
+	if raceEnabled || !hashAllocFree() {
+		t.Skip("the race detector or the portable hash allocates on its own")
+	}
+	b := circuit.NewBuilder(1024)
+	c := b.Build([]circuit.Ref{b.Equal(b.Inputs(0, 512), b.Inputs(512, 512))})
+	var gs, es Scratch
+	var prg bbcrypto.CTR
+	run := func() {
+		prg.Reset(&bbcrypto.Block{1}, 0)
+		g, labels, err := gs.Garble(c, bbcrypto.Block{1}, &prg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := es.Inputs(c.NInputs)
+		for i := range in {
+			in[i] = labels.For(i, i%3 == 0)
+		}
+		if _, err := es.Eval(c, g, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Fatalf("a garbling and an evaluation in warm scratches allocate %.0f objects, want 0", allocs)
+	}
+}
+
 // hashAllocFree reports whether the fixed-key hash stays off the heap here
 // (the AES-NI kernel does; crypto/aes behind purego or off amd64 does not).
 func hashAllocFree() bool {
@@ -527,13 +557,16 @@ func oracleCircuits() map[string]*circuit.Circuit {
 // TestHalfGatesMatchScalarOracle holds the word kernel — four hashes per
 // Hash1x4 at the garbler, two AND gates per Hash1x4 at the evaluator — to
 // the scalar loops above: the same garbled bytes, the same label on every
-// wire at both ends, and the same decoded outputs.
+// wire at both ends, and the same decoded outputs. One garbling scratch
+// and one evaluation scratch serve every circuit and seed, larger and
+// smaller in turn, so nothing a circuit leaves in reused memory may show.
 func TestHalfGatesMatchScalarOracle(t *testing.T) {
 	key := bbcrypto.Block{0xAA}
+	var gs, es Scratch
 	for name, c := range oracleCircuits() {
 		t.Run(name, func(t *testing.T) {
 			for seed := byte(0); seed < 3; seed++ {
-				g, labels, lab, err := garbleLabels(c, key, bbcrypto.NewPRG(bbcrypto.Block{seed}))
+				g, labels, lab, err := gs.garbleLabels(c, key, bbcrypto.NewPRG(bbcrypto.Block{seed}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -564,7 +597,7 @@ func TestHalfGatesMatchScalarOracle(t *testing.T) {
 					}
 					inLabels[i] = labels.For(i, in[i])
 				}
-				got, err := evalLabels(c, g, inLabels)
+				got, err := es.evalLabels(c, g, inLabels)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -574,7 +607,7 @@ func TestHalfGatesMatchScalarOracle(t *testing.T) {
 						t.Fatalf("seed %d: evaluator's label of wire %d differs", seed, i)
 					}
 				}
-				out, err := Eval(c, g, inLabels)
+				out, err := es.Eval(c, g, inLabels)
 				if err != nil {
 					t.Fatal(err)
 				}

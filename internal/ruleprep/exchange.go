@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bbcrypto"
 	"repro/internal/dpienc"
+	"repro/internal/garble"
 	"repro/internal/obs"
 	"repro/internal/ot"
 )
@@ -249,9 +250,10 @@ type Dial struct {
 	Prep  obs.SpanCtx
 }
 
-// run is one Run's state: its Middlebox and Dial, and its OT with the
-// server — the state ID and position it proposes, the receiver at that
-// position when a state is kept, the server's verdict and the outcome.
+// run is one Run's state: its Middlebox and Dial, its OT with the server —
+// the state ID and position it proposes, the receiver at that position
+// when a state is kept, the server's verdict and the outcome — and the
+// garbling scratch it evaluates every fragment in.
 type run struct {
 	*Middlebox
 	Dial
@@ -260,6 +262,7 @@ type run struct {
 	recv    *ot.ExtReceiver
 	resumed bool
 	outcome string
+	sc      garble.Scratch // every fragment's evaluation
 }
 
 // Run runs the middlebox's side with both endpoints at once, a goroutine
@@ -452,7 +455,7 @@ func (r *run) baseOT(p Port) (*ot.ExtReceiver, int, error) {
 // start. finish runs before the last span ends (Run sends Done there), and
 // its error is evaluate's.
 func (r *run) evaluate(client, server []*FragmentJob, labels []bbcrypto.Block, start time.Time, finish func() error) ([]*dpienc.TokenKey, error) {
-	keys := make([]*dpienc.TokenKey, r.NumFragments())
+	keys, vals := make([]*dpienc.TokenKey, r.NumFragments()), make([]dpienc.TokenKey, r.NumFragments())
 	var sp obs.Span
 	for i := range keys {
 		if i > 0 {
@@ -460,7 +463,7 @@ func (r *run) evaluate(client, server []*FragmentJob, labels []bbcrypto.Block, s
 		}
 		st := server[i].G.Stats()
 		sp = obs.Span{Name: obs.SpanPrepRuleEnc, Gates: st.Gates, Rows: st.TableRows, Bytes: st.WireBytes}
-		key, err := r.ruleEnc(i, client[i], server[i], labels[i*OTWires:(i+1)*OTWires])
+		err := r.ruleEnc(i, client[i], server[i], labels[i*OTWires:(i+1)*OTWires], &vals[i])
 		if err == ErrUnauthorized {
 			continue
 		}
@@ -469,7 +472,7 @@ func (r *run) evaluate(client, server []*FragmentJob, labels []bbcrypto.Block, s
 			r.span(start, sp)
 			return nil, err
 		}
-		keys[i] = &key
+		keys[i] = &vals[i]
 	}
 	err := finish()
 	if len(keys) > 0 {
@@ -481,15 +484,15 @@ func (r *run) evaluate(client, server []*FragmentJob, labels []bbcrypto.Block, s
 // ruleEnc is Run's finishing work for fragment i: the client's digest must
 // equal the server's, each label the server's OT delivered must match the
 // client's commitment at its choice bit, and then the server's circuit is
-// evaluated on them.
-func (m *Middlebox) ruleEnc(i int, client, server *FragmentJob, labels []bbcrypto.Block) (dpienc.TokenKey, error) {
-	if err := m.Verify(client, server); err != nil {
-		return dpienc.TokenKey{}, err
+// evaluated on them, in the Run's scratch, into *key.
+func (r *run) ruleEnc(i int, client, server *FragmentJob, labels []bbcrypto.Block, key *dpienc.TokenKey) error {
+	if err := r.Verify(client, server); err != nil {
+		return err
 	}
-	if err := checkCommitments(i, client.Commits, labels, m.Choices(i)); err != nil {
-		return dpienc.TokenKey{}, err
+	if err := checkCommitments(i, client.Commits, labels, r.Choices(i)); err != nil {
+		return err
 	}
-	return m.Evaluate(i, server, labels)
+	return evaluate(&r.sc, server, labels, key)
 }
 
 // span records sp as a child of the Dial's prep span, from start to now,

@@ -57,7 +57,9 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bbcrypto"
@@ -152,9 +154,15 @@ const DigestMsgLen = 4 + sha256.Size + 2*OTWires*bbcrypto.BlockSize
 // key, the row count, two half-gate rows per AND gate and a decode byte per
 // output, each list behind its uint32 length.
 func CircuitMsgLen() int {
+	return 8 + fStats().WireBytes + 4 + endpointWires*bbcrypto.BlockSize
+}
+
+// fStats is what garble.Garbled.Stats reports for every garbled F, read off
+// F's shape: its AND gates, two half-gate rows each, and the blob's bytes.
+func fStats() garble.Stats {
 	f := F()
-	blob := bbcrypto.BlockSize + 1 + 4 + 2*f.NumAND()*bbcrypto.BlockSize + 4 + len(f.Outputs)
-	return 8 + blob + 4 + endpointWires*bbcrypto.BlockSize
+	rows := 2 * f.NumAND()
+	return garble.Stats{Gates: f.NumAND(), TableRows: rows, WireBytes: bbcrypto.BlockSize + 1 + 4 + rows*bbcrypto.BlockSize + 4 + len(f.Outputs)}
 }
 
 // AppendCircuitMsg appends the job's circuit message to dst: uint32 index,
@@ -305,80 +313,134 @@ func NewEndpoint(k, kRG, krand bbcrypto.Block) *Endpoint {
 	return &Endpoint{circ: F(), keyBits: keyBits, krand: krand}
 }
 
+// seedLabel prefixes the decimal fragment index in a garbling seed's label.
+const seedLabel = "blindbox ruleprep "
+
 // seed derives the deterministic garbling seed for fragment i. Both
 // endpoints hold krand, so they derive equal seeds and hence produce
-// bit-identical garbled circuits.
+// bit-identical garbled circuits. The label is built on the stack.
 func (e *Endpoint) seed(i int) bbcrypto.Block {
-	return bbcrypto.DeriveBlock(e.krand[:], fmt.Sprintf("blindbox ruleprep %d", i))
+	var label [len(seedLabel) + 20]byte
+	return bbcrypto.DeriveBlock(e.krand[:], string(strconv.AppendInt(append(label[:0], seedLabel...), int64(i), 10)))
 }
 
-// Garble produces the fragment job for index i.
-func (e *Endpoint) Garble(i int) (*FragmentJob, error) {
-	start := time.Now()
-	g, labels, err := garble.Garble(e.circ, FixedGarblingKey, bbcrypto.NewPRG(e.seed(i)))
-	if err != nil {
-		return nil, err
-	}
-	st := g.Stats()
-	e.fr.Span(e.tctx.Child(), start, obs.Span{Name: obs.SpanPrepGarble, Gates: st.Gates, Rows: st.TableRows, Bytes: st.WireBytes})
-	job := &FragmentJob{Index: i, G: g}
+// garbler is the memory one fragment's garbling needs, reused from one
+// fragment to the next: the garbling scratch, the garbling PRG and the job
+// it garbles into.
+//
+//bb:secret
+type garbler struct {
+	sc  garble.Scratch
+	prg bbcrypto.CTR
+	job FragmentJob
+}
 
-	job.EndpointLabels = make([]bbcrypto.Block, endpointWires)
+// garble garbles e's fragment i into gb.job, which is valid until gb
+// garbles the next fragment. Its span is sized by F's shape, and its error
+// is errGarble: nothing read from the garbler leaves it but the job.
+func (gb *garbler) garble(e *Endpoint, i int) error {
+	start := time.Now()
+	seed := e.seed(i)
+	gb.prg.Reset(&seed, 0)
+	g, labels, err := gb.sc.Garble(e.circ, FixedGarblingKey, &gb.prg)
+	if err != nil {
+		return errGarble
+	}
+	st := fStats()
+	e.fr.Span(e.tctx.Child(), start, obs.Span{Name: obs.SpanPrepGarble, Gates: st.Gates, Rows: st.TableRows, Bytes: st.WireBytes})
+	job := &gb.job
+	job.Index, job.G, job.Digest = i, g, [sha256.Size]byte{}
+	if job.otPairs == nil {
+		job.EndpointLabels, job.otPairs = make([]bbcrypto.Block, endpointWires), make([][2]bbcrypto.Block, OTWires)
+	}
 	for b, bit := range e.keyBits {
 		job.EndpointLabels[b] = labels.For(circuit.RuleEncryptKOff+b, bit)
 	}
-	job.otPairs = make([][2]bbcrypto.Block, OTWires)
 	for b := range job.otPairs {
 		job.otPairs[b][0], job.otPairs[b][1] = labels.Pair(circuit.RuleEncryptXOff + b)
 	}
-	return job, nil
+	return nil
+}
+
+// Garble produces the fragment job for index i, in memory of its own.
+func (e *Endpoint) Garble(i int) (*FragmentJob, error) {
+	gb := new(garbler)
+	if err := gb.garble(e, i); err != nil {
+		return nil, err
+	}
+	// A copy of the job, so that holding it does not hold the label array.
+	job := gb.job
+	return &job, nil
 }
 
 // GarbleEach garbles fragments 0..n-1 and hands each job to emit in index
-// order. Garbling runs ahead of emit on up to GOMAXPROCS goroutines and no
-// further: a job is started only when an earlier one is handed over, so
-// however slowly emit drains, at most GOMAXPROCS circuits exist beyond the
-// one emit holds. The first error, from garbling or from emit, stops the
-// run; GarbleEach returns once every goroutine it started has finished.
+// order. Garbling runs ahead of emit on min(GOMAXPROCS, n) worker
+// goroutines, each garbling into one of GOMAXPROCS + 1 garblers, whose
+// memory serves fragment after fragment: a worker takes a garbler before it
+// takes the next index, and a garbler is free again once emit has returned
+// its job. So however slowly emit drains, at most GOMAXPROCS circuits exist
+// beyond the one emit holds, and GarbleEach's allocations do not grow with
+// n. An emitted job, everything it points to included, is valid only while
+// emit runs: emit copies out what it keeps. The first error, from garbling
+// or from emit, stops the run; GarbleEach returns once every goroutine it
+// started has finished.
 func (e *Endpoint) GarbleEach(n int, emit func(*FragmentJob) error) error {
 	if n < 0 || n > MaxFragments {
 		return fmt.Errorf("%w: %d", ErrTooManyFragments, n)
 	}
-	type result struct {
-		job *FragmentJob
-		err error
+	if n == 0 {
+		return nil
 	}
-	var inFlight []chan result // oldest first
-	next := 0
-	start := func() {
-		ch := make(chan result, 1)
-		inFlight = append(inFlight, ch)
-		go func(i int) {
-			job, err := e.Garble(i)
-			ch <- result{job, err}
-		}(next)
-		next++
+	workers := min(runtime.GOMAXPROCS(0), n)
+	// Fragment i's garbler reaches emit through done[i mod len(done)]: the
+	// fragments taken but not yet emitted each hold one of the workers + 1
+	// garblers, so no two of them share a channel. No send on free or done
+	// ever blocks.
+	free := make(chan *garbler, workers+1)
+	done := make([]chan *garbler, workers+1)
+	for i := range done {
+		free <- new(garbler)
+		done[i] = make(chan *garbler, 1)
 	}
+	var (
+		next atomic.Int64 // the next index to take
+		wg   sync.WaitGroup
+	)
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for gb := range free {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if gb.garble(e, i) != nil {
+					gb = nil // reported as errGarble
+				}
+				done[i%len(done)] <- gb
+			}
+		}()
+	}
+	// After a failure no garbler comes back, so the workers stop once free
+	// is empty.
 	var err error
-	for ahead := runtime.GOMAXPROCS(0); next < n && next < ahead; {
-		start()
+	for i := 0; i < n && err == nil; i++ {
+		if gb := <-done[i%len(done)]; gb == nil {
+			err = errGarble
+		} else if err = emit(&gb.job); err == nil {
+			free <- gb
+		}
 	}
-	for len(inFlight) > 0 {
-		r := <-inFlight[0]
-		inFlight = inFlight[1:]
-		if err != nil {
-			continue // failed already: only waiting for what still runs
-		}
-		if err = r.err; err != nil {
-			continue
-		}
-		if next < n {
-			start() // before emit, so garbling overlaps the write
-		}
-		err = emit(r.job)
-	}
+	close(free)
+	wg.Wait()
 	return err
 }
+
+// errGarble is the error of a garbling that failed. An endpoint garbles
+// from a CTR stream, which never fails; the error carries nothing from the
+// garbler's memory.
+var errGarble = errors.New("ruleprep: garbling failed")
 
 // Request is what the middlebox asks the endpoints to prepare: one entry
 // per rule fragment, consisting of the fragment block and RG's tag for it.
@@ -468,28 +530,47 @@ var ErrUnauthorized = errors.New("ruleprep: fragment not authorized by rule gene
 // wires of k, then of kRG), returning the fragment's DPIEnc token key
 // AES_k(x).
 func (m *Middlebox) Evaluate(i int, job *FragmentJob, otLabels []bbcrypto.Block) (dpienc.TokenKey, error) {
+	var key dpienc.TokenKey
+	err := evaluate(new(garble.Scratch), job, otLabels, &key)
+	return key, err
+}
+
+// errShape is the error of an evaluation that garble.Scratch.Eval refused:
+// a circuit whose tables or decode entries do not fit F. It carries nothing
+// from the scratch's memory.
+var errShape = errors.New("ruleprep: garbled circuit does not fit F")
+
+// evaluate is Evaluate in sc's memory, which Run reuses from one fragment
+// to the next. The key is written to *key, zero unless err is nil, so that
+// what the scratch computes never travels with an error.
+func evaluate(sc *garble.Scratch, job *FragmentJob, otLabels []bbcrypto.Block, key *dpienc.TokenKey) error {
+	*key = dpienc.TokenKey{}
 	switch {
 	case job.G == nil:
-		return dpienc.TokenKey{}, errors.New("ruleprep: job carries no circuit")
+		return errors.New("ruleprep: job carries no circuit")
 	case len(otLabels) != OTWires:
-		return dpienc.TokenKey{}, errors.New("ruleprep: wrong OT label count")
+		return errors.New("ruleprep: wrong OT label count")
 	case len(job.EndpointLabels) != endpointWires:
-		return dpienc.TokenKey{}, errors.New("ruleprep: wrong endpoint label count")
+		return errors.New("ruleprep: wrong endpoint label count")
 	}
 	f := F()
-	in := make([]bbcrypto.Block, f.NInputs)
+	in := sc.Inputs(f.NInputs)
 	copy(in[circuit.RuleEncryptXOff:], otLabels)
 	copy(in[circuit.RuleEncryptKOff:], job.EndpointLabels)
-	bits, err := garble.Eval(f, job.G, in)
+	bits, err := sc.Eval(f, job.G, in)
 	if err != nil {
-		return dpienc.TokenKey{}, err
+		return errShape
 	}
-	var key, bottom dpienc.TokenKey
-	copy(key[:], circuit.BitsToBytes(bits))
-	if subtle.ConstantTimeCompare(key[:], bottom[:]) == 1 {
-		return dpienc.TokenKey{}, ErrUnauthorized
+	// The bits packed LSB-first, as circuit.BitsToBytes packs them.
+	var out, bottom dpienc.TokenKey
+	for b, v := range bits {
+		out[b/8] |= byte(bit(v)) << (b % 8)
 	}
-	return key, nil
+	if subtle.ConstantTimeCompare(out[:], bottom[:]) == 1 {
+		return ErrUnauthorized
+	}
+	*key = out
+	return nil
 }
 
 // VerifyAndEvaluate is the middlebox's finishing work for fragment i when

@@ -1,6 +1,7 @@
 package ruleprep
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bbcrypto"
 	"repro/internal/circuit"
@@ -386,12 +388,133 @@ func TestGarbleEachIsOrderedAndBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var last *FragmentJob
-	if err := ep.GarbleEach(n, func(job *FragmentJob) error { last = job; return nil }); err != nil {
+	same := false
+	err = ep.GarbleEach(n, func(job *FragmentJob) error {
+		same = job.Index != n-1 || garble.Equal(want.G, job.G)
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !garble.Equal(want.G, last.G) {
+	if !same {
 		t.Fatal("GarbleEach's last job differs from Garble(n-1)")
+	}
+}
+
+// TestGarbleEachMatchesGarble: the garblers' memory serves fragment after
+// fragment, so nothing one fragment leaves in it may show in the next. At
+// n = 1, GOMAXPROCS and 3·GOMAXPROCS + 1, every emitted job has the circuit
+// message, endpoint labels and OT pairs of a fresh Garble(i).
+func TestGarbleEachMatchesGarble(t *testing.T) {
+	ep := NewEndpoint(bbcrypto.Block{4}, bbcrypto.Block{5}, bbcrypto.Block{6})
+	procs := runtime.GOMAXPROCS(0)
+	want := make([]*FragmentJob, 3*procs+1)
+	digests := make([][sha256.Size]byte, len(want))
+	for i := range want {
+		job, err := ep.Garble(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i], digests[i] = job, sha256.Sum256(job.AppendCircuitMsg(nil))
+	}
+	for _, n := range []int{1, procs, 3*procs + 1} {
+		emitted := 0
+		err := ep.GarbleEach(n, func(job *FragmentJob) error {
+			i := job.Index
+			switch {
+			case i != emitted:
+				return fmt.Errorf("job %d emitted at position %d", i, emitted)
+			case sha256.Sum256(job.AppendCircuitMsg(nil)) != digests[i]:
+				return fmt.Errorf("job %d: circuit message differs from Garble(%d)'s", i, i)
+			case !slices.Equal(job.EndpointLabels, want[i].EndpointLabels):
+				return fmt.Errorf("job %d: endpoint labels differ from Garble(%d)'s", i, i)
+			case !slices.Equal(job.OTPairs(), want[i].OTPairs()):
+				return fmt.Errorf("job %d: OT pairs differ from Garble(%d)'s", i, i)
+			}
+			emitted++
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("n = %d: %v", n, err)
+		}
+		if emitted != n {
+			t.Fatalf("n = %d: %d jobs emitted", n, emitted)
+		}
+	}
+}
+
+// aesAllocFree reports whether keying AES allocates nothing in this build:
+// the amd64 kernel does not, crypto/aes behind purego does.
+func aesAllocFree() bool {
+	key := bbcrypto.Block{1}
+	return testing.AllocsPerRun(10, func() { new(bbcrypto.Schedule).Expand(&key) }) == 0
+}
+
+// TestGarbleEachAllocsDoNotGrow: GarbleEach's garblers serve every
+// fragment, so garbling 2n fragments allocates fewer than n objects more
+// than garbling n.
+func TestGarbleEachAllocsDoNotGrow(t *testing.T) {
+	if raceEnabled || !aesAllocFree() {
+		t.Skip("the race detector or crypto/aes behind the AES kernel allocates on its own")
+	}
+	ep := NewEndpoint(bbcrypto.Block{1}, bbcrypto.Block{2}, bbcrypto.Block{3})
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if err := ep.GarbleEach(n, func(*FragmentJob) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const n = 8
+	if one, two := allocs(n), allocs(2*n); two-one >= n {
+		t.Fatalf("GarbleEach allocates %.0f objects for %d fragments and %.0f for %d, want fewer than %d more", one, n, two, 2*n, n)
+	}
+}
+
+// TestRunEvaluatesInOneScratch: a Run's evaluations share its scratch, so
+// once it is warm, six verified evaluations allocate only the two key
+// slices, no label array, and every key is right.
+func TestRunEvaluatesInOneScratch(t *testing.T) {
+	if raceEnabled || !aesAllocFree() {
+		t.Skip("the race detector or crypto/aes behind the AES kernel allocates on its own")
+	}
+	frags := []string{"fragmen1", "fragmen2", "fragmen3", "fragmen4", "fragmen5", "fragmen6"}
+	epS, _, mb, k, _ := setup(t, frags)
+	var client, server []*FragmentJob
+	var labels []bbcrypto.Block
+	for i := range frags {
+		job, err := epS.Garble(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job.Digest = sha256.Sum256(job.AppendCircuitMsg(nil))
+		c, err := ParseDigestMsg(job.AppendDigestMsg(nil), mb.Choices(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, server = append(client, c), append(server, serverJob(t, job))
+		for w, b := range mb.Choices(i) {
+			labels = append(labels, job.OTPairs()[w][bit(b)])
+		}
+	}
+	r := &run{Middlebox: mb}
+	var keys []*dpienc.TokenKey
+	evaluate := func() {
+		var err error
+		if keys, err = r.evaluate(client, server, labels, time.Now(), func() error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evaluate()
+	if allocs := testing.AllocsPerRun(5, evaluate); allocs > 2 {
+		t.Fatalf("six evaluations in a warm scratch allocate %.0f objects, want the 2 key slices", allocs)
+	}
+	for i, f := range frags {
+		var tok [tokenize.TokenSize]byte
+		copy(tok[:], f)
+		if keys[i] == nil || *keys[i] != dpienc.ComputeTokenKey(k, tok) {
+			t.Fatalf("fragment %q: wrong key", f)
+		}
 	}
 }
 
@@ -417,6 +540,45 @@ func TestGarbleEachStopsAtEmitError(t *testing.T) {
 	// Two emitted, and no more than the look-ahead garbled beyond them.
 	if got, most := spans.garbled.Load(), int64(2+runtime.GOMAXPROCS(0)); got > most {
 		t.Fatalf("%d circuits garbled for a run that failed at the 2nd, want at most %d", got, most)
+	}
+}
+
+// garbleWorkers counts the goroutines running a GarbleEach worker.
+func garbleWorkers() int {
+	buf := make([]byte, 1<<20)
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("ruleprep.(*Endpoint).GarbleEach.func"))
+}
+
+// TestGarbleEachLeavesNoGoroutine: after a run that emit stops at its
+// first job, and after one that completes, every worker has exited.
+func TestGarbleEachLeavesNoGoroutine(t *testing.T) {
+	ep := NewEndpoint(bbcrypto.Block{1}, bbcrypto.Block{2}, bbcrypto.Block{3})
+	boom := errors.New("peer went away")
+	for _, stopAt := range []int{0, -1} {
+		running := 0
+		err := ep.GarbleEach(3*runtime.GOMAXPROCS(0)+1, func(job *FragmentJob) error {
+			running = max(running, garbleWorkers())
+			if job.Index == stopAt {
+				return boom
+			}
+			return nil
+		})
+		if stopAt >= 0 && !errors.Is(err, boom) || stopAt < 0 && err != nil {
+			t.Fatalf("GarbleEach stopping at %d = %v", stopAt, err)
+		}
+		if running == 0 {
+			t.Fatal("no worker seen while GarbleEach ran")
+		}
+		// GarbleEach has waited for its workers; one may still be between
+		// its deferred Done and its exit.
+		left := garbleWorkers()
+		for i := 0; i < 1000 && left > 0; i++ {
+			runtime.Gosched()
+			left = garbleWorkers()
+		}
+		if left > 0 {
+			t.Fatalf("%d workers left after GarbleEach stopping at %d returned", left, stopAt)
+		}
 	}
 }
 

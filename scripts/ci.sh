@@ -190,10 +190,19 @@ awk -F': ' '/"tokens_scanned_total"/ { gsub(/,/, "", $2); v[n++] = $2 }
 
 # Fuzz smoke: each corpus gets a short budget. `go test -fuzz` accepts a
 # single fuzz target per invocation, so loop over every target explicitly.
-step "fuzz smoke (${FUZZTIME} per target)"
+# Minimizing a new input may take 60 s by default, so a short budget can go
+# to minimizing one input while nothing executes; each input gets
+# FUZZMINIMIZE instead, and each target's exec count is printed at the end
+# so a target that barely ran shows.
+FUZZMINIMIZE=1s
+step "fuzz smoke (${FUZZTIME} per target, ${FUZZMINIMIZE} per minimization)"
+FUZZEXECS=()
 while read -r pkg target; do
     echo "--- ${pkg} ${target}"
-    go test -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZTIME" "$pkg"
+    go test -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZTIME" \
+        -fuzzminimizetime "$FUZZMINIMIZE" "$pkg" 2>&1 | tee "$FLEETDIR/fuzz.log"
+    execs="$(grep -o 'execs: [0-9]*' "$FLEETDIR/fuzz.log" | tail -n 1 | cut -d' ' -f2)"
+    FUZZEXECS+=("${execs:-0} execs  ${pkg} ${target}")
 done <<'EOF'
 ./internal/tokenize FuzzStreamingEquivalence
 ./internal/tokenize FuzzSplitKeywordConsistency
@@ -215,6 +224,7 @@ done <<'EOF'
 ./internal/obs FuzzSamplerDecision
 ./internal/obs/agg FuzzDecode
 EOF
+printf '%s\n' "${FUZZEXECS[@]}"
 
 echo
 echo "full gate passed."
